@@ -1,0 +1,8 @@
+"""Makes ``repro`` importable for ``python -m pytest perf -q``."""
+
+import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+if SRC not in sys.path:
+    sys.path.insert(0, SRC)
