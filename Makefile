@@ -6,7 +6,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test test-fast lint lint-repro typecheck ci stress lockwatch perf-smoke slo-smoke session-smoke cluster-smoke bench-slo bench-session bench-cluster fsck mutation-drill bench report examples clean
+.PHONY: install test test-fast lint lint-repro typecheck ci stress lockwatch perf-smoke perf-harness slo-smoke session-smoke cluster-smoke bench-slo bench-session bench-cluster fsck mutation-drill bench report examples clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -67,6 +67,16 @@ lockwatch:
 # `perf-smoke` job in CI, which relaxes the guards for shared runners.
 perf-smoke:
 	$(PYTHON) -m pytest benchmarks/test_semantic_cache.py --benchmark-only -q
+
+# Benchmark-harness gate: perf/ times the serving path from outside
+# through wrappers on named callables (perf/trace.py layer_targets),
+# so a refactor that renames one or stops calling it must fail here,
+# not in the benchmark driver.  Runs the harness's own tests, then a
+# quarter-size pass of all five workloads (exit 1 on a wrong answer).
+# Mirrors the `perf-harness` job in CI.
+perf-harness:
+	$(PYTHON) -m pytest perf -q
+	$(PYTHON) perf/run.py --smoke
 
 # Open-loop SLO smoke: a short run of the admission-controlled
 # open-loop matrix with generous guards (goodput merely well above

@@ -35,7 +35,8 @@ from repro.bench.openloop import (
 )
 from repro.bench.reporting import SeriesTable
 from repro.core import DirectMeshStore
-from repro.core.engine import CostGovernor, QueryEngine
+from repro.core.admission import CostGovernor
+from repro.core.engine import QueryEngine
 from repro.obs.metrics import MetricsRegistry
 from repro.storage import Database
 from repro.terrain import dataset_by_name

@@ -21,7 +21,7 @@ The result is scored the way an SLO is written: latency is measured
 from the *scheduled arrival* (so queue wait counts), reported at
 p50/p95/p99/p999, and **goodput-under-SLO** counts only full-fidelity
 successes inside the latency budget.  Degraded and shed responses are
-tallied separately — with a :class:`~repro.core.engine.CostGovernor`
+tallied separately — with a :class:`~repro.core.admission.CostGovernor`
 attached they are the mechanism that keeps the percentiles bounded;
 without one the same offered rate shows textbook latency collapse.
 Reports serialize to a schema-versioned JSON payload
@@ -760,7 +760,7 @@ def suggest_budget(
     workers: int,
     sample: int = 64,
 ) -> float:
-    """A reasonable :class:`~repro.core.engine.CostGovernor` budget.
+    """A reasonable :class:`~repro.core.admission.CostGovernor` budget.
 
     Samples the configured workload and prices it with the store's DA
     cost model; the budget is twice what ``workers`` threads hold in

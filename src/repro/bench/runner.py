@@ -135,7 +135,6 @@ def measure_throughput(
     retries: int = 2,
     deadline_s: float | None = None,
     cache=None,
-    vectorized: bool = True,
     repeat: int = 1,
     clustered: bool | None = None,
 ) -> ThroughputReport:
@@ -145,10 +144,10 @@ def measure_throughput(
     so runs at different worker counts face identical cache state.
     ``retries`` and ``deadline_s`` are handed to the engine unchanged
     (see :class:`~repro.core.engine.QueryEngine`), as are ``cache``
-    (a :class:`~repro.core.cache.SemanticCache`), ``vectorized``, and
-    ``clustered`` (``None`` auto-enables the cluster fast path when
-    the store has a cluster section; ``False`` forces the per-node
-    oracle path — the A/B lever of the cluster benchmark).
+    (a :class:`~repro.core.cache.SemanticCache`) and ``clustered``
+    (``None`` auto-enables the cluster fast path when the store has a
+    cluster section; ``False`` forces the per-node oracle path — the
+    A/B lever of the cluster benchmark).
     ``repeat`` replays the batch that many times inside the timing
     window — the repeated/overlapping workload a warm semantic cache
     is built for; the report counts every replayed request.
@@ -172,7 +171,6 @@ def measure_throughput(
         retries=retries,
         deadline_s=deadline_s,
         cache=cache,
-        vectorized=vectorized,
         clustered=clustered,
     ) as engine:
         started = time.perf_counter()

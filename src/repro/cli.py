@@ -249,12 +249,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "workload is what warms the semantic cache)",
     )
     serve.add_argument(
-        "--no-vectorized",
-        action="store_true",
-        help="use the scalar per-record filter path instead of the "
-        "columnar numpy kernels (A/B comparison)",
-    )
-    serve.add_argument(
         "--no-clustered",
         action="store_true",
         help="serve through the per-node R*-tree path instead of the "
@@ -711,7 +705,6 @@ def _cmd_bench_serve(args) -> int:
             retries=args.retries,
             deadline_s=deadline_s,
             cache=cache,
-            vectorized=not args.no_vectorized,
             repeat=args.repeat,
             clustered=False if args.no_clustered else None,
         )
@@ -752,7 +745,8 @@ def _cmd_bench_slo(args) -> int:
         suggest_budget,
         validate_slo_report,
     )
-    from repro.core.engine import CostGovernor, QueryEngine
+    from repro.core.admission import CostGovernor
+    from repro.core.engine import QueryEngine
     from repro.obs.metrics import MetricsRegistry
 
     db = Database(

@@ -14,6 +14,8 @@ Public surface:
   triangle extraction;
 * :class:`~repro.core.engine.QueryEngine` -- concurrent batched query
   execution with per-query metrics (the serving path);
+* :class:`~repro.core.admission.CostGovernor` -- cost-based admission
+  control for the engine's open-loop ``submit`` path;
 * :class:`~repro.core.cache.SemanticCache` -- interval-aware result
   cache answering subsumed queries with zero index/disk I/O;
 * :mod:`repro.core.wire` -- the versioned delta-frame wire format and

@@ -364,7 +364,7 @@ class ClusterCostModel:
     """Adapter giving :class:`ClusterIndex` the cost-model interface.
 
     Drop-in for :class:`~repro.core.cost_model.RTreeCostModel` where
-    only ``estimate`` is needed (the :class:`~repro.core.engine.CostGovernor`),
+    only ``estimate`` is needed (the :class:`~repro.core.admission.CostGovernor`),
     so admission budgets on the clustered path are denominated in the
     pages cluster runs actually read.
     """

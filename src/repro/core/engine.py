@@ -26,10 +26,20 @@ viewpoint-dependent single-base (:class:`SingleBaseRequest`) — is
    never poisoned, and a failed *leader* demotes its dedup followers
    to independent probes rather than cascading.
 
+Every executed range query runs the **same pipeline**, written once
+(:meth:`QueryEngine._execute_group`): *select + fetch → filter →
+publish* (cache insert, :class:`QueryMetrics`, histograms).  The only
+thing that differs between serving paths is the *fetch strategy* —
+the R*-tree walk plus per-record reads, or cluster-directory selection
+plus sequential run reads through the decoded-cluster LRU — picked at
+construction from whether the store has a cluster section.  Both hand
+the pipeline the same thing: the columnar rows whose capped segment
+intersects the probe box.
+
 Robustness knobs (all per-engine):
 
 * ``retries`` — :class:`~repro.errors.TransientIOError` is retried
-  with exponential backoff (``retry_backoff_s * 2**attempt``); any
+  with exponential backoff (``RETRY_BACKOFF_S * 2**attempt``); any
   other exception fails the request immediately.
 * ``deadline_s`` — a per-request deadline measured from batch
   submission.  When it expires before a request has produced a
@@ -46,18 +56,16 @@ Robustness knobs (all per-engine):
   recorded, and uniform groups take the same base-mesh degradation
   path as a deadline miss — the batch keeps serving while an operator
   runs ``python -m repro fsck --repair``.
-* **admission control** — with a :class:`CostGovernor` attached, the
+* **admission control** — with a
+  :class:`~repro.core.admission.CostGovernor` attached, the
   *open-loop* submission path (:meth:`QueryEngine.submit`) estimates
-  every request's I/O cost with the paper's DA cost model (Section
-  5.3, formula (1) — the same estimator the multi-base optimiser
-  uses) *before* execution.  A request whose cost fits the in-flight
-  budget is admitted at full fidelity; one that does not is
+  every request's I/O cost with the paper's DA cost model *before*
+  execution and carries out the governor's verdict (the policy lives
+  in :mod:`repro.core.admission`): *admitted* at full fidelity,
   *degraded* to the base-mesh path (overload, not faults, triggering
-  the same ``e' > e`` approximation) while degraded headroom lasts,
-  and *shed* beyond that — answered inline from a cached base-mesh
-  snapshot with zero queueing, so an overloaded engine keeps bounded
-  latency instead of collapsing.  Per-tenant token buckets (metered
-  in cost units) keep one hot tenant from starving the rest.
+  the same ``e' > e`` approximation), or *shed* — answered inline
+  from a cached base-mesh snapshot with zero queueing, so an
+  overloaded engine keeps bounded latency instead of collapsing.
 
 Results are byte-identical to the sequential query processors in
 :mod:`repro.core.query` (same nodes, same ``retrieved`` count) in the
@@ -79,26 +87,22 @@ Usage::
 
 from __future__ import annotations
 
-import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence, Union
 
+from repro.core.admission import DEGRADE, SHED, CostGovernor
 from repro.core.cache import (
     DEFAULT_CLUSTER_CACHE_BYTES,
-    CacheStats,
     ClusterCache,
     SemanticCache,
 )
 from repro.core.clusters import intersecting_rows
-from repro.core.cost_model import RTreeCostModel
 from repro.core.query import (
     DMQueryResult,
     clamp_lod,
-    filter_to_plane,
     filter_to_plane_columnar,
-    filter_uniform,
     filter_uniform_columnar,
 )
 from repro.errors import (
@@ -131,21 +135,14 @@ __all__ = [
     "QueryMetrics",
     "QueryOutcome",
     "DEDUP_MODES",
-    "ADMIT",
-    "DEGRADE",
-    "SHED",
-    "AdmissionDecision",
-    "CostGovernor",
-    "TokenBucket",
 ]
 
 #: Supported deduplication policies (see :class:`QueryEngine`).
 DEDUP_MODES = ("off", "exact", "subsume")
 
-#: Admission actions (see :class:`CostGovernor.decide`).
-ADMIT = "admit"
-DEGRADE = "degrade"
-SHED = "shed"
+#: Base backoff before the first retry of a transient I/O error;
+#: doubles per attempt and never sleeps past the deadline.
+RETRY_BACKOFF_S = 0.002
 
 
 @dataclass(frozen=True)
@@ -167,18 +164,11 @@ class UniformRequest:
         probe_e = clamp_lod(self.lod, e_cap)
         return Box3.from_rect(self.roi, probe_e, probe_e)
 
-    def filter(
-        self, records: "Iterable[DMNodeRecord] | DMNodeColumns"
-    ) -> dict[int, DMNodeRecord]:
-        """Apply the uniform-query predicate to fetched records.
-
-        Accepts either decoded record objects or a columnar page; the
-        two paths are node-id-identical (the property tests hold the
-        vectorized kernel to the scalar oracle).
-        """
-        if isinstance(records, DMNodeColumns):
-            return filter_uniform_columnar(records, self.roi, self.lod)
-        return filter_uniform(records, self.roi, self.lod)
+    def filter(self, columns: DMNodeColumns) -> dict[int, DMNodeRecord]:
+        """Apply the uniform-query predicate to a fetched columnar
+        page (the property tests hold the vectorized kernel to the
+        scalar oracle in :mod:`repro.core.query`)."""
+        return filter_uniform_columnar(columns, self.roi, self.lod)
 
 
 @dataclass(frozen=True)
@@ -194,14 +184,9 @@ class SingleBaseRequest:
         e_max = clamp_lod(self.plane.e_max, e_cap)
         return Box3.from_rect(self.plane.roi, e_min, e_max)
 
-    def filter(
-        self, records: "Iterable[DMNodeRecord] | DMNodeColumns"
-    ) -> dict[int, DMNodeRecord]:
-        """Apply the plane predicate to fetched records (scalar or
-        columnar, like :meth:`UniformRequest.filter`)."""
-        if isinstance(records, DMNodeColumns):
-            return filter_to_plane_columnar(records, self.plane)
-        return filter_to_plane(records, self.plane)
+    def filter(self, columns: DMNodeColumns) -> dict[int, DMNodeRecord]:
+        """Apply the plane predicate to a fetched columnar page."""
+        return filter_to_plane_columnar(columns, self.plane)
 
 
 EngineRequest = Union[UniformRequest, SingleBaseRequest]
@@ -264,229 +249,6 @@ class QueryOutcome:
         return self.error is None
 
 
-class TokenBucket:
-    """A thread-safe token bucket metered in *cost units*.
-
-    The :class:`CostGovernor` keeps one per tenant, refilled at
-    ``rate`` units per second up to ``burst``; a request is charged
-    its estimated disk accesses, so a tenant issuing few expensive
-    queries and one issuing many cheap queries drain their buckets at
-    the same (cost-weighted) pace — fair queueing in the currency the
-    disks actually spend.
-
-    ``clock`` is injectable so admission decisions are unit-testable
-    with a deterministic clock (no sleeps, no wall-time flake).
-    """
-
-    __slots__ = ("_burst", "_clock", "_last", "_lock", "_rate", "_tokens")
-
-    def __init__(
-        self,
-        rate: float,
-        burst: float,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if rate <= 0:
-            raise QueryError(f"token rate must be > 0, got {rate}")
-        if burst <= 0:
-            raise QueryError(f"token burst must be > 0, got {burst}")
-        self._lock = watched_lock("TokenBucket._lock")
-        self._rate = rate
-        self._burst = burst
-        self._clock = clock
-        self._tokens = burst
-        self._last = clock()
-
-    def _refill_locked(self) -> None:
-        """Advance the bucket to the current clock reading."""
-        now = self._clock()
-        elapsed = now - self._last
-        self._last = now
-        if elapsed > 0:
-            self._tokens = min(self._burst, self._tokens + elapsed * self._rate)
-
-    def try_take(self, amount: float) -> bool:
-        """Atomically consume ``amount`` tokens; False when short.
-
-        A failed take consumes nothing (no partial debits), so a
-        request denied here can still be served by the degraded path
-        without distorting the tenant's balance.
-        """
-        with self._lock:
-            self._refill_locked()
-            if amount <= self._tokens + 1e-9:
-                self._tokens -= amount
-                return True
-            return False
-
-    @property
-    def tokens(self) -> float:
-        """Current balance (after refilling to the clock)."""
-        with self._lock:
-            self._refill_locked()
-            return self._tokens
-
-
-@dataclass(frozen=True)
-class AdmissionDecision:
-    """One request's verdict from the :class:`CostGovernor`.
-
-    ``reserved_cost`` is what was debited from the in-flight budget
-    (the full estimate for :data:`ADMIT`, the degraded-probe cost for
-    :data:`DEGRADE`, zero for :data:`SHED`) and must be released when
-    the request completes.  ``throttled`` records that the tenant's
-    token bucket denied full fidelity, whatever the final action.
-    """
-
-    action: str
-    estimated_cost: float
-    reserved_cost: float
-    throttled: bool = False
-
-
-class CostGovernor:
-    """Cost-based admission control for the open-loop serving path.
-
-    The paper's DA cost model (Section 5.3, formula (1)) estimates a
-    range query's disk accesses in O(1) from aggregate R*-tree node
-    statistics; the multi-base optimiser already trusts it to choose
-    query plans, and this class reuses it as an *admission estimator*:
-    the sum of estimates of everything currently executing is a
-    predicted I/O backlog, and holding that sum under a budget bounds
-    queueing ahead of time instead of discovering collapse in p999.
-
-    Decision ladder for a request of estimated cost ``c``:
-
-    1. **admit** — tenant bucket grants ``min(c, burst)`` and
-       ``inflight + c <= budget``: reserve ``c``, run at full
-       fidelity.
-    2. **degrade** — otherwise, while ``inflight + degraded_cost <=
-       budget * degrade_headroom`` (and the request is degradable):
-       reserve only ``degraded_cost`` and serve the base mesh — the
-       paper's ``e' > e`` guarantee makes that a *valid* cheaper
-       answer, so overload sheds fidelity before it sheds requests.
-    3. **shed** — beyond headroom: reserve nothing; the engine
-       answers from its base-mesh snapshot with zero queueing.
-
-    Because every executing request reserves at least
-    ``min(1, degraded_cost)`` units, the number in flight — hence the
-    executor queue — is bounded by ``budget * degrade_headroom``
-    regardless of the offered rate.
-
-    Args:
-        cost_model: the store's :class:`RTreeCostModel`
-            (``store.cost_model``).
-        budget: in-flight estimated-disk-access budget for
-            full-fidelity admissions.
-        degraded_cost: reserved cost of one base-mesh probe (a
-            handful of root records; default 1 page).
-        degrade_headroom: multiple of ``budget`` the degraded tier
-            may fill before requests are shed outright.
-        tenant_rate: per-tenant token refill in cost units/second
-            (``None`` disables per-tenant fairness).
-        tenant_burst: per-tenant bucket capacity (defaults to
-            ``budget`` when ``tenant_rate`` is set).
-        clock: time source for the buckets (injectable for tests).
-    """
-
-    def __init__(
-        self,
-        cost_model: RTreeCostModel,
-        budget: float,
-        degraded_cost: float = 1.0,
-        degrade_headroom: float = 2.0,
-        tenant_rate: float | None = None,
-        tenant_burst: float | None = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if budget <= 0:
-            raise QueryError(f"budget must be > 0, got {budget}")
-        if degraded_cost <= 0:
-            raise QueryError(
-                f"degraded_cost must be > 0, got {degraded_cost}"
-            )
-        if degrade_headroom < 1.0:
-            raise QueryError(
-                f"degrade_headroom must be >= 1, got {degrade_headroom}"
-            )
-        if tenant_rate is not None and tenant_rate <= 0:
-            raise QueryError(
-                f"tenant_rate must be > 0 or None, got {tenant_rate}"
-            )
-        self._cost_model = cost_model
-        self._budget = budget
-        self._degraded_cost = degraded_cost
-        self._degrade_headroom = degrade_headroom
-        self._tenant_rate = tenant_rate
-        self._tenant_burst = (
-            budget if tenant_burst is None else tenant_burst
-        )
-        self._clock = clock
-        self._lock = watched_lock("CostGovernor._lock")
-        self._inflight = 0.0
-        self._buckets: dict[str, TokenBucket] = {}
-
-    @property
-    def budget(self) -> float:
-        """Full-fidelity in-flight cost budget."""
-        return self._budget
-
-    @property
-    def inflight_cost(self) -> float:
-        """Sum of reserved cost currently executing."""
-        with self._lock:
-            return self._inflight
-
-    def estimate(self, box: Box3) -> float:
-        """Estimated disk accesses of a probe (formula (1)), floored
-        at one page — even a miss pays an index descent."""
-        return max(1.0, self._cost_model.estimate(box))
-
-    def _tenant_bucket(self, tenant: str) -> TokenBucket | None:
-        if self._tenant_rate is None:
-            return None
-        with self._lock:
-            bucket = self._buckets.get(tenant)
-            if bucket is None:
-                bucket = TokenBucket(
-                    self._tenant_rate, self._tenant_burst, clock=self._clock
-                )
-                self._buckets[tenant] = bucket
-            return bucket
-
-    def decide(
-        self, tenant: str, cost: float, degradable: bool = True
-    ) -> AdmissionDecision:
-        """Admit, degrade, or shed a request of estimated ``cost``.
-
-        The charge against the tenant bucket is capped at the burst
-        size so a single query costlier than the whole bucket can
-        still (eventually) be admitted rather than starving forever.
-        """
-        bucket = self._tenant_bucket(tenant)
-        throttled = bucket is not None and not bucket.try_take(
-            min(cost, self._tenant_burst)
-        )
-        with self._lock:
-            if not throttled and self._inflight + cost <= self._budget:
-                self._inflight += cost
-                return AdmissionDecision(ADMIT, cost, cost)
-            ceiling = self._budget * self._degrade_headroom
-            if degradable and self._inflight + self._degraded_cost <= ceiling:
-                self._inflight += self._degraded_cost
-                return AdmissionDecision(
-                    DEGRADE, cost, self._degraded_cost, throttled=throttled
-                )
-            return AdmissionDecision(SHED, cost, 0.0, throttled=throttled)
-
-    def release(self, reserved: float) -> None:
-        """Return a completed request's reservation to the budget."""
-        if reserved <= 0:
-            return
-        with self._lock:
-            self._inflight = max(0.0, self._inflight - reserved)
-
-
 def _resolved(outcome: QueryOutcome) -> "Future[QueryOutcome]":
     """An already-completed future (cache hits, shed answers)."""
     future: "Future[QueryOutcome]" = Future()
@@ -529,15 +291,27 @@ class _Group:
     """Requests sharing one range query (identical query boxes)."""
 
     box: Box3
+    #: The snapshot the whole group executes against (pinned when the
+    #: group was planned; execution never re-reads the live slot).
+    snap: _StoreSnapshot
     positions: list[int] = field(default_factory=list)
     requests: list[EngineRequest] = field(default_factory=list)
     leader: "_Group | None" = None  # Set in subsume mode.
-    # Filled by the leader task: decoded records (scalar path) or a
-    # columnar page (vectorized path / cache enabled).
-    records: "list[DMNodeRecord] | DMNodeColumns | None" = None
-    #: The snapshot the whole group executes against (pinned when the
-    #: group was planned; execution never re-reads the live slot).
-    snap: "_StoreSnapshot | None" = None
+    # Filled by the leader task: the fetched columnar page.
+    records: DMNodeColumns | None = None
+
+
+class _Fetched(NamedTuple):
+    """What a fetch strategy hands the group pipeline."""
+
+    #: The rows whose capped segment intersects the probe box.
+    columns: DMNodeColumns
+    #: ``perf_counter()`` when selection ended and fetching began.
+    index_done: float
+    #: Selection work: R*-tree nodes walked, or clusters examined.
+    nodes_visited: int
+    clusters_touched: int = 0
+    nodes_decoded: int = 0
 
 
 class QueryEngine:
@@ -557,8 +331,6 @@ class QueryEngine:
         retries: how many times a request hit by a
             :class:`~repro.errors.TransientIOError` is re-attempted
             (0 disables retry; other exceptions never retry).
-        retry_backoff_s: base backoff before the first retry; doubles
-            per attempt.  Backoff never sleeps past the deadline.
         deadline_s: per-request deadline in seconds, measured from
             batch submission; ``None`` disables deadlines.
         degrade: whether uniform requests that miss their deadline are
@@ -571,17 +343,13 @@ class QueryEngine:
             every executed range query feeds its cube back in.  A
             cache may be shared by several engines over the same
             store; it must be invalidated when the store is rebuilt.
-            Enabling the cache forces the columnar fetch path.
-        vectorized: fetch records as columnar pages and run the
-            numpy filter kernels (the default); ``False`` keeps the
-            scalar per-record reference path.
         quarantine_cap: bound on the corrupt-page quarantine set (see
             :attr:`quarantine`); oldest entries fall off first.
-        governor: a :class:`CostGovernor` giving the open-loop
-            :meth:`submit` path cost-based admission control; batch
-            execution (:meth:`run_batch`) is closed-loop by
-            construction and stays ungoverned.  ``None`` admits
-            everything (the ``--no-admission`` baseline).
+        governor: a :class:`~repro.core.admission.CostGovernor` giving
+            the open-loop :meth:`submit` path cost-based admission
+            control; batch execution (:meth:`run_batch`) is
+            closed-loop by construction and stays ungoverned.  ``None``
+            admits everything (the ``--no-admission`` baseline).
         clustered: serve range queries from the store's v3 cluster
             section — cluster-granular selection, one sequential run
             read per cold cluster, cluster-granular caching — instead
@@ -609,11 +377,9 @@ class QueryEngine:
         dedup: str = "exact",
         registry: MetricsRegistry | None = None,
         retries: int = 2,
-        retry_backoff_s: float = 0.002,
         deadline_s: float | None = None,
         degrade: bool = True,
         cache: SemanticCache | None = None,
-        vectorized: bool = True,
         quarantine_cap: int = 256,
         governor: CostGovernor | None = None,
         clustered: bool | None = None,
@@ -628,10 +394,6 @@ class QueryEngine:
             )
         if retries < 0:
             raise QueryError(f"retries must be >= 0, got {retries}")
-        if retry_backoff_s < 0:
-            raise QueryError(
-                f"retry_backoff_s must be >= 0, got {retry_backoff_s}"
-            )
         if deadline_s is not None and deadline_s <= 0:
             raise QueryError(
                 f"deadline_s must be positive or None, got {deadline_s}"
@@ -647,7 +409,6 @@ class QueryEngine:
         self._workers = workers
         self._dedup = dedup
         self._retries = retries
-        self._retry_backoff_s = retry_backoff_s
         self._deadline_s = deadline_s
         self._degrade = degrade
         self._cache = cache
@@ -656,6 +417,16 @@ class QueryEngine:
         self._cluster_cache = (
             ClusterCache(cluster_cache_bytes) if clustered else None
         )
+        # The fetch strategy: the one step of the group pipeline that
+        # differs between the cluster fast path and the per-node path.
+        self._fetch: Callable[[Box3, _StoreSnapshot], _Fetched] = (
+            self._fetch_clustered if clustered else self._fetch_rtree
+        )
+        # The CacheStats last mirrored into the registry.
+        self._cache_mirror_lock = watched_lock(
+            "QueryEngine._cache_mirror_lock"
+        )
+        self._cache_mirrored = cache.stats() if cache is not None else None
         # Base-mesh snapshot for the shed path, fetched once on first
         # shed (double-checked under _base_lock: submit() is called
         # from arbitrary client threads).  Epoch-tagged: a live patch
@@ -668,9 +439,6 @@ class QueryEngine:
         # threads; the import is local to avoid a module cycle).
         self._session_lock = watched_lock("QueryEngine._session_lock")
         self._session_manager: "SessionManager | None" = None
-        # Cache entries are columnar pages, so the cache implies the
-        # columnar fetch path even when ``vectorized`` is off.
-        self._columnar = vectorized or cache is not None
         self.registry = registry if registry is not None else MetricsRegistry()
         #: Bounded set of ``(segment, page)`` ids that failed checksum
         #: verification while serving.  Thread-safe; cleared by
@@ -791,6 +559,7 @@ class QueryEngine:
     def close(self) -> None:
         """Shut the worker pool down (idempotent)."""
         self._pool.shutdown(wait=True)
+        self._mirror_cache_stats()
 
     def __enter__(self) -> "QueryEngine":
         return self
@@ -814,17 +583,19 @@ class QueryEngine:
         Unlike :meth:`run_batch` — where a closed-loop caller
         self-limits by waiting — ``submit`` returns immediately, so an
         open-loop arrival process can outrun capacity.  With a
-        :class:`CostGovernor` attached, the request's cost is
-        estimated *in the caller's thread* before anything is queued:
-        admitted requests execute at full fidelity, overload-degraded
-        ones run the cheap base-mesh probe, and shed ones are answered
-        inline from the base-mesh snapshot (or an
-        :class:`~repro.errors.OverloadShedError` outcome when not
-        degradable) without ever touching the executor queue.
+        :class:`~repro.core.admission.CostGovernor` attached, the
+        request's cost is estimated *in the caller's thread* before
+        anything is queued: admitted requests execute at full
+        fidelity, overload-degraded ones run the cheap base-mesh
+        probe, and shed ones are answered inline from the base-mesh
+        snapshot (or an :class:`~repro.errors.OverloadShedError`
+        outcome when not degradable) without ever touching the
+        executor queue.
 
         The per-request deadline starts at submission.  A cache hit
         bypasses admission entirely: it costs one vectorized filter
-        and no I/O, so there is nothing to govern.
+        and no I/O, so there is nothing to govern.  Submitting to a
+        closed engine raises :class:`~repro.errors.QueryError`.
         """
         registry = self.registry
         registry.counter("engine.requests").inc()
@@ -834,45 +605,37 @@ class QueryEngine:
             else time.monotonic() + self._deadline_s
         )
         snap = self.pinned_snapshot()
-        cache = self._cache
-        if cache is not None:
-            columns = cache.lookup(
-                request.query_box(snap.store.e_cap), epoch=snap.epoch
-            )
-            if columns is not None:
-                return _resolved(
-                    self._cached_outcome(request, columns, snap.epoch)
-                )
+        e_cap = snap.store.e_cap
+        box = request.query_box(e_cap)
+        hit = self._cache_hit(request, box, snap)
+        if hit is not None:
+            return _resolved(hit)
         governor = self._governor
-        if governor is None:
-            return self._submit_task(
-                request, snap, deadline, 0.0, degraded=False
-            )
-        cost = self._estimate_cost(
-            request.query_box(snap.store.e_cap), snap.store
-        )
-        registry.histogram("slo.estimated_cost").observe(cost)
-        degradable = self._degrade and isinstance(request, UniformRequest)
-        decision = governor.decide(tenant, cost, degradable=degradable)
-        registry.gauge("slo.inflight_cost").set(governor.inflight_cost)
-        if decision.throttled:
-            registry.counter("slo.tenant_throttled").inc()
-        if decision.action == ADMIT:
-            registry.counter("engine.admitted").inc()
-            return self._submit_task(
-                request, snap, deadline, decision.reserved_cost,
-                degraded=False,
-            )
-        if decision.action == DEGRADE:
-            registry.counter("engine.overload_degraded").inc()
-            return self._submit_task(
-                request, snap, deadline, decision.reserved_cost,
-                degraded=True,
-            )
-        registry.counter("engine.shed").inc()
-        return _resolved(self._shed_outcome(request, snap))
+        reserved, degraded = 0.0, False
+        if governor is not None:
+            cost = self._estimate_cost(governor, box, snap.store)
+            registry.histogram("slo.estimated_cost").observe(cost)
+            degradable = self._degrade and isinstance(request, UniformRequest)
+            decision = governor.decide(tenant, cost, degradable=degradable)
+            registry.gauge("slo.inflight_cost").set(governor.inflight_cost)
+            if decision.throttled:
+                registry.counter("slo.tenant_throttled").inc()
+            if decision.action == SHED:
+                registry.counter("engine.shed").inc()
+                return _resolved(self._shed_outcome(request, snap))
+            reserved = decision.reserved_cost
+            degraded = decision.action == DEGRADE
+            if degraded:
+                registry.counter("engine.overload_degraded").inc()
+            else:
+                registry.counter("engine.admitted").inc()
+        # The submit path never dedups: a one-request group.
+        group = _Group(self._probe_box(box, e_cap), snap, [0], [request])
+        return self._submit_task(group, deadline, reserved, degraded)
 
-    def _estimate_cost(self, box: Box3, store: "DirectMeshStore") -> float:
+    def _estimate_cost(
+        self, governor: CostGovernor, box: Box3, store: "DirectMeshStore"
+    ) -> float:
         """Admission cost of a probe, in predicted physical pages.
 
         The per-node path uses the paper's DA formula over R*-tree
@@ -883,9 +646,6 @@ class QueryEngine:
         it replaced.  Both are floored at one page: even a miss pays
         a descent (or a directory scan).
         """
-        governor = self._governor
-        if governor is None:
-            return 1.0
         cluster_model = store.cluster_cost_model
         if self._clustered and cluster_model is not None:
             return max(1.0, cluster_model.estimate(box))
@@ -893,72 +653,106 @@ class QueryEngine:
 
     def _submit_task(
         self,
-        request: EngineRequest,
-        snap: _StoreSnapshot,
+        group: _Group,
         deadline: float | None,
         reserved: float,
         degraded: bool,
     ) -> "Future[QueryOutcome]":
-        """Queue one request on the pool, releasing its reservation
-        (and the queue-depth gauge) however execution ends."""
-        group = self._single_group(request, snap)
+        """Queue a one-request group on the pool, releasing its
+        reservation (and the queue-depth gauge) however execution
+        ends — a refused enqueue included.
+
+        ``degraded`` serves the base mesh because admission said so:
+        the same mechanism as a deadline miss, triggered by predicted
+        overload before any work was wasted.
+        """
         queue_depth = self.registry.gauge("slo.queue_depth")
         queue_depth.add(1)
+
+        def release() -> None:
+            queue_depth.add(-1)
+            governor = self._governor
+            if governor is not None and reserved > 0:
+                governor.release(reserved)
+                self.registry.gauge("slo.inflight_cost").set(
+                    governor.inflight_cost
+                )
 
         def task() -> QueryOutcome:
             try:
                 if degraded:
-                    outcomes = self._run_overload_degraded(group)
-                else:
-                    outcomes = self._execute_with_policy(group, deadline)
-                return outcomes[0]
-            finally:
-                queue_depth.add(-1)
-                governor = self._governor
-                if governor is not None and reserved > 0:
-                    governor.release(reserved)
-                    self.registry.gauge("slo.inflight_cost").set(
-                        governor.inflight_cost
+                    error = OverloadShedError(
+                        "admission control degraded the request and the "
+                        "base-mesh probe failed"
                     )
+                    return self._degrade_or_fail(group, error, 1)[0]
+                return self._execute_with_policy(group, deadline)[0]
+            finally:
+                release()
 
-        return self._pool.submit(task)
-
-    def _single_group(
-        self, request: EngineRequest, snap: _StoreSnapshot
-    ) -> _Group:
-        """A one-request group (the submit path never dedups)."""
-        e_cap = snap.store.e_cap
-        box = request.query_box(e_cap)
-        if self._cache is not None:
-            box = self._cache.inflate(box, e_cap)
-        return _Group(box, [0], [request], snap=snap)
-
-    def _run_overload_degraded(self, group: _Group) -> list[QueryOutcome]:
-        """Serve a group at the base mesh because admission said so.
-
-        Same mechanism as a deadline miss (``_execute_degraded``), but
-        triggered by predicted overload before any work was wasted.
-        """
         try:
-            outcomes = self._execute_degraded(group)
-        except Exception as exc:
-            return self._error_outcomes(group, exc, 1)
-        self.registry.counter("engine.degraded").inc(len(group.requests))
-        for outcome in outcomes:
-            outcome.degraded = True
-        return outcomes
+            return self._pool.submit(task)
+        except RuntimeError as exc:  # The pool refuses work after close().
+            release()
+            raise QueryError("engine is closed") from exc
+
+    def _probe_box(self, box: Box3, e_cap: float) -> Box3:
+        """The box a group probes: the query box, or — with a cache
+        attached — its prefetch-inflated cube (``cache.inflate``).
+        The per-request filters restore exactness, and the taller cube
+        turns nearby LODs into future cache hits."""
+        cache = self._cache
+        return box if cache is None else cache.inflate(box, e_cap)
+
+    def _cache_hit(
+        self, request: EngineRequest, box: Box3, snap: _StoreSnapshot
+    ) -> QueryOutcome | None:
+        """The semantic-cache pre-check of ``submit`` and ``run_batch``:
+        the request's outcome when a cached cube contains its query
+        ``box``, ``None`` on a miss (or with no cache attached)."""
+        cache = self._cache
+        if cache is None:
+            return None
+        columns = cache.lookup(box, epoch=snap.epoch)
+        if columns is None:
+            return None
+        return self._inline_outcome(request, columns, snap.epoch)
+
+    def _inline_outcome(
+        self,
+        request: EngineRequest,
+        columns: DMNodeColumns,
+        epoch: int,
+        coarse: UniformRequest | None = None,
+    ) -> QueryOutcome:
+        """Answer from resident columns in the caller's thread: one
+        vectorized filter — no executor slot, no index probe, no disk.
+
+        A cache hit filters a cached cube with the request itself; a
+        shed answer filters the base-mesh snapshot with the ``coarse``
+        stand-in and is flagged ``degraded`` and ``shed``.
+        """
+        started = time.perf_counter()
+        served = request if coarse is None else coarse
+        result = DMQueryResult(
+            nodes=served.filter(columns), retrieved=len(columns)
+        )
+        filter_s = time.perf_counter() - started
+        metrics = QueryMetrics(
+            filter_s=filter_s, total_s=filter_s, cached=True, epoch=epoch
+        )
+        self.registry.histogram("engine.filter_s").observe(filter_s)
+        shed = coarse is not None
+        return QueryOutcome(request, result, metrics, degraded=shed, shed=shed)
 
     def _shed_outcome(
         self, request: EngineRequest, snap: _StoreSnapshot
     ) -> QueryOutcome:
         """Answer a shed request from the base-mesh snapshot, inline.
 
-        Costs one vectorized filter in the caller's thread — no
-        executor slot, no index probe, no disk.  Non-degradable
-        requests (and an unbuildable snapshot) get an
+        Non-degradable requests (and an unbuildable snapshot) get an
         :class:`~repro.errors.OverloadShedError` outcome instead.
         """
-        started = time.perf_counter()
         columns = (
             self._base_snapshot(snap)
             if self._degrade and isinstance(request, UniformRequest)
@@ -974,20 +768,9 @@ class QueryEngine:
                 request, None, QueryMetrics(epoch=snap.epoch),
                 error=error, shed=True,
             )
-        coarse = UniformRequest(request.roi, snap.store.max_lod)
-        result = DMQueryResult(
-            nodes=coarse.filter(columns), retrieved=len(columns)
-        )
-        filter_s = time.perf_counter() - started
-        metrics = QueryMetrics(
-            filter_s=filter_s, total_s=filter_s, cached=True,
-            epoch=snap.epoch,
-        )
         self.registry.counter("engine.degraded").inc()
-        self.registry.histogram("engine.filter_s").observe(filter_s)
-        return QueryOutcome(
-            request, result, metrics, degraded=True, shed=True
-        )
+        coarse = UniformRequest(request.roi, snap.store.max_lod)
+        return self._inline_outcome(request, columns, snap.epoch, coarse)
 
     def _base_snapshot(self, snap: _StoreSnapshot) -> DMNodeColumns | None:
         """The base mesh as one cached columnar page set.
@@ -1028,7 +811,8 @@ class QueryEngine:
         """Execute a batch; outcomes are returned in request order.
 
         Never raises for a per-request failure: errors surface as
-        :attr:`QueryOutcome.error` on the affected requests only.
+        :attr:`QueryOutcome.error` on the affected requests only.  (A
+        closed engine raises :class:`~repro.errors.QueryError`.)
 
         Leader groups (one per distinct query box) are submitted to
         the pool first, follower groups after — a follower waiting on
@@ -1050,42 +834,37 @@ class QueryEngine:
         )
         outcomes: list[QueryOutcome | None] = [None] * len(requests)
         snap = self.pinned_snapshot()
-        cache = self._cache
-        cache_before = cache.stats() if cache is not None else None
-        if cache is None:
-            pending = list(enumerate(requests))
-        else:
-            pending = []
-            e_cap = snap.store.e_cap
-            for position, request in enumerate(requests):
-                columns = cache.lookup(
-                    request.query_box(e_cap), epoch=snap.epoch
-                )
-                if columns is None:
-                    pending.append((position, request))
-                else:
-                    outcomes[position] = self._cached_outcome(
-                        request, columns, snap.epoch
-                    )
+        e_cap = snap.store.e_cap
+        pending: list[tuple[int, EngineRequest, Box3]] = []
+        for position, request in enumerate(requests):
+            box = request.query_box(e_cap)
+            hit = self._cache_hit(request, box, snap)
+            if hit is None:
+                pending.append((position, request, box))
+            else:
+                outcomes[position] = hit
         groups = self._plan(pending, snap)
         leaders = [g for g in groups if g.leader is None]
         followers = [g for g in groups if g.leader is not None]
 
-        leader_futures = {
-            id(group): self._pool.submit(
-                self._execute_with_policy, group, deadline
-            )
-            for group in leaders
-        }
-        follower_futures = [
-            self._pool.submit(
-                self._execute_follower,
-                group,
-                leader_futures[id(group.leader)],
-                deadline,
-            )
-            for group in followers
-        ]
+        try:
+            leader_futures = {
+                id(group): self._pool.submit(
+                    self._execute_with_policy, group, deadline
+                )
+                for group in leaders
+            }
+            follower_futures = [
+                self._pool.submit(
+                    self._execute_follower,
+                    group,
+                    leader_futures[id(group.leader)],
+                    deadline,
+                )
+                for group in followers
+            ]
+        except RuntimeError as exc:  # The pool refuses work after close().
+            raise QueryError("engine is closed") from exc
 
         futures = [leader_futures[id(g)] for g in leaders] + follower_futures
         for group, future in zip(leaders + followers, futures):
@@ -1104,8 +883,7 @@ class QueryEngine:
         registry.counter("engine.dedup_shared").inc(
             len(pending) - len(leaders)
         )
-        if cache is not None and cache_before is not None:
-            self._record_cache_metrics(cache, cache_before)
+        self._mirror_cache_stats()
         filled: list[QueryOutcome] = []
         for position, outcome in enumerate(outcomes):
             if outcome is None:
@@ -1116,34 +894,29 @@ class QueryEngine:
             filled.append(outcome)
         return filled
 
-    def _cached_outcome(
-        self,
-        request: EngineRequest,
-        columns: DMNodeColumns,
-        epoch: int = 0,
-    ) -> QueryOutcome:
-        """Answer a request from a cached cube (no index/disk I/O)."""
-        started = time.perf_counter()
-        result = DMQueryResult(
-            nodes=request.filter(columns), retrieved=len(columns)
-        )
-        filter_s = time.perf_counter() - started
-        metrics = QueryMetrics(
-            filter_s=filter_s, total_s=filter_s, cached=True, epoch=epoch
-        )
-        self.registry.histogram("engine.filter_s").observe(filter_s)
-        return QueryOutcome(request, result, metrics)
+    def _mirror_cache_stats(self) -> None:
+        """Mirror the semantic cache's activity into the registry.
 
-    def _record_cache_metrics(
-        self, cache: SemanticCache, before: CacheStats
-    ) -> None:
-        """Mirror the batch's cache activity into the registry.
-
-        The cache keeps lifetime counters (it may be shared across
-        engines); the registry gets this batch's deltas plus the
-        current resident size.
+        The registry gets the deltas since the last mirrored snapshot
+        plus the current resident size.  Called where misses converge
+        (after the pipeline's cache insert), at the end of a batch and
+        at close — never on the hit path, which stays one lookup and
+        one filter.  Snapshots are totally ordered (the counters only
+        grow), so a thread that lost the race to a later snapshot
+        has nothing left to add.
         """
+        cache = self._cache
+        if cache is None:
+            return
         after = cache.stats()
+        with self._cache_mirror_lock:
+            before = self._cache_mirrored
+            if before is None or (
+                after.lookups + after.insertions
+                < before.lookups + before.insertions
+            ):
+                return
+            self._cache_mirrored = after
         registry = self.registry
         registry.counter("cache.hits").inc(after.hits - before.hits)
         registry.counter("cache.misses").inc(after.misses - before.misses)
@@ -1163,42 +936,34 @@ class QueryEngine:
 
     def _plan(
         self,
-        pending: Sequence[tuple[int, EngineRequest]],
+        pending: Sequence[tuple[int, EngineRequest, Box3]],
         snap: _StoreSnapshot,
     ) -> list[_Group]:
-        """Group ``(position, request)`` pairs into shared range
-        queries per dedup policy.
+        """Group ``(position, request, query box)`` triples into shared
+        range queries per dedup policy.
 
-        With a cache attached, each group's *probe* box is the
-        prefetch-inflated cube (``cache.inflate``): the per-request
-        filters restore exactness, and the taller cube turns nearby
-        LODs into future cache hits.  Grouping still keys on the
-        uninflated box, so dedup semantics are cache-independent.
+        Grouping keys on the query box, not the (cache-inflated)
+        probe box, so dedup semantics are cache-independent.
         """
         e_cap = snap.store.e_cap
-        cache = self._cache
-        groups: list[_Group] = []
         if self._dedup == "off":
-            for position, request in pending:
-                box = request.query_box(e_cap)
-                if cache is not None:
-                    box = cache.inflate(box, e_cap)
-                groups.append(_Group(box, [position], [request], snap=snap))
-            return groups
+            return [
+                _Group(self._probe_box(box, e_cap), snap, [position], [request])
+                for position, request, box in pending
+            ]
 
         # Key on (box, request type) only: identical query boxes share
         # one probe even when the requests differ (e.g. two uniform
         # LODs above e_cap, or two planes with different directions
         # over the same cube) — the per-request filter in
         # _filter_group restores exactness.
+        groups: list[_Group] = []
         by_key: dict[object, _Group] = {}
-        for position, request in pending:
-            box = request.query_box(e_cap)
+        for position, request, box in pending:
             key = box.as_tuple() + (type(request).__name__,)
             group = by_key.get(key)
             if group is None:
-                probe = box if cache is None else cache.inflate(box, e_cap)
-                group = _Group(probe, snap=snap)
+                group = _Group(self._probe_box(box, e_cap), snap)
                 by_key[key] = group
                 groups.append(group)
             group.positions.append(position)
@@ -1236,18 +1001,30 @@ class QueryEngine:
         while True:
             attempts += 1
             if deadline is not None and time.monotonic() >= deadline:
-                return self._deadline_outcomes(group, attempts)
+                registry.counter("engine.deadline_misses").inc(
+                    len(group.requests)
+                )
+                missed = DeadlineExceededError(
+                    f"deadline of {self._deadline_s}s expired before the "
+                    "request ran"
+                )
+                return self._degrade_or_fail(group, missed, attempts)
             try:
                 outcomes = self._execute_group(group)
             except PageCorruptionError as exc:
                 # Never retried: re-reading a rotten page returns the
                 # same bytes.  Quarantine it and serve degraded.
-                return self._corruption_outcomes(group, exc, attempts)
+                registry.counter("engine.corruptions").inc()
+                segment = exc.context.get("segment")
+                page = exc.context.get("page")
+                if isinstance(segment, str) and isinstance(page, int):
+                    self.quarantine.add(segment, page)
+                return self._degrade_or_fail(group, exc, attempts)
             except TransientIOError as exc:
                 if attempts > self._retries:
                     return self._error_outcomes(group, exc, attempts)
                 registry.counter("engine.retries").inc()
-                delay = self._retry_backoff_s * (2 ** (attempts - 1))
+                delay = RETRY_BACKOFF_S * (2 ** (attempts - 1))
                 if deadline is not None:
                     delay = min(delay, max(0.0, deadline - time.monotonic()))
                 if delay > 0:
@@ -1300,36 +1077,33 @@ class QueryEngine:
         return outcomes
 
     def _execute_group(self, group: _Group) -> list[QueryOutcome]:
-        """Run the group's range query, fetch, and per-request filters."""
-        if self._clustered:
-            return self._execute_group_clustered(group)
-        snap = group.snap or self.pinned_snapshot()
-        store = snap.store
+        """The group pipeline: select + fetch (the engine's fetch
+        strategy), per-request filters, then publish — semantic-cache
+        insert, one :class:`QueryMetrics` for the group, histograms."""
+        snap = group.snap
         registry = self.registry
-        tally = _NodeTally()
         started = time.perf_counter()
-        with store.database.stats.attribute() as probe:
-            rids = store.rtree.search(group.box, node_counter=tally)
-            index_done = time.perf_counter()
-            if self._columnar:
-                records = store.read_records_columnar(rids)
-            else:
-                records = store.read_records(rids)
+        with snap.store.database.stats.attribute() as probe:
+            fetched = self._fetch(group.box, snap)
+            records = fetched.columns
             fetch_done = time.perf_counter()
             outcomes = self._filter_group(group, records, shared=False)
         finished = time.perf_counter()
-        if self._cache is not None and isinstance(records, DMNodeColumns):
+        if self._cache is not None:
             self._cache.insert(group.box, records, epoch=snap.epoch)
+            self._mirror_cache_stats()
 
         metrics = QueryMetrics(
-            nodes_visited=tally.count,
+            nodes_visited=fetched.nodes_visited,
             pages_read=probe.physical_reads,
             logical_reads=probe.logical_reads,
             cache_hit_rate=probe.cache_hit_rate,
-            index_s=index_done - started,
-            fetch_s=fetch_done - index_done,
+            index_s=fetched.index_done - started,
+            fetch_s=fetch_done - fetched.index_done,
             filter_s=finished - fetch_done,
             total_s=finished - started,
+            clusters_touched=fetched.clusters_touched,
+            nodes_decoded=fetched.nodes_decoded,
             epoch=snap.epoch,
         )
         group.records = records
@@ -1339,41 +1113,50 @@ class QueryEngine:
         registry.histogram("engine.fetch_s").observe(metrics.fetch_s)
         registry.histogram("engine.filter_s").observe(metrics.filter_s)
         registry.histogram("engine.query_s").observe(metrics.total_s)
-        registry.histogram("engine.nodes_visited").observe(tally.count)
+        registry.histogram("engine.nodes_visited").observe(
+            fetched.nodes_visited
+        )
         registry.histogram("engine.pages_read").observe(probe.physical_reads)
         registry.histogram("engine.cache_hit_rate").observe(
             probe.cache_hit_rate
         )
         return outcomes
 
-    def _execute_group_clustered(self, group: _Group) -> list[QueryOutcome]:
-        """Clustered twin of :meth:`_execute_group`.
+    def _fetch_rtree(self, box: Box3, snap: _StoreSnapshot) -> _Fetched:
+        """Per-node fetch strategy (the parity suites' reference):
+        walk the R*-tree, then read and decode the matching records."""
+        store = snap.store
+        tally = _NodeTally()
+        rids = store.rtree.search(box, node_counter=tally)
+        index_done = time.perf_counter()
+        columns = store.read_records_columnar(rids)
+        return _Fetched(columns, index_done, tally.count)
+
+    def _fetch_clustered(self, box: Box3, snap: _StoreSnapshot) -> _Fetched:
+        """Cluster fetch strategy.
 
         Selection runs against the cluster directory (one vectorized
         intersection over per-cluster extents) instead of the R*-tree;
         each candidate cluster is served from the decoded-cluster LRU
         or bulk-fetched with one sequential run read and one columnar
-        decode.  Candidate pages concatenate into a single columnar
-        batch and flow through the *same* per-request filters as every
-        other path — which is the whole parity argument: a node
-        passing the filter has its capped segment intersecting the
-        probe box, so its cluster's extent (a union of such segments)
-        is always a candidate.
+        decode.  Parity with the per-node strategy: a node passing a
+        filter has its capped segment intersecting the probe box, so
+        its cluster's extent (a union of such segments) is always a
+        candidate.
 
         The decoded batch is *narrowed* to the rows whose capped
-        segment intersects the probe box (:func:`intersecting_rows`)
-        before filtering: that is exactly the row set an R*-tree probe
-        retrieves, so ``retrieved`` counts, semantic-cache cubes, and
-        dedup-follower behaviour stay bit-identical to the oracle
-        path.  The pre-narrow count is kept as ``nodes_decoded`` — the
-        overfetch ratio stays measurable.
+        segment intersects the probe box (:func:`intersecting_rows`):
+        exactly the row set an R*-tree probe retrieves, so
+        ``retrieved`` counts, semantic-cache cubes, and dedup-follower
+        behaviour stay bit-identical across strategies.  The
+        pre-narrow count is kept as ``nodes_decoded`` — the overfetch
+        ratio stays measurable.
 
         Metric mapping: ``nodes_visited`` counts clusters examined
-        (the selection work this path does) and ``pages_read`` counts
-        the run pages actually transferred (the pager records a run as
-        its page count, not one probe call).
+        (the selection work this strategy does) and ``pages_read``
+        counts the run pages actually transferred (the pager records a
+        run as its page count, not one probe call).
         """
-        snap = group.snap or self.pinned_snapshot()
         store = snap.store
         clusters = store.clusters
         cluster_cache = self._cluster_cache
@@ -1381,88 +1164,47 @@ class QueryEngine:
             raise InvariantError(
                 "clustered execution without a cluster section"
             )
-        registry = self.registry
-        decode_hits = 0
+        cids = clusters.index.candidates(box)
+        index_done = time.perf_counter()
+        parts: list[DMNodeColumns] = []
         runs_read = 0
-        started = time.perf_counter()
-        with store.database.stats.attribute() as probe:
-            cids = clusters.index.candidates(group.box)
-            index_done = time.perf_counter()
-            parts: list[DMNodeColumns] = []
-            hit_pages = 0
-            for cid in cids:
-                columns = cluster_cache.get(cid, snap.epoch)
-                if columns is None:
-                    columns = clusters.decode(cid)
-                    cluster_cache.put(
-                        cid,
-                        columns,
-                        snap.epoch,
-                        extent=clusters.meta(cid).box,
-                    )
-                    runs_read += 1
-                else:
-                    decode_hits += 1
-                    hit_pages += clusters.meta(cid).n_pages
-                parts.append(columns)
-            if hit_pages:
-                # A decode hit stands in for requesting the run's pages
-                # and finding every one resident: count them as logical
-                # reads so per-probe hit rates mean the same thing on
-                # both serving paths (misses are counted by read_run).
-                store.database.stats.record_logical_read(
-                    clusters.segment.name, pages=hit_pages
+        hit_pages = 0
+        for cid in cids:
+            columns = cluster_cache.get(cid, snap.epoch)
+            if columns is None:
+                columns = clusters.decode(cid)
+                cluster_cache.put(
+                    cid, columns, snap.epoch, extent=clusters.meta(cid).box
                 )
-            batch = concat_dm_columns(parts)
-            nodes_decoded = len(batch)
-            if nodes_decoded:
-                records = batch.select(
-                    intersecting_rows(batch, group.box, store.e_cap)
-                )
+                runs_read += 1
             else:
-                records = batch
-            fetch_done = time.perf_counter()
-            outcomes = self._filter_group(group, records, shared=False)
-        finished = time.perf_counter()
-        if self._cache is not None:
-            self._cache.insert(group.box, records, epoch=snap.epoch)
+                hit_pages += clusters.meta(cid).n_pages
+            parts.append(columns)
+        if hit_pages:
+            # A decode hit stands in for requesting the run's pages
+            # and finding every one resident: count them as logical
+            # reads so per-probe hit rates mean the same thing on
+            # both strategies (misses are counted by read_run).
+            store.database.stats.record_logical_read(
+                clusters.segment.name, pages=hit_pages
+            )
+        batch = concat_dm_columns(parts)
+        nodes_decoded = len(batch)
+        if nodes_decoded:
+            batch = batch.select(intersecting_rows(batch, box, store.e_cap))
 
-        metrics = QueryMetrics(
-            nodes_visited=len(cids),
-            pages_read=probe.physical_reads,
-            logical_reads=probe.logical_reads,
-            cache_hit_rate=probe.cache_hit_rate,
-            index_s=index_done - started,
-            fetch_s=fetch_done - index_done,
-            filter_s=finished - fetch_done,
-            total_s=finished - started,
-            clusters_touched=len(cids),
-            nodes_decoded=nodes_decoded,
-            epoch=snap.epoch,
-        )
-        group.records = records
-        for outcome in outcomes:
-            outcome.metrics = metrics
+        registry = self.registry
         if runs_read:
             registry.counter("storage.cluster_reads").inc(runs_read)
             registry.counter("cluster.decode_misses").inc(runs_read)
-        if decode_hits:
-            registry.counter("cluster.decode_hits").inc(decode_hits)
+        if runs_read < len(cids):
+            registry.counter("cluster.decode_hits").inc(len(cids) - runs_read)
         cache_stats = cluster_cache.stats()
         registry.gauge("cluster.bytes").set(cache_stats.bytes)
         registry.gauge("cluster.entries").set(cache_stats.entries)
         registry.gauge("cluster.evictions").set(cache_stats.evictions)
         registry.histogram("engine.clusters_touched").observe(len(cids))
-        registry.histogram("engine.index_s").observe(metrics.index_s)
-        registry.histogram("engine.fetch_s").observe(metrics.fetch_s)
-        registry.histogram("engine.filter_s").observe(metrics.filter_s)
-        registry.histogram("engine.query_s").observe(metrics.total_s)
-        registry.histogram("engine.nodes_visited").observe(len(cids))
-        registry.histogram("engine.pages_read").observe(probe.physical_reads)
-        registry.histogram("engine.cache_hit_rate").observe(
-            probe.cache_hit_rate
-        )
-        return outcomes
+        return _Fetched(batch, index_done, len(cids), len(cids), nodes_decoded)
 
     # -- failure paths -----------------------------------------------------
 
@@ -1470,29 +1212,23 @@ class QueryEngine:
         """Forget quarantined pages (call after ``fsck --repair``)."""
         self.quarantine.clear()
 
-    def _corruption_outcomes(
-        self, group: _Group, error: PageCorruptionError, attempts: int
+    def _degrade_or_fail(
+        self, group: _Group, error: Exception, attempts: int
     ) -> list[QueryOutcome]:
-        """Handle a group that hit a corrupt page: quarantine the page,
-        then degrade uniform groups to the base mesh (like a deadline
-        miss) or fail the group's requests in isolation."""
-        registry = self.registry
-        registry.counter("engine.corruptions").inc()
-        segment = error.context.get("segment")
-        page = error.context.get("page")
-        if isinstance(segment, str) and isinstance(page, int):
-            self.quarantine.add(segment, page)
-        degradable = self._degrade and all(
-            isinstance(request, UniformRequest)
-            for request in group.requests
-        )
-        if degradable:
+        """Answer an all-uniform group at the coarsest LOD (flagged
+        ``degraded``), or fail its requests in isolation with
+        ``error`` — where a deadline miss, a corrupt page and an
+        overload-degrade verdict all end up."""
+        uniform = [r for r in group.requests if isinstance(r, UniformRequest)]
+        if self._degrade and len(uniform) == len(group.requests):
             try:
-                outcomes = self._execute_degraded(group)
-            except Exception:  # The base mesh may be corrupt too.
-                degradable = False
+                outcomes = self._execute_degraded(group, uniform)
+            except Exception:  # The base mesh may be unreadable too.
+                pass
             else:
-                registry.counter("engine.degraded").inc(len(group.requests))
+                self.registry.counter("engine.degraded").inc(
+                    len(group.requests)
+                )
                 for outcome in outcomes:
                     outcome.attempts = attempts
                     outcome.degraded = True
@@ -1508,67 +1244,33 @@ class QueryEngine:
             QueryOutcome(
                 request,
                 None,
-                QueryMetrics(),
+                QueryMetrics(epoch=group.snap.epoch),
                 error=error,
                 attempts=attempts,
             )
             for request in group.requests
         ]
 
-    def _deadline_outcomes(
-        self, group: _Group, attempts: int
+    def _execute_degraded(
+        self, group: _Group, uniform: list[UniformRequest]
     ) -> list[QueryOutcome]:
-        """Handle a group whose deadline expired before it produced a
-        result: degrade uniform requests to the coarsest LOD, fail the
-        rest."""
-        registry = self.registry
-        registry.counter("engine.deadline_misses").inc(len(group.requests))
-        degradable = self._degrade and all(
-            isinstance(request, UniformRequest) for request in group.requests
-        )
-        if degradable:
-            try:
-                outcomes = self._execute_degraded(group)
-            except Exception:
-                degradable = False
-            else:
-                registry.counter("engine.degraded").inc(len(group.requests))
-                for outcome in outcomes:
-                    outcome.attempts = attempts
-                    outcome.degraded = True
-                return outcomes
-        error = DeadlineExceededError(
-            f"deadline of {self._deadline_s}s expired before the request ran"
-        )
-        return self._error_outcomes(group, error, attempts)
-
-    def _execute_degraded(self, group: _Group) -> list[QueryOutcome]:
-        """Answer a uniform group at the coarsest LOD (the base mesh).
+        """Answer a group of ``uniform`` requests at the coarsest LOD
+        (the base mesh).
 
         Any ``e' > e`` is a valid, cheaper approximation (paper
         Section 4), and the base mesh is the cheapest of all — a
         handful of root records instead of a deep fetch.  No retry:
         this is the last, best effort under deadline pressure.
         """
-        snap = group.snap or self.pinned_snapshot()
-        store = snap.store
+        store = group.snap.store
         coarse_lod = store.max_lod
-        uniform = [
-            request
-            for request in group.requests
-            if isinstance(request, UniformRequest)
-        ]
-        if len(uniform) != len(group.requests):
-            raise InvariantError(
-                "degraded execution reached a non-uniform request"
-            )
         # All requests in a group share one query box, hence one ROI.
         roi = uniform[0].roi
         coarse_group = _Group(
             UniformRequest(roi, coarse_lod).query_box(store.e_cap),
+            group.snap,
             list(group.positions),
             [UniformRequest(request.roi, coarse_lod) for request in uniform],
-            snap=snap,
         )
         outcomes = self._execute_group(coarse_group)
         # Re-label with the original requests: the caller must see the
@@ -1579,9 +1281,7 @@ class QueryEngine:
 
     @staticmethod
     def _filter_group(
-        group: _Group,
-        records: "list[DMNodeRecord] | DMNodeColumns",
-        shared: bool,
+        group: _Group, records: DMNodeColumns, shared: bool
     ) -> list[QueryOutcome]:
         outcomes: list[QueryOutcome] = []
         # Equal requests in the group share one result object (their

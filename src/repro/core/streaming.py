@@ -17,7 +17,7 @@ Two layers provide that:
   subsystem.  Updates are routed through
   :meth:`~repro.core.engine.QueryEngine.submit`, so sessions compose
   with the semantic cache, fault retries, deadlines, and
-  :class:`~repro.core.engine.CostGovernor` admission (tenant-tagged —
+  :class:`~repro.core.admission.CostGovernor` admission (tenant-tagged —
   session queries drain the same token buckets as everything else).
   Each update is encoded as a versioned delta frame
   (:mod:`repro.core.wire`) a stateless

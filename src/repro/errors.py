@@ -152,7 +152,7 @@ class OverloadShedError(QueryError):
     """A request was shed by admission control and could not be
     answered even by the degraded base-mesh path.
 
-    The :class:`~repro.core.engine.CostGovernor` sheds requests whose
+    The :class:`~repro.core.admission.CostGovernor` sheds requests whose
     estimated cost does not fit the in-flight budget.  Shed *uniform*
     requests are normally answered from the engine's base-mesh
     snapshot (a well-formed degraded result, not an error); this error

@@ -1,7 +1,7 @@
 """Cost-based admission control: token bucket, governor, shed path.
 
-The unit tests drive :class:`~repro.core.engine.TokenBucket` and
-:class:`~repro.core.engine.CostGovernor` with a deterministic fake
+The unit tests drive :class:`~repro.core.admission.TokenBucket` and
+:class:`~repro.core.admission.CostGovernor` with a deterministic fake
 clock (no sleeps, no wall-time flake); the integration tests push the
 engine's open-loop ``submit`` path far past capacity and check the
 promises the governor makes: bounded in-flight cost, and shed
@@ -12,16 +12,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.engine import (
+from repro.core.admission import (
     ADMIT,
     DEGRADE,
     SHED,
     CostGovernor,
-    QueryEngine,
-    SingleBaseRequest,
     TokenBucket,
-    UniformRequest,
 )
+from repro.core.engine import QueryEngine, SingleBaseRequest, UniformRequest
 from repro.errors import OverloadShedError, QueryError
 from repro.geometry.plane import QueryPlane
 
@@ -314,6 +312,21 @@ class TestEngineAdmission:
         assert second.ok
         assert not second.shed and not second.degraded
         assert second.result.nodes == first.result.nodes
+
+    def test_closed_engine_releases_admission_state(self, session_db):
+        """A refused enqueue must not leak the reservation or the
+        queue-depth gauge, and surfaces as a typed error."""
+        store = session_db["dm"]
+        governor = CostGovernor(store.cost_model, budget=1e9)
+        engine = QueryEngine(store, workers=2, governor=governor)
+        engine.close()
+        request = _mid_request(store)
+        with pytest.raises(QueryError, match="engine is closed"):
+            engine.submit(request)
+        assert governor.inflight_cost == 0
+        assert engine.registry.gauge("slo.queue_depth").value == 0
+        with pytest.raises(QueryError, match="engine is closed"):
+            engine.run_batch([request])
 
 
 class TestOverloadStress:

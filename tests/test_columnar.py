@@ -214,25 +214,3 @@ class TestEdgeExtractionParity:
         nodes = {rec.id: rec for rec in records}
         assert mesh_edges_np(nodes) == set() == mesh_edges_scalar(nodes)
 
-
-class TestECapClamp:
-    def test_uniform_above_e_cap_matches_scalar_engine(self, tmp_path):
-        """LOD above ``e_cap`` returns the base mesh on every path."""
-        from repro.core import DirectMeshStore, QueryEngine
-        from repro.core.engine import UniformRequest
-        from repro.storage import Database
-        from repro.terrain import dataset_by_name
-
-        dataset = dataset_by_name("foothills", 400, seed=5)
-        with Database(tmp_path / "db") as db:
-            store = DirectMeshStore.build(dataset.pm, db, dataset.connections)
-            roi = store.rtree.data_space.rect
-            lod = store.e_cap * 2.0
-            reference = store.uniform_query(roi, lod)
-            assert len(reference) > 0  # The base mesh, not an empty set.
-            with QueryEngine(store, workers=2) as engine:
-                outcome = engine.run(UniformRequest(roi, lod))
-            assert outcome.result.nodes == reference.nodes
-            with QueryEngine(store, workers=2, vectorized=False) as engine:
-                outcome = engine.run(UniformRequest(roi, lod))
-            assert outcome.result.nodes == reference.nodes

@@ -11,18 +11,24 @@ import random
 import pytest
 
 from repro.core import DirectMeshStore, QueryEngine
+from repro.core.cache import SemanticCache
 from repro.core.engine import SingleBaseRequest, UniformRequest
 from repro.errors import QueryError
 from repro.geometry.plane import QueryPlane
 from repro.geometry.primitives import Rect
+from repro.mesh.selective import uniform_query_ref, viewdep_query_ref
 from repro.obs.metrics import MetricsRegistry
 from repro.storage import Database
 from repro.terrain import dataset_by_name
 
 
 @pytest.fixture(scope="module")
-def store(tmp_path_factory):
-    dataset = dataset_by_name("foothills", 1500, seed=11)
+def dataset():
+    return dataset_by_name("foothills", 1500, seed=11)
+
+
+@pytest.fixture(scope="module")
+def store(dataset, tmp_path_factory):
     db = Database(tmp_path_factory.mktemp("engine_db"), pool_pages=128)
     store = DirectMeshStore.build(dataset.pm, db, dataset.connections)
     yield store
@@ -102,6 +108,85 @@ class TestBatchIdentity:
         _assert_identical(
             outcome, store.uniform_query(request.roi, request.lod)
         )
+
+
+class TestFetchStrategyMatrix:
+    """The seam between the one group pipeline and its two fetch
+    strategies: every serving configuration answers with the paper's
+    reference semantics (in-memory selective refinement), and the two
+    strategies hand the pipeline the same rows."""
+
+    @staticmethod
+    def _requests(store):
+        rng = random.Random(2004)
+        extent = _extent(store)
+        max_lod = store.max_lod
+        requests = [_random_uniform(store, rng) for _ in range(6)]
+        requests += [
+            SingleBaseRequest(plane)
+            for plane in (
+                QueryPlane(extent, 0.1 * max_lod, 0.6 * max_lod),
+                QueryPlane(
+                    extent.scaled(0.5), 0.3 * max_lod, 0.9 * max_lod, (1.0, 0.0)
+                ),
+                QueryPlane(
+                    extent.scaled(0.3), 0.05 * max_lod, 0.4 * max_lod, (0.6, 0.8)
+                ),
+            )
+        ]
+        requests.append(UniformRequest(extent, store.e_cap * 2 + 5.0))
+        beside = Rect(
+            extent.max_x + 10.0,
+            extent.min_y,
+            extent.max_x + 20.0,
+            extent.max_y,
+        )
+        requests.append(UniformRequest(beside, 0.5 * max_lod))  # Empty ROI.
+        requests.append(requests[0])  # A repeat: dedup / cache-hit path.
+        rng.shuffle(requests)
+        return requests
+
+    @pytest.mark.parametrize("entry", ["run_batch", "submit"])
+    @pytest.mark.parametrize("cached", [False, True], ids=["nocache", "cache"])
+    def test_every_configuration_matches_reference(
+        self, dataset, store, cached, entry
+    ):
+        requests = self._requests(store)
+        retrieved = {}
+        for clustered in (True, False):
+            cache = (
+                SemanticCache(64 << 20, prefetch_e=0.05 * store.max_lod)
+                if cached
+                else None
+            )
+            with QueryEngine(
+                store, workers=3, cache=cache, clustered=clustered
+            ) as engine:
+                assert engine.clustered is clustered
+                if entry == "run_batch":
+                    outcomes = engine.run_batch(requests)
+                else:
+                    outcomes = [
+                        engine.submit(r).result(timeout=30) for r in requests
+                    ]
+            for request, outcome in zip(requests, outcomes):
+                assert outcome.ok and not outcome.degraded
+                if isinstance(request, UniformRequest):
+                    reference = uniform_query_ref(
+                        dataset.pm, request.roi, request.lod
+                    )
+                else:
+                    reference = viewdep_query_ref(dataset.pm, request.plane)
+                assert set(outcome.result.nodes) == reference, request
+            above_cap = [
+                o for r, o in zip(requests, outcomes)
+                if isinstance(r, UniformRequest) and r.lod > store.e_cap
+            ]
+            assert above_cap and all(len(o.result) > 0 for o in above_cap)
+            if cached and entry == "submit":
+                assert any(o.metrics.cached for o in outcomes)
+            retrieved[clustered] = [o.result.retrieved for o in outcomes]
+        assert retrieved[True] == retrieved[False]
 
 
 class TestDedup:

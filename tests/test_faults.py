@@ -455,8 +455,6 @@ class TestDeadlines:
             QueryEngine(store, deadline_s=0.0)
         with pytest.raises(QueryError):
             QueryEngine(store, retries=-1)
-        with pytest.raises(QueryError):
-            QueryEngine(store, retry_backoff_s=-0.1)
 
 
 class TestDemotion:

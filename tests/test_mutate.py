@@ -28,7 +28,7 @@ from repro.core.mutate import MutableStore, plan_tiles
 from repro.errors import MutationError, PatchError
 from repro.geometry.primitives import Rect
 from repro.storage.database import Database, epoch_prefix
-from repro.storage.faults import SimulatedCrash
+from repro.storage.faults import FaultInjector, SimulatedCrash
 from repro.storage.integrity import (
     inject_corruption,
     repair_database,
@@ -405,6 +405,13 @@ class TestEnginePinning:
         outcome = engine.submit(request).result()
         assert outcome.ok and outcome.metrics.epoch == 1
         assert engine.epoch == 1
+        # A request that fails still reports the epoch it was pinned to.
+        db.set_fault_injector(FaultInjector(error_rate=1.0, seed=0))
+        db.flush()
+        engine.cluster_cache.invalidate()
+        failed = engine.submit(UniformRequest(EXTENT, 0.0)).result()
+        assert not failed.ok and failed.metrics.epoch == 1
+        db.set_fault_injector(None)
         db.close()
 
     def test_commit_invalidates_only_overlapping_cache(self, tmp_path):

@@ -3,7 +3,7 @@
 Generation is all deterministic (seeded) so these tests assert exact
 replayability; the end-to-end runs go through the real engine against
 the session database, once ungoverned and once with a saturated
-:class:`~repro.core.engine.CostGovernor` so both report shapes are
+:class:`~repro.core.admission.CostGovernor` so both report shapes are
 covered.
 """
 
@@ -25,7 +25,8 @@ from repro.bench.openloop import (
     validate_slo_report,
     zipf_workload,
 )
-from repro.core.engine import CostGovernor, QueryEngine, UniformRequest
+from repro.core.admission import CostGovernor
+from repro.core.engine import QueryEngine, UniformRequest
 from repro.errors import QueryError
 
 

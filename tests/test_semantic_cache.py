@@ -12,6 +12,7 @@ Two layers under test:
 """
 
 import random
+import sys
 
 import pytest
 
@@ -211,6 +212,13 @@ def _node_ids(outcomes) -> list:
     return [sorted(o.result.nodes) for o in outcomes]
 
 
+def _assert_registry_mirrors(registry, stats) -> None:
+    """The registry's ``cache.*`` counters equal the cache's own."""
+    counters = registry.counters()
+    for name in ("hits", "misses", "subsume_hits", "insertions", "evictions"):
+        assert counters[f"cache.{name}"] == getattr(stats, name), name
+
+
 class TestEngineWithCache:
     @pytest.mark.parametrize("prefetch_frac", [0.0, 0.15])
     def test_cached_answers_exact(self, store, prefetch_frac):
@@ -246,6 +254,44 @@ class TestEngineWithCache:
         gauges = registry.gauges()
         assert gauges["cache.bytes"] == cache.bytes
         assert gauges["cache.entries"] == len(cache)
+
+    def test_submit_path_mirrors_cache_metrics(self, store):
+        """The open-loop path feeds ``cache.*`` too: after close the
+        registry agrees with the cache's own counters, evictions
+        included (the budget holds two or three of the small cubes)."""
+        requests = _workload(store, seed=13, n=4)
+        registry = MetricsRegistry()
+        cache = SemanticCache(5000)
+        with QueryEngine(
+            store, workers=2, cache=cache, registry=registry
+        ) as engine:
+            for request in requests + requests[-2:]:
+                assert engine.submit(request).result(timeout=30).ok
+        stats = cache.stats()
+        assert stats.hits > 0 and stats.misses > 0 and stats.evictions > 0
+        _assert_registry_mirrors(registry, stats)
+        assert registry.gauges()["cache.bytes"] == cache.bytes
+
+    def test_concurrent_mirroring_loses_and_doubles_nothing(self, store):
+        """Workers mirror cache deltas concurrently (more workers than
+        cores, a shortened switch interval): a lost or doubled delta
+        would break the registry == cache.stats() invariant."""
+        requests = _workload(store, seed=19, n=6)
+        registry = MetricsRegistry()
+        cache = SemanticCache(5000)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with QueryEngine(
+                store, workers=16, cache=cache, registry=registry
+            ) as engine:
+                futures = [engine.submit(r) for r in requests * 8]
+                assert all(f.result(timeout=60).ok for f in futures)
+        finally:
+            sys.setswitchinterval(interval)
+        stats = cache.stats()
+        assert stats.misses > 0 and stats.insertions > 0
+        _assert_registry_mirrors(registry, stats)
 
     def test_subsumed_roi_served_from_cache(self, store):
         extent = store.rtree.data_space.rect
@@ -314,16 +360,6 @@ class TestEngineWithCache:
             warm = _node_ids(engine.run_batch(requests))
         assert warm == reference
         assert cache.stats().hits > 0
-
-    def test_scalar_engine_ignores_cache_flag(self, store):
-        """vectorized=False without a cache keeps the scalar reference
-        path and stays exact."""
-        requests = _workload(store, seed=47, n=4)
-        with QueryEngine(store, workers=2, vectorized=False) as engine:
-            scalar = _node_ids(engine.run_batch(requests))
-        with QueryEngine(store, workers=2) as engine:
-            vector = _node_ids(engine.run_batch(requests))
-        assert scalar == vector
 
 
 class TestRegionInvalidation:

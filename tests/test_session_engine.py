@@ -9,8 +9,9 @@ property, which replays arbitrary update sequences.
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.engine import CostGovernor, QueryEngine, UniformRequest
+from repro.core.admission import CostGovernor
 from repro.core.cache import SemanticCache
+from repro.core.engine import QueryEngine, UniformRequest
 from repro.core.wire import ClientMesh
 from repro.errors import SessionError, TransientIOError
 from repro.geometry.primitives import Rect
