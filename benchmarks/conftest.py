@@ -76,18 +76,19 @@ def _grab_capture_manager(request):
     yield
 
 
-def emit(table):
-    """Print a result table and persist its CSV.
-
-    Tables are printed with pytest capture disabled, so a plain
+def say(text: str) -> None:
+    """Print with pytest capture disabled, so a plain
     ``pytest benchmarks/ --benchmark-only | tee bench_output.txt``
-    records them (pytest captures at the file-descriptor level;
-    writing to ``sys.__stdout__`` would not be enough).
-    """
-    path = table.to_csv("results")
-    text = f"\n{table.to_text()}\n  [written to {path}]"
+    records it (pytest captures at the file-descriptor level; writing
+    to ``sys.__stdout__`` would not be enough)."""
     if _capture_manager is not None:
         with _capture_manager.global_and_fixture_disabled():
             print(text, flush=True)
     else:
         print(text, flush=True)
+
+
+def emit(table):
+    """Print a result table (see :func:`say`) and persist its CSV."""
+    path = table.to_csv("results")
+    say(f"\n{table.to_text()}\n  [written to {path}]")

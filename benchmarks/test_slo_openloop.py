@@ -12,8 +12,10 @@ generous pass):
 * total goodput-under-SLO (full + degraded) with admission on stays
   within ``REPRO_SLO_GOODPUT_FRAC`` of closed-loop capacity;
 * the overload paths are actually exercised (shed/degraded > 0);
-* admission keeps p999 and queue depth no worse than the ungoverned
-  arm — the ungoverned arm is the latency-collapse demonstration;
+* where the ungoverned arm misses the SLO (p99 over ``REPRO_SLO_MS``
+  — the latency-collapse demonstration), admission keeps p999 and
+  queue depth no worse than it; an ungoverned arm that met the SLO has
+  no collapse to prevent, and its comparison is printed, not asserted;
 * every report validates against :data:`SLO_REPORT_SCHEMA`.
 """
 
@@ -25,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import emit, say
 from repro.bench.openloop import (
     OpenLoopConfig,
     measure_capacity,
@@ -213,6 +215,20 @@ def test_open_loop_matrix(benchmark, slo_store):
             f"{mode}: overload produced errors instead of degraded "
             f"results"
         )
+        if ungoverned["latency_ms"]["p99"] <= SLO_MS:
+            # Nothing to prevent: at this offered rate the ungoverned
+            # arm met the SLO, so "no worse than the collapse arm" has
+            # no collapse arm to compare against.
+            say(
+                f"  {mode}: ungoverned p99 "
+                f"{ungoverned['latency_ms']['p99']}ms is inside the "
+                f"{SLO_MS:g}ms SLO; tail/queue/collapse guards skipped "
+                f"(adm p999 {governed['latency_ms']['p999']}ms vs noadm "
+                f"{ungoverned['latency_ms']['p999']}ms, max queue "
+                f"{governed['max_queue_depth']} vs "
+                f"{ungoverned['max_queue_depth']})"
+            )
+            continue
         # Bounded tail + queue: the governed arm may not be worse than
         # the collapse arm on either axis.
         assert (

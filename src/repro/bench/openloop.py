@@ -741,6 +741,9 @@ def measure_capacity(
     Replays a sample of the configured workload through the classic
     closed-loop ``measure_throughput`` — the number an open-loop run
     should be calibrated against (the acceptance runs use ``2x`` this).
+    ``run_batch`` gathers over the per-request task ``submit`` queues,
+    so repeated boxes in the sample share nothing here either: the
+    capacity is that of the pipeline the open loop will drive.
     """
     from repro.bench.runner import measure_throughput
 

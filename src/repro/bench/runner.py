@@ -129,7 +129,6 @@ def measure_throughput(
     store: "DirectMeshStore",
     requests: Sequence["EngineRequest"],
     workers: int,
-    dedup: str = "exact",
     registry: MetricsRegistry | None = None,
     flush_first: bool = True,
     retries: int = 2,
@@ -166,7 +165,6 @@ def measure_throughput(
     with QueryEngine(
         store,
         workers=workers,
-        dedup=dedup,
         registry=registry,
         retries=retries,
         deadline_s=deadline_s,

@@ -179,12 +179,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=0.15,
         help="ROI edge length as a fraction of the terrain extent",
     )
-    serve.add_argument(
-        "--dedup",
-        choices=["off", "exact", "subsume"],
-        default="exact",
-        help="batch deduplication policy",
-    )
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument(
         "--pool-pages",
@@ -652,7 +646,7 @@ def _cmd_bench_serve(args) -> int:
     print(
         f"bench-serve: {args.requests} {args.mode} requests "
         f"x{args.repeat}, pool {args.pool_pages} pages, "
-        f"io latency {args.io_latency}s, dedup {args.dedup}, "
+        f"io latency {args.io_latency}s, "
         f"path {'clustered' if clustered_path else 'per-node'}"
     )
     if args.cache_mb > 0.0:
@@ -700,7 +694,6 @@ def _cmd_bench_serve(args) -> int:
             store,
             requests,
             workers,
-            dedup=args.dedup,
             registry=registry,
             retries=args.retries,
             deadline_s=deadline_s,

@@ -1,33 +1,32 @@
 """Concurrent batched query engine over a :class:`DirectMeshStore`.
 
 The paper reduces selective refinement to a single 3D range query;
-this module turns that property into a *serving* path.  A batch of
-terrain queries — viewpoint-independent (:class:`UniformRequest`) or
-viewpoint-dependent single-base (:class:`SingleBaseRequest`) — is
+this module turns that property into a *serving* path.  The unit of
+execution is one request — viewpoint-independent
+(:class:`UniformRequest`) or viewpoint-dependent single-base
+(:class:`SingleBaseRequest`) — whether it arrives alone
+(:meth:`QueryEngine.submit`) or in a batch
+(:meth:`QueryEngine.run_batch`, which gathers over the same
+per-request task).  Each request is
 
 0. **cache-checked**: with a
    :class:`~repro.core.cache.SemanticCache` attached, any request
    whose query box is contained in a cached cube is answered inline
    by one vectorized filter — no index probe, no record fetch — and
    executed range queries feed their cubes back into the cache;
-1. **deduplicated**: requests whose query boxes coincide share one
-   index probe and record fetch; in ``"subsume"`` mode a request whose
-   box is contained in another's reuses the superset's records and
-   only re-runs the (cheap) LOD filter;
-2. **fanned out** across a :class:`~concurrent.futures.ThreadPoolExecutor`
+1. **fanned out** across a :class:`~concurrent.futures.ThreadPoolExecutor`
    against the shared, lock-striped buffer pool — pager reads release
    the GIL, so independent cache misses overlap;
-3. **instrumented**: every executed range query reports R*-tree nodes
+2. **instrumented**: every executed range query reports R*-tree nodes
    visited, pages read, cache hit-rate and per-stage wall time through
    a :class:`~repro.obs.metrics.MetricsRegistry`;
-4. **fault-isolated**: a request that fails — a storage error, a
+3. **fault-isolated**: a request that fails — a storage error, a
    missed deadline — yields a :class:`QueryOutcome` with its ``error``
-   set instead of an exception; sibling requests in the batch are
-   never poisoned, and a failed *leader* demotes its dedup followers
-   to independent probes rather than cascading.
+   set instead of an exception; sibling requests in a batch are never
+   poisoned.
 
 Every executed range query runs the **same pipeline**, written once
-(:meth:`QueryEngine._execute_group`): *select + fetch → filter →
+(:meth:`QueryEngine._execute_job`): *select + fetch → filter →
 publish* (cache insert, :class:`QueryMetrics`, histograms).  The only
 thing that differs between serving paths is the *fetch strategy* —
 the R*-tree walk plus per-record reads, or cluster-directory selection
@@ -41,19 +40,20 @@ Robustness knobs (all per-engine):
 * ``retries`` — :class:`~repro.errors.TransientIOError` is retried
   with exponential backoff (``RETRY_BACKOFF_S * 2**attempt``); any
   other exception fails the request immediately.
-* ``deadline_s`` — a per-request deadline measured from batch
-  submission.  When it expires before a request has produced a
-  result, a :class:`UniformRequest` is *degraded*: re-run once at the
-  coarsest LOD (the paper's property that any ``e' > e`` is a valid,
-  cheaper approximation makes the base mesh a legitimate answer), and
-  the outcome is flagged ``degraded``.  Non-degradable requests get a
+* ``deadline_s`` — a per-request deadline measured from submission
+  (of the request, or of the batch it is in).  When it expires before
+  a request has produced a result, a :class:`UniformRequest` is
+  *degraded*: re-run once at the coarsest LOD (the paper's property
+  that any ``e' > e`` is a valid, cheaper approximation makes the base
+  mesh a legitimate answer), and the outcome is flagged ``degraded``.
+  Non-degradable requests get a
   :class:`~repro.errors.DeadlineExceededError` outcome.
 * **corruption quarantine** — a
   :class:`~repro.errors.PageCorruptionError` is *never* retried at
   the same page (re-reading rot returns the same bytes): the page id
   enters a bounded :class:`~repro.storage.integrity.PageQuarantine`
   (:attr:`QueryEngine.quarantine`), ``engine.corruptions`` is
-  recorded, and uniform groups take the same base-mesh degradation
+  recorded, and uniform requests take the same base-mesh degradation
   path as a deadline miss — the batch keeps serving while an operator
   runs ``python -m repro fsck --repair``.
 * **admission control** — with a
@@ -68,10 +68,7 @@ Robustness knobs (all per-engine):
   overloaded engine keeps bounded latency instead of collapsing.
 
 Results are byte-identical to the sequential query processors in
-:mod:`repro.core.query` (same nodes, same ``retrieved`` count) in the
-default ``"exact"`` dedup mode; ``"subsume"`` keeps the *approximation*
-identical but accounts ``retrieved`` against the shared superset
-fetch.
+:mod:`repro.core.query` (same nodes, same ``retrieved`` count).
 
 Usage::
 
@@ -89,7 +86,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence, Union
 
 from repro.core.admission import DEGRADE, SHED, CostGovernor
@@ -134,11 +131,7 @@ __all__ = [
     "SingleBaseRequest",
     "QueryMetrics",
     "QueryOutcome",
-    "DEDUP_MODES",
 ]
-
-#: Supported deduplication policies (see :class:`QueryEngine`).
-DEDUP_MODES = ("off", "exact", "subsume")
 
 #: Base backoff before the first retry of a transient I/O error;
 #: doubles per attempt and never sleeps past the deadline.
@@ -194,11 +187,7 @@ EngineRequest = Union[UniformRequest, SingleBaseRequest]
 
 @dataclass
 class QueryMetrics:
-    """Where one query's time and I/O went.
-
-    ``shared`` marks requests served from another request's range
-    query (dedup); their I/O counters describe the shared fetch.
-    """
+    """Where one query's time and I/O went."""
 
     nodes_visited: int = 0
     pages_read: int = 0
@@ -208,9 +197,8 @@ class QueryMetrics:
     fetch_s: float = 0.0
     filter_s: float = 0.0
     total_s: float = 0.0
-    shared: bool = False
     cached: bool = False
-    #: Clustered fast path only: candidate clusters this query's group
+    #: Clustered fast path only: candidate clusters this query
     #: selected, and the nodes those clusters decoded to *before*
     #: narrowing to the probe box — ``nodes_decoded / retrieved`` is
     #: the cluster overfetch ratio ``explain`` reports.  Zero on the
@@ -286,23 +274,20 @@ class _StoreSnapshot:
     epoch: int = 0
 
 
-@dataclass
-class _Group:
-    """Requests sharing one range query (identical query boxes)."""
+@dataclass(frozen=True)
+class _Job:
+    """One request's range query: the engine's unit of execution."""
 
+    request: EngineRequest
+    #: The box the range query probes (see ``_probe_box``).
     box: Box3
-    #: The snapshot the whole group executes against (pinned when the
-    #: group was planned; execution never re-reads the live slot).
+    #: The snapshot the job executes against (pinned at submission;
+    #: execution never re-reads the live slot).
     snap: _StoreSnapshot
-    positions: list[int] = field(default_factory=list)
-    requests: list[EngineRequest] = field(default_factory=list)
-    leader: "_Group | None" = None  # Set in subsume mode.
-    # Filled by the leader task: the fetched columnar page.
-    records: DMNodeColumns | None = None
 
 
 class _Fetched(NamedTuple):
-    """What a fetch strategy hands the group pipeline."""
+    """What a fetch strategy hands the pipeline."""
 
     #: The rows whose capped segment intersects the probe box.
     columns: DMNodeColumns
@@ -315,31 +300,27 @@ class _Fetched(NamedTuple):
 
 
 class QueryEngine:
-    """Batched, deduplicating, fault-isolated query execution.
+    """Concurrent, fault-isolated query execution, one request at a
+    time or a batch at once.
 
     Args:
         store: the Direct Mesh store to serve from.
         workers: thread-pool width; 1 reproduces sequential execution
             (the throughput baseline).
-        dedup: ``"off"`` (every request probes the index), ``"exact"``
-            (identical query boxes share one probe; results stay
-            byte-identical to the sequential path), or ``"subsume"``
-            (a box contained in another also reuses the superset's
-            records — identical approximations, shared I/O
-            accounting).
         registry: metrics sink; a private one is created if omitted.
         retries: how many times a request hit by a
             :class:`~repro.errors.TransientIOError` is re-attempted
             (0 disables retry; other exceptions never retry).
         deadline_s: per-request deadline in seconds, measured from
-            batch submission; ``None`` disables deadlines.
+            submission (of the request, or of the batch it is in);
+            ``None`` disables deadlines.
         degrade: whether uniform requests that miss their deadline are
             answered at the coarsest LOD (flagged ``degraded``)
             instead of failing with
             :class:`~repro.errors.DeadlineExceededError`.
         cache: a :class:`~repro.core.cache.SemanticCache`; every
-            request is checked against it *before* dedup grouping (a
-            hit skips the index probe and record fetch entirely), and
+            request is checked against it *before* anything is queued
+            (a hit skips the index probe and record fetch entirely), and
             every executed range query feeds its cube back in.  A
             cache may be shared by several engines over the same
             store; it must be invalidated when the store is rebuilt.
@@ -374,7 +355,6 @@ class QueryEngine:
         self,
         store: "DirectMeshStore",
         workers: int = 4,
-        dedup: str = "exact",
         registry: MetricsRegistry | None = None,
         retries: int = 2,
         deadline_s: float | None = None,
@@ -388,10 +368,6 @@ class QueryEngine:
     ) -> None:
         if workers < 1:
             raise QueryError(f"workers must be >= 1, got {workers}")
-        if dedup not in DEDUP_MODES:
-            raise QueryError(
-                f"dedup must be one of {DEDUP_MODES}, got {dedup!r}"
-            )
         if retries < 0:
             raise QueryError(f"retries must be >= 0, got {retries}")
         if deadline_s is not None and deadline_s <= 0:
@@ -407,7 +383,6 @@ class QueryEngine:
             )
         self._snap = _StoreSnapshot(store, epoch)
         self._workers = workers
-        self._dedup = dedup
         self._retries = retries
         self._deadline_s = deadline_s
         self._degrade = degrade
@@ -417,7 +392,7 @@ class QueryEngine:
         self._cluster_cache = (
             ClusterCache(cluster_cache_bytes) if clustered else None
         )
-        # The fetch strategy: the one step of the group pipeline that
+        # The fetch strategy: the one step of the pipeline that
         # differs between the cluster fast path and the per-node path.
         self._fetch: Callable[[Box3, _StoreSnapshot], _Fetched] = (
             self._fetch_clustered if clustered else self._fetch_rtree
@@ -599,11 +574,7 @@ class QueryEngine:
         """
         registry = self.registry
         registry.counter("engine.requests").inc()
-        deadline = (
-            None
-            if self._deadline_s is None
-            else time.monotonic() + self._deadline_s
-        )
+        deadline = self._deadline_from_now()
         snap = self.pinned_snapshot()
         e_cap = snap.store.e_cap
         box = request.query_box(e_cap)
@@ -629,9 +600,15 @@ class QueryEngine:
                 registry.counter("engine.overload_degraded").inc()
             else:
                 registry.counter("engine.admitted").inc()
-        # The submit path never dedups: a one-request group.
-        group = _Group(self._probe_box(box, e_cap), snap, [0], [request])
-        return self._submit_task(group, deadline, reserved, degraded)
+        job = _Job(request, self._probe_box(box, e_cap), snap)
+        return self._submit_task(job, deadline, reserved, degraded)
+
+    def _deadline_from_now(self) -> float | None:
+        """The ``time.monotonic()`` deadline of a request — or a whole
+        batch — submitted now (``None``: deadlines are off)."""
+        if self._deadline_s is None:
+            return None
+        return time.monotonic() + self._deadline_s
 
     def _estimate_cost(
         self, governor: CostGovernor, box: Box3, store: "DirectMeshStore"
@@ -653,14 +630,14 @@ class QueryEngine:
 
     def _submit_task(
         self,
-        group: _Group,
+        job: _Job,
         deadline: float | None,
-        reserved: float,
-        degraded: bool,
+        reserved: float = 0.0,
+        degraded: bool = False,
     ) -> "Future[QueryOutcome]":
-        """Queue a one-request group on the pool, releasing its
-        reservation (and the queue-depth gauge) however execution
-        ends — a refused enqueue included.
+        """Queue a job on the pool — the one kind of task the engine
+        runs — releasing its reservation (and the queue-depth gauge)
+        however execution ends, a refused enqueue included.
 
         ``degraded`` serves the base mesh because admission said so:
         the same mechanism as a deadline miss, triggered by predicted
@@ -685,8 +662,12 @@ class QueryEngine:
                         "admission control degraded the request and the "
                         "base-mesh probe failed"
                     )
-                    return self._degrade_or_fail(group, error, 1)[0]
-                return self._execute_with_policy(group, deadline)[0]
+                    return self._degrade_or_fail(job, error, 1)
+                return self._execute_with_policy(job, deadline)
+            except Exception as exc:  # Last-ditch isolation: a bug in
+                # the policy itself must not poison a batch or leave a
+                # submitter holding a raising future.
+                return self._error_outcome(job, exc, 1)
             finally:
                 release()
 
@@ -697,9 +678,9 @@ class QueryEngine:
             raise QueryError("engine is closed") from exc
 
     def _probe_box(self, box: Box3, e_cap: float) -> Box3:
-        """The box a group probes: the query box, or — with a cache
+        """The box a job probes: the query box, or — with a cache
         attached — its prefetch-inflated cube (``cache.inflate``).
-        The per-request filters restore exactness, and the taller cube
+        The request's filter restores exactness, and the taller cube
         turns nearby LODs into future cache hits."""
         cache = self._cache
         return box if cache is None else cache.inflate(box, e_cap)
@@ -814,85 +795,42 @@ class QueryEngine:
         :attr:`QueryOutcome.error` on the affected requests only.  (A
         closed engine raises :class:`~repro.errors.QueryError`.)
 
-        Leader groups (one per distinct query box) are submitted to
-        the pool first, follower groups after — a follower waiting on
-        its leader can therefore never deadlock the pool: by FIFO
-        dispatch its leader is already running or finished.
-
-        With a semantic cache attached, every request is probed
-        against it *before* dedup grouping: a hit is answered inline
-        (one vectorized filter over the cached cube, no index or disk
-        I/O) and only the misses proceed to planning and execution.
+        The closed-loop convenience over :meth:`submit`'s per-request
+        task: the whole batch pins one snapshot and one deadline, and
+        is never governed — a caller that waits for its answers
+        self-limits.  With a semantic cache attached, every request is
+        probed against it *before* any miss is queued (so which
+        requests hit does not depend on how fast their siblings run):
+        a hit is answered inline — one vectorized filter over the
+        cached cube, no index or disk I/O — and only the misses
+        execute.
         """
         requests = list(requests)
         if not requests:
             return []
-        deadline = (
-            None
-            if self._deadline_s is None
-            else time.monotonic() + self._deadline_s
-        )
-        outcomes: list[QueryOutcome | None] = [None] * len(requests)
+        deadline = self._deadline_from_now()
         snap = self.pinned_snapshot()
         e_cap = snap.store.e_cap
-        pending: list[tuple[int, EngineRequest, Box3]] = []
-        for position, request in enumerate(requests):
+        checked: list[QueryOutcome | _Job] = []
+        for request in requests:
             box = request.query_box(e_cap)
             hit = self._cache_hit(request, box, snap)
-            if hit is None:
-                pending.append((position, request, box))
-            else:
-                outcomes[position] = hit
-        groups = self._plan(pending, snap)
-        leaders = [g for g in groups if g.leader is None]
-        followers = [g for g in groups if g.leader is not None]
-
-        try:
-            leader_futures = {
-                id(group): self._pool.submit(
-                    self._execute_with_policy, group, deadline
-                )
-                for group in leaders
-            }
-            follower_futures = [
-                self._pool.submit(
-                    self._execute_follower,
-                    group,
-                    leader_futures[id(group.leader)],
-                    deadline,
-                )
-                for group in followers
-            ]
-        except RuntimeError as exc:  # The pool refuses work after close().
-            raise QueryError("engine is closed") from exc
-
-        futures = [leader_futures[id(g)] for g in leaders] + follower_futures
-        for group, future in zip(leaders + followers, futures):
-            try:
-                group_outcomes = future.result()
-            except Exception as exc:  # Last-ditch isolation: a bug in
-                # the task itself must still not poison the batch.
-                group_outcomes = self._error_outcomes(group, exc, 1)
-            for position, outcome in zip(group.positions, group_outcomes):
-                outcomes[position] = outcome
-
-        registry = self.registry
-        registry.counter("engine.requests").inc(len(requests))
-        registry.counter("engine.batches").inc()
-        registry.counter("engine.range_queries").inc(len(leaders))
-        registry.counter("engine.dedup_shared").inc(
-            len(pending) - len(leaders)
-        )
+            checked.append(
+                hit
+                if hit is not None
+                else _Job(request, self._probe_box(box, e_cap), snap)
+            )
+        futures = [
+            self._submit_task(item, deadline)
+            if isinstance(item, _Job)
+            else _resolved(item)
+            for item in checked
+        ]
+        outcomes = [future.result() for future in futures]
+        self.registry.counter("engine.requests").inc(len(requests))
+        self.registry.counter("engine.batches").inc()
         self._mirror_cache_stats()
-        filled: list[QueryOutcome] = []
-        for position, outcome in enumerate(outcomes):
-            if outcome is None:
-                raise InvariantError(
-                    "run_batch left a request without an outcome",
-                    position=position,
-                )
-            filled.append(outcome)
-        return filled
+        return outcomes
 
     def _mirror_cache_stats(self) -> None:
         """Mirror the semantic cache's activity into the registry.
@@ -932,85 +870,25 @@ class QueryEngine:
         registry.gauge("cache.bytes").set(after.bytes)
         registry.gauge("cache.entries").set(after.entries)
 
-    # -- planning ----------------------------------------------------------
-
-    def _plan(
-        self,
-        pending: Sequence[tuple[int, EngineRequest, Box3]],
-        snap: _StoreSnapshot,
-    ) -> list[_Group]:
-        """Group ``(position, request, query box)`` triples into shared
-        range queries per dedup policy.
-
-        Grouping keys on the query box, not the (cache-inflated)
-        probe box, so dedup semantics are cache-independent.
-        """
-        e_cap = snap.store.e_cap
-        if self._dedup == "off":
-            return [
-                _Group(self._probe_box(box, e_cap), snap, [position], [request])
-                for position, request, box in pending
-            ]
-
-        # Key on (box, request type) only: identical query boxes share
-        # one probe even when the requests differ (e.g. two uniform
-        # LODs above e_cap, or two planes with different directions
-        # over the same cube) — the per-request filter in
-        # _filter_group restores exactness.
-        groups: list[_Group] = []
-        by_key: dict[object, _Group] = {}
-        for position, request, box in pending:
-            key = box.as_tuple() + (type(request).__name__,)
-            group = by_key.get(key)
-            if group is None:
-                group = _Group(self._probe_box(box, e_cap), snap)
-                by_key[key] = group
-                groups.append(group)
-            group.positions.append(position)
-            group.requests.append(request)
-
-        if self._dedup == "subsume":
-            # Largest boxes first; each group adopts the first strictly
-            # earlier (hence >= volume) group whose box contains its
-            # own.  Containment is all that correctness needs: records
-            # intersecting the superset box are a superset of those
-            # intersecting ours, and the per-request filter restores
-            # exactness.
-            ordered = sorted(
-                groups, key=lambda g: g.box.volume, reverse=True
-            )
-            for i, group in enumerate(ordered):
-                for candidate in ordered[:i]:
-                    root = candidate.leader or candidate
-                    if root.box.contains_box(group.box):
-                        group.leader = root
-                        break
-        return groups
-
     # -- stages (run on worker threads) ------------------------------------
 
     def _execute_with_policy(
-        self, group: _Group, deadline: float | None
-    ) -> list[QueryOutcome]:
-        """Run a group under the retry/deadline policy.
-
-        Returns outcomes for every request in the group; never raises.
-        """
+        self, job: _Job, deadline: float | None
+    ) -> QueryOutcome:
+        """Run a job under the retry/deadline policy; never raises."""
         registry = self.registry
         attempts = 0
         while True:
             attempts += 1
             if deadline is not None and time.monotonic() >= deadline:
-                registry.counter("engine.deadline_misses").inc(
-                    len(group.requests)
-                )
+                registry.counter("engine.deadline_misses").inc()
                 missed = DeadlineExceededError(
                     f"deadline of {self._deadline_s}s expired before the "
                     "request ran"
                 )
-                return self._degrade_or_fail(group, missed, attempts)
+                return self._degrade_or_fail(job, missed, attempts)
             try:
-                outcomes = self._execute_group(group)
+                outcome = self._execute_job(job)
             except PageCorruptionError as exc:
                 # Never retried: re-reading a rotten page returns the
                 # same bytes.  Quarantine it and serve degraded.
@@ -1019,10 +897,10 @@ class QueryEngine:
                 page = exc.context.get("page")
                 if isinstance(segment, str) and isinstance(page, int):
                     self.quarantine.add(segment, page)
-                return self._degrade_or_fail(group, exc, attempts)
+                return self._degrade_or_fail(job, exc, attempts)
             except TransientIOError as exc:
                 if attempts > self._retries:
-                    return self._error_outcomes(group, exc, attempts)
+                    return self._error_outcome(job, exc, attempts)
                 registry.counter("engine.retries").inc()
                 delay = RETRY_BACKOFF_S * (2 ** (attempts - 1))
                 if deadline is not None:
@@ -1031,66 +909,35 @@ class QueryEngine:
                     time.sleep(delay)
                 continue
             except Exception as exc:  # Hard fault: isolate, don't retry.
-                return self._error_outcomes(group, exc, attempts)
-            for outcome in outcomes:
-                outcome.attempts = attempts
-            return outcomes
+                return self._error_outcome(job, exc, attempts)
+            outcome.attempts = attempts
+            return outcome
 
-    def _execute_follower(
-        self,
-        group: _Group,
-        leader_future: "Future[list[QueryOutcome]]",
-        deadline: float | None,
-    ) -> list[QueryOutcome]:
-        """Filter a subsumed group against its leader's records.
+    def _execute_job(
+        self, job: _Job, coarse: UniformRequest | None = None
+    ) -> QueryOutcome:
+        """The pipeline: select + fetch (the engine's fetch strategy),
+        the request's filter, then publish — semantic-cache insert,
+        :class:`QueryMetrics`, counters and histograms.
 
-        A failed leader does not cascade: the follower is demoted to
-        an independent probe under the full retry/deadline policy.
+        ``coarse`` is the base-mesh stand-in of a degraded answer: it
+        filters in the request's stead (as in ``_inline_outcome``),
+        and the outcome still names the request the caller submitted.
         """
-        leader = group.leader
-        if leader is None:
-            raise InvariantError("follower group has no leader")
-        leader_outcomes = leader_future.result()
-        records = leader.records
-        if records is None or not leader_outcomes[0].ok:
-            self.registry.counter("engine.demotions").inc(
-                len(group.requests)
-            )
-            return self._execute_with_policy(group, deadline)
-        leader_metrics = leader_outcomes[0].metrics
-        started = time.perf_counter()
-        outcomes = self._filter_group(group, records, shared=True)
-        filter_s = time.perf_counter() - started
-        metrics = QueryMetrics(
-            nodes_visited=leader_metrics.nodes_visited,
-            pages_read=leader_metrics.pages_read,
-            logical_reads=leader_metrics.logical_reads,
-            cache_hit_rate=leader_metrics.cache_hit_rate,
-            filter_s=filter_s,
-            total_s=filter_s,
-            shared=True,
-            epoch=leader_metrics.epoch,
-        )
-        for outcome in outcomes:
-            outcome.metrics = metrics
-        self.registry.histogram("engine.filter_s").observe(filter_s)
-        return outcomes
-
-    def _execute_group(self, group: _Group) -> list[QueryOutcome]:
-        """The group pipeline: select + fetch (the engine's fetch
-        strategy), per-request filters, then publish — semantic-cache
-        insert, one :class:`QueryMetrics` for the group, histograms."""
-        snap = group.snap
+        snap = job.snap
         registry = self.registry
+        served = job.request if coarse is None else coarse
         started = time.perf_counter()
         with snap.store.database.stats.attribute() as probe:
-            fetched = self._fetch(group.box, snap)
+            fetched = self._fetch(job.box, snap)
             records = fetched.columns
             fetch_done = time.perf_counter()
-            outcomes = self._filter_group(group, records, shared=False)
+            result = DMQueryResult(
+                nodes=served.filter(records), retrieved=len(records)
+            )
         finished = time.perf_counter()
         if self._cache is not None:
-            self._cache.insert(group.box, records, epoch=snap.epoch)
+            self._cache.insert(job.box, records, epoch=snap.epoch)
             self._mirror_cache_stats()
 
         metrics = QueryMetrics(
@@ -1106,9 +953,7 @@ class QueryEngine:
             nodes_decoded=fetched.nodes_decoded,
             epoch=snap.epoch,
         )
-        group.records = records
-        for outcome in outcomes:
-            outcome.metrics = metrics
+        registry.counter("engine.range_queries").inc()
         registry.histogram("engine.index_s").observe(metrics.index_s)
         registry.histogram("engine.fetch_s").observe(metrics.fetch_s)
         registry.histogram("engine.filter_s").observe(metrics.filter_s)
@@ -1120,7 +965,7 @@ class QueryEngine:
         registry.histogram("engine.cache_hit_rate").observe(
             probe.cache_hit_rate
         )
-        return outcomes
+        return QueryOutcome(job.request, result, metrics)
 
     def _fetch_rtree(self, box: Box3, snap: _StoreSnapshot) -> _Fetched:
         """Per-node fetch strategy (the parity suites' reference):
@@ -1147,8 +992,8 @@ class QueryEngine:
         The decoded batch is *narrowed* to the rows whose capped
         segment intersects the probe box (:func:`intersecting_rows`):
         exactly the row set an R*-tree probe retrieves, so
-        ``retrieved`` counts, semantic-cache cubes, and dedup-follower
-        behaviour stay bit-identical across strategies.  The
+        ``retrieved`` counts and semantic-cache cubes stay
+        bit-identical across strategies.  The
         pre-narrow count is kept as ``nodes_decoded`` — the overfetch
         ratio stays measurable.
 
@@ -1213,92 +1058,43 @@ class QueryEngine:
         self.quarantine.clear()
 
     def _degrade_or_fail(
-        self, group: _Group, error: Exception, attempts: int
-    ) -> list[QueryOutcome]:
-        """Answer an all-uniform group at the coarsest LOD (flagged
-        ``degraded``), or fail its requests in isolation with
-        ``error`` — where a deadline miss, a corrupt page and an
-        overload-degrade verdict all end up."""
-        uniform = [r for r in group.requests if isinstance(r, UniformRequest)]
-        if self._degrade and len(uniform) == len(group.requests):
-            try:
-                outcomes = self._execute_degraded(group, uniform)
-            except Exception:  # The base mesh may be unreadable too.
-                pass
-            else:
-                self.registry.counter("engine.degraded").inc(
-                    len(group.requests)
-                )
-                for outcome in outcomes:
-                    outcome.attempts = attempts
-                    outcome.degraded = True
-                return outcomes
-        return self._error_outcomes(group, error, attempts)
-
-    def _error_outcomes(
-        self, group: _Group, error: Exception, attempts: int
-    ) -> list[QueryOutcome]:
-        """Per-request errored outcomes for a group that failed."""
-        self.registry.counter("engine.errors").inc(len(group.requests))
-        return [
-            QueryOutcome(
-                request,
-                None,
-                QueryMetrics(epoch=group.snap.epoch),
-                error=error,
-                attempts=attempts,
-            )
-            for request in group.requests
-        ]
-
-    def _execute_degraded(
-        self, group: _Group, uniform: list[UniformRequest]
-    ) -> list[QueryOutcome]:
-        """Answer a group of ``uniform`` requests at the coarsest LOD
-        (the base mesh).
+        self, job: _Job, error: Exception, attempts: int
+    ) -> QueryOutcome:
+        """Answer a uniform request at the coarsest LOD (flagged
+        ``degraded``), or fail it in isolation with ``error`` — where
+        a deadline miss, a corrupt page and an overload-degrade
+        verdict all end up.
 
         Any ``e' > e`` is a valid, cheaper approximation (paper
         Section 4), and the base mesh is the cheapest of all — a
         handful of root records instead of a deep fetch.  No retry:
         this is the last, best effort under deadline pressure.
         """
-        store = group.snap.store
-        coarse_lod = store.max_lod
-        # All requests in a group share one query box, hence one ROI.
-        roi = uniform[0].roi
-        coarse_group = _Group(
-            UniformRequest(roi, coarse_lod).query_box(store.e_cap),
-            group.snap,
-            list(group.positions),
-            [UniformRequest(request.roi, coarse_lod) for request in uniform],
-        )
-        outcomes = self._execute_group(coarse_group)
-        # Re-label with the original requests: the caller must see the
-        # request it submitted, served by a coarser approximation.
-        for outcome, request in zip(outcomes, group.requests):
-            outcome.request = request
-        return outcomes
+        request = job.request
+        if self._degrade and isinstance(request, UniformRequest):
+            store = job.snap.store
+            coarse = UniformRequest(request.roi, store.max_lod)
+            coarse_job = _Job(request, coarse.query_box(store.e_cap), job.snap)
+            try:
+                outcome = self._execute_job(coarse_job, coarse)
+            except Exception:  # The base mesh may be unreadable too.
+                pass
+            else:
+                self.registry.counter("engine.degraded").inc()
+                outcome.attempts = attempts
+                outcome.degraded = True
+                return outcome
+        return self._error_outcome(job, error, attempts)
 
-    @staticmethod
-    def _filter_group(
-        group: _Group, records: DMNodeColumns, shared: bool
-    ) -> list[QueryOutcome]:
-        outcomes: list[QueryOutcome] = []
-        # Equal requests in the group share one result object (their
-        # filters agree by construction); distinct requests behind the
-        # same box — e.g. different LODs above e_cap — each run their
-        # own filter, which is what keeps shared probes exact.
-        computed: list[tuple[EngineRequest, DMQueryResult]] = []
-        for request in group.requests:
-            result = next(
-                (res for req, res in computed if req == request), None
-            )
-            if result is None:
-                result = DMQueryResult(
-                    nodes=request.filter(records), retrieved=len(records)
-                )
-                computed.append((request, result))
-            outcomes.append(
-                QueryOutcome(request, result, QueryMetrics(shared=shared))
-            )
-        return outcomes
+    def _error_outcome(
+        self, job: _Job, error: Exception, attempts: int
+    ) -> QueryOutcome:
+        """The errored outcome of a job that failed."""
+        self.registry.counter("engine.errors").inc()
+        return QueryOutcome(
+            job.request,
+            None,
+            QueryMetrics(epoch=job.snap.epoch),
+            error=error,
+            attempts=attempts,
+        )

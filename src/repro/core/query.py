@@ -76,10 +76,11 @@ class DMQueryResult:
     def edges(self) -> set[tuple[int, int]]:
         """Approximation edges (computed once, cached).
 
-        Result objects are shared across engine worker threads (dedup
-        followers reuse the leader's result), so the lazy cache is
-        filled compute-then-assign under a lock: every caller sees the
-        *same* fully built set, never a partially initialised one.
+        Callers may read one result from several threads (it is built
+        on an engine worker and handed out through a future), so the
+        lazy cache is filled compute-then-assign under a lock: every
+        caller sees the *same* fully built set, never a partially
+        initialised one.
         """
         cached = self._edges
         if cached is not None:

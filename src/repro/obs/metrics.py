@@ -52,10 +52,8 @@ METRIC_NAMES: frozenset[str] = frozenset(
         "engine.requests",
         "engine.batches",
         "engine.range_queries",
-        "engine.dedup_shared",
         "engine.retries",
         "engine.errors",
-        "engine.demotions",
         "engine.deadline_misses",
         "engine.degraded",
         "engine.corruptions",

@@ -1,8 +1,12 @@
 """Tests for the command-line interface."""
 
+import argparse
+import re
+from pathlib import Path
+
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -131,7 +135,6 @@ class TestBenchServe:
                 "--requests", "6",
                 "--workers", "2",
                 "--mode", "mixed",
-                "--dedup", "subsume",
                 "--metrics",
             ]
         )
@@ -251,3 +254,54 @@ class TestPmInterchange:
         assert code == 0
         out = capsys.readouterr().out
         assert "built" in out
+
+
+class TestDocumentedFlags:
+    """Docs, CI and the verify recipe may only advertise flags the
+    parser accepts: a flag deleted from ``cli.py`` must fail here, not
+    in a reader's terminal."""
+
+    SOURCES = (
+        "README.md",
+        "docs/tutorial.md",
+        "Makefile",
+        ".github/workflows/*.yml",
+        ".claude/skills/verify/SKILL.md",
+    )
+
+    @staticmethod
+    def _invocations(text):
+        """``(subcommand, [--flag, ...])`` for every ``-m repro
+        <subcommand> ...`` in ``text``: to the closing backtick when
+        quoted inline, else to the end of the (continued) line."""
+        text = text.replace("\\\n", " ")
+        for match in re.finditer(r"-m repro\s+([a-z][a-z|-]*)", text):
+            line_start = text.rfind("\n", 0, match.start()) + 1
+            inline = text.count("`", line_start, match.start()) % 2 == 1
+            stop = text.find("`" if inline else "\n", match.end())
+            tail = text[match.end() : len(text) if stop < 0 else stop]
+            command = re.split(r"[#;|>&]", tail)[0]
+            flags = re.findall(r"(?<!\S)--[a-z][a-z0-9-]*", command)
+            for subcommand in match.group(1).split("|"):
+                yield subcommand, flags
+
+    def test_every_documented_flag_parses(self):
+        subparsers = next(
+            action
+            for action in _build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ).choices
+        root = Path(__file__).resolve().parents[1]
+        seen = set()
+        for pattern in self.SOURCES:
+            for path in sorted(root.glob(pattern)):
+                for subcommand, flags in self._invocations(path.read_text()):
+                    where = f"{path.relative_to(root)}: repro {subcommand}"
+                    assert subcommand in subparsers, where
+                    options = subparsers[subcommand]._option_string_actions
+                    for flag in flags:
+                        assert flag in options, f"{where} {flag}"
+                        seen.add((subcommand, flag))
+        # The scan found the invocations it exists for.
+        assert ("bench-serve", "--workers") in seen
+        assert ("fsck", "--repair") in seen

@@ -1,9 +1,9 @@
 """The concurrent batched query engine.
 
 The contract under test: whatever the worker count, batch order, or
-dedup policy, the engine returns the *same approximations* as the
-sequential query processors — and in the default ``"exact"`` mode the
-results are byte-identical (same nodes, same ``retrieved`` count).
+entry point, the engine returns the *same approximations* as the
+sequential query processors, byte-identical (same nodes, same
+``retrieved`` count).
 """
 
 import random
@@ -111,7 +111,7 @@ class TestBatchIdentity:
 
 
 class TestFetchStrategyMatrix:
-    """The seam between the one group pipeline and its two fetch
+    """The seam between the one pipeline and its two fetch
     strategies: every serving configuration answers with the paper's
     reference semantics (in-memory selective refinement), and the two
     strategies hand the pipeline the same rows."""
@@ -142,7 +142,7 @@ class TestFetchStrategyMatrix:
             extent.max_y,
         )
         requests.append(UniformRequest(beside, 0.5 * max_lod))  # Empty ROI.
-        requests.append(requests[0])  # A repeat: dedup / cache-hit path.
+        requests.append(requests[0])  # A repeat: the cache-hit path.
         rng.shuffle(requests)
         return requests
 
@@ -189,75 +189,111 @@ class TestFetchStrategyMatrix:
         assert retrieved[True] == retrieved[False]
 
 
-class TestDedup:
-    def test_exact_duplicates_share_one_range_query(self, store):
-        request = _random_uniform(store, random.Random(2))
-        registry = MetricsRegistry()
-        with QueryEngine(store, workers=4, registry=registry) as engine:
-            outcomes = engine.run_batch([request] * 6)
-        counters = registry.counters()
-        assert counters["engine.requests"] == 6
-        assert counters["engine.range_queries"] == 1
-        assert counters["engine.dedup_shared"] == 5
-        reference = store.uniform_query(request.roi, request.lod)
-        for outcome in outcomes:
-            _assert_identical(outcome, reference)
+class TestRunBatchIsSubmit:
+    """The seam this file's other suites stand on: a batch is the
+    closed-loop gather over ``submit``'s per-request task, so
+    ``run_batch(requests)`` answers exactly what ``submit`` answers
+    request by request — duplicates, contained and disjoint ROIs
+    included — and both agree with the paper's reference semantics."""
 
-    def test_dedup_off_probes_once_per_request(self, store):
-        request = _random_uniform(store, random.Random(3))
-        registry = MetricsRegistry()
-        with QueryEngine(
-            store, workers=2, dedup="off", registry=registry
-        ) as engine:
-            engine.run_batch([request] * 4)
-        assert registry.counters()["engine.range_queries"] == 4
+    @staticmethod
+    def _requests(store):
+        """The fetch-strategy mix (it holds a repeat and disjoint
+        ROIs) plus an ROI contained in the repeated one."""
+        requests = TestFetchStrategyMatrix._requests(store)
+        repeated = next(r for r in requests if requests.count(r) == 2)
+        requests.append(UniformRequest(repeated.roi.scaled(0.5), repeated.lod))
+        return requests
 
-    def test_subsume_contained_roi_reuses_superset(self, store):
-        extent = _extent(store)
-        lod = 0.5 * store.max_lod
-        outer = UniformRequest(extent, lod)
-        quarter = Rect(
-            extent.min_x,
-            extent.min_y,
-            extent.min_x + extent.width / 2,
-            extent.min_y + extent.height / 2,
-        )
-        inner = UniformRequest(quarter, lod)
-        registry = MetricsRegistry()
-        with QueryEngine(
-            store, workers=4, dedup="subsume", registry=registry
-        ) as engine:
-            outcomes = engine.run_batch([outer, inner])
-        assert registry.counters()["engine.range_queries"] == 1
-        assert outcomes[1].metrics.shared
-        # The *approximation* is exact even though the fetch was shared.
-        reference = store.uniform_query(inner.roi, inner.lod)
-        assert outcomes[1].result.nodes == reference.nodes
-        _assert_identical(outcomes[0], store.uniform_query(outer.roi, lod))
+    @pytest.mark.parametrize("clustered", [True, False])
+    @pytest.mark.parametrize("cached", [False, True], ids=["nocache", "cache"])
+    def test_batch_equals_sequential_submits(
+        self, dataset, store, cached, clustered
+    ):
+        requests = self._requests(store)
 
-    def test_subsume_disjoint_boxes_not_merged(self, store):
-        extent = _extent(store)
-        half_w = extent.width / 2
-        left = UniformRequest(
-            Rect(extent.min_x, extent.min_y,
-                 extent.min_x + half_w * 0.9, extent.max_y),
-            0.4 * store.max_lod,
-        )
-        right = UniformRequest(
-            Rect(extent.min_x + half_w * 1.1, extent.min_y,
-                 extent.max_x, extent.max_y),
-            0.4 * store.max_lod,
-        )
-        registry = MetricsRegistry()
-        with QueryEngine(
-            store, workers=2, dedup="subsume", registry=registry
-        ) as engine:
-            outcomes = engine.run_batch([left, right])
-        assert registry.counters()["engine.range_queries"] == 2
-        for request, outcome in zip((left, right), outcomes):
-            _assert_identical(
-                outcome, store.uniform_query(request.roi, request.lod)
+        def engine_for(registry=None):
+            cache = SemanticCache(64 << 20) if cached else None
+            return QueryEngine(
+                store, workers=3, cache=cache, clustered=clustered,
+                registry=registry,
             )
+
+        registry = MetricsRegistry()
+        with engine_for(registry) as engine:
+            batch = engine.run_batch(requests)
+            # The cache pre-check precedes execution: even the repeat
+            # is a miss, and every miss is one range query.
+            assert not any(o.metrics.cached for o in batch)
+            assert registry.counters()["engine.range_queries"] == len(requests)
+            again = engine.run_batch(requests)
+            misses = sum(not o.metrics.cached for o in again)
+            if cached:
+                assert misses < len(requests)
+            else:
+                assert misses == len(requests)
+            assert (
+                registry.counters()["engine.range_queries"]
+                == len(requests) + misses
+            )
+        with engine_for() as engine:
+            sequential = [
+                engine.submit(r).result(timeout=30) for r in requests
+            ]
+        assert cached == any(o.metrics.cached for o in sequential)
+
+        for request, ours, theirs in zip(requests, batch, sequential):
+            assert ours.request is request and theirs.request is request
+            if isinstance(request, UniformRequest):
+                reference = uniform_query_ref(
+                    dataset.pm, request.roi, request.lod
+                )
+            else:
+                reference = viewdep_query_ref(dataset.pm, request.plane)
+            assert set(ours.result.nodes) == reference, request
+            assert ours.result.nodes == theirs.result.nodes
+            assert (ours.degraded, type(ours.error)) == (
+                theirs.degraded, type(theirs.error)
+            )
+            # A cache hit reports the cached cube's size, not a probe's.
+            if not theirs.metrics.cached:
+                assert ours.result.retrieved == theirs.result.retrieved
+
+    def test_range_queries_counted_on_both_entry_points(self, store):
+        """``engine.range_queries`` means "range queries executed"
+        whichever way the requests arrive."""
+        rng = random.Random(17)
+        requests = [_random_uniform(store, rng) for _ in range(5)]
+        counts = {}
+        for entry in ("submit", "run_batch"):
+            registry = MetricsRegistry()
+            with QueryEngine(store, workers=2, registry=registry) as engine:
+                if entry == "submit":
+                    for request in requests:
+                        assert engine.submit(request).result(timeout=30).ok
+                else:
+                    engine.run_batch(requests)
+            counts[entry] = registry.counters().get("engine.range_queries", 0)
+        assert counts == {"submit": 5, "run_batch": 5}
+
+    def test_batch_straddling_install_store_reports_one_epoch(self, store):
+        """A batch pins its snapshot once: a patch committed while it
+        runs does not split its outcomes across epochs."""
+        rng = random.Random(19)
+        requests = [_random_uniform(store, rng) for _ in range(6)]
+        with QueryEngine(store, workers=1) as engine:
+
+            class Installing(UniformRequest):
+                def filter(self, columns):
+                    engine.install_store(store, 1)
+                    return super().filter(columns)
+
+            first = Installing(requests[0].roi, requests[0].lod)
+            outcomes = engine.run_batch([first] + requests[1:])
+            assert engine.epoch == 1
+            assert {o.metrics.epoch for o in outcomes} == {0}
+            assert engine.run(requests[0]).metrics.epoch == 1
+        assert all(o.ok for o in outcomes)
 
 
 class TestECapRegression:
@@ -282,18 +318,14 @@ class TestECapRegression:
         assert len(outcome.result.nodes) > 0
 
     def test_same_box_different_lod_share_one_probe(self, store):
-        """Two uniform requests above e_cap clamp to the same query
-        box; the exact-dedup key is (box, type), so they share one
-        range query while each keeps its own filter."""
+        """Two uniform requests above e_cap clamp to one query box;
+        each request's own filter keeps its answer exact."""
         roi = _extent(store)
         first = UniformRequest(roi, store.e_cap + 1.0)
         second = UniformRequest(roi, store.e_cap + 2.0)
-        registry = MetricsRegistry()
-        with QueryEngine(store, workers=2, registry=registry) as engine:
+        assert first.query_box(store.e_cap) == second.query_box(store.e_cap)
+        with QueryEngine(store, workers=2) as engine:
             outcomes = engine.run_batch([first, second])
-        counters = registry.counters()
-        assert counters["engine.range_queries"] == 1
-        assert counters["engine.dedup_shared"] == 1
         for request, outcome in zip((first, second), outcomes):
             reference = store.uniform_query(request.roi, request.lod)
             _assert_identical(outcome, reference)
@@ -314,7 +346,6 @@ class TestMetrics:
         assert metrics.total_s > 0
         assert metrics.index_s >= 0
         assert metrics.fetch_s >= 0
-        assert not metrics.shared
 
     def test_registry_histograms_cover_stages(self, store):
         rng = random.Random(7)
@@ -372,7 +403,7 @@ class TestConcurrencyStress:
         requests = [_random_uniform(store, rng) for _ in range(16)]
         store.database.flush()
         before = store.database.stats.snapshot()
-        with QueryEngine(store, workers=8, dedup="off") as engine:
+        with QueryEngine(store, workers=8) as engine:
             outcomes = engine.run_batch(requests)
         delta = store.database.stats.snapshot().delta(before)
         assert delta.logical_reads == sum(
@@ -388,15 +419,11 @@ class TestValidation:
         with pytest.raises(QueryError):
             QueryEngine(store, workers=0)
 
-    def test_bad_dedup_mode(self, store):
-        with pytest.raises(QueryError):
-            QueryEngine(store, dedup="fuzzy")
-
 
 class TestEdgesRace:
-    """Result objects are shared across worker threads (dedup
-    followers reuse the leader's result), so the lazy ``edges()``
-    cache must be race-free: every caller sees one complete set."""
+    """Callers may read one result object from several threads, so
+    the lazy ``edges()`` cache must be race-free: every caller sees
+    one complete set."""
 
     def test_concurrent_edges_single_object(self, store):
         import threading
@@ -433,10 +460,3 @@ class TestEdgesRace:
         first = seen[0]
         for edges in seen[:n_threads]:
             assert edges is first
-
-    def test_dedup_followers_share_edge_cache(self, store):
-        request = _random_uniform(store, random.Random(22))
-        with QueryEngine(store, workers=4) as engine:
-            outcomes = engine.run_batch([request] * 6)
-        edge_sets = [o.result.edges() for o in outcomes]
-        assert all(e is edge_sets[0] for e in edge_sets)

@@ -4,7 +4,7 @@ Covers the :class:`FaultInjector` itself (determinism, rates, bounds),
 its wiring through :class:`Pager` / :class:`BufferPool` /
 :class:`Database`, and the serving guarantees built on it: per-request
 fault isolation, bounded retry for transient errors, per-request
-deadlines with graceful degradation, and leader-failure demotion.
+deadlines with graceful degradation.
 """
 
 import random
@@ -416,6 +416,29 @@ class TestDeadlines:
             reference = store.uniform_query(request.roi, store.max_lod)
             assert outcome.result.nodes == reference.nodes
 
+    def test_batch_deadline_runs_from_batch_submission(self, clean_injector):
+        """One deadline per batch: a slow first request uses up its
+        siblings' time too, where sequential submits each get their
+        own."""
+        db, store = clean_injector
+
+        class Slow(UniformRequest):
+            def filter(self, columns):
+                time.sleep(0.2)
+                return super().filter(columns)
+
+        rng = random.Random(29)
+        requests = [_random_uniform(store, rng) for _ in range(4)]
+        requests[0] = Slow(requests[0].roi, requests[0].lod)
+        with QueryEngine(store, workers=1, deadline_s=0.1) as engine:
+            batch = engine.run_batch(requests)
+            sequential = [
+                engine.submit(r).result(timeout=30) for r in requests
+            ]
+        assert [o.degraded for o in batch] == [False, True, True, True]
+        assert not any(o.degraded for o in sequential)
+        assert all(o.ok for o in batch + sequential)
+
     def test_expired_deadline_fails_viewdep(self, clean_injector):
         db, store = clean_injector
         extent = store.rtree.data_space.rect
@@ -457,8 +480,10 @@ class TestDeadlines:
             QueryEngine(store, retries=-1)
 
 
-class TestDemotion:
-    def test_failed_leader_demotes_followers(self, clean_injector):
+class TestSiblingIsolation:
+    def test_failed_request_leaves_contained_sibling_intact(
+        self, clean_injector
+    ):
         db, store = clean_injector
         extent = store.rtree.data_space.rect
         lod = 0.5 * store.max_lod
@@ -470,24 +495,25 @@ class TestDemotion:
             extent.min_y + extent.height / 2,
         )
         inner = UniformRequest(quarter, lod)
-        # Exactly one injected error: the leader (submitted first,
-        # retries=0) eats it and fails; the demoted follower's
-        # independent probe then runs fault-free.
+        # Exactly one injected error: the first request (queued
+        # first, retries=0) eats it and fails; its sibling's own probe
+        # of the contained ROI then runs fault-free.
         db.set_fault_injector(
             FaultInjector(error_rate=1.0, seed=3, max_errors=1)
         )
-        db.flush()  # Cold cache: the leader's read faults.
+        db.flush()  # Cold cache: the first request's read faults.
         registry = MetricsRegistry()
         with QueryEngine(
-            store, workers=1, dedup="subsume", retries=0, registry=registry
+            store, workers=1, retries=0, registry=registry
         ) as engine:
             outcomes = engine.run_batch([outer, inner])
         assert not outcomes[0].ok
         assert isinstance(outcomes[0].error, TransientIOError)
         assert outcomes[1].ok
-        assert registry.counters()["engine.demotions"] == 1
+        assert registry.counters()["engine.errors"] == 1
         reference = store.uniform_query(inner.roi, inner.lod)
         assert outcomes[1].result.nodes == reference.nodes
+        assert outcomes[1].result.retrieved == reference.retrieved
 
 
 class TestServingAcceptance:

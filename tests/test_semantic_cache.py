@@ -352,15 +352,6 @@ class TestEngineWithCache:
         assert fresh > 0
         assert all(o.ok for o in outcomes)
 
-    def test_dedup_off_still_uses_cache(self, store):
-        requests = _workload(store, seed=41, n=4)
-        cache = SemanticCache(64 << 20)
-        with QueryEngine(store, workers=2, dedup="off", cache=cache) as engine:
-            reference = _node_ids(engine.run_batch(requests))
-            warm = _node_ids(engine.run_batch(requests))
-        assert warm == reference
-        assert cache.stats().hits > 0
-
 
 class TestRegionInvalidation:
     """Spatial invalidation (patch commits): entries overlapping the

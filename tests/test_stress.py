@@ -161,9 +161,7 @@ class TestStatsAttribution:
                 )
             db.flush()
             before = db.stats.snapshot()
-            with QueryEngine(
-                store, workers=STRESS_WORKERS, dedup="off"
-            ) as engine:
+            with QueryEngine(store, workers=STRESS_WORKERS) as engine:
                 outcomes = engine.run_batch(requests)
             delta = db.stats.snapshot().delta(before)
             assert all(o.ok for o in outcomes)
