@@ -6,7 +6,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test test-fast lint lint-repro typecheck ci stress lockwatch perf-smoke perf-harness slo-smoke session-smoke cluster-smoke bench-slo bench-session bench-cluster fsck mutation-drill bench report examples clean
+.PHONY: install test test-fast lint lint-repro typecheck ci stress lockwatch perf-harness perf-compare slo-smoke bench-slo fsck mutation-drill bench report examples clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -61,13 +61,6 @@ lockwatch:
 		STRESS_RUNS=1 $(MAKE) stress
 	PYTHONPATH=src $(PYTHON) scripts/lockwatch_check.py $(LOCKWATCH_OUT)
 
-# Performance gate: the semantic-cache / vectorized-kernel benchmark
-# with its built-in guards (cached qps >= REPRO_CACHE_GUARD x uncached,
-# vectorized filters >= REPRO_VEC_GUARD x scalar).  Mirrors the
-# `perf-smoke` job in CI, which relaxes the guards for shared runners.
-perf-smoke:
-	$(PYTHON) -m pytest benchmarks/test_semantic_cache.py --benchmark-only -q
-
 # Benchmark-harness gate: perf/ times the serving path from outside
 # through wrappers on named callables (perf/trace.py layer_targets),
 # so a refactor that renames one or stops calling it must fail here,
@@ -91,50 +84,27 @@ slo-smoke:
 	REPRO_SLO_COLLAPSE_GUARD=0.5 \
 	$(PYTHON) -m pytest benchmarks/test_slo_openloop.py --benchmark-only -q
 
-# Full open-loop SLO matrix at honest guard levels + the nightly
-# regression gate against the committed BENCH_6.json baseline.
+# The one regression gate: run the BENCHMARK.json workloads on BASE
+# (checked out into a scratch worktree) and on this tree, on the same
+# host, and compare them by named metric under host-speed
+# normalisation; exits with perf/compare.py's verdict (1 on a
+# regressed or lost row).  `make perf-compare BASE=<commit>`; the
+# nightly bench workflow runs it against the merge base.
+perf-compare:
+	@test -n "$(BASE)" || { echo "usage: make perf-compare BASE=<commit>"; exit 2; }
+	set -e; d=/tmp/repro-perf-compare; \
+	git worktree remove --force $$d/base 2>/dev/null || true; \
+	rm -rf $$d; \
+	git worktree add --detach $$d/base $(BASE); \
+	(cd $$d/base && $(PYTHON) perf/run.py --trace 0 --out $$d/base.json); \
+	$(PYTHON) perf/run.py --trace 0 --out $$d/head.json; \
+	git worktree remove --force $$d/base; \
+	$(PYTHON) perf/compare.py $$d/base.json $$d/head.json
+
+# Full open-loop SLO matrix at honest guard levels (governed vs
+# ungoverned arms are compared inside the run; rewrites BENCH_6.json).
 bench-slo:
-	cp BENCH_6.json /tmp/repro-bench-baseline.json
 	$(PYTHON) -m pytest benchmarks/test_slo_openloop.py --benchmark-only -q
-	$(PYTHON) scripts/bench_compare.py /tmp/repro-bench-baseline.json BENCH_6.json
-
-# Delta-session smoke: a short run of the transmission matrix with a
-# relaxed reduction guard (delta must merely halve naive's bytes; the
-# honest >= 5x number comes from the nightly bench at defaults).
-# Every frame is still decoded client-side and verified against the
-# engine's answer.  Mirrors the `session-smoke` job in CI.
-SESSION_SMOKE_FRAMES ?= 80
-SESSION_SMOKE_REDUCTION ?= 2.0
-session-smoke:
-	REPRO_SESSION_FRAMES=$(SESSION_SMOKE_FRAMES) \
-	REPRO_SESSION_REDUCTION=$(SESSION_SMOKE_REDUCTION) \
-	$(PYTHON) -m pytest benchmarks/test_session_delta.py --benchmark-only -q
-
-# Cluster fast-path smoke: the clustered/per-node A/B with a relaxed
-# speedup guard (clustered merely must not lose to the per-node
-# oracle; the honest >= 2x comes from the nightly bench at defaults).
-# Results stay node-id-identical either way — that parity is always
-# asserted at full strength.  Mirrors the `cluster-smoke` job in CI.
-CLUSTER_SMOKE_GUARD ?= 1.0
-CLUSTER_SMOKE_REQUESTS ?= 24
-cluster-smoke:
-	REPRO_CLUSTER_GUARD=$(CLUSTER_SMOKE_GUARD) \
-	REPRO_CLUSTER_REQUESTS=$(CLUSTER_SMOKE_REQUESTS) \
-	$(PYTHON) -m pytest benchmarks/test_clusters.py --benchmark-only -q
-
-# Full cluster A/B at the honest >= 2x speedup guard + the nightly
-# regression gate against the committed BENCH_8.json baseline.
-bench-cluster:
-	cp BENCH_8.json /tmp/repro-bench8-baseline.json
-	$(PYTHON) -m pytest benchmarks/test_clusters.py --benchmark-only -q
-	$(PYTHON) scripts/bench_compare.py /tmp/repro-bench8-baseline.json BENCH_8.json
-
-# Full delta-session matrix at the honest >= 5x reduction guard + the
-# nightly regression gate against the committed BENCH_7.json baseline.
-bench-session:
-	cp BENCH_7.json /tmp/repro-bench7-baseline.json
-	$(PYTHON) -m pytest benchmarks/test_session_delta.py --benchmark-only -q
-	$(PYTHON) scripts/bench_compare.py /tmp/repro-bench7-baseline.json BENCH_7.json
 
 # Integrity drill: build a throwaway database, scrub it (must be
 # clean), snapshot, inject seeded corruption (scrub must now fail),

@@ -1,7 +1,10 @@
-"""Benchmark harness: workloads, measurement, figures, caching.
+"""The paper's evaluation: workloads, measurement, figures, caching.
 
-``benchmarks/`` (pytest-benchmark) drives these; they can also be used
-directly, e.g.::
+``benchmarks/`` (pytest-benchmark) drives these for the paper's
+figures and ablations, and :mod:`repro.bench.openloop` backs the
+``bench-slo`` / ``bench-session`` reproducers.  Regression gating is
+not here: ``perf/`` is the one harness with a comparer.  The modules
+can also be used directly, e.g.::
 
     from repro.bench import load_environment, Workload
     from repro.bench.figures import uniform_varying_roi

@@ -25,8 +25,10 @@ tallied separately — with a :class:`~repro.core.admission.CostGovernor`
 attached they are the mechanism that keeps the percentiles bounded;
 without one the same offered rate shows textbook latency collapse.
 Reports serialize to a schema-versioned JSON payload
-(:data:`SLO_REPORT_SCHEMA`) consumed by ``BENCH_6.json`` and the
-nightly ``scripts/bench_compare.py`` regression gate.
+(:data:`SLO_REPORT_SCHEMA`), the rows of ``BENCH_6.json``.  The
+governed and ungoverned arms are compared inside one run
+(``benchmarks/test_slo_openloop.py``), never against a file recorded
+on another host.
 """
 
 from __future__ import annotations
@@ -68,11 +70,11 @@ __all__ = [
 ]
 
 #: Version tag carried by every serialized report; bump on any
-#: breaking change to the JSON layout so the regression gate can
-#: refuse to compare incompatible shapes instead of mis-reading them.
+#: breaking change to the JSON layout so a reader can refuse an
+#: incompatible shape instead of mis-reading it.
 SLO_REPORT_SCHEMA = "repro.bench.slo/v1"
 
-#: Version tag for delta-session bench reports (``BENCH_7.json``).
+#: Version tag for delta-session reports (``bench-session --json``).
 SESSION_REPORT_SCHEMA = "repro.bench.session/v1"
 
 #: How a session run ships results: ``delta`` frames over an
@@ -512,7 +514,7 @@ def run_open_loop(
 
 @dataclass
 class DeltaSessionResult:
-    """One delta-session run's measurements (``BENCH_7.json`` rows).
+    """One delta-session run's measurements.
 
     ``frame_latencies_s`` times each frame end-to-end *including*
     wire encoding — submit through the engine, diff, encode — because
@@ -818,7 +820,7 @@ def validate_slo_report(report: object) -> list[str]:
 
     Deliberately dependency-free (no jsonschema in the image): the
     checks cover key presence, numeric types, and the version tag —
-    enough for the smoke job to reject a silently mangled report.
+    enough for ``make slo-smoke`` to reject a silently mangled report.
     """
     problems: list[str] = []
     if not isinstance(report, dict):

@@ -135,7 +135,7 @@ def measure_throughput(
     deadline_s: float | None = None,
     cache=None,
     repeat: int = 1,
-    clustered: bool | None = None,
+    clustered: bool = True,
 ) -> ThroughputReport:
     """Serve ``requests`` through a :class:`QueryEngine` and time it.
 
@@ -144,9 +144,8 @@ def measure_throughput(
     ``retries`` and ``deadline_s`` are handed to the engine unchanged
     (see :class:`~repro.core.engine.QueryEngine`), as are ``cache``
     (a :class:`~repro.core.cache.SemanticCache`) and ``clustered``
-    (``None`` auto-enables the cluster fast path when the store has a
-    cluster section; ``False`` forces the per-node oracle path — the
-    A/B lever of the cluster benchmark).
+    (``False`` forces the per-node oracle path — ``bench-serve
+    --no-clustered``).
     ``repeat`` replays the batch that many times inside the timing
     window — the repeated/overlapping workload a warm semantic cache
     is built for; the report counts every replayed request.

@@ -246,8 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-clustered",
         action="store_true",
         help="serve through the per-node R*-tree path instead of the "
-        "cluster fast path (A/B comparison; stores without a cluster "
-        "section always serve per-node)",
+        "cluster fast path (A/B comparison)",
     )
     serve.add_argument(
         "--metrics",
@@ -642,12 +641,11 @@ def _cmd_bench_serve(args) -> int:
         )
         db.set_fault_injector(injector)
 
-    clustered_path = store.clusters is not None and not args.no_clustered
     print(
         f"bench-serve: {args.requests} {args.mode} requests "
         f"x{args.repeat}, pool {args.pool_pages} pages, "
         f"io latency {args.io_latency}s, "
-        f"path {'clustered' if clustered_path else 'per-node'}"
+        f"path {'per-node' if args.no_clustered else 'clustered'}"
     )
     if args.cache_mb > 0.0:
         print(
@@ -699,7 +697,7 @@ def _cmd_bench_serve(args) -> int:
             deadline_s=deadline_s,
             cache=cache,
             repeat=args.repeat,
-            clustered=False if args.no_clustered else None,
+            clustered=not args.no_clustered,
         )
         if base_qps is None:
             base_qps = report.qps

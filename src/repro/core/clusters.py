@@ -264,6 +264,11 @@ class ClusterDirectory:
     def load(cls, database: Database, prefix: str) -> "ClusterDirectory":
         """Read and validate the sidecar."""
         path = cluster_directory_path(database, prefix)
+        if not path.exists():
+            raise StorageError(
+                "store has no cluster directory; rebuild the store",
+                path=str(path),
+            )
         try:
             payload = json.loads(path.read_text(encoding="ascii"))
         except (OSError, ValueError) as exc:
@@ -303,11 +308,6 @@ class ClusterDirectory:
             raise StorageError(
                 f"malformed cluster directory: {exc}", path=str(path)
             ) from exc
-
-    @classmethod
-    def exists(cls, database: Database, prefix: str) -> bool:
-        """True when ``prefix`` has a persisted cluster section."""
-        return cluster_directory_path(database, prefix).exists()
 
 
 # -- query-time selection ----------------------------------------------------

@@ -112,8 +112,8 @@ class DirectMeshStore:
         btree: BPlusTree,
         max_lod: float,
         e_cap: float,
+        clusters: ClusterSet,
         build_report: DMBuildReport | None = None,
-        clusters: ClusterSet | None = None,
         prefix: str = "dm",
     ) -> None:
         self.database = database
@@ -127,20 +127,16 @@ class DirectMeshStore:
         #: live-patched stores this is the *epoch* prefix (e.g.
         #: ``dm@3``), not the logical one — see :mod:`repro.core.mutate`.
         self.prefix = prefix
-        #: The v3 cluster section (``None`` for stores built before the
-        #: cluster layer — the engine then serves via the per-node
-        #: oracle path only).
+        #: The cluster section: Hilbert-ordered node clusters as
+        #: contiguous page runs (:mod:`repro.core.clusters`).
         self.clusters = clusters
         # Node-extent statistics live in the in-memory catalog (the
         # paper reads them "from the R-tree index"); computing them
         # here keeps measured queries free of catalog I/O.
         self.cost_model = RTreeCostModel(rtree.node_stats())
         #: Admission estimator denominated in cluster-run pages (the
-        #: I/O the clustered path actually performs); ``None`` without
-        #: a cluster section.
-        self.cluster_cost_model = (
-            ClusterCostModel(clusters.index) if clusters is not None else None
-        )
+        #: I/O the clustered path actually performs).
+        self.cluster_cost_model = ClusterCostModel(clusters.index)
 
     # -- construction -------------------------------------------------------
 
@@ -153,7 +149,6 @@ class DirectMeshStore:
         prefix: str = "dm",
         bulk_index: bool = True,
         compress_connections: bool = False,
-        clustered: bool = True,
         cluster_nodes: int = DEFAULT_CLUSTER_NODES,
     ) -> "DirectMeshStore":
         """Materialise a Direct Mesh store from a normalised PM.
@@ -168,11 +163,8 @@ class DirectMeshStore:
                 false to exercise dynamic R* insertion.
             compress_connections: store connection lists delta+varint
                 coded (extension; smaller records, same query results).
-            clustered: also materialise the v3 cluster section —
-                Hilbert-ordered node clusters as contiguous page runs
-                (:mod:`repro.core.clusters`) enabling the engine's
-                cluster fast path; ``False`` builds a v2-shaped store.
-            cluster_nodes: target cluster size in nodes.
+            cluster_nodes: target size, in nodes, of the clusters the
+                engine's fast path reads as contiguous page runs.
         """
         if not pm.is_normalized:
             raise QueryError("progressive mesh must be normalised")
@@ -186,7 +178,6 @@ class DirectMeshStore:
             prefix=prefix,
             bulk_index=bulk_index,
             compress_connections=compress_connections,
-            clustered=clustered,
             cluster_nodes=cluster_nodes,
         )
 
@@ -200,7 +191,6 @@ class DirectMeshStore:
         prefix: str = "dm",
         bulk_index: bool = True,
         compress_connections: bool = False,
-        clustered: bool = True,
         cluster_nodes: int = DEFAULT_CLUSTER_NODES,
     ) -> "DirectMeshStore":
         """Materialise a store from bare nodes + connection lists.
@@ -257,16 +247,12 @@ class DirectMeshStore:
                 rtree.insert(box, rid)
         btree.bulk_load(sorted(id_to_rid))
 
-        clusters: ClusterSet | None = None
-        if clustered:
-            directory = build_cluster_runs(
-                database, prefix, ordered, payloads, e_cap,
-                cluster_nodes=cluster_nodes,
-            )
-            directory.save(database, prefix)
-            clusters = ClusterSet(
-                database.segment(directory.segment), directory
-            )
+        directory = build_cluster_runs(
+            database, prefix, ordered, payloads, e_cap,
+            cluster_nodes=cluster_nodes,
+        )
+        directory.save(database, prefix)
+        clusters = ClusterSet(database.segment(directory.segment), directory)
 
         report = DMBuildReport(
             n_nodes=len(nodes),
@@ -275,15 +261,13 @@ class DirectMeshStore:
             btree_pages=database.segment_pages(f"{prefix}_btree"),
             total_record_bytes=total_bytes,
             total_connection_entries=total_conn,
-            cluster_pages=(
-                database.segment_pages(f"{prefix}_cruns") if clustered else 0
-            ),
+            cluster_pages=database.segment_pages(directory.segment),
         )
-        cls._save_meta(database, prefix, max_lod, e_cap, clustered=clustered)
+        cls._save_meta(database, prefix, max_lod, e_cap)
         database.buffer.flush_dirty()
         return cls(
-            database, heap, rtree, btree, max_lod, e_cap, report,
-            clusters=clusters, prefix=prefix,
+            database, heap, rtree, btree, max_lod, e_cap, clusters,
+            build_report=report, prefix=prefix,
         )
 
     @classmethod
@@ -297,17 +281,11 @@ class DirectMeshStore:
         heap = HeapFile(database.segment(f"{prefix}_nodes"))
         rtree = RStarTree(database.segment(f"{prefix}_rtree"))
         btree = BPlusTree(database.segment(f"{prefix}_btree"))
-        # v2 read compat: stores built before the cluster layer have no
-        # directory sidecar and open with clustering unavailable.
-        clusters: ClusterSet | None = None
-        if ClusterDirectory.exists(database, prefix):
-            directory = ClusterDirectory.load(database, prefix)
-            clusters = ClusterSet(
-                database.segment(directory.segment), directory
-            )
+        directory = ClusterDirectory.load(database, prefix)
+        clusters = ClusterSet(database.segment(directory.segment), directory)
         return cls(
             database, heap, rtree, btree, meta["max_lod"], meta["e_cap"],
-            clusters=clusters, prefix=prefix,
+            clusters, prefix=prefix,
         )
 
     @staticmethod
@@ -316,16 +294,10 @@ class DirectMeshStore:
         prefix: str,
         max_lod: float,
         e_cap: float,
-        clustered: bool = False,
     ) -> None:
-        # "format" 3 marks the cluster section; readers never require
-        # the key (v2 metas predate it) — the directory sidecar is the
-        # actual open-time signal.
-        meta = {
-            "max_lod": max_lod,
-            "e_cap": e_cap,
-            "format": 3 if clustered else 2,
-        }
+        # "format" is informational (3 = with the cluster section);
+        # readers never require the key.
+        meta = {"max_lod": max_lod, "e_cap": e_cap, "format": 3}
         meta_path = database.path / f"{prefix}_{_META_FILE}"
         with open(meta_path, "w", encoding="ascii") as f:
             json.dump(meta, f)

@@ -104,7 +104,6 @@ from repro.core.query import (
 )
 from repro.errors import (
     DeadlineExceededError,
-    InvariantError,
     OverloadShedError,
     PageCorruptionError,
     QueryError,
@@ -331,20 +330,18 @@ class QueryEngine:
             control; batch execution (:meth:`run_batch`) is
             closed-loop by construction and stays ungoverned.  ``None``
             admits everything (the ``--no-admission`` baseline).
-        clustered: serve range queries from the store's v3 cluster
+        clustered: serve range queries from the store's cluster
             section — cluster-granular selection, one sequential run
             read per cold cluster, cluster-granular caching — instead
-            of the per-node R*-tree walk.  ``None`` (the default)
-            enables it exactly when the store has a cluster section;
-            ``True`` on a store without one raises; ``False`` keeps
-            the per-node path as the correctness oracle.  Results are
+            of the per-node R*-tree walk; ``False`` keeps the
+            per-node path as the correctness oracle.  Results are
             node-id-identical either way (the parity property suite
             holds the fast path to the oracle); only ``retrieved``
             accounting differs — whole clusters are decoded, so the
             overfetch the batching buys is visible, not hidden.
         cluster_cache_bytes: budget of the engine's decoded-cluster
-            LRU (:class:`~repro.core.cache.ClusterCache`); only used
-            when the clustered path is active.
+            LRU (:class:`~repro.core.cache.ClusterCache`), which only
+            the clustered path fills.
         epoch: the store's committed epoch (``database.store_epoch``);
             0 for never-patched stores.  Requests pin ``(store,
             epoch)`` once at submission; live patches swap the pair
@@ -362,7 +359,7 @@ class QueryEngine:
         cache: SemanticCache | None = None,
         quarantine_cap: int = 256,
         governor: CostGovernor | None = None,
-        clustered: bool | None = None,
+        clustered: bool = True,
         cluster_cache_bytes: int = DEFAULT_CLUSTER_CACHE_BYTES,
         epoch: int = 0,
     ) -> None:
@@ -374,13 +371,6 @@ class QueryEngine:
             raise QueryError(
                 f"deadline_s must be positive or None, got {deadline_s}"
             )
-        if clustered is None:
-            clustered = store.clusters is not None
-        elif clustered and store.clusters is None:
-            raise QueryError(
-                "clustered=True but the store has no cluster section "
-                "(rebuild with DirectMeshStore.build(clustered=True))"
-            )
         self._snap = _StoreSnapshot(store, epoch)
         self._workers = workers
         self._retries = retries
@@ -389,9 +379,7 @@ class QueryEngine:
         self._cache = cache
         self._governor = governor
         self._clustered = clustered
-        self._cluster_cache = (
-            ClusterCache(cluster_cache_bytes) if clustered else None
-        )
+        self._cluster_cache = ClusterCache(cluster_cache_bytes)
         # The fetch strategy: the one step of the pipeline that
         # differs between the cluster fast path and the per-node path.
         self._fetch: Callable[[Box3, _StoreSnapshot], _Fetched] = (
@@ -469,11 +457,6 @@ class QueryEngine:
         keyframe resync.  ``region=None`` treats the whole terrain as
         patched (full rebuild).
         """
-        if self._clustered and store.clusters is None:
-            raise QueryError(
-                "cannot install a store without a cluster section "
-                "into a clustered engine"
-            )
         registry = self.registry
         # Invalidate BEFORE publishing the new snapshot: a request
         # that pins the new epoch must never find a stale overlapping
@@ -484,9 +467,8 @@ class QueryEngine:
         if self._cache is not None:
             self._cache.begin_epoch(epoch, region)
             registry.counter("cache.region_invalidations").inc()
-        if self._cluster_cache is not None:
-            self._cluster_cache.invalidate(region)
-            registry.counter("cluster.region_invalidations").inc()
+        self._cluster_cache.invalidate(region)
+        registry.counter("cluster.region_invalidations").inc()
         self._snap = _StoreSnapshot(store, epoch)
         registry.gauge("engine.epoch").set(epoch)
         with self._session_lock:
@@ -505,8 +487,8 @@ class QueryEngine:
         return self._clustered
 
     @property
-    def cluster_cache(self) -> ClusterCache | None:
-        """The decoded-cluster LRU (None on the per-node path)."""
+    def cluster_cache(self) -> ClusterCache:
+        """The decoded-cluster LRU (stays empty on the per-node path)."""
         return self._cluster_cache
 
     @property
@@ -623,9 +605,8 @@ class QueryEngine:
         it replaced.  Both are floored at one page: even a miss pays
         a descent (or a directory scan).
         """
-        cluster_model = store.cluster_cost_model
-        if self._clustered and cluster_model is not None:
-            return max(1.0, cluster_model.estimate(box))
+        if self._clustered:
+            return max(1.0, store.cluster_cost_model.estimate(box))
         return governor.estimate(box)
 
     def _submit_task(
@@ -1005,10 +986,6 @@ class QueryEngine:
         store = snap.store
         clusters = store.clusters
         cluster_cache = self._cluster_cache
-        if clusters is None or cluster_cache is None:
-            raise InvariantError(
-                "clustered execution without a cluster section"
-            )
         cids = clusters.index.candidates(box)
         index_done = time.perf_counter()
         parts: list[DMNodeColumns] = []

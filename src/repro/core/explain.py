@@ -214,19 +214,18 @@ def explain(
         )
 
     clusters = store.clusters
-    if clusters is not None:
-        cids = sorted(
-            {
-                cid
-                for cube in probe_cubes
-                for cid in clusters.index.candidates(cube)
-            }
-        )
-        explanation.cluster_view = ClusterView(
-            candidates=len(cids),
-            run_pages=sum(clusters.meta(cid).n_pages for cid in cids),
-            nodes=sum(clusters.meta(cid).n_nodes for cid in cids),
-        )
+    cids = sorted(
+        {
+            cid
+            for cube in probe_cubes
+            for cid in clusters.index.candidates(cube)
+        }
+    )
+    view = explanation.cluster_view = ClusterView(
+        candidates=len(cids),
+        run_pages=sum(clusters.meta(cid).n_pages for cid in cids),
+        nodes=sum(clusters.meta(cid).n_nodes for cid in cids),
+    )
 
     if execute:
         store.database.begin_measured_query()
@@ -234,8 +233,7 @@ def explain(
         explanation.actual_da = store.database.disk_accesses
         explanation.result_nodes = len(result)
         explanation.retrieved = result.retrieved
-        if explanation.cluster_view is not None:
-            _execute_clustered(store, query, lod, explanation.cluster_view)
+        _execute_clustered(store, query, lod, view)
     return explanation
 
 

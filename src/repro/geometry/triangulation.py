@@ -26,6 +26,9 @@ from repro.geometry.predicates import incircle, orient2d
 
 __all__ = ["delaunay", "Triangulation"]
 
+#: The super-triangle's size as a multiple of the input's span.
+_SUPER_SCALE = 16.0
+
 
 class Triangulation:
     """Result of a Delaunay triangulation.
@@ -91,7 +94,59 @@ def delaunay(points: Sequence[tuple[float, float]]) -> Triangulation:
 
     builder = _Builder(unique)
     builder.run()
-    return Triangulation(unique, builder.finished_triangles(), index_map)
+    triangles = builder.finished_triangles()
+    if not triangles:
+        triangles = _sliver_triangles(unique)
+    return Triangulation(unique, triangles, index_map)
+
+
+def _sliver_triangles(
+    points: list[tuple[float, float]],
+) -> list[tuple[int, int, int]]:
+    """Triangulate an input whose first attempt kept no triangle.
+
+    Either the points are collinear — decided exactly, so a thin
+    sliver is never mistaken for a line — or a ghost vertex lay inside
+    a real triangle's circumcircle and the triangle was discarded with
+    it.  A sliver's circumradius is unbounded in the span (``abc / 4K``
+    with area ``K`` near zero), so no fixed multiple is enough: grow
+    the super-triangle until the triangles kept fill the convex hull,
+    which — their circumcircles being empty of input points — makes
+    them the Delaunay triangulation.
+    """
+    (ax, ay), (bx, by) = points[0], points[1]
+    if all(orient2d(ax, ay, bx, by, px, py) == 0 for px, py in points[2:]):
+        raise TriangulationError("all input points are collinear")
+    scale = _SUPER_SCALE
+    # 2**240 spans is beyond any sliver whose area a double can hold.
+    for _ in range(24):
+        scale *= 1024.0
+        builder = _Builder(points, scale)
+        builder.run()
+        triangles = builder.finished_triangles()
+        if _fills_hull(points, triangles):
+            return triangles
+    raise TriangulationError("sliver too thin for a finite super-triangle")
+
+
+def _fills_hull(
+    points: list[tuple[float, float]],
+    triangles: list[tuple[int, int, int]],
+) -> bool:
+    """True when the counter-clockwise ``triangles`` cover the convex
+    hull of ``points``: every boundary edge has all points on its left
+    or on it."""
+    directed = {
+        edge
+        for a, b, c in triangles
+        for edge in ((a, b), (b, c), (c, a))
+    }
+    return bool(directed) and all(
+        orient2d(*points[a], *points[b], px, py) >= 0
+        for a, b in directed
+        if (b, a) not in directed
+        for px, py in points
+    )
 
 
 class _Builder:
@@ -103,8 +158,11 @@ class _Builder:
     ``-1`` on the convex hull.
     """
 
-    def __init__(self, points: list[tuple[float, float]]) -> None:
+    def __init__(
+        self, points: list[tuple[float, float]], scale: float = _SUPER_SCALE
+    ) -> None:
         self._pts = points
+        self._scale = scale
         self._verts: dict[int, tuple[int, int, int]] = {}
         self._neigh: dict[int, tuple[int, int, int]] = {}
         self._next_tid = 0
@@ -126,8 +184,6 @@ class _Builder:
             if a < 0 or b < 0 or c < 0:
                 continue
             result.append((a, b, c))
-        if not result:
-            raise TriangulationError("all input points are collinear")
         return result
 
     # -- setup ---------------------------------------------------------
@@ -140,7 +196,7 @@ class _Builder:
         span = max(max_x - min_x, max_y - min_y, 1.0)
         cx = (min_x + max_x) / 2
         cy = (min_y + max_y) / 2
-        big = 16.0 * span
+        big = self._scale * span
         # Coordinates for the three ghost vertices.
         self._ghost_coords = {
             -1: (cx - 2 * big, cy - big),

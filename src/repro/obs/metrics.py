@@ -15,6 +15,8 @@ raise from the hot path; reading them returns immutable snapshots.
 
 from __future__ import annotations
 
+import math
+import random
 import threading
 
 from repro.obs.lockwatch import watched_lock
@@ -34,9 +36,9 @@ __all__ = [
     "MetricsRegistry",
 ]
 
-#: Samples retained per histogram for percentile estimation.  Updates
-#: past the cap still feed count/total/min/max; percentiles are then
-#: computed over the retained prefix.
+#: Samples retained per histogram for percentile estimation: a uniform
+#: reservoir over every observation so far.  Count/total/min/max stay
+#: exact; percentiles are computed over the reservoir.
 DEFAULT_MAX_SAMPLES = 8192
 
 #: Every metric name the library emits, declared up front.  A typo'd
@@ -86,7 +88,6 @@ METRIC_NAMES: frozenset[str] = frozenset(
         "slo.estimated_cost",
         "slo.inflight_cost",
         "slo.queue_depth",
-        "slo.latency_s",
         "slo.tenant_throttled",
         # -- progressive-transmission sessions -----------------------------
         "session.updates",
@@ -212,7 +213,7 @@ class HistogramSnapshot:
     """Immutable summary of a histogram's observations.
 
     Tail percentiles (``p99``/``p999``) are estimated over the
-    retained samples like ``p50``/``p95``; with fewer than ~1000
+    reservoir like ``p50``/``p95``; with fewer than ~1000
     observations ``p999`` collapses toward ``max``, which is the
     honest answer for a thin tail.
     """
@@ -237,14 +238,20 @@ class HistogramSnapshot:
 class Histogram:
     """A thread-safe distribution of float observations.
 
-    Keeps exact count/total/min/max forever and up to
-    ``max_samples`` raw samples for percentile estimation.
+    Keeps exact count/total/min/max forever and, for percentile
+    estimation, a uniform random sample of up to ``max_samples`` of
+    all observations so far (reservoir sampling, Vitter's Algorithm
+    L): instead of one random draw per observation it draws the
+    position of the *next* observation to keep, so the steady-state
+    ``observe`` pays one integer comparison for the reservoir.
     """
 
     __slots__ = ("_count", "_lock", "_max", "_max_samples", "_min",
-                 "_samples", "_total")
+                 "_next", "_rng", "_samples", "_total", "_w")
 
     def __init__(self, max_samples: int = DEFAULT_MAX_SAMPLES) -> None:
+        if max_samples < 1:
+            raise ValueError(f"max_samples must be >= 1, got {max_samples}")
         self._lock = watched_lock("Histogram._lock")
         self._max_samples = max_samples
         self._count = 0
@@ -252,6 +259,14 @@ class Histogram:
         self._min = float("inf")
         self._max = float("-inf")
         self._samples: list[float] = []
+        #: The 1-based observation the reservoir takes next.
+        self._next = 1
+        #: Algorithm L's running weight: the largest of ``max_samples``
+        #: uniform keys a retained sample would hold.
+        self._w = 1.0
+        # Own generator with a fixed seed: reproducible runs, and no
+        # contention on (or perturbation of) the global one.
+        self._rng = random.Random(max_samples)
 
     def observe(self, value: float) -> None:
         """Record one observation."""
@@ -263,8 +278,28 @@ class Histogram:
                 self._min = value
             if value > self._max:
                 self._max = value
-            if len(self._samples) < self._max_samples:
-                self._samples.append(value)
+            if self._count == self._next:
+                self._keep_locked(value)
+
+    def _keep_locked(self, value: float) -> None:
+        """Take ``value`` into the reservoir and draw ``_next``."""
+        size = self._max_samples
+        rng = self._rng
+        if len(self._samples) < size:
+            self._samples.append(value)
+            if len(self._samples) < size:
+                self._next += 1
+                return
+        else:
+            self._samples[rng.randrange(size)] = value
+        # 1 - random() lies in (0, 1]: the logarithms are finite.
+        self._w *= math.exp(math.log(1.0 - rng.random()) / size)
+        skip = 0
+        if self._w < 1.0:
+            skip = int(
+                math.log(1.0 - rng.random()) / math.log1p(-self._w)
+            )
+        self._next += skip + 1
 
     @property
     def count(self) -> int:
@@ -284,7 +319,7 @@ class Histogram:
         return samples[lo] * (1 - frac) + samples[hi] * frac
 
     def percentile(self, p: float) -> float:
-        """The ``p``-th percentile (0..100) over retained samples."""
+        """The ``p``-th percentile (0..100) over the reservoir."""
         if not 0 <= p <= 100:
             raise ValueError(f"percentile must be in [0, 100], got {p}")
         with self._lock:

@@ -501,9 +501,10 @@ def _scrub_clusters(
     problems: list[str],
     orphan_names: set[str] | None = None,
 ) -> None:
-    """Cluster-run and directory consistency (no-op without sidecars).
+    """Cluster-run and directory consistency of every committed store.
 
-    For every ``{prefix}_clusters.json`` directory: the run segment
+    Every ``{prefix}_dm_meta.json`` must have its
+    ``{prefix}_clusters.json`` directory; the directory's run segment
     must exist, each cluster's page run must lie inside it, runs must
     not overlap, the byte count must fit its page count exactly
     (``ceil`` packing, like the builder writes), and the run's blob
@@ -511,13 +512,17 @@ def _scrub_clusters(
     the crc scan already flagged are skipped — one corrupt page is one
     fault, not two.
     """
-    # Local import: the cluster layer lives above storage, and fsck
-    # only needs its codec + directory reader when sidecars exist.
-    from repro.core.clusters import ClusterDirectory, decode_cluster_blob
+    # Local import: the cluster layer lives above storage.
+    from repro.core.clusters import (
+        ClusterDirectory,
+        cluster_directory_path,
+        decode_cluster_blob,
+    )
 
-    suffix = "_clusters.json"
-    for path in sorted(Path(database.path).glob(f"*{suffix}")):
-        prefix = path.name[: -len(suffix)]
+    suffix = "_dm_meta.json"
+    for meta_path in sorted(Path(database.path).glob(f"*{suffix}")):
+        prefix = meta_path.name[: -len(suffix)]
+        path = cluster_directory_path(database, prefix)
         base, sep, tag = prefix.rpartition("@")
         if (
             sep

@@ -8,6 +8,8 @@ import pytest
 
 from repro.cli import _build_parser, main
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 @pytest.fixture(scope="module")
 def built_db(tmp_path_factory):
@@ -257,13 +259,16 @@ class TestPmInterchange:
 
 
 class TestDocumentedFlags:
-    """Docs, CI and the verify recipe may only advertise flags the
-    parser accepts: a flag deleted from ``cli.py`` must fail here, not
-    in a reader's terminal."""
+    """Docs, CI and the verify recipe may only name things that exist
+    — CLI flags the parser accepts, Makefile targets, benchmark,
+    script, test, BENCH and workflow files: a deleted one must fail
+    here, not in a reader's terminal."""
 
     SOURCES = (
         "README.md",
-        "docs/tutorial.md",
+        "EXPERIMENTS.md",
+        "DESIGN.md",
+        "docs/*.md",
         "Makefile",
         ".github/workflows/*.yml",
         ".claude/skills/verify/SKILL.md",
@@ -285,23 +290,62 @@ class TestDocumentedFlags:
             for subcommand in match.group(1).split("|"):
                 yield subcommand, flags
 
+    @classmethod
+    def _texts(cls):
+        """``(repo-relative name, text)`` of every scanned file."""
+        for pattern in cls.SOURCES:
+            for path in sorted(ROOT.glob(pattern)):
+                yield str(path.relative_to(ROOT)), path.read_text()
+
     def test_every_documented_flag_parses(self):
         subparsers = next(
             action
             for action in _build_parser()._actions
             if isinstance(action, argparse._SubParsersAction)
         ).choices
-        root = Path(__file__).resolve().parents[1]
         seen = set()
-        for pattern in self.SOURCES:
-            for path in sorted(root.glob(pattern)):
-                for subcommand, flags in self._invocations(path.read_text()):
-                    where = f"{path.relative_to(root)}: repro {subcommand}"
-                    assert subcommand in subparsers, where
-                    options = subparsers[subcommand]._option_string_actions
-                    for flag in flags:
-                        assert flag in options, f"{where} {flag}"
-                        seen.add((subcommand, flag))
+        for name, text in self._texts():
+            for subcommand, flags in self._invocations(text):
+                where = f"{name}: repro {subcommand}"
+                assert subcommand in subparsers, where
+                options = subparsers[subcommand]._option_string_actions
+                for flag in flags:
+                    assert flag in options, f"{where} {flag}"
+                    seen.add((subcommand, flag))
         # The scan found the invocations it exists for.
         assert ("bench-serve", "--workers") in seen
         assert ("fsck", "--repair") in seen
+
+    def test_every_documented_make_target_exists(self):
+        """``make <target>`` in code position: after a backtick, at
+        the start of a line, as a workflow ``run:`` step, or as a
+        recursive ``$(MAKE)``."""
+        makefile = (ROOT / "Makefile").read_text()
+        targets = set(re.findall(r"^([a-z][a-z-]*):", makefile, re.M))
+        seen = set()
+        for name, text in self._texts():
+            for target in re.findall(
+                r"(?:(?:^[ \t]*|`|run:[ \t]+)make|\$\(MAKE\))"
+                r"[ \t]+([a-z][a-z-]*)",
+                text,
+                re.M,
+            ):
+                assert target in targets, f"{name}: make {target}"
+                seen.add(target)
+        assert {"perf-harness", "slo-smoke", "stress"} <= seen
+
+    def test_every_documented_repo_path_exists(self):
+        pattern = re.compile(
+            r"(?<![\w/.-])("
+            r"(?:benchmarks|scripts|tests)/[\w/]+\.py"
+            r"|BENCH_\d+\.json"
+            r"|\.github/workflows/[\w-]+\.yml"
+            r")"
+        )
+        seen = set()
+        for name, text in self._texts():
+            for path in pattern.findall(text):
+                assert (ROOT / path).exists(), f"{name}: {path}"
+                seen.add(path)
+        assert "benchmarks/test_slo_openloop.py" in seen
+        assert "BENCH_6.json" in seen

@@ -24,12 +24,13 @@ from repro.core import DirectMeshStore, QueryEngine
 from repro.core.cache import ClusterCache
 from repro.core.clusters import (
     ClusterDirectory,
+    cluster_directory_path,
     decode_cluster_blob,
     encode_cluster_blob,
     intersecting_rows,
 )
 from repro.core.engine import SingleBaseRequest, UniformRequest
-from repro.errors import PageCorruptionError, QueryError, StorageError
+from repro.errors import PageCorruptionError, StorageError
 from repro.geometry.plane import QueryPlane
 from repro.geometry.primitives import Box3, Rect
 from repro.mesh.progressive import LOD_INFINITY, PMNode
@@ -144,34 +145,16 @@ class TestEngineParity:
         assert cache_stats.hits >= cold.metrics.clusters_touched
         assert warm.result.nodes == cold.result.nodes
 
-    def test_clustered_engine_requires_cluster_section(self, tmp_path):
+    def test_open_without_cluster_directory_raises(self, tmp_path):
+        """The cluster section is part of the store: no directory, no
+        open — the error says to rebuild."""
         dataset = dataset_by_name("foothills", 300, seed=3)
-        with Database(tmp_path / "v2db") as db:
-            store = DirectMeshStore.build(
-                dataset.pm, db, dataset.connections, clustered=False
-            )
-            assert store.clusters is None
-            with pytest.raises(QueryError):
-                QueryEngine(store, clustered=True)
-            # Default resolves to the oracle path and still serves.
-            extent = store.rtree.data_space.rect
-            with QueryEngine(store) as engine:
-                assert not engine.clustered
-                outcome = engine.run(
-                    UniformRequest(extent, store.max_lod / 2)
-                )
-            assert outcome.ok
-
-    def test_v2_store_reopens_without_clusters(self, tmp_path):
-        """Stores built before the cluster layer open and serve."""
-        dataset = dataset_by_name("foothills", 300, seed=3)
-        with Database(tmp_path / "reopen") as db:
-            DirectMeshStore.build(
-                dataset.pm, db, dataset.connections, clustered=False
-            )
-        with Database(tmp_path / "reopen") as db:
-            store = DirectMeshStore.open(db)
-            assert store.clusters is None
+        with Database(tmp_path / "nodir") as db:
+            DirectMeshStore.build(dataset.pm, db, dataset.connections)
+            cluster_directory_path(db, "dm").unlink()
+        with Database(tmp_path / "nodir") as db:
+            with pytest.raises(StorageError, match="rebuild"):
+                DirectMeshStore.open(db)
 
     def test_reopened_store_serves_identically(self, tmp_path):
         dataset = dataset_by_name("foothills", 500, seed=9)
@@ -181,7 +164,6 @@ class TestEngineParity:
             reference = store.uniform_query(extent, store.max_lod / 3)
         with Database(tmp_path / "persist") as db:
             store = DirectMeshStore.open(db)
-            assert store.clusters is not None
             with QueryEngine(store) as engine:
                 assert engine.clustered
                 outcome = engine.run(

@@ -374,6 +374,20 @@ class TestStructuralScrub:
         assert any("e_low <= e_high" in p for p in report.structural)
         db.close()
 
+    def test_missing_cluster_directory_is_reported(
+        self, tmp_path, wavy_pm, wavy_connections
+    ):
+        path = tmp_path / "db"
+        with Database(path, pool_pages=64) as db:
+            DirectMeshStore.build(wavy_pm, db, wavy_connections)
+        assert cli_main(["fsck", str(path)]) == 0
+        (path / "dm_clusters.json").unlink()
+        with Database(path) as db:
+            report = scrub_database(db)
+        assert report.corrupt_pages == 0
+        assert any("cluster directory" in p for p in report.structural)
+        assert cli_main(["fsck", str(path)]) == 1
+
 
 class TestPageQuarantine:
     def test_bounded_fifo(self):

@@ -1,11 +1,19 @@
 """The observability layer: counters, histograms, registry."""
 # reprolint: disable-file=R5 registry unit tests use synthetic metric names
 
+import bisect
+import random
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.obs.metrics import Counter, Histogram, MetricsRegistry
+from repro.obs.metrics import (
+    DEFAULT_MAX_SAMPLES,
+    Counter,
+    Histogram,
+    MetricsRegistry,
+)
 
 
 class TestCounter:
@@ -69,8 +77,41 @@ class TestHistogram:
             hist.observe(float(value))
         snap = hist.snapshot()
         assert snap.count == 100  # Aggregates are exact past the cap...
-        assert snap.max == 99.0
-        assert hist.percentile(50) <= 10.0  # ...percentiles approximate.
+        assert snap.total == sum(range(100))
+        assert (snap.min, snap.max) == (0.0, 99.0)
+        # ...percentiles come from a 10-sample reservoir.
+        assert 0.0 <= snap.p50 <= snap.p95 <= 99.0
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(DEFAULT_MAX_SAMPLES, 6 * DEFAULT_MAX_SAMPLES),
+    )
+    def test_percentiles_cover_the_whole_stream(self, seed, tail):
+        """The distribution shifts once the reservoir is full: every
+        reported percentile must still sit within 0.03 in rank of the
+        exact quantile of the *whole* stream (first-N retention would
+        report the warm-up's)."""
+        rng = random.Random(seed)
+        stream = [rng.random() for _ in range(DEFAULT_MAX_SAMPLES)]
+        stream += [10.0 + rng.expovariate(1.0) for _ in range(tail)]
+        hist = Histogram()
+        for value in stream:
+            hist.observe(value)
+        snap = hist.snapshot()
+        assert snap.count == len(stream)
+        assert snap.total == pytest.approx(sum(stream))
+        assert (snap.min, snap.max) == (min(stream), max(stream))
+        ordered = sorted(stream)
+        for p, estimate in (
+            (0.50, snap.p50),
+            (0.95, snap.p95),
+            (0.99, snap.p99),
+            (0.999, snap.p999),
+        ):
+            lo = bisect.bisect_left(ordered, estimate) / len(ordered)
+            hi = bisect.bisect_right(ordered, estimate) / len(ordered)
+            assert lo - 0.03 <= p <= hi + 0.03, (p, estimate, lo, hi)
 
     def test_concurrent_observations(self):
         hist = Histogram()

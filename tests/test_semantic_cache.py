@@ -255,6 +255,22 @@ class TestEngineWithCache:
         assert gauges["cache.bytes"] == cache.bytes
         assert gauges["cache.entries"] == len(cache)
 
+    def test_hit_rate_is_monotone_in_byte_budget(self, store):
+        """The LRU's byte budget trades memory for hits: replaying one
+        workload (one worker, so the order is fixed) never hits less
+        under a larger budget, and the sweep's ends differ."""
+        requests = _workload(store, seed=29, n=30)
+        hit_rates = []
+        for kib in (8, 32, 128, 1024):
+            cache = SemanticCache(kib * 1024)
+            with QueryEngine(store, workers=1, cache=cache) as engine:
+                for _ in range(3):
+                    engine.run_batch(requests)
+            stats = cache.stats()
+            hit_rates.append(stats.hits / (stats.hits + stats.misses))
+        assert hit_rates == sorted(hit_rates)
+        assert hit_rates[0] < hit_rates[-1]
+
     def test_submit_path_mirrors_cache_metrics(self, store):
         """The open-loop path feeds ``cache.*`` too: after close the
         registry agrees with the cache's own counters, evictions

@@ -9,6 +9,12 @@ property, which replays arbitrary update sequences.
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.bench.openloop import (
+    SESSION_TRANSPORTS,
+    OpenLoopConfig,
+    run_delta_sessions,
+    validate_session_report,
+)
 from repro.core.admission import CostGovernor
 from repro.core.cache import SemanticCache
 from repro.core.engine import QueryEngine, UniformRequest
@@ -203,6 +209,44 @@ class TestEngineSession:
                     client.apply(session.update(request).payload)
                 meshes.append(client.active_ids)
         assert meshes[0] == meshes[1]
+
+
+class TestDeltaVsNaiveTransport:
+    """The byte and keyframe accounting of delta transport against
+    stateless re-query, on a warm (3 % of the ROI per frame) and a
+    churny (30 %) flight path: the warm walk must save the 5x in
+    bytes that ISSUE 7 set, the churny one must merely win.
+    ``verify=True`` also decodes every frame client-side and raises
+    on divergence."""
+
+    @pytest.mark.parametrize("step_frac, saving", [(0.03, 5.0), (0.3, 1.0)])
+    def test_delta_ships_fewer_bytes_and_one_keyframe_per_session(
+        self, session_db, step_frac, saving
+    ):
+        config = OpenLoopConfig(
+            offered_rate=1.0,  # Closed-loop per frame; the rate is unused.
+            n_requests=40,
+            mode="flightpath",
+            seed=11,
+            roi_frac=0.35,
+            step_frac=step_frac,
+            lod_breathe=0.05,
+            sessions=2,
+        )
+        runs = {}
+        for transport in SESSION_TRANSPORTS:
+            with QueryEngine(
+                session_db["dm"], workers=2, registry=MetricsRegistry()
+            ) as eng:
+                runs[transport] = run_delta_sessions(
+                    eng, config, transport, verify=True
+                )
+            assert validate_session_report(runs[transport].to_json()) == []
+        delta, naive = runs["delta"], runs["naive"]
+        assert saving * delta.bytes_wire < naive.bytes_wire
+        assert delta.n_keyframes == config.sessions
+        assert naive.n_keyframes == naive.n_frames == config.n_requests
+        assert delta.churn_mean < 1.0 == naive.churn_mean
 
 
 class TestDeltaAlgebra:

@@ -151,6 +151,40 @@ class TestDegenerate:
         assert_all_ccw(tri)
         assert_delaunay(tri)
 
+    def test_sliver_is_not_collinear(self):
+        """Area 1/2 over a span of 11: the circumcircle dwarfs a
+        16-span super-triangle, but the points are not on a line."""
+        tri = delaunay([(1, 0), (5, 5), (10, 11)])
+        assert len(tri.triangles) == 1
+        assert_all_ccw(tri)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
+        st.tuples(st.integers(1, 40), st.integers(-40, 40)),
+        st.integers(1, 400),
+        st.integers(1, 400),
+        st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+    )
+    def test_integer_lattice_slivers(self, origin, step, k1, k2, nudge):
+        """Three lattice points, the third within one unit of the line
+        through the other two, up to ~16 000 units apart: an error only
+        when exactly collinear, else the one triangle."""
+        (x, y), (dx, dy) = origin, step
+        pts = [
+            (float(x), float(y)),
+            (float(x + k1 * dx), float(y + k1 * dy)),
+            (float(x + k2 * dx + nudge[0]), float(y + k2 * dy + nudge[1])),
+        ]
+        if len(set(pts)) < 3 or _all_collinear(pts):
+            with pytest.raises(TriangulationError):
+                delaunay(pts)
+            return
+        tri = delaunay(pts)
+        assert len(tri.triangles) == 1
+        assert sorted(tri.triangles[0]) == [0, 1, 2]
+        assert_all_ccw(tri)
+
 
 def _all_collinear(pts):
     if len(pts) < 3:
