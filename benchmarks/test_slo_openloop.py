@@ -105,8 +105,7 @@ def _run(store, config: OpenLoopConfig, admission: bool):
     governor = None
     if admission:
         governor = CostGovernor(
-            store.cost_model,
-            budget=suggest_budget(store, config, WORKERS),
+            budget=suggest_budget(store, config, WORKERS)
         )
     with QueryEngine(
         store,

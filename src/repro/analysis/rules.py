@@ -59,16 +59,16 @@ from repro.analysis.engine import (
 )
 
 #: Modules allowed to probe the DM R*-tree directly (R2).  Everything
-#: else goes through the query processors / the engine, which clamp
-#: the probe to ``e_cap``.
+#: else goes through the query processors, which clamp the probe to
+#: ``e_cap`` (the engine reads cluster runs and probes no index).
 SANCTIONED_PROBE_MODULES = (
     "src/repro/core/query.py",
-    "src/repro/core/engine.py",
     "src/repro/index/rstar.py",
 )
 
 #: Modules whose query-box construction must route LOD coordinates
-#: through ``clamp_lod`` (the wrapper layer itself).
+#: through ``clamp_lod``: the query processors, and the engine, whose
+#: request boxes select clusters by the same capped extents.
 CLAMP_MODULES = (
     "src/repro/core/query.py",
     "src/repro/core/engine.py",
@@ -177,7 +177,7 @@ class ClampedProbeRule(Rule):
     clamp and re-opens the e_cap blind spot (``lod > e_cap`` silently
     returned an empty mesh instead of the base mesh).
 
-    Part B: inside the wrapper modules themselves, every query-box
+    Part B: inside :data:`CLAMP_MODULES`, every query-box
     construction (``Box3.from_rect``) must sit in a function that
     routes its LOD coordinates through ``clamp_lod``.
     """
@@ -186,20 +186,18 @@ class ClampedProbeRule(Rule):
     title = "unsanctioned or unclamped R*-tree range query"
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
-        sanctioned = ctx.path_endswith(*SANCTIONED_PROBE_MODULES)
-        if not sanctioned:
+        if not ctx.path_endswith(*SANCTIONED_PROBE_MODULES):
             for node in ast.walk(ctx.tree):
                 if self._is_rtree_search(node):
                     yield self.violation(
                         ctx,
                         node,
                         "direct R*-tree range query outside the "
-                        "sanctioned wrappers (core/query.py, "
-                        "core/engine.py); use uniform_query/"
-                        "single_base_query or the QueryEngine so the "
+                        "sanctioned wrapper (core/query.py); use "
+                        "uniform_query/single_base_query or "
+                        "range_columns with a clamp_lod-ed box so the "
                         "probe is clamped to e_cap",
                     )
-            return
         if ctx.path_endswith(*CLAMP_MODULES):
             yield from self._check_clamp(ctx)
 

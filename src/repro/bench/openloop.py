@@ -736,7 +736,6 @@ def measure_capacity(
     workers: int,
     sample: int = 64,
     repeat: int = 2,
-    **engine_kwargs: object,
 ) -> float:
     """Closed-loop capacity (qps) of the engine on this workload.
 
@@ -753,10 +752,7 @@ def measure_capacity(
         request
         for request, _ in _take(build_workload(store, config), sample)
     ]
-    report = measure_throughput(
-        store, requests, workers, repeat=repeat, **engine_kwargs
-    )
-    return report.qps
+    return measure_throughput(store, requests, workers, repeat=repeat).qps
 
 
 def suggest_budget(
@@ -767,16 +763,18 @@ def suggest_budget(
 ) -> float:
     """A reasonable :class:`~repro.core.admission.CostGovernor` budget.
 
-    Samples the configured workload and prices it with the store's DA
-    cost model; the budget is twice what ``workers`` threads hold in
-    flight at the mean cost — enough queue to keep workers busy,
-    little enough that waiting time stays a small multiple of service
-    time.
+    Samples the configured workload and prices it with the store's
+    serving estimator (``ClusterIndex.estimate_pages``, predicted
+    cluster-run pages — the currency ``QueryEngine.submit`` charges
+    the governor in); the budget is twice what ``workers`` threads
+    hold in flight at the mean cost — enough queue to keep workers
+    busy, little enough that waiting time stays a small multiple of
+    service time.
     """
     if workers < 1:
         raise QueryError(f"workers must be >= 1, got {workers}")
     costs = [
-        max(1.0, store.cost_model.estimate(request.query_box(store.e_cap)))
+        store.clusters.index.estimate_pages(request.query_box(store.e_cap))
         for request, _ in _take(build_workload(store, config), sample)
     ]
     mean = sum(costs) / len(costs)

@@ -130,22 +130,18 @@ def measure_throughput(
     requests: Sequence["EngineRequest"],
     workers: int,
     registry: MetricsRegistry | None = None,
-    flush_first: bool = True,
     retries: int = 2,
     deadline_s: float | None = None,
     cache=None,
     repeat: int = 1,
-    clustered: bool = True,
 ) -> ThroughputReport:
     """Serve ``requests`` through a :class:`QueryEngine` and time it.
 
-    ``flush_first`` starts from a cold buffer (the paper's protocol)
-    so runs at different worker counts face identical cache state.
+    Every run starts from a cold buffer (the paper's protocol), so
+    runs at different worker counts face identical cache state.
     ``retries`` and ``deadline_s`` are handed to the engine unchanged
-    (see :class:`~repro.core.engine.QueryEngine`), as are ``cache``
-    (a :class:`~repro.core.cache.SemanticCache`) and ``clustered``
-    (``False`` forces the per-node oracle path — ``bench-serve
-    --no-clustered``).
+    (see :class:`~repro.core.engine.QueryEngine`), as is ``cache``
+    (a :class:`~repro.core.cache.SemanticCache`).
     ``repeat`` replays the batch that many times inside the timing
     window — the repeated/overlapping workload a warm semantic cache
     is built for; the report counts every replayed request.
@@ -156,8 +152,7 @@ def measure_throughput(
         raise ValueError(f"repeat must be >= 1, got {repeat}")
     if registry is None:
         registry = MetricsRegistry()
-    if flush_first:
-        store.database.flush()
+    store.database.flush()
     hits_before = registry.counter("cache.hits").value
     misses_before = registry.counter("cache.misses").value
     outcomes = []
@@ -168,7 +163,6 @@ def measure_throughput(
         retries=retries,
         deadline_s=deadline_s,
         cache=cache,
-        clustered=clustered,
     ) as engine:
         started = time.perf_counter()
         for _ in range(repeat):

@@ -36,7 +36,7 @@ import sys
 from pathlib import Path
 
 from repro.core import DirectMeshStore, build_connection_lists
-from repro.errors import InvariantError, ReproError
+from repro.errors import InvariantError, ReproError, StorageError
 from repro.geometry.plane import QueryPlane
 from repro.geometry.primitives import Rect
 from repro.mesh import SimplifyConfig, simplify_to_pm
@@ -243,12 +243,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "workload is what warms the semantic cache)",
     )
     serve.add_argument(
-        "--no-clustered",
-        action="store_true",
-        help="serve through the per-node R*-tree path instead of the "
-        "cluster fast path (A/B comparison)",
-    )
-    serve.add_argument(
         "--metrics",
         action="store_true",
         help="print the full metrics report of the last sweep",
@@ -309,7 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--budget-da",
         type=float,
         default=None,
-        help="admission budget in estimated disk accesses (default: "
+        help="admission budget in estimated cluster-run pages (default: "
         "auto — twice the workers' mean-cost working set)",
     )
     slo.add_argument(
@@ -644,8 +638,7 @@ def _cmd_bench_serve(args) -> int:
     print(
         f"bench-serve: {args.requests} {args.mode} requests "
         f"x{args.repeat}, pool {args.pool_pages} pages, "
-        f"io latency {args.io_latency}s, "
-        f"path {'per-node' if args.no_clustered else 'clustered'}"
+        f"io latency {args.io_latency}s"
     )
     if args.cache_mb > 0.0:
         print(
@@ -697,7 +690,6 @@ def _cmd_bench_serve(args) -> int:
             deadline_s=deadline_s,
             cache=cache,
             repeat=args.repeat,
-            clustered=not args.no_clustered,
         )
         if base_qps is None:
             base_qps = report.qps
@@ -779,12 +771,8 @@ def _cmd_bench_slo(args) -> int:
         budget = args.budget_da
         if budget is None:
             budget = suggest_budget(store, config, args.workers)
-            print(f"admission budget: {budget:.1f} estimated disk accesses")
-        governor = CostGovernor(
-            store.cost_model,
-            budget,
-            tenant_rate=args.tenant_rate,
-        )
+            print(f"admission budget: {budget:.1f} estimated run pages")
+        governor = CostGovernor(budget, tenant_rate=args.tenant_rate)
 
     cache = None
     if args.cache_mb > 0.0:
@@ -916,6 +904,7 @@ def _cmd_fsck(args) -> int:
 
     from repro.obs.metrics import MetricsRegistry
     from repro.storage import (
+        FsckReport,
         archive_pages,
         inject_corruption,
         repair_database,
@@ -928,9 +917,22 @@ def _cmd_fsck(args) -> int:
         raise ReproError(f"{path} is not a database directory")
     registry = MetricsRegistry()
     notes: list[str] = []
-    # recover=False: an fsck must inspect the database as-is, not
-    # replay (and delete) the WAL it may later want as a repair source.
-    with Database(path, recover=False) as db:
+    try:
+        # recover=False: an fsck must inspect the database as-is, not
+        # replay (and delete) the WAL it may later want as a repair
+        # source.
+        db = Database(path, recover=False)
+    except StorageError as exc:
+        # A retired page format (or no format flag): no page of it can
+        # be read, so there is nothing to scan.
+        report = FsckReport(path=str(path), structural=[str(exc)])
+        print(
+            json.dumps(report.to_json(), indent=2, sort_keys=True)
+            if args.json
+            else report.to_text()
+        )
+        return 1
+    with db:
         db.set_metrics_registry(registry)
         if args.archive:
             wal_path = archive_pages(db)
@@ -971,10 +973,6 @@ def _cmd_info(args) -> int:
         raise ReproError(f"{path} is not a database directory")
     with Database(path) as db:
         print(f"database: {path}")
-        print(
-            f"page format: v{db.page_format} "
-            + ("(checksummed)" if db.checksums else "(no checksums)")
-        )
         for name in db.segment_names():
             pages = db.segment_pages(name)
             print(f"  {name:<16} {pages:>6} pages  "

@@ -2,12 +2,14 @@
 
 The policy decision — admit a request at full fidelity, degrade it to
 the base mesh, or shed it — lives behind this module:
-:class:`CostGovernor` meters estimated disk accesses (the paper's DA
-cost model, Section 5.3, formula (1)) against an in-flight budget, and
-one :class:`TokenBucket` per tenant keeps a hot tenant from starving
-the rest.  :meth:`repro.core.engine.QueryEngine.submit` asks for a
-verdict before anything is queued and carries it out; nothing here
-touches the store or the executor.
+:class:`CostGovernor` meters the estimated cost of what is executing
+against an in-flight budget, and one :class:`TokenBucket` per tenant
+keeps a hot tenant from starving the rest.  The governor is pure
+policy: the caller prices each request
+(:meth:`repro.core.engine.QueryEngine.submit` charges the store's
+serving estimator, predicted cluster-run pages), asks for a verdict
+before anything is queued and carries it out; nothing here touches the
+store, a cost model or the executor.
 """
 
 from __future__ import annotations
@@ -16,9 +18,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.core.cost_model import RTreeCostModel
 from repro.errors import QueryError
-from repro.geometry.primitives import Box3
 from repro.obs.lockwatch import watched_lock
 
 __all__ = [
@@ -119,13 +119,12 @@ class AdmissionDecision:
 class CostGovernor:
     """Cost-based admission control for the open-loop serving path.
 
-    The paper's DA cost model (Section 5.3, formula (1)) estimates a
-    range query's disk accesses in O(1) from aggregate R*-tree node
-    statistics; the multi-base optimiser already trusts it to choose
-    query plans, and this class reuses it as an *admission estimator*:
-    the sum of estimates of everything currently executing is a
-    predicted I/O backlog, and holding that sum under a budget bounds
-    queueing ahead of time instead of discovering collapse in p999.
+    The caller estimates each request's I/O cost before executing it
+    (the paper's Section 5.3 idea of pricing a range query ahead of
+    time, applied to the pages serving reads); the sum of estimates of
+    everything currently executing is a predicted I/O backlog, and
+    holding that sum under a budget bounds queueing ahead of time
+    instead of discovering collapse in p999.
 
     Decision ladder for a request of estimated cost ``c``:
 
@@ -146,10 +145,8 @@ class CostGovernor:
     regardless of the offered rate.
 
     Args:
-        cost_model: the store's :class:`RTreeCostModel`
-            (``store.cost_model``).
-        budget: in-flight estimated-disk-access budget for
-            full-fidelity admissions.
+        budget: in-flight estimated-cost budget for full-fidelity
+            admissions, in the unit the caller prices requests in.
         degraded_cost: reserved cost of one base-mesh probe (a
             handful of root records; default 1 page).
         degrade_headroom: multiple of ``budget`` the degraded tier
@@ -163,7 +160,6 @@ class CostGovernor:
 
     def __init__(
         self,
-        cost_model: RTreeCostModel,
         budget: float,
         degraded_cost: float = 1.0,
         degrade_headroom: float = 2.0,
@@ -185,7 +181,6 @@ class CostGovernor:
             raise QueryError(
                 f"tenant_rate must be > 0 or None, got {tenant_rate}"
             )
-        self._cost_model = cost_model
         self._budget = budget
         self._degraded_cost = degraded_cost
         self._degrade_headroom = degrade_headroom
@@ -199,20 +194,10 @@ class CostGovernor:
         self._buckets: dict[str, TokenBucket] = {}
 
     @property
-    def budget(self) -> float:
-        """Full-fidelity in-flight cost budget."""
-        return self._budget
-
-    @property
     def inflight_cost(self) -> float:
         """Sum of reserved cost currently executing."""
         with self._lock:
             return self._inflight
-
-    def estimate(self, box: Box3) -> float:
-        """Estimated disk accesses of a probe (formula (1)), floored
-        at one page — even a miss pays an index descent."""
-        return max(1.0, self._cost_model.estimate(box))
 
     def _tenant_bucket(self, tenant: str) -> TokenBucket | None:
         if self._tenant_rate is None:

@@ -57,8 +57,8 @@ ENTRY_OVERHEAD_BYTES = 512
 #: Patch-log capacity of :class:`SemanticCache`.  The log exists to
 #: reject inserts computed against a pre-patch snapshot (see
 #: :meth:`SemanticCache.begin_epoch`); if more epochs than this are
-#: in flight the cache clears itself and resets the log — correct,
-#: merely cold.
+#: in flight the cache clears itself and the log collapses to one
+#: entry covering the whole terrain — correct, merely cold.
 PATCH_LOG_LIMIT = 64
 
 
@@ -296,15 +296,17 @@ class SemanticCache:
         (without the log, a slow reader pinned to the old epoch could
         re-populate a patched region with stale records *after* the
         drop).  The log is bounded by :data:`PATCH_LOG_LIMIT`; on
-        overflow the cache clears wholesale and the log resets — the
-        expensive-but-safe degenerate case.
+        overflow the cache clears wholesale and the log collapses to
+        ``(to_epoch, everywhere)``: the regions it forgets can no
+        longer be told apart, so every insert older than the reset is
+        refused — the expensive-but-safe degenerate case.
         """
         with self._lock:
             if len(self._patch_log) >= PATCH_LOG_LIMIT:
                 self._entries.clear()
                 self._bytes = 0
                 self._invalidations += 1
-                self._patch_log = [(to_epoch, region)]
+                self._patch_log = [(to_epoch, None)]
                 return
             self._patch_log.append((to_epoch, region))
             doomed = [

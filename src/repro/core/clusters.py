@@ -1,8 +1,8 @@
-"""Cluster fast path: batched DM node clusters as contiguous page runs.
+"""The serving layout: batched DM node clusters as contiguous page runs.
 
-Per-node traversal is the serving bottleneck left after the columnar
-kernels: every query pays one R*-tree descent over thousands of tiny
-entries, per-page buffer-pool traffic, and per-cube cache decisions.
+Per-node traversal is a serving bottleneck: every query pays one
+R*-tree descent over thousands of tiny entries, per-page buffer-pool
+traffic, and per-cube cache decisions.
 Batched Multi-Triangulation / Nanite-style systems replace those with
 *cluster*-granular decisions: group nodes into fixed-size clusters
 whose ``(x, y, e)`` extents form a cut over the DM DAG, and make the
@@ -30,13 +30,14 @@ node whose capped segment intersects the (clamped) probe box lies in a
 cluster whose extent intersects it too — extents are unions of member
 segments — so filtering the union of candidate clusters with the
 per-request predicates returns exactly the nodes the R*-tree path
-returns.  The scalar per-node path stays behind
-``QueryEngine(clustered=False)`` as the correctness oracle.
+returns.  The per-node path is the paper's processors in
+:mod:`repro.core.query` (``store.uniform_query`` and friends): the
+reference the engine is held to, not something the engine runs.
 
 The record bytes in cluster runs duplicate the heap file (a covering,
 batched copy — the classic clustered-projection trade): the heap +
-R*-tree remain the source of truth for point lookups, the oracle path,
-and rebuilds.
+R*-tree remain the source of truth for point lookups, the reference
+processors, and rebuilds.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ __all__ = [
     "ClusterDirectory",
     "ClusterIndex",
     "ClusterSet",
-    "ClusterCostModel",
     "encode_cluster_blob",
     "decode_cluster_blob",
     "build_cluster_runs",
@@ -212,9 +212,9 @@ def cluster_directory_path(database: Database, prefix: str) -> Path:
 class ClusterDirectory:
     """The persisted cluster catalog of one store.
 
-    A schema-versioned JSON sidecar (like ``{prefix}_dm_meta.json``):
-    stores built before the cluster layer simply have no sidecar and
-    open with clustering unavailable — the v2 read-compat path.
+    A schema-versioned JSON sidecar (like ``{prefix}_dm_meta.json``)
+    that is part of every store: one without it does not open
+    (:meth:`load` raises :class:`~repro.errors.StorageError`).
     """
 
     segment: str
@@ -350,31 +350,18 @@ class ClusterIndex:
         return np.flatnonzero(self._mask(box)).tolist()
 
     def estimate_pages(self, box: Box3) -> float:
-        """Predicted physical pages a clustered probe of ``box`` reads.
+        """The serving estimator: predicted run pages a probe of
+        ``box`` reads.
 
         The sum of candidate run lengths — exact when nothing is
-        cached, an upper bound otherwise.  This replaces the R*-tree
-        DA formula as the admission estimator on the clustered path:
-        the governor should meter the I/O the path actually performs.
+        cached, an upper bound otherwise — floored at one page: even a
+        miss pays a directory scan.  ``QueryEngine.submit`` charges the
+        admission governor this, and ``bench.openloop.suggest_budget``
+        sizes budgets in it, so admission is denominated in the I/O
+        serving performs (the R*-tree DA formula prices the reference
+        processors and the multi-base plan).
         """
-        return float(self._n_pages[self._mask(box)].sum())
-
-
-class ClusterCostModel:
-    """Adapter giving :class:`ClusterIndex` the cost-model interface.
-
-    Drop-in for :class:`~repro.core.cost_model.RTreeCostModel` where
-    only ``estimate`` is needed (the :class:`~repro.core.admission.CostGovernor`),
-    so admission budgets on the clustered path are denominated in the
-    pages cluster runs actually read.
-    """
-
-    def __init__(self, index: ClusterIndex) -> None:
-        self._index = index
-
-    def estimate(self, query: Box3) -> float:
-        """Estimated disk accesses of a clustered probe of ``query``."""
-        return self._index.estimate_pages(query)
+        return max(1.0, float(self._n_pages[self._mask(box)].sum()))
 
 
 class ClusterSet:

@@ -31,10 +31,10 @@ representations answer different questions and must not be mixed:
   because a probe above ``e_cap`` is above every indexed segment and
   returns nothing.
 
-The query processors (:mod:`repro.core.query`) and the engine's
-request planners do the clamp; any new access path must too, or
-queries with ``lod > e_cap`` silently return an empty mesh instead of
-the base mesh.
+The query processors (:mod:`repro.core.query`, the only code that
+probes the R*-tree) and the engine's request planners do the clamp;
+any new access path must too, or queries with ``lod > e_cap`` silently
+return an empty mesh instead of the base mesh.
 
 The store exposes the three query processors of
 :mod:`repro.core.query` as methods.
@@ -47,7 +47,6 @@ from dataclasses import dataclass
 
 from repro.core.clusters import (
     DEFAULT_CLUSTER_NODES,
-    ClusterCostModel,
     ClusterDirectory,
     ClusterSet,
     build_cluster_runs,
@@ -69,10 +68,8 @@ from repro.mesh.progressive import LOD_INFINITY, ProgressiveMesh
 from repro.storage.database import Database
 from repro.storage.heapfile import HeapFile
 from repro.storage.record import (
-    DMNodeColumns,
     DMNodeRecord,
     decode_dm_node,
-    decode_dm_nodes_columnar,
     encode_dm_node,
 )
 
@@ -134,9 +131,6 @@ class DirectMeshStore:
         # paper reads them "from the R-tree index"); computing them
         # here keeps measured queries free of catalog I/O.
         self.cost_model = RTreeCostModel(rtree.node_stats())
-        #: Admission estimator denominated in cluster-run pages (the
-        #: I/O the clustered path actually performs).
-        self.cluster_cost_model = ClusterCostModel(clusters.index)
 
     # -- construction -------------------------------------------------------
 
@@ -303,19 +297,6 @@ class DirectMeshStore:
             json.dump(meta, f)
 
     # -- record access ----------------------------------------------------------
-
-    def read_records(self, rids: list[int]) -> list[DMNodeRecord]:
-        """Fetch and decode records, page-ordered to minimise I/O."""
-        return [decode_dm_node(p) for p in self.heap.read_many(rids)]
-
-    def read_records_columnar(self, rids: list[int]) -> DMNodeColumns:
-        """Fetch records into a columnar page (struct-of-arrays).
-
-        Same I/O as :meth:`read_records`; the decode happens in one
-        batched pass and the result feeds the vectorized filters and
-        the semantic cache instead of per-record objects.
-        """
-        return decode_dm_nodes_columnar(self.heap.read_many(rids))
 
     def get_node(self, node_id: int) -> DMNodeRecord | None:
         """Point lookup through the id B+-tree."""

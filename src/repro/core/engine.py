@@ -12,13 +12,13 @@ per-request task).  Each request is
 0. **cache-checked**: with a
    :class:`~repro.core.cache.SemanticCache` attached, any request
    whose query box is contained in a cached cube is answered inline
-   by one vectorized filter — no index probe, no record fetch — and
+   by one vectorized filter — no selection, no record fetch — and
    executed range queries feed their cubes back into the cache;
 1. **fanned out** across a :class:`~concurrent.futures.ThreadPoolExecutor`
    against the shared, lock-striped buffer pool — pager reads release
    the GIL, so independent cache misses overlap;
-2. **instrumented**: every executed range query reports R*-tree nodes
-   visited, pages read, cache hit-rate and per-stage wall time through
+2. **instrumented**: every executed range query reports clusters
+   selected, pages read, cache hit-rate and per-stage wall time through
    a :class:`~repro.obs.metrics.MetricsRegistry`;
 3. **fault-isolated**: a request that fails — a storage error, a
    missed deadline — yields a :class:`QueryOutcome` with its ``error``
@@ -27,15 +27,16 @@ per-request task).  Each request is
 
 Every executed range query runs the **same pipeline**, written once
 (:meth:`QueryEngine._execute_job`): *select + fetch → filter →
-publish* (cache insert, :class:`QueryMetrics`, histograms).  The only
-thing that differs between serving paths is the *fetch strategy* —
-the R*-tree walk plus per-record reads, or cluster-directory selection
-plus sequential run reads through the decoded-cluster LRU — picked at
-construction from whether the store has a cluster section.  Both hand
-the pipeline the same thing: the columnar rows whose capped segment
-intersects the probe box.
+publish* (cache insert, :class:`QueryMetrics`, histograms).  The engine
+serves from the store's cluster section only
+(:meth:`QueryEngine._fetch_clustered`: cluster-directory selection
+plus sequential run reads through the decoded-cluster LRU, narrowed to
+the rows whose capped segment intersects the probe box); it never
+probes the R*-tree.  The paper's per-node processors in
+:mod:`repro.core.query` are the reference: results are byte-identical
+to theirs (same nodes, same ``retrieved`` count).
 
-Robustness knobs (all per-engine):
+Robustness:
 
 * ``retries`` — :class:`~repro.errors.TransientIOError` is retried
   with exponential backoff (``RETRY_BACKOFF_S * 2**attempt``); any
@@ -51,24 +52,23 @@ Robustness knobs (all per-engine):
 * **corruption quarantine** — a
   :class:`~repro.errors.PageCorruptionError` is *never* retried at
   the same page (re-reading rot returns the same bytes): the page id
-  enters a bounded :class:`~repro.storage.integrity.PageQuarantine`
-  (:attr:`QueryEngine.quarantine`), ``engine.corruptions`` is
-  recorded, and uniform requests take the same base-mesh degradation
-  path as a deadline miss — the batch keeps serving while an operator
-  runs ``python -m repro fsck --repair``.
+  enters a :class:`~repro.storage.integrity.PageQuarantine` bounded at
+  :data:`QUARANTINE_CAP` entries (:attr:`QueryEngine.quarantine`),
+  ``engine.corruptions`` is recorded, and uniform requests take the
+  same base-mesh degradation path as a deadline miss — the batch
+  keeps serving while an operator runs ``python -m repro fsck
+  --repair``.
 * **admission control** — with a
   :class:`~repro.core.admission.CostGovernor` attached, the
-  *open-loop* submission path (:meth:`QueryEngine.submit`) estimates
-  every request's I/O cost with the paper's DA cost model *before*
-  execution and carries out the governor's verdict (the policy lives
-  in :mod:`repro.core.admission`): *admitted* at full fidelity,
+  *open-loop* submission path (:meth:`QueryEngine.submit`) prices
+  every request in predicted cluster-run pages
+  (``ClusterIndex.estimate_pages``) *before* execution and carries out the
+  governor's verdict (the policy lives in
+  :mod:`repro.core.admission`): *admitted* at full fidelity,
   *degraded* to the base-mesh path (overload, not faults, triggering
   the same ``e' > e`` approximation), or *shed* — answered inline
   from a cached base-mesh snapshot with zero queueing, so an
   overloaded engine keeps bounded latency instead of collapsing.
-
-Results are byte-identical to the sequential query processors in
-:mod:`repro.core.query` (same nodes, same ``retrieved`` count).
 
 Usage::
 
@@ -87,7 +87,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
 from repro.core.admission import DEGRADE, SHED, CostGovernor
 from repro.core.cache import (
@@ -98,9 +98,10 @@ from repro.core.cache import (
 from repro.core.clusters import intersecting_rows
 from repro.core.query import (
     DMQueryResult,
-    clamp_lod,
     filter_to_plane_columnar,
     filter_uniform_columnar,
+    plane_box,
+    plane_cube,
 )
 from repro.errors import (
     DeadlineExceededError,
@@ -136,6 +137,10 @@ __all__ = [
 #: doubles per attempt and never sleeps past the deadline.
 RETRY_BACKOFF_S = 0.002
 
+#: Bound on the corrupt-page quarantine set (see
+#: :attr:`QueryEngine.quarantine`); oldest entries fall off first.
+QUARANTINE_CAP = 256
+
 
 @dataclass(frozen=True)
 class UniformRequest:
@@ -145,21 +150,15 @@ class UniformRequest:
     lod: float
 
     def query_box(self, e_cap: float | None = None) -> Box3:
-        """The degenerate plane box the range query probes.
-
-        ``e_cap`` clamps the probe height to the store's indexing cap
-        (root records keep ``[e, inf)`` but their indexed segments top
-        out at ``e_cap``); the per-request filter still uses the real
-        :attr:`lod`, so ``lod > e_cap`` returns the base mesh instead
-        of probing above every indexed segment.
-        """
-        probe_e = clamp_lod(self.lod, e_cap)
-        return Box3.from_rect(self.roi, probe_e, probe_e)
+        """The degenerate plane box the range query probes, clamped to
+        ``e_cap``; the filter still uses the real :attr:`lod`, so
+        ``lod > e_cap`` returns the base mesh (see
+        :func:`~repro.core.query.clamp_lod`)."""
+        return plane_box(self.roi, self.lod, e_cap)
 
     def filter(self, columns: DMNodeColumns) -> dict[int, DMNodeRecord]:
         """Apply the uniform-query predicate to a fetched columnar
-        page (the property tests hold the vectorized kernel to the
-        scalar oracle in :mod:`repro.core.query`)."""
+        page."""
         return filter_uniform_columnar(columns, self.roi, self.lod)
 
 
@@ -172,9 +171,7 @@ class SingleBaseRequest:
     def query_box(self, e_cap: float | None = None) -> Box3:
         """The query cube ``roi x [e_min, e_max]`` (clamped to
         ``e_cap`` like :meth:`UniformRequest.query_box`)."""
-        e_min = clamp_lod(self.plane.e_min, e_cap)
-        e_max = clamp_lod(self.plane.e_max, e_cap)
-        return Box3.from_rect(self.plane.roi, e_min, e_max)
+        return plane_cube(self.plane, e_cap)
 
     def filter(self, columns: DMNodeColumns) -> dict[int, DMNodeRecord]:
         """Apply the plane predicate to a fetched columnar page."""
@@ -188,7 +185,6 @@ EngineRequest = Union[UniformRequest, SingleBaseRequest]
 class QueryMetrics:
     """Where one query's time and I/O went."""
 
-    nodes_visited: int = 0
     pages_read: int = 0
     logical_reads: int = 0
     cache_hit_rate: float = 0.0
@@ -197,11 +193,10 @@ class QueryMetrics:
     filter_s: float = 0.0
     total_s: float = 0.0
     cached: bool = False
-    #: Clustered fast path only: candidate clusters this query
-    #: selected, and the nodes those clusters decoded to *before*
-    #: narrowing to the probe box — ``nodes_decoded / retrieved`` is
-    #: the cluster overfetch ratio ``explain`` reports.  Zero on the
-    #: per-node oracle path.
+    #: Candidate clusters this query selected, and the nodes those
+    #: clusters decoded to *before* narrowing to the probe box —
+    #: ``nodes_decoded / retrieved`` is the cluster overfetch ratio
+    #: ``explain`` reports.
     clusters_touched: int = 0
     nodes_decoded: int = 0
     #: The store epoch this query was pinned to (see
@@ -243,18 +238,6 @@ def _resolved(outcome: QueryOutcome) -> "Future[QueryOutcome]":
     return future
 
 
-class _NodeTally:
-    """Unlocked per-query node counter (single-writer by design)."""
-
-    __slots__ = ("count",)
-
-    def __init__(self) -> None:
-        self.count = 0
-
-    def inc(self, n: int = 1) -> None:
-        self.count += n
-
-
 @dataclass(frozen=True)
 class _StoreSnapshot:
     """An immutable ``(store, epoch)`` pair a request pins once.
@@ -286,16 +269,16 @@ class _Job:
 
 
 class _Fetched(NamedTuple):
-    """What a fetch strategy hands the pipeline."""
+    """What the fetch hands the pipeline."""
 
     #: The rows whose capped segment intersects the probe box.
     columns: DMNodeColumns
     #: ``perf_counter()`` when selection ended and fetching began.
     index_done: float
-    #: Selection work: R*-tree nodes walked, or clusters examined.
-    nodes_visited: int
-    clusters_touched: int = 0
-    nodes_decoded: int = 0
+    #: Selection work: candidate clusters selected.
+    clusters_touched: int
+    #: Rows decoded before narrowing to the probe box.
+    nodes_decoded: int
 
 
 class QueryEngine:
@@ -312,36 +295,22 @@ class QueryEngine:
             (0 disables retry; other exceptions never retry).
         deadline_s: per-request deadline in seconds, measured from
             submission (of the request, or of the batch it is in);
-            ``None`` disables deadlines.
-        degrade: whether uniform requests that miss their deadline are
-            answered at the coarsest LOD (flagged ``degraded``)
-            instead of failing with
-            :class:`~repro.errors.DeadlineExceededError`.
+            ``None`` disables deadlines.  A uniform request that
+            misses it is answered at the coarsest LOD, any other fails
+            with :class:`~repro.errors.DeadlineExceededError`.
         cache: a :class:`~repro.core.cache.SemanticCache`; every
             request is checked against it *before* anything is queued
-            (a hit skips the index probe and record fetch entirely), and
+            (a hit skips selection and record fetch entirely), and
             every executed range query feeds its cube back in.  A
             cache may be shared by several engines over the same
             store; it must be invalidated when the store is rebuilt.
-        quarantine_cap: bound on the corrupt-page quarantine set (see
-            :attr:`quarantine`); oldest entries fall off first.
         governor: a :class:`~repro.core.admission.CostGovernor` giving
             the open-loop :meth:`submit` path cost-based admission
             control; batch execution (:meth:`run_batch`) is
             closed-loop by construction and stays ungoverned.  ``None``
             admits everything (the ``--no-admission`` baseline).
-        clustered: serve range queries from the store's cluster
-            section — cluster-granular selection, one sequential run
-            read per cold cluster, cluster-granular caching — instead
-            of the per-node R*-tree walk; ``False`` keeps the
-            per-node path as the correctness oracle.  Results are
-            node-id-identical either way (the parity property suite
-            holds the fast path to the oracle); only ``retrieved``
-            accounting differs — whole clusters are decoded, so the
-            overfetch the batching buys is visible, not hidden.
         cluster_cache_bytes: budget of the engine's decoded-cluster
-            LRU (:class:`~repro.core.cache.ClusterCache`), which only
-            the clustered path fills.
+            LRU (:class:`~repro.core.cache.ClusterCache`).
         epoch: the store's committed epoch (``database.store_epoch``);
             0 for never-patched stores.  Requests pin ``(store,
             epoch)`` once at submission; live patches swap the pair
@@ -355,11 +324,8 @@ class QueryEngine:
         registry: MetricsRegistry | None = None,
         retries: int = 2,
         deadline_s: float | None = None,
-        degrade: bool = True,
         cache: SemanticCache | None = None,
-        quarantine_cap: int = 256,
         governor: CostGovernor | None = None,
-        clustered: bool = True,
         cluster_cache_bytes: int = DEFAULT_CLUSTER_CACHE_BYTES,
         epoch: int = 0,
     ) -> None:
@@ -372,29 +338,18 @@ class QueryEngine:
                 f"deadline_s must be positive or None, got {deadline_s}"
             )
         self._snap = _StoreSnapshot(store, epoch)
-        self._workers = workers
         self._retries = retries
         self._deadline_s = deadline_s
-        self._degrade = degrade
         self._cache = cache
         self._governor = governor
-        self._clustered = clustered
         self._cluster_cache = ClusterCache(cluster_cache_bytes)
-        # The fetch strategy: the one step of the pipeline that
-        # differs between the cluster fast path and the per-node path.
-        self._fetch: Callable[[Box3, _StoreSnapshot], _Fetched] = (
-            self._fetch_clustered if clustered else self._fetch_rtree
-        )
         # The CacheStats last mirrored into the registry.
         self._cache_mirror_lock = watched_lock(
             "QueryEngine._cache_mirror_lock"
         )
         self._cache_mirrored = cache.stats() if cache is not None else None
-        # Base-mesh snapshot for the shed path, fetched once on first
-        # shed (double-checked under _base_lock: submit() is called
-        # from arbitrary client threads).  Epoch-tagged: a live patch
-        # changes the root set, so a snapshot fetched at epoch N only
-        # serves requests pinned to N.
+        # Base-mesh snapshot for the shed path (see _base_snapshot),
+        # tagged with the epoch it was fetched at.
         self._base_lock = watched_lock("QueryEngine._base_lock")
         self._base_columns: tuple[int, DMNodeColumns] | None = None
         # Delta-session manager, created lazily on first use (DCL
@@ -404,19 +359,14 @@ class QueryEngine:
         self._session_manager: "SessionManager | None" = None
         self.registry = registry if registry is not None else MetricsRegistry()
         #: Bounded set of ``(segment, page)`` ids that failed checksum
-        #: verification while serving.  Thread-safe; cleared by
-        #: :meth:`clear_quarantine` after an offline repair.
-        self.quarantine = PageQuarantine(quarantine_cap)
+        #: verification while serving.  Thread-safe; ``clear()`` it
+        #: after an offline ``fsck --repair``.
+        self.quarantine = PageQuarantine(QUARANTINE_CAP)
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-engine"
         )
 
     # -- lifecycle ---------------------------------------------------------
-
-    @property
-    def workers(self) -> int:
-        """Thread-pool width."""
-        return self._workers
 
     @property
     def store(self) -> "DirectMeshStore":
@@ -453,28 +403,30 @@ class QueryEngine:
         insert-time guard, see
         :meth:`~repro.core.cache.SemanticCache.begin_epoch`), the
         cluster cache drops overlapping decoded clusters, and
-        streaming sessions whose last ROI overlaps are marked for a
-        keyframe resync.  ``region=None`` treats the whole terrain as
+        streaming sessions log the patch (one whose view overlaps it
+        resyncs with a keyframe).  ``region=None`` treats the whole terrain as
         patched (full rebuild).
         """
         registry = self.registry
-        # Invalidate BEFORE publishing the new snapshot: a request
-        # that pins the new epoch must never find a stale overlapping
-        # entry still resident (lookup serves entries with epoch <=
-        # the pinned epoch, so the drop has to happen first).  The
-        # reverse race — an old-epoch request inserting a stale entry
-        # after the drop — is closed by begin_epoch's insert guard.
+        # Invalidate and mark BEFORE publishing the new snapshot: a
+        # request that pins the new epoch must never find a stale
+        # overlapping entry still resident (lookup serves entries with
+        # epoch <= the pinned epoch, so the drop has to happen first),
+        # and a session diffing an answer from the new epoch must find
+        # the patch already logged.  The reverse race — an old-epoch
+        # request inserting a stale entry after the drop — is closed
+        # by begin_epoch's insert guard.
         if self._cache is not None:
             self._cache.begin_epoch(epoch, region)
             registry.counter("cache.region_invalidations").inc()
         self._cluster_cache.invalidate(region)
         registry.counter("cluster.region_invalidations").inc()
-        self._snap = _StoreSnapshot(store, epoch)
-        registry.gauge("engine.epoch").set(epoch)
         with self._session_lock:
             manager = self._session_manager
         if manager is not None:
-            manager.mark_stale(region)
+            manager.mark_stale(region, epoch)
+        self._snap = _StoreSnapshot(store, epoch)
+        registry.gauge("engine.epoch").set(epoch)
 
     @property
     def cache(self) -> SemanticCache | None:
@@ -482,13 +434,8 @@ class QueryEngine:
         return self._cache
 
     @property
-    def clustered(self) -> bool:
-        """True when range queries run on the cluster fast path."""
-        return self._clustered
-
-    @property
     def cluster_cache(self) -> ClusterCache:
-        """The decoded-cluster LRU (stays empty on the per-node path)."""
+        """The decoded-cluster LRU."""
         return self._cluster_cache
 
     @property
@@ -542,9 +489,10 @@ class QueryEngine:
         open-loop arrival process can outrun capacity.  With a
         :class:`~repro.core.admission.CostGovernor` attached, the
         request's cost is estimated *in the caller's thread* before
-        anything is queued: admitted requests execute at full
-        fidelity, overload-degraded ones run the cheap base-mesh
-        probe, and shed ones are answered inline from the base-mesh
+        anything is queued (in predicted cluster-run pages,
+        ``ClusterIndex.estimate_pages``): admitted requests execute
+        at full fidelity, overload-degraded ones run the cheap
+        base-mesh probe, and shed ones are answered inline from the base-mesh
         snapshot (or an :class:`~repro.errors.OverloadShedError`
         outcome when not degradable) without ever touching the
         executor queue.
@@ -566,9 +514,9 @@ class QueryEngine:
         governor = self._governor
         reserved, degraded = 0.0, False
         if governor is not None:
-            cost = self._estimate_cost(governor, box, snap.store)
+            cost = snap.store.clusters.index.estimate_pages(box)
             registry.histogram("slo.estimated_cost").observe(cost)
-            degradable = self._degrade and isinstance(request, UniformRequest)
+            degradable = isinstance(request, UniformRequest)
             decision = governor.decide(tenant, cost, degradable=degradable)
             registry.gauge("slo.inflight_cost").set(governor.inflight_cost)
             if decision.throttled:
@@ -591,23 +539,6 @@ class QueryEngine:
         if self._deadline_s is None:
             return None
         return time.monotonic() + self._deadline_s
-
-    def _estimate_cost(
-        self, governor: CostGovernor, box: Box3, store: "DirectMeshStore"
-    ) -> float:
-        """Admission cost of a probe, in predicted physical pages.
-
-        The per-node path uses the paper's DA formula over R*-tree
-        statistics; the clustered path sums the candidate clusters'
-        run lengths (:class:`~repro.core.clusters.ClusterCostModel`) —
-        the pages that path will actually read — so the governor's
-        budget meters the I/O the serving path performs, not the one
-        it replaced.  Both are floored at one page: even a miss pays
-        a descent (or a directory scan).
-        """
-        if self._clustered:
-            return max(1.0, store.cluster_cost_model.estimate(box))
-        return governor.estimate(box)
 
     def _submit_task(
         self,
@@ -688,7 +619,7 @@ class QueryEngine:
         coarse: UniformRequest | None = None,
     ) -> QueryOutcome:
         """Answer from resident columns in the caller's thread: one
-        vectorized filter — no executor slot, no index probe, no disk.
+        vectorized filter — no executor slot, no selection, no disk.
 
         A cache hit filters a cached cube with the request itself; a
         shed answer filters the base-mesh snapshot with the ``coarse``
@@ -715,37 +646,37 @@ class QueryEngine:
         Non-degradable requests (and an unbuildable snapshot) get an
         :class:`~repro.errors.OverloadShedError` outcome instead.
         """
-        columns = (
-            self._base_snapshot(snap)
-            if self._degrade and isinstance(request, UniformRequest)
-            else None
+        if isinstance(request, UniformRequest):
+            columns = self._base_snapshot(snap)
+            if columns is not None:
+                self.registry.counter("engine.degraded").inc()
+                coarse = UniformRequest(request.roi, snap.store.max_lod)
+                return self._inline_outcome(
+                    request, columns, snap.epoch, coarse
+                )
+        self.registry.counter("engine.errors").inc()
+        error = OverloadShedError(
+            "admission control shed the request and no degraded "
+            "answer was possible"
         )
-        if columns is None or not isinstance(request, UniformRequest):
-            self.registry.counter("engine.errors").inc()
-            error = OverloadShedError(
-                "admission control shed the request and no degraded "
-                "answer was possible"
-            )
-            return QueryOutcome(
-                request, None, QueryMetrics(epoch=snap.epoch),
-                error=error, shed=True,
-            )
-        self.registry.counter("engine.degraded").inc()
-        coarse = UniformRequest(request.roi, snap.store.max_lod)
-        return self._inline_outcome(request, columns, snap.epoch, coarse)
+        return QueryOutcome(
+            request, None, QueryMetrics(epoch=snap.epoch),
+            error=error, shed=True,
+        )
 
     def _base_snapshot(self, snap: _StoreSnapshot) -> DMNodeColumns | None:
         """The base mesh as one cached columnar page set.
 
-        Fetched once (submit() races from many client threads) and
-        shared read-only afterwards — root records are immutable for
-        the life of a store *epoch*, so the cached set is tagged with
-        the epoch it was fetched at and refetched after a patch swaps
-        the snapshot.  The page reads run *outside* ``_base_lock``:
-        holding a lock across buffer-pool I/O stalls every other
-        shedding thread and orders ``_base_lock`` against the whole
-        storage lock hierarchy (reprolint R10).  Racing threads may
-        fetch twice; publication under the lock keeps one winner.
+        Fetched once (through the engine's one fetch; submit() races
+        from many client threads) and shared read-only afterwards —
+        root records are immutable for the life of a store *epoch*, so
+        the cached set is tagged with the epoch it was fetched at and
+        refetched after a patch swaps the snapshot.  The reads run
+        *outside* ``_base_lock``: holding a lock across buffer-pool
+        I/O stalls every other shedding thread and orders it against
+        the whole storage lock hierarchy (reprolint R10).  Racing
+        threads may fetch twice; publication under the lock keeps one
+        winner.
         """
         cached = self._base_columns
         if cached is None or cached[0] != snap.epoch:
@@ -755,8 +686,9 @@ class QueryEngine:
                 return None
             probe = UniformRequest(space.rect, store.max_lod)
             try:
-                rids = store.rtree.search(probe.query_box(store.e_cap))
-                columns = store.read_records_columnar(rids)
+                columns = self._fetch_clustered(
+                    probe.query_box(store.e_cap), snap
+                ).columns
             except Exception:
                 # Leave unset: the next shed retries the fetch.
                 return None
@@ -783,7 +715,7 @@ class QueryEngine:
         probed against it *before* any miss is queued (so which
         requests hit does not depend on how fast their siblings run):
         a hit is answered inline — one vectorized filter over the
-        cached cube, no index or disk I/O — and only the misses
+        cached cube, no selection or disk I/O — and only the misses
         execute.
         """
         requests = list(requests)
@@ -897,8 +829,8 @@ class QueryEngine:
     def _execute_job(
         self, job: _Job, coarse: UniformRequest | None = None
     ) -> QueryOutcome:
-        """The pipeline: select + fetch (the engine's fetch strategy),
-        the request's filter, then publish — semantic-cache insert,
+        """The pipeline: select + fetch, the request's filter, then
+        publish — semantic-cache insert,
         :class:`QueryMetrics`, counters and histograms.
 
         ``coarse`` is the base-mesh stand-in of a degraded answer: it
@@ -910,7 +842,7 @@ class QueryEngine:
         served = job.request if coarse is None else coarse
         started = time.perf_counter()
         with snap.store.database.stats.attribute() as probe:
-            fetched = self._fetch(job.box, snap)
+            fetched = self._fetch_clustered(job.box, snap)
             records = fetched.columns
             fetch_done = time.perf_counter()
             result = DMQueryResult(
@@ -922,7 +854,6 @@ class QueryEngine:
             self._mirror_cache_stats()
 
         metrics = QueryMetrics(
-            nodes_visited=fetched.nodes_visited,
             pages_read=probe.physical_reads,
             logical_reads=probe.logical_reads,
             cache_hit_rate=probe.cache_hit_rate,
@@ -939,49 +870,33 @@ class QueryEngine:
         registry.histogram("engine.fetch_s").observe(metrics.fetch_s)
         registry.histogram("engine.filter_s").observe(metrics.filter_s)
         registry.histogram("engine.query_s").observe(metrics.total_s)
-        registry.histogram("engine.nodes_visited").observe(
-            fetched.nodes_visited
-        )
         registry.histogram("engine.pages_read").observe(probe.physical_reads)
         registry.histogram("engine.cache_hit_rate").observe(
             probe.cache_hit_rate
         )
         return QueryOutcome(job.request, result, metrics)
 
-    def _fetch_rtree(self, box: Box3, snap: _StoreSnapshot) -> _Fetched:
-        """Per-node fetch strategy (the parity suites' reference):
-        walk the R*-tree, then read and decode the matching records."""
-        store = snap.store
-        tally = _NodeTally()
-        rids = store.rtree.search(box, node_counter=tally)
-        index_done = time.perf_counter()
-        columns = store.read_records_columnar(rids)
-        return _Fetched(columns, index_done, tally.count)
-
     def _fetch_clustered(self, box: Box3, snap: _StoreSnapshot) -> _Fetched:
-        """Cluster fetch strategy.
+        """The engine's one fetch: the rows of ``box`` from cluster runs.
 
         Selection runs against the cluster directory (one vectorized
-        intersection over per-cluster extents) instead of the R*-tree;
-        each candidate cluster is served from the decoded-cluster LRU
-        or bulk-fetched with one sequential run read and one columnar
-        decode.  Parity with the per-node strategy: a node passing a
-        filter has its capped segment intersecting the probe box, so
-        its cluster's extent (a union of such segments) is always a
-        candidate.
+        intersection over per-cluster extents); each candidate cluster
+        is served from the decoded-cluster LRU or bulk-fetched with
+        one sequential run read and one columnar decode.  Parity with
+        the reference (:func:`repro.core.query.range_columns`): a node
+        passing a filter has its capped segment intersecting the probe
+        box, so its cluster's extent (a union of such segments) is
+        always a candidate.
 
         The decoded batch is *narrowed* to the rows whose capped
         segment intersects the probe box (:func:`intersecting_rows`):
         exactly the row set an R*-tree probe retrieves, so
-        ``retrieved`` counts and semantic-cache cubes stay
-        bit-identical across strategies.  The
-        pre-narrow count is kept as ``nodes_decoded`` — the overfetch
-        ratio stays measurable.
-
-        Metric mapping: ``nodes_visited`` counts clusters examined
-        (the selection work this strategy does) and ``pages_read``
-        counts the run pages actually transferred (the pager records a
-        run as its page count, not one probe call).
+        ``retrieved`` counts and semantic-cache cubes are
+        bit-identical to the reference's.  The pre-narrow count is
+        kept as ``nodes_decoded`` — the overfetch ratio stays
+        measurable — and ``pages_read`` counts the run pages actually
+        transferred (the pager records a run as its page count, not
+        one probe call).
         """
         store = snap.store
         clusters = store.clusters
@@ -1005,8 +920,8 @@ class QueryEngine:
         if hit_pages:
             # A decode hit stands in for requesting the run's pages
             # and finding every one resident: count them as logical
-            # reads so per-probe hit rates mean the same thing on
-            # both strategies (misses are counted by read_run).
+            # reads so per-probe hit rates count hits and misses in
+            # the same unit (misses are counted by read_run).
             store.database.stats.record_logical_read(
                 clusters.segment.name, pages=hit_pages
             )
@@ -1026,13 +941,9 @@ class QueryEngine:
         registry.gauge("cluster.entries").set(cache_stats.entries)
         registry.gauge("cluster.evictions").set(cache_stats.evictions)
         registry.histogram("engine.clusters_touched").observe(len(cids))
-        return _Fetched(batch, index_done, len(cids), len(cids), nodes_decoded)
+        return _Fetched(batch, index_done, len(cids), nodes_decoded)
 
     # -- failure paths -----------------------------------------------------
-
-    def clear_quarantine(self) -> None:
-        """Forget quarantined pages (call after ``fsck --repair``)."""
-        self.quarantine.clear()
 
     def _degrade_or_fail(
         self, job: _Job, error: Exception, attempts: int
@@ -1048,7 +959,7 @@ class QueryEngine:
         this is the last, best effort under deadline pressure.
         """
         request = job.request
-        if self._degrade and isinstance(request, UniformRequest):
+        if isinstance(request, UniformRequest):
             store = job.snap.store
             coarse = UniformRequest(request.roi, store.max_lod)
             coarse_job = _Job(request, coarse.query_box(store.e_cap), job.snap)

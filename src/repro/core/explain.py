@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.core.query import clamp_lod
+from repro.core.query import plane_box, plane_cube
 from repro.errors import QueryError
 from repro.geometry.plane import QueryPlane
 from repro.geometry.primitives import Box3, Rect
@@ -180,8 +180,7 @@ def explain(
         runner = lambda: store.uniform_query(query, lod)  # noqa: E731
         # Cluster selection sees what the engine probes: the clamped
         # cube (an unclamped lod above e_cap selects nothing).
-        probe_e = clamp_lod(lod, store.e_cap)
-        probe_cubes = [Box3.from_rect(query, probe_e, probe_e)]
+        probe_cubes = [plane_box(query, lod, store.e_cap)]
     elif hasattr(query, "required_lod"):
         plan = model.plan_multi_base(query)
         steps = [
@@ -201,12 +200,7 @@ def explain(
         )
         runner = lambda: store.multi_base_query(query, plan=plan)  # noqa: E731
         probe_cubes = [
-            Box3.from_rect(
-                strip.roi,
-                min(strip.e_min, store.e_cap),
-                min(strip.e_max, store.e_cap),
-            )
-            for strip in plan.strips
+            plane_cube(strip, store.e_cap) for strip in plan.strips
         ]
     else:
         raise QueryError(

@@ -1,6 +1,9 @@
 """Query results and the DM query algorithms (paper Section 5).
 
-Three processors, all operating on a
+The paper's claim is that selective refinement is *one* 3D range query
+over an R*-tree; :func:`range_columns` is that query — the only index
+probe outside :mod:`repro.index.rstar` — and the three processors are
+*clamped box -> range_columns -> columnar filter*, all operating on a
 :class:`~repro.core.direct_mesh.DirectMeshStore`:
 
 * :func:`uniform_query` — viewpoint-independent ``Q(M, r, e)``: one 3D
@@ -10,7 +13,10 @@ Three processors, all operating on a
 * :func:`multi_base_query` — the cost-model-optimised plan of several
   smaller cubes (Section 5.3), merged and refined identically.
 
-Disk accesses are *not* reset here: callers scope measurements with
+These are the reference the serving engine
+(:mod:`repro.core.engine`, which reads cluster runs instead) is held
+to, and the path the paper's figures count disk accesses on.  Disk
+accesses are *not* reset here: callers scope measurements with
 ``database.begin_measured_query()`` /
 ``database.stats`` so that query composition stays measurable.
 """
@@ -19,17 +25,23 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.core.cost_model import MultiBasePlan
 from repro.core.reconstruct import mesh_edges, mesh_triangles
 from repro.errors import QueryError
 from repro.geometry.plane import QueryPlane
 from repro.geometry.primitives import Box3, Rect
-from repro.storage.record import DMNodeColumns, DMNodeRecord
+from repro.storage.record import (
+    DMNodeColumns,
+    DMNodeRecord,
+    concat_dm_columns,
+    decode_dm_nodes_columnar,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    import numpy as np
     import numpy.typing as npt
 
     from repro.core.direct_mesh import DirectMeshStore
@@ -37,11 +49,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "DMQueryResult",
     "clamp_lod",
+    "plane_box",
+    "plane_cube",
+    "range_columns",
     "uniform_query",
     "single_base_query",
     "multi_base_query",
-    "filter_uniform",
-    "filter_to_plane",
     "filter_uniform_columnar",
     "filter_to_plane_columnar",
 ]
@@ -136,6 +149,33 @@ def clamp_lod(e: float, e_cap: float | None) -> float:
     return min(e, e_cap)
 
 
+def plane_box(roi: Rect, lod: float, e_cap: float | None) -> Box3:
+    """The degenerate box a uniform query probes: ``roi`` at height
+    ``lod``, clamped to ``e_cap``."""
+    probe_e = clamp_lod(lod, e_cap)
+    return Box3.from_rect(roi, probe_e, probe_e)
+
+
+def plane_cube(plane: QueryPlane, e_cap: float | None) -> Box3:
+    """The query cube ``roi x [e_min, e_max]`` of a plane (or of one
+    strip of a multi-base plan), clamped to ``e_cap``."""
+    return Box3.from_rect(
+        plane.roi, clamp_lod(plane.e_min, e_cap), clamp_lod(plane.e_max, e_cap)
+    )
+
+
+def range_columns(store: "DirectMeshStore", box: Box3) -> DMNodeColumns:
+    """The paper's one range query: every record whose indexed segment
+    intersects ``box``, as one columnar page.
+
+    R*-tree probe, page-ordered heap fetch, one batched decode.  The
+    caller clamps ``box`` to the store's ``e_cap`` (:func:`plane_box`,
+    :func:`plane_cube`).
+    """
+    rids = store.rtree.search(box)
+    return decode_dm_nodes_columnar(store.heap.read_many(rids))
+
+
 def uniform_query(
     store: "DirectMeshStore", roi: Rect, lod: float
 ) -> DMQueryResult:
@@ -153,12 +193,9 @@ def uniform_query(
     """
     if lod < 0:
         raise QueryError(f"LOD must be non-negative, got {lod}")
-    probe_e = clamp_lod(lod, store.e_cap)
-    plane_box = Box3.from_rect(roi, probe_e, probe_e)
-    rids = store.rtree.search(plane_box)
-    records = store.read_records(rids)
-    nodes = filter_uniform(records, roi, lod)
-    return DMQueryResult(nodes=nodes, retrieved=len(records))
+    columns = range_columns(store, plane_box(roi, lod, store.e_cap))
+    nodes = filter_uniform_columnar(columns, roi, lod)
+    return DMQueryResult(nodes=nodes, retrieved=len(columns))
 
 
 def single_base_query(
@@ -172,15 +209,9 @@ def single_base_query(
     :func:`uniform_query`'s plane (no indexed segment rises above the
     cap; the plane filter uses the real LOD values).
     """
-    cube = Box3.from_rect(
-        plane.roi,
-        clamp_lod(plane.e_min, store.e_cap),
-        clamp_lod(plane.e_max, store.e_cap),
-    )
-    rids = store.rtree.search(cube)
-    records = store.read_records(rids)
-    nodes = filter_to_plane(records, plane)
-    return DMQueryResult(nodes=nodes, retrieved=len(records))
+    columns = range_columns(store, plane_cube(plane, store.e_cap))
+    nodes = filter_to_plane_columnar(columns, plane)
+    return DMQueryResult(nodes=nodes, retrieved=len(columns))
 
 
 def multi_base_query(
@@ -193,71 +224,36 @@ def multi_base_query(
     The plan (from :meth:`RTreeCostModel.plan_multi_base`) replaces the
     single cube by one smaller cube per strip; results are merged by
     node id (strip-boundary nodes may be fetched twice — that double
-    I/O is real and stays visible in the disk-access counts) and
-    filtered against the *global* plane, so the strip meshes join
-    seamlessly, as the paper argues they must.
+    I/O is real and stays visible in the disk-access counts and in
+    ``retrieved``) and filtered against the *global* plane, so the
+    strip meshes join seamlessly, as the paper argues they must.
     """
     if plan is None:
         plan = store.cost_model.plan_multi_base(plane)
-    merged: dict[int, DMNodeRecord] = {}
-    retrieved = 0
-    for strip in plan.strips:
-        cube = Box3.from_rect(
-            strip.roi,
-            clamp_lod(strip.e_min, store.e_cap),
-            clamp_lod(strip.e_max, store.e_cap),
-        )
-        rids = store.rtree.search(cube)
-        records = store.read_records(rids)
-        retrieved += len(records)
-        for rec in records:
-            merged.setdefault(rec.id, rec)
-    nodes = filter_to_plane(merged.values(), plane)
+    strips = [
+        range_columns(store, plane_cube(strip, store.e_cap))
+        for strip in plan.strips
+    ]
+    merged = concat_dm_columns(strips)
+    # Keep the first row per node id (a boundary node is in two strips).
+    first = np.zeros(len(merged), np.bool_)
+    first[np.unique(merged.ids, return_index=True)[1]] = True
+    nodes = filter_to_plane_columnar(merged.select(first), plane)
     return DMQueryResult(
         nodes=nodes,
-        retrieved=retrieved,
+        retrieved=sum(len(strip) for strip in strips),
         n_range_queries=len(plan.strips),
         plan=plan,
     )
 
 
-def filter_uniform(
-    records: Iterable[DMNodeRecord], roi: Rect, lod: float
-) -> dict[int, DMNodeRecord]:
-    """The uniform-query predicate: half-open LOD interval over
-    ``roi``.  Shared by :func:`uniform_query` and the batched engine so
-    both paths return identical approximations."""
-    return {
-        rec.id: rec
-        for rec in records
-        if rec.interval_contains(lod) and roi.contains_point(rec.x, rec.y)
-    }
-
-
-def filter_to_plane(
-    records: Iterable[DMNodeRecord], plane: QueryPlane
-) -> dict[int, DMNodeRecord]:
-    """The viewpoint-dependent predicate: each node's interval must
-    contain the plane's required LOD at the node's position."""
-    roi = plane.roi
-    nodes: dict[int, DMNodeRecord] = {}
-    for rec in records:
-        if not roi.contains_point(rec.x, rec.y):
-            continue
-        required = plane.required_lod(rec.x, rec.y)
-        if rec.interval_contains(required):
-            nodes[rec.id] = rec
-    return nodes
-
-
-# -- columnar (vectorized) filters ------------------------------------------
+# -- the filters --------------------------------------------------------------
 #
-# The numpy twins of the two predicates above, operating on a
-# :class:`~repro.storage.record.DMNodeColumns` page: the predicate runs
-# as one array mask and only surviving rows are materialised into
-# records.  Node-id-identical to the scalar filters by construction
-# (same comparisons, same float arithmetic); the scalar paths stay as
-# the reference oracle for the property tests.
+# Each predicate runs as one array mask over a
+# :class:`~repro.storage.record.DMNodeColumns` page and only surviving
+# rows are materialised into records.  ``tests/test_columnar.py`` holds
+# them to the record-level predicate (``DMNodeRecord.interval_contains``
+# + ``Rect.contains_point``).
 
 
 def _roi_mask(
@@ -274,7 +270,9 @@ def _roi_mask(
 def filter_uniform_columnar(
     columns: "DMNodeColumns", roi: Rect, lod: float
 ) -> dict[int, DMNodeRecord]:
-    """Vectorized :func:`filter_uniform` over a columnar page."""
+    """The uniform-query predicate: half-open LOD interval over
+    ``roi``.  Shared by :func:`uniform_query` and the engine so both
+    return identical approximations."""
     mask = (
         (columns.e_low <= lod) & (lod < columns.e_high) & _roi_mask(columns, roi)
     )
@@ -284,15 +282,14 @@ def filter_uniform_columnar(
 def filter_to_plane_columnar(
     columns: "DMNodeColumns", plane: QueryPlane
 ) -> dict[int, DMNodeRecord]:
-    """Vectorized :func:`filter_to_plane` over a columnar page.
+    """The viewpoint-dependent predicate: each node's interval must
+    contain the plane's required LOD at the node's position.
 
     Uses the plane's ``required_lod_batch`` kernel when it has one
     (:class:`~repro.geometry.plane.QueryPlane` and
     :class:`~repro.geometry.plane.RadialLodField` both do); other LOD
     fields fall back to their scalar ``required_lod`` per row.
     """
-    import numpy as np
-
     batch = getattr(plane, "required_lod_batch", None)
     if batch is not None:
         required = batch(columns.x, columns.y)

@@ -28,10 +28,10 @@ Two layers provide that:
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.core.cache import PATCH_LOG_LIMIT
 from repro.core.query import DMQueryResult
 from repro.core.reconstruct import mesh_edges, mesh_triangles
 from repro.core.wire import (
@@ -217,12 +217,14 @@ class EngineSession:
     leaves the session state untouched, so the client's mesh and the
     server's view of it cannot drift.
 
-    When a terrain patch commits over the session's view
-    (:meth:`mark_stale`, driven by
-    :meth:`QueryEngine.install_store`), the next :meth:`update` is
-    forced to a keyframe: the client's spliced mesh mixes pre-patch
-    records with a post-patch answer otherwise, and no incremental
-    delta can reconcile node ids across epochs.
+    A frame is a delta only when no patch overlapping the active
+    set's view has committed since the epoch of the answer the active
+    set came from (:meth:`mark_stale`, driven by
+    :meth:`QueryEngine.install_store`, logs the patches; each update
+    drops the ones its answer's epoch has caught up with); otherwise
+    it is a keyframe: the client's spliced mesh would mix pre-patch
+    records with a post-patch answer, and no incremental delta can
+    reconcile node ids across epochs.
 
     Not thread-safe for updates: a session is one client's ordered
     stream (:meth:`mark_stale` alone may be called from any thread).
@@ -235,16 +237,18 @@ class EngineSession:
         engine: "QueryEngine",
         session_id: str,
         tenant: str = "default",
-        compress: bool = True,
     ) -> None:
         self._engine = engine
         self._session_id = session_id
         self._tenant = tenant
-        self._compress = compress
         self._active: dict[int, DMNodeRecord] = {}
         self._seq = 0
         self._bytes_sent = 0
-        self._stale = threading.Event()
+        # ``(epoch, region)`` of every patch committed after the epoch
+        # of the answer the active set came from: logged by the
+        # writer, read (and trimmed) by update.
+        self._patch_lock = watched_lock("EngineSession._patch_lock")
+        self._patches: "list[tuple[int, Rect | None]]" = []
         self._last_roi: "Rect | None" = None
 
     # -- state ------------------------------------------------------------
@@ -276,27 +280,35 @@ class EngineSession:
 
     @property
     def stale(self) -> bool:
-        """Whether the next update is forced to a keyframe."""
-        return self._stale.is_set()
+        """Whether a patch has committed over the active set's view
+        since the epoch of the answer it came from — the next update
+        is then a keyframe.  An unknown view overlaps everything:
+        staleness must over-approximate."""
+        roi = self._last_roi
+        with self._patch_lock:
+            regions = [region for _, region in self._patches]
+        return any(
+            region is None or roi is None or roi.intersects(region)
+            for region in regions
+        )
 
     # -- mutation ----------------------------------------------------------
 
-    def mark_stale(self, region: "Rect | None" = None) -> None:
-        """Force the next :meth:`update` to emit a keyframe.
+    def mark_stale(self, region: "Rect | None", epoch: int) -> None:
+        """Log that a patch over ``region`` (``None``: the whole
+        terrain) committed ``epoch``.
 
-        Called when a terrain patch commits.  ``region`` is the
-        patched extent: a session whose last view does not overlap it
-        keeps streaming plain deltas (its records are untouched by
-        the patch).  ``None`` marks unconditionally, as does an
-        unknown last view — staleness must over-approximate.
-
-        Safe from any thread; the keyframe itself is emitted on the
-        session's own (single-client) update path.
+        Overlap is decided by :meth:`update` against the view the
+        active set then has, not here against a view an in-flight
+        update is about to replace.  A session that stops updating
+        while patches keep landing collapses its log to one
+        whole-terrain entry at :data:`~repro.core.cache.PATCH_LOG_LIMIT`.
+        Safe from any thread.
         """
-        if region is not None and self._last_roi is not None:
-            if not self._last_roi.intersects(region):
-                return
-        self._stale.set()
+        with self._patch_lock:
+            if len(self._patches) >= PATCH_LOG_LIMIT:
+                self._patches, region = [], None
+            self._patches.append((epoch, region))
 
     # -- updates ----------------------------------------------------------
 
@@ -326,7 +338,7 @@ class EngineSession:
         delta = diff_active(
             self._active, outcome.result, outcome.metrics.pages_read
         )
-        stale = self._stale.is_set()
+        stale = self.stale
         keyframe = self._seq == 0 or stale
         flags = FLAG_KEYFRAME if keyframe else 0
         if outcome.degraded:
@@ -346,11 +358,15 @@ class EngineSession:
             frame = DeltaFrame(
                 self._seq, tuple(delta.added), tuple(delta.removed), flags
             )
-        payload = encode_frame(frame, compress=self._compress)
+        payload = encode_frame(frame)
         self._active = dict(outcome.result.nodes)
         self._last_roi = self._request_roi(request)
+        # The active set is now the answer's epoch; later patches stay
+        # logged against the new view.
+        epoch = outcome.metrics.epoch
+        with self._patch_lock:
+            self._patches = [p for p in self._patches if p[0] > epoch]
         if stale:
-            self._stale.clear()
             registry.counter("session.patch_resyncs").inc()
         self._seq += 1
         self._bytes_sent += len(payload)
@@ -377,7 +393,7 @@ class EngineSession:
             (),
             FLAG_KEYFRAME,
         )
-        payload = encode_frame(frame, compress=self._compress)
+        payload = encode_frame(frame)
         self._seq += 1
         self._bytes_sent += len(payload)
         registry = self._engine.registry
@@ -404,7 +420,6 @@ class SessionManager:
         self,
         session_id: str | None = None,
         tenant: str = "default",
-        compress: bool = True,
     ) -> EngineSession:
         """Open a new session (auto-named ``s-<n>`` when unnamed)."""
         with self._lock:
@@ -414,9 +429,7 @@ class SessionManager:
                 raise SessionError(
                     "session id already open", session_id=session_id
                 )
-            session = EngineSession(
-                self._engine, session_id, tenant, compress
-            )
+            session = EngineSession(self._engine, session_id, tenant)
             self._sessions[session_id] = session
             self._opened += 1
             active = len(self._sessions)
@@ -441,18 +454,19 @@ class SessionManager:
             active = len(self._sessions)
         self._engine.registry.gauge("session.active").set(active)
 
-    def mark_stale(self, region: "Rect | None" = None) -> None:
-        """Mark every session overlapping ``region`` stale.
+    def mark_stale(self, region: "Rect | None", epoch: int) -> None:
+        """Tell every open session a patch over ``region`` (``None``:
+        the whole terrain) committed ``epoch``.
 
-        Called by :meth:`QueryEngine.install_store` when a patch
-        commits: each affected session's next frame is forced to a
-        keyframe (see :meth:`EngineSession.mark_stale`).  ``None``
-        marks every open session.
+        Called by :meth:`QueryEngine.install_store` *before* it
+        publishes the new snapshot, so an answer pinned to ``epoch``
+        always finds the patch logged (see
+        :meth:`EngineSession.mark_stale`).
         """
         with self._lock:
             sessions = list(self._sessions.values())
         for session in sessions:
-            session.mark_stale(region)
+            session.mark_stale(region, epoch)
 
     def ids(self) -> list[str]:
         """The open session ids, sorted."""

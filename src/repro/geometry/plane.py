@@ -132,8 +132,8 @@ class QueryPlane:
         """Vectorized :meth:`required_lod` over coordinate arrays.
 
         Takes two equal-length numpy arrays and returns the required
-        LOD per position — the kernel behind the columnar
-        ``filter_to_plane`` path.
+        LOD per position — the kernel behind
+        ``filter_to_plane_columnar``.
         """
         import numpy as np
 

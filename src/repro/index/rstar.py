@@ -32,20 +32,13 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Sequence
 
 from repro.errors import IndexError_, InvariantError
 from repro.geometry.primitives import Box3, union_all_boxes
 from repro.storage.database import Segment
 
-__all__ = ["RStarTree", "RTreeNodeStats", "SupportsInc"]
-
-
-class SupportsInc(Protocol):
-    """Anything with an ``inc()`` — e.g. a metrics Counter."""
-
-    def inc(self, n: int = 1) -> None: ...
-
+__all__ = ["RStarTree", "RTreeNodeStats"]
 
 _META = struct.Struct("<4sIHQ6d")
 _MAGIC = b"RST1"
@@ -226,22 +219,12 @@ class RStarTree:
 
     # -- search ----------------------------------------------------------------------
 
-    def search(
-        self, query: Box3, node_counter: "SupportsInc | None" = None
-    ) -> list[int]:
-        """Payloads of all leaf entries whose box intersects ``query``.
-
-        ``node_counter`` — any object with an ``inc()`` method, e.g. a
-        :class:`repro.obs.metrics.Counter` — receives one increment per
-        tree node visited, so callers can report traversal effort
-        per query.
-        """
+    def search(self, query: Box3) -> list[int]:
+        """Payloads of all leaf entries whose box intersects ``query``."""
         results: list[int] = []
         stack = [(self._root, self._height)]
         while stack:
             page_no, level = stack.pop()
-            if node_counter is not None:
-                node_counter.inc()
             is_leaf, entries = self._read_node(page_no)
             if is_leaf:
                 for box, payload in entries:

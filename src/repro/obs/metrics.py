@@ -68,7 +68,6 @@ METRIC_NAMES: frozenset[str] = frozenset(
         "engine.fetch_s",
         "engine.filter_s",
         "engine.query_s",
-        "engine.nodes_visited",
         "engine.pages_read",
         "engine.cache_hit_rate",
         "engine.clusters_touched",

@@ -36,7 +36,6 @@ from repro.storage.integrity import (
 from repro.storage.page import (
     CHECKSUM_SIZE,
     DEFAULT_PAGE_SIZE,
-    PAGE_FORMAT_V1,
     PAGE_FORMAT_V2,
     SlottedPage,
     seal_page,
@@ -71,7 +70,6 @@ __all__ = [
     "IOTrace",
     "IOTracer",
     "OrphanSegment",
-    "PAGE_FORMAT_V1",
     "PAGE_FORMAT_V2",
     "PM_RECORD_SIZE",
     "PageFault",

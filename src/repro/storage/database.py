@@ -8,14 +8,14 @@ file).  Higher layers (heap files, B+-trees, spatial indexes) operate
 on :class:`Segment` handles, which route all page traffic through the
 buffer pool so that disk-access accounting is uniform.
 
-**Page formats.**  The directory carries a ``storage_meta.json`` flag
-recording the page format: v2 (the default for new databases) seals
-every page with a crc32 trailer verified on read; v1 is the historical
-unchecksummed layout.  A directory with segment files but no flag is a
-legacy v1 database and keeps working unchanged — reads are never
-verified and the full page is usable.  Layout code must size itself to
-:attr:`Segment.payload_size`, which is ``page_size`` minus the trailer
-under v2 and the full page under v1.
+**Page format.**  The directory carries a ``storage_meta.json`` flag
+recording the one page format there is (``page_format`` 2): every page
+is sealed with a crc32 trailer verified on read.  A directory whose
+flag says anything else — or that holds segment files and no flag —
+was written by a retired layout and does not open: it raises
+:class:`~repro.errors.StorageError` asking for a rebuild.  Layout code
+must size itself to :attr:`Segment.payload_size`, ``page_size`` minus
+the trailer.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from typing import TYPE_CHECKING, Callable, Iterator
 from repro.errors import StorageError
 from repro.storage.buffer import DEFAULT_POOL_PAGES, BufferPool
 from repro.storage.page import (
+    CHECKSUM_SIZE,
     DEFAULT_PAGE_SIZE,
-    PAGE_FORMAT_V1,
     PAGE_FORMAT_V2,
 )
 from repro.storage.pager import Pager
@@ -191,13 +191,6 @@ class Database:
         fault_injector: a :class:`~repro.storage.faults.FaultInjector`
             installed on every segment's physical-read path (see
             :meth:`set_fault_injector`); ``None`` disables injection.
-        page_format: force a page format for a *new* database
-            (:data:`~repro.storage.page.PAGE_FORMAT_V1` or
-            :data:`~repro.storage.page.PAGE_FORMAT_V2`).  ``None``
-            (the default) uses the on-disk flag of an existing
-            database — legacy directories without a flag are v1 — and
-            v2 for new ones.  Opening an existing database with a
-            conflicting explicit format raises.
         recover: replay/discard a leftover write-ahead log on open
             (the default).  ``fsck`` opens with ``False`` to diagnose
             the directory exactly as the crash left it.
@@ -211,7 +204,6 @@ class Database:
         overwrite: bool = False,
         io_latency: float = 0.0,
         fault_injector: "FaultInjector | None" = None,
-        page_format: int | None = None,
         recover: bool = True,
     ) -> None:
         self.path = Path(path)
@@ -219,8 +211,7 @@ class Database:
             shutil.rmtree(self.path)
         self.path.mkdir(parents=True, exist_ok=True)
         self.page_size = page_size
-        self.page_format = self._resolve_page_format(page_format)
-        self.checksums = self.page_format >= PAGE_FORMAT_V2
+        self._check_page_format()
         self.stats = DiskStats()
         self.buffer = BufferPool(self.stats, pool_pages)
         self._io_latency = io_latency
@@ -232,60 +223,42 @@ class Database:
         if recover:
             self._recover_if_needed()
 
-    def _resolve_page_format(self, requested: int | None) -> int:
-        """Determine the page format, writing the flag for new dbs."""
-        if requested is not None and requested not in (
-            PAGE_FORMAT_V1,
-            PAGE_FORMAT_V2,
-        ):
+    def _check_page_format(self) -> None:
+        """Write the format flag of a new database; refuse a directory
+        written under any other page format or page size."""
+        meta_path = self.path / STORAGE_META_FILENAME
+        if not meta_path.exists():
+            if any(self.path.glob("*.seg")):
+                raise StorageError(
+                    "database has segments but no storage metadata "
+                    "(a retired unchecksummed layout); rebuild it",
+                    path=str(self.path),
+                )
+            meta = {"page_format": PAGE_FORMAT_V2, "page_size": self.page_size}
+            meta_path.write_text(
+                json.dumps(meta, sort_keys=True) + "\n", encoding="utf-8"
+            )
+            return
+        meta = self._read_meta()
+        try:
+            on_disk = int(meta["page_format"])
+            meta_page_size = int(meta.get("page_size", self.page_size))
+        except (ValueError, KeyError, TypeError) as exc:
             raise StorageError(
-                f"unknown page format {requested}",
+                f"unreadable storage metadata: {exc}", path=str(meta_path)
+            ) from exc
+        if on_disk != PAGE_FORMAT_V2:
+            raise StorageError(
+                f"database is page format v{on_disk}; only "
+                f"v{PAGE_FORMAT_V2} is supported — rebuild it",
                 path=str(self.path),
             )
-        meta_path = self.path / STORAGE_META_FILENAME
-        if meta_path.exists():
-            try:
-                meta = json.loads(meta_path.read_text(encoding="utf-8"))
-                on_disk = int(meta["page_format"])
-                meta_page_size = int(meta.get("page_size", self.page_size))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise StorageError(
-                    f"unreadable storage metadata: {exc}",
-                    path=str(meta_path),
-                ) from exc
-            if requested is not None and requested != on_disk:
-                raise StorageError(
-                    f"database is page format v{on_disk}, "
-                    f"but v{requested} was requested",
-                    path=str(self.path),
-                )
-            if meta_page_size != self.page_size:
-                raise StorageError(
-                    f"database was built with page_size "
-                    f"{meta_page_size}, opened with {self.page_size}",
-                    path=str(self.path),
-                )
-            return on_disk
-        if any(self.path.glob("*.seg")):
-            # Legacy database (pre-dates the format flag): its pages
-            # carry no checksum trailer and must be read as v1.
-            if requested is not None and requested != PAGE_FORMAT_V1:
-                raise StorageError(
-                    "existing database has no storage metadata "
-                    "(legacy v1); cannot open as v2",
-                    path=str(self.path),
-                )
-            return PAGE_FORMAT_V1
-        fmt = requested if requested is not None else PAGE_FORMAT_V2
-        meta_path.write_text(
-            json.dumps(
-                {"page_format": fmt, "page_size": self.page_size},
-                sort_keys=True,
+        if meta_page_size != self.page_size:
+            raise StorageError(
+                f"database was built with page_size "
+                f"{meta_page_size}, opened with {self.page_size}",
+                path=str(self.path),
             )
-            + "\n",
-            encoding="utf-8",
-        )
-        return fmt
 
     def _recover_if_needed(self) -> None:
         """Replay or discard a leftover write-ahead log on open."""
@@ -323,7 +296,6 @@ class Database:
                 self.stats,
                 name=name,
                 page_size=self.page_size,
-                checksums=self.checksums,
             )
             pager.wal = self._wal  # Join any active atomic scope.
             pager.io_latency = self._io_latency
@@ -334,12 +306,8 @@ class Database:
 
     @property
     def payload_size(self) -> int:
-        """Usable bytes per page under the database's page format."""
-        from repro.storage.page import CHECKSUM_SIZE
-
-        if self.checksums:
-            return self.page_size - CHECKSUM_SIZE
-        return self.page_size
+        """Usable bytes per page (``page_size`` minus the crc trailer)."""
+        return self.page_size - CHECKSUM_SIZE
 
     @property
     def crc_failures(self) -> int:
@@ -433,13 +401,9 @@ class Database:
 
     def _read_meta(self) -> dict:
         meta_path = self.path / STORAGE_META_FILENAME
-        if not meta_path.exists():
-            # Legacy v1 directory: synthesise the flag the resolver
-            # inferred so a meta rewrite cannot change the format.
-            return {"page_format": self.page_format, "page_size": self.page_size}
         try:
             return dict(json.loads(meta_path.read_text(encoding="utf-8")))
-        except ValueError as exc:
+        except (OSError, ValueError, TypeError) as exc:
             raise StorageError(
                 f"unreadable storage metadata: {exc}", path=str(meta_path)
             ) from exc

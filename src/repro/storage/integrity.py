@@ -191,8 +191,6 @@ class FsckReport:
     """Outcome of a scrub (and optional repair) pass."""
 
     path: str
-    page_format: int
-    checksummed: bool
     segments_scanned: int = 0
     pages_scanned: int = 0
     corrupt: list[PageFault] = field(default_factory=list)
@@ -235,8 +233,6 @@ class FsckReport:
         """Machine-readable summary (the ``fsck --json`` payload)."""
         return {
             "path": self.path,
-            "page_format": self.page_format,
-            "checksummed": self.checksummed,
             "ok": self.ok,
             "segments_scanned": self.segments_scanned,
             "pages_scanned": self.pages_scanned,
@@ -254,8 +250,6 @@ class FsckReport:
         """A printable report."""
         lines = [
             f"fsck {self.path}: " + ("OK" if self.ok else "PROBLEMS FOUND"),
-            f"  page format: v{self.page_format}"
-            + ("" if self.checksummed else " (unchecksummed; crc scan skipped)"),
             f"  segments scanned: {self.segments_scanned}",
             f"  pages scanned: {self.pages_scanned}",
             f"  corrupt pages: {self.corrupt_pages}",
@@ -306,15 +300,9 @@ def scrub_database(
 
     Pages are read through :meth:`Segment.read_raw` — straight from
     disk, bypassing the buffer pool — so the scrub sees exactly what a
-    cold restart would.  On a v1 database the crc scan degenerates to
-    a readability check (no trailer to verify); the structural walk
-    runs either way.
+    cold restart would.
     """
-    report = FsckReport(
-        path=str(database.path),
-        page_format=database.page_format,
-        checksummed=database.checksums,
-    )
+    report = FsckReport(path=str(database.path))
     orphan_names = _find_orphans(database, report)
     for name in database.segment_names():
         if name in orphan_names:

@@ -11,16 +11,14 @@ the classic slotted layout used by heap files:
   ``(u16 offset, u16 length)`` with length ``0xFFFF`` marking a
   deleted slot.
 
-The v2 page format additionally reserves the **last 4 bytes** of every
-page for a ``zlib.crc32`` trailer over the preceding
+The page format (v2, the only one) additionally reserves the **last 4
+bytes** of every page for a ``zlib.crc32`` trailer over the preceding
 ``page_size - 4`` bytes (:data:`CHECKSUM_SIZE`).  Layout code never
 sees the trailer: the pager hands consumers a *payload size* of
 ``page_size - CHECKSUM_SIZE`` and :class:`SlottedPage` (like the index
 node layouts) operates on that logical size while the buffer stays
 ``page_size`` bytes.  :func:`seal_page` stamps the trailer before a
 page hits disk; :func:`verify_page` checks it on the way back in.
-v1 pages have no trailer (payload size equals page size) and are
-never verified.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ from repro.errors import PageError
 __all__ = [
     "CHECKSUM_SIZE",
     "DEFAULT_PAGE_SIZE",
-    "PAGE_FORMAT_V1",
     "PAGE_FORMAT_V2",
     "SlottedPage",
     "page_checksums",
@@ -43,13 +40,11 @@ __all__ = [
 
 DEFAULT_PAGE_SIZE = 8192
 
-#: Bytes reserved at the page tail for the v2 CRC trailer.
+#: Bytes reserved at the page tail for the CRC trailer.
 CHECKSUM_SIZE = 4
 
-#: Historical unchecksummed page format (payload = full page).
-PAGE_FORMAT_V1 = 1
-
-#: Checksummed page format: crc32 trailer in the last 4 bytes.
+#: The page format ``storage_meta.json`` records: crc32 trailer in the
+#: last 4 bytes of every page.
 PAGE_FORMAT_V2 = 2
 
 _HEADER = struct.Struct("<HH")
@@ -61,7 +56,7 @@ _DELETED = 0xFFFF
 
 
 def seal_page(buffer: bytearray) -> None:
-    """Stamp the v2 CRC trailer into ``buffer`` in place.
+    """Stamp the CRC trailer into ``buffer`` in place.
 
     Idempotent: the checksum covers only the payload bytes (everything
     before the trailer), so re-sealing a sealed page is a no-op.
@@ -73,7 +68,7 @@ def seal_page(buffer: bytearray) -> None:
 
 
 def page_checksums(buffer: bytes | bytearray) -> tuple[int, int]:
-    """``(stored, computed)`` checksums of a v2 page buffer."""
+    """``(stored, computed)`` checksums of a page buffer."""
     if len(buffer) <= CHECKSUM_SIZE:
         raise PageError(f"page of {len(buffer)} bytes has no trailer")
     (stored,) = _CRC.unpack_from(buffer, len(buffer) - CHECKSUM_SIZE)
@@ -82,7 +77,7 @@ def page_checksums(buffer: bytes | bytearray) -> tuple[int, int]:
 
 
 def verify_page(buffer: bytes | bytearray) -> bool:
-    """True when a v2 page's trailer matches its payload."""
+    """True when a page's trailer matches its payload."""
     stored, computed = page_checksums(buffer)
     return stored == computed
 

@@ -6,10 +6,10 @@ physical access in the shared :class:`~repro.storage.stats.DiskStats`;
 it does **no caching** — that is the buffer pool's job, and keeping the
 layers separate is what makes the disk-access accounting trustworthy.
 
-With ``checksums`` enabled (the v2 page format), every page written
-carries a crc32 trailer in its last :data:`~repro.storage.page.CHECKSUM_SIZE`
-bytes — stamped by :meth:`Pager.write_page`/:meth:`Pager.allocate` and
-verified by :meth:`Pager.read_page`, which raises
+Every page written carries a crc32 trailer in its last
+:data:`~repro.storage.page.CHECKSUM_SIZE` bytes — stamped by
+:meth:`Pager.write_page`/:meth:`Pager.allocate` and verified by
+:meth:`Pager.read_page`, which raises
 :class:`~repro.errors.PageCorruptionError` on a mismatch.  Layout code
 above the pager must size itself to :attr:`Pager.payload_size`, never
 ``page_size``.  Raw page I/O outside this module (and the WAL and the
@@ -48,7 +48,6 @@ class Pager:
     Attributes:
         name: the segment name used for statistics attribution.
         page_size: bytes per page on disk.
-        checksums: whether pages carry a v2 crc32 trailer.
     """
 
     def __init__(
@@ -57,12 +56,10 @@ class Pager:
         stats: DiskStats,
         name: str | None = None,
         page_size: int = DEFAULT_PAGE_SIZE,
-        checksums: bool = False,
     ) -> None:
         self._path = Path(path)
         self.name = name if name is not None else self._path.stem
         self.page_size = page_size
-        self.checksums = checksums
         self._stats = stats
         flags = os.O_RDWR | os.O_CREAT
         try:
@@ -152,13 +149,11 @@ class Pager:
     def payload_size(self) -> int:
         """Bytes per page usable by layout code.
 
-        ``page_size`` minus the checksum trailer under the v2 format;
-        the full page under v1.  Every page layout (slotted pages,
-        index nodes) must size itself to this, not ``page_size``.
+        ``page_size`` minus the checksum trailer.  Every page layout
+        (slotted pages, index nodes) must size itself to this, not
+        ``page_size``.
         """
-        if self.checksums:
-            return self.page_size - CHECKSUM_SIZE
-        return self.page_size
+        return self.page_size - CHECKSUM_SIZE
 
     @property
     def crc_failures(self) -> int:
@@ -180,8 +175,7 @@ class Pager:
         with self._alloc_lock:
             page_no = self._n_pages
             page = bytearray(self.page_size)
-            if self.checksums:
-                seal_page(page)
+            seal_page(page)
             try:
                 # reprolint: disable=R10 zero-fill must land before the page is visible
                 os.pwrite(self._fd, bytes(page), page_no * self.page_size)
@@ -199,10 +193,10 @@ class Pager:
     def read_page(self, page_no: int) -> bytearray:
         """Read page ``page_no`` from disk (a *physical read*).
 
-        Under the v2 format the page's crc32 trailer is verified;
-        a mismatch raises :class:`~repro.errors.PageCorruptionError`
-        (and, like an injected fault, does not count as a physical
-        read — corrupt bytes are not a served page).
+        The page's crc32 trailer is verified; a mismatch raises
+        :class:`~repro.errors.PageCorruptionError` (and, like an
+        injected fault, does not count as a physical read — corrupt
+        bytes are not a served page).
         """
         self._check_open()
         self._check_range(page_no)
@@ -228,18 +222,7 @@ class Pager:
         buf = bytearray(data)
         if self.fault_injector is not None:
             self.fault_injector.corrupt_page(buf, f"{self.name}:{page_no}")
-        if self.checksums:
-            stored, computed = page_checksums(buf)
-            if stored != computed:
-                self._record_crc_failure()
-                raise PageCorruptionError(
-                    f"{self.name}: page {page_no} failed checksum "
-                    f"verification",
-                    segment=self.name,
-                    page=page_no,
-                    expected=stored,
-                    actual=computed,
-                )
+        self._verify(buf, page_no)
         self._stats.record_physical_read(self.name)
         if self._stats.trace_hook is not None:
             self._stats.trace_hook(self.name, page_no)
@@ -308,20 +291,7 @@ class Pager:
                     page, f"{self.name}:{page_no}"
                 )
                 buf[off:off + self.page_size] = page
-            if self.checksums:
-                stored, computed = page_checksums(
-                    buf[off:off + self.page_size]
-                )
-                if stored != computed:
-                    self._record_crc_failure()
-                    raise PageCorruptionError(
-                        f"{self.name}: page {page_no} failed checksum "
-                        f"verification",
-                        segment=self.name,
-                        page=page_no,
-                        expected=stored,
-                        actual=computed,
-                    )
+            self._verify(buf[off:off + self.page_size], page_no)
         self._stats.record_physical_read(self.name, pages=count)
         if self._stats.trace_hook is not None:
             for page_no in range(start, start + count):
@@ -331,8 +301,8 @@ class Pager:
     def write_page(self, page_no: int, data: bytes | bytearray) -> None:
         """Write page ``page_no`` to disk (a *physical write*).
 
-        Under the v2 format the image is sealed — its crc32 trailer
-        stamped — before it leaves this method (the caller's buffer is
+        The image is sealed — its crc32 trailer stamped — before it
+        leaves this method (the caller's buffer is
         not mutated).  When a write-ahead log is attached (:attr:`wal`),
         the sealed image is appended to the log before the in-place
         write, so WAL replay restores verifiable pages.
@@ -347,8 +317,7 @@ class Pager:
                 page=page_no,
             )
         image = bytearray(data)
-        if self.checksums:
-            seal_page(image)
+        seal_page(image)
         if self.wal is not None:
             self.wal.log_page(self.name, page_no, bytes(image))
         try:
@@ -373,11 +342,23 @@ class Pager:
 
     # -- checks ----------------------------------------------------------------------
 
-    def _record_crc_failure(self) -> None:
+    def _verify(self, page: bytes | bytearray, page_no: int) -> None:
+        """Raise :class:`PageCorruptionError` (and count the failure)
+        when ``page``'s crc32 trailer does not match its payload."""
+        stored, computed = page_checksums(page)
+        if stored == computed:
+            return
         with self._crc_lock:
             self._crc_failures += 1
         if self.metrics is not None:
             self.metrics.counter("storage.crc_failures").inc()
+        raise PageCorruptionError(
+            f"{self.name}: page {page_no} failed checksum verification",
+            segment=self.name,
+            page=page_no,
+            expected=stored,
+            actual=computed,
+        )
 
     def _check_open(self) -> None:
         if self._closed:

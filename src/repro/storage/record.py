@@ -150,6 +150,25 @@ class DMNodeRecord:
         return self.e_low <= hi and self.e_high > lo
 
 
+def _pack_dm(
+    fixed: tuple, connections: list[int], compress: bool
+) -> bytes:
+    """The DM record packer: ``fixed`` is ``(id, x, y, z, e_low,
+    e_high, parent, child1, child2, wing1, wing2)``."""
+    if len(connections) >= _COMPRESSED_CONN:
+        raise RecordError(
+            f"node {fixed[0]}: {len(connections)} connections exceed u16"
+        )
+    head = _DM_FIXED.pack(
+        *fixed, _COMPRESSED_CONN if compress else len(connections)
+    )
+    if compress:
+        from repro.storage.varint import encode_id_list
+
+        return head + encode_id_list(connections)
+    return head + struct.pack(f"<{len(connections)}i", *connections)
+
+
 def encode_dm_node(
     node: PMNode, connections: list[int], compress: bool = False
 ) -> bytes:
@@ -159,30 +178,11 @@ def encode_dm_node(
     (typically 2-3x smaller); the format is self-describing, so
     :func:`decode_dm_node` handles both encodings.
     """
-    if len(connections) >= _COMPRESSED_CONN:
-        raise RecordError(
-            f"node {node.id}: {len(connections)} connections exceed u16"
-        )
-    head = _DM_FIXED.pack(
-        node.id,
-        node.x,
-        node.y,
-        node.z,
-        node.e,
-        node.e_high,
-        node.parent,
-        node.child1,
-        node.child2,
-        node.wing1,
-        node.wing2,
-        _COMPRESSED_CONN if compress else len(connections),
+    fixed = (
+        node.id, node.x, node.y, node.z, node.e, node.e_high,
+        node.parent, node.child1, node.child2, node.wing1, node.wing2,
     )
-    if compress:
-        from repro.storage.varint import encode_id_list
-
-        return head + encode_id_list(connections)
-    tail = struct.pack(f"<{len(connections)}i", *connections)
-    return head + tail
+    return _pack_dm(fixed, connections, compress)
 
 
 def encode_dm_record(record: DMNodeRecord, compress: bool = False) -> bytes:
@@ -194,33 +194,12 @@ def encode_dm_record(record: DMNodeRecord, compress: bool = False) -> bytes:
     fetched records into frame payloads.  The output is byte-identical
     to the on-disk encoding, so :func:`decode_dm_node` decodes both.
     """
-    if len(record.connections) >= _COMPRESSED_CONN:
-        raise RecordError(
-            f"node {record.id}: {len(record.connections)} connections "
-            "exceed u16"
-        )
-    head = _DM_FIXED.pack(
-        record.id,
-        record.x,
-        record.y,
-        record.z,
-        record.e_low,
-        record.e_high,
-        record.parent,
-        record.child1,
-        record.child2,
-        record.wing1,
-        record.wing2,
-        _COMPRESSED_CONN if compress else len(record.connections),
+    fixed = (
+        record.id, record.x, record.y, record.z, record.e_low,
+        record.e_high, record.parent, record.child1, record.child2,
+        record.wing1, record.wing2,
     )
-    if compress:
-        from repro.storage.varint import encode_id_list
-
-        return head + encode_id_list(record.connections)
-    tail = struct.pack(
-        f"<{len(record.connections)}i", *record.connections
-    )
-    return head + tail
+    return _pack_dm(fixed, record.connections, compress)
 
 
 def decode_dm_node(payload: bytes) -> DMNodeRecord:
@@ -313,10 +292,11 @@ if _DM_COLUMN_DTYPE.itemsize != _DM_FIXED.size:
 class DMNodeColumns:
     """A page of DM nodes as a numpy struct-of-arrays.
 
-    The columnar twin of a ``list[DMNodeRecord]``: one contiguous
-    array per field, with the variable-length connection lists stored
-    CSR-style (``conn_flat[conn_offsets[i]:conn_offsets[i + 1]]`` is
-    row ``i``'s list).  This is what the vectorized query kernels and
+    What every fetch returns (the reference range query and the
+    engine's cluster fetch alike): one contiguous array per field,
+    with the variable-length connection lists stored CSR-style
+    (``conn_flat[conn_offsets[i]:conn_offsets[i + 1]]`` is row ``i``'s
+    list).  This is what the vectorized query kernels and
     the semantic cache operate on — predicates run as array masks and
     only the surviving rows are materialised back into records.
     """
@@ -372,8 +352,8 @@ class DMNodeColumns:
     def materialize(self, mask: np.ndarray) -> dict[int, DMNodeRecord]:
         """Rows where ``mask`` holds, as an id-keyed record dict.
 
-        Row order is preserved, so the dict's insertion order matches
-        the scalar filters iterating the same records.  Columns are
+        Row order is preserved (the dict's insertion order is the
+        page's).  Columns are
         converted with one ``tolist`` per field (much cheaper than
         per-element ``int()``/``float()`` casts on the hot path).
         """

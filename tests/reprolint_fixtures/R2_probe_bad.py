@@ -9,4 +9,4 @@ from repro.geometry.primitives import Box3
 def fetch_mesh(store, roi, lod):
     plane_box = Box3.from_rect(roi, lod, lod)
     rids = store.rtree.search(plane_box)  # [R2]
-    return store.read_records(rids)
+    return store.heap.read_many(rids)

@@ -22,6 +22,7 @@ from repro.core.admission import (
 from repro.core.engine import QueryEngine, SingleBaseRequest, UniformRequest
 from repro.errors import OverloadShedError, QueryError
 from repro.geometry.plane import QueryPlane
+from repro.geometry.primitives import Rect
 
 
 class FakeClock:
@@ -37,19 +38,9 @@ class FakeClock:
         self.now += seconds
 
 
-class FlatCostModel:
-    """A stub cost model returning a fixed estimate."""
-
-    def __init__(self, cost: float = 4.0) -> None:
-        self.cost = cost
-
-    def estimate(self, box) -> float:
-        return self.cost
-
-
 def make_governor(**kwargs) -> CostGovernor:
     kwargs.setdefault("budget", 10.0)
-    return CostGovernor(FlatCostModel(), **kwargs)
+    return CostGovernor(**kwargs)
 
 
 # -- token bucket ------------------------------------------------------------
@@ -143,9 +134,24 @@ class TestCostGovernor:
         governor.release(99.0)
         assert governor.inflight_cost == 0.0
 
-    def test_estimate_floors_at_one_page(self):
-        governor = CostGovernor(FlatCostModel(cost=0.01), budget=5.0)
-        assert governor.estimate(None) == pytest.approx(1.0)
+    def test_estimate_floors_at_one_page(self, session_db):
+        """A probe that selects no cluster is still charged one page."""
+        store = session_db["dm"]
+        extent = store.rtree.data_space.rect
+        beside = Rect(
+            extent.max_x + 10.0,
+            extent.min_y,
+            extent.max_x + 20.0,
+            extent.max_y,
+        )
+        request = UniformRequest(beside, 0.5 * store.max_lod)
+        box = request.query_box(store.e_cap)
+        assert store.clusters.index.candidates(box) == []
+        governor = CostGovernor(budget=1e9)
+        with QueryEngine(store, workers=1, governor=governor) as engine:
+            assert engine.submit(request).result(timeout=30).ok
+            charged = engine.registry.histograms()["slo.estimated_cost"]
+        assert (charged.count, charged.total) == (1, 1.0)
 
     def test_throttled_tenant_degrades_despite_budget_room(self):
         clock = FakeClock()
@@ -219,7 +225,7 @@ class TestEngineAdmission:
 
     def test_admitted_request_runs_full_fidelity(self, session_db):
         store = session_db["dm"]
-        governor = CostGovernor(store.cost_model, budget=1e9)
+        governor = CostGovernor(budget=1e9)
         with QueryEngine(store, workers=2, governor=governor) as engine:
             request = _mid_request(store)
             outcome = engine.submit(request).result(timeout=30)
@@ -234,9 +240,7 @@ class TestEngineAdmission:
         store = session_db["dm"]
         # Budget below any real estimate, huge headroom: every request
         # takes the degraded tier.
-        governor = CostGovernor(
-            store.cost_model, budget=0.5, degrade_headroom=1000.0
-        )
+        governor = CostGovernor(budget=0.5, degrade_headroom=1000.0)
         with QueryEngine(store, workers=2, governor=governor) as engine:
             outcome = engine.submit(_mid_request(store)).result(timeout=30)
             counters = engine.registry.counters()
@@ -249,9 +253,7 @@ class TestEngineAdmission:
 
     def test_shed_is_a_well_formed_degraded_result(self, session_db):
         store = session_db["dm"]
-        governor = CostGovernor(
-            store.cost_model, budget=1.0, degrade_headroom=1.0
-        )
+        governor = CostGovernor(budget=1.0, degrade_headroom=1.0)
         # Fill the budget so the next submission must shed.
         governor.decide("filler", 1.0)
         with QueryEngine(store, workers=2, governor=governor) as engine:
@@ -272,9 +274,7 @@ class TestEngineAdmission:
 
     def test_shed_non_degradable_surfaces_typed_error(self, session_db):
         store = session_db["dm"]
-        governor = CostGovernor(
-            store.cost_model, budget=1.0, degrade_headroom=1.0
-        )
+        governor = CostGovernor(budget=1.0, degrade_headroom=1.0)
         governor.decide("filler", 1.0)
         extent = store.rtree.data_space.rect
         plane = QueryPlane(
@@ -295,9 +295,7 @@ class TestEngineAdmission:
         # Budget big enough to admit the first request at full
         # fidelity (which populates the cache), headroom 1.0 so a
         # saturated budget sheds instead of degrading.
-        governor = CostGovernor(
-            store.cost_model, budget=1e6, degrade_headroom=1.0
-        )
+        governor = CostGovernor(budget=1e6, degrade_headroom=1.0)
         cache = SemanticCache(8 * 1024 * 1024)
         request = _mid_request(store)
         with QueryEngine(
@@ -317,7 +315,7 @@ class TestEngineAdmission:
         """A refused enqueue must not leak the reservation or the
         queue-depth gauge, and surfaces as a typed error."""
         store = session_db["dm"]
-        governor = CostGovernor(store.cost_model, budget=1e9)
+        governor = CostGovernor(budget=1e9)
         engine = QueryEngine(store, workers=2, governor=governor)
         engine.close()
         request = _mid_request(store)
@@ -333,9 +331,7 @@ class TestEngineAdmission:
         """``run_batch`` is closed-loop and stays ungoverned: a budget
         that would shed every ``submit`` leaves a batch untouched."""
         store = session_db["dm"]
-        governor = CostGovernor(
-            store.cost_model, budget=1.0, degrade_headroom=1.0
-        )
+        governor = CostGovernor(budget=1.0, degrade_headroom=1.0)
         governor.decide("filler", 1.0)
         request = _mid_request(store)
         with QueryEngine(store, workers=2, governor=governor) as engine:
@@ -363,7 +359,6 @@ class TestOverloadStress:
         store = session_db["dm"]
         budget, headroom = 12.0, 2.0
         governor = CostGovernor(
-            store.cost_model,
             budget=budget,
             degraded_cost=1.0,
             degrade_headroom=headroom,

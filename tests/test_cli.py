@@ -297,12 +297,17 @@ class TestDocumentedFlags:
             for path in sorted(ROOT.glob(pattern)):
                 yield str(path.relative_to(ROOT)), path.read_text()
 
-    def test_every_documented_flag_parses(self):
-        subparsers = next(
+    @staticmethod
+    def _subparsers():
+        """The ``repro`` subcommand parsers, by name."""
+        return next(
             action
             for action in _build_parser()._actions
             if isinstance(action, argparse._SubParsersAction)
         ).choices
+
+    def test_every_documented_flag_parses(self):
+        subparsers = self._subparsers()
         seen = set()
         for name, text in self._texts():
             for subcommand, flags in self._invocations(text):
@@ -315,6 +320,28 @@ class TestDocumentedFlags:
         # The scan found the invocations it exists for.
         assert ("bench-serve", "--workers") in seen
         assert ("fsck", "--repair") in seen
+
+    def test_every_standalone_flag_belongs_to_a_tool(self):
+        """An inline-code span that *starts* with ``--flag`` names an
+        option out of context: some ``repro`` subcommand, the perf
+        harness or reprolint must accept it, so a retired flag cannot
+        survive in prose."""
+        known = {
+            flag
+            for parser in self._subparsers().values()
+            for flag in parser._option_string_actions
+        }
+        for tool in ("perf/run.py", "src/repro/analysis/__main__.py"):
+            known.update(
+                re.findall(r'"(--[a-z][a-z0-9-]*)"', (ROOT / tool).read_text())
+            )
+        seen = set()
+        for name, text in self._texts():
+            for span in re.findall(r"`(--[a-z][^`\n]*)`", text):
+                for flag in re.findall(r"(?<!\S)--[a-z][a-z0-9-]*", span):
+                    assert flag in known, f"{name}: `{span}`"
+                    seen.add(flag)
+        assert "--smoke" in seen
 
     def test_every_documented_make_target_exists(self):
         """``make <target>`` in code position: after a backtick, at

@@ -1,13 +1,16 @@
-"""The cluster fast path against the per-node oracle.
+"""The engine's cluster fetch against the one reference.
 
 The contract (:mod:`repro.core.clusters`): for *any* store and any
-query, ``QueryEngine(clustered=True)`` returns node-id-identical
-results — same record dicts, same ``retrieved`` counts — as
-``QueryEngine(clustered=False)``, because cluster extents are unions
-of their members' capped indexed segments and the decoded batch is
-narrowed with the same intersection predicate the R*-tree applies.
-Hypothesis drives random query cubes, LODs above ``e_cap``, and
-degenerate ROIs through both paths; the rest of the file covers the
+query, the :class:`QueryEngine` returns node-id-identical results —
+same record dicts, same ``retrieved`` counts — as the paper's
+processors in :mod:`repro.core.query` (``store.uniform_query`` /
+``store.single_base_query``), because cluster extents are unions of
+their members' capped indexed segments and the decoded batch is
+narrowed with the same intersection predicate the R*-tree applies;
+and both select exactly the nodes in-memory selective refinement
+(:mod:`repro.mesh.selective`) does.  Hypothesis drives random query
+cubes, LODs above ``e_cap``, and degenerate ROIs through engine and
+reference; the rest of the file covers the
 blob codec, the directory invariants, the decoded-cluster LRU, and
 the pager's multi-page run accounting.
 """
@@ -34,6 +37,7 @@ from repro.errors import PageCorruptionError, StorageError
 from repro.geometry.plane import QueryPlane
 from repro.geometry.primitives import Box3, Rect
 from repro.mesh.progressive import LOD_INFINITY, PMNode
+from repro.mesh.selective import uniform_query_ref, viewdep_query_ref
 from repro.storage import Database, FaultInjector
 from repro.storage.record import decode_dm_nodes_columnar, encode_dm_node
 from repro.terrain import dataset_by_name
@@ -48,9 +52,13 @@ fracs = st.floats(0.0, 1.0, allow_nan=False)
 
 
 @pytest.fixture(scope="module")
-def built(tmp_path_factory):
-    """One clustered store shared by the parity properties."""
-    dataset = dataset_by_name("foothills", 900, seed=13)
+def dataset():
+    return dataset_by_name("foothills", 900, seed=13)
+
+
+@pytest.fixture(scope="module")
+def built(dataset, tmp_path_factory):
+    """One store shared by the parity properties."""
     db = Database(tmp_path_factory.mktemp("clusters_db"))
     store = DirectMeshStore.build(dataset.pm, db, dataset.connections)
     yield db, store
@@ -66,35 +74,49 @@ def _roi(store, fx, fy, fw, fh) -> Rect:
     return Rect(x0, y0, x0 + w, y0 + h)
 
 
-def _assert_parity(store, request) -> None:
-    with QueryEngine(store, workers=1, clustered=False) as oracle:
-        reference = oracle.run(request)
-    with QueryEngine(store, workers=1, clustered=True) as fast:
-        outcome = fast.run(request)
-    assert reference.ok and outcome.ok
-    assert outcome.result.nodes == reference.result.nodes
-    assert outcome.result.retrieved == reference.result.retrieved
+def _assert_parity(pm, store, request) -> None:
+    """Engine == the sequential processor (nodes and ``retrieved``,
+    uncached) == in-memory selective refinement (node ids)."""
+    if isinstance(request, UniformRequest):
+        reference = store.uniform_query(request.roi, request.lod)
+        selected = uniform_query_ref(pm, request.roi, request.lod)
+    else:
+        reference = store.single_base_query(request.plane)
+        selected = viewdep_query_ref(pm, request.plane)
+    with QueryEngine(store, workers=1) as engine:
+        outcome = engine.run(request)
+    assert outcome.ok
+    assert outcome.result.nodes == reference.nodes
+    assert outcome.result.retrieved == reference.retrieved
+    assert set(reference.nodes) == selected
 
 
 class TestEngineParity:
     @common
     @given(fracs, fracs, fracs, fracs, st.floats(0.0, 1.3))
-    def test_uniform_random_cubes(self, built, fx, fy, fw, fh, flod):
+    def test_uniform_random_cubes(
+        self, dataset, built, fx, fy, fw, fh, flod
+    ):
         """Random ROIs and LODs — including LODs above ``e_cap``."""
         _, store = built
         lod = flod * (store.e_cap * 1.2)
-        _assert_parity(store, UniformRequest(_roi(store, fx, fy, fw, fh), lod))
+        _assert_parity(
+            dataset.pm, store,
+            UniformRequest(_roi(store, fx, fy, fw, fh), lod),
+        )
 
     @common
     @given(fracs, fracs, fracs, fracs, fracs, fracs)
-    def test_viewdep_random_planes(self, built, fx, fy, fw, fh, fa, fb):
+    def test_viewdep_random_planes(
+        self, dataset, built, fx, fy, fw, fh, fa, fb
+    ):
         _, store = built
         e_a = fa * store.max_lod
         e_b = fb * store.max_lod
         plane = QueryPlane(
             _roi(store, fx, fy, fw, fh), min(e_a, e_b), max(e_a, e_b)
         )
-        _assert_parity(store, SingleBaseRequest(plane))
+        _assert_parity(dataset.pm, store, SingleBaseRequest(plane))
 
     def test_above_e_cap_returns_base_mesh(self, built):
         """``lod > e_cap`` clamps the probe and serves the base mesh."""
@@ -102,7 +124,7 @@ class TestEngineParity:
         extent = store.rtree.data_space.rect
         reference = store.uniform_query(extent, store.e_cap * 2.0)
         assert len(reference) > 0
-        with QueryEngine(store, workers=1, clustered=True) as engine:
+        with QueryEngine(store, workers=1) as engine:
             outcome = engine.run(UniformRequest(extent, store.e_cap * 2.0))
         assert outcome.result.nodes == reference.nodes
 
@@ -116,7 +138,7 @@ class TestEngineParity:
             extent.max_x + 101.0,
             extent.max_y + 101.0,
         )
-        with QueryEngine(store, workers=1, clustered=True) as engine:
+        with QueryEngine(store, workers=1) as engine:
             outcome = engine.run(UniformRequest(far, store.max_lod / 2))
         assert outcome.result.nodes == {}
         assert outcome.result.retrieved == 0
@@ -127,7 +149,7 @@ class TestEngineParity:
         extent = store.rtree.data_space.rect
         request = UniformRequest(extent, store.max_lod / 2)
         db.flush()
-        with QueryEngine(store, workers=1, clustered=True) as engine:
+        with QueryEngine(store, workers=1) as engine:
             cold = engine.run(request)
             warm = engine.run(request)
             cache_stats = engine.cluster_cache.stats()
@@ -165,7 +187,6 @@ class TestEngineParity:
         with Database(tmp_path / "persist") as db:
             store = DirectMeshStore.open(db)
             with QueryEngine(store) as engine:
-                assert engine.clustered
                 outcome = engine.run(
                     UniformRequest(extent, store.max_lod / 3)
                 )

@@ -1,9 +1,12 @@
-"""The columnar (vectorized) query kernels against the scalar oracle.
+"""The columnar (vectorized) query kernels against the record-level
+predicate.
 
 The contract: for *any* record set and any query,
 ``decode_dm_nodes_columnar`` + the numpy filters return
 node-id-identical output (in fact identical record dicts) to
-``decode_dm_node`` + the scalar filters, and ``mesh_edges_np`` matches
+``decode_dm_node`` + the paper's per-record predicate
+(``DMNodeRecord.interval_contains`` over ``Rect.contains_point``,
+spelled out in :func:`_expected`), and ``mesh_edges_np`` matches
 ``mesh_edges_scalar``.  Hypothesis drives randomized record stores,
 ROIs, LODs, planes and radial fields through both paths — including
 half-open interval boundaries, roots with infinite ``e_high``, empty
@@ -19,9 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.query import (
-    filter_to_plane,
     filter_to_plane_columnar,
-    filter_uniform,
     filter_uniform_columnar,
 )
 from repro.core.reconstruct import (
@@ -114,6 +115,18 @@ def record_universe():
     )
 
 
+def _expected(records, roi, required_lod):
+    """The record-level predicate: a node is in the approximation when
+    it lies in ``roi`` and its half-open LOD interval contains the LOD
+    required at its position."""
+    return {
+        rec.id: rec
+        for rec in records
+        if roi.contains_point(rec.x, rec.y)
+        and rec.interval_contains(required_lod(rec.x, rec.y))
+    }
+
+
 positions = st.floats(-12.0, 12.0, allow_nan=False)
 spans = st.floats(0.0, 15.0, allow_nan=False)
 lods = st.floats(0.0, 6.0, allow_nan=False)
@@ -125,9 +138,9 @@ class TestFilterParity:
     def test_filter_uniform(self, record_universe, cx, cy, w, h, lod):
         records, columns = record_universe
         roi = Rect.centered(cx, cy, w, h)
-        assert filter_uniform(records, roi, lod) == filter_uniform_columnar(
-            columns, roi, lod
-        )
+        assert _expected(
+            records, roi, lambda x, y: lod
+        ) == filter_uniform_columnar(columns, roi, lod)
 
     @common
     @given(st.integers(0, 1199))
@@ -138,7 +151,7 @@ class TestFilterParity:
         for lod in (records[idx].e_low, records[idx].e_high):
             if lod == LOD_INFINITY:
                 continue
-            scalar = filter_uniform(records, roi, lod)
+            scalar = _expected(records, roi, lambda x, y: lod)
             vector = filter_uniform_columnar(columns, roi, lod)
             assert scalar == vector
 
@@ -152,9 +165,9 @@ class TestFilterParity:
         if abs(dx) + abs(dy) < 1e-6:
             dx = 1.0
         plane = QueryPlane(roi, min(e_a, e_b), max(e_a, e_b), (dx, dy))
-        assert filter_to_plane(records, plane) == filter_to_plane_columnar(
-            columns, plane
-        )
+        assert _expected(
+            records, roi, plane.required_lod
+        ) == filter_to_plane_columnar(columns, plane)
 
     @common
     @given(positions, positions, spans, spans, positions, positions,
@@ -165,15 +178,15 @@ class TestFilterParity:
         records, columns = record_universe
         roi = Rect.centered(cx, cy, w, h)
         field = RadialLodField(roi, (vx, vy), rate, e_min=0.1, e_max=4.0)
-        assert filter_to_plane(records, field) == filter_to_plane_columnar(
-            columns, field
-        )
+        assert _expected(
+            records, roi, field.required_lod
+        ) == filter_to_plane_columnar(columns, field)
 
     def test_empty_roi(self, record_universe):
         """A degenerate ROI far outside the data keeps both paths empty."""
         records, columns = record_universe
         roi = Rect(100.0, 100.0, 100.0, 100.0)
-        assert filter_uniform(records, roi, 1.0) == {}
+        assert _expected(records, roi, lambda x, y: 1.0) == {}
         assert filter_uniform_columnar(columns, roi, 1.0) == {}
         plane = QueryPlane(roi, 0.5, 2.0)
         assert filter_to_plane_columnar(columns, plane) == {}
@@ -190,9 +203,9 @@ class TestFilterParity:
                 return 1.0 + 0.1 * abs(x) + 0.05 * abs(y)
 
         field = OddField()
-        assert filter_to_plane(records, field) == filter_to_plane_columnar(
-            columns, field
-        )
+        assert _expected(
+            records, field.roi, field.required_lod
+        ) == filter_to_plane_columnar(columns, field)
 
 
 class TestEdgeExtractionParity:
@@ -201,7 +214,7 @@ class TestEdgeExtractionParity:
     def test_edges_match_scalar(self, record_universe, lod, size_f):
         records, columns = record_universe
         roi = Rect.centered(0.0, 0.0, 24.0 * size_f, 24.0 * size_f)
-        nodes = filter_uniform(records, roi, lod)
+        nodes = filter_uniform_columnar(columns, roi, lod)
         assert mesh_edges_np(nodes) == mesh_edges_scalar(nodes)
         assert mesh_edges(nodes) == mesh_edges_scalar(nodes)
 

@@ -13,6 +13,7 @@ import pytest
 from repro.core import DirectMeshStore, QueryEngine
 from repro.core.cache import SemanticCache
 from repro.core.engine import SingleBaseRequest, UniformRequest
+from repro.core.query import range_columns
 from repro.errors import QueryError
 from repro.geometry.plane import QueryPlane
 from repro.geometry.primitives import Rect
@@ -111,10 +112,10 @@ class TestBatchIdentity:
 
 
 class TestFetchStrategyMatrix:
-    """The seam between the one pipeline and its two fetch
-    strategies: every serving configuration answers with the paper's
-    reference semantics (in-memory selective refinement), and the two
-    strategies hand the pipeline the same rows."""
+    """The seam between the one pipeline and its one fetch: every
+    serving configuration answers with the paper's reference
+    semantics (in-memory selective refinement) and hands the pipeline
+    the rows the sequential processors retrieve."""
 
     @staticmethod
     def _requests(store):
@@ -152,41 +153,47 @@ class TestFetchStrategyMatrix:
         self, dataset, store, cached, entry
     ):
         requests = self._requests(store)
-        retrieved = {}
-        for clustered in (True, False):
-            cache = (
-                SemanticCache(64 << 20, prefetch_e=0.05 * store.max_lod)
-                if cached
-                else None
-            )
-            with QueryEngine(
-                store, workers=3, cache=cache, clustered=clustered
-            ) as engine:
-                assert engine.clustered is clustered
-                if entry == "run_batch":
-                    outcomes = engine.run_batch(requests)
-                else:
-                    outcomes = [
-                        engine.submit(r).result(timeout=30) for r in requests
-                    ]
-            for request, outcome in zip(requests, outcomes):
-                assert outcome.ok and not outcome.degraded
-                if isinstance(request, UniformRequest):
-                    reference = uniform_query_ref(
-                        dataset.pm, request.roi, request.lod
-                    )
-                else:
-                    reference = viewdep_query_ref(dataset.pm, request.plane)
-                assert set(outcome.result.nodes) == reference, request
-            above_cap = [
-                o for r, o in zip(requests, outcomes)
-                if isinstance(r, UniformRequest) and r.lod > store.e_cap
-            ]
-            assert above_cap and all(len(o.result) > 0 for o in above_cap)
-            if cached and entry == "submit":
-                assert any(o.metrics.cached for o in outcomes)
-            retrieved[clustered] = [o.result.retrieved for o in outcomes]
-        assert retrieved[True] == retrieved[False]
+        cache = (
+            SemanticCache(64 << 20, prefetch_e=0.05 * store.max_lod)
+            if cached
+            else None
+        )
+        with QueryEngine(store, workers=3, cache=cache) as engine:
+            if entry == "run_batch":
+                outcomes = engine.run_batch(requests)
+            else:
+                outcomes = [
+                    engine.submit(r).result(timeout=30) for r in requests
+                ]
+        for request, outcome in zip(requests, outcomes):
+            assert outcome.ok and not outcome.degraded
+            if isinstance(request, UniformRequest):
+                selected = uniform_query_ref(
+                    dataset.pm, request.roi, request.lod
+                )
+                reference = store.uniform_query(request.roi, request.lod)
+            else:
+                selected = viewdep_query_ref(dataset.pm, request.plane)
+                reference = store.single_base_query(request.plane)
+            assert set(outcome.result.nodes) == selected, request
+            assert outcome.result.nodes == reference.nodes
+            # An executed probe (of the query box, or of its
+            # prefetch-inflated cube) retrieves exactly the rows the
+            # paper's range query does; a cache hit reports its cube.
+            if not outcome.metrics.cached:
+                box = request.query_box(store.e_cap)
+                if cache is not None:
+                    box = cache.inflate(box, store.e_cap)
+                assert outcome.result.retrieved == len(
+                    range_columns(store, box)
+                )
+        above_cap = [
+            o for r, o in zip(requests, outcomes)
+            if isinstance(r, UniformRequest) and r.lod > store.e_cap
+        ]
+        assert above_cap and all(len(o.result) > 0 for o in above_cap)
+        if cached and entry == "submit":
+            assert any(o.metrics.cached for o in outcomes)
 
 
 class TestRunBatchIsSubmit:
@@ -205,18 +212,14 @@ class TestRunBatchIsSubmit:
         requests.append(UniformRequest(repeated.roi.scaled(0.5), repeated.lod))
         return requests
 
-    @pytest.mark.parametrize("clustered", [True, False])
     @pytest.mark.parametrize("cached", [False, True], ids=["nocache", "cache"])
-    def test_batch_equals_sequential_submits(
-        self, dataset, store, cached, clustered
-    ):
+    def test_batch_equals_sequential_submits(self, dataset, store, cached):
         requests = self._requests(store)
 
         def engine_for(registry=None):
             cache = SemanticCache(64 << 20) if cached else None
             return QueryEngine(
-                store, workers=3, cache=cache, clustered=clustered,
-                registry=registry,
+                store, workers=3, cache=cache, registry=registry
             )
 
         registry = MetricsRegistry()
@@ -339,7 +342,7 @@ class TestMetrics:
         with QueryEngine(store, workers=1) as engine:
             outcome = engine.run(request)
         metrics = outcome.metrics
-        assert metrics.nodes_visited >= 1
+        assert metrics.clusters_touched >= 1
         assert metrics.pages_read > 0
         assert metrics.logical_reads >= metrics.pages_read
         assert 0.0 <= metrics.cache_hit_rate <= 1.0
@@ -357,7 +360,7 @@ class TestMetrics:
             "engine.index_s",
             "engine.fetch_s",
             "engine.query_s",
-            "engine.nodes_visited",
+            "engine.clusters_touched",
             "engine.pages_read",
             "engine.cache_hit_rate",
         ):

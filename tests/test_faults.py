@@ -255,6 +255,35 @@ class TestFaultIsolation:
             assert outcome.attempts == 2  # 1 try + 1 retry.
         assert registry.counters()["engine.errors"] == len(requests)
 
+    def test_overload_degrade_with_unreadable_base_mesh_is_a_shed(
+        self, clean_injector
+    ):
+        """Failure-mode table, overload row: admission degrades a
+        request and the base-mesh fetch fails too — the outcome is
+        the typed ``OverloadShedError`` (not the fetch's error),
+        counted as an error and not as a degraded answer."""
+        from repro.core.admission import CostGovernor
+        from repro.errors import OverloadShedError
+
+        db, store = clean_injector
+        db.set_fault_injector(FaultInjector(error_rate=1.0, seed=1))
+        db.flush()
+        # Budget below any estimate, huge headroom: always degrade.
+        governor = CostGovernor(budget=0.5, degrade_headroom=1000.0)
+        registry = MetricsRegistry()
+        request = _random_uniform(store, random.Random(31))
+        with QueryEngine(
+            store, workers=1, governor=governor, registry=registry
+        ) as engine:
+            outcome = engine.submit(request).result(timeout=30)
+        assert isinstance(outcome.error, OverloadShedError)
+        assert outcome.result is None and not outcome.degraded
+        counters = registry.counters()
+        assert counters["engine.overload_degraded"] == 1
+        assert counters["engine.errors"] == 1
+        assert counters.get("engine.degraded", 0) == 0
+        assert governor.inflight_cost == 0.0
+
     def test_partial_faults_do_not_poison_siblings(self, clean_injector):
         db, store = clean_injector
         # Every read can fail; retry budget large enough that most
@@ -452,16 +481,6 @@ class TestDeadlines:
         assert isinstance(outcome.error, DeadlineExceededError)
         assert not outcome.degraded
         assert registry.counters()["engine.deadline_misses"] == 1
-
-    def test_degrade_disabled_fails_instead(self, clean_injector):
-        db, store = clean_injector
-        request = _random_uniform(store, random.Random(19))
-        with QueryEngine(
-            store, workers=1, deadline_s=1e-9, degrade=False
-        ) as engine:
-            outcome = engine.run(request)
-        assert not outcome.ok
-        assert isinstance(outcome.error, DeadlineExceededError)
 
     def test_generous_deadline_changes_nothing(self, clean_injector):
         db, store = clean_injector

@@ -1,7 +1,7 @@
 """End-to-end storage integrity: checksummed pages, scrub, repair.
 
-Covers the v2 page format (crc32 trailer, ``storage_meta.json`` flag,
-v1 legacy compat), the pager's corruption and error paths, the
+Covers the page format (crc32 trailer, ``storage_meta.json`` flag,
+retired layouts refused), the pager's corruption and error paths, the
 scrub/repair machinery behind ``python -m repro fsck``, the bounded
 :class:`PageQuarantine`, and the fsck CLI's exit codes.
 """
@@ -23,7 +23,6 @@ from repro.storage import (
     Database,
     DiskStats,
     HeapFile,
-    PAGE_FORMAT_V1,
     PAGE_FORMAT_V2,
     PageQuarantine,
     Pager,
@@ -85,8 +84,6 @@ class TestFormatFlag:
     def test_new_database_defaults_to_v2(self, tmp_path):
         path = tmp_path / "db"
         with Database(path) as db:
-            assert db.page_format == PAGE_FORMAT_V2
-            assert db.checksums
             assert db.payload_size == db.page_size - CHECKSUM_SIZE
             hf = HeapFile(db.segment("t"))
             rid = hf.insert(b"sealed payload")
@@ -95,36 +92,19 @@ class TestFormatFlag:
         )
         assert meta["page_format"] == PAGE_FORMAT_V2
         with Database(path) as db:
-            assert db.page_format == PAGE_FORMAT_V2
             assert HeapFile(db.segment("t")).read(rid) == b"sealed payload"
 
-    def test_legacy_directory_without_flag_is_v1(self, tmp_path):
+    def test_legacy_cannot_be_opened_as_v2(self, tmp_path, capsys):
+        """Segments with no format flag are a retired layout: opening
+        says to rebuild, and fsck reports structural damage."""
         path = tmp_path / "db"
-        with Database(path, page_format=PAGE_FORMAT_V1) as db:
-            hf = HeapFile(db.segment("t"))
-            rid = hf.insert(b"legacy payload")
-        # Pre-flag databases have segment files but no metadata.
-        (path / STORAGE_META_FILENAME).unlink()
         with Database(path) as db:
-            assert db.page_format == PAGE_FORMAT_V1
-            assert not db.checksums
-            assert db.payload_size == db.page_size
-            assert HeapFile(db.segment("t")).read(rid) == b"legacy payload"
-
-    def test_legacy_cannot_be_opened_as_v2(self, tmp_path):
-        path = tmp_path / "db"
-        with Database(path, page_format=PAGE_FORMAT_V1) as db:
             db.segment("t").allocate()
         (path / STORAGE_META_FILENAME).unlink()
-        with pytest.raises(StorageError):
-            Database(path, page_format=PAGE_FORMAT_V2)
-
-    def test_conflicting_format_request_rejected(self, tmp_path):
-        path = tmp_path / "db"
-        with Database(path):
-            pass  # Writes the v2 flag.
-        with pytest.raises(StorageError):
-            Database(path, page_format=PAGE_FORMAT_V1)
+        with pytest.raises(StorageError, match="rebuild"):
+            Database(path)
+        assert cli_main(["fsck", str(path)]) == 1
+        assert "!! structure:" in capsys.readouterr().out
 
     def test_page_size_mismatch_rejected(self, tmp_path):
         path = tmp_path / "db"
@@ -134,8 +114,16 @@ class TestFormatFlag:
             Database(path, page_size=4096)
 
     def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(StorageError):
-            Database(tmp_path / "db", page_format=3)
+        path = tmp_path / "db"
+        with Database(path):
+            pass
+        meta_path = path / STORAGE_META_FILENAME
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        for page_format in (1, 3):  # The retired layout, and a future one.
+            meta["page_format"] = page_format
+            meta_path.write_text(json.dumps(meta), encoding="utf-8")
+            with pytest.raises(StorageError, match="rebuild"):
+                Database(path)
 
 
 class TestCorruptReadPath:
@@ -183,16 +171,6 @@ class TestCorruptReadPath:
         with pytest.raises(PageCorruptionError):
             db.segment("t").fetch(0)
         assert registry.counters()["storage.crc_failures"] == 1
-        db.close()
-
-    def test_v1_reads_are_not_verified(self, tmp_path):
-        path = tmp_path / "db"
-        db = Database(path, page_format=PAGE_FORMAT_V1, pool_pages=8)
-        db.segment("t").allocate()
-        db.flush()
-        _flip_byte(path / "t.seg", 10)
-        db.segment("t").fetch(0)  # v1 has no trailer to check.
-        assert db.crc_failures == 0
         db.close()
 
 

@@ -514,6 +514,49 @@ class TestSessionResync:
         db.close()
 
 
+    def test_patch_committing_mid_update_resyncs_by_next_frame(
+        self, tmp_path, monkeypatch
+    ):
+        """An answer pinned before the patch cannot be its resync: the
+        session stays stale until a post-patch answer keyframes, and
+        the client then holds exactly a fresh answer's records."""
+        from repro.core.wire import FLAG_KEYFRAME, ClientMesh
+
+        dem = make_dem(4)
+        db = Database(tmp_path / "db")
+        ms = MutableStore.build(dem, db, prefix="dm", tile_verts=TILE_VERTS)
+        engine = QueryEngine(ms.store, epoch=ms.epoch, workers=2)
+        ms.attach(engine)
+        session = engine.sessions().open()
+        client = ClientMesh()
+        request = UniformRequest(EXTENT, ms.store.max_lod * 0.5)
+        client.apply(session.update(request).payload)
+        submit = engine.submit
+
+        def submit_then_patch(*args, **kwargs):
+            future = submit(*args, **kwargs)
+            future.result()
+            monkeypatch.setattr(engine, "submit", submit)
+            ms.apply_patch(
+                aligned_region(0, 0, 8, 8), patch_heights(0, 0, 8, 8, seed=2)
+            )
+            return future
+
+        monkeypatch.setattr(engine, "submit", submit_then_patch)
+        racing = session.update(request)
+        assert racing.outcome.metrics.epoch == 0 and engine.epoch == 1
+        client.apply(racing.payload)
+        assert session.stale
+        following = session.update(request)
+        assert following.frame.flags & FLAG_KEYFRAME
+        client.apply(following.payload)
+        assert not session.stale
+        fresh = engine.submit(request).result()
+        assert fresh.metrics.epoch == 1
+        assert client.records() == fresh.result.nodes
+        db.close()
+
+
 # -- fsck orphan handling end to end ------------------------------------------
 
 

@@ -266,9 +266,7 @@ class TestRunOpenLoop:
     def test_governed_run_sheds_and_validates(self, session_db):
         store = session_db["dm"]
         config = small_config(n_requests=40, offered_rate=5000.0)
-        governor = CostGovernor(
-            store.cost_model, budget=1.0, degrade_headroom=1.0
-        )
+        governor = CostGovernor(budget=1.0, degrade_headroom=1.0)
         # Saturate up front so every arrival sheds: the run must still
         # complete with zero errors and a valid report.
         governor.decide("filler", 1.0)
@@ -303,6 +301,26 @@ class TestSuggestBudget:
         four = suggest_budget(store, config, workers=4)
         assert one > 0
         assert four == pytest.approx(4 * one)
+
+    def test_priced_in_what_submit_charges(self, session_db):
+        """The budget is ``2 * workers * mean cost`` in the currency
+        ``submit`` debits the governor in (predicted run pages, floored
+        at one), not in the R*-tree DA the reference path reads."""
+        store = session_db["dm"]
+        config = small_config()
+        sample = 16
+        governor = CostGovernor(budget=1e9)
+        with QueryEngine(store, workers=2, governor=governor) as engine:
+            for request, tenant in islice(
+                build_workload(store, config), sample
+            ):
+                future = engine.submit(request, tenant=tenant)
+                assert future.result(timeout=30).ok
+            charged = engine.registry.histograms()["slo.estimated_cost"]
+        assert charged.count == sample and charged.min >= 1.0
+        assert suggest_budget(
+            store, config, workers=3, sample=sample
+        ) == pytest.approx(2 * 3 * charged.mean)
 
     def test_rejects_bad_workers(self, session_db):
         with pytest.raises(QueryError):

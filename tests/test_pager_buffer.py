@@ -26,7 +26,9 @@ class TestPager:
         assert page_no == 0
         data = bytearray(b"\xab" * 512)
         pager.write_page(page_no, data)
-        assert pager.read_page(page_no) == data
+        # The last CHECKSUM_SIZE bytes are the pager's crc trailer.
+        payload = pager.payload_size
+        assert pager.read_page(page_no)[:payload] == data[:payload]
         assert stats.physical_reads == 1
         assert stats.physical_writes == 2  # Allocation zero-fill + write.
 
@@ -50,7 +52,7 @@ class TestPager:
         p1.close()
         p2 = Pager(path, stats, page_size=256)
         assert p2.n_pages == 1
-        assert p2.read_page(0) == b"\x11" * 256
+        assert p2.read_page(0)[: p2.payload_size] == b"\x11" * p2.payload_size
         p2.close()
 
     def test_closed_pager_raises(self, tmp_path, stats):

@@ -8,6 +8,7 @@ invariants in the system.
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core.cost_model import MultiBasePlan
 from repro.geometry.plane import QueryPlane, RadialLodField
 from repro.geometry.primitives import Rect
 from repro.mesh.progressive import NULL_ID
@@ -95,6 +96,36 @@ class TestViewdepProperties:
         plane = QueryPlane(roi, lo, hi)
         sb = session_db["dm"].single_base_query(plane)
         assert set(sb.nodes) == viewdep_query_ref(ds.pm, plane)
+
+    @common
+    @given(
+        positions, positions, fractions, fractions,
+        st.sampled_from([(0.0, 1.0), (1.0, 0.0), (0.6, 0.8)]),
+    )
+    def test_forced_strip_plans_match_reference(
+        self, session_db, hills_dataset, cx, cy, lo_f, hi_f, direction
+    ):
+        """However many strips the plan is forced to, the merged answer
+        is the reference's, and ``retrieved`` is the sum over strips
+        (a strip-boundary node is fetched, and counted, twice)."""
+        ds = hills_dataset
+        roi = make_roi(ds, cx, cy, 0.4)
+        lo, hi = sorted(
+            (ds.pm.max_lod() * lo_f, ds.pm.max_lod() * hi_f)
+        )
+        plane = QueryPlane(roi, lo, hi, direction)
+        store = session_db["dm"]
+        reference = viewdep_query_ref(ds.pm, plane)
+        for parts in (1, 2, 4):
+            strips = plane.split_across_direction(parts)
+            mb = store.multi_base_query(
+                plane, plan=MultiBasePlan(strips, 0.0, 0.0)
+            )
+            assert set(mb.nodes) == reference
+            assert mb.n_range_queries == parts
+            assert mb.retrieved == sum(
+                store.single_base_query(strip).retrieved for strip in strips
+            )
 
     @common
     @given(positions, positions, st.floats(0.2, 5.0), fractions)

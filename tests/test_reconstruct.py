@@ -118,12 +118,13 @@ class TestRefinement:
         lod = ds.pm.average_lod()
         flat = QueryPlane(roi, lod, lod)
         cube_result = store.single_base_query(flat)
-        # Re-fetch everything the cube would grab, then refine.
+        # Re-fetch everything the cube would grab, then refine (lod is
+        # below e_cap by construction).
+        from repro.core.query import range_columns
         from repro.geometry.primitives import Box3
 
-        # reprolint: disable=R2 oracle probe; lod is below e_cap by construction
-        rids = store.rtree.search(Box3.from_rect(roi, lod, lod))
-        records = {r.id: r for r in store.read_records(rids)}
+        columns = range_columns(store, Box3.from_rect(roi, lod, lod))
+        records = {r.id: r for r in columns.records()}
         refined = refine_to_plane(records, flat)
         assert refined.active == set(cube_result.nodes)
 

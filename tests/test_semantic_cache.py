@@ -429,3 +429,19 @@ class TestRegionInvalidation:
         # Overflow clears the cache outright rather than letting the
         # staleness check under-approximate.
         assert cache.lookup(DISJOINT, epoch=PATCH_LOG_LIMIT + 1) is None
+
+    def test_patch_log_overflow_refuses_inserts_over_forgotten_regions(self):
+        """The reset log entry covers everywhere: a reader pinned
+        before a patch the overflow forgot cannot publish its cube."""
+        from repro.core.cache import PATCH_LOG_LIMIT
+
+        cache = SemanticCache(1 << 20)
+        for i in range(PATCH_LOG_LIMIT):  # Disjoint strips; #0 is x 0..1.
+            cache.begin_epoch(i + 1, Rect(2.0 * i, 0.0, 2.0 * i + 1.0, 1.0))
+        newest = PATCH_LOG_LIMIT + 1
+        cache.begin_epoch(newest, Rect(-9.0, -9.0, -8.0, -8.0))  # Overflows.
+        over_first = Box3(0.0, 0.0, 0.0, 1.0, 1.0, 1.0)
+        assert not cache.insert(over_first, make_columns(5), epoch=0)
+        assert cache.lookup(over_first, epoch=newest) is None
+        # A cube fetched at the newest epoch is still admitted.
+        assert cache.insert(over_first, make_columns(5), epoch=newest)

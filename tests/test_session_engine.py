@@ -171,7 +171,7 @@ class TestEngineSession:
         self, session_db, hills_dataset
     ):
         store = session_db["dm"]
-        governor = CostGovernor(store.cost_model, budget=0.5)
+        governor = CostGovernor(budget=0.5)
         with QueryEngine(
             store,
             workers=2,

@@ -215,11 +215,13 @@ class TestEngineUnderFaults:
             ok = sum(o.ok for o in outcomes)
             assert ok >= len(requests) * 0.9
 
-    def test_eight_workers_with_corruption(self, tmp_path):
+    def test_eight_workers_with_corruption(self, tmp_path, monkeypatch):
         """Corruption storm at workers=8: no exception escapes, every
         corrupted request surfaces as degraded or errored, the
-        quarantine stays bounded, and the checksum counter matches the
-        injector's fire count exactly."""
+        quarantine stays bounded though the storm offers it more pages
+        than it holds, and the checksum counter matches the injector's
+        fire count exactly."""
+        monkeypatch.setattr("repro.core.engine.QUARANTINE_CAP", 4)
         dataset = dataset_by_name("foothills", 1200, seed=23)
         # A pool too small for the working set keeps every worker doing
         # physical reads, so the injector fires reliably; a warm pool
@@ -244,12 +246,21 @@ class TestEngineUnderFaults:
                     )
                 )
             db.flush()
+            offered = set()
+            # No decoded-cluster cache: every request reads its runs
+            # from disk, so the storm touches far more pages than the
+            # quarantine holds.
             with QueryEngine(
-                store,
-                workers=STRESS_WORKERS,
-                retries=4,
-                quarantine_cap=16,
+                store, workers=STRESS_WORKERS, retries=4,
+                cluster_cache_bytes=1,
             ) as engine:
+                quarantine_add = engine.quarantine.add
+
+                def add(segment, page):
+                    offered.add((segment, page))
+                    return quarantine_add(segment, page)
+
+                monkeypatch.setattr(engine.quarantine, "add", add)
                 outcomes = engine.run_batch(requests)
             db.set_fault_injector(None)
             assert len(outcomes) == len(requests)
@@ -263,7 +274,8 @@ class TestEngineUnderFaults:
                         (PageCorruptionError, TransientIOError),
                     )
             assert injector.corruptions_injected > 0
-            assert len(engine.quarantine) <= engine.quarantine.capacity
+            assert len(offered) > engine.quarantine.capacity == 4
+            assert len(engine.quarantine) == engine.quarantine.capacity
             assert db.crc_failures == injector.corruptions_injected
 
 
