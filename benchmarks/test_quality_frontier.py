@@ -34,7 +34,7 @@ def test_quality_vs_da(benchmark, env_2m, workload_2m):
             result = env.dm.uniform_query(roi, lod)
             da = env.database.disk_accesses
             vertices, triangles = result.vertex_mesh()
-            if not triangles:
+            if len(triangles) == 0:
                 continue
             err = measure_against_field(
                 vertices, triangles, ds.field, samples_per_side=30

@@ -248,8 +248,9 @@ class LazyInitRule(Rule):
 
     In a lock-owning class, ``if self._x is None: self._x = ...`` is a
     publication race unless (a) it already runs under the lock, or
-    (b) the body takes the lock and re-checks before assigning —
-    exactly the ``DMQueryResult._edges`` fix.
+    (b) the body takes the lock and re-checks before assigning.  A
+    class that owns no lock is out of scope: ``DMQueryResult``
+    memoises an immutable array compute-then-assign.
     """
 
     id = "R3"

@@ -10,8 +10,10 @@ Public surface:
   reconstruction (edges/triangles) straight from connection lists;
 * :class:`~repro.core.cost_model.RTreeCostModel` -- the I/O cost model
   and multi-base optimiser (paper formulas (1)-(9));
-* :mod:`repro.core.reconstruct` -- Algorithm 1's refinement steps and
-  triangle extraction;
+* :mod:`repro.core.reconstruct` -- the edge/triangle array kernels
+  (:func:`mesh_edges`, :func:`mesh_triangles` over a
+  :class:`MeshArrays`; :func:`pack_records` for record dicts), their
+  scalar oracle, and Algorithm 1's refinement steps;
 * :class:`~repro.core.engine.QueryEngine` -- concurrent batched query
   execution with per-query metrics (the serving path);
 * :class:`~repro.core.admission.CostGovernor` -- cost-based admission
@@ -49,9 +51,13 @@ from repro.core.query import (
     uniform_query,
 )
 from repro.core.reconstruct import (
+    MeshArrays,
     RefinementResult,
     mesh_edges,
+    mesh_edges_scalar,
     mesh_triangles,
+    mesh_triangles_scalar,
+    pack_records,
     refine_to_plane,
     resolve_overlaps,
 )
@@ -76,6 +82,7 @@ __all__ = [
     "SemanticCache",
     "SessionManager",
     "DirectMeshStore",
+    "MeshArrays",
     "MultiBasePlan",
     "QueryEngine",
     "QueryExplanation",
@@ -95,8 +102,11 @@ __all__ = [
     "encode_frame",
     "explain",
     "mesh_edges",
+    "mesh_edges_scalar",
     "mesh_triangles",
+    "mesh_triangles_scalar",
     "multi_base_query",
+    "pack_records",
     "refine_to_plane",
     "resolve_overlaps",
     "single_base_query",

@@ -117,7 +117,6 @@ from repro.obs.lockwatch import watched_lock
 from repro.storage.integrity import PageQuarantine
 from repro.storage.record import (
     DMNodeColumns,
-    DMNodeRecord,
     concat_dm_columns,
 )
 
@@ -156,9 +155,9 @@ class UniformRequest:
         :func:`~repro.core.query.clamp_lod`)."""
         return plane_box(self.roi, self.lod, e_cap)
 
-    def filter(self, columns: DMNodeColumns) -> dict[int, DMNodeRecord]:
-        """Apply the uniform-query predicate to a fetched columnar
-        page."""
+    def filter(self, columns: DMNodeColumns) -> DMQueryResult:
+        """The uniform-query predicate's answer from a fetched
+        columnar page."""
         return filter_uniform_columnar(columns, self.roi, self.lod)
 
 
@@ -173,8 +172,8 @@ class SingleBaseRequest:
         ``e_cap`` like :meth:`UniformRequest.query_box`)."""
         return plane_cube(self.plane, e_cap)
 
-    def filter(self, columns: DMNodeColumns) -> dict[int, DMNodeRecord]:
-        """Apply the plane predicate to a fetched columnar page."""
+    def filter(self, columns: DMNodeColumns) -> DMQueryResult:
+        """The plane predicate's answer from a fetched columnar page."""
         return filter_to_plane_columnar(columns, self.plane)
 
 
@@ -627,9 +626,7 @@ class QueryEngine:
         """
         started = time.perf_counter()
         served = request if coarse is None else coarse
-        result = DMQueryResult(
-            nodes=served.filter(columns), retrieved=len(columns)
-        )
+        result = served.filter(columns)
         filter_s = time.perf_counter() - started
         metrics = QueryMetrics(
             filter_s=filter_s, total_s=filter_s, cached=True, epoch=epoch
@@ -845,9 +842,7 @@ class QueryEngine:
             fetched = self._fetch_clustered(job.box, snap)
             records = fetched.columns
             fetch_done = time.perf_counter()
-            result = DMQueryResult(
-                nodes=served.filter(records), retrieved=len(records)
-            )
+            result = served.filter(records)
         finished = time.perf_counter()
         if self._cache is not None:
             self._cache.insert(job.box, records, epoch=snap.epoch)

@@ -23,14 +23,20 @@ accesses are *not* reset here: callers scope measurements with
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.cost_model import MultiBasePlan
-from repro.core.reconstruct import mesh_edges, mesh_triangles
+from repro.core.reconstruct import (
+    KERNEL_MIN_NODES,
+    IdArray,
+    MeshArrays,
+    mesh_edges,
+    mesh_triangles,
+    pack_records,
+)
 from repro.errors import QueryError
 from repro.geometry.plane import QueryPlane
 from repro.geometry.primitives import Box3, Rect
@@ -72,43 +78,65 @@ class DMQueryResult:
         n_range_queries: how many index range queries ran (1 for
             uniform/single-base; the plan size for multi-base).
         plan: the multi-base plan, when one was used.
+        arrays: ``nodes`` as the columns reconstruction reads (same
+            rows, same order).  The filters gather them from the page
+            they mask when the answer is large enough for the kernels;
+            any other result packs them from ``nodes`` on first use.
+
+    :meth:`edges` and :meth:`triangles` return node ids as sorted
+    ``int64`` arrays — ``(k, 2)`` pairs ``a < b`` and ``(m, 3)``
+    triples ``a < b < c``, rows in lexicographic order — computed once
+    per result.  The memo is filled compute-then-assign, so a result
+    read from several threads (it is built on an engine worker and
+    handed out through a future) never shows a half-built array; two
+    racing readers compute equal arrays and one wins.
     """
 
     nodes: dict[int, DMNodeRecord]
     retrieved: int
     n_range_queries: int = 1
     plan: MultiBasePlan | None = None
-    _edges: set[tuple[int, int]] | None = field(default=None, repr=False)
-    _edges_lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
+    arrays: MeshArrays | None = field(default=None, repr=False, compare=False)
+    _edges: IdArray | None = field(default=None, repr=False, compare=False)
+    _triangles: IdArray | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def edges(self) -> set[tuple[int, int]]:
-        """Approximation edges (computed once, cached).
+    def _mesh_arrays(self) -> MeshArrays:
+        arrays = self.arrays
+        if arrays is None:
+            arrays = self.arrays = pack_records(self.nodes)
+        return arrays
 
-        Callers may read one result from several threads (it is built
-        on an engine worker and handed out through a future), so the
-        lazy cache is filled compute-then-assign under a lock: every
-        caller sees the *same* fully built set, never a partially
-        initialised one.
+    def edges(self) -> IdArray:
+        """Approximation edges, ``(k, 2)`` sorted id pairs."""
+        edges = self._edges
+        if edges is None:
+            edges = self._edges = mesh_edges(self._mesh_arrays())
+        return edges
+
+    def triangles(self) -> IdArray:
+        """Approximation triangles (angular extraction), ``(m, 3)``
+        sorted id triples.
+
+        Answers under :data:`~repro.core.reconstruct.KERNEL_MIN_NODES`
+        nodes are rebuilt from the record dict by the scalar oracle,
+        which is cheaper and steadier than the kernel's fixed cost
+        there; the arrays are the same.
         """
-        cached = self._edges
-        if cached is not None:
-            return cached
-        with self._edges_lock:
-            if self._edges is None:
-                self._edges = mesh_edges(self.nodes)
-            return self._edges
-
-    def triangles(self) -> list[tuple[int, int, int]]:
-        """Approximation triangles (angular extraction)."""
-        return mesh_triangles(self.nodes, self.edges())
+        triangles = self._triangles
+        if triangles is not None:
+            return triangles
+        if len(self.nodes) < KERNEL_MIN_NODES:
+            triangles = mesh_triangles(self.nodes)
+        else:
+            triangles = mesh_triangles(self._mesh_arrays(), self.edges())
+        self._triangles = triangles
+        return triangles
 
     def points(self) -> list[tuple[float, float, float]]:
-        """The approximation's 3D points (arbitrary stable order)."""
+        """The approximation's 3D points, by ascending node id."""
         return [
             (rec.x, rec.y, rec.z)
             for _, rec in sorted(self.nodes.items())
@@ -116,19 +144,13 @@ class DMQueryResult:
 
     def vertex_mesh(
         self,
-    ) -> tuple[list[tuple[float, float, float]], list[tuple[int, int, int]]]:
+    ) -> tuple[list[tuple[float, float, float]], IdArray]:
         """``(vertices, triangles)`` with dense vertex indices — ready
-        for :func:`repro.terrain.io.write_obj`."""
-        ids = sorted(self.nodes)
-        index = {nid: i for i, nid in enumerate(ids)}
-        vertices = [
-            (self.nodes[nid].x, self.nodes[nid].y, self.nodes[nid].z)
-            for nid in ids
-        ]
-        triangles = [
-            (index[a], index[b], index[c]) for a, b, c in self.triangles()
-        ]
-        return vertices, triangles
+        for :func:`repro.terrain.io.write_obj`.  ``vertices`` is
+        :meth:`points`; a triangle row indexes into it."""
+        ids = np.array(sorted(self.nodes), np.int64)
+        faces = np.searchsorted(ids, self.triangles())
+        return self.points(), faces.astype(np.int64, copy=False)
 
 
 def clamp_lod(e: float, e_cap: float | None) -> float:
@@ -194,8 +216,7 @@ def uniform_query(
     if lod < 0:
         raise QueryError(f"LOD must be non-negative, got {lod}")
     columns = range_columns(store, plane_box(roi, lod, store.e_cap))
-    nodes = filter_uniform_columnar(columns, roi, lod)
-    return DMQueryResult(nodes=nodes, retrieved=len(columns))
+    return filter_uniform_columnar(columns, roi, lod)
 
 
 def single_base_query(
@@ -210,8 +231,7 @@ def single_base_query(
     cap; the plane filter uses the real LOD values).
     """
     columns = range_columns(store, plane_cube(plane, store.e_cap))
-    nodes = filter_to_plane_columnar(columns, plane)
-    return DMQueryResult(nodes=nodes, retrieved=len(columns))
+    return filter_to_plane_columnar(columns, plane)
 
 
 def multi_base_query(
@@ -238,22 +258,40 @@ def multi_base_query(
     # Keep the first row per node id (a boundary node is in two strips).
     first = np.zeros(len(merged), np.bool_)
     first[np.unique(merged.ids, return_index=True)[1]] = True
-    nodes = filter_to_plane_columnar(merged.select(first), plane)
-    return DMQueryResult(
-        nodes=nodes,
-        retrieved=sum(len(strip) for strip in strips),
-        n_range_queries=len(plan.strips),
-        plan=plan,
-    )
+    result = filter_to_plane_columnar(merged.select(first), plane)
+    result.retrieved = sum(len(strip) for strip in strips)
+    result.n_range_queries = len(plan.strips)
+    result.plan = plan
+    return result
 
 
 # -- the filters --------------------------------------------------------------
 #
 # Each predicate runs as one array mask over a
 # :class:`~repro.storage.record.DMNodeColumns` page and only surviving
-# rows are materialised into records.  ``tests/test_columnar.py`` holds
-# them to the record-level predicate (``DMNodeRecord.interval_contains``
-# + ``Rect.contains_point``).
+# rows become the answer.  ``tests/test_columnar.py`` holds them to
+# the record-level predicate (``DMNodeRecord.interval_contains`` +
+# ``Rect.contains_point``).
+
+
+def _answer(
+    columns: "DMNodeColumns", mask: "npt.NDArray[np.bool_]"
+) -> DMQueryResult:
+    """The rows where ``mask`` holds, as a result: the eager record
+    dict and, for an answer the kernels will rebuild, the five columns
+    they read — gathered here, so that the answer does not keep the
+    page it was cut from alive."""
+    nodes = columns.materialize(mask)
+    arrays = None
+    if len(nodes) >= KERNEL_MIN_NODES:
+        rows = np.flatnonzero(mask)
+        arrays = MeshArrays(
+            columns.ids[rows], columns.x[rows], columns.y[rows],
+            *columns.connections_of(rows),
+        )
+    return DMQueryResult(
+        nodes=nodes, retrieved=len(columns), arrays=arrays
+    )
 
 
 def _roi_mask(
@@ -269,19 +307,19 @@ def _roi_mask(
 
 def filter_uniform_columnar(
     columns: "DMNodeColumns", roi: Rect, lod: float
-) -> dict[int, DMNodeRecord]:
+) -> DMQueryResult:
     """The uniform-query predicate: half-open LOD interval over
     ``roi``.  Shared by :func:`uniform_query` and the engine so both
     return identical approximations."""
     mask = (
         (columns.e_low <= lod) & (lod < columns.e_high) & _roi_mask(columns, roi)
     )
-    return columns.materialize(mask)
+    return _answer(columns, mask)
 
 
 def filter_to_plane_columnar(
     columns: "DMNodeColumns", plane: QueryPlane
-) -> dict[int, DMNodeRecord]:
+) -> DMQueryResult:
     """The viewpoint-dependent predicate: each node's interval must
     contain the plane's required LOD at the node's position.
 
@@ -304,4 +342,4 @@ def filter_to_plane_columnar(
         & (required < columns.e_high)
         & _roi_mask(columns, plane.roi)
     )
-    return columns.materialize(mask)
+    return _answer(columns, mask)

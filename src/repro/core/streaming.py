@@ -33,7 +33,12 @@ from typing import TYPE_CHECKING
 
 from repro.core.cache import PATCH_LOG_LIMIT
 from repro.core.query import DMQueryResult
-from repro.core.reconstruct import mesh_edges, mesh_triangles
+from repro.core.reconstruct import (
+    IdArray,
+    mesh_edges,
+    mesh_triangles,
+    pack_records,
+)
 from repro.core.wire import (
     FLAG_DEGRADED,
     FLAG_KEYFRAME,
@@ -123,10 +128,13 @@ class TerrainSession:
         """Number of updates applied."""
         return self._updates
 
-    def mesh(self) -> tuple[set[tuple[int, int]], list[tuple[int, int, int]]]:
-        """The client's current ``(edges, triangles)``."""
-        edges = mesh_edges(self._active)
-        return edges, mesh_triangles(self._active, edges)
+    def mesh(self) -> tuple[IdArray, IdArray]:
+        """The client's current ``(edges, triangles)``: sorted
+        ``(k, 2)`` / ``(m, 3)`` node-id arrays, as
+        :class:`~repro.core.query.DMQueryResult` returns them."""
+        arrays = pack_records(self._active)
+        edges = mesh_edges(arrays)
+        return edges, mesh_triangles(arrays, edges)
 
     # -- updates ------------------------------------------------------------
 

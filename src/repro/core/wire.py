@@ -44,7 +44,12 @@ import zlib
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.reconstruct import mesh_edges, mesh_triangles
+from repro.core.reconstruct import (
+    IdArray,
+    mesh_edges,
+    mesh_triangles,
+    pack_records,
+)
 from repro.errors import RecordError, SessionError
 from repro.storage.record import (
     DMNodeRecord,
@@ -299,10 +304,13 @@ class ClientMesh:
         """A snapshot of the client's records by id."""
         return dict(self._nodes)
 
-    def mesh(self) -> tuple[set[tuple[int, int]], list[tuple[int, int, int]]]:
-        """The client's current ``(edges, triangles)``."""
-        edges = mesh_edges(self._nodes)
-        return edges, mesh_triangles(self._nodes, edges)
+    def mesh(self) -> tuple[IdArray, IdArray]:
+        """The client's current ``(edges, triangles)``: sorted
+        ``(k, 2)`` / ``(m, 3)`` node-id arrays, as
+        :class:`~repro.core.query.DMQueryResult` returns them."""
+        arrays = pack_records(self._nodes)
+        edges = mesh_edges(arrays)
+        return edges, mesh_triangles(arrays, edges)
 
     # -- splicing ----------------------------------------------------------
 

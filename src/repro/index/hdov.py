@@ -40,7 +40,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 
-from repro.core.reconstruct import mesh_triangles
+from repro.core.reconstruct import mesh_triangles, pack_records
 from repro.errors import IndexError_, QueryError, StorageError
 from repro.geometry.plane import QueryPlane
 from repro.geometry.primitives import Rect
@@ -324,7 +324,7 @@ class LodRTree(HDoVTree):
 
 
 class _RecordView:
-    """Adapter giving :func:`mesh_triangles` what it needs from PMNodes."""
+    """Adapter giving :func:`pack_records` what it needs from PMNodes."""
 
     __slots__ = ("x", "y", "connections")
 
@@ -375,7 +375,8 @@ class _Builder:
                     nid: _RecordView(pm.node(nid), connections.get(nid, []))
                     for nid in cut
                 }
-                for tri in mesh_triangles(view):
+                triangles = mesh_triangles(pack_records(view)).tolist()
+                for tri in map(tuple, triangles):
                     ax = sum(pm.node(v).x for v in tri) / 3
                     ay = sum(pm.node(v).y for v in tri) / 3
                     ix, iy = self._tile_of(ax, ay)

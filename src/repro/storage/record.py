@@ -349,6 +349,22 @@ class DMNodeColumns:
             [int(c) for c in self.conn_flat[lo:hi]],
         )
 
+    def connections_of(
+        self, indices: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(conn_offsets, conn_flat)`` of rows ``indices``: their
+        CSR connection lists gathered and re-based, in that order."""
+        starts = self.conn_offsets[indices]
+        lengths = self.conn_offsets[indices + 1] - starts
+        offsets = np.zeros(indices.size + 1, np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        total = int(offsets[-1])
+        if not total:
+            return offsets, self.conn_flat[:0]
+        gather = np.repeat(starts - offsets[:-1], lengths)
+        gather += np.arange(total, dtype=np.int64)
+        return offsets, self.conn_flat[gather]
+
     def materialize(self, mask: np.ndarray) -> dict[int, DMNodeRecord]:
         """Rows where ``mask`` holds, as an id-keyed record dict.
 
@@ -395,17 +411,7 @@ class DMNodeColumns:
         indices = np.flatnonzero(mask)
         if indices.size == len(self):
             return self
-        starts = self.conn_offsets[indices]
-        lengths = self.conn_offsets[indices + 1] - starts
-        offsets = np.zeros(indices.size + 1, np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        total = int(offsets[-1])
-        if total:
-            gather = np.repeat(starts - offsets[:-1], lengths)
-            gather += np.arange(total, dtype=np.int64)
-            flat = self.conn_flat[gather]
-        else:
-            flat = self.conn_flat[:0]
+        offsets, flat = self.connections_of(indices)
         return DMNodeColumns(
             ids=self.ids[indices],
             x=self.x[indices],

@@ -55,7 +55,7 @@ def surface_sampler(
     interpolation with a uniform-grid spatial index over triangles
     (fast enough for tens of thousands of queries).
     """
-    if not triangles:
+    if len(triangles) == 0:
         raise ReproError("cannot sample a surface with no triangles")
     xs = [v[0] for v in vertices]
     ys = [v[1] for v in vertices]

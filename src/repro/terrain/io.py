@@ -8,9 +8,10 @@ and tests produce.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
+import numpy.typing as npt
 
 from repro.errors import DatasetError
 from repro.mesh.trimesh import TriMesh
@@ -105,12 +106,14 @@ def write_obj(
     path: str | Path,
     mesh: TriMesh | None = None,
     vertices: Sequence[tuple[float, float, float]] | None = None,
-    triangles: Sequence[tuple[int, int, int]] | None = None,
+    triangles: (
+        Sequence[tuple[int, int, int]] | npt.NDArray[np.integer[Any]] | None
+    ) = None,
 ) -> None:
     """Write a mesh as Wavefront OBJ (1-based indices).
 
-    Pass either ``mesh`` or explicit ``vertices``/``triangles`` (e.g. a
-    reconstructed query result).
+    Pass either ``mesh`` or explicit ``vertices``/``triangles`` — rows
+    of three, e.g. what :meth:`DMQueryResult.vertex_mesh` returns.
     """
     if mesh is not None:
         vertices = mesh.vertices

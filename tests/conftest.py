@@ -11,11 +11,13 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.baselines.pm_db import PMStore
 from repro.core.connectivity import build_connection_lists
 from repro.core.direct_mesh import DirectMeshStore
+from repro.core.reconstruct import mesh_edges_scalar, mesh_triangles_scalar
 from repro.index.hdov import HDoVTree
 from repro.mesh.simplify import SimplifyConfig, simplify_to_pm
 from repro.mesh.trimesh import TriMesh
@@ -73,6 +75,23 @@ def hills_dataset() -> TerrainDataset:
     return TerrainDataset(
         "hills", field, mesh, pm, build_connection_lists(pm)
     )
+
+
+def oracle_mesh(nodes) -> tuple[np.ndarray, np.ndarray]:
+    """The scalar oracle's ``(edges, triangles)`` of a record dict, in
+    the kernels' return shape: sorted ``(k, 2)`` / ``(m, 3)`` int64."""
+    pairs = mesh_edges_scalar(nodes)
+    return (
+        np.array(sorted(pairs), np.int64).reshape(-1, 2),
+        np.array(mesh_triangles_scalar(nodes, pairs), np.int64).reshape(-1, 3),
+    )
+
+
+def assert_same_rows(got: np.ndarray, want: np.ndarray) -> None:
+    """``got`` is ``want``: same dtype, shape, rows and row order."""
+    assert got.dtype == np.int64
+    assert got.shape == want.shape
+    assert got.tolist() == want.tolist()
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,9 @@ from pathlib import Path
 import pytest
 
 from repro.cli import _build_parser, main
+from repro.core import DirectMeshStore, mesh_triangles_scalar
+from repro.geometry.primitives import Rect
+from repro.storage import Database
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -83,8 +86,27 @@ class TestQuery:
             ]
         )
         assert code == 0
-        assert obj.exists()
         assert "wrote" in capsys.readouterr().out
+        # The export is the scalar oracle's mesh, byte for byte.
+        database = Database(built_db)
+        try:
+            nodes = DirectMeshStore.open(database).uniform_query(
+                Rect(1000, 1000, 3000, 3000), 1.0
+            ).nodes
+        finally:
+            database.close()
+        index = {nid: i + 1 for i, nid in enumerate(sorted(nodes))}
+        lines = ["# Direct Mesh reproduction export"]
+        lines += [
+            f"v {rec.x:.6f} {rec.y:.6f} {rec.z:.6f}"
+            for _, rec in sorted(nodes.items())
+        ]
+        lines += [
+            f"f {index[a]} {index[b]} {index[c]}"
+            for a, b, c in mesh_triangles_scalar(nodes)
+        ]
+        assert len(lines) > len(nodes) + 1
+        assert obj.read_text(encoding="ascii") == "\n".join(lines) + "\n"
 
     def test_viewdep(self, built_db, capsys):
         code = main(

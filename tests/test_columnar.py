@@ -6,8 +6,9 @@ The contract: for *any* record set and any query,
 node-id-identical output (in fact identical record dicts) to
 ``decode_dm_node`` + the paper's per-record predicate
 (``DMNodeRecord.interval_contains`` over ``Rect.contains_point``,
-spelled out in :func:`_expected`), and ``mesh_edges_np`` matches
-``mesh_edges_scalar``.  Hypothesis drives randomized record stores,
+spelled out in :func:`_expected`), and the ``mesh_edges`` kernel over
+the filter's gathered arrays matches ``mesh_edges_scalar`` over its
+records.  Hypothesis drives randomized record stores,
 ROIs, LODs, planes and radial fields through both paths — including
 half-open interval boundaries, roots with infinite ``e_high``, empty
 ROIs, and LODs above the store's ``e_cap``.
@@ -27,8 +28,8 @@ from repro.core.query import (
 )
 from repro.core.reconstruct import (
     mesh_edges,
-    mesh_edges_np,
     mesh_edges_scalar,
+    pack_records,
 )
 from repro.errors import RecordError
 from repro.geometry.plane import QueryPlane, RadialLodField
@@ -140,7 +141,7 @@ class TestFilterParity:
         roi = Rect.centered(cx, cy, w, h)
         assert _expected(
             records, roi, lambda x, y: lod
-        ) == filter_uniform_columnar(columns, roi, lod)
+        ) == filter_uniform_columnar(columns, roi, lod).nodes
 
     @common
     @given(st.integers(0, 1199))
@@ -152,7 +153,7 @@ class TestFilterParity:
             if lod == LOD_INFINITY:
                 continue
             scalar = _expected(records, roi, lambda x, y: lod)
-            vector = filter_uniform_columnar(columns, roi, lod)
+            vector = filter_uniform_columnar(columns, roi, lod).nodes
             assert scalar == vector
 
     @common
@@ -167,7 +168,7 @@ class TestFilterParity:
         plane = QueryPlane(roi, min(e_a, e_b), max(e_a, e_b), (dx, dy))
         assert _expected(
             records, roi, plane.required_lod
-        ) == filter_to_plane_columnar(columns, plane)
+        ) == filter_to_plane_columnar(columns, plane).nodes
 
     @common
     @given(positions, positions, spans, spans, positions, positions,
@@ -180,16 +181,16 @@ class TestFilterParity:
         field = RadialLodField(roi, (vx, vy), rate, e_min=0.1, e_max=4.0)
         assert _expected(
             records, roi, field.required_lod
-        ) == filter_to_plane_columnar(columns, field)
+        ) == filter_to_plane_columnar(columns, field).nodes
 
     def test_empty_roi(self, record_universe):
         """A degenerate ROI far outside the data keeps both paths empty."""
         records, columns = record_universe
         roi = Rect(100.0, 100.0, 100.0, 100.0)
         assert _expected(records, roi, lambda x, y: 1.0) == {}
-        assert filter_uniform_columnar(columns, roi, 1.0) == {}
+        assert filter_uniform_columnar(columns, roi, 1.0).nodes == {}
         plane = QueryPlane(roi, 0.5, 2.0)
-        assert filter_to_plane_columnar(columns, plane) == {}
+        assert filter_to_plane_columnar(columns, plane).nodes == {}
 
     def test_plane_without_batch_kernel_falls_back(self, record_universe):
         """LOD fields lacking ``required_lod_batch`` still vectorize."""
@@ -205,7 +206,11 @@ class TestFilterParity:
         field = OddField()
         assert _expected(
             records, field.roi, field.required_lod
-        ) == filter_to_plane_columnar(columns, field)
+        ) == filter_to_plane_columnar(columns, field).nodes
+
+
+def _edge_set(edges: np.ndarray) -> set[tuple[int, int]]:
+    return set(map(tuple, edges.tolist()))
 
 
 class TestEdgeExtractionParity:
@@ -214,16 +219,22 @@ class TestEdgeExtractionParity:
     def test_edges_match_scalar(self, record_universe, lod, size_f):
         records, columns = record_universe
         roi = Rect.centered(0.0, 0.0, 24.0 * size_f, 24.0 * size_f)
-        nodes = filter_uniform_columnar(columns, roi, lod)
-        assert mesh_edges_np(nodes) == mesh_edges_scalar(nodes)
-        assert mesh_edges(nodes) == mesh_edges_scalar(nodes)
+        result = filter_uniform_columnar(columns, roi, lod)
+        reference = mesh_edges_scalar(result.nodes)
+        packed = pack_records(result.nodes)
+        assert _edge_set(mesh_edges(packed)) == reference
+        assert _edge_set(result.edges()) == reference
+        if result.arrays is not None:
+            # What the filter gathered is the records' own columns.
+            for got, want in zip(result.arrays, packed):
+                assert got.tolist() == want.tolist()
 
     def test_empty_and_connectionless(self):
-        assert mesh_edges_np({}) == set()
+        assert mesh_edges(pack_records({})).shape == (0, 2)
         payloads = _make_payloads(seed=9, n=3)
         records = [decode_dm_node(p) for p in payloads]
         for rec in records:
             rec.connections = []
         nodes = {rec.id: rec for rec in records}
-        assert mesh_edges_np(nodes) == set() == mesh_edges_scalar(nodes)
-
+        assert mesh_edges(pack_records(nodes)).shape == (0, 2)
+        assert mesh_edges_scalar(nodes) == set()

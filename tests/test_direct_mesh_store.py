@@ -56,7 +56,7 @@ class TestMeshReconstruction:
         roi = ds.bounds().scaled(0.4)
         result = store.uniform_query(roi, ds.pm.average_lod())
         ids = set(result.nodes)
-        for a, b in result.edges():
+        for a, b in result.edges().tolist():
             assert a in ids and b in ids
 
     def test_edge_counts_planar(self, setup):
@@ -72,9 +72,9 @@ class TestMeshReconstruction:
         _, store, ds = setup
         roi = ds.bounds().scaled(0.4)
         result = store.uniform_query(roi, ds.pm.average_lod())
-        tris = result.triangles()
+        tris = result.triangles().tolist()
         assert tris
-        edges = result.edges()
+        edges = set(map(tuple, result.edges().tolist()))
         for a, b, c in tris:
             assert len({a, b, c}) == 3
             for u, v in ((a, b), (b, c), (a, c)):
@@ -85,7 +85,7 @@ class TestMeshReconstruction:
         roi = ds.bounds().scaled(0.4)
         result = store.uniform_query(roi, ds.pm.average_lod())
         degenerate = 0
-        for a, b, c in result.triangles():
+        for a, b, c in result.triangles().tolist():
             na, nb, nc = (result.nodes[i] for i in (a, b, c))
             if orient2d(na.x, na.y, nb.x, nb.y, nc.x, nc.y) == 0:
                 degenerate += 1
@@ -97,7 +97,7 @@ class TestMeshReconstruction:
         result = store.uniform_query(roi, ds.pm.average_lod())
         vertices, triangles = result.vertex_mesh()
         assert len(vertices) == len(result.nodes)
-        for tri in triangles:
+        for tri in triangles.tolist():
             assert all(0 <= idx < len(vertices) for idx in tri)
 
 

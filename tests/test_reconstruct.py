@@ -1,14 +1,32 @@
 """Tests for mesh reconstruction and Algorithm 1's refinement."""
 
+import math
+import random
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import repro.core as core
+from repro.core import query as query_module
+from repro.core.query import DMQueryResult, filter_uniform_columnar
 from repro.core.reconstruct import (
+    KERNEL_MIN_NODES,
+    MeshArrays,
     mesh_edges,
+    mesh_edges_scalar,
     mesh_triangles,
+    mesh_triangles_scalar,
+    pack_records,
     refine_to_plane,
     resolve_overlaps,
 )
 from repro.geometry.plane import QueryPlane
 from repro.geometry.primitives import Rect
 from repro.storage.record import DMNodeRecord
+from tests.conftest import assert_same_rows, oracle_mesh
+from tests.test_columnar import record_universe  # noqa: F401  (a fixture)
 
 
 def rec(node_id, x, y, e_low, e_high, conn, parent=-1, children=(-1, -1)):
@@ -28,6 +46,27 @@ def rec(node_id, x, y, e_low, e_high, conn, parent=-1, children=(-1, -1)):
     )
 
 
+def kernel_mesh(nodes):
+    """``(edges, triangles)`` of a record dict through the packer and
+    the array kernels."""
+    arrays = pack_records(nodes)
+    edges = mesh_edges(arrays)
+    return edges, mesh_triangles(arrays, edges)
+
+
+def assert_kernel_is_oracle(nodes):
+    edges, triangles = kernel_mesh(nodes)
+    want_edges, want_triangles = oracle_mesh(nodes)
+    assert_same_rows(edges, want_edges)
+    assert_same_rows(triangles, want_triangles)
+    # Without the caller's edges the kernel finds its own.
+    assert_same_rows(mesh_triangles(pack_records(nodes)), want_triangles)
+    # Handed the record dict itself, the entry points run the oracle.
+    assert_same_rows(mesh_edges(nodes), want_edges)
+    assert_same_rows(mesh_triangles(nodes), want_triangles)
+    assert_same_rows(mesh_triangles(nodes, want_edges), want_triangles)
+
+
 class TestEdgesTriangles:
     def test_square_with_diagonal(self):
         nodes = {
@@ -36,32 +75,52 @@ class TestEdgesTriangles:
             2: rec(2, 1, 1, 0, 1, [0, 1, 3]),
             3: rec(3, 0, 1, 0, 1, [0, 2]),
         }
-        edges = mesh_edges(nodes)
-        assert edges == {(0, 1), (1, 2), (0, 2), (2, 3), (0, 3)}
-        tris = mesh_triangles(nodes, edges)
-        assert sorted(tris) == [(0, 1, 2), (0, 2, 3)]
+        edges, tris = kernel_mesh(nodes)
+        assert edges.tolist() == [[0, 1], [0, 2], [0, 3], [1, 2], [2, 3]]
+        assert tris.tolist() == [[0, 1, 2], [0, 2, 3]]
+        assert_kernel_is_oracle(nodes)
 
     def test_edges_need_mutual_presence(self):
         nodes = {
             0: rec(0, 0, 0, 0, 1, [1, 99]),  # 99 absent.
             1: rec(1, 1, 0, 0, 1, [0]),
         }
-        assert mesh_edges(nodes) == {(0, 1)}
+        assert mesh_edges(pack_records(nodes)).tolist() == [[0, 1]]
+        assert mesh_edges_scalar(nodes) == {(0, 1)}
+
+    def test_one_directional_entry_is_an_edge(self):
+        """Union semantics: one endpoint listing the other suffices."""
+        nodes = {
+            0: rec(0, 0, 0, 0, 1, [1]),
+            1: rec(1, 1, 0, 0, 1, []),
+        }
+        assert mesh_edges(pack_records(nodes)).tolist() == [[0, 1]]
+        assert mesh_edges_scalar(nodes) == {(0, 1)}
+
+    def test_self_reference_is_no_edge(self):
+        nodes = {
+            0: rec(0, 0, 0, 0, 1, [0, 1]),
+            1: rec(1, 1, 0, 0, 1, [1]),
+        }
+        assert mesh_edges(pack_records(nodes)).tolist() == [[0, 1]]
+        assert mesh_edges_scalar(nodes) == {(0, 1)}
 
     def test_empty(self):
-        assert mesh_edges({}) == set()
-        assert mesh_triangles({}) == []
+        edges, tris = kernel_mesh({})
+        assert edges.shape == (0, 2) and edges.dtype == np.int64
+        assert tris.shape == (0, 3) and tris.dtype == np.int64
+        assert mesh_edges_scalar({}) == set()
+        assert mesh_triangles_scalar({}) == []
 
     def test_lone_edge_no_triangles(self):
         nodes = {
             0: rec(0, 0, 0, 0, 1, [1]),
             1: rec(1, 1, 0, 0, 1, [0]),
         }
-        assert mesh_triangles(nodes) == []
+        assert kernel_mesh(nodes)[1].shape == (0, 3)
+        assert mesh_triangles_scalar(nodes) == []
 
     def test_hexagon_fan(self):
-        import math
-
         center = rec(0, 0, 0, 0, 1, [1, 2, 3, 4, 5, 6])
         nodes = {0: center}
         for k in range(6):
@@ -70,9 +129,250 @@ class TestEdgesTriangles:
             nodes[k + 1] = rec(
                 k + 1, math.cos(angle), math.sin(angle), 0, 1, ring_conn
             )
-        tris = mesh_triangles(nodes)
+        tris = kernel_mesh(nodes)[1]
         assert len(tris) == 6
-        assert all(0 in tri for tri in tris)
+        assert (tris == 0).any(axis=1).all()
+        assert_kernel_is_oracle(nodes)
+
+    def test_two_neighbour_wedge_counts_once(self):
+        """The ``count == 2`` rule: a lone triangle, every owner of
+        which has exactly two neighbours."""
+        nodes = {
+            5: rec(5, 0, 0, 0, 1, [7, 9]),
+            7: rec(7, 1, 0, 0, 1, [5, 9]),
+            9: rec(9, 0, 1, 0, 1, [5, 7]),
+        }
+        assert kernel_mesh(nodes)[1].tolist() == [[5, 7, 9]]
+        assert_kernel_is_oracle(nodes)
+
+    def test_triangle_found_from_one_owner_only(self):
+        """A separating 3-cycle: 0 and 1 each see node 3 (resp. 4)
+        inside the angle towards the other two, so only 2 closes it."""
+        nodes = {
+            0: rec(0, 0.0, 0.0, 0, 1, [1, 2, 3]),
+            1: rec(1, 4.0, 0.0, 0, 1, [0, 2, 4]),
+            2: rec(2, 2.0, 4.0, 0, 1, [0, 1]),
+            3: rec(3, 1.0, 1.0, 0, 1, [0]),
+            4: rec(4, 3.0, 1.0, 0, 1, [1]),
+        }
+        assert kernel_mesh(nodes)[1].tolist() == [[0, 1, 2]]
+        assert_kernel_is_oracle(nodes)
+
+
+kernel_parity = settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+def _scrambled(nodes, seed, stride, offset):
+    """``nodes`` relabelled ``offset + stride * id`` (non-contiguous
+    ids), rows in shuffled order, every list shuffled with one entry
+    repeated and one absent id appended."""
+    rng = random.Random(seed)
+    relabel = {nid: offset + stride * nid for nid in nodes}
+    absent = offset + stride * (max(nodes, default=0) + 1)
+    order = list(nodes)
+    rng.shuffle(order)
+    out = {}
+    for nid in order:
+        node = nodes[nid]
+        # A listed id outside the answer maps above every present id.
+        conn = [
+            relabel.get(c, absent + 2 * stride * abs(c) + stride)
+            for c in node.connections
+        ]
+        if conn:
+            conn.append(rng.choice(conn))
+        conn.append(absent)
+        rng.shuffle(conn)
+        out[relabel[nid]] = rec(
+            relabel[nid], node.x, node.y, node.e_low, node.e_high, conn
+        )
+    return out
+
+
+class TestKernelParity:
+    """The array kernels against the scalar oracle: same edges, same
+    triangles, same order, for any answer."""
+
+    @kernel_parity
+    @given(
+        st.floats(0.05, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+    )
+    def test_uniform_answers_of_a_real_store(
+        self, session_db, frac, fx, fy, lod_frac
+    ):
+        """ROI clips leave dangling connections, isolated nodes,
+        two-neighbour wedges and 3-cycles seen from fewer than three
+        owners."""
+        store = session_db["dm"]
+        extent = store.rtree.data_space.rect
+        w, h = extent.width * frac, extent.height * frac
+        x0 = extent.min_x + fx * (extent.width - w)
+        y0 = extent.min_y + fy * (extent.height - h)
+        result = store.uniform_query(
+            Rect(x0, y0, x0 + w, y0 + h), lod_frac * store.max_lod
+        )
+        assert_kernel_is_oracle(result.nodes)
+        if len(result) < KERNEL_MIN_NODES:
+            assert result.arrays is None
+            return
+        # The arrays the filter gathered feed the kernels as they are.
+        want_edges, want_triangles = oracle_mesh(result.nodes)
+        edges = mesh_edges(result.arrays)
+        assert_same_rows(edges, want_edges)
+        assert_same_rows(mesh_triangles(result.arrays, edges), want_triangles)
+
+    @kernel_parity
+    @given(st.floats(0.1, 0.9), st.floats(0.05, 0.6), st.floats(-1.0, 1.0))
+    def test_view_dependent_answers_of_a_real_store(
+        self, session_db, frac, lod_frac, dx
+    ):
+        store = session_db["dm"]
+        extent = store.rtree.data_space.rect
+        plane = QueryPlane(
+            extent.scaled(frac),
+            0.5 * lod_frac * store.max_lod,
+            lod_frac * store.max_lod,
+            (dx, 1.0 - abs(dx)),
+        )
+        assert_kernel_is_oracle(store.single_base_query(plane).nodes)
+
+    @kernel_parity
+    @given(
+        st.floats(0.0, 6.0), st.floats(0.05, 1.0), st.integers(0, 2**16),
+        st.integers(1, 9), st.integers(0, 10**6),
+    )
+    def test_arbitrary_lists(
+        self, record_universe, lod, size_f, seed, stride, offset  # noqa: F811
+    ):
+        """Random (non-planar) lists over random points: one-directional
+        and self-naming entries, then ids unsorted and non-contiguous,
+        duplicates and absent ids on top."""
+        _, columns = record_universe
+        roi = Rect.centered(0.0, 0.0, 24.0 * size_f, 24.0 * size_f)
+        nodes = filter_uniform_columnar(columns, roi, lod).nodes
+        assert_kernel_is_oracle(nodes)
+        assert_kernel_is_oracle(_scrambled(nodes, seed, stride, offset))
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_tiny_answers(self, n):
+        nodes = {
+            10 * i: rec(10 * i, float(i), 0.5 * i, 0, 1, [0, 10, 20, 30])
+            for i in range(n)
+        }
+        assert_kernel_is_oracle(nodes)
+        result = DMQueryResult(nodes=nodes, retrieved=n)
+        assert result.edges().shape == (n * (n - 1) // 2, 2)
+        assert result.triangles().shape == (0, 3)
+        assert result.vertex_mesh()[1].shape == (0, 3)
+
+    @pytest.mark.parametrize(
+        "n", [KERNEL_MIN_NODES - 1, KERNEL_MIN_NODES, KERNEL_MIN_NODES + 1]
+    )
+    def test_either_side_of_the_cut_over(self, session_db, hills_dataset, n):
+        """``DMQueryResult.triangles()`` answers with the same arrays
+        whichever implementation its size selects."""
+        store = session_db["dm"]
+        answer = store.uniform_query(
+            hills_dataset.bounds(), hills_dataset.pm.average_lod()
+        ).nodes
+        assert len(answer) > n
+        nodes = dict(list(answer.items())[:n])
+        want_edges, want_triangles = oracle_mesh(nodes)
+        assert len(want_triangles) > 0
+        result = DMQueryResult(nodes=nodes, retrieved=n)
+        assert_same_rows(result.triangles(), want_triangles)
+        assert_same_rows(result.edges(), want_edges)
+        assert_same_rows(
+            DMQueryResult(nodes=nodes, retrieved=n).edges(), want_edges
+        )
+
+
+class TestResultMemo:
+    @pytest.fixture
+    def result(self, session_db, hills_dataset):
+        result = session_db["dm"].uniform_query(
+            hills_dataset.bounds().scaled(0.6),
+            0.25 * hills_dataset.pm.average_lod(),
+        )
+        assert len(result) >= KERNEL_MIN_NODES
+        return result
+
+    def test_one_kernel_call_per_result(self, result, monkeypatch):
+        calls = []
+
+        def counting(arrays, edges=None):
+            calls.append(1)
+            return mesh_triangles(arrays, edges)
+
+        monkeypatch.setattr(query_module, "mesh_triangles", counting)
+        first = result.triangles()
+        assert result.triangles() is first
+        vertices, faces = result.vertex_mesh()
+        assert len(calls) == 1
+        assert len(vertices) == len(result) and len(faces) == len(first)
+
+    def test_small_answers_rebuild_through_the_same_name(
+        self, session_db, hills_dataset, monkeypatch
+    ):
+        """Under the cut-over the record dict goes to ``mesh_triangles``
+        too: whoever wraps that name (``perf/trace.py``) sees every
+        rebuild, whichever implementation runs it."""
+        small = session_db["dm"].uniform_query(
+            hills_dataset.bounds().scaled(0.6), hills_dataset.pm.average_lod()
+        )
+        assert 0 < len(small) < KERNEL_MIN_NODES and small.arrays is None
+        handed = []
+
+        def recording(mesh, edges=None):
+            handed.append(mesh)
+            return mesh_triangles(mesh, edges)
+
+        monkeypatch.setattr(query_module, "mesh_triangles", recording)
+        assert_same_rows(small.triangles(), oracle_mesh(small.nodes)[1])
+        assert small.triangles() is small.triangles()
+        assert handed == [small.nodes]
+
+    def test_racing_readers_get_equal_arrays(self, result):
+        n_threads = 8
+        barrier = threading.Barrier(n_threads)
+        seen = []
+
+        def reader():
+            barrier.wait(timeout=30)
+            seen.append(result.triangles())
+
+        threads = [threading.Thread(target=reader) for _ in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert len(seen) == n_threads
+        want = oracle_mesh(result.nodes)[1]
+        for triangles in seen:
+            assert_same_rows(triangles, want)
+        assert result.triangles() is result.triangles()
+
+    def test_vertex_mesh_indexes_points(self, result):
+        vertices, faces = result.vertex_mesh()
+        assert vertices == result.points()
+        ids = sorted(result.nodes)
+        assert [[ids[i] for i in row] for row in faces.tolist()] == (
+            result.triangles().tolist()
+        )
+
+
+def test_core_exports_resolve():
+    for name in core.__all__:
+        assert getattr(core, name) is not None, name
+    assert {"MeshArrays", "pack_records", "mesh_edges", "mesh_triangles",
+            "mesh_edges_scalar", "mesh_triangles_scalar"} <= set(core.__all__)
+    assert isinstance(pack_records({}), MeshArrays)
 
 
 class TestRefinement:

@@ -18,11 +18,13 @@ from repro.bench.openloop import (
 from repro.core.admission import CostGovernor
 from repro.core.cache import SemanticCache
 from repro.core.engine import QueryEngine, UniformRequest
+from repro.core.streaming import TerrainSession
 from repro.core.wire import ClientMesh
 from repro.errors import SessionError, TransientIOError
 from repro.geometry.primitives import Rect
 from repro.obs.metrics import MetricsRegistry
 from repro.storage import FaultInjector
+from tests.conftest import assert_same_rows, oracle_mesh
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +96,32 @@ class TestEngineSession:
                 assert client.active_ids == set(fresh.nodes)
                 assert client.active_ids == session.active_ids
                 assert 0.0 <= result.delta.churn <= 1.0
+        finally:
+            manager.close(session.session_id)
+
+    def test_flight_meshes_agree_every_frame(
+        self, engine, session_db, hills_dataset
+    ):
+        """Client, session and oracle rebuild the same mesh: the wire
+        client and the store-side session share the kernels (through
+        the records packer) and both are held to the scalar oracle."""
+        max_lod = hills_dataset.pm.max_lod()
+        manager = engine.sessions()
+        session = manager.open(tenant="flight")
+        local = TerrainSession(session_db["dm"])
+        client = ClientMesh()
+        try:
+            for frame in range(40):
+                t = frame / 39
+                roi = roi_at(hills_dataset, 0.3 + 0.2 * t, t, 0.5 + 0.4 * (t - 0.5))
+                lod = (0.05 + 0.5 * t * (1 - t)) * max_lod
+                client.apply(session.update(UniformRequest(roi, lod)).payload)
+                local.update(roi, lod)
+                assert client.active_ids == local.active_ids
+                want_edges, want_triangles = oracle_mesh(client.records())
+                for edges, triangles in (client.mesh(), local.mesh()):
+                    assert_same_rows(edges, want_edges)
+                    assert_same_rows(triangles, want_triangles)
         finally:
             manager.close(session.session_id)
 
@@ -287,7 +315,9 @@ class TestDeltaAlgebra:
             fresh = store.uniform_query(roi, lod)
             assert client.active_ids == set(fresh.nodes)
             # The spliced records materialise a mesh without help.
-            edges, _triangles = client.mesh()
-            assert isinstance(edges, set)
+            edges, triangles = client.mesh()
+            want_edges, want_triangles = oracle_mesh(client.records())
+            assert_same_rows(edges, want_edges)
+            assert_same_rows(triangles, want_triangles)
         finally:
             manager.close(session.session_id)

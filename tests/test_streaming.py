@@ -29,8 +29,8 @@ class TestFirstUpdate:
         roi = hills_dataset.bounds().scaled(0.4)
         session.update(roi, hills_dataset.pm.average_lod())
         edges, triangles = session.mesh()
-        assert edges
-        assert triangles
+        assert len(edges) > 0 and edges.shape[1] == 2
+        assert len(triangles) > 0 and triangles.shape[1] == 3
 
     def test_requires_lod_for_rect(self, session, hills_dataset):
         with pytest.raises(QueryError):

@@ -119,7 +119,7 @@ class TestRefineTo:
     def test_triangles_match_dm_reconstruction(
         self, wavy_pm, wavy_connections, coarse
     ):
-        from repro.core.reconstruct import mesh_triangles
+        from repro.core.reconstruct import mesh_triangles, pack_records
 
         lod = wavy_pm.max_lod() * 0.1
         coarse.refine_to(lod)
@@ -136,7 +136,8 @@ class TestRefineTo:
             i: _View(wavy_pm.node(i), wavy_connections[i])
             for i in coarse.active
         }
-        assert coarse.triangles() == mesh_triangles(view)
+        rebuilt = mesh_triangles(pack_records(view)).tolist()
+        assert coarse.triangles() == [tuple(tri) for tri in rebuilt]
 
     def test_refine_to_plane(self, wavy_pm, coarse):
         bounds = Rect(0, 0, 115, 115)
