@@ -28,7 +28,9 @@ R8        Registry hygiene: entries added to ``METRIC_NAMES`` /
 R12       Epoch snapshot discipline: the engine's swappable
           ``(store, epoch)`` slot is pinned once per request via
           ``pinned_snapshot()`` — direct slot access outside the
-          three sanctioned methods can tear across a patch commit.
+          three sanctioned methods can tear across a patch commit —
+          and its patch history, the other slot a commit replaces
+          whole, is read only by ``patched_since()``.
 ========  ==================================================================
 
 (R9–R11, the interprocedural lock analyses, live in
@@ -376,6 +378,13 @@ class MetricRegistryRule(Rule):
     ``.gauge()`` / ``.histogram()`` / ``.timer()`` must appear in
     :data:`repro.obs.metrics.METRIC_NAMES`; f-string names must start
     with a prefix from :data:`repro.obs.metrics.METRIC_PREFIXES`.
+
+    A *source* (``.add_source(read)``) names its metrics as the keys
+    of the dict ``read`` returns; the registry checks them when the
+    source is registered, this rule before the code runs: every
+    string-literal key of a dict literal in the lambda — or returned
+    by the same-file function — handed to ``add_source`` must be in
+    ``METRIC_NAMES`` too.
     """
 
     id = "R5"
@@ -401,9 +410,22 @@ class MetricRegistryRule(Rule):
             if not (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr in self._FACTORIES
                 and node.args
             ):
+                continue
+            if node.func.attr == "add_source":
+                for key in self._source_keys(ctx.tree, node.args[0]):
+                    if key.value not in names:
+                        yield self.violation(
+                            ctx,
+                            key,
+                            f"metric source returns '{key.value}', "
+                            "which is not declared in "
+                            "repro.obs.metrics.METRIC_NAMES "
+                            "(add_source would refuse it at run time)",
+                        )
+                continue
+            if node.func.attr not in self._FACTORIES:
                 continue
             arg = node.args[0]
             if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
@@ -434,6 +456,31 @@ class MetricRegistryRule(Rule):
                     "a prefix declared in "
                     "repro.obs.metrics.METRIC_PREFIXES",
                 )
+
+
+    @staticmethod
+    def _source_keys(tree: ast.AST, read: ast.expr) -> Iterator[ast.Constant]:
+        """The literal string keys of the dicts a source returns:
+        ``read`` is a lambda, or the name of a function in ``tree``."""
+        roots: list[ast.AST] = []
+        if isinstance(read, ast.Lambda):
+            roots.append(read.body)
+        elif isinstance(read, ast.Name):
+            for fn in ast.walk(tree):
+                if isinstance(fn, ast.FunctionDef) and fn.name == read.id:
+                    roots.extend(
+                        ret.value
+                        for ret in ast.walk(fn)
+                        if isinstance(ret, ast.Return) and ret.value
+                    )
+        for root in roots:
+            for node in ast.walk(root):
+                if isinstance(node, ast.Dict):
+                    for key in node.keys:
+                        if isinstance(key, ast.Constant) and isinstance(
+                            key.value, str
+                        ):
+                            yield key
 
 
 @register
@@ -654,6 +701,14 @@ class EpochSnapshotRule(Rule):
     ``pinned_snapshot()`` (or receive it as an argument) and thread
     that frozen value through; the slot itself is touched only by
     ``__init__``, ``pinned_snapshot`` and ``install_store``.
+
+    The engine's patch history ``self._patch_log`` is the second slot
+    a commit replaces whole: written by ``__init__`` and
+    ``install_store``, read — once, into locals — by
+    ``patched_since``.  A second reader would be a second place to
+    see the floor of one log and the entries of the next.  Both slots
+    are policed on classes that own ``_snap`` (a cache keeping a
+    patch log of its own under its own lock is out of scope).
     """
 
     id = "R12"
@@ -661,8 +716,19 @@ class EpochSnapshotRule(Rule):
         "epoch-pinned store slot accessed outside the snapshot contract"
     )
 
-    _SLOT = "_snap"
-    _ALLOWED = frozenset({"__init__", "pinned_snapshot", "install_store"})
+    _OWNER_SLOT = "_snap"
+    #: slot -> (the methods that may touch it, what to do instead).
+    _SLOTS = {
+        "_snap": (
+            ("__init__", "pinned_snapshot", "install_store"),
+            "pin the snapshot once via pinned_snapshot() and thread "
+            "it through",
+        ),
+        "_patch_log": (
+            ("__init__", "install_store", "patched_since"),
+            "ask patched_since() instead",
+        ),
+    }
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
         for node in ast.walk(ctx.tree):
@@ -671,23 +737,20 @@ class EpochSnapshotRule(Rule):
             if not self._owns_slot(node):
                 continue
             for method in iter_methods(node):
-                if method.name in self._ALLOWED:
-                    continue
                 for access in ast.walk(method):
-                    if (
-                        is_self_attr(access)
-                        and access.attr == self._SLOT  # type: ignore[attr-defined]
-                    ):
-                        yield self.violation(
-                            ctx,
-                            access,
-                            f"{node.name}.{method.name} touches "
-                            f"self.{self._SLOT} directly; pin the "
-                            "snapshot once via pinned_snapshot() and "
-                            "thread it through (only __init__/"
-                            "pinned_snapshot/install_store may access "
-                            "the slot)",
-                        )
+                    if not is_self_attr(access):
+                        continue
+                    slot = access.attr  # type: ignore[attr-defined]
+                    allowed, advice = self._SLOTS.get(slot, ((), ""))
+                    if not allowed or method.name in allowed:
+                        continue
+                    yield self.violation(
+                        ctx,
+                        access,
+                        f"{node.name}.{method.name} touches "
+                        f"self.{slot} directly; {advice} (only "
+                        f"{'/'.join(allowed)} may access the slot)",
+                    )
 
     @classmethod
     def _owns_slot(cls, node: ast.ClassDef) -> bool:
@@ -702,7 +765,7 @@ class EpochSnapshotRule(Rule):
                 for target in targets:
                     if (
                         is_self_attr(target)
-                        and target.attr == cls._SLOT  # type: ignore[attr-defined]
+                        and target.attr == cls._OWNER_SLOT  # type: ignore[attr-defined]
                     ):
                         return True
         return False

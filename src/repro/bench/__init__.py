@@ -2,7 +2,7 @@
 
 ``benchmarks/`` (pytest-benchmark) drives these for the paper's
 figures and ablations, and :mod:`repro.bench.openloop` backs the
-``bench-slo`` / ``bench-session`` reproducers.  Regression gating is
+``bench-slo`` reproducer.  Regression gating is
 not here: ``perf/`` is the one harness with a comparer.  The modules
 can also be used directly, e.g.::
 

@@ -47,40 +47,25 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
     from repro.core.direct_mesh import DirectMeshStore
     from repro.core.engine import EngineRequest, QueryEngine, QueryOutcome
-    from repro.core.streaming import EngineSession
-    from repro.core.wire import ClientMesh
 
 __all__ = [
     "SLO_REPORT_SCHEMA",
-    "SESSION_REPORT_SCHEMA",
-    "SESSION_TRANSPORTS",
     "OpenLoopConfig",
     "OpenLoopResult",
-    "DeltaSessionResult",
     "poisson_arrivals",
     "zipf_workload",
     "flight_path_workload",
     "build_workload",
     "run_open_loop",
-    "run_delta_sessions",
     "measure_capacity",
     "suggest_budget",
     "validate_slo_report",
-    "validate_session_report",
 ]
 
 #: Version tag carried by every serialized report; bump on any
 #: breaking change to the JSON layout so a reader can refuse an
 #: incompatible shape instead of mis-reading it.
 SLO_REPORT_SCHEMA = "repro.bench.slo/v1"
-
-#: Version tag for delta-session reports (``bench-session --json``).
-SESSION_REPORT_SCHEMA = "repro.bench.session/v1"
-
-#: How a session run ships results: ``delta`` frames over an
-#: :class:`~repro.core.streaming.EngineSession`, or ``naive``
-#: stateless re-query shipping the full result set every frame.
-SESSION_TRANSPORTS = ("delta", "naive")
 
 #: Workload modes understood by :func:`build_workload`.
 WORKLOAD_MODES = ("zipf", "flightpath", "mixed")
@@ -107,7 +92,7 @@ class OpenLoopConfig:
     tenants: int = 4
     slo_ms: float = 50.0
     #: Flight-path advance per request, as a fraction of the ROI side.
-    #: 0.3 is the historical default; delta-session benches use small
+    #: 0.3 is the historical default; delta-session tests use small
     #: values (a walking camera) where consecutive cubes mostly overlap.
     step_frac: float = 0.3
     #: Amplitude of the flight path's LOD breathing around its 0.35
@@ -169,11 +154,11 @@ def poisson_arrivals(rate: float, n: int, seed: int = 0) -> list[float]:
 
 
 def _terrain_extent(store: "DirectMeshStore") -> Rect:
-    """The data-space rect queries are generated over."""
-    space = store.rtree.data_space
-    if space is None:
+    """The rect queries are generated over: the cluster directory's."""
+    extent = store.clusters.index.extent
+    if extent is None:
         raise QueryError("store is empty: no data space to generate over")
-    return space.rect
+    return extent.rect
 
 
 def zipf_workload(
@@ -509,227 +494,6 @@ def run_open_loop(
     )
 
 
-# -- delta-session transmission bench ----------------------------------------
-
-
-@dataclass
-class DeltaSessionResult:
-    """One delta-session run's measurements.
-
-    ``frame_latencies_s`` times each frame end-to-end *including*
-    wire encoding — submit through the engine, diff, encode — because
-    that is what a client waits for.  ``bytes_wire`` is the sum of
-    encoded frame sizes: the currency the ISSUE 7 acceptance criterion
-    is written in (>= 5x fewer bytes than naive re-query on warm
-    overlapping frames).
-    """
-
-    config: OpenLoopConfig
-    transport: str
-    wall_s: float
-    frame_latencies_s: list[float]
-    bytes_wire: int
-    n_degraded: int
-    n_keyframes: int
-    churn_sum: float
-
-    @property
-    def n_frames(self) -> int:
-        return len(self.frame_latencies_s)
-
-    @property
-    def bytes_per_frame(self) -> float:
-        """Mean wire bytes per frame."""
-        if not self.frame_latencies_s:
-            return 0.0
-        return self.bytes_wire / len(self.frame_latencies_s)
-
-    @property
-    def churn_mean(self) -> float:
-        """Mean per-frame churn (naive transport is always 1.0)."""
-        if not self.frame_latencies_s:
-            return 0.0
-        return self.churn_sum / len(self.frame_latencies_s)
-
-    def percentile_ms(self, p: float) -> float:
-        """Exact ``p``-th frame-latency percentile in milliseconds."""
-        if not self.frame_latencies_s:
-            return 0.0
-        samples = sorted(self.frame_latencies_s)
-        rank = (p / 100.0) * (len(samples) - 1)
-        lo = int(rank)
-        hi = min(lo + 1, len(samples) - 1)
-        frac = rank - lo
-        return 1000.0 * (samples[lo] * (1 - frac) + samples[hi] * frac)
-
-    def to_json(self) -> dict[str, object]:
-        """The schema-versioned report payload."""
-        config = self.config
-        return {
-            "schema": SESSION_REPORT_SCHEMA,
-            "mode": config.mode,
-            "transport": self.transport,
-            "seed": config.seed,
-            "requests": self.n_frames,
-            "sessions": config.sessions,
-            "tenants": config.tenants,
-            "roi_frac": config.roi_frac,
-            "step_frac": config.step_frac,
-            "lod_breathe": config.lod_breathe,
-            "wall_s": round(self.wall_s, 4),
-            "latency_ms": {
-                "p50": round(self.percentile_ms(50), 3),
-                "p95": round(self.percentile_ms(95), 3),
-                "p99": round(self.percentile_ms(99), 3),
-                "p999": round(self.percentile_ms(99.9), 3),
-                "max": round(self.percentile_ms(100), 3),
-            },
-            "bytes_wire": self.bytes_wire,
-            "bytes_per_frame": round(self.bytes_per_frame, 1),
-            "n_degraded": self.n_degraded,
-            "n_keyframes": self.n_keyframes,
-            "churn_mean": round(self.churn_mean, 4),
-        }
-
-    def to_text(self) -> str:
-        """A compact human-readable summary."""
-        return (
-            f"sessions/{self.transport}: {self.n_frames} frames over "
-            f"{self.config.sessions} sessions in {self.wall_s:.2f}s — "
-            f"{self.bytes_wire} B on wire "
-            f"({self.bytes_per_frame:.0f} B/frame), "
-            f"p50 {self.percentile_ms(50):.2f}ms "
-            f"p99 {self.percentile_ms(99):.2f}ms, "
-            f"churn {self.churn_mean:.3f}, "
-            f"degraded {self.n_degraded}, keyframes {self.n_keyframes}"
-        )
-
-
-def run_delta_sessions(
-    engine: "QueryEngine",
-    config: OpenLoopConfig,
-    transport: str = "delta",
-    verify: bool = True,
-) -> DeltaSessionResult:
-    """Drive the flight-path workload as transmission sessions.
-
-    Closed-loop per frame (a client renders one frame before asking
-    for the next): request ``i`` of the flight-path stream belongs to
-    session ``i % config.sessions``, matching the workload's
-    round-robin interleave.  ``delta`` transport routes each frame
-    through an :class:`~repro.core.streaming.EngineSession` and ships
-    the encoded delta frame; ``naive`` re-queries statelessly and
-    ships the full result set as a keyframe — the baseline the >= 5x
-    bytes-on-wire criterion compares against.
-
-    With ``verify`` every frame is decoded into a per-session
-    :class:`~repro.core.wire.ClientMesh` and checked node-id-identical
-    to the engine's answer — the tentpole correctness property — at
-    the cost of one set compare per frame (excluded from latencies).
-    """
-    from repro.core.wire import (
-        FLAG_DEGRADED,
-        FLAG_KEYFRAME,
-        ClientMesh,
-        DeltaFrame,
-        encode_frame,
-    )
-
-    config.validate()
-    if config.mode != "flightpath":
-        raise QueryError(
-            f"delta sessions need mode='flightpath', got {config.mode!r}"
-        )
-    if transport not in SESSION_TRANSPORTS:
-        raise QueryError(
-            f"transport must be one of {SESSION_TRANSPORTS}, "
-            f"got {transport!r}"
-        )
-    workload = build_workload(engine.store, config)
-    manager = engine.sessions()
-    sessions: dict[int, "EngineSession"] = {}
-    clients: dict[int, "ClientMesh"] = {}
-    naive_seq: dict[int, int] = {}
-    latencies: list[float] = []
-    bytes_wire = 0
-    n_degraded = 0
-    n_keyframes = 0
-    churn_sum = 0.0
-    start = time.monotonic()
-    try:
-        for index in range(config.n_requests):
-            request, tenant = next(workload)
-            slot = index % config.sessions
-            if transport == "delta":
-                session = sessions.get(slot)
-                if session is None:
-                    session = manager.open(tenant=tenant)
-                    sessions[slot] = session
-                frame_start = time.perf_counter()
-                result = session.update(request)
-                latencies.append(time.perf_counter() - frame_start)
-                payload = result.payload
-                bytes_wire += len(payload)
-                churn_sum += result.delta.churn
-                if result.frame.degraded:
-                    n_degraded += 1
-                if result.frame.keyframe:
-                    n_keyframes += 1
-                expected = session.active_ids
-            else:
-                frame_start = time.perf_counter()
-                outcome = engine.submit(request, tenant=tenant).result()
-                if outcome.error is not None or outcome.result is None:
-                    raise outcome.error or QueryError(
-                        "engine returned no result"
-                    )
-                seq = naive_seq.get(slot, 0)
-                naive_seq[slot] = seq + 1
-                flags = FLAG_KEYFRAME
-                if outcome.degraded:
-                    flags |= FLAG_DEGRADED
-                nodes = outcome.result.nodes
-                frame = DeltaFrame(
-                    seq,
-                    tuple(nodes[node_id] for node_id in sorted(nodes)),
-                    (),
-                    flags,
-                )
-                payload = encode_frame(frame)
-                latencies.append(time.perf_counter() - frame_start)
-                bytes_wire += len(payload)
-                churn_sum += 1.0
-                if outcome.degraded:
-                    n_degraded += 1
-                n_keyframes += 1
-                expected = set(nodes)
-            if verify:
-                client = clients.get(slot)
-                if client is None:
-                    client = ClientMesh()
-                    clients[slot] = client
-                client.apply(payload)
-                if client.active_ids != expected:
-                    raise QueryError(
-                        "client mesh diverged from the engine answer",
-                        frame=index,
-                        session=slot,
-                    )
-    finally:
-        for session in sessions.values():
-            manager.close(session.session_id)
-    return DeltaSessionResult(
-        config=config,
-        transport=transport,
-        wall_s=time.monotonic() - start,
-        frame_latencies_s=latencies,
-        bytes_wire=bytes_wire,
-        n_degraded=n_degraded,
-        n_keyframes=n_keyframes,
-        churn_sum=churn_sum,
-    )
-
-
 def measure_capacity(
     store: "DirectMeshStore",
     config: OpenLoopConfig,
@@ -852,56 +616,4 @@ def validate_slo_report(report: object) -> list[str]:
             value = counts.get(key)
             if not isinstance(value, int) or isinstance(value, bool):
                 problems.append(f"counts.{key} must be an integer")
-    return problems
-
-
-_REQUIRED_SESSION_NUMBERS = (
-    "requests",
-    "sessions",
-    "tenants",
-    "roi_frac",
-    "step_frac",
-    "lod_breathe",
-    "wall_s",
-    "bytes_wire",
-    "bytes_per_frame",
-    "n_degraded",
-    "n_keyframes",
-    "churn_mean",
-)
-
-
-def validate_session_report(report: object) -> list[str]:
-    """Schema-check one session run; returns problems ([] = valid).
-
-    Same dependency-free style as :func:`validate_slo_report`: key
-    presence, numeric types, and the version/transport tags.
-    """
-    problems: list[str] = []
-    if not isinstance(report, dict):
-        return [f"report must be an object, got {type(report).__name__}"]
-    if report.get("schema") != SESSION_REPORT_SCHEMA:
-        problems.append(
-            f"schema must be {SESSION_REPORT_SCHEMA!r}, got "
-            f"{report.get('schema')!r}"
-        )
-    if report.get("mode") not in WORKLOAD_MODES:
-        problems.append(f"mode must be one of {WORKLOAD_MODES}")
-    if report.get("transport") not in SESSION_TRANSPORTS:
-        problems.append(
-            f"transport must be one of {SESSION_TRANSPORTS}, got "
-            f"{report.get('transport')!r}"
-        )
-    for key in _REQUIRED_SESSION_NUMBERS:
-        value = report.get(key)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            problems.append(f"{key} must be a number, got {value!r}")
-    latency = report.get("latency_ms")
-    if not isinstance(latency, dict):
-        problems.append("latency_ms must be an object")
-    else:
-        for key in _REQUIRED_LATENCIES:
-            value = latency.get(key)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                problems.append(f"latency_ms.{key} must be a number")
     return problems

@@ -153,8 +153,8 @@ def measure_throughput(
     if registry is None:
         registry = MetricsRegistry()
     store.database.flush()
-    hits_before = registry.counter("cache.hits").value
-    misses_before = registry.counter("cache.misses").value
+    # Hits are read from the cache that counts them.
+    before = cache.stats() if cache is not None else None
     outcomes = []
     with QueryEngine(
         store,
@@ -171,6 +171,11 @@ def measure_throughput(
     registry.histogram("bench.batch_s").observe(wall_s)
     n_ok = sum(1 for o in outcomes if o.ok)
     n_degraded = sum(1 for o in outcomes if o.degraded)
+    n_hits = n_misses = 0
+    if before is not None:
+        after = cache.stats()
+        n_hits = after.hits - before.hits
+        n_misses = after.misses - before.misses
     return ThroughputReport(
         workers,
         len(outcomes),
@@ -179,10 +184,8 @@ def measure_throughput(
         n_ok=n_ok,
         n_errors=len(outcomes) - n_ok,
         n_degraded=n_degraded,
-        n_cache_hits=registry.counter("cache.hits").value - hits_before,
-        n_cache_misses=(
-            registry.counter("cache.misses").value - misses_before
-        ),
+        n_cache_hits=n_hits,
+        n_cache_misses=n_misses,
     )
 
 

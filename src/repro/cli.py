@@ -13,11 +13,6 @@ Commands:
   offered rate (zipfian hotspots or flight-path sessions), scored as
   goodput-under-SLO with p50/p99/p999 latency; with admission control
   on (the default) overload degrades or sheds instead of queueing;
-* ``bench-session`` — progressive-transmission harness: the
-  flight-path workload as delta sessions (varint-coded wire frames)
-  versus naive re-query, scored as bytes-on-wire and per-frame
-  latency, with every frame decoded client-side and verified against
-  the engine's answer;
 * ``fsck``    — verify (and optionally repair) storage integrity:
   every page of every segment is checksum-verified and the R*-tree
   walked structurally; ``--repair`` restores corrupt pages from a
@@ -350,81 +345,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     slo.set_defaults(handler=_cmd_bench_slo)
 
-    session = sub.add_parser(
-        "bench-session",
-        help="delta-session transmission harness (bytes-on-wire vs "
-        "naive re-query)",
-    )
-    session.add_argument("database")
-    session.add_argument(
-        "--frames", type=int, default=200, help="total frames to stream"
-    )
-    session.add_argument(
-        "--sessions",
-        type=int,
-        default=4,
-        help="concurrent viewer sessions the frames interleave over",
-    )
-    session.add_argument("--tenants", type=int, default=4)
-    session.add_argument(
-        "--roi-frac",
-        type=float,
-        default=0.35,
-        help="ROI edge length as a fraction of the terrain extent",
-    )
-    session.add_argument(
-        "--step-frac",
-        type=float,
-        default=0.05,
-        help="camera step per frame as a fraction of the ROI edge "
-        "(small steps = warm overlapping frames)",
-    )
-    session.add_argument(
-        "--lod-breathe",
-        type=float,
-        default=0.05,
-        help="amplitude of the per-frame LOD oscillation (0 = fixed "
-        "LOD)",
-    )
-    session.add_argument(
-        "--workers", type=int, default=4, help="engine worker threads"
-    )
-    session.add_argument("--seed", type=int, default=0)
-    session.add_argument(
-        "--pool-pages",
-        type=int,
-        default=64,
-        help="buffer pool capacity",
-    )
-    session.add_argument(
-        "--io-latency",
-        type=float,
-        default=0.0,
-        help="simulated seconds per physical page read (0 = off)",
-    )
-    session.add_argument(
-        "--cache-mb",
-        type=float,
-        default=0.0,
-        help="semantic result cache budget in MiB (0 = cache off)",
-    )
-    session.add_argument(
-        "--no-verify",
-        action="store_true",
-        help="skip the per-frame client-side decode check",
-    )
-    session.add_argument(
-        "--json",
-        metavar="FILE",
-        help="write the schema-versioned report JSON here",
-    )
-    session.add_argument(
-        "--metrics",
-        action="store_true",
-        help="print the delta arm's metrics report after the run",
-    )
-    session.set_defaults(handler=_cmd_bench_session)
-
     fsck = sub.add_parser(
         "fsck",
         help="verify (and optionally repair) storage integrity",
@@ -594,7 +514,7 @@ def _cmd_bench_serve(args) -> int:
         io_latency=args.io_latency,
     )
     store = DirectMeshStore.open(db)
-    space = store.rtree.data_space
+    space = store.clusters.index.extent
     if space is None:
         raise ReproError("database is empty")
     extent = space.rect
@@ -669,8 +589,6 @@ def _cmd_bench_serve(args) -> int:
     registry = None
     for workers in args.workers:
         registry = MetricsRegistry()
-        # The pagers report crc failures into the sweep's registry.
-        db.set_metrics_registry(registry)
         # A fresh cache per sweep: every worker count faces the same
         # cold-cache state, so rows stay comparable.
         cache = None
@@ -781,7 +699,6 @@ def _cmd_bench_slo(args) -> int:
         cache = SemanticCache(int(args.cache_mb * 1024 * 1024))
 
     registry = MetricsRegistry()
-    db.set_metrics_registry(registry)
     with QueryEngine(
         store,
         workers=args.workers,
@@ -807,94 +724,6 @@ def _cmd_bench_slo(args) -> int:
     if args.metrics:
         print()
         print(registry.report())
-    db.close()
-    return 0
-
-
-def _cmd_bench_session(args) -> int:
-    import json
-
-    from repro.bench.openloop import (
-        SESSION_TRANSPORTS,
-        OpenLoopConfig,
-        run_delta_sessions,
-        validate_session_report,
-    )
-    from repro.core.engine import QueryEngine
-    from repro.obs.metrics import MetricsRegistry
-
-    db = Database(
-        args.database,
-        pool_pages=args.pool_pages,
-        io_latency=args.io_latency,
-    )
-    store = DirectMeshStore.open(db)
-    config = OpenLoopConfig(
-        offered_rate=1.0,  # Closed-loop per frame; the rate is unused.
-        n_requests=args.frames,
-        mode="flightpath",
-        seed=args.seed,
-        roi_frac=args.roi_frac,
-        step_frac=args.step_frac,
-        lod_breathe=args.lod_breathe,
-        sessions=args.sessions,
-        tenants=args.tenants,
-    )
-
-    def make_cache():
-        if args.cache_mb <= 0.0:
-            return None
-        from repro.core.cache import SemanticCache
-
-        return SemanticCache(int(args.cache_mb * 1024 * 1024))
-
-    results = {}
-    delta_registry = None
-    for transport in SESSION_TRANSPORTS:
-        registry = MetricsRegistry()
-        db.set_metrics_registry(registry)
-        with QueryEngine(
-            store,
-            workers=args.workers,
-            registry=registry,
-            cache=make_cache(),
-        ) as engine:
-            results[transport] = run_delta_sessions(
-                engine, config, transport, verify=not args.no_verify
-            )
-        if transport == "delta":
-            delta_registry = registry
-
-    reports = []
-    for transport in SESSION_TRANSPORTS:
-        result = results[transport]
-        print(result.to_text())
-        report = result.to_json()
-        problems = validate_session_report(report)
-        if problems:
-            raise InvariantError(
-                "generated report fails its own schema", problems=problems
-            )
-        reports.append(report)
-    delta, naive = results["delta"], results["naive"]
-    reduction = (
-        naive.bytes_wire / delta.bytes_wire if delta.bytes_wire else 0.0
-    )
-    print(
-        f"bytes-on-wire reduction: {reduction:.1f}x "
-        f"({naive.bytes_wire} B naive -> {delta.bytes_wire} B delta)"
-    )
-
-    if args.json:
-        payload = {
-            "runs": reports,
-            "bytes_reduction": round(reduction, 2),
-        }
-        Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {args.json}")
-    if args.metrics and delta_registry is not None:
-        print()
-        print(delta_registry.report())
     db.close()
     return 0
 
@@ -933,7 +762,6 @@ def _cmd_fsck(args) -> int:
         )
         return 1
     with db:
-        db.set_metrics_registry(registry)
         if args.archive:
             wal_path = archive_pages(db)
             total = sum(db.segment_pages(n) for n in db.segment_names())

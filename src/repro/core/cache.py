@@ -32,7 +32,6 @@ thread-safe; the query engine's workers insert concurrently.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -133,7 +132,10 @@ class SemanticCache:
         self._region_invalidations = 0
         # Committed-patch log: ``(to_epoch, region)`` pairs, newest
         # last.  Insert-time guard against entries computed from a
-        # pre-patch snapshot (see ``begin_epoch``).
+        # pre-patch snapshot (see ``begin_epoch``).  The cache's own,
+        # not a view of ``QueryEngine._patch_log``: the guard has to
+        # be atomic with ``_entries`` under ``_lock``, and one cache
+        # may serve several engines.
         self._patch_log: list[tuple[int, Rect | None]] = []
 
     # -- introspection -----------------------------------------------------
@@ -343,7 +345,6 @@ class ClusterCacheStats:
     evictions: int
     bytes: int
     entries: int
-    region_invalidations: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -372,11 +373,13 @@ class ClusterCache:
     than cube subsumption (two disjoint cubes touching the same
     cluster share nothing in the cube cache, everything here).
 
-    Entries carry the cluster's spatial extent so
-    :meth:`invalidate` can drop exactly the clusters a patch region
-    overlaps — old-epoch clusters elsewhere keep serving readers still
-    pinned behind the patch.  All operations are thread-safe; engine
-    workers hit and fill concurrently.
+    The epoch in the key is the whole invalidation story: no reader of
+    epoch ``N + 1`` can hit an entry of epoch ``N``, so a commit just
+    empties the cache (:meth:`invalidate`) rather than working out
+    which entries a patch region overlaps — that choice only ever
+    decided how long dead entries sat in the budget.  A reader still
+    pinned to the old epoch re-decodes what it needs.  All operations
+    are thread-safe; engine workers hit and fill concurrently.
     """
 
     def __init__(self, max_bytes: int = DEFAULT_CLUSTER_CACHE_BYTES) -> None:
@@ -388,13 +391,11 @@ class ClusterCache:
             OrderedDict()
         )
         self._sizes: dict[tuple[int, int], int] = {}
-        self._extents: dict[tuple[int, int], Box3 | None] = {}
         self._bytes = 0
         self._hits = 0
         self._misses = 0
         self._insertions = 0
         self._evictions = 0
-        self._region_invalidations = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -416,7 +417,6 @@ class ClusterCache:
                 evictions=self._evictions,
                 bytes=self._bytes,
                 entries=len(self._entries),
-                region_invalidations=self._region_invalidations,
             )
 
     def get(self, cluster_id: int, epoch: int = 0) -> DMNodeColumns | None:
@@ -433,19 +433,12 @@ class ClusterCache:
             return columns
 
     def put(
-        self,
-        cluster_id: int,
-        columns: DMNodeColumns,
-        epoch: int = 0,
-        extent: Box3 | None = None,
+        self, cluster_id: int, columns: DMNodeColumns, epoch: int = 0
     ) -> bool:
         """Admit a decoded cluster; returns True when admitted.
 
-        ``extent`` is the cluster's bounding box from its directory
-        metadata; an entry admitted without one is treated as
-        everywhere by :meth:`invalidate` (dropped by any region).  An
-        entry larger than the whole budget is refused; re-inserting a
-        resident key refreshes recency without double-charging.
+        An entry larger than the whole budget is refused; re-inserting
+        a resident key refreshes recency without double-charging.
         """
         nbytes = columns.nbytes + ENTRY_OVERHEAD_BYTES
         if nbytes > self.max_bytes:
@@ -457,40 +450,19 @@ class ClusterCache:
                 return True
             self._entries[key] = columns
             self._sizes[key] = nbytes
-            self._extents[key] = extent
             self._bytes += nbytes
             self._insertions += 1
             while self._bytes > self.max_bytes:
                 oldest, _ = self._entries.popitem(last=False)
                 self._bytes -= self._sizes.pop(oldest)
-                self._extents.pop(oldest, None)
                 self._evictions += 1
             return True
 
-    def invalidate(self, region: Rect | None = None) -> None:
-        """Drop decoded clusters — all of them, or one spatial region.
-
-        With ``region=None`` the cache empties (full store rebuild).
-        With a region, entries whose extent intersects it — plus any
-        admitted without an extent — are dropped across *all* epochs;
-        dropping is always safe (the next get re-decodes), and
-        non-overlapping clusters of superseded epochs deliberately
-        survive to serve readers still pinned behind a patch.
-        """
+    def invalidate(self) -> None:
+        """Drop every decoded cluster (a commit, a rebuilt store, a
+        cold-start measurement).  Always safe: the next :meth:`get`
+        misses and its caller re-decodes."""
         with self._lock:
-            if region is None:
-                self._entries.clear()
-                self._sizes.clear()
-                self._extents.clear()
-                self._bytes = 0
-                return
-            doomed = []
-            for key in self._entries:
-                extent = self._extents.get(key)
-                if extent is None or extent.rect.intersects(region):
-                    doomed.append(key)
-            for key in doomed:
-                self._entries.pop(key)
-                self._bytes -= self._sizes.pop(key)
-                self._extents.pop(key, None)
-            self._region_invalidations += 1
+            self._entries.clear()
+            self._sizes.clear()
+            self._bytes = 0

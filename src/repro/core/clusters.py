@@ -334,6 +334,19 @@ class ClusterIndex:
         self._max_y = np.array([c.max_y for c in clusters], np.float64)
         self._max_e = np.array([c.max_e for c in clusters], np.float64)
         self._n_pages = np.array([c.n_pages for c in clusters], np.int64)
+        #: The union of the directory's boxes — the terrain's extent in
+        #: ``(x, y, e)``, every node being in some cluster — or ``None``
+        #: for an empty store.
+        self.extent: Box3 | None = None
+        if clusters:
+            self.extent = Box3(
+                float(self._min_x.min()),
+                float(self._min_y.min()),
+                float(self._min_e.min()),
+                float(self._max_x.max()),
+                float(self._max_y.max()),
+                float(self._max_e.max()),
+            )
 
     def __len__(self) -> int:
         return len(self.directory)

@@ -92,6 +92,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 from repro.core.admission import DEGRADE, SHED, CostGovernor
 from repro.core.cache import (
     DEFAULT_CLUSTER_CACHE_BYTES,
+    PATCH_LOG_LIMIT,
     ClusterCache,
     SemanticCache,
 )
@@ -112,8 +113,8 @@ from repro.errors import (
 )
 from repro.geometry.plane import QueryPlane
 from repro.geometry.primitives import Box3, Rect
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.lockwatch import watched_lock
+from repro.obs.metrics import MetricsRegistry
 from repro.storage.integrity import PageQuarantine
 from repro.storage.record import (
     DMNodeColumns,
@@ -248,7 +249,8 @@ class _StoreSnapshot:
     ``N`` — never a hybrid — even when ``N+1`` commits mid-flight.
     Reprolint rule R12 enforces the discipline: the engine's ``_snap``
     slot may only be touched by ``__init__``/``pinned_snapshot``/
-    ``install_store``.
+    ``install_store`` (``_patch_log``, the other slot a commit swaps,
+    by ``__init__``/``install_store``/``patched_since``).
     """
 
     store: "DirectMeshStore"
@@ -265,6 +267,9 @@ class _Job:
     #: The snapshot the job executes against (pinned at submission;
     #: execution never re-reads the live slot).
     snap: _StoreSnapshot
+
+
+_PatchLog = tuple[int, tuple[tuple[int, Rect | None], ...]]
 
 
 class _Fetched(NamedTuple):
@@ -336,27 +341,25 @@ class QueryEngine:
             raise QueryError(
                 f"deadline_s must be positive or None, got {deadline_s}"
             )
+        from repro.core.streaming import SessionManager  # Local: a cycle.
+
         self._snap = _StoreSnapshot(store, epoch)
+        # The one patch history, ``(floor, ((epoch, region), ...))``
+        # oldest first: an immutable pair install_store replaces whole
+        # (see patched_since).  Commits before ``epoch`` are unknown.
+        self._patch_log: _PatchLog = (epoch, ())
         self._retries = retries
         self._deadline_s = deadline_s
         self._cache = cache
         self._governor = governor
         self._cluster_cache = ClusterCache(cluster_cache_bytes)
-        # The CacheStats last mirrored into the registry.
-        self._cache_mirror_lock = watched_lock(
-            "QueryEngine._cache_mirror_lock"
-        )
-        self._cache_mirrored = cache.stats() if cache is not None else None
         # Base-mesh snapshot for the shed path (see _base_snapshot),
         # tagged with the epoch it was fetched at.
         self._base_lock = watched_lock("QueryEngine._base_lock")
         self._base_columns: tuple[int, DMNodeColumns] | None = None
-        # Delta-session manager, created lazily on first use (DCL
-        # under _session_lock: sessions() may race from client
-        # threads; the import is local to avoid a module cycle).
-        self._session_lock = watched_lock("QueryEngine._session_lock")
-        self._session_manager: "SessionManager | None" = None
+        self._session_manager = SessionManager(self)
         self.registry = registry if registry is not None else MetricsRegistry()
+        self._register_sources()
         #: Bounded set of ``(segment, page)`` ids that failed checksum
         #: verification while serving.  Thread-safe; ``clear()`` it
         #: after an offline ``fsck --repair``.
@@ -397,35 +400,47 @@ class QueryEngine:
 
         In-flight requests keep the snapshot they pinned (old-epoch
         segments stay on disk); new submissions see ``(store,
-        epoch)``.  ``region`` is the patched area: the semantic cache
-        drops exactly the cubes overlapping it (and arms its
-        insert-time guard, see
-        :meth:`~repro.core.cache.SemanticCache.begin_epoch`), the
-        cluster cache drops overlapping decoded clusters, and
-        streaming sessions log the patch (one whose view overlaps it
-        resyncs with a keyframe).  ``region=None`` treats the whole terrain as
-        patched (full rebuild).
+        epoch)``.  ``region`` is the patched area (``None``: the whole
+        terrain).  The commit enters the engine's patch history (the
+        one copy; sessions ask :meth:`patched_since`), the semantic
+        cache drops the cubes over ``region`` and arms its insert
+        guard (:meth:`~repro.core.cache.SemanticCache.begin_epoch`),
+        and the cluster cache, keyed on the epoch, is emptied.  One
+        writer at a time (``MutableStore``'s write lock).
         """
-        registry = self.registry
-        # Invalidate and mark BEFORE publishing the new snapshot: a
-        # request that pins the new epoch must never find a stale
-        # overlapping entry still resident (lookup serves entries with
-        # epoch <= the pinned epoch, so the drop has to happen first),
-        # and a session diffing an answer from the new epoch must find
-        # the patch already logged.  The reverse race — an old-epoch
-        # request inserting a stale entry after the drop — is closed
-        # by begin_epoch's insert guard.
+        # Log and invalidate BEFORE publishing the new snapshot: a
+        # session diffing an answer from the new epoch must find the
+        # patch logged, and a request pinning it must not find a stale
+        # overlapping cube resident (lookup serves entries with epoch
+        # <= the pinned one).  The reverse race — an old-epoch request
+        # inserting a stale entry after the drop — is closed by
+        # begin_epoch's insert guard.
+        floor, entries = self._patch_log
+        entries += ((epoch, region),)
+        if len(entries) > PATCH_LOG_LIMIT:
+            floor, entries = max(floor, entries[0][0]), entries[1:]
+        self._patch_log = (floor, entries)
         if self._cache is not None:
             self._cache.begin_epoch(epoch, region)
-            registry.counter("cache.region_invalidations").inc()
-        self._cluster_cache.invalidate(region)
-        registry.counter("cluster.region_invalidations").inc()
-        with self._session_lock:
-            manager = self._session_manager
-        if manager is not None:
-            manager.mark_stale(region, epoch)
+            self.registry.counter("cache.region_invalidations").inc()
+        self._cluster_cache.invalidate()
+        self.registry.counter("cluster.region_invalidations").inc()
         self._snap = _StoreSnapshot(store, epoch)
-        registry.gauge("engine.epoch").set(epoch)
+
+    def patched_since(self, epoch: int, roi: Rect | None) -> bool:
+        """Whether a patch overlapping ``roi`` has committed after
+        ``epoch`` — what a delta session asks before splicing onto
+        records sent at ``epoch``.  Over-approximates, never under:
+        ``roi=None`` (no known footprint) overlaps every patch, and an
+        ``epoch`` below the floor — older than the last
+        :data:`PATCH_LOG_LIMIT` commits, or than the engine — counts
+        as patched: the regions it would need are gone."""
+        floor, entries = self._patch_log
+        return epoch < floor or any(
+            to_epoch > epoch
+            and (roi is None or region is None or roi.intersects(region))
+            for to_epoch, region in entries
+        )
 
     @property
     def cache(self) -> SemanticCache | None:
@@ -443,26 +458,59 @@ class QueryEngine:
         return self._governor
 
     def sessions(self) -> "SessionManager":
-        """The engine's delta-session manager (created lazily).
+        """The engine's delta-session manager.
 
         Sessions opened here submit through this engine, so they
         compose with the semantic cache, retries, deadlines, and
         admission control; see :mod:`repro.core.streaming`.
         """
-        if self._session_manager is None:
-            # Import before taking the lock: a first-touch import does
-            # file I/O under the interpreter import lock (reprolint R10).
-            from repro.core.streaming import SessionManager
-
-            with self._session_lock:
-                if self._session_manager is None:
-                    self._session_manager = SessionManager(self)
         return self._session_manager
+
+    def _register_sources(self) -> None:
+        """Register what other objects count for themselves: the
+        registry reads it there when it is read, so nothing on the
+        request path copies a number it does not own."""
+        registry, cache, governor = self.registry, self._cache, self._governor
+
+        def levels() -> dict[str, float]:
+            stats = self._cluster_cache.stats()
+            return {
+                "cluster.bytes": stats.bytes,
+                "cluster.entries": stats.entries,
+                "cluster.evictions": stats.evictions,
+                "engine.epoch": self.epoch,
+                "session.active": len(self._session_manager),
+            }
+
+        def cache_counters() -> dict[str, float]:
+            stats = cache.stats()
+            return {
+                "cache.hits": stats.hits,
+                "cache.misses": stats.misses,
+                "cache.subsume_hits": stats.subsume_hits,
+                "cache.insertions": stats.insertions,
+                "cache.evictions": stats.evictions,
+            }
+
+        registry.add_source(levels, gauges=True)
+        registry.add_source(
+            lambda: {"storage.crc_failures": self.store.database.crc_failures}
+        )
+        if governor is not None:
+            registry.add_source(
+                lambda: {"slo.inflight_cost": governor.inflight_cost},
+                gauges=True,
+            )
+        if cache is not None:
+            registry.add_source(cache_counters)
+            registry.add_source(
+                lambda: {"cache.bytes": cache.bytes, "cache.entries": len(cache)},
+                gauges=True,
+            )
 
     def close(self) -> None:
         """Shut the worker pool down (idempotent)."""
         self._pool.shutdown(wait=True)
-        self._mirror_cache_stats()
 
     def __enter__(self) -> "QueryEngine":
         return self
@@ -517,7 +565,6 @@ class QueryEngine:
             registry.histogram("slo.estimated_cost").observe(cost)
             degradable = isinstance(request, UniformRequest)
             decision = governor.decide(tenant, cost, degradable=degradable)
-            registry.gauge("slo.inflight_cost").set(governor.inflight_cost)
             if decision.throttled:
                 registry.counter("slo.tenant_throttled").inc()
             if decision.action == SHED:
@@ -559,12 +606,8 @@ class QueryEngine:
 
         def release() -> None:
             queue_depth.add(-1)
-            governor = self._governor
-            if governor is not None and reserved > 0:
-                governor.release(reserved)
-                self.registry.gauge("slo.inflight_cost").set(
-                    governor.inflight_cost
-                )
+            if self._governor is not None and reserved > 0:
+                self._governor.release(reserved)
 
         def task() -> QueryOutcome:
             try:
@@ -678,10 +721,10 @@ class QueryEngine:
         cached = self._base_columns
         if cached is None or cached[0] != snap.epoch:
             store = snap.store
-            space = store.rtree.data_space
-            if space is None:
+            extent = store.clusters.index.extent
+            if extent is None:
                 return None
-            probe = UniformRequest(space.rect, store.max_lod)
+            probe = UniformRequest(extent.rect, store.max_lod)
             try:
                 columns = self._fetch_clustered(
                     probe.query_box(store.e_cap), snap
@@ -739,46 +782,7 @@ class QueryEngine:
         outcomes = [future.result() for future in futures]
         self.registry.counter("engine.requests").inc(len(requests))
         self.registry.counter("engine.batches").inc()
-        self._mirror_cache_stats()
         return outcomes
-
-    def _mirror_cache_stats(self) -> None:
-        """Mirror the semantic cache's activity into the registry.
-
-        The registry gets the deltas since the last mirrored snapshot
-        plus the current resident size.  Called where misses converge
-        (after the pipeline's cache insert), at the end of a batch and
-        at close — never on the hit path, which stays one lookup and
-        one filter.  Snapshots are totally ordered (the counters only
-        grow), so a thread that lost the race to a later snapshot
-        has nothing left to add.
-        """
-        cache = self._cache
-        if cache is None:
-            return
-        after = cache.stats()
-        with self._cache_mirror_lock:
-            before = self._cache_mirrored
-            if before is None or (
-                after.lookups + after.insertions
-                < before.lookups + before.insertions
-            ):
-                return
-            self._cache_mirrored = after
-        registry = self.registry
-        registry.counter("cache.hits").inc(after.hits - before.hits)
-        registry.counter("cache.misses").inc(after.misses - before.misses)
-        registry.counter("cache.subsume_hits").inc(
-            after.subsume_hits - before.subsume_hits
-        )
-        registry.counter("cache.insertions").inc(
-            after.insertions - before.insertions
-        )
-        registry.counter("cache.evictions").inc(
-            after.evictions - before.evictions
-        )
-        registry.gauge("cache.bytes").set(after.bytes)
-        registry.gauge("cache.entries").set(after.entries)
 
     # -- stages (run on worker threads) ------------------------------------
 
@@ -846,7 +850,6 @@ class QueryEngine:
         finished = time.perf_counter()
         if self._cache is not None:
             self._cache.insert(job.box, records, epoch=snap.epoch)
-            self._mirror_cache_stats()
 
         metrics = QueryMetrics(
             pages_read=probe.physical_reads,
@@ -905,9 +908,7 @@ class QueryEngine:
             columns = cluster_cache.get(cid, snap.epoch)
             if columns is None:
                 columns = clusters.decode(cid)
-                cluster_cache.put(
-                    cid, columns, snap.epoch, extent=clusters.meta(cid).box
-                )
+                cluster_cache.put(cid, columns, snap.epoch)
                 runs_read += 1
             else:
                 hit_pages += clusters.meta(cid).n_pages
@@ -931,10 +932,6 @@ class QueryEngine:
             registry.counter("cluster.decode_misses").inc(runs_read)
         if runs_read < len(cids):
             registry.counter("cluster.decode_hits").inc(len(cids) - runs_read)
-        cache_stats = cluster_cache.stats()
-        registry.gauge("cluster.bytes").set(cache_stats.bytes)
-        registry.gauge("cluster.entries").set(cache_stats.entries)
-        registry.gauge("cluster.evictions").set(cache_stats.evictions)
         registry.histogram("engine.clusters_touched").observe(len(cids))
         return _Fetched(batch, index_done, len(cids), nodes_decoded)
 

@@ -465,9 +465,10 @@ class MutableStore:
 
         Every commit calls
         :meth:`~repro.core.engine.QueryEngine.install_store`, which
-        swaps the engine's pinned snapshot, epoch-invalidates the
-        semantic and cluster caches over the patched region, and marks
-        overlapping streaming sessions for a keyframe resync.
+        logs the patch in the engine's history (streaming sessions
+        whose view it overlaps keyframe at their next update), drops
+        the semantic-cache cubes over the patched region, empties the
+        cluster cache and swaps the engine's pinned snapshot.
         """
         self.add_listener(
             lambda store, epoch, region: engine.install_store(

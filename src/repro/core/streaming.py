@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.core.cache import PATCH_LOG_LIMIT
 from repro.core.query import DMQueryResult
 from repro.core.reconstruct import (
     IdArray,
@@ -227,17 +226,18 @@ class EngineSession:
 
     A frame is a delta only when no patch overlapping the active
     set's view has committed since the epoch of the answer the active
-    set came from (:meth:`mark_stale`, driven by
-    :meth:`QueryEngine.install_store`, logs the patches; each update
-    drops the ones its answer's epoch has caught up with); otherwise
-    it is a keyframe: the client's spliced mesh would mix pre-patch
-    records with a post-patch answer, and no incremental delta can
-    reconcile node ids across epochs.
+    set came from; otherwise it is a keyframe: the client's spliced
+    mesh would mix pre-patch records with a post-patch answer, and no
+    incremental delta can reconcile node ids across epochs.  The
+    session keeps that epoch and that view and nothing else: the
+    patch history is the engine's
+    (:meth:`QueryEngine.patched_since`), so a session is told of
+    every commit however it was constructed — through a
+    :class:`SessionManager` or directly.
 
-    Not thread-safe for updates: a session is one client's ordered
-    stream (:meth:`mark_stale` alone may be called from any thread).
-    Use one :class:`EngineSession` per client; the engine underneath
-    is the concurrency layer.
+    Not thread-safe: a session is one client's ordered stream.  Use
+    one :class:`EngineSession` per client; the engine underneath is
+    the concurrency layer.
     """
 
     def __init__(
@@ -252,11 +252,10 @@ class EngineSession:
         self._active: dict[int, DMNodeRecord] = {}
         self._seq = 0
         self._bytes_sent = 0
-        # ``(epoch, region)`` of every patch committed after the epoch
-        # of the answer the active set came from: logged by the
-        # writer, read (and trimmed) by update.
-        self._patch_lock = watched_lock("EngineSession._patch_lock")
-        self._patches: "list[tuple[int, Rect | None]]" = []
+        # The epoch of the answer the active set came from (until the
+        # first update: the epoch the session was opened at) and that
+        # answer's view — what patched_since is asked about.
+        self._epoch = engine.epoch
         self._last_roi: "Rect | None" = None
 
     # -- state ------------------------------------------------------------
@@ -290,33 +289,10 @@ class EngineSession:
     def stale(self) -> bool:
         """Whether a patch has committed over the active set's view
         since the epoch of the answer it came from — the next update
-        is then a keyframe.  An unknown view overlaps everything:
-        staleness must over-approximate."""
-        roi = self._last_roi
-        with self._patch_lock:
-            regions = [region for _, region in self._patches]
-        return any(
-            region is None or roi is None or roi.intersects(region)
-            for region in regions
-        )
-
-    # -- mutation ----------------------------------------------------------
-
-    def mark_stale(self, region: "Rect | None", epoch: int) -> None:
-        """Log that a patch over ``region`` (``None``: the whole
-        terrain) committed ``epoch``.
-
-        Overlap is decided by :meth:`update` against the view the
-        active set then has, not here against a view an in-flight
-        update is about to replace.  A session that stops updating
-        while patches keep landing collapses its log to one
-        whole-terrain entry at :data:`~repro.core.cache.PATCH_LOG_LIMIT`.
-        Safe from any thread.
-        """
-        with self._patch_lock:
-            if len(self._patches) >= PATCH_LOG_LIMIT:
-                self._patches, region = [], None
-            self._patches.append((epoch, region))
+        is then a keyframe.  An unknown view overlaps everything, and
+        so does a session idle for longer than the engine's patch
+        history reaches: staleness must over-approximate."""
+        return self._engine.patched_since(self._epoch, self._last_roi)
 
     # -- updates ----------------------------------------------------------
 
@@ -369,11 +345,10 @@ class EngineSession:
         payload = encode_frame(frame)
         self._active = dict(outcome.result.nodes)
         self._last_roi = self._request_roi(request)
-        # The active set is now the answer's epoch; later patches stay
-        # logged against the new view.
-        epoch = outcome.metrics.epoch
-        with self._patch_lock:
-            self._patches = [p for p in self._patches if p[0] > epoch]
+        # The active set is now the answer's epoch: a patch that
+        # committed while the answer was in flight is later than it,
+        # and the next update asks again.
+        self._epoch = outcome.metrics.epoch
         if stale:
             registry.counter("session.patch_resyncs").inc()
         self._seq += 1
@@ -411,11 +386,15 @@ class EngineSession:
 
 
 class SessionManager:
-    """Tracks the open delta sessions of one :class:`QueryEngine`.
+    """Names the open delta sessions of one :class:`QueryEngine`: a
+    dict and a lock.
 
     Thread-safe: ``open``/``close``/``get`` may be called from any
     serving thread.  The sessions themselves are single-client
-    streams (see :class:`EngineSession`).
+    streams (see :class:`EngineSession`) and need nothing from the
+    manager to stay correct — commits reach them through the engine —
+    so it only hands out ids and is what the ``session.active`` gauge
+    counts (the engine registers ``len(manager)`` as its source).
     """
 
     def __init__(self, engine: "QueryEngine") -> None:
@@ -440,8 +419,6 @@ class SessionManager:
             session = EngineSession(self._engine, session_id, tenant)
             self._sessions[session_id] = session
             self._opened += 1
-            active = len(self._sessions)
-        self._engine.registry.gauge("session.active").set(active)
         return session
 
     def get(self, session_id: str) -> EngineSession:
@@ -459,22 +436,6 @@ class SessionManager:
                 raise SessionError(
                     "unknown session id", session_id=session_id
                 )
-            active = len(self._sessions)
-        self._engine.registry.gauge("session.active").set(active)
-
-    def mark_stale(self, region: "Rect | None", epoch: int) -> None:
-        """Tell every open session a patch over ``region`` (``None``:
-        the whole terrain) committed ``epoch``.
-
-        Called by :meth:`QueryEngine.install_store` *before* it
-        publishes the new snapshot, so an answer pinned to ``epoch``
-        always finds the patch logged (see
-        :meth:`EngineSession.mark_stale`).
-        """
-        with self._lock:
-            sessions = list(self._sessions.values())
-        for session in sessions:
-            session.mark_stale(region, epoch)
 
     def ids(self) -> list[str]:
         """The open session ids, sorted."""

@@ -23,7 +23,7 @@ from repro.obs.lockwatch import watched_lock
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator, Mapping
 
 __all__ = [
     "Counter",
@@ -351,6 +351,11 @@ class Histogram:
         )
 
 
+#: A *source*: a callable returning ``{declared name: value}``, read
+#: when the registry is (see :meth:`MetricsRegistry.add_source`).
+Source = Callable[[], Mapping[str, float]]
+
+
 class MetricsRegistry:
     """A named collection of counters and histograms.
 
@@ -362,6 +367,11 @@ class MetricsRegistry:
         with registry.timer("engine.query_s"):
             run_query()
         print(registry.report())
+
+    A number some other object already owns (a cache's hit count, a
+    governor's in-flight cost) is not copied into an instrument: its
+    owner is registered as a *source* (:meth:`add_source`) and read
+    when the registry is.
     """
 
     def __init__(self) -> None:
@@ -369,6 +379,8 @@ class MetricsRegistry:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
+        # ``(is gauge, names, read)`` per source, oldest first.
+        self._sources: list[tuple[bool, frozenset[str], Source]] = []
 
     def counter(self, name: str) -> Counter:
         """The counter called ``name`` (created on first use)."""
@@ -406,19 +418,58 @@ class MetricsRegistry:
         finally:
             self.histogram(name).observe(time.perf_counter() - start)
 
+    def add_source(self, read: Source, gauges: bool = False) -> None:
+        """Expose numbers their owner keeps, read at exposition time.
+
+        ``read`` returns ``{name: value}``; it is called once here —
+        every name must be declared in :data:`METRIC_NAMES`, or
+        ``ValueError`` — and again by each :meth:`counters` (or, with
+        ``gauges=True``, :meth:`gauges`) and :meth:`report`, outside
+        the registry's lock.  Nothing is copied in between, so the
+        registry shows the owner's value, and two registries reading
+        one shared owner both show its totals.  A source replaces any
+        earlier one that declared one of its names (the last engine
+        built on a registry is the one it reports), and shadows an
+        instrument of the same name: read sourced names through
+        ``counters()`` / ``gauges()``, not ``counter(name).value``.
+        """
+        names = frozenset(read())
+        undeclared = sorted(names - METRIC_NAMES)
+        if undeclared:
+            raise ValueError(
+                f"metric source returns undeclared names {undeclared}; "
+                "add them to repro.obs.metrics.METRIC_NAMES"
+            )
+        with self._lock:
+            self._sources = [
+                source for source in self._sources if not source[1] & names
+            ] + [(gauges, names, read)]
+
     # -- reading -----------------------------------------------------------
 
+    def _sourced(self, gauges: bool) -> dict[str, float]:
+        with self._lock:
+            reads = [s[2] for s in self._sources if s[0] == gauges]
+        values: dict[str, float] = {}
+        for read in reads:
+            values.update(read())
+        return values
+
     def counters(self) -> dict[str, int]:
-        """Name -> value for every counter."""
+        """Name -> value for every counter, sourced ones included."""
         with self._lock:
             items = list(self._counters.items())
-        return {name: counter.value for name, counter in items}
+        values = {name: counter.value for name, counter in items}
+        values.update((k, int(v)) for k, v in self._sourced(False).items())
+        return values
 
     def gauges(self) -> dict[str, float]:
-        """Name -> value for every gauge."""
+        """Name -> value for every gauge, sourced ones included."""
         with self._lock:
             items = list(self._gauges.items())
-        return {name: gauge.value for name, gauge in items}
+        values = {name: gauge.value for name, gauge in items}
+        values.update((k, float(v)) for k, v in self._sourced(True).items())
+        return values
 
     def histograms(self) -> dict[str, HistogramSnapshot]:
         """Name -> snapshot for every histogram."""
@@ -441,7 +492,8 @@ class MetricsRegistry:
         return "\n".join(lines)
 
     def reset(self) -> None:
-        """Drop every instrument (names are re-created on next use)."""
+        """Drop every instrument (names are re-created on next use).
+        Sources stay: their owners hold the state, not the registry."""
         with self._lock:
             self._counters.clear()
             self._gauges.clear()

@@ -38,7 +38,6 @@ from repro.storage.pager import Pager
 from repro.storage.stats import DiskStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.metrics import MetricsRegistry
     from repro.storage.faults import FaultInjector
 
 __all__ = [
@@ -216,7 +215,6 @@ class Database:
         self.buffer = BufferPool(self.stats, pool_pages)
         self._io_latency = io_latency
         self._fault_injector = fault_injector
-        self._metrics: "MetricsRegistry | None" = None
         self._pagers: dict[str, Pager] = {}
         self._closed = False
         self._wal = None
@@ -300,7 +298,6 @@ class Database:
             pager.wal = self._wal  # Join any active atomic scope.
             pager.io_latency = self._io_latency
             pager.fault_injector = self._fault_injector
-            pager.metrics = self._metrics
             self._pagers[name] = pager
         return Segment(pager, self.buffer)
 
@@ -311,8 +308,9 @@ class Database:
 
     @property
     def crc_failures(self) -> int:
-        """Checksum mismatches across every open segment."""
-        return sum(p.crc_failures for p in self._pagers.values())
+        """Checksum mismatches across every open segment (what a
+        serving engine's registry reads as ``storage.crc_failures``)."""
+        return sum(p.crc_failures for p in list(self._pagers.values()))
 
     def set_io_latency(self, seconds: float) -> None:
         """Set the simulated read latency on every (current and
@@ -334,19 +332,6 @@ class Database:
         self._fault_injector = injector
         for pager in self._pagers.values():
             pager.fault_injector = injector
-
-    def set_metrics_registry(
-        self, registry: "MetricsRegistry | None"
-    ) -> None:
-        """Install (or with ``None``, remove) a metrics registry on
-        every current and future segment.
-
-        Today the pagers report only ``storage.crc_failures`` through
-        it; the disk-access counters stay in :attr:`stats`.
-        """
-        self._metrics = registry
-        for pager in self._pagers.values():
-            pager.metrics = registry
 
     def has_segment(self, name: str) -> bool:
         """True if the segment file exists on disk."""

@@ -35,7 +35,6 @@ from repro.storage.page import (
 from repro.storage.stats import DiskStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.metrics import MetricsRegistry
     from repro.storage.faults import FaultInjector
     from repro.storage.wal import WriteAheadLog
 
@@ -112,9 +111,6 @@ class Pager:
         #: as a physical read — the page never arrived, matching how a
         #: real device error behaves.
         self.fault_injector: "FaultInjector | None" = None
-        #: Optional :class:`repro.obs.metrics.MetricsRegistry`; when
-        #: set, checksum mismatches increment ``storage.crc_failures``.
-        self.metrics: "MetricsRegistry | None" = None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -350,8 +346,6 @@ class Pager:
             return
         with self._crc_lock:
             self._crc_failures += 1
-        if self.metrics is not None:
-            self.metrics.counter("storage.crc_failures").inc()
         raise PageCorruptionError(
             f"{self.name}: page {page_no} failed checksum verification",
             segment=self.name,

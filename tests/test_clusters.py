@@ -27,6 +27,7 @@ from repro.core import DirectMeshStore, QueryEngine
 from repro.core.cache import ClusterCache
 from repro.core.clusters import (
     ClusterDirectory,
+    ClusterIndex,
     cluster_directory_path,
     decode_cluster_blob,
     encode_cluster_blob,
@@ -41,6 +42,12 @@ from repro.mesh.selective import uniform_query_ref, viewdep_query_ref
 from repro.storage import Database, FaultInjector
 from repro.storage.record import decode_dm_nodes_columnar, encode_dm_node
 from repro.terrain import dataset_by_name
+from tests.test_mutate import (
+    EXTENT,
+    aligned_region,
+    mutable_engine,
+    patch_heights,
+)
 
 common = settings(
     max_examples=25,
@@ -211,6 +218,14 @@ class TestDirectoryInvariants:
         for meta in directory.clusters:
             assert (meta.n_pages - 1) * payload < meta.n_bytes
             assert meta.n_bytes <= meta.n_pages * payload
+
+    def test_index_extent_is_the_terrain_extent(self, built):
+        """The serving side reads the terrain's extent off the
+        directory; it is the box the reference R*-tree reports."""
+        _, store = built
+        assert store.clusters.index.extent == store.rtree.data_space
+        empty = ClusterIndex(ClusterDirectory("dm_cruns", 64, []))
+        assert empty.extent is None
 
     def test_extents_cover_members(self, built):
         """Each decoded member's capped segment lies in its extent."""
@@ -427,7 +442,7 @@ class TestExplainClusterView:
 
 
 class TestClusterCacheRegions:
-    """Epoch keys and extent-based spatial invalidation (patches)."""
+    """The epoch is the key, and a commit empties the cache."""
 
     def test_epoch_keys_do_not_collide(self):
         cache = ClusterCache(max_bytes=1 << 20)
@@ -437,29 +452,51 @@ class TestClusterCacheRegions:
         assert cache.get(3, 0) is old
         assert cache.get(3, 1) is new
 
-    def test_region_invalidation_uses_extents(self):
-        cache = ClusterCache(max_bytes=1 << 20)
-        near = Box3(0.0, 0.0, 0.0, 4.0, 4.0, 1.0)
-        far = Box3(50.0, 50.0, 0.0, 60.0, 60.0, 1.0)
-        cache.put(0, _columns(4), 0, extent=near)
-        cache.put(1, _columns(4, seed=1), 0, extent=far)
-        cache.invalidate(Rect(2.0, 2.0, 8.0, 8.0))
-        assert cache.get(0, 0) is None
-        assert cache.get(1, 0) is not None
-        assert cache.stats().region_invalidations == 1
+    def test_commit_leaves_no_older_epoch_resident(self, tmp_path):
+        """No reader of epoch N + 1 can hit an entry of epoch N, so
+        ``install_store`` drops them all rather than let dead entries
+        sit in the budget."""
+        db, ms, engine = mutable_engine(tmp_path)
+        with db, engine:
+            everything = UniformRequest(EXTENT, ms.store.max_lod)
+            engine.submit(everything).result()
+            old_clusters = len(ms.store.clusters)
+            assert len(engine.cluster_cache) > 0
+            # A patch over one corner: clusters elsewhere go too.
+            ms.apply_patch(
+                aligned_region(12, 12, 16, 16),
+                patch_heights(12, 12, 16, 16, seed=5),
+            )
+            assert len(engine.cluster_cache) == 0
+            assert engine.cluster_cache.bytes == 0
+            engine.submit(everything).result()
+            assert len(engine.cluster_cache) > 0
+            assert all(
+                engine.cluster_cache.get(cid, 0) is None
+                for cid in range(old_clusters)
+            )
+            counters = engine.registry.counters()
+            assert counters["cluster.region_invalidations"] == 1
 
-    def test_unknown_extent_fails_closed(self):
-        cache = ClusterCache(max_bytes=1 << 20)
-        cache.put(0, _columns(4), 0)  # No extent recorded.
-        cache.invalidate(Rect(90.0, 90.0, 99.0, 99.0))
-        assert cache.get(0, 0) is None
-
-    def test_non_overlapping_old_epoch_entries_survive_commit(self):
-        cache = ClusterCache(max_bytes=1 << 20)
-        far = Box3(50.0, 50.0, 0.0, 60.0, 60.0, 1.0)
-        cache.put(7, _columns(4), 0, extent=far)
-        cache.invalidate(Rect(0.0, 0.0, 10.0, 10.0))  # Patch commit.
-        # Cluster ids are not stable across epochs, so the surviving
-        # entry stays keyed to epoch 0 — and stays servable there.
-        assert cache.get(7, 0) is not None
-        assert cache.get(7, 1) is None
+    def test_reader_pinned_behind_a_commit_redecodes_its_own_epoch(
+        self, tmp_path
+    ):
+        db, ms, engine = mutable_engine(tmp_path)
+        with db, engine:
+            box = UniformRequest(EXTENT, 0.0).query_box(ms.store.e_cap)
+            pinned = engine.pinned_snapshot()
+            before = engine._fetch_clustered(box, pinned)
+            ms.apply_patch(
+                aligned_region(0, 0, 8, 8), patch_heights(0, 0, 8, 8, seed=2)
+            )
+            assert engine.epoch == 1 and len(engine.cluster_cache) == 0
+            misses = engine.cluster_cache.stats().misses
+            after = engine._fetch_clustered(box, pinned)
+            # Every candidate was a miss and decoded from epoch 0's runs.
+            assert (
+                engine.cluster_cache.stats().misses - misses
+                == after.clusters_touched
+            )
+            assert after.columns.z.tolist() == before.columns.z.tolist()
+            fresh = engine._fetch_clustered(box, engine.pinned_snapshot())
+            assert fresh.columns.z.tolist() != before.columns.z.tolist()

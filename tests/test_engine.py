@@ -11,6 +11,7 @@ import random
 import pytest
 
 from repro.core import DirectMeshStore, QueryEngine
+from repro.core.admission import CostGovernor
 from repro.core.cache import SemanticCache
 from repro.core.engine import SingleBaseRequest, UniformRequest
 from repro.core.query import range_columns
@@ -472,3 +473,124 @@ class TestEdgesRace:
         for edges in seen:
             assert_same_rows(edges, reference)
         assert result.edges() is result.edges()
+
+
+class TestMetricSources:
+    """The registry reads ``cache.*``, ``cluster.*``, the governor, the
+    database and the session manager where they count for themselves."""
+
+    def test_registry_shows_the_owners_numbers_mid_run(self, store):
+        rng = random.Random(41)
+        requests = [_random_uniform(store, rng) for _ in range(6)]
+        cache = SemanticCache(6000)  # Small: the run evicts.
+        with QueryEngine(store, workers=2, cache=cache) as engine:
+            for request in requests:  # A miss, then a hit on its cube.
+                assert engine.submit(request).result(timeout=30).ok
+                assert engine.submit(request).result(timeout=30).ok
+            # Nothing is called in between: no flush, no close.
+            counters = engine.registry.counters()
+            gauges = engine.registry.gauges()
+            stats, cluster = cache.stats(), engine.cluster_cache.stats()
+        assert stats.hits > 0 and stats.misses > 0 and stats.evictions > 0
+        for name in (
+            "hits", "misses", "subsume_hits", "insertions", "evictions"
+        ):
+            assert counters[f"cache.{name}"] == getattr(stats, name), name
+        assert gauges["cache.bytes"] == stats.bytes
+        assert gauges["cache.entries"] == stats.entries
+        assert gauges["cluster.bytes"] == cluster.bytes > 0
+        assert gauges["cluster.entries"] == cluster.entries
+        assert gauges["cluster.evictions"] == cluster.evictions
+
+    def test_engines_sharing_a_cache_each_report_its_totals(self, store):
+        rng = random.Random(43)
+        requests = [_random_uniform(store, rng) for _ in range(4)]
+        cache = SemanticCache(1 << 22)
+        with QueryEngine(store, workers=1, cache=cache) as first:
+            with QueryEngine(store, workers=1, cache=cache) as second:
+                first.run_batch(requests)
+                second.run_batch(requests)  # Served from first's cubes.
+                stats = cache.stats()
+                assert stats.hits == len(requests) == stats.misses
+                for engine in (first, second):
+                    counters = engine.registry.counters()
+                    assert counters["cache.hits"] == stats.hits
+                    assert counters["cache.misses"] == stats.misses
+                    assert counters["cache.insertions"] == stats.insertions
+
+    def test_exposition_after_a_fixed_sequence(self, tmp_path):
+        """The names one engine exposes, pinned (PR 23 moved seven
+        counters and eight gauges from pushed copies to sources: every
+        name kept its name and, below, its owner's value).  The list
+        is the parent's after the same sequence plus
+        ``storage.crc_failures``, which the parent listed only once a
+        page had failed and only when the CLI had wired the registry
+        into the pagers."""
+        from tests.test_mutate import (
+            aligned_region,
+            mutable_engine,
+            patch_heights,
+        )
+
+        registry = MetricsRegistry()
+        db, ms, engine = mutable_engine(
+            tmp_path,
+            workers=1,  # One insert order: the counts below are exact.
+            registry=registry,
+            cache=SemanticCache(1 << 16),
+            governor=CostGovernor(1e9),
+        )
+        lod = ms.store.max_lod
+        views = [
+            UniformRequest(Rect(0, 0, 3 + i, 3 + i), lod * (0.2 + 0.1 * i))
+            for i in range(6)
+        ]
+        with db, engine:
+            engine.run_batch(views)
+            engine.run_batch(views[:3])
+            for view in views[2:]:
+                engine.submit(view).result()
+            session = engine.sessions().open()
+            session.update(views[0])
+            ms.apply_patch(
+                aligned_region(0, 0, 8, 8), patch_heights(0, 0, 8, 8, seed=2)
+            )
+            session.update(views[0])
+            for view in views:
+                engine.submit(view).result()
+            counters, gauges = registry.counters(), registry.gauges()
+            report = registry.report()
+            stats, cluster = engine.cache.stats(), engine.cluster_cache.stats()
+        assert sorted(counters) == [
+            "cache.evictions", "cache.hits", "cache.insertions",
+            "cache.misses", "cache.region_invalidations",
+            "cache.subsume_hits", "cluster.decode_hits",
+            "cluster.decode_misses", "cluster.region_invalidations",
+            "engine.admitted", "engine.batches", "engine.range_queries",
+            "engine.requests", "session.added", "session.bytes_wire",
+            "session.patch_resyncs", "session.removed", "session.updates",
+            "storage.cluster_reads", "storage.crc_failures",
+        ]
+        assert sorted(gauges) == [
+            "cache.bytes", "cache.entries", "cluster.bytes",
+            "cluster.entries", "cluster.evictions", "engine.epoch",
+            "session.active", "slo.inflight_cost", "slo.queue_depth",
+        ]
+        listed = [line.split()[0] for line in report.splitlines()[2:]]
+        assert set(counters) | set(gauges) <= set(listed)
+        # The values the parent's pushed copies held after this sequence.
+        assert (stats.hits, stats.misses, stats.insertions) == (9, 12, 12)
+        assert counters["cache.hits"] == 9
+        assert counters["cache.misses"] == 12
+        assert counters["cache.insertions"] == 12
+        assert counters["cache.region_invalidations"] == 1
+        assert counters["cluster.region_invalidations"] == 1
+        assert counters["storage.crc_failures"] == 0
+        assert gauges["cache.bytes"] == stats.bytes
+        assert gauges["cache.entries"] == stats.entries == 6
+        assert gauges["cluster.bytes"] == cluster.bytes
+        assert gauges["cluster.entries"] == cluster.entries == 2
+        assert gauges["cluster.evictions"] == 0
+        assert gauges["engine.epoch"] == 1
+        assert gauges["session.active"] == 1
+        assert gauges["slo.inflight_cost"] == 0

@@ -161,12 +161,17 @@ class TestCorruptReadPath:
         db.close()
 
     def test_crc_failures_reach_the_metrics_registry(self, tmp_path):
+        """The database counts; a registry reads it there (the source
+        a serving engine registers)."""
         path = tmp_path / "db"
         db = Database(path, pool_pages=8)
         registry = MetricsRegistry()
-        db.set_metrics_registry(registry)
+        registry.add_source(
+            lambda: {"storage.crc_failures": db.crc_failures}
+        )
         db.segment("t").allocate()
         db.flush()
+        assert registry.counters()["storage.crc_failures"] == 0
         _flip_byte(path / "t.seg", 10)
         with pytest.raises(PageCorruptionError):
             db.segment("t").fetch(0)

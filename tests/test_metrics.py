@@ -199,3 +199,42 @@ class TestRegistry:
         registry.counter("a").inc()
         registry.reset()
         assert registry.counters() == {}
+
+
+class TestSources:
+    """Numbers another object owns are read from it, not copied in."""
+
+    def test_source_is_read_at_exposition_time(self):
+        registry = MetricsRegistry()
+        owner = {"hits": 0, "bytes": 0}
+        registry.add_source(lambda: {"cache.hits": owner["hits"]})
+        registry.add_source(
+            lambda: {"cache.bytes": owner["bytes"]}, gauges=True
+        )
+        assert registry.counters() == {"cache.hits": 0}
+        owner.update(hits=7, bytes=4096)
+        assert registry.counters() == {"cache.hits": 7}
+        assert registry.gauges() == {"cache.bytes": 4096.0}
+        report = registry.report()
+        assert "cache.hits" in report and "4096" in report
+
+    def test_undeclared_source_name_raises(self):
+        registry = MetricsRegistry()
+        with pytest.raises(ValueError, match="cache.hitz"):
+            registry.add_source(lambda: {"cache.hitz": 1})
+        assert registry.counters() == {}
+
+    def test_later_source_replaces_an_earlier_one_by_name(self):
+        """One registry handed to a second engine reports the second."""
+        registry = MetricsRegistry()
+        registry.add_source(lambda: {"cache.hits": 1, "cache.misses": 1})
+        registry.add_source(lambda: {"cache.hits": 5, "cache.misses": 6})
+        assert registry.counters() == {"cache.hits": 5, "cache.misses": 6}
+
+    def test_source_shadows_an_instrument_and_survives_reset(self):
+        registry = MetricsRegistry()
+        registry.counter("cache.hits").inc(99)
+        registry.add_source(lambda: {"cache.hits": 2})
+        assert registry.counters()["cache.hits"] == 2
+        registry.reset()
+        assert registry.counters() == {"cache.hits": 2}

@@ -73,6 +73,19 @@ def patch_heights(r0: int, c0: int, r1: int, c1: int, seed: int):
     return rng.uniform(0.0, 30.0, (r1 - r0 + 1, c1 - c0 + 1))
 
 
+def mutable_engine(tmp_path, seed: int = 4, workers: int = 2, **engine_args):
+    """A small mutable store with an engine attached."""
+    db = Database(tmp_path / "db")
+    ms = MutableStore.build(
+        make_dem(seed), db, prefix="dm", tile_verts=TILE_VERTS
+    )
+    engine = QueryEngine(
+        ms.store, epoch=ms.epoch, workers=workers, **engine_args
+    )
+    ms.attach(engine)
+    return db, ms, engine
+
+
 def store_digest(store) -> dict:
     """Every record's full identity, keyed by node id."""
     from repro.storage.record import decode_dm_node
@@ -383,17 +396,7 @@ class TestKillAnywhere:
 
 class TestEnginePinning:
     def _open(self, tmp_path):
-        dem = make_dem(2)
-        db = Database(tmp_path / "db")
-        ms = MutableStore.build(dem, db, prefix="dm", tile_verts=TILE_VERTS)
-        engine = QueryEngine(
-            ms.store,
-            epoch=ms.epoch,
-            cache=SemanticCache(1 << 22),
-            workers=2,
-        )
-        ms.attach(engine)
-        return db, ms, engine
+        return mutable_engine(tmp_path, seed=2, cache=SemanticCache(1 << 22))
 
     def test_outcomes_carry_the_pinned_epoch(self, tmp_path):
         db, ms, engine = self._open(tmp_path)

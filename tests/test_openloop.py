@@ -143,7 +143,9 @@ class TestWorkloads:
     def test_empty_store_raises(self):
         from types import SimpleNamespace
 
-        empty = SimpleNamespace(rtree=SimpleNamespace(data_space=None))
+        empty = SimpleNamespace(
+            clusters=SimpleNamespace(index=SimpleNamespace(extent=None))
+        )
         with pytest.raises(QueryError):
             next(zipf_workload(empty, small_config()))
 

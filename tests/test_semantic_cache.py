@@ -213,7 +213,7 @@ def _node_ids(outcomes) -> list:
 
 
 def _assert_registry_mirrors(registry, stats) -> None:
-    """The registry's ``cache.*`` counters equal the cache's own."""
+    """The registry's ``cache.*`` counters are the cache's own."""
     counters = registry.counters()
     for name in ("hits", "misses", "subsume_hits", "insertions", "evictions"):
         assert counters[f"cache.{name}"] == getattr(stats, name), name
@@ -272,8 +272,9 @@ class TestEngineWithCache:
         assert hit_rates[0] < hit_rates[-1]
 
     def test_submit_path_mirrors_cache_metrics(self, store):
-        """The open-loop path feeds ``cache.*`` too: after close the
-        registry agrees with the cache's own counters, evictions
+        """``cache.*`` in the registry is the cache's own counters
+        (the engine registers ``cache.stats`` as their source), after
+        an open-loop run and a close as at any other time, evictions
         included (the budget holds two or three of the small cubes)."""
         requests = _workload(store, seed=13, n=4)
         registry = MetricsRegistry()
@@ -289,9 +290,10 @@ class TestEngineWithCache:
         assert registry.gauges()["cache.bytes"] == cache.bytes
 
     def test_concurrent_mirroring_loses_and_doubles_nothing(self, store):
-        """Workers mirror cache deltas concurrently (more workers than
-        cores, a shortened switch interval): a lost or doubled delta
-        would break the registry == cache.stats() invariant."""
+        """Workers hit and fill the cache concurrently (more workers
+        than cores, a shortened switch interval) and nothing mirrors
+        deltas any more: the registry reads the cache, so it cannot
+        lose or double one — registry == cache.stats() still."""
         requests = _workload(store, seed=19, n=6)
         registry = MetricsRegistry()
         cache = SemanticCache(5000)

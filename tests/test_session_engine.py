@@ -6,25 +6,29 @@ query for the same view — including the delta-algebra hypothesis
 property, which replays arbitrary update sequences.
 """
 
+import sys
+import threading
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.bench.openloop import (
-    SESSION_TRANSPORTS,
-    OpenLoopConfig,
-    run_delta_sessions,
-    validate_session_report,
-)
+from repro.bench.openloop import OpenLoopConfig, flight_path_workload
 from repro.core.admission import CostGovernor
-from repro.core.cache import SemanticCache
+from repro.core.cache import PATCH_LOG_LIMIT, SemanticCache
 from repro.core.engine import QueryEngine, UniformRequest
-from repro.core.streaming import TerrainSession
-from repro.core.wire import ClientMesh
+from repro.core.streaming import EngineSession, TerrainSession
+from repro.core.wire import FLAG_KEYFRAME, ClientMesh, DeltaFrame, encode_frame
 from repro.errors import SessionError, TransientIOError
 from repro.geometry.primitives import Rect
 from repro.obs.metrics import MetricsRegistry
 from repro.storage import FaultInjector
 from tests.conftest import assert_same_rows, oracle_mesh
+from tests.test_mutate import (
+    EXTENT,
+    aligned_region,
+    mutable_engine,
+    patch_heights,
+)
 
 
 @pytest.fixture(scope="module")
@@ -72,9 +76,9 @@ class TestSessionManager:
     def test_active_gauge_tracks_sessions(self, engine):
         manager = engine.sessions()
         session = manager.open()
-        assert engine.registry.gauge("session.active").value == len(manager)
+        assert engine.registry.gauges()["session.active"] == len(manager)
         manager.close(session.session_id)
-        assert engine.registry.gauge("session.active").value == len(manager)
+        assert engine.registry.gauges()["session.active"] == len(manager)
 
 
 class TestEngineSession:
@@ -243,9 +247,9 @@ class TestDeltaVsNaiveTransport:
     """The byte and keyframe accounting of delta transport against
     stateless re-query, on a warm (3 % of the ROI per frame) and a
     churny (30 %) flight path: the warm walk must save the 5x in
-    bytes that ISSUE 7 set, the churny one must merely win.
-    ``verify=True`` also decodes every frame client-side and raises
-    on divergence."""
+    bytes that ISSUE 7 set, the churny one must merely win.  The
+    naive arm is the same answers keyframe-encoded whole; every delta
+    frame is also decoded client-side and held to the answer."""
 
     @pytest.mark.parametrize("step_frac, saving", [(0.03, 5.0), (0.3, 1.0)])
     def test_delta_ships_fewer_bytes_and_one_keyframe_per_session(
@@ -261,20 +265,36 @@ class TestDeltaVsNaiveTransport:
             lod_breathe=0.05,
             sessions=2,
         )
-        runs = {}
-        for transport in SESSION_TRANSPORTS:
-            with QueryEngine(
-                session_db["dm"], workers=2, registry=MetricsRegistry()
-            ) as eng:
-                runs[transport] = run_delta_sessions(
-                    eng, config, transport, verify=True
+        workload = flight_path_workload(session_db["dm"], config)
+        delta_bytes = naive_bytes = keyframes = 0
+        with QueryEngine(
+            session_db["dm"], workers=2, registry=MetricsRegistry()
+        ) as eng:
+            streams = [
+                (EngineSession(eng, f"flight-{slot}"), ClientMesh())
+                for slot in range(config.sessions)
+            ]
+            for index in range(config.n_requests):
+                request, _ = next(workload)
+                session, client = streams[index % config.sessions]
+                result = session.update(request)
+                client.apply(result.payload)
+                nodes = result.outcome.result.nodes
+                assert client.records() == nodes
+                delta_bytes += len(result.payload)
+                keyframes += result.frame.keyframe
+                naive_bytes += len(
+                    encode_frame(
+                        DeltaFrame(
+                            result.frame.seq,
+                            tuple(nodes[i] for i in sorted(nodes)),
+                            (),
+                            FLAG_KEYFRAME,
+                        )
+                    )
                 )
-            assert validate_session_report(runs[transport].to_json()) == []
-        delta, naive = runs["delta"], runs["naive"]
-        assert saving * delta.bytes_wire < naive.bytes_wire
-        assert delta.n_keyframes == config.sessions
-        assert naive.n_keyframes == naive.n_frames == config.n_requests
-        assert delta.churn_mean < 1.0 == naive.churn_mean
+        assert saving * delta_bytes < naive_bytes
+        assert keyframes == config.sessions
 
 
 class TestDeltaAlgebra:
@@ -321,3 +341,199 @@ class TestDeltaAlgebra:
             assert_same_rows(triangles, want_triangles)
         finally:
             manager.close(session.session_id)
+
+
+# -- commits reach every session through the engine ----------------------------
+
+
+def test_unmanaged_session_keyframes_after_patch(tmp_path):
+    """A session is correct however it was constructed: the patch
+    history is the engine's, so a directly built ``EngineSession``
+    hears of a commit exactly as a managed one does."""
+    db, ms, engine = mutable_engine(tmp_path)
+    with db, engine:
+        streams = [
+            (engine.sessions().open(), ClientMesh()),
+            (EngineSession(engine, "x"), ClientMesh()),
+        ]
+        view = UniformRequest(EXTENT, ms.store.max_lod * 0.5)
+        corner = UniformRequest(Rect(0.0, 0.0, 3.0, 3.0), ms.store.max_lod)
+
+        def step(request):
+            frames = []
+            for session, client in streams:
+                result = session.update(request)
+                client.apply(result.payload)
+                frames.append(result.frame)
+            return frames
+
+        step(view)
+        ms.apply_patch(
+            aligned_region(0, 0, 8, 8), patch_heights(0, 0, 8, 8, seed=2)
+        )
+        assert [frame.keyframe for frame in step(view)] == [True, True]
+        fresh = engine.submit(view).result()
+        assert fresh.metrics.epoch == 1
+        for _, client in streams:
+            assert client.records() == fresh.result.nodes
+
+        # A patch outside the view leaves both streaming deltas.
+        step(corner)
+        ms.apply_patch(
+            aligned_region(12, 12, 16, 16),
+            patch_heights(12, 12, 16, 16, seed=5),
+        )
+        assert [frame.keyframe for frame in step(corner)] == [False, False]
+        fresh = engine.submit(corner).result()
+        for _, client in streams:
+            assert client.records() == fresh.result.nodes
+
+
+class TestPatchLog:
+    """``QueryEngine.patched_since`` is the one patch history; a
+    session's keyframe decision is a question put to it."""
+
+    # Views and patch regions over the unit square, scaled to the
+    # terrain; ``None`` is a whole-terrain commit.
+    _CELLS = (
+        (0.0, 0.0, 0.3, 0.3),
+        (0.2, 0.2, 0.5, 0.5),
+        (0.6, 0.6, 0.9, 0.9),
+        (0.7, 0.0, 1.0, 0.3),
+    )
+
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        ops=st.lists(
+            st.one_of(
+                st.tuples(st.just("update"), st.integers(0, 2),
+                          st.integers(0, 3)),
+                st.tuples(st.just("commit"), st.integers(0, 4)),
+                st.tuples(st.just("burst"), st.integers(0, 3)),
+            ),
+            min_size=1,
+            max_size=14,
+        )
+    )
+    def test_keyframe_iff_patched_since_previous_answer(
+        self, session_db, hills_dataset, ops
+    ):
+        store = session_db["dm"]
+        bounds = hills_dataset.bounds()
+        lod = hills_dataset.pm.average_lod()
+
+        def rect(cell):
+            x0, y0, x1, y1 = self._CELLS[cell]
+            return Rect(
+                bounds.min_x + x0 * bounds.width,
+                bounds.min_y + y0 * bounds.height,
+                bounds.min_x + x1 * bounds.width,
+                bounds.min_y + y1 * bounds.height,
+            )
+
+        commits = []  # every (epoch, region) ever installed
+        with QueryEngine(store, workers=1) as engine:
+            # One managed session, one built directly, and a third
+            # that only updates when the draw says so (it sits idle
+            # through any burst of PATCH_LOG_LIMIT + 1 commits).
+            sessions = [
+                engine.sessions().open(),
+                EngineSession(engine, "direct"),
+                EngineSession(engine, "idle"),
+            ]
+            previous = [None, None, None]  # (answer epoch, view)
+
+            def commit(region):
+                epoch = engine.epoch + 1
+                engine.install_store(store, epoch, region)
+                commits.append((epoch, region))
+
+            for op in ops:
+                if op[0] == "commit":
+                    commit(None if op[1] == 4 else rect(op[1]))
+                elif op[0] == "burst":
+                    for _ in range(PATCH_LOG_LIMIT + 1):
+                        commit(rect(op[1]))
+                else:
+                    _, slot, cell = op
+                    frame = sessions[slot].update(
+                        UniformRequest(rect(cell), lod)
+                    ).frame
+                    floor = (
+                        commits[-PATCH_LOG_LIMIT - 1][0]
+                        if len(commits) > PATCH_LOG_LIMIT
+                        else 0
+                    )
+                    if previous[slot] is None:
+                        expected = True  # Frame 0 always is.
+                    else:
+                        answered, view = previous[slot]
+                        expected = answered < floor or any(
+                            epoch > answered
+                            and (region is None or region.intersects(view))
+                            for epoch, region in commits
+                        )
+                    assert frame.keyframe == expected
+                    previous[slot] = (engine.epoch, rect(cell))
+
+    def test_floor_and_unknown_views_count_as_patched(self, session_db):
+        store = session_db["dm"]
+        far = Rect(0.0, 0.0, 1.0, 1.0)
+        elsewhere = Rect(5.0, 5.0, 6.0, 6.0)
+        with QueryEngine(store, workers=1, epoch=3) as engine:
+            assert not engine.patched_since(3, None)
+            assert engine.patched_since(2, elsewhere)  # Before the engine.
+            engine.install_store(store, 4, far)
+            assert engine.patched_since(3, far)
+            assert engine.patched_since(3, None)  # Unknown view.
+            assert not engine.patched_since(3, elsewhere)
+            assert not engine.patched_since(4, far)
+            for epoch in range(5, 5 + PATCH_LOG_LIMIT):
+                engine.install_store(store, epoch, far)
+            # Epoch 4's region fell off the log: 3 is below the floor.
+            assert engine.patched_since(3, elsewhere)
+            assert not engine.patched_since(4, elsewhere)
+
+    def test_an_answers_epoch_always_finds_its_patch_logged(self, session_db):
+        """``install_store`` replaces the log before it publishes the
+        snapshot: a reader that sees epoch N (more readers than cores,
+        a shortened switch interval) finds N's patch in the history,
+        through any number of log overflows."""
+        store = session_db["dm"]
+        commits = 4 * PATCH_LOG_LIMIT
+        region = Rect(0.0, 0.0, 1.0, 1.0)
+        missed: list[int] = []
+        done = threading.Event()
+
+        def reader(engine):
+            while not done.is_set():
+                epoch = engine.epoch
+                if epoch and not engine.patched_since(epoch - 1, region):
+                    missed.append(epoch)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with QueryEngine(store, workers=1) as engine:
+                readers = [
+                    threading.Thread(target=reader, args=(engine,))
+                    for _ in range(8)
+                ]
+                for thread in readers:
+                    thread.start()
+                try:
+                    for epoch in range(1, commits + 1):
+                        engine.install_store(store, epoch, region)
+                finally:
+                    done.set()
+                    for thread in readers:
+                        thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in readers)
+                assert engine.epoch == commits
+        finally:
+            sys.setswitchinterval(interval)
+        assert missed == []
