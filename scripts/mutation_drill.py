@@ -107,7 +107,7 @@ def drill_parity(workdir: Path, n_patches: int, seed: int) -> "str | None":
     dem = make_dem(rng)
     live_dem = clone_dem(dem)
     db = Database(workdir / "parity-live")
-    ms = MutableStore.build(live_dem, db, prefix="dm", tile_verts=TILE_VERTS)
+    ms = MutableStore.build(live_dem, db, tile_verts=TILE_VERTS)
     patched = clone_dem(dem)
     for _ in range(n_patches):
         region, heights = random_patch(rng)
@@ -117,7 +117,7 @@ def drill_parity(workdir: Path, n_patches: int, seed: int) -> "str | None":
     db.close()
     db2 = Database(workdir / "parity-scratch")
     fresh = MutableStore.build(
-        patched, db2, prefix="dm", tile_verts=TILE_VERTS
+        patched, db2, tile_verts=TILE_VERTS
     )
     scratch = store_digest(fresh.store)
     db2.close()
@@ -141,7 +141,7 @@ def drill_kills(workdir: Path, n_kills: int, seed: int) -> "str | None":
     base = workdir / "kill-base"
     db = Database(base)
     ms = MutableStore.build(
-        clone_dem(dem), db, prefix="dm", tile_verts=TILE_VERTS
+        clone_dem(dem), db, tile_verts=TILE_VERTS
     )
     pre = store_digest(ms.store)
     db.close()
@@ -150,7 +150,7 @@ def drill_kills(workdir: Path, n_kills: int, seed: int) -> "str | None":
     scratch = workdir / "kill-dryrun"
     shutil.copytree(base, scratch)
     db = Database(scratch)
-    ms = MutableStore.open(db, clone_dem(dem), prefix="dm")
+    ms = MutableStore.open(db, clone_dem(dem))
     ms.apply_patch(region, heights.copy(), kill_hook=events.append)
     post = store_digest(ms.store)
     db.close()
@@ -173,7 +173,7 @@ def drill_kills(workdir: Path, n_kills: int, seed: int) -> "str | None":
         work = workdir / f"kill-{kill_at}"
         shutil.copytree(base, work)
         db = Database(work)
-        ms = MutableStore.open(db, clone_dem(dem), prefix="dm")
+        ms = MutableStore.open(db, clone_dem(dem))
         fired = [0]
 
         def hook(event: str, _n: "list[int]" = fired) -> None:
@@ -229,7 +229,7 @@ def drill_readers(
     dem = make_dem(rng)
     extent = dem.field.bounds()
     db = Database(workdir / "readers")
-    ms = MutableStore.build(dem, db, prefix="dm", tile_verts=TILE_VERTS)
+    ms = MutableStore.build(dem, db, tile_verts=TILE_VERTS)
     lod = ms.store.max_lod * 0.6
 
     def view(store: DirectMeshStore) -> dict:

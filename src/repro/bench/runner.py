@@ -134,14 +134,16 @@ def measure_throughput(
     deadline_s: float | None = None,
     cache=None,
     repeat: int = 1,
+    epoch: int = 0,
 ) -> ThroughputReport:
     """Serve ``requests`` through a :class:`QueryEngine` and time it.
 
     Every run starts from a cold buffer (the paper's protocol), so
     runs at different worker counts face identical cache state.
     ``retries`` and ``deadline_s`` are handed to the engine unchanged
-    (see :class:`~repro.core.engine.QueryEngine`), as is ``cache``
-    (a :class:`~repro.core.cache.SemanticCache`).
+    (see :class:`~repro.core.engine.QueryEngine`), as are ``cache``
+    (a :class:`~repro.core.cache.SemanticCache`) and the store's
+    committed ``epoch``.
     ``repeat`` replays the batch that many times inside the timing
     window — the repeated/overlapping workload a warm semantic cache
     is built for; the report counts every replayed request.
@@ -163,6 +165,7 @@ def measure_throughput(
         retries=retries,
         deadline_s=deadline_s,
         cache=cache,
+        epoch=epoch,
     ) as engine:
         started = time.perf_counter()
         for _ in range(repeat):

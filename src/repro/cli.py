@@ -389,7 +389,8 @@ def _build_parser() -> argparse.ArgumentParser:
     info.add_argument(
         "--verify",
         action="store_true",
-        help="run integrity verification across heap/index/btree",
+        help="cross-check the heap, the R*-tree and the cluster runs "
+        "(exit 1 on a problem)",
     )
     info.set_defaults(handler=_cmd_info)
     return parser
@@ -438,7 +439,8 @@ def _cmd_build(args) -> int:
 
 def _open(args) -> tuple[Database, DirectMeshStore]:
     db = Database(args.database)
-    return db, DirectMeshStore.open(db)
+    store, _ = DirectMeshStore.open_committed(db)
+    return db, store
 
 
 def _roi_or_extent(args, store: DirectMeshStore) -> Rect:
@@ -513,7 +515,7 @@ def _cmd_bench_serve(args) -> int:
         pool_pages=args.pool_pages,
         io_latency=args.io_latency,
     )
-    store = DirectMeshStore.open(db)
+    store, epoch = DirectMeshStore.open_committed(db)
     space = store.clusters.index.extent
     if space is None:
         raise ReproError("database is empty")
@@ -608,6 +610,7 @@ def _cmd_bench_serve(args) -> int:
             deadline_s=deadline_s,
             cache=cache,
             repeat=args.repeat,
+            epoch=epoch,
         )
         if base_qps is None:
             base_qps = report.qps
@@ -655,7 +658,7 @@ def _cmd_bench_slo(args) -> int:
         pool_pages=args.pool_pages,
         io_latency=args.io_latency,
     )
-    store = DirectMeshStore.open(db)
+    store, epoch = DirectMeshStore.open_committed(db)
 
     def config_at(rate: float) -> OpenLoopConfig:
         return OpenLoopConfig(
@@ -705,6 +708,7 @@ def _cmd_bench_slo(args) -> int:
         registry=registry,
         governor=governor,
         cache=cache,
+        epoch=epoch,
     ) as engine:
         result = run_open_loop(engine, config)
     print(result.to_text())
@@ -806,16 +810,19 @@ def _cmd_info(args) -> int:
             print(f"  {name:<16} {pages:>6} pages  "
                   f"({pages * db.page_size / 1024:.0f} KiB)")
         try:
-            store = DirectMeshStore.open(db)
-            print(f"direct mesh: max LOD {store.max_lod:.3f}, "
-                  f"{len(store.rtree)} indexed segments, "
-                  f"R*-tree height {store.rtree.height}")
-            if args.verify:
-                from repro.core.verify_store import verify_store
-
-                print(verify_store(store).to_text())
+            store, epoch = DirectMeshStore.open_committed(db)
         except ReproError:
             print("no Direct Mesh store present")
+            return 0
+        print(f"direct mesh: epoch {epoch}, max LOD {store.max_lod:.3f}, "
+              f"{len(store.rtree)} indexed segments, "
+              f"R*-tree height {store.rtree.height}")
+        if args.verify:
+            from repro.core.verify_store import verify_store
+
+            report = verify_store(store)
+            print(report.to_text())
+            return 0 if report.ok else 1
     return 0
 
 

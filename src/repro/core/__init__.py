@@ -22,10 +22,9 @@ Public surface:
   cache answering subsumed queries with zero index/disk I/O;
 * :mod:`repro.core.wire` -- the versioned delta-frame wire format and
   the pure-client :class:`~repro.core.wire.ClientMesh`;
-* :class:`~repro.core.streaming.EngineSession` /
-  :class:`~repro.core.streaming.SessionManager` -- progressive
+* :class:`~repro.core.streaming.EngineSession` -- progressive
   transmission sessions routed through the engine
-  (``engine.sessions()``).
+  (``EngineSession(engine, session_id)``).
 """
 
 from repro.core.cache import CacheStats, SemanticCache
@@ -65,7 +64,6 @@ from repro.core.streaming import (
     EngineSession,
     FrameResult,
     SessionDelta,
-    SessionManager,
     TerrainSession,
 )
 from repro.core.verify_store import StoreReport, verify_store
@@ -80,7 +78,6 @@ __all__ = [
     "EngineSession",
     "FrameResult",
     "SemanticCache",
-    "SessionManager",
     "DirectMeshStore",
     "MeshArrays",
     "MultiBasePlan",

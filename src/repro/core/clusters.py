@@ -36,8 +36,9 @@ reference the engine is held to, not something the engine runs.
 
 The record bytes in cluster runs duplicate the heap file (a covering,
 batched copy — the classic clustered-projection trade): the heap +
-R*-tree remain the source of truth for point lookups, the reference
-processors, and rebuilds.
+R*-tree remain the source of truth for the reference processors and
+rebuilds, and :func:`~repro.core.verify_store.verify_store` checks the
+runs against the heap record for record.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ __all__ = [
     "encode_cluster_blob",
     "decode_cluster_blob",
     "build_cluster_runs",
-    "cluster_directory_path",
     "intersecting_rows",
 ]
 
@@ -80,9 +80,6 @@ DEFAULT_CLUSTER_NODES = 128
 
 #: Schema version of the JSON directory sidecar.
 CLUSTER_DIRECTORY_VERSION = 1
-
-#: Sidecar filename suffix: ``{prefix}_clusters.json``.
-_DIRECTORY_SUFFIX = "clusters.json"
 
 _BLOB_HEADER = struct.Struct("<4sI")
 _BLOB_MAGIC = b"DMC1"
@@ -203,18 +200,14 @@ class ClusterMeta:
         )
 
 
-def cluster_directory_path(database: Database, prefix: str) -> Path:
-    """Path of the cluster directory sidecar for ``prefix``."""
-    return database.path / f"{prefix}_{_DIRECTORY_SUFFIX}"
-
-
 @dataclass
 class ClusterDirectory:
     """The persisted cluster catalog of one store.
 
-    A schema-versioned JSON sidecar (like ``{prefix}_dm_meta.json``)
-    that is part of every store: one without it does not open
-    (:meth:`load` raises :class:`~repro.errors.StorageError`).
+    A schema-versioned JSON sidecar (``{prefix}_clusters.json``, named
+    by :func:`~repro.core.direct_mesh.epoch_files`) that is part of
+    every store: one without it does not open (:meth:`load` raises
+    :class:`~repro.errors.StorageError`).
     """
 
     segment: str
@@ -234,8 +227,8 @@ class ClusterDirectory:
     def __len__(self) -> int:
         return len(self.clusters)
 
-    def save(self, database: Database, prefix: str) -> None:
-        """Write the sidecar (sorted keys, trailing newline)."""
+    def save(self, path: Path) -> None:
+        """Write the sidecar at ``path`` (sorted keys, trailing newline)."""
         payload = {
             "version": CLUSTER_DIRECTORY_VERSION,
             "segment": self.segment,
@@ -255,15 +248,13 @@ class ClusterDirectory:
                 for c in self.clusters
             ],
         }
-        path = cluster_directory_path(database, prefix)
         path.write_text(
             json.dumps(payload, sort_keys=True) + "\n", encoding="ascii"
         )
 
     @classmethod
-    def load(cls, database: Database, prefix: str) -> "ClusterDirectory":
-        """Read and validate the sidecar."""
-        path = cluster_directory_path(database, prefix)
+    def load(cls, path: Path) -> "ClusterDirectory":
+        """Read and validate the sidecar at ``path``."""
         if not path.exists():
             raise StorageError(
                 "store has no cluster directory; rebuild the store",
@@ -444,7 +435,7 @@ def _hilbert_order(
 
 def build_cluster_runs(
     database: Database,
-    prefix: str,
+    segment_name: str,
     nodes: Sequence["PMNode"],
     payloads: Sequence[bytes],
     e_cap: float,
@@ -456,7 +447,7 @@ def build_cluster_runs(
     insert used, so both copies are byte-identical).  Nodes are
     Hilbert-ordered over ``(x, y)``, chunked into clusters of
     ``cluster_nodes``, and each cluster's blob is written as a
-    contiguous page run in the ``{prefix}_cruns`` segment.  The writes
+    contiguous page run in the segment ``segment_name``.  The writes
     ride the pager like every other build write — sealed under the v2
     page format, WAL-logged inside an ``atomic()`` scope.
 
@@ -473,7 +464,6 @@ def build_cluster_runs(
         raise StorageError(
             f"{len(nodes)} nodes but {len(payloads)} payloads"
         )
-    segment_name = f"{prefix}_cruns"
     segment = database.segment(segment_name)
     payload_size = segment.payload_size
     clusters: list[ClusterMeta] = []

@@ -13,7 +13,15 @@ mesh:
 3. each node becomes the vertical segment
    ``<(x, y, e_low), (x, y, e_high)>`` in ``(x, y, e)`` space, indexed
    by a 3D R*-tree;
-4. a B+-tree maps node id -> RID for point lookups.
+4. the same record bytes are packed a second time into Hilbert-ordered
+   cluster runs (:mod:`repro.core.clusters`), the copy the engine
+   serves from.
+
+Those three segments and two JSON sidecars are a store epoch, and
+:func:`epoch_files` is the one list of them.  The paper's "B+-trees
+wherever necessary" is the PM baseline's node-id lookup
+(:mod:`repro.baselines.pm_db`): every Direct Mesh query is an R*-tree
+range search, so a DM store keeps no id index.
 
 ``e_cap`` — index vs record semantics
 -------------------------------------
@@ -44,9 +52,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.clusters import (
-    DEFAULT_CLUSTER_NODES,
     ClusterDirectory,
     ClusterSet,
     build_cluster_runs,
@@ -62,20 +70,57 @@ from repro.core.query import (
 from repro.errors import QueryError, StorageError
 from repro.geometry.plane import QueryPlane
 from repro.geometry.primitives import Box3, Rect
-from repro.index.btree import BPlusTree
 from repro.index.rstar import RStarTree, str_order
 from repro.mesh.progressive import LOD_INFINITY, ProgressiveMesh
-from repro.storage.database import Database
+from repro.storage.database import Database, epoch_prefix
 from repro.storage.heapfile import HeapFile
-from repro.storage.record import (
-    DMNodeRecord,
-    decode_dm_node,
-    encode_dm_node,
-)
+from repro.storage.record import encode_dm_node
 
-__all__ = ["DirectMeshStore", "DMBuildReport"]
+__all__ = ["DirectMeshStore", "DMBuildReport", "EpochFiles", "epoch_files"]
 
-_META_FILE = "dm_meta.json"
+
+class EpochFiles(NamedTuple):
+    """The files of one store epoch: three segments, two sidecars."""
+
+    #: The record heap (the reference copy).
+    nodes: str
+    #: The 3D R*-tree over the records' ``(x, y, e)`` segments.
+    rtree: str
+    #: The cluster runs (the serving copy).
+    cruns: str
+    #: The store metadata sidecar (``max_lod``, ``e_cap``).
+    meta: str
+    #: The cluster directory sidecar.
+    directory: str
+
+    @property
+    def segments(self) -> tuple[str, ...]:
+        """The segment names."""
+        return (self.nodes, self.rtree, self.cruns)
+
+    @property
+    def sidecars(self) -> tuple[str, ...]:
+        """The sidecar file names."""
+        return (self.meta, self.directory)
+
+
+def epoch_files(prefix: str) -> EpochFiles:
+    """Name the files of the store epoch whose physical prefix is
+    ``prefix`` (``dm``, or ``dm@3`` for a patched epoch: see
+    :func:`~repro.storage.database.epoch_prefix`).
+
+    The one list of what a store epoch is: the builder writes exactly
+    these, a patch transaction stages and logs exactly these, and a
+    restaged epoch clears exactly these.  Any other file beside them
+    (such as the id B+-tree segment an older build wrote) is ignored.
+    """
+    return EpochFiles(
+        nodes=f"{prefix}_nodes",
+        rtree=f"{prefix}_rtree",
+        cruns=f"{prefix}_cruns",
+        meta=f"{prefix}_dm_meta.json",
+        directory=f"{prefix}_clusters.json",
+    )
 
 
 @dataclass(frozen=True)
@@ -85,7 +130,6 @@ class DMBuildReport:
     n_nodes: int
     heap_pages: int
     index_pages: int
-    btree_pages: int
     total_record_bytes: int
     total_connection_entries: int
     cluster_pages: int = 0
@@ -106,7 +150,6 @@ class DirectMeshStore:
         database: Database,
         heap: HeapFile,
         rtree: RStarTree,
-        btree: BPlusTree,
         max_lod: float,
         e_cap: float,
         clusters: ClusterSet,
@@ -116,7 +159,6 @@ class DirectMeshStore:
         self.database = database
         self.heap = heap
         self.rtree = rtree
-        self.btree = btree
         self.max_lod = max_lod
         self.e_cap = e_cap
         self.build_report = build_report
@@ -143,7 +185,6 @@ class DirectMeshStore:
         prefix: str = "dm",
         bulk_index: bool = True,
         compress_connections: bool = False,
-        cluster_nodes: int = DEFAULT_CLUSTER_NODES,
     ) -> "DirectMeshStore":
         """Materialise a Direct Mesh store from a normalised PM.
 
@@ -157,8 +198,6 @@ class DirectMeshStore:
                 false to exercise dynamic R* insertion.
             compress_connections: store connection lists delta+varint
                 coded (extension; smaller records, same query results).
-            cluster_nodes: target size, in nodes, of the clusters the
-                engine's fast path reads as contiguous page runs.
         """
         if not pm.is_normalized:
             raise QueryError("progressive mesh must be normalised")
@@ -172,7 +211,6 @@ class DirectMeshStore:
             prefix=prefix,
             bulk_index=bulk_index,
             compress_connections=compress_connections,
-            cluster_nodes=cluster_nodes,
         )
 
     @classmethod
@@ -185,7 +223,6 @@ class DirectMeshStore:
         prefix: str = "dm",
         bulk_index: bool = True,
         compress_connections: bool = False,
-        cluster_nodes: int = DEFAULT_CLUSTER_NODES,
     ) -> "DirectMeshStore":
         """Materialise a store from bare nodes + connection lists.
 
@@ -196,12 +233,13 @@ class DirectMeshStore:
         would reject (its validation requires positional ids).  The
         nodes must already carry Section-4 normalised ``e``/``e_high``
         values; ``max_lod`` is the maximum over the whole node set.
+        Writes exactly the files :func:`epoch_files` names.
         """
         e_cap = max_lod * 1.05 + 1.0
+        files = epoch_files(prefix)
 
-        heap = HeapFile(database.segment(f"{prefix}_nodes"))
-        rtree = RStarTree(database.segment(f"{prefix}_rtree"))
-        btree = BPlusTree(database.segment(f"{prefix}_btree"))
+        heap = HeapFile(database.segment(files.nodes))
+        rtree = RStarTree(database.segment(files.rtree))
 
         # Cluster the heap by the 3D index: records are inserted in the
         # STR packing order of their (x, y, e) segments, so each R*-tree
@@ -214,96 +252,82 @@ class DirectMeshStore:
             boxes.append(
                 Box3.vertical_segment(node.x, node.y, node.e, e_high)
             )
-        ordered = [nodes[i] for i in str_order(boxes)]
+        order = str_order(boxes)
+        ordered = [nodes[i] for i in order]
 
-        total_bytes = 0
         total_conn = 0
         entries: list[tuple[Box3, int]] = []
-        id_to_rid: list[tuple[int, int]] = []
         payloads: list[bytes] = []
-        for node in ordered:
+        for i, node in zip(order, ordered):
             conn = connections.get(node.id, [])
             payload = encode_dm_node(node, conn, compress=compress_connections)
-            total_bytes += len(payload)
             total_conn += len(conn)
-            rid = heap.insert(payload)
-            id_to_rid.append((node.id, rid))
             payloads.append(payload)
-            e_high = node.e_high if node.e_high != LOD_INFINITY else e_cap
-            entries.append(
-                (Box3.vertical_segment(node.x, node.y, node.e, e_high), rid)
-            )
+            entries.append((boxes[i], heap.insert(payload)))
 
         if bulk_index:
             rtree.bulk_load(entries)
         else:
             for box, rid in entries:
                 rtree.insert(box, rid)
-        btree.bulk_load(sorted(id_to_rid))
 
         directory = build_cluster_runs(
-            database, prefix, ordered, payloads, e_cap,
-            cluster_nodes=cluster_nodes,
+            database, files.cruns, ordered, payloads, e_cap
         )
-        directory.save(database, prefix)
+        directory.save(database.path / files.directory)
         clusters = ClusterSet(database.segment(directory.segment), directory)
 
         report = DMBuildReport(
             n_nodes=len(nodes),
             heap_pages=heap.n_pages,
-            index_pages=database.segment_pages(f"{prefix}_rtree"),
-            btree_pages=database.segment_pages(f"{prefix}_btree"),
-            total_record_bytes=total_bytes,
+            index_pages=database.segment_pages(files.rtree),
+            total_record_bytes=sum(map(len, payloads)),
             total_connection_entries=total_conn,
             cluster_pages=database.segment_pages(directory.segment),
         )
-        cls._save_meta(database, prefix, max_lod, e_cap)
+        # "format" is informational (3 = with the cluster section);
+        # readers never require the key.
+        meta = {"max_lod": max_lod, "e_cap": e_cap, "format": 3}
+        with open(database.path / files.meta, "w", encoding="ascii") as f:
+            json.dump(meta, f)
         database.buffer.flush_dirty()
         return cls(
-            database, heap, rtree, btree, max_lod, e_cap, clusters,
+            database, heap, rtree, max_lod, e_cap, clusters,
             build_report=report, prefix=prefix,
         )
 
     @classmethod
     def open(cls, database: Database, prefix: str = "dm") -> "DirectMeshStore":
-        """Open a previously built store."""
-        meta_path = database.path / f"{prefix}_{_META_FILE}"
+        """Open the store epoch whose physical prefix is ``prefix``."""
+        files = epoch_files(prefix)
+        meta_path = database.path / files.meta
         if not meta_path.exists():
             raise StorageError(f"no Direct Mesh store at {meta_path}")
         with open(meta_path, "r", encoding="ascii") as f:
             meta = json.load(f)
-        heap = HeapFile(database.segment(f"{prefix}_nodes"))
-        rtree = RStarTree(database.segment(f"{prefix}_rtree"))
-        btree = BPlusTree(database.segment(f"{prefix}_btree"))
-        directory = ClusterDirectory.load(database, prefix)
+        heap = HeapFile(database.segment(files.nodes))
+        rtree = RStarTree(database.segment(files.rtree))
+        directory = ClusterDirectory.load(database.path / files.directory)
         clusters = ClusterSet(database.segment(directory.segment), directory)
         return cls(
-            database, heap, rtree, btree, meta["max_lod"], meta["e_cap"],
+            database, heap, rtree, meta["max_lod"], meta["e_cap"],
             clusters, prefix=prefix,
         )
 
-    @staticmethod
-    def _save_meta(
-        database: Database,
-        prefix: str,
-        max_lod: float,
-        e_cap: float,
-    ) -> None:
-        # "format" is informational (3 = with the cluster section);
-        # readers never require the key.
-        meta = {"max_lod": max_lod, "e_cap": e_cap, "format": 3}
-        meta_path = database.path / f"{prefix}_{_META_FILE}"
-        with open(meta_path, "w", encoding="ascii") as f:
-            json.dump(meta, f)
+    @classmethod
+    def open_committed(
+        cls, database: Database, prefix: str = "dm"
+    ) -> tuple["DirectMeshStore", int]:
+        """Open store ``prefix`` at its committed epoch.
 
-    # -- record access ----------------------------------------------------------
-
-    def get_node(self, node_id: int) -> DMNodeRecord | None:
-        """Point lookup through the id B+-tree."""
-        rid = self.btree.get(node_id)
-        if rid is None:
-            return None
-        return decode_dm_node(self.heap.read(rid))
+        Returns the store and that epoch, which an engine serving the
+        store takes as its ``epoch``.  A never-patched store is epoch 0
+        under the plain prefix; a patched one lives under
+        ``epoch_prefix(prefix, epoch)``, and :meth:`open` of the plain
+        prefix would read epoch 0's segments instead.
+        """
+        epoch = database.store_epoch(prefix)
+        return cls.open(database, epoch_prefix(prefix, epoch)), epoch
 
     # -- queries -------------------------------------------------------------------
 

@@ -113,7 +113,6 @@ from repro.errors import (
 )
 from repro.geometry.plane import QueryPlane
 from repro.geometry.primitives import Box3, Rect
-from repro.obs.lockwatch import watched_lock
 from repro.obs.metrics import MetricsRegistry
 from repro.storage.integrity import PageQuarantine
 from repro.storage.record import (
@@ -123,7 +122,6 @@ from repro.storage.record import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.direct_mesh import DirectMeshStore
-    from repro.core.streaming import SessionManager
 
 __all__ = [
     "QueryEngine",
@@ -341,8 +339,6 @@ class QueryEngine:
             raise QueryError(
                 f"deadline_s must be positive or None, got {deadline_s}"
             )
-        from repro.core.streaming import SessionManager  # Local: a cycle.
-
         self._snap = _StoreSnapshot(store, epoch)
         # The one patch history, ``(floor, ((epoch, region), ...))``
         # oldest first: an immutable pair install_store replaces whole
@@ -355,9 +351,7 @@ class QueryEngine:
         self._cluster_cache = ClusterCache(cluster_cache_bytes)
         # Base-mesh snapshot for the shed path (see _base_snapshot),
         # tagged with the epoch it was fetched at.
-        self._base_lock = watched_lock("QueryEngine._base_lock")
         self._base_columns: tuple[int, DMNodeColumns] | None = None
-        self._session_manager = SessionManager(self)
         self.registry = registry if registry is not None else MetricsRegistry()
         self._register_sources()
         #: Bounded set of ``(segment, page)`` ids that failed checksum
@@ -457,15 +451,6 @@ class QueryEngine:
         """The attached admission controller (None = admit all)."""
         return self._governor
 
-    def sessions(self) -> "SessionManager":
-        """The engine's delta-session manager.
-
-        Sessions opened here submit through this engine, so they
-        compose with the semantic cache, retries, deadlines, and
-        admission control; see :mod:`repro.core.streaming`.
-        """
-        return self._session_manager
-
     def _register_sources(self) -> None:
         """Register what other objects count for themselves: the
         registry reads it there when it is read, so nothing on the
@@ -479,7 +464,6 @@ class QueryEngine:
                 "cluster.entries": stats.entries,
                 "cluster.evictions": stats.evictions,
                 "engine.epoch": self.epoch,
-                "session.active": len(self._session_manager),
             }
 
         def cache_counters() -> dict[str, float]:
@@ -711,33 +695,30 @@ class QueryEngine:
         from many client threads) and shared read-only afterwards —
         root records are immutable for the life of a store *epoch*, so
         the cached set is tagged with the epoch it was fetched at and
-        refetched after a patch swaps the snapshot.  The reads run
-        *outside* ``_base_lock``: holding a lock across buffer-pool
-        I/O stalls every other shedding thread and orders it against
-        the whole storage lock hierarchy (reprolint R10).  Racing
-        threads may fetch twice; publication under the lock keeps one
-        winner.
+        refetched after a patch swaps the snapshot.  The immutable
+        ``(epoch, columns)`` pair is published by one assignment, like
+        ``_snap`` and ``_patch_log``, with no lock: racing threads may
+        fetch twice, and since readers check the epoch tag, an older
+        epoch's late publish costs the next shed one refetch and never
+        serves a wrong epoch.
         """
         cached = self._base_columns
-        if cached is None or cached[0] != snap.epoch:
-            store = snap.store
-            extent = store.clusters.index.extent
-            if extent is None:
-                return None
-            probe = UniformRequest(extent.rect, store.max_lod)
-            try:
-                columns = self._fetch_clustered(
-                    probe.query_box(store.e_cap), snap
-                ).columns
-            except Exception:
-                # Leave unset: the next shed retries the fetch.
-                return None
-            with self._base_lock:
-                existing = self._base_columns
-                if existing is None or existing[0] != snap.epoch:
-                    self._base_columns = (snap.epoch, columns)
-            return columns
-        return cached[1]
+        if cached is not None and cached[0] == snap.epoch:
+            return cached[1]
+        store = snap.store
+        extent = store.clusters.index.extent
+        if extent is None:
+            return None
+        probe = UniformRequest(extent.rect, store.max_lod)
+        try:
+            columns = self._fetch_clustered(
+                probe.query_box(store.e_cap), snap
+            ).columns
+        except Exception:
+            # Leave unset: the next shed retries the fetch.
+            return None
+        self._base_columns = (snap.epoch, columns)
+        return columns
 
     def run_batch(
         self, requests: Sequence[EngineRequest]

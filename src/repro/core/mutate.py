@@ -48,13 +48,12 @@ import json
 import threading
 from dataclasses import dataclass
 
-from repro.core.clusters import DEFAULT_CLUSTER_NODES
 from repro.core.connectivity import build_connection_lists
-from repro.core.direct_mesh import DirectMeshStore
+from repro.core.direct_mesh import DirectMeshStore, epoch_files
 from repro.errors import MutationError
 from repro.geometry.primitives import Rect, union_all_rects
 from repro.mesh.progressive import NULL_ID, PMNode
-from repro.mesh.simplify import SimplifyConfig, simplify_to_pm
+from repro.mesh.simplify import simplify_to_pm
 from repro.mesh.trimesh import TriMesh
 from repro.storage.database import Database, epoch_prefix
 from repro.terrain.dem import DEM
@@ -231,12 +230,7 @@ class _TileBuild:
     max_lod: float
 
 
-def _build_tile(
-    dem: DEM,
-    layout: TileLayout,
-    index: int,
-    config: SimplifyConfig | None,
-) -> _TileBuild:
+def _build_tile(dem: DEM, layout: TileLayout, index: int) -> _TileBuild:
     """Run the full PM pipeline over one tile, ids remapped globally.
 
     The tile mesh is built in *global* coordinates with the *global*
@@ -269,7 +263,7 @@ def _build_tile(
                 tris.append((v00, v01, v10))
                 tris.append((v01, v11, v10))
     mesh = TriMesh(verts, tris, validate=False)
-    pm = simplify_to_pm(mesh, config)
+    pm = simplify_to_pm(mesh)
     pm.normalize_lod()
     connections = build_connection_lists(pm)
 
@@ -321,6 +315,10 @@ class MutableStore:
     reopened (recovery then lands it on a clean snapshot).
     """
 
+    #: The logical store prefix: epoch ``N`` lives under
+    #: ``epoch_prefix(prefix, N)``, its layout in ``dm_mutate.json``.
+    prefix = "dm"
+
     def __init__(
         self,
         database: Database,
@@ -329,19 +327,13 @@ class MutableStore:
         tiles: list[_TileBuild],
         store: DirectMeshStore,
         epoch: int,
-        prefix: str,
-        config: SimplifyConfig | None = None,
-        cluster_nodes: int = DEFAULT_CLUSTER_NODES,
     ) -> None:
         self.database = database
         self.dem = dem
         self.layout = layout
-        self.prefix = prefix
         self.epoch = epoch
         self.store = store
         self._tiles = tiles
-        self._config = config
-        self._cluster_nodes = cluster_nodes
         self._listeners: list = []
         self._broken = False
         self._write_lock = threading.Lock()
@@ -353,10 +345,7 @@ class MutableStore:
         cls,
         dem: DEM,
         database: Database,
-        prefix: str = "dm",
         tile_verts: int = DEFAULT_TILE_VERTS,
-        config: SimplifyConfig | None = None,
-        cluster_nodes: int = DEFAULT_CLUSTER_NODES,
     ) -> "MutableStore":
         """Build epoch 0 of a mutable store from a DEM.
 
@@ -366,32 +355,18 @@ class MutableStore:
         """
         layout = plan_tiles(dem, tile_verts)
         tiles = [
-            _build_tile(dem, layout, index, config)
-            for index in range(layout.n_tiles)
+            _build_tile(dem, layout, index) for index in range(layout.n_tiles)
         ]
-        epoch = database.store_epoch(prefix)
-        eprefix = epoch_prefix(prefix, epoch)
-        store = cls._materialize(
-            database, tiles, eprefix, cluster_nodes
-        )
-        sidecar = database.path / f"{prefix}_{_MUTATE_SIDECAR}"
+        epoch = database.store_epoch(cls.prefix)
+        store = cls._materialize(database, tiles, epoch_prefix(cls.prefix, epoch))
+        sidecar = database.path / f"{cls.prefix}_{_MUTATE_SIDECAR}"
         sidecar.write_text(
             json.dumps(layout.to_json(), sort_keys=True), encoding="ascii"
         )
-        return cls(
-            database, dem, layout, tiles, store, epoch, prefix,
-            config=config, cluster_nodes=cluster_nodes,
-        )
+        return cls(database, dem, layout, tiles, store, epoch)
 
     @classmethod
-    def open(
-        cls,
-        database: Database,
-        dem: DEM,
-        prefix: str = "dm",
-        config: SimplifyConfig | None = None,
-        cluster_nodes: int = DEFAULT_CLUSTER_NODES,
-    ) -> "MutableStore":
+    def open(cls, database: Database, dem: DEM) -> "MutableStore":
         """Reopen a mutable store at its committed epoch.
 
         ``dem`` must hold the terrain as of the committed epoch (the
@@ -399,10 +374,10 @@ class MutableStore:
         recomputed from it, which the parity property guarantees
         reproduces the committed store's nodes exactly.
         """
-        sidecar = database.path / f"{prefix}_{_MUTATE_SIDECAR}"
+        sidecar = database.path / f"{cls.prefix}_{_MUTATE_SIDECAR}"
         if not sidecar.exists():
             raise MutationError(
-                f"no mutable store at {sidecar}", prefix=prefix
+                f"no mutable store at {sidecar}", prefix=cls.prefix
             )
         layout = TileLayout.from_json(
             json.loads(sidecar.read_text(encoding="ascii"))
@@ -416,24 +391,15 @@ class MutableStore:
                 layout=(layout.n_rows, layout.n_cols),
                 dem=(dem.field.n_rows, dem.field.n_cols),
             )
-        epoch = database.store_epoch(prefix)
-        store = DirectMeshStore.open(database, epoch_prefix(prefix, epoch))
+        store, epoch = DirectMeshStore.open_committed(database, cls.prefix)
         tiles = [
-            _build_tile(dem, layout, index, config)
-            for index in range(layout.n_tiles)
+            _build_tile(dem, layout, index) for index in range(layout.n_tiles)
         ]
-        return cls(
-            database, dem, layout, tiles, store, epoch, prefix,
-            config=config, cluster_nodes=cluster_nodes,
-        )
+        return cls(database, dem, layout, tiles, store, epoch)
 
     @classmethod
     def _materialize(
-        cls,
-        database: Database,
-        tiles: list[_TileBuild],
-        eprefix: str,
-        cluster_nodes: int,
+        cls, database: Database, tiles: list[_TileBuild], eprefix: str
     ) -> DirectMeshStore:
         nodes: list[PMNode] = []
         connections: dict[int, list[int]] = {}
@@ -442,12 +408,7 @@ class MutableStore:
             connections.update(tile.connections)
         max_lod = max(tile.max_lod for tile in tiles)
         return DirectMeshStore.materialize(
-            database,
-            nodes,
-            connections,
-            max_lod,
-            prefix=eprefix,
-            cluster_nodes=cluster_nodes,
+            database, nodes, connections, max_lod, prefix=eprefix
         )
 
     # -- snapshots & listeners ------------------------------------------------
@@ -508,7 +469,7 @@ class MutableStore:
             self._clear_stale_epoch(eprefix)
 
             rebuilt = {
-                index: _build_tile(self.dem, self.layout, index, self._config)
+                index: _build_tile(self.dem, self.layout, index)
                 for index in affected
             }
             tiles = [
@@ -522,19 +483,12 @@ class MutableStore:
                 "from_epoch": from_epoch,
                 "to_epoch": to_epoch,
                 "region": list(invalid_region.as_tuple()),
-                "segments": [
-                    f"{eprefix}_nodes",
-                    f"{eprefix}_rtree",
-                    f"{eprefix}_btree",
-                    f"{eprefix}_cruns",
-                ],
+                "segments": list(epoch_files(eprefix).segments),
             }
             try:
                 # reprolint: disable=R10 single-writer by design: _write_lock exists to serialise mutators across the patch I/O
                 with self.database.patch(header, kill_hook=kill_hook):
-                    store = self._materialize(
-                        self.database, tiles, eprefix, self._cluster_nodes
-                    )
+                    store = self._materialize(self.database, tiles, eprefix)
             except BaseException:
                 self._broken = True
                 raise
@@ -558,12 +512,13 @@ class MutableStore:
         A previous crash-before-commit leaves orphaned staged segments
         (recovery discarded the log, so nothing references them);
         restaging the same epoch must start from nothing or heap RIDs
-        would shift.
+        would shift.  Every segment under ``eprefix`` goes, not only
+        the named set: an older build's patch may have staged others.
         """
         for name in self.database.segment_names():
             if name.startswith(f"{eprefix}_"):
                 self.database.remove_segment(name)
-        for suffix in ("dm_meta.json", "clusters.json"):
-            stale = self.database.path / f"{eprefix}_{suffix}"
+        for sidecar in epoch_files(eprefix).sidecars:
+            stale = self.database.path / sidecar
             if stale.exists():
                 stale.unlink()

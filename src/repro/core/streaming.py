@@ -13,10 +13,9 @@ Two layers provide that:
   against the store's query processors, diffs it against the active
   set, and returns a :class:`SessionDelta` with added records, removed
   ids, and transfer-size accounting.
-* :class:`EngineSession` / :class:`SessionManager` — the transmission
-  subsystem.  Updates are routed through
-  :meth:`~repro.core.engine.QueryEngine.submit`, so sessions compose
-  with the semantic cache, fault retries, deadlines, and
+* :class:`EngineSession` — the transmission subsystem.  Updates are
+  routed through :meth:`~repro.core.engine.QueryEngine.submit`, so
+  sessions compose with the semantic cache, fault retries, deadlines, and
   :class:`~repro.core.admission.CostGovernor` admission (tenant-tagged —
   session queries drain the same token buckets as everything else).
   Each update is encoded as a versioned delta frame
@@ -44,8 +43,7 @@ from repro.core.wire import (
     DeltaFrame,
     encode_frame,
 )
-from repro.errors import QueryError, SessionError
-from repro.obs.lockwatch import watched_lock
+from repro.errors import QueryError
 from repro.geometry.primitives import Rect
 from repro.storage.record import DMNodeRecord, dm_record_size
 
@@ -59,7 +57,6 @@ __all__ = [
     "SessionDelta",
     "FrameResult",
     "EngineSession",
-    "SessionManager",
 ]
 
 
@@ -232,8 +229,8 @@ class EngineSession:
     session keeps that epoch and that view and nothing else: the
     patch history is the engine's
     (:meth:`QueryEngine.patched_since`), so a session is told of
-    every commit however it was constructed — through a
-    :class:`SessionManager` or directly.
+    every commit without registering anywhere: construct one with
+    ``EngineSession(engine, session_id)``.
 
     Not thread-safe: a session is one client's ordered stream.  Use
     one :class:`EngineSession` per client; the engine underneath is
@@ -262,7 +259,7 @@ class EngineSession:
 
     @property
     def session_id(self) -> str:
-        """The manager-scoped session identifier."""
+        """The caller-chosen session identifier."""
         return self._session_id
 
     @property
@@ -383,65 +380,3 @@ class EngineSession:
         registry.counter("session.resyncs").inc()
         registry.counter("session.bytes_wire").inc(len(payload))
         return payload
-
-
-class SessionManager:
-    """Names the open delta sessions of one :class:`QueryEngine`: a
-    dict and a lock.
-
-    Thread-safe: ``open``/``close``/``get`` may be called from any
-    serving thread.  The sessions themselves are single-client
-    streams (see :class:`EngineSession`) and need nothing from the
-    manager to stay correct — commits reach them through the engine —
-    so it only hands out ids and is what the ``session.active`` gauge
-    counts (the engine registers ``len(manager)`` as its source).
-    """
-
-    def __init__(self, engine: "QueryEngine") -> None:
-        self._engine = engine
-        self._lock = watched_lock("SessionManager._lock")
-        self._sessions: dict[str, EngineSession] = {}
-        self._opened = 0
-
-    def open(
-        self,
-        session_id: str | None = None,
-        tenant: str = "default",
-    ) -> EngineSession:
-        """Open a new session (auto-named ``s-<n>`` when unnamed)."""
-        with self._lock:
-            if session_id is None:
-                session_id = f"s-{self._opened}"
-            if session_id in self._sessions:
-                raise SessionError(
-                    "session id already open", session_id=session_id
-                )
-            session = EngineSession(self._engine, session_id, tenant)
-            self._sessions[session_id] = session
-            self._opened += 1
-        return session
-
-    def get(self, session_id: str) -> EngineSession:
-        """The open session called ``session_id``."""
-        with self._lock:
-            session = self._sessions.get(session_id)
-        if session is None:
-            raise SessionError("unknown session id", session_id=session_id)
-        return session
-
-    def close(self, session_id: str) -> None:
-        """Close a session (idempotent for unknown ids is an error)."""
-        with self._lock:
-            if self._sessions.pop(session_id, None) is None:
-                raise SessionError(
-                    "unknown session id", session_id=session_id
-                )
-
-    def ids(self) -> list[str]:
-        """The open session ids, sorted."""
-        with self._lock:
-            return sorted(self._sessions)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._sessions)

@@ -1,9 +1,12 @@
 """Integrity verification for Direct Mesh stores (``fsck`` for DM).
 
 Cross-checks the three physical structures that must stay mutually
-consistent — the record heap, the 3D R*-tree, and the id B+-tree —
-plus the semantic invariants of the Direct Mesh encoding itself
-(interval sanity, connection-list symmetry, parent/child links).
+consistent — the record heap (the reference copy of the records), the
+3D R*-tree over it, and the cluster runs (the serving copy the engine
+reads) — plus the semantic invariants of the Direct Mesh encoding
+itself (interval sanity, connection-list symmetry, parent/child
+links).  ``fsck`` checks that every page and every run is intact; this
+checks that the intact copies say the same thing.
 Returns a structured report rather than raising, so operators can see
 every problem at once; ``raise_on_error`` converts failures into
 :class:`~repro.errors.StorageError`.
@@ -18,6 +21,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.core.clusters import decode_cluster_blob
 from repro.errors import StorageError
 from repro.storage.record import decode_dm_node
 
@@ -68,8 +72,10 @@ def verify_store(
 
     1. every heap record decodes and its RID appears exactly once in
        the R*-tree with a box matching the record's segment;
-    2. the B+-tree maps every node id to the correct RID (and nothing
-       else);
+    2. every heap record appears in exactly one cluster run, identical
+       record for record (id, fields and connection list), no run
+       holds a record the heap lacks, and the directory's per-cluster
+       node counts sum to the heap's record count;
     3. interval sanity (`0 <= e_low <= e_high`, roots unbounded);
     4. parent/child links resolve to existing records;
     5. connection-list symmetry over a sample (full check on small
@@ -78,7 +84,7 @@ def verify_store(
     Args:
         store: the store to verify.
         sample_connections: cap on nodes whose connection symmetry is
-            cross-checked (each costs a B+-tree lookup per neighbour).
+            cross-checked.
         raise_on_error: raise instead of returning a dirty report.
     """
     report = StoreReport()
@@ -129,20 +135,38 @@ def verify_store(
         if box.max_e != expected_high:
             problems.append(f"node {node_id}: index e_high mismatch")
 
-    # Pass 3: B+-tree.
-    btree_count = 0
-    for key, rid in store.btree.items():
-        btree_count += 1
-        entry = records.get(key)
-        if entry is None:
-            problems.append(f"btree maps unknown id {key}")
-        elif entry[0] != rid:
-            problems.append(f"btree rid mismatch for id {key}")
-    report.stats["btree_entries"] = btree_count
-    if btree_count != len(records):
+    # Pass 3: the serving copy against the reference copy.
+    clusters = store.clusters
+    if clusters.directory.total_nodes != len(records):
         problems.append(
-            f"btree has {btree_count} entries for {len(records)} records"
+            f"cluster directory counts {clusters.directory.total_nodes} "
+            f"nodes for {len(records)} heap records"
         )
+    home: dict[int, int] = {}  # node id -> the cluster holding it
+    for cid in range(len(clusters)):
+        try:
+            blob = decode_cluster_blob(clusters.read_blob(cid))
+            copies = [decode_dm_node(payload) for payload in blob]
+        except Exception as exc:  # noqa: BLE001 - report, don't crash
+            problems.append(f"cluster {cid}: unreadable run ({exc})")
+            continue
+        for copy in copies:
+            entry = records.get(copy.id)
+            if copy.id in home:
+                problems.append(
+                    f"node {copy.id} in clusters {home[copy.id]} and {cid}"
+                )
+            elif entry is None:
+                problems.append(f"cluster {cid}: node {copy.id} not in heap")
+            elif entry[1] != copy:
+                problems.append(
+                    f"node {copy.id}: cluster {cid} copy differs from heap"
+                )
+            home.setdefault(copy.id, cid)
+    report.stats["cluster_records"] = len(home)
+    unserved = len(records.keys() - home.keys())
+    if unserved:
+        problems.append(f"{unserved} heap records missing from cluster runs")
 
     # Pass 4: semantic invariants.
     for node_id, (_, record) in records.items():

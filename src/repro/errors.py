@@ -164,10 +164,10 @@ class OverloadShedError(QueryError):
 class SessionError(QueryError):
     """A progressive-transmission session is in an unusable state.
 
-    Raised by the delta-session layer (:mod:`repro.core.streaming`,
-    :mod:`repro.core.wire`) for protocol — not codec — failures: a
-    client applying frames out of order, a splice that references ids
-    the client mesh does not hold, or a duplicate/unknown session id.
+    Raised by the delta-session wire layer (:mod:`repro.core.wire`)
+    for protocol — not codec — failures: a client applying frames out
+    of order, or a splice that references ids the client mesh does not
+    hold.
     Malformed *bytes* raise :class:`RecordError` instead; a
     ``SessionError`` means both peers decoded fine but their states
     disagree, and the client should request a keyframe resync.

@@ -98,7 +98,6 @@ METRIC_NAMES: frozenset[str] = frozenset(
         "session.bytes_wire",
         "session.frame_bytes",
         "session.churn",
-        "session.active",
         # -- cluster fast path ----------------------------------------------
         "cluster.decode_hits",
         "cluster.decode_misses",

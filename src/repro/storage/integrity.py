@@ -500,17 +500,14 @@ def _scrub_clusters(
     the crc scan already flagged are skipped — one corrupt page is one
     fault, not two.
     """
-    # Local import: the cluster layer lives above storage.
-    from repro.core.clusters import (
-        ClusterDirectory,
-        cluster_directory_path,
-        decode_cluster_blob,
-    )
+    # Local import: the store layers live above storage.
+    from repro.core.clusters import ClusterDirectory, decode_cluster_blob
+    from repro.core.direct_mesh import epoch_files
 
     suffix = "_dm_meta.json"
     for meta_path in sorted(Path(database.path).glob(f"*{suffix}")):
         prefix = meta_path.name[: -len(suffix)]
-        path = cluster_directory_path(database, prefix)
+        path = Path(database.path) / epoch_files(prefix).directory
         base, sep, tag = prefix.rpartition("@")
         if (
             sep
@@ -519,7 +516,7 @@ def _scrub_clusters(
         ):
             continue  # Sidecar of an aborted patch: orphan, not rot.
         try:
-            directory = ClusterDirectory.load(database, prefix)
+            directory = ClusterDirectory.load(path)
         except StorageError as exc:
             problems.append(
                 f"{path.name}: unreadable cluster directory ({exc})"
@@ -598,6 +595,8 @@ def repair_database(database: "Database", report: FsckReport) -> FsckReport:
     stale sidecars — since no committed state references them.
     Mutates and returns ``report``.
     """
+    from repro.core.direct_mesh import epoch_files  # Lives above storage.
+
     report.repair_attempted = True
     for orphan in report.orphans:
         database.remove_segment(orphan.segment)
@@ -605,8 +604,8 @@ def repair_database(database: "Database", report: FsckReport) -> FsckReport:
     for prefix in {
         f"{orphan.prefix}@{orphan.epoch}" for orphan in report.orphans
     }:
-        for sidecar in ("dm_meta.json", "clusters.json"):
-            stale = Path(database.path) / f"{prefix}_{sidecar}"
+        for sidecar in epoch_files(prefix).sidecars:
+            stale = Path(database.path) / sidecar
             if stale.exists():
                 stale.unlink()
     wal = WriteAheadLog(database.path, database.page_size)

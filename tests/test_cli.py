@@ -256,6 +256,64 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "store verification: OK" in out
 
+    def test_info_verify_exits_1_on_problems(self, tmp_path, capsys):
+        from tests.test_verify_store import tamper_cluster_record
+
+        path = tmp_path / "db"
+        assert main(["build", str(path), "--points", "600"]) == 0
+        with Database(path) as db:
+            node_id = tamper_cluster_record(DirectMeshStore.open(db))
+        capsys.readouterr()
+        assert main(["info", str(path), "--verify"]) == 1
+        out = capsys.readouterr().out
+        assert "store verification: PROBLEMS FOUND" in out
+        assert f"node {node_id}:" in out
+
+
+class TestPatchedDatabase:
+    def test_query_reads_the_committed_epoch(self, tmp_path, capsys):
+        """The CLI opens a patched database at its committed epoch,
+        not at the epoch-0 segments beside it."""
+        from repro.core.mutate import MutableStore
+        from tests.test_mutate import (
+            EXTENT,
+            TILE_VERTS,
+            aligned_region,
+            make_dem,
+            patch_heights,
+        )
+
+        path = tmp_path / "db"
+        with Database(path) as db:
+            ms = MutableStore.build(make_dem(4), db, tile_verts=TILE_VERTS)
+            before = ms.store.uniform_query(EXTENT, 0.0)
+            ms.apply_patch(
+                aligned_region(0, 0, 8, 8), patch_heights(0, 0, 8, 8, seed=2)
+            )
+            after = ms.store.uniform_query(EXTENT, 0.0)
+
+        def points(result):
+            return sorted(
+                f"v {rec.x:.6f} {rec.y:.6f} {rec.z:.6f}"
+                for rec in result.nodes.values()
+            )
+
+        assert points(before) != points(after)
+        obj = tmp_path / "out.obj"
+        roi = [str(v) for v in EXTENT.as_tuple()]
+        code = main(
+            ["query", str(path), "--roi", *roi, "--lod", "0", "--obj", str(obj)]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(
+            f"{len(after)} points, {len(after.triangles())} triangles"
+        )
+        written = obj.read_text(encoding="ascii").splitlines()
+        assert sorted(line for line in written if line.startswith("v ")) == (
+            points(after)
+        )
+
 
 class TestPmInterchange:
     def test_build_save_and_reload_pm(self, tmp_path, capsys):

@@ -28,11 +28,11 @@ from repro.core.cache import ClusterCache
 from repro.core.clusters import (
     ClusterDirectory,
     ClusterIndex,
-    cluster_directory_path,
     decode_cluster_blob,
     encode_cluster_blob,
     intersecting_rows,
 )
+from repro.core.direct_mesh import epoch_files
 from repro.core.engine import SingleBaseRequest, UniformRequest
 from repro.errors import PageCorruptionError, StorageError
 from repro.geometry.plane import QueryPlane
@@ -180,7 +180,7 @@ class TestEngineParity:
         dataset = dataset_by_name("foothills", 300, seed=3)
         with Database(tmp_path / "nodir") as db:
             DirectMeshStore.build(dataset.pm, db, dataset.connections)
-            cluster_directory_path(db, "dm").unlink()
+            (db.path / epoch_files("dm").directory).unlink()
         with Database(tmp_path / "nodir") as db:
             with pytest.raises(StorageError, match="rebuild"):
                 DirectMeshStore.open(db)
@@ -244,7 +244,7 @@ class TestDirectoryInvariants:
 
     def test_directory_round_trips_through_json(self, built):
         db, store = built
-        loaded = ClusterDirectory.load(db, "dm")
+        loaded = ClusterDirectory.load(db.path / epoch_files("dm").directory)
         assert loaded.clusters == store.clusters.directory.clusters
         assert loaded.segment == store.clusters.directory.segment
 

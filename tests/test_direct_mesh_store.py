@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.core.direct_mesh import DirectMeshStore
+from repro.core.direct_mesh import DirectMeshStore, epoch_files
+from repro.core.verify_store import verify_store
 from repro.errors import StorageError
 from repro.geometry.plane import QueryPlane, max_angle
 from repro.geometry.predicates import orient2d
 from repro.mesh.selective import uniform_query_ref, viewdep_query_ref
-from repro.storage.database import Database
+from repro.storage.database import STORAGE_META_FILENAME, Database
 
 
 @pytest.fixture
@@ -203,12 +204,59 @@ class TestLifecycle:
         with pytest.raises(StorageError):
             DirectMeshStore.open(fresh_db)
 
-    def test_get_node(self, setup):
-        _, store, ds = setup
-        rec = store.get_node(5)
-        assert rec is not None
-        assert rec.id == 5
-        assert store.get_node(10**9) is None
+    def test_directory_holds_exactly_the_epoch_files(
+        self, tmp_path, hills_dataset
+    ):
+        """A store is heap + R*-tree + cluster runs and two sidecars,
+        as :func:`epoch_files` names them, beside the page-format
+        flag: no id B+-tree, no other file."""
+        with Database(tmp_path / "db") as db:
+            DirectMeshStore.build(
+                hills_dataset.pm, db, hills_dataset.connections
+            )
+        files = epoch_files("dm")
+        assert len(files.segments) == 3
+        assert {p.name for p in (tmp_path / "db").iterdir()} == {
+            *(f"{name}.seg" for name in files.segments),
+            *files.sidecars,
+            STORAGE_META_FILENAME,
+        }
+
+    def test_btree_segment_of_an_older_build_is_ignored(
+        self, tmp_path, hills_dataset
+    ):
+        """A directory an older build left, with its ``dm_btree.seg``
+        id index, opens, serves and scrubs clean: the file is ignored,
+        not migrated."""
+        from repro.core.engine import QueryEngine, UniformRequest
+        from repro.index.btree import BPlusTree
+        from repro.storage.integrity import scrub_database
+        from repro.storage.record import decode_dm_node
+
+        path = tmp_path / "db"
+        with Database(path) as db:
+            store = DirectMeshStore.build(
+                hills_dataset.pm, db, hills_dataset.connections
+            )
+            with db.atomic():
+                BPlusTree(db.segment("dm_btree")).bulk_load(
+                    sorted(
+                        (decode_dm_node(payload).id, rid)
+                        for rid, payload in store.heap.scan()
+                    )
+                )
+        assert (path / "dm_btree.seg").stat().st_size > 0
+        roi = hills_dataset.bounds().scaled(0.3)
+        lod = hills_dataset.pm.average_lod()
+        expected = uniform_query_ref(hills_dataset.pm, roi, lod)
+        with Database(path) as db:
+            store = DirectMeshStore.open(db)
+            assert set(store.uniform_query(roi, lod).nodes) == expected
+            with QueryEngine(store, workers=1) as engine:
+                outcome = engine.run(UniformRequest(roi, lod))
+            assert set(outcome.result.nodes) == expected
+            assert scrub_database(db).ok
+            assert verify_store(store).ok
 
     def test_dynamic_index_build_small(self, hills_dataset, tmp_path):
         # Exercise the dynamic R* insertion path end to end on a

@@ -525,7 +525,9 @@ class TestMetricSources:
         is the parent's after the same sequence plus
         ``storage.crc_failures``, which the parent listed only once a
         page had failed and only when the CLI had wired the registry
-        into the pagers."""
+        into the pagers, and less ``session.active``, retired with the
+        session manager it counted."""
+        from repro.core.streaming import EngineSession
         from tests.test_mutate import (
             aligned_region,
             mutable_engine,
@@ -550,7 +552,7 @@ class TestMetricSources:
             engine.run_batch(views[:3])
             for view in views[2:]:
                 engine.submit(view).result()
-            session = engine.sessions().open()
+            session = EngineSession(engine, "s")
             session.update(views[0])
             ms.apply_patch(
                 aligned_region(0, 0, 8, 8), patch_heights(0, 0, 8, 8, seed=2)
@@ -574,7 +576,7 @@ class TestMetricSources:
         assert sorted(gauges) == [
             "cache.bytes", "cache.entries", "cluster.bytes",
             "cluster.entries", "cluster.evictions", "engine.epoch",
-            "session.active", "slo.inflight_cost", "slo.queue_depth",
+            "slo.inflight_cost", "slo.queue_depth",
         ]
         listed = [line.split()[0] for line in report.splitlines()[2:]]
         assert set(counters) | set(gauges) <= set(listed)
@@ -592,5 +594,4 @@ class TestMetricSources:
         assert gauges["cluster.entries"] == cluster.entries == 2
         assert gauges["cluster.evictions"] == 0
         assert gauges["engine.epoch"] == 1
-        assert gauges["session.active"] == 1
         assert gauges["slo.inflight_cost"] == 0

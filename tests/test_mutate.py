@@ -22,18 +22,25 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.engine import QueryEngine, UniformRequest
 from repro.core.cache import SemanticCache
+from repro.core.direct_mesh import epoch_files
+from repro.core.engine import QueryEngine, UniformRequest
 from repro.core.mutate import MutableStore, plan_tiles
+from repro.core.streaming import EngineSession
 from repro.errors import MutationError, PatchError
 from repro.geometry.primitives import Rect
-from repro.storage.database import Database, epoch_prefix
+from repro.storage.database import (
+    STORAGE_META_FILENAME,
+    Database,
+    epoch_prefix,
+)
 from repro.storage.faults import FaultInjector, SimulatedCrash
 from repro.storage.integrity import (
     inject_corruption,
     repair_database,
     scrub_database,
 )
+from repro.storage.wal import WriteAheadLog
 
 GRID = 17
 CELL = 1.0
@@ -77,7 +84,7 @@ def mutable_engine(tmp_path, seed: int = 4, workers: int = 2, **engine_args):
     """A small mutable store with an engine attached."""
     db = Database(tmp_path / "db")
     ms = MutableStore.build(
-        make_dem(seed), db, prefix="dm", tile_verts=TILE_VERTS
+        make_dem(seed), db, tile_verts=TILE_VERTS
     )
     engine = QueryEngine(
         ms.store, epoch=ms.epoch, workers=workers, **engine_args
@@ -127,7 +134,7 @@ class TestParity:
     def _build(self, tmp_path, dem, name):
         db = Database(tmp_path / name)
         return db, MutableStore.build(
-            dem, db, prefix="dm", tile_verts=TILE_VERTS
+            dem, db, tile_verts=TILE_VERTS
         )
 
     def test_single_patch_parity(self, tmp_path):
@@ -160,7 +167,7 @@ class TestParity:
         # Reopen from the sidecar at the committed epoch and keep
         # patching: the epoch sequence continues where it left off.
         db = Database(tmp_path / "live")
-        ms = MutableStore.open(db, live_dem, prefix="dm")
+        ms = MutableStore.open(db, live_dem)
         assert ms.epoch == 3
         ms.apply_patch(
             aligned_region(2, 2, 6, 6), patch_heights(2, 2, 6, 6, seed=99)
@@ -237,7 +244,7 @@ def _enumerate_kill_events(tmp_path) -> list:
     events = []
     dem = make_dem(1)
     db = Database(tmp_path / "dryrun")
-    ms = MutableStore.build(dem, db, prefix="dm", tile_verts=TILE_VERTS)
+    ms = MutableStore.build(dem, db, tile_verts=TILE_VERTS)
     ms.apply_patch(REGION, HEIGHTS.copy(), kill_hook=events.append)
     db.close()
     return events
@@ -273,7 +280,7 @@ class TestKillAnywhere:
         base = tmp_path / "base"
         db = Database(base)
         ms = MutableStore.build(
-            clone_dem(dem), db, prefix="dm", tile_verts=TILE_VERTS
+            clone_dem(dem), db, tile_verts=TILE_VERTS
         )
         pre_digest = store_digest(ms.store)
         db.close()
@@ -282,7 +289,7 @@ class TestKillAnywhere:
         shutil.copytree(base, post_dir)
         post_db = Database(post_dir)
         post_dem = clone_dem(dem)
-        post_ms = MutableStore.open(post_db, post_dem, prefix="dm")
+        post_ms = MutableStore.open(post_db, post_dem)
         post_ms.apply_patch(REGION, HEIGHTS.copy())
         post_digest = store_digest(post_ms.store)
         post_db.close()
@@ -304,9 +311,7 @@ class TestKillAnywhere:
         work = tmp_path / f"kill-{kill_at}-{corrupt or 'clean'}"
         shutil.copytree(matrix["base"], work)
         db = Database(work)
-        ms = MutableStore.open(
-            db, clone_dem(matrix["dem"]), prefix="dm"
-        )
+        ms = MutableStore.open(db, clone_dem(matrix["dem"]))
         fired = {"n": 0}
 
         def hook(event: str) -> None:
@@ -468,10 +473,10 @@ class TestSessionResync:
 
         dem = make_dem(4)
         db = Database(tmp_path / "db")
-        ms = MutableStore.build(dem, db, prefix="dm", tile_verts=TILE_VERTS)
+        ms = MutableStore.build(dem, db, tile_verts=TILE_VERTS)
         engine = QueryEngine(ms.store, epoch=ms.epoch, workers=2)
         ms.attach(engine)
-        session = engine.sessions().open()
+        session = EngineSession(engine, "s")
         request = UniformRequest(EXTENT, ms.store.max_lod)
         first = session.update(request)
         assert first.frame.flags & FLAG_KEYFRAME  # Frame 0 always is.
@@ -500,10 +505,10 @@ class TestSessionResync:
 
         dem = make_dem(4)
         db = Database(tmp_path / "db")
-        ms = MutableStore.build(dem, db, prefix="dm", tile_verts=TILE_VERTS)
+        ms = MutableStore.build(dem, db, tile_verts=TILE_VERTS)
         engine = QueryEngine(ms.store, epoch=ms.epoch, workers=2)
         ms.attach(engine)
-        session = engine.sessions().open()
+        session = EngineSession(engine, "s")
         corner = UniformRequest(Rect(0.0, 0.0, 3.0, 3.0), ms.store.max_lod)
         session.update(corner)
         # Patch the far corner: this session's view is untouched.
@@ -527,10 +532,10 @@ class TestSessionResync:
 
         dem = make_dem(4)
         db = Database(tmp_path / "db")
-        ms = MutableStore.build(dem, db, prefix="dm", tile_verts=TILE_VERTS)
+        ms = MutableStore.build(dem, db, tile_verts=TILE_VERTS)
         engine = QueryEngine(ms.store, epoch=ms.epoch, workers=2)
         ms.attach(engine)
-        session = engine.sessions().open()
+        session = EngineSession(engine, "s")
         client = ClientMesh()
         request = UniformRequest(EXTENT, ms.store.max_lod * 0.5)
         client.apply(session.update(request).payload)
@@ -567,7 +572,7 @@ class TestOrphanReclamation:
     def test_aborted_patch_leaves_quarantinable_orphans(self, tmp_path):
         dem = make_dem(6)
         db = Database(tmp_path / "db")
-        ms = MutableStore.build(dem, db, prefix="dm", tile_verts=TILE_VERTS)
+        ms = MutableStore.build(dem, db, tile_verts=TILE_VERTS)
 
         def kill(event: str) -> None:
             if event == "commit:pre":
@@ -580,19 +585,20 @@ class TestOrphanReclamation:
                 kill_hook=kill,
             )
         crash_process(db)
+        # The patch's WAL header lists exactly the epoch's segments.
+        header = WriteAheadLog(tmp_path / "db", db.page_size).patch_header()
+        staged = epoch_files("dm@1").segments
+        assert header["segments"] == list(staged)
 
         db = Database(tmp_path / "db")
         report = scrub_database(db)
         assert report.ok  # Orphans are not corruption.
-        names = {orphan.segment for orphan in report.orphans}
-        assert names == {
-            "dm@1_nodes", "dm@1_rtree", "dm@1_btree", "dm@1_cruns"
-        }
+        assert {orphan.segment for orphan in report.orphans} == set(staged)
         repair_database(db, report)
         assert all(orphan.removed for orphan in report.orphans)
         assert not list((tmp_path / "db").glob("dm@1_*"))
         # The reopened store picks up where epoch 0 left off.
-        ms = MutableStore.open(db, make_dem(6), prefix="dm")
+        ms = MutableStore.open(db, make_dem(6))
         assert ms.epoch == 0
         report2 = ms.apply_patch(
             aligned_region(0, 0, 8, 8), patch_heights(0, 0, 8, 8, seed=1)
@@ -608,7 +614,7 @@ class TestMutableStoreValidation:
     def test_rejected_patch_is_a_noop(self, tmp_path):
         dem = make_dem(8)
         db = Database(tmp_path / "db")
-        ms = MutableStore.build(dem, db, prefix="dm", tile_verts=TILE_VERTS)
+        ms = MutableStore.build(dem, db, tile_verts=TILE_VERTS)
         before = store_digest(ms.store)
         with pytest.raises(PatchError):
             ms.apply_patch(
@@ -629,11 +635,28 @@ class TestMutableStoreValidation:
 
         dem = make_dem(9)
         db = Database(tmp_path / "db")
-        MutableStore.build(dem, db, prefix="dm", tile_verts=TILE_VERTS)
+        MutableStore.build(dem, db, tile_verts=TILE_VERTS)
         wrong = DEM(GridField(np.zeros((5, 5)), cell_size=CELL))
         with pytest.raises(MutationError):
-            MutableStore.open(db, wrong, prefix="dm")
+            MutableStore.open(db, wrong)
         db.close()
+
+    def test_directory_holds_exactly_the_epoch_files(self, tmp_path):
+        """Each committed epoch adds exactly the files ``epoch_files``
+        names; the tile layout sidecar is the mutable store's own."""
+        path = tmp_path / "db"
+        db = Database(path)
+        ms = MutableStore.build(make_dem(3), db, tile_verts=TILE_VERTS)
+        ms.apply_patch(
+            aligned_region(0, 0, 4, 4), patch_heights(0, 0, 4, 4, seed=1)
+        )
+        db.close()
+        expected = {STORAGE_META_FILENAME, "dm_mutate.json"}
+        for epoch in (0, 1):
+            files = epoch_files(epoch_prefix("dm", epoch))
+            expected |= {f"{name}.seg" for name in files.segments}
+            expected |= set(files.sidecars)
+        assert {p.name for p in path.iterdir()} == expected
 
     def test_layout_is_deterministic(self):
         layout_a = plan_tiles(make_dem(0), TILE_VERTS)

@@ -1,4 +1,4 @@
-"""Delta sessions over the query engine: manager, frames, composition.
+"""Delta sessions over the query engine: frames and composition.
 
 The tentpole property of ISSUE 7 is exercised throughout: decoding
 every frame client-side yields a mesh node-id-identical to a fresh
@@ -18,7 +18,7 @@ from repro.core.cache import PATCH_LOG_LIMIT, SemanticCache
 from repro.core.engine import QueryEngine, UniformRequest
 from repro.core.streaming import EngineSession, TerrainSession
 from repro.core.wire import FLAG_KEYFRAME, ClientMesh, DeltaFrame, encode_frame
-from repro.errors import SessionError, TransientIOError
+from repro.errors import TransientIOError
 from repro.geometry.primitives import Rect
 from repro.obs.metrics import MetricsRegistry
 from repro.storage import FaultInjector
@@ -47,61 +47,23 @@ def roi_at(dataset, frac, cx_frac, cy_frac):
     return Rect(x0, y0, x0 + side, y0 + side)
 
 
-class TestSessionManager:
-    def test_lazy_singleton_on_engine(self, engine):
-        assert engine.sessions() is engine.sessions()
-
-    def test_open_get_close(self, engine):
-        manager = engine.sessions()
-        session = manager.open(tenant="tenant-0")
-        assert manager.get(session.session_id) is session
-        assert session.session_id in manager.ids()
-        n_before = len(manager)
-        manager.close(session.session_id)
-        assert len(manager) == n_before - 1
-        with pytest.raises(SessionError):
-            manager.get(session.session_id)
-        with pytest.raises(SessionError):
-            manager.close(session.session_id)
-
-    def test_duplicate_id_rejected(self, engine):
-        manager = engine.sessions()
-        manager.open(session_id="dup")
-        try:
-            with pytest.raises(SessionError):
-                manager.open(session_id="dup")
-        finally:
-            manager.close("dup")
-
-    def test_active_gauge_tracks_sessions(self, engine):
-        manager = engine.sessions()
-        session = manager.open()
-        assert engine.registry.gauges()["session.active"] == len(manager)
-        manager.close(session.session_id)
-        assert engine.registry.gauges()["session.active"] == len(manager)
-
-
 class TestEngineSession:
     def test_frames_reconstruct_fresh_queries(
         self, engine, session_db, hills_dataset
     ):
         store = session_db["dm"]
         lod = hills_dataset.pm.average_lod()
-        manager = engine.sessions()
-        session = manager.open(tenant="tenant-1")
+        session = EngineSession(engine, "walk", tenant="tenant-1")
         client = ClientMesh()
-        try:
-            for step in range(5):
-                roi = roi_at(hills_dataset, 0.35, 0.1 * step, 0.05 * step)
-                result = session.update(UniformRequest(roi, lod))
-                frame = client.apply(result.payload)
-                assert frame.keyframe == (step == 0)
-                fresh = store.uniform_query(roi, lod)
-                assert client.active_ids == set(fresh.nodes)
-                assert client.active_ids == session.active_ids
-                assert 0.0 <= result.delta.churn <= 1.0
-        finally:
-            manager.close(session.session_id)
+        for step in range(5):
+            roi = roi_at(hills_dataset, 0.35, 0.1 * step, 0.05 * step)
+            result = session.update(UniformRequest(roi, lod))
+            frame = client.apply(result.payload)
+            assert frame.keyframe == (step == 0)
+            fresh = store.uniform_query(roi, lod)
+            assert client.active_ids == set(fresh.nodes)
+            assert client.active_ids == session.active_ids
+            assert 0.0 <= result.delta.churn <= 1.0
 
     def test_flight_meshes_agree_every_frame(
         self, engine, session_db, hills_dataset
@@ -110,56 +72,42 @@ class TestEngineSession:
         client and the store-side session share the kernels (through
         the records packer) and both are held to the scalar oracle."""
         max_lod = hills_dataset.pm.max_lod()
-        manager = engine.sessions()
-        session = manager.open(tenant="flight")
+        session = EngineSession(engine, "flight", tenant="flight")
         local = TerrainSession(session_db["dm"])
         client = ClientMesh()
-        try:
-            for frame in range(40):
-                t = frame / 39
-                roi = roi_at(hills_dataset, 0.3 + 0.2 * t, t, 0.5 + 0.4 * (t - 0.5))
-                lod = (0.05 + 0.5 * t * (1 - t)) * max_lod
-                client.apply(session.update(UniformRequest(roi, lod)).payload)
-                local.update(roi, lod)
-                assert client.active_ids == local.active_ids
-                want_edges, want_triangles = oracle_mesh(client.records())
-                for edges, triangles in (client.mesh(), local.mesh()):
-                    assert_same_rows(edges, want_edges)
-                    assert_same_rows(triangles, want_triangles)
-        finally:
-            manager.close(session.session_id)
+        for frame in range(40):
+            t = frame / 39
+            roi = roi_at(hills_dataset, 0.3 + 0.2 * t, t, 0.5 + 0.4 * (t - 0.5))
+            lod = (0.05 + 0.5 * t * (1 - t)) * max_lod
+            client.apply(session.update(UniformRequest(roi, lod)).payload)
+            local.update(roi, lod)
+            assert client.active_ids == local.active_ids
+            want_edges, want_triangles = oracle_mesh(client.records())
+            for edges, triangles in (client.mesh(), local.mesh()):
+                assert_same_rows(edges, want_edges)
+                assert_same_rows(triangles, want_triangles)
 
     def test_session_metrics_flow(self, engine, hills_dataset):
-        manager = engine.sessions()
-        session = manager.open()
-        try:
-            roi = roi_at(hills_dataset, 0.3, 0.5, 0.5)
-            session.update(
-                UniformRequest(roi, hills_dataset.pm.average_lod())
-            )
-            counters = engine.registry.counters()
-            assert counters["session.updates"] >= 1
-            assert counters["session.bytes_wire"] > 0
-        finally:
-            manager.close(session.session_id)
+        session = EngineSession(engine, "metrics")
+        roi = roi_at(hills_dataset, 0.3, 0.5, 0.5)
+        session.update(UniformRequest(roi, hills_dataset.pm.average_lod()))
+        counters = engine.registry.counters()
+        assert counters["session.updates"] >= 1
+        assert counters["session.bytes_wire"] > 0
 
     def test_resync_recovers_a_lost_client(self, engine, hills_dataset):
         lod = hills_dataset.pm.average_lod()
-        manager = engine.sessions()
-        session = manager.open()
-        try:
-            session.update(
-                UniformRequest(roi_at(hills_dataset, 0.3, 0.2, 0.2), lod)
-            )
-            session.update(
-                UniformRequest(roi_at(hills_dataset, 0.3, 0.4, 0.4), lod)
-            )
-            # A client that joined late (or dropped frames) resyncs.
-            late = ClientMesh()
-            late.apply(session.resync())
-            assert late.active_ids == session.active_ids
-        finally:
-            manager.close(session.session_id)
+        session = EngineSession(engine, "late")
+        session.update(
+            UniformRequest(roi_at(hills_dataset, 0.3, 0.2, 0.2), lod)
+        )
+        session.update(
+            UniformRequest(roi_at(hills_dataset, 0.3, 0.4, 0.4), lod)
+        )
+        # A client that joined late (or dropped frames) resyncs.
+        late = ClientMesh()
+        late.apply(session.resync())
+        assert late.active_ids == session.active_ids
 
     def test_failed_update_leaves_session_untouched(
         self, session_db, hills_dataset
@@ -170,7 +118,7 @@ class TestEngineSession:
         with QueryEngine(
             store, workers=2, retries=0, registry=MetricsRegistry()
         ) as eng:
-            session = eng.sessions().open()
+            session = EngineSession(eng, "faulty")
             session.update(
                 UniformRequest(roi_at(hills_dataset, 0.3, 0.1, 0.1), lod)
             )
@@ -210,7 +158,7 @@ class TestEngineSession:
             governor=governor,
             registry=MetricsRegistry(),
         ) as eng:
-            session = eng.sessions().open(tenant="tenant-2")
+            session = EngineSession(eng, "shed", tenant="tenant-2")
             client = ClientMesh()
             result = session.update(
                 UniformRequest(
@@ -235,7 +183,7 @@ class TestEngineSession:
             with QueryEngine(
                 store, workers=2, cache=cache, registry=MetricsRegistry()
             ) as eng:
-                session = eng.sessions().open()
+                session = EngineSession(eng, "walk")
                 client = ClientMesh()
                 for request in walk:
                     client.apply(session.update(request).payload)
@@ -322,39 +270,36 @@ class TestDeltaAlgebra:
         self, engine, session_db, hills_dataset, steps
     ):
         store = session_db["dm"]
-        manager = engine.sessions()
-        session = manager.open()
+        session = EngineSession(engine, "replay")
         client = ClientMesh()
-        try:
-            for frac, cx, cy, lod_frac in steps:
-                roi = roi_at(hills_dataset, frac, cx, cy)
-                lod = lod_frac * hills_dataset.pm.max_lod()
-                result = session.update(UniformRequest(roi, lod))
-                client.apply(result.payload)
-                assert 0.0 <= result.delta.churn <= 1.0
-            fresh = store.uniform_query(roi, lod)
-            assert client.active_ids == set(fresh.nodes)
-            # The spliced records materialise a mesh without help.
-            edges, triangles = client.mesh()
-            want_edges, want_triangles = oracle_mesh(client.records())
-            assert_same_rows(edges, want_edges)
-            assert_same_rows(triangles, want_triangles)
-        finally:
-            manager.close(session.session_id)
+        for frac, cx, cy, lod_frac in steps:
+            roi = roi_at(hills_dataset, frac, cx, cy)
+            lod = lod_frac * hills_dataset.pm.max_lod()
+            result = session.update(UniformRequest(roi, lod))
+            client.apply(result.payload)
+            assert 0.0 <= result.delta.churn <= 1.0
+        fresh = store.uniform_query(roi, lod)
+        assert client.active_ids == set(fresh.nodes)
+        # The spliced records materialise a mesh without help.
+        edges, triangles = client.mesh()
+        want_edges, want_triangles = oracle_mesh(client.records())
+        assert_same_rows(edges, want_edges)
+        assert_same_rows(triangles, want_triangles)
 
 
 # -- commits reach every session through the engine ----------------------------
 
 
 def test_unmanaged_session_keyframes_after_patch(tmp_path):
-    """A session is correct however it was constructed: the patch
-    history is the engine's, so a directly built ``EngineSession``
-    hears of a commit exactly as a managed one does."""
+    """A session registers nowhere and still hears of every commit:
+    the patch history is the engine's, so two directly built
+    ``EngineSession``s keyframe after an overlapping patch and keep
+    streaming deltas past a disjoint one."""
     db, ms, engine = mutable_engine(tmp_path)
     with db, engine:
         streams = [
-            (engine.sessions().open(), ClientMesh()),
             (EngineSession(engine, "x"), ClientMesh()),
+            (EngineSession(engine, "y", tenant="other"), ClientMesh()),
         ]
         view = UniformRequest(EXTENT, ms.store.max_lod * 0.5)
         corner = UniformRequest(Rect(0.0, 0.0, 3.0, 3.0), ms.store.max_lod)
@@ -437,12 +382,12 @@ class TestPatchLog:
 
         commits = []  # every (epoch, region) ever installed
         with QueryEngine(store, workers=1) as engine:
-            # One managed session, one built directly, and a third
-            # that only updates when the draw says so (it sits idle
-            # through any burst of PATCH_LOG_LIMIT + 1 commits).
+            # Three sessions, each updating only when the draw says
+            # so (one may sit idle through any burst of
+            # PATCH_LOG_LIMIT + 1 commits).
             sessions = [
-                engine.sessions().open(),
-                EngineSession(engine, "direct"),
+                EngineSession(engine, "first"),
+                EngineSession(engine, "second"),
                 EngineSession(engine, "idle"),
             ]
             previous = [None, None, None]  # (answer epoch, view)

@@ -312,7 +312,7 @@ class TestReadersAcrossPatchCommits:
         extent = dem.field.bounds()
         db = Database(tmp_path / "db")
         ms = MutableStore.build(
-            dem, db, prefix="dm", tile_verts=self.TILE_VERTS
+            dem, db, tile_verts=self.TILE_VERTS
         )
         lod = ms.store.max_lod * self.LOD_FRACTION
 

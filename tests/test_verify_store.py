@@ -1,9 +1,41 @@
 """Tests for the store integrity checker."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core.clusters import decode_cluster_blob
 from repro.core.verify_store import verify_store
 from repro.errors import StorageError
+from repro.storage.record import decode_dm_node, encode_dm_record
+
+
+def tamper_cluster_record(store, cluster_id: int = 0, index: int = 0) -> int:
+    """Rewrite one record of a cluster run as a valid but different
+    record (its ``z`` moved) and re-seal the run's pages: every page
+    checksum and the blob framing stay intact, so ``fsck`` is clean,
+    but the serving copy no longer matches the heap.  Returns the
+    tampered node's id."""
+    clusters = store.clusters
+    meta = clusters.meta(cluster_id)
+    blob = bytearray(clusters.read_blob(cluster_id))
+    payloads = decode_cluster_blob(bytes(blob))
+    record = decode_dm_node(payloads[index])
+    record.z += 1.0
+    forged = encode_dm_record(record)
+    assert len(forged) == len(payloads[index])
+    offset = len(blob) - sum(map(len, payloads))
+    offset += sum(map(len, payloads[:index]))
+    blob[offset : offset + len(forged)] = forged
+    segment = clusters.segment
+    size = segment.payload_size
+    for page in range(meta.n_pages):
+        chunk = blob[page * size : (page + 1) * size]
+        buf = segment.fetch(meta.start_page + page)
+        buf[: len(chunk)] = chunk
+        segment.mark_dirty(meta.start_page + page)
+    store.database.flush()
+    return record.id
 
 
 class TestHealthyStore:
@@ -14,7 +46,7 @@ class TestHealthyStore:
         assert (
             report.stats["heap_records"]
             == report.stats["index_entries"]
-            == report.stats["btree_entries"]
+            == report.stats["cluster_records"]
         )
         assert "OK" in report.to_text()
 
@@ -51,11 +83,25 @@ class TestCorruptions:
         assert not report.ok
         assert any("missing from the index" in p for p in report.problems)
 
-    def test_detects_btree_mismatch(self, small_store):
-        small_store.btree.insert(0, 123456789)  # Wrong RID for node 0.
+    def test_detects_tampered_cluster_record(self, small_store):
+        """A run that fsck passes but that serves a different record
+        than the heap holds: the cross-copy pass names the node."""
+        from repro.storage.integrity import scrub_database
+
+        node_id = tamper_cluster_record(small_store)
+        assert scrub_database(small_store.database).ok
         report = verify_store(small_store)
         assert not report.ok
-        assert any("rid mismatch" in p for p in report.problems)
+        assert report.problems == [
+            f"node {node_id}: cluster 0 copy differs from heap"
+        ]
+
+    def test_detects_cluster_count_mismatch(self, small_store):
+        directory = small_store.clusters.directory
+        meta = directory.clusters[0]
+        directory.clusters[0] = replace(meta, n_nodes=meta.n_nodes + 1)
+        report = verify_store(small_store)
+        assert any("cluster directory counts" in p for p in report.problems)
 
     def test_detects_corrupt_record(self, small_store):
         # Overwrite one record's payload in place with garbage.
@@ -75,11 +121,11 @@ class TestCorruptions:
         assert not report.ok
 
     def test_raise_on_error(self, small_store):
-        small_store.btree.insert(10**9, 1)  # Unknown id.
+        node_id = tamper_cluster_record(small_store)
         with pytest.raises(StorageError):
             verify_store(small_store, raise_on_error=True)
         report = verify_store(small_store)
-        assert any("unknown id" in p for p in report.problems)
+        assert any(f"node {node_id}" in p for p in report.problems)
 
     def test_report_truncates_long_problem_lists(self):
         from repro.core.verify_store import StoreReport
