@@ -25,7 +25,7 @@ from repro.terrain.datasets import TerrainDataset, dataset_by_name
 __all__ = ["ExperimentEnv", "load_environment", "cache_root"]
 
 #: Bump when any on-disk format (records, index pages, pickles) changes.
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 
 @dataclass

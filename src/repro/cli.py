@@ -89,7 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
     build.add_argument(
         "--compress",
         action="store_true",
-        help="store connection lists delta+varint compressed",
+        help="store the heap's connection lists delta+varint compressed "
+        "(cluster runs, which the engine serves, are unaffected)",
     )
     build.add_argument(
         "--save-pm",

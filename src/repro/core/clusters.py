@@ -14,12 +14,13 @@ At build time (:func:`build_cluster_runs`):
    (:mod:`repro.geometry.spacefill`) so consecutive nodes are spatial
    neighbours, then chunked into clusters of
    :data:`DEFAULT_CLUSTER_NODES` nodes;
-2. each cluster's records are packed into one *blob*
-   (:func:`encode_cluster_blob`) and written as a contiguous run of
-   pages in the ``{prefix}_cruns`` segment — one sequential physical
-   read (:meth:`~repro.storage.database.Segment.read_run`) fetches a
-   whole cluster, and the blob decodes straight into the existing
-   columnar kernels (:func:`~repro.storage.record.decode_dm_nodes_columnar`);
+2. each cluster is packed into one *blob* (:func:`encode_cluster_blob`)
+   holding its :class:`~repro.storage.record.DMNodeColumns` arrays
+   column after column, and written as a contiguous run of pages in
+   the ``{prefix}_cruns`` segment — one sequential physical read
+   (:meth:`~repro.storage.database.Segment.read_run`) fetches a whole
+   cluster, and :func:`decode_cluster_blob` turns it into columns with
+   one ``np.frombuffer`` per array and no per-row work;
 3. the per-cluster ``(x, y, e)`` extents — unions of the members'
    *indexed* (``e_cap``-capped) vertical segments — are persisted in a
    JSON directory sidecar (:class:`ClusterDirectory`).
@@ -34,20 +35,23 @@ returns.  The per-node path is the paper's processors in
 :mod:`repro.core.query` (``store.uniform_query`` and friends): the
 reference the engine is held to, not something the engine runs.
 
-The record bytes in cluster runs duplicate the heap file (a covering,
-batched copy — the classic clustered-projection trade): the heap +
-R*-tree remain the source of truth for the reference processors and
-rebuilds, and :func:`~repro.core.verify_store.verify_store` checks the
-runs against the heap record for record.
+Cluster runs are a *columnar* copy of the heap file's records (a
+covering, batched copy — the classic clustered-projection trade): the
+same field values and connection lists, stored as arrays rather than
+records.  The heap + R*-tree remain the source of truth for the
+reference processors and rebuilds, and
+:func:`~repro.core.verify_store.verify_store` checks the runs against
+the heap record for record.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -55,7 +59,7 @@ from repro.errors import StorageError
 from repro.geometry.primitives import Box3, Rect
 from repro.geometry.spacefill import hilbert_key, normalized_quantizer
 from repro.storage.database import Database, Segment
-from repro.storage.record import DMNodeColumns, decode_dm_nodes_columnar
+from repro.storage.record import DMNodeColumns
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.mesh.progressive import PMNode
@@ -78,70 +82,119 @@ __all__ = [
 #: query's overfetch stays bounded).
 DEFAULT_CLUSTER_NODES = 128
 
-#: Schema version of the JSON directory sidecar.
-CLUSTER_DIRECTORY_VERSION = 1
+#: Schema version of the JSON directory sidecar (2: columnar blobs).
+CLUSTER_DIRECTORY_VERSION = 2
 
-_BLOB_HEADER = struct.Struct("<4sI")
-_BLOB_MAGIC = b"DMC1"
-_LEN_ENTRY = struct.Struct("<I")
+#: Magic, row count, connection entries, reserved (must be 0).
+_BLOB_HEADER = struct.Struct("<4sIII")
+_BLOB_MAGIC = b"DMC2"
+#: The per-row columns in blob order: a block of ``<f8`` columns, then
+#: one of ``<i4`` columns, then ``n_conn`` — widest first, so every
+#: column starts at a multiple of its item size.
+_F8_COLUMNS = ("x", "y", "z", "e_low", "e_high")
+_I4_COLUMNS = ("ids", "parent", "child1", "child2", "wing1", "wing2")
+_F8 = np.dtype("<f8")
+_I4 = np.dtype("<i4")
+_N_CONN = np.dtype("<u2")
+#: ``n_conn`` value the record format reserves for a compressed list.
+_COMPRESSED_CONN = 0xFFFF
 
 
 # -- blob codec --------------------------------------------------------------
 
 
-def encode_cluster_blob(payloads: Sequence[bytes]) -> bytes:
-    """Pack DM record payloads into one self-describing cluster blob.
+def _blob_offsets(n_rows: int) -> tuple[int, int, int, int]:
+    """Byte offsets of the ``<i4`` block, ``n_conn``, the zero padding
+    and ``conn_flat`` in a blob of ``n_rows`` rows (the ``<f8`` block
+    starts right after the header)."""
+    i4_at = _BLOB_HEADER.size + _F8.itemsize * len(_F8_COLUMNS) * n_rows
+    n_conn_at = i4_at + _I4.itemsize * len(_I4_COLUMNS) * n_rows
+    pad_at = n_conn_at + _N_CONN.itemsize * n_rows
+    return i4_at, n_conn_at, pad_at, pad_at + (-pad_at % 8)
 
-    Layout: magic ``DMC1``, u32 record count, ``count`` u32 record
-    lengths, then the record payloads back to back.  Decoding slices
-    the payload list back out (:func:`decode_cluster_blob`) and feeds
-    it to the shared columnar decoder, so the record bytes themselves
-    stay format-identical to the heap file's.
+
+def encode_cluster_blob(columns: DMNodeColumns) -> bytes:
+    """Pack one cluster's columns into a self-describing ``DMC2`` blob.
+
+    Layout: a ``<4sIII`` header (magic ``DMC2``, row count ``n``,
+    connection entries, a reserved zero word), the ``n``-item columns
+    :data:`_F8_COLUMNS` then :data:`_I4_COLUMNS`, ``n_conn``
+    (``<u2``), zero padding to an 8-byte boundary, then ``conn_flat``
+    (``<i4``).  Connection lists are always plain ``<i4`` here,
+    whatever encoding the heap's records use.
     """
-    head = _BLOB_HEADER.pack(_BLOB_MAGIC, len(payloads))
-    lengths = struct.pack(f"<{len(payloads)}I", *(len(p) for p in payloads))
-    return head + lengths + b"".join(payloads)
+    n = len(columns)
+    n_conn = np.diff(columns.conn_offsets)
+    if n and int(n_conn.max()) >= _COMPRESSED_CONN:
+        raise StorageError(
+            f"a cluster row has {int(n_conn.max())} connections; "
+            f"the blob holds at most {_COMPRESSED_CONN - 1}"
+        )
+    _, _, pad_at, conn_at = _blob_offsets(n)
+    return b"".join((
+        _BLOB_HEADER.pack(_BLOB_MAGIC, n, columns.conn_flat.size, 0),
+        np.array([getattr(columns, c) for c in _F8_COLUMNS], _F8).tobytes(),
+        np.array([getattr(columns, c) for c in _I4_COLUMNS], _I4).tobytes(),
+        n_conn.astype(_N_CONN).tobytes(),
+        bytes(conn_at - pad_at),
+        np.asarray(columns.conn_flat, _I4).tobytes(),
+    ))
 
 
-def decode_cluster_blob(blob: bytes) -> list[bytes]:
-    """Unpack a cluster blob back into its record payloads.
+def decode_cluster_blob(blob: bytes) -> DMNodeColumns:
+    """Decode a ``DMC2`` blob into read-only columns over its bytes.
 
-    Strict: the magic, the length table, and the byte count must all
-    agree (``fsck`` decodes runs through this to verify directory
-    consistency); trailing bytes are an error — callers slice the run
-    to the directory's ``n_bytes`` first.
+    Every array is an ``np.frombuffer`` view that keeps ``blob``
+    alive (one call per dtype block), with the dtypes
+    :func:`~repro.storage.record.decode_dm_nodes_columnar` returns;
+    ``conn_offsets`` is the one computed array (a cumulative sum of
+    ``n_conn``).  Strict, raising :class:`~repro.errors.StorageError`:
+    the magic, the reserved word, the exact byte size (so truncation
+    and trailing bytes — callers slice the run to the directory's
+    ``n_bytes`` first), zero padding, no compressed-list sentinel in
+    ``n_conn``, and ``n_conn`` summing to the header's entry count.
+    ``fsck`` decodes runs through this to verify them.
     """
     if len(blob) < _BLOB_HEADER.size:
         raise StorageError(
             f"cluster blob is {len(blob)} bytes, below header "
             f"{_BLOB_HEADER.size}"
         )
-    magic, count = _BLOB_HEADER.unpack_from(blob, 0)
+    magic, n, total, reserved = _BLOB_HEADER.unpack_from(blob, 0)
     if magic != _BLOB_MAGIC:
         raise StorageError(f"bad cluster blob magic {magic!r}")
-    table_end = _BLOB_HEADER.size + count * _LEN_ENTRY.size
-    if len(blob) < table_end:
+    if reserved:
+        raise StorageError(f"cluster blob reserved word is {reserved}")
+    i4_at, n_conn_at, pad_at, conn_at = _blob_offsets(n)
+    expected = conn_at + _I4.itemsize * total
+    if len(blob) != expected:
         raise StorageError(
-            f"cluster blob truncated in length table "
-            f"({len(blob)}/{table_end} bytes)"
+            f"cluster blob is {len(blob)} bytes; {n} rows and {total} "
+            f"connections take {expected}"
         )
-    lengths = struct.unpack_from(f"<{count}I", blob, _BLOB_HEADER.size)
-    payloads: list[bytes] = []
-    offset = table_end
-    for length in lengths:
-        end = offset + length
-        if end > len(blob):
-            raise StorageError(
-                f"cluster blob truncated in records "
-                f"({end} > {len(blob)} bytes)"
-            )
-        payloads.append(blob[offset:end])
-        offset = end
-    if offset != len(blob):
+    if any(blob[pad_at:conn_at]):
+        raise StorageError("cluster blob padding is not zero")
+    view = memoryview(blob).toreadonly()
+    n_conn = np.frombuffer(view, _N_CONN, n, n_conn_at)
+    if n and int(n_conn.max()) == _COMPRESSED_CONN:
+        raise StorageError("cluster blob holds a compressed-list sentinel")
+    conn_offsets = np.zeros(n + 1, np.int64)
+    np.cumsum(n_conn.astype(np.int64), out=conn_offsets[1:])
+    if int(conn_offsets[-1]) != total:
         raise StorageError(
-            f"cluster blob has {len(blob) - offset} trailing bytes"
+            f"cluster blob rows hold {int(conn_offsets[-1])} connections, "
+            f"header says {total}"
         )
-    return payloads
+    conn_offsets.flags.writeable = False
+    f8 = np.frombuffer(view, _F8, len(_F8_COLUMNS) * n, _BLOB_HEADER.size)
+    i4 = np.frombuffer(view, _I4, len(_I4_COLUMNS) * n, i4_at)
+    arrays = dict(zip(_F8_COLUMNS, f8.reshape(len(_F8_COLUMNS), n)))
+    arrays.update(zip(_I4_COLUMNS, i4.reshape(len(_I4_COLUMNS), n)))
+    return DMNodeColumns(
+        **arrays,
+        conn_offsets=conn_offsets,
+        conn_flat=np.frombuffer(view, _I4, total, conn_at),
+    )
 
 
 def intersecting_rows(
@@ -271,7 +324,8 @@ class ClusterDirectory:
             if version != CLUSTER_DIRECTORY_VERSION:
                 raise StorageError(
                     f"cluster directory is version {version}, "
-                    f"expected {CLUSTER_DIRECTORY_VERSION}",
+                    f"expected {CLUSTER_DIRECTORY_VERSION}; "
+                    f"rebuild the store",
                     path=str(path),
                 )
             clusters = [
@@ -405,15 +459,15 @@ class ClusterSet:
         return run[:meta.n_bytes]
 
     def decode(self, cluster_id: int) -> DMNodeColumns:
-        """Bulk-decode one cluster into a columnar page."""
-        payloads = decode_cluster_blob(self.read_blob(cluster_id))
+        """Decode one cluster into read-only columns over its run."""
+        columns = decode_cluster_blob(self.read_blob(cluster_id))
         meta = self.meta(cluster_id)
-        if len(payloads) != meta.n_nodes:
+        if len(columns) != meta.n_nodes:
             raise StorageError(
-                f"cluster {cluster_id} decodes to {len(payloads)} nodes, "
+                f"cluster {cluster_id} decodes to {len(columns)} nodes, "
                 f"directory claims {meta.n_nodes}"
             )
-        return decode_dm_nodes_columnar(payloads)
+        return columns
 
 
 # -- build -------------------------------------------------------------------
@@ -433,36 +487,58 @@ def _hilbert_order(
     return sorted(range(len(nodes)), key=lambda i: keys[i])
 
 
+def _node_columns(
+    nodes: Sequence["PMNode"], connections: Mapping[int, list[int]]
+) -> DMNodeColumns:
+    """``nodes`` and their connection lists as columns, row for row —
+    the values :func:`~repro.storage.record.encode_dm_node` writes."""
+    lists = [connections.get(n.id, []) for n in nodes]
+    offsets = np.zeros(len(nodes) + 1, np.int64)
+    np.cumsum([len(c) for c in lists], out=offsets[1:])
+    return DMNodeColumns(
+        ids=np.array([n.id for n in nodes], np.int32),
+        x=np.array([n.x for n in nodes], np.float64),
+        y=np.array([n.y for n in nodes], np.float64),
+        z=np.array([n.z for n in nodes], np.float64),
+        e_low=np.array([n.e for n in nodes], np.float64),
+        e_high=np.array([n.e_high for n in nodes], np.float64),
+        parent=np.array([n.parent for n in nodes], np.int32),
+        child1=np.array([n.child1 for n in nodes], np.int32),
+        child2=np.array([n.child2 for n in nodes], np.int32),
+        wing1=np.array([n.wing1 for n in nodes], np.int32),
+        wing2=np.array([n.wing2 for n in nodes], np.int32),
+        conn_offsets=offsets,
+        conn_flat=np.fromiter(
+            itertools.chain.from_iterable(lists), np.int32, int(offsets[-1])
+        ),
+    )
+
+
 def build_cluster_runs(
     database: Database,
     segment_name: str,
     nodes: Sequence["PMNode"],
-    payloads: Sequence[bytes],
+    connections: Mapping[int, list[int]],
     e_cap: float,
     cluster_nodes: int = DEFAULT_CLUSTER_NODES,
 ) -> ClusterDirectory:
-    """Materialise the cluster section for an already-encoded node set.
+    """Materialise the cluster section for a node set.
 
-    ``nodes`` and ``payloads`` are aligned (the record bytes the heap
-    insert used, so both copies are byte-identical).  Nodes are
-    Hilbert-ordered over ``(x, y)``, chunked into clusters of
-    ``cluster_nodes``, and each cluster's blob is written as a
-    contiguous page run in the segment ``segment_name``.  The writes
-    ride the pager like every other build write — sealed under the v2
-    page format, WAL-logged inside an ``atomic()`` scope.
+    ``connections`` maps node id to its similar-LOD connection list
+    (absent ids have none), as the heap's records hold it.  Nodes are
+    Hilbert-ordered over ``(x, y)`` (ties keep their order in
+    ``nodes``), chunked into clusters of ``cluster_nodes``, and each
+    cluster's columns are encoded as one blob written as a contiguous
+    page run in the segment ``segment_name``.  The writes ride the
+    pager like every other build write — sealed under the v2 page
+    format, WAL-logged inside an ``atomic()`` scope.
 
     Returns the directory; the caller persists it
     (:meth:`ClusterDirectory.save`) alongside the store metadata.
     """
-    from repro.mesh.progressive import LOD_INFINITY
-
     if cluster_nodes < 1:
         raise StorageError(
             f"cluster_nodes must be >= 1, got {cluster_nodes}"
-        )
-    if len(nodes) != len(payloads):
-        raise StorageError(
-            f"{len(nodes)} nodes but {len(payloads)} payloads"
         )
     segment = database.segment(segment_name)
     payload_size = segment.payload_size
@@ -472,31 +548,32 @@ def build_cluster_runs(
         for cluster_id, chunk_start in enumerate(
             range(0, len(order), cluster_nodes)
         ):
-            chunk = order[chunk_start:chunk_start + cluster_nodes]
-            blob = encode_cluster_blob([payloads[i] for i in chunk])
+            members = [
+                nodes[i] for i in order[chunk_start:chunk_start + cluster_nodes]
+            ]
+            columns = _node_columns(members, connections)
+            blob = encode_cluster_blob(columns)
             start_page = segment.n_pages
             for off in range(0, len(blob), payload_size):
                 piece = blob[off:off + payload_size]
                 _, buf = segment.allocate()
                 buf[:len(piece)] = piece
-            members = [nodes[i] for i in chunk]
-            e_highs = [
-                e_cap if m.e_high == LOD_INFINITY else m.e_high
-                for m in members
-            ]
+            e_high = columns.e_high
             clusters.append(
                 ClusterMeta(
                     cluster_id=cluster_id,
                     start_page=start_page,
                     n_pages=segment.n_pages - start_page,
                     n_bytes=len(blob),
-                    n_nodes=len(chunk),
-                    min_x=min(m.x for m in members),
-                    min_y=min(m.y for m in members),
-                    min_e=min(m.e for m in members),
-                    max_x=max(m.x for m in members),
-                    max_y=max(m.y for m in members),
-                    max_e=max(e_highs),
+                    n_nodes=len(columns),
+                    min_x=float(columns.x.min()),
+                    min_y=float(columns.y.min()),
+                    min_e=float(columns.e_low.min()),
+                    max_x=float(columns.x.max()),
+                    max_y=float(columns.y.max()),
+                    max_e=float(
+                        np.where(np.isinf(e_high), e_cap, e_high).max()
+                    ),
                 )
             )
     return ClusterDirectory(

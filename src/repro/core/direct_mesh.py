@@ -13,9 +13,9 @@ mesh:
 3. each node becomes the vertical segment
    ``<(x, y, e_low), (x, y, e_high)>`` in ``(x, y, e)`` space, indexed
    by a 3D R*-tree;
-4. the same record bytes are packed a second time into Hilbert-ordered
-   cluster runs (:mod:`repro.core.clusters`), the copy the engine
-   serves from.
+4. the same records are packed a second time, as columns, into
+   Hilbert-ordered cluster runs (:mod:`repro.core.clusters`), the copy
+   the engine serves from.
 
 Those three segments and two JSON sidecars are a store epoch, and
 :func:`epoch_files` is the one list of them.  The paper's "B+-trees
@@ -196,8 +196,11 @@ class DirectMeshStore:
                 database).
             bulk_index: STR-pack the R*-tree (fast, well-packed); set
                 false to exercise dynamic R* insertion.
-            compress_connections: store connection lists delta+varint
-                coded (extension; smaller records, same query results).
+            compress_connections: store the heap's connection lists
+                delta+varint coded (extension; smaller records, same
+                query results).  It shapes the heap only: cluster runs
+                always hold plain ``<i4`` lists, so the serving copy
+                is byte-identical either way.
         """
         if not pm.is_normalized:
             raise QueryError("progressive mesh must be normalised")
@@ -256,13 +259,13 @@ class DirectMeshStore:
         ordered = [nodes[i] for i in order]
 
         total_conn = 0
+        total_bytes = 0
         entries: list[tuple[Box3, int]] = []
-        payloads: list[bytes] = []
         for i, node in zip(order, ordered):
             conn = connections.get(node.id, [])
             payload = encode_dm_node(node, conn, compress=compress_connections)
             total_conn += len(conn)
-            payloads.append(payload)
+            total_bytes += len(payload)
             entries.append((boxes[i], heap.insert(payload)))
 
         if bulk_index:
@@ -272,7 +275,7 @@ class DirectMeshStore:
                 rtree.insert(box, rid)
 
         directory = build_cluster_runs(
-            database, files.cruns, ordered, payloads, e_cap
+            database, files.cruns, ordered, connections, e_cap
         )
         directory.save(database.path / files.directory)
         clusters = ClusterSet(database.segment(directory.segment), directory)
@@ -281,7 +284,7 @@ class DirectMeshStore:
             n_nodes=len(nodes),
             heap_pages=heap.n_pages,
             index_pages=database.segment_pages(files.rtree),
-            total_record_bytes=sum(map(len, payloads)),
+            total_record_bytes=total_bytes,
             total_connection_entries=total_conn,
             cluster_pages=database.segment_pages(directory.segment),
         )

@@ -1,85 +1,12 @@
 """Concurrent batched query engine over a :class:`DirectMeshStore`.
 
-The paper reduces selective refinement to a single 3D range query;
-this module turns that property into a *serving* path.  The unit of
-execution is one request — viewpoint-independent
-(:class:`UniformRequest`) or viewpoint-dependent single-base
-(:class:`SingleBaseRequest`) — whether it arrives alone
-(:meth:`QueryEngine.submit`) or in a batch
-(:meth:`QueryEngine.run_batch`, which gathers over the same
-per-request task).  Each request is
-
-0. **cache-checked**: with a
-   :class:`~repro.core.cache.SemanticCache` attached, any request
-   whose query box is contained in a cached cube is answered inline
-   by one vectorized filter — no selection, no record fetch — and
-   executed range queries feed their cubes back into the cache;
-1. **fanned out** across a :class:`~concurrent.futures.ThreadPoolExecutor`
-   against the shared, lock-striped buffer pool — pager reads release
-   the GIL, so independent cache misses overlap;
-2. **instrumented**: every executed range query reports clusters
-   selected, pages read, cache hit-rate and per-stage wall time through
-   a :class:`~repro.obs.metrics.MetricsRegistry`;
-3. **fault-isolated**: a request that fails — a storage error, a
-   missed deadline — yields a :class:`QueryOutcome` with its ``error``
-   set instead of an exception; sibling requests in a batch are never
-   poisoned.
-
-Every executed range query runs the **same pipeline**, written once
-(:meth:`QueryEngine._execute_job`): *select + fetch → filter →
-publish* (cache insert, :class:`QueryMetrics`, histograms).  The engine
-serves from the store's cluster section only
-(:meth:`QueryEngine._fetch_clustered`: cluster-directory selection
-plus sequential run reads through the decoded-cluster LRU, narrowed to
-the rows whose capped segment intersects the probe box); it never
-probes the R*-tree.  The paper's per-node processors in
-:mod:`repro.core.query` are the reference: results are byte-identical
-to theirs (same nodes, same ``retrieved`` count).
-
-Robustness:
-
-* ``retries`` — :class:`~repro.errors.TransientIOError` is retried
-  with exponential backoff (``RETRY_BACKOFF_S * 2**attempt``); any
-  other exception fails the request immediately.
-* ``deadline_s`` — a per-request deadline measured from submission
-  (of the request, or of the batch it is in).  When it expires before
-  a request has produced a result, a :class:`UniformRequest` is
-  *degraded*: re-run once at the coarsest LOD (the paper's property
-  that any ``e' > e`` is a valid, cheaper approximation makes the base
-  mesh a legitimate answer), and the outcome is flagged ``degraded``.
-  Non-degradable requests get a
-  :class:`~repro.errors.DeadlineExceededError` outcome.
-* **corruption quarantine** — a
-  :class:`~repro.errors.PageCorruptionError` is *never* retried at
-  the same page (re-reading rot returns the same bytes): the page id
-  enters a :class:`~repro.storage.integrity.PageQuarantine` bounded at
-  :data:`QUARANTINE_CAP` entries (:attr:`QueryEngine.quarantine`),
-  ``engine.corruptions`` is recorded, and uniform requests take the
-  same base-mesh degradation path as a deadline miss — the batch
-  keeps serving while an operator runs ``python -m repro fsck
-  --repair``.
-* **admission control** — with a
-  :class:`~repro.core.admission.CostGovernor` attached, the
-  *open-loop* submission path (:meth:`QueryEngine.submit`) prices
-  every request in predicted cluster-run pages
-  (``ClusterIndex.estimate_pages``) *before* execution and carries out the
-  governor's verdict (the policy lives in
-  :mod:`repro.core.admission`): *admitted* at full fidelity,
-  *degraded* to the base-mesh path (overload, not faults, triggering
-  the same ``e' > e`` approximation), or *shed* — answered inline
-  from a cached base-mesh snapshot with zero queueing, so an
-  overloaded engine keeps bounded latency instead of collapsing.
-
-Usage::
-
-    with QueryEngine(store, workers=4, retries=3) as engine:
-        outcomes = engine.run_batch(
-            [UniformRequest(roi, lod) for roi, lod in workload]
-        )
-    for outcome in outcomes:
-        if not outcome.ok:
-            log.warning("query failed: %s", outcome.error)
-    print(engine.registry.report())
+One request is the unit of execution: :meth:`QueryEngine.submit` and
+:meth:`QueryEngine.run_batch` run each through one pipeline
+(:meth:`QueryEngine._execute_job`: select + fetch from the cluster
+runs, filter, publish), held node-id-identical to the paper's
+processors in :mod:`repro.core.query`.  DESIGN.md section 6 ("The
+serving engine") describes the pipeline, retries, deadlines,
+corruption quarantine and admission control, with a usage example.
 """
 
 from __future__ import annotations

@@ -145,8 +145,7 @@ def verify_store(
     home: dict[int, int] = {}  # node id -> the cluster holding it
     for cid in range(len(clusters)):
         try:
-            blob = decode_cluster_blob(clusters.read_blob(cid))
-            copies = [decode_dm_node(payload) for payload in blob]
+            copies = decode_cluster_blob(clusters.read_blob(cid)).records()
         except Exception as exc:  # noqa: BLE001 - report, don't crash
             problems.append(f"cluster {cid}: unreadable run ({exc})")
             continue

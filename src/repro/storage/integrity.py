@@ -563,15 +563,15 @@ def _scrub_clusters(
                 continue  # The crc scan already reported these pages.
             try:
                 blob = segment.read_run(meta.start_page, meta.n_pages)
-                records = decode_cluster_blob(blob[: meta.n_bytes])
+                columns = decode_cluster_blob(blob[: meta.n_bytes])
             except PageCorruptionError:
                 continue  # Raced a concurrent writer; crc scan owns it.
             except StorageError as exc:
                 problems.append(f"{label} blob does not decode ({exc})")
                 continue
-            if len(records) != meta.n_nodes:
+            if len(columns) != meta.n_nodes:
                 problems.append(
-                    f"{label} blob holds {len(records)} records, "
+                    f"{label} blob holds {len(columns)} records, "
                     f"directory says {meta.n_nodes}"
                 )
         spans.sort()

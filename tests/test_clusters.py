@@ -10,13 +10,14 @@ narrowed with the same intersection predicate the R*-tree applies;
 and both select exactly the nodes in-memory selective refinement
 (:mod:`repro.mesh.selective`) does.  Hypothesis drives random query
 cubes, LODs above ``e_cap``, and degenerate ROIs through engine and
-reference; the rest of the file covers the
-blob codec, the directory invariants, the decoded-cluster LRU, and
-the pager's multi-page run accounting.
+reference; the rest of the file covers the ``DMC2`` blob codec, the
+directory invariants, the decoded-cluster LRU, and the pager's
+multi-page run accounting.
 """
 
 from __future__ import annotations
 
+import json
 import random
 
 import numpy as np
@@ -40,7 +41,12 @@ from repro.geometry.primitives import Box3, Rect
 from repro.mesh.progressive import LOD_INFINITY, PMNode
 from repro.mesh.selective import uniform_query_ref, viewdep_query_ref
 from repro.storage import Database, FaultInjector
-from repro.storage.record import decode_dm_nodes_columnar, encode_dm_node
+from repro.storage.record import (
+    DMNodeColumns,
+    decode_dm_node,
+    decode_dm_nodes_columnar,
+    encode_dm_node,
+)
 from repro.terrain import dataset_by_name
 from tests.test_mutate import (
     EXTENT,
@@ -253,27 +259,191 @@ class TestDirectoryInvariants:
         assert store.clusters.directory.total_nodes == len(store.rtree)
 
 
+COLUMN_FIELDS = (
+    "ids", "x", "y", "z", "e_low", "e_high", "parent", "child1", "child2",
+    "wing1", "wing2", "conn_offsets", "conn_flat",
+)
+
+
+def _assert_same_columns(got, want) -> None:
+    """Every array equal in dtype and values (infinities included)."""
+    for name in COLUMN_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
+@st.composite
+def random_columns(draw):
+    """Columns of 0-300 rows with 0-20 connections each."""
+    n = draw(st.integers(0, 300))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, 21, n)
+    offsets = np.zeros(n + 1, np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    ints = np.iinfo(np.int32)
+
+    def i32(size):
+        return rng.integers(ints.min, ints.max, size, endpoint=True).astype(
+            np.int32
+        )
+
+    e_high = rng.normal(size=n)
+    e_high[rng.random(n) < 0.2] = np.inf
+    return DMNodeColumns(
+        ids=i32(n), x=rng.normal(size=n) * 1e6, y=rng.normal(size=n),
+        z=rng.normal(size=n), e_low=rng.random(n), e_high=e_high,
+        parent=i32(n), child1=i32(n), child2=i32(n), wing1=i32(n),
+        wing2=i32(n), conn_offsets=offsets, conn_flat=i32(int(offsets[-1])),
+    )
+
+
 class TestBlobCodec:
+    """The ``DMC2`` columnar blob: exact round trip, strict decode,
+    aligned read-only views, and equality with the heap records'
+    decode."""
+
     @common
-    @given(st.lists(st.binary(max_size=64), max_size=24))
-    def test_roundtrip(self, payloads):
-        assert decode_cluster_blob(encode_cluster_blob(payloads)) == payloads
+    @given(random_columns())
+    def test_roundtrip(self, columns):
+        blob = encode_cluster_blob(columns)
+        _assert_same_columns(decode_cluster_blob(blob), columns)
+        # conn_flat, the blob's tail, starts on an 8-byte boundary.
+        assert (len(blob) - 4 * columns.conn_flat.size) % 8 == 0
 
     def test_bad_magic_rejected(self):
-        blob = bytearray(encode_cluster_blob([b"abc"]))
-        blob[:4] = b"XXXX"
-        with pytest.raises(StorageError):
+        """A bad magic and a non-zero reserved word both refuse."""
+        blob = bytearray(encode_cluster_blob(_columns(5)))
+        bad_magic = bytearray(blob)
+        bad_magic[:4] = b"DMC1"
+        with pytest.raises(StorageError, match="magic"):
+            decode_cluster_blob(bytes(bad_magic))
+        blob[12] = 1
+        with pytest.raises(StorageError, match="reserved"):
             decode_cluster_blob(bytes(blob))
 
     def test_truncation_rejected(self):
-        blob = encode_cluster_blob([b"abcdef", b"ghi"])
-        with pytest.raises(StorageError):
-            decode_cluster_blob(blob[:-2])
+        """Every proper prefix of a blob refuses, odd and even ``n``."""
+        for n in (0, 5, 8, 13):
+            blob = encode_cluster_blob(_columns(n, seed=n))
+            assert len(decode_cluster_blob(blob)) == n
+            for size in range(len(blob)):
+                with pytest.raises(StorageError):
+                    decode_cluster_blob(blob[:size])
 
     def test_trailing_bytes_rejected(self):
-        blob = encode_cluster_blob([b"abc"])
-        with pytest.raises(StorageError):
-            decode_cluster_blob(blob + b"\x00")
+        """A blob grown by one byte, of any value, refuses."""
+        for n in (0, 5, 8, 13):
+            blob = encode_cluster_blob(_columns(n, seed=n))
+            for value in (0, 1, 255):
+                with pytest.raises(StorageError):
+                    decode_cluster_blob(blob + bytes([value]))
+
+    def test_connection_count_mismatch_rejected(self):
+        """``n_conn`` must sum to the header's entry count and never
+        hold the record format's compressed-list sentinel."""
+        columns = _columns(6, seed=1)
+        blob = encode_cluster_blob(columns)
+        n_conn_at = 16 + 64 * len(columns)
+        shifted = bytearray(blob)
+        shifted[n_conn_at] += 1
+        with pytest.raises(StorageError, match="connections"):
+            decode_cluster_blob(bytes(shifted))
+        sentinel = bytearray(blob)
+        sentinel[n_conn_at:n_conn_at + 2] = b"\xff\xff"
+        with pytest.raises(StorageError, match="sentinel"):
+            decode_cluster_blob(bytes(sentinel))
+
+    def test_decoded_arrays_are_aligned_read_only_views(self):
+        columns = _columns(33, seed=2)
+        decoded = decode_cluster_blob(encode_cluster_blob(columns))
+        for name in COLUMN_FIELDS:
+            array = getattr(decoded, name)
+            assert array.flags.aligned, name
+            assert not array.flags.writeable, name
+        _assert_same_columns(decoded, columns)
+
+    def test_built_store_matches_the_heap_records(self, built):
+        """Every run decodes to exactly what the columnar decoder
+        makes of the same nodes' heap payloads."""
+        _, store = built
+        payloads = {
+            decode_dm_node(p).id: p for _, p in store.heap.scan()
+        }
+        for cid in range(len(store.clusters)):
+            columns = store.clusters.decode(cid)
+            heap = decode_dm_nodes_columnar(
+                [payloads[i] for i in columns.ids.tolist()]
+            )
+            _assert_same_columns(columns, heap)
+
+    def test_compressed_heap_leaves_runs_unchanged(self, dataset, tmp_path):
+        """``compress_connections`` shapes the heap only: the cluster
+        runs are byte-identical and the engine answers the same."""
+        stores = []
+        for compress in (False, True):
+            db = Database(tmp_path / f"compress{compress}")
+            stores.append(
+                DirectMeshStore.build(
+                    dataset.pm, db, dataset.connections,
+                    compress_connections=compress,
+                )
+            )
+        plain, compressed = stores
+        try:
+            assert (
+                compressed.database.segment_pages("dm_nodes")
+                < plain.database.segment_pages("dm_nodes")
+            )
+            assert (
+                plain.clusters.directory.clusters
+                == compressed.clusters.directory.clusters
+            )
+            for cid in range(len(plain.clusters)):
+                assert plain.clusters.read_blob(cid) == (
+                    compressed.clusters.read_blob(cid)
+                )
+            extent = plain.rtree.data_space.rect
+            for lod in (0.0, plain.max_lod / 4, plain.max_lod):
+                request = UniformRequest(extent, lod)
+                with QueryEngine(plain, workers=1) as a, QueryEngine(
+                    compressed, workers=1
+                ) as b:
+                    assert a.run(request).result.nodes == (
+                        b.run(request).result.nodes
+                    )
+        finally:
+            for store in stores:
+                store.database.close()
+
+    @staticmethod
+    def _version_1_store(path):
+        """A store whose directory says it holds ``DMC1`` blobs."""
+        dataset = dataset_by_name("foothills", 300, seed=3)
+        with Database(path) as db:
+            DirectMeshStore.build(dataset.pm, db, dataset.connections)
+        sidecar = path / epoch_files("dm").directory
+        payload = json.loads(sidecar.read_text())
+        payload["version"] = 1
+        sidecar.write_text(json.dumps(payload))
+        return path
+
+    def test_version_1_store_refused_on_open(self, tmp_path):
+        path = self._version_1_store(tmp_path / "v1")
+        with Database(path) as db:
+            with pytest.raises(StorageError, match="version 1.*rebuild"):
+                DirectMeshStore.open(db)
+
+    def test_cli_query_on_version_1_store_exits_1(self, tmp_path, capsys):
+        """The CLI says to rebuild rather than print a traceback."""
+        from repro.cli import main as cli_main
+
+        path = self._version_1_store(tmp_path / "v1")
+        assert cli_main(["query", str(path), "--lod", "1.0"]) == 1
+        err = capsys.readouterr().err
+        assert "version 1" in err and "rebuild" in err
+        assert "Traceback" not in err
 
 
 def _columns(n: int, seed: int = 0):

@@ -357,6 +357,29 @@ class TestStructuralScrub:
         assert any("e_low <= e_high" in p for p in report.structural)
         db.close()
 
+    def test_cluster_run_with_inconsistent_connection_counts_is_reported(
+        self, tmp_path, wavy_pm, wavy_connections
+    ):
+        """A re-sealed run whose ``n_conn`` column no longer sums to the
+        blob header's entry count: crc-clean, but its blob does not
+        decode."""
+        from tests.test_verify_store import reseal_cluster_run
+
+        with Database(tmp_path / "db", pool_pages=64) as db:
+            store = DirectMeshStore.build(wavy_pm, db, wavy_connections)
+            blob = bytearray(store.clusters.read_blob(0))
+            (n_rows,) = struct.unpack_from("<I", blob, 4)
+            n_conn_at = 16 + 64 * n_rows  # header, 5 f8 and 6 i4 columns
+            blob[n_conn_at] += 1
+            reseal_cluster_run(store, 0, bytes(blob))
+            report = scrub_database(db)
+        assert report.corrupt_pages == 0
+        assert not report.ok
+        assert any(
+            "cluster 0 blob does not decode" in p and "connections" in p
+            for p in report.structural
+        )
+
     def test_missing_cluster_directory_is_reported(
         self, tmp_path, wavy_pm, wavy_connections
     ):

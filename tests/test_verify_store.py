@@ -4,29 +4,17 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.clusters import decode_cluster_blob
+from repro.core.clusters import decode_cluster_blob, encode_cluster_blob
 from repro.core.verify_store import verify_store
 from repro.errors import StorageError
-from repro.storage.record import decode_dm_node, encode_dm_record
 
 
-def tamper_cluster_record(store, cluster_id: int = 0, index: int = 0) -> int:
-    """Rewrite one record of a cluster run as a valid but different
-    record (its ``z`` moved) and re-seal the run's pages: every page
-    checksum and the blob framing stay intact, so ``fsck`` is clean,
-    but the serving copy no longer matches the heap.  Returns the
-    tampered node's id."""
+def reseal_cluster_run(store, cluster_id: int, blob: bytes) -> None:
+    """Write ``blob`` over cluster ``cluster_id``'s run (same length)
+    and re-seal its pages: every page checksum stays valid."""
     clusters = store.clusters
     meta = clusters.meta(cluster_id)
-    blob = bytearray(clusters.read_blob(cluster_id))
-    payloads = decode_cluster_blob(bytes(blob))
-    record = decode_dm_node(payloads[index])
-    record.z += 1.0
-    forged = encode_dm_record(record)
-    assert len(forged) == len(payloads[index])
-    offset = len(blob) - sum(map(len, payloads))
-    offset += sum(map(len, payloads[:index]))
-    blob[offset : offset + len(forged)] = forged
+    assert len(blob) == meta.n_bytes
     segment = clusters.segment
     size = segment.payload_size
     for page in range(meta.n_pages):
@@ -35,7 +23,20 @@ def tamper_cluster_record(store, cluster_id: int = 0, index: int = 0) -> int:
         buf[: len(chunk)] = chunk
         segment.mark_dirty(meta.start_page + page)
     store.database.flush()
-    return record.id
+
+
+def tamper_cluster_record(store, cluster_id: int = 0, index: int = 0) -> int:
+    """Move row ``index``'s ``z`` in one cluster run and re-seal it:
+    every page checksum and the blob framing stay intact, so ``fsck``
+    is clean, but the serving copy no longer matches the heap.
+    Returns the tampered node's id."""
+    columns = decode_cluster_blob(store.clusters.read_blob(cluster_id))
+    z = columns.z.copy()
+    z[index] += 1.0
+    reseal_cluster_run(
+        store, cluster_id, encode_cluster_blob(replace(columns, z=z))
+    )
+    return int(columns.ids[index])
 
 
 class TestHealthyStore:
