@@ -24,8 +24,9 @@ from repro.terrain.datasets import TerrainDataset, dataset_by_name
 
 __all__ = ["ExperimentEnv", "load_environment", "cache_root"]
 
-#: Bump when any on-disk format (records, index pages, pickles) changes.
-SCHEMA_VERSION = 9
+#: Bump when any on-disk format or layout (records, index pages,
+#: cluster runs, pickles) changes.
+SCHEMA_VERSION = 10
 
 
 @dataclass

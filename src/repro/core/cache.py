@@ -364,8 +364,8 @@ class ClusterCache:
     (:class:`~repro.storage.record.DMNodeColumns`), so a hit skips
     both the run's physical read *and* the columnar decode.  Clusters
     are immutable for the life of a store *epoch* — but unlike node
-    ids, **cluster ids are not stable across epochs** (the Hilbert
-    chunking shifts globally when any tile's node count changes), so
+    ids, **cluster ids are not stable across epochs** (the STR tiling
+    shifts globally when any tile's node count changes), so
     the epoch is part of the key: a reader pinned to epoch ``N`` only
     ever sees clusters decoded from epoch ``N``'s runs.  Any query at
     that epoch selecting the cluster reuses the same decoded page

@@ -10,10 +10,13 @@ cluster — not the node — the unit of selection, I/O, and caching.
 
 At build time (:func:`build_cluster_runs`):
 
-1. DM nodes are ordered along a Hilbert curve over ``(x, y)``
-   (:mod:`repro.geometry.spacefill`) so consecutive nodes are spatial
-   neighbours, then chunked into clusters of
-   :data:`DEFAULT_CLUSTER_NODES` nodes;
+1. DM nodes are grouped into clusters of at most
+   :data:`DEFAULT_CLUSTER_NODES` nodes, each one sort-tile-recursive
+   tile of their capped ``(x, y, e)`` segments
+   (:func:`~repro.index.rstar.str_groups`, the tiling the heap order
+   and the R*-tree's leaves use) — so a cluster spans a narrow LOD
+   band as well as a small ``(x, y)`` area, and a query plane at one
+   LOD misses the clusters of other bands under its ROI;
 2. each cluster is packed into one *blob* (:func:`encode_cluster_blob`)
    holding its :class:`~repro.storage.record.DMNodeColumns` arrays
    column after column, and written as a contiguous run of pages in
@@ -51,13 +54,13 @@ import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from repro.errors import StorageError
-from repro.geometry.primitives import Box3, Rect
-from repro.geometry.spacefill import hilbert_key, normalized_quantizer
+from repro.geometry.primitives import Box3, union_all_boxes
+from repro.index.rstar import str_groups
 from repro.storage.database import Database, Segment
 from repro.storage.record import DMNodeColumns
 
@@ -473,20 +476,6 @@ class ClusterSet:
 # -- build -------------------------------------------------------------------
 
 
-def _hilbert_order(
-    nodes: Sequence["PMNode"], bits: int = 16
-) -> list[int]:
-    """Indices of ``nodes`` sorted by Hilbert key over ``(x, y)``."""
-    min_x = min(n.x for n in nodes)
-    max_x = max(n.x for n in nodes)
-    min_y = min(n.y for n in nodes)
-    max_y = max(n.y for n in nodes)
-    quantize: Callable[[float, float], tuple[int, int]]
-    quantize = normalized_quantizer(Rect(min_x, min_y, max_x, max_y), bits)
-    keys = [hilbert_key(*quantize(n.x, n.y), bits) for n in nodes]
-    return sorted(range(len(nodes)), key=lambda i: keys[i])
-
-
 def _node_columns(
     nodes: Sequence["PMNode"], connections: Mapping[int, list[int]]
 ) -> DMNodeColumns:
@@ -518,20 +507,23 @@ def build_cluster_runs(
     database: Database,
     segment_name: str,
     nodes: Sequence["PMNode"],
+    boxes: Sequence[Box3],
     connections: Mapping[int, list[int]],
-    e_cap: float,
     cluster_nodes: int = DEFAULT_CLUSTER_NODES,
 ) -> ClusterDirectory:
     """Materialise the cluster section for a node set.
 
-    ``connections`` maps node id to its similar-LOD connection list
-    (absent ids have none), as the heap's records hold it.  Nodes are
-    Hilbert-ordered over ``(x, y)`` (ties keep their order in
-    ``nodes``), chunked into clusters of ``cluster_nodes``, and each
-    cluster's columns are encoded as one blob written as a contiguous
-    page run in the segment ``segment_name``.  The writes ride the
-    pager like every other build write — sealed under the v2 page
-    format, WAL-logged inside an ``atomic()`` scope.
+    ``boxes[i]`` is ``nodes[i]``'s indexed segment (``e_high`` capped
+    at ``e_cap``, the R*-tree entry), and ``connections`` maps node id
+    to its similar-LOD connection list (absent ids have none), as the
+    heap's records hold it.  Each cluster is one
+    :func:`~repro.index.rstar.str_groups` tile of the segments at
+    ``cluster_nodes`` (ties keep their order in ``nodes``), its extent
+    the union of its members' segments, and its columns are encoded
+    as one blob written as a contiguous page run in the segment
+    ``segment_name``.  The writes ride the pager like every other
+    build write — sealed under the v2 page format, WAL-logged inside
+    an ``atomic()`` scope.
 
     Returns the directory; the caller persists it
     (:meth:`ClusterDirectory.save`) alongside the store metadata.
@@ -543,39 +535,30 @@ def build_cluster_runs(
     segment = database.segment(segment_name)
     payload_size = segment.payload_size
     clusters: list[ClusterMeta] = []
-    if nodes:
-        order = _hilbert_order(nodes)
-        for cluster_id, chunk_start in enumerate(
-            range(0, len(order), cluster_nodes)
-        ):
-            members = [
-                nodes[i] for i in order[chunk_start:chunk_start + cluster_nodes]
-            ]
-            columns = _node_columns(members, connections)
-            blob = encode_cluster_blob(columns)
-            start_page = segment.n_pages
-            for off in range(0, len(blob), payload_size):
-                piece = blob[off:off + payload_size]
-                _, buf = segment.allocate()
-                buf[:len(piece)] = piece
-            e_high = columns.e_high
-            clusters.append(
-                ClusterMeta(
-                    cluster_id=cluster_id,
-                    start_page=start_page,
-                    n_pages=segment.n_pages - start_page,
-                    n_bytes=len(blob),
-                    n_nodes=len(columns),
-                    min_x=float(columns.x.min()),
-                    min_y=float(columns.y.min()),
-                    min_e=float(columns.e_low.min()),
-                    max_x=float(columns.x.max()),
-                    max_y=float(columns.y.max()),
-                    max_e=float(
-                        np.where(np.isinf(e_high), e_cap, e_high).max()
-                    ),
-                )
+    for cluster_id, group in enumerate(str_groups(boxes, cluster_nodes)):
+        columns = _node_columns([nodes[i] for i in group], connections)
+        blob = encode_cluster_blob(columns)
+        start_page = segment.n_pages
+        for off in range(0, len(blob), payload_size):
+            piece = blob[off:off + payload_size]
+            _, buf = segment.allocate()
+            buf[:len(piece)] = piece
+        extent = union_all_boxes([boxes[i] for i in group])
+        clusters.append(
+            ClusterMeta(
+                cluster_id=cluster_id,
+                start_page=start_page,
+                n_pages=segment.n_pages - start_page,
+                n_bytes=len(blob),
+                n_nodes=len(columns),
+                min_x=extent.min_x,
+                min_y=extent.min_y,
+                min_e=extent.min_e,
+                max_x=extent.max_x,
+                max_y=extent.max_y,
+                max_e=extent.max_e,
             )
+        )
     return ClusterDirectory(
         segment=segment_name,
         cluster_nodes=cluster_nodes,

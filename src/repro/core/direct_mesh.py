@@ -14,8 +14,10 @@ mesh:
    ``<(x, y, e_low), (x, y, e_high)>`` in ``(x, y, e)`` space, indexed
    by a 3D R*-tree;
 4. the same records are packed a second time, as columns, into
-   Hilbert-ordered cluster runs (:mod:`repro.core.clusters`), the copy
-   the engine serves from.
+   cluster runs (:mod:`repro.core.clusters`), the copy the engine
+   serves from: each cluster is one STR tile of the same segments at
+   128 nodes, so the serving copy keeps the heap's ``(x, y, e)``
+   clustering.
 
 Those three segments and two JSON sidecars are a store epoch, and
 :func:`epoch_files` is the one list of them.  The paper's "B+-trees
@@ -166,8 +168,8 @@ class DirectMeshStore:
         #: live-patched stores this is the *epoch* prefix (e.g.
         #: ``dm@3``), not the logical one — see :mod:`repro.core.mutate`.
         self.prefix = prefix
-        #: The cluster section: Hilbert-ordered node clusters as
-        #: contiguous page runs (:mod:`repro.core.clusters`).
+        #: The cluster section: STR tiles of the nodes' ``(x, y, e)``
+        #: segments as contiguous page runs (:mod:`repro.core.clusters`).
         self.clusters = clusters
         # Node-extent statistics live in the in-memory catalog (the
         # paper reads them "from the R-tree index"); computing them
@@ -257,16 +259,17 @@ class DirectMeshStore:
             )
         order = str_order(boxes)
         ordered = [nodes[i] for i in order]
+        boxes = [boxes[i] for i in order]
 
         total_conn = 0
         total_bytes = 0
         entries: list[tuple[Box3, int]] = []
-        for i, node in zip(order, ordered):
+        for node, box in zip(ordered, boxes):
             conn = connections.get(node.id, [])
             payload = encode_dm_node(node, conn, compress=compress_connections)
             total_conn += len(conn)
             total_bytes += len(payload)
-            entries.append((boxes[i], heap.insert(payload)))
+            entries.append((box, heap.insert(payload)))
 
         if bulk_index:
             rtree.bulk_load(entries)
@@ -275,7 +278,7 @@ class DirectMeshStore:
                 rtree.insert(box, rid)
 
         directory = build_cluster_runs(
-            database, files.cruns, ordered, connections, e_cap
+            database, files.cruns, ordered, boxes, connections
         )
         directory.save(database.path / files.directory)
         clusters = ClusterSet(database.segment(directory.segment), directory)

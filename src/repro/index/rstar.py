@@ -38,7 +38,7 @@ from repro.errors import IndexError_, InvariantError
 from repro.geometry.primitives import Box3, union_all_boxes
 from repro.storage.database import Segment
 
-__all__ = ["RStarTree", "RTreeNodeStats"]
+__all__ = ["RStarTree", "RTreeNodeStats", "str_groups", "str_order"]
 
 _META = struct.Struct("<4sIHQ6d")
 _MAGIC = b"RST1"
@@ -594,9 +594,8 @@ class RStarTree:
     def bulk_load(self, entries: Sequence[tuple[Box3, int]]) -> None:
         """Replace the tree contents by STR packing of ``entries``.
 
-        Sort-Tile-Recursive: sort by x-centre, slice into vertical
-        slabs, sort each slab by y-centre, slice again, then by
-        e-centre, emitting full nodes; repeat on the node MBRs until a
+        Each level's nodes are the :func:`str_groups` tiles of the
+        level below at 85 % fill; repeat on the node MBRs until a
         single root remains.
         """
         if self._count:
@@ -608,16 +607,15 @@ class RStarTree:
         is_leaf = True
         level = 1
         while True:
-            groups = _str_pack(level_entries, fill)
             next_level: list[tuple[Box3, int]] = []
-            pages: list[int] = []
-            for group in groups:
+            boxes = [box for box, _ in level_entries]
+            for indices in str_groups(boxes, fill):
+                group = [level_entries[i] for i in indices]
                 page_no, buf = self._segment.allocate()
                 self._write_node(page_no, is_leaf, group, buf=buf)
                 next_level.append(
-                    (union_all_boxes([b for b, _ in group]), page_no)
+                    (union_all_boxes([boxes[i] for i in indices]), page_no)
                 )
-                pages.append(page_no)
             if len(next_level) == 1:
                 self._root = next_level[0][1]
                 self._height = level
@@ -703,7 +701,8 @@ def _center_distance_sq(box: Box3, cx: float, cy: float, ce: float) -> float:
 
 
 def str_order(boxes: Sequence[Box3], capacity: int | None = None) -> list[int]:
-    """The STR packing order of ``boxes`` as an index permutation.
+    """The STR packing order of ``boxes`` as an index permutation: the
+    flattening of :func:`str_groups`.
 
     Storing heap records in this order makes the heap *clustered by
     the R-tree*: each leaf node's RIDs land on contiguous pages, so a
@@ -714,35 +713,42 @@ def str_order(boxes: Sequence[Box3], capacity: int | None = None) -> list[int]:
     if capacity is None:
         page = 8192  # DEFAULT_PAGE_SIZE; local to avoid import cycle.
         capacity = max(2, int(((page - _NODE_HEADER.size) // _ENTRY.size) * 0.85))
-    entries = [(box, i) for i, box in enumerate(boxes)]
-    groups = _str_pack(entries, capacity)
-    return [idx for group in groups for _, idx in group]
+    return [i for group in str_groups(boxes, capacity) for i in group]
 
 
-def _str_pack(
-    entries: list[tuple[Box3, int]], fill: int
-) -> list[list[tuple[Box3, int]]]:
-    """Group entries into nodes by sort-tile-recursive tiling."""
-    n = len(entries)
-    n_nodes = math.ceil(n / fill)
-    if n_nodes <= 1:
-        return [list(entries)]
+def str_groups(boxes: Sequence[Box3], capacity: int) -> list[list[int]]:
+    """Sort-tile-recursive tiling of ``boxes`` into groups of at most
+    ``capacity`` indices.
+
+    Sort by x-centre and cut into about ``cbrt(groups)`` slabs, sort
+    each slab by y-centre and cut it into runs, sort each run by
+    e-centre and cut it into groups (sorts are stable: ties keep their
+    order in ``boxes``).  The groups partition ``range(len(boxes))``;
+    an empty input has none.  The one STR implementation: the R*-tree's
+    :meth:`~RStarTree.bulk_load` nodes, the heap order
+    (:func:`str_order`) and the cluster runs all tile with it.
+    """
+    n = len(boxes)
+    if n <= capacity:
+        return [list(range(n))] if n else []
+    n_groups = math.ceil(n / capacity)
+    centers = [box.center for box in boxes]
     # Number of vertical slabs: cube-root tiling over three dims.
-    slabs_x = max(1, round(n_nodes ** (1 / 3)))
-    per_slab_nodes = math.ceil(n_nodes / slabs_x)
+    slabs_x = max(1, round(n_groups ** (1 / 3)))
+    per_slab_groups = math.ceil(n_groups / slabs_x)
     slab_size = math.ceil(n / slabs_x)
-    by_x = sorted(entries, key=lambda ent: ent[0].center[0])
-    groups: list[list[tuple[Box3, int]]] = []
+    by_x = sorted(range(n), key=lambda i: centers[i][0])
+    groups: list[list[int]] = []
     for sx in range(0, n, slab_size):
         slab = by_x[sx : sx + slab_size]
-        runs_y = max(1, round(math.sqrt(per_slab_nodes)))
+        runs_y = max(1, round(math.sqrt(per_slab_groups)))
         run_size = math.ceil(len(slab) / runs_y)
-        by_y = sorted(slab, key=lambda ent: ent[0].center[1])
+        by_y = sorted(slab, key=lambda i: centers[i][1])
         for sy in range(0, len(slab), run_size):
             run = by_y[sy : sy + run_size]
-            by_e = sorted(run, key=lambda ent: ent[0].center[2])
+            by_e = sorted(run, key=lambda i: centers[i][2])
             run_groups = [
-                by_e[se : se + fill] for se in range(0, len(run), fill)
+                by_e[se : se + capacity] for se in range(0, len(run), capacity)
             ]
             # A trailing singleton would violate the min-fill invariant
             # (and R-tree validation); rebalance it from its neighbour.

@@ -27,6 +27,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core import DirectMeshStore, QueryEngine
 from repro.core.cache import ClusterCache
 from repro.core.clusters import (
+    DEFAULT_CLUSTER_NODES,
     ClusterDirectory,
     ClusterIndex,
     decode_cluster_blob,
@@ -35,9 +36,11 @@ from repro.core.clusters import (
 )
 from repro.core.direct_mesh import epoch_files
 from repro.core.engine import SingleBaseRequest, UniformRequest
+from repro.core.mutate import MutableStore
 from repro.errors import PageCorruptionError, StorageError
 from repro.geometry.plane import QueryPlane
-from repro.geometry.primitives import Box3, Rect
+from repro.geometry.primitives import Box3, Rect, union_all_boxes
+from repro.index.rstar import str_groups
 from repro.mesh.progressive import LOD_INFINITY, PMNode
 from repro.mesh.selective import uniform_query_ref, viewdep_query_ref
 from repro.storage import Database, FaultInjector
@@ -48,6 +51,8 @@ from repro.storage.record import (
     encode_dm_node,
 )
 from repro.terrain import dataset_by_name
+from repro.terrain.dem import DEM
+from repro.terrain.synthetic import ridge_field
 from tests.test_mutate import (
     EXTENT,
     aligned_region,
@@ -257,6 +262,87 @@ class TestDirectoryInvariants:
     def test_total_nodes_match_store(self, built):
         _, store = built
         assert store.clusters.directory.total_nodes == len(store.rtree)
+
+
+@pytest.fixture(scope="module", params=["foothills", "ridge65"])
+def layout_store(request, tmp_path_factory):
+    """A built foothills store and the 16-tile mutable ``ridge65``."""
+    db = Database(tmp_path_factory.mktemp(request.param))
+    if request.param == "foothills":
+        dataset = dataset_by_name("foothills", 2000, seed=3)
+        store = DirectMeshStore.build(dataset.pm, db, dataset.connections)
+    else:
+        dem = DEM(ridge_field(exponent=6, seed=3))
+        store = MutableStore.build(dem, db, tile_verts=17).store
+    yield store
+    db.close()
+
+
+class TestStrLayout:
+    """Each cluster is one STR tile of the nodes' capped ``(x, y, e)``
+    segments — the R*-tree's entries — taken in the heap's order."""
+
+    def test_clusters_are_the_str_tiles_of_the_segments(self, layout_store):
+        store = layout_store
+        records = [decode_dm_node(p) for _, p in store.heap.scan()]
+        boxes = [
+            Box3.vertical_segment(
+                r.x, r.y, r.e_low,
+                store.e_cap if r.e_high == LOD_INFINITY else r.e_high,
+            )
+            for r in records
+        ]
+        groups = str_groups(boxes, DEFAULT_CLUSTER_NODES)
+        directory = store.clusters.directory
+        assert len(directory) == len(groups) > 1
+        served = []
+        for meta, group in zip(directory.clusters, groups):
+            ids = store.clusters.decode(meta.cluster_id).ids.tolist()
+            assert ids == [records[i].id for i in group]
+            assert len(ids) <= DEFAULT_CLUSTER_NODES
+            assert meta.box == union_all_boxes([boxes[i] for i in group])
+            served.extend(ids)
+        # A partition of the node set: every node in exactly one run.
+        assert sorted(served) == sorted(r.id for r in records)
+
+
+class TestPaperMetric:
+    """The paper's cost is disk accesses per query.  On a seeded list
+    of its uniform queries (Figure 6: ROI area x LOD), the engine's
+    cold run reads — buffer pool and cluster cache flushed before each
+    query — average no more pages than the R*-tree path's."""
+
+    AREAS = (0.025, 0.05, 0.10, 0.15, 0.20)
+    LODS = (0.01, 0.02, 0.05, 0.10, 0.20, 0.50)
+
+    def test_cold_reads_at_most_the_rtree_disk_accesses(self, tmp_path):
+        dataset = dataset_by_name("foothills", 2000, seed=3)
+        rng = random.Random(3)
+        bounds = dataset.bounds()
+        requests = []
+        for _ in range(4):
+            for area in self.AREAS:
+                for lod in self.LODS:
+                    side = (bounds.area * area) ** 0.5
+                    x0 = bounds.min_x + rng.random() * (bounds.width - side)
+                    y0 = bounds.min_y + rng.random() * (bounds.height - side)
+                    requests.append(UniformRequest(
+                        Rect(x0, y0, x0 + side, y0 + side),
+                        lod * dataset.pm.max_lod(),
+                    ))
+        with Database(tmp_path / "db", pool_pages=64) as db:
+            store = DirectMeshStore.build(dataset.pm, db, dataset.connections)
+            rstar = engine = 0
+            with QueryEngine(store, workers=1) as server:
+                for request in requests:
+                    db.begin_measured_query()
+                    store.uniform_query(request.roi, request.lod)
+                    rstar += db.disk_accesses
+                    db.begin_measured_query()
+                    server.cluster_cache.invalidate()
+                    assert server.run(request).ok
+                    engine += db.disk_accesses
+        assert engine <= rstar
 
 
 COLUMN_FIELDS = (

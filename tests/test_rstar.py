@@ -1,6 +1,7 @@
 """Tests for the disk-backed R*-tree."""
 # reprolint: disable-file=R2 unit tests exercise the raw R*-tree on purpose
 
+import hashlib
 import random
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.errors import IndexError_
 from repro.geometry.primitives import Box3
-from repro.index.rstar import RStarTree, str_order
+from repro.index.rstar import RStarTree, str_groups, str_order
 from repro.storage.database import Database
 
 
@@ -150,6 +151,52 @@ class TestStrOrder:
             min_x = min(b.min_x for b in chunk)
             max_x = max(b.max_x for b in chunk)
             assert max_x - min_x < 110  # Not the whole 100-space + box.
+
+
+class TestStrGroups:
+    """One STR implementation: the heap order is the flattening of the
+    groups, and the R*-tree's bulk-loaded leaves are the groups."""
+
+    def test_str_order_is_the_flattening_of_str_groups(self):
+        boxes = random_boxes(1000, seed=7)
+        for capacity in (50, 128):
+            groups = str_groups(boxes, capacity)
+            flat = [i for group in groups for i in group]
+            assert str_order(boxes, capacity) == flat
+            assert sorted(flat) == list(range(len(boxes)))
+            assert all(2 <= len(group) <= capacity for group in groups)
+        assert str_order(boxes) == [
+            i for group in str_groups(boxes, 124) for i in group
+        ]
+        assert str_groups(boxes[:3], 10) == [[0, 1, 2]]
+        assert str_groups([], 10) == []
+
+    def test_bulk_load_leaves_are_the_str_groups(self, fresh_db):
+        boxes = random_boxes(2000, seed=2)
+        tree = RStarTree(fresh_db.segment("leaves"))
+        tree.bulk_load([(b, i) for i, b in enumerate(boxes)])
+        groups = str_groups(boxes, int(tree.capacity * 0.85))
+        # Pages 0 and 1 are the meta page and the empty bootstrap root;
+        # the leaf level is written next, one page per group.
+        leaves = [tree._read_node(2 + k) for k in range(len(groups))]
+        assert all(is_leaf for is_leaf, _ in leaves)
+        assert [[i for _, i in entries] for _, entries in leaves] == groups
+
+    def test_bulk_load_pages_are_pinned(self, fresh_db):
+        """The bytes of every page STR bulk loading writes for a seeded
+        box set, pinned: the digest the tiling had before it was
+        shared with the heap order and the cluster runs."""
+        segment = fresh_db.segment("pinned")
+        tree = RStarTree(segment)
+        boxes = random_boxes(3000, seed=11)
+        tree.bulk_load([(b, i) for i, b in enumerate(boxes)])
+        pages = b"".join(
+            bytes(segment.fetch(p)) for p in range(segment.n_pages)
+        )
+        assert (segment.n_pages, tree.height) == (30, 2)
+        assert hashlib.sha256(pages).hexdigest() == (
+            "e93b0576263dfd307280d925df3b67c84d570a258dff6fffacaef0d5f6732327"
+        )
 
 
 class TestPersistence:

@@ -221,7 +221,8 @@ class TestEngineUnderFaults:
         quarantine stays bounded though the storm offers it more pages
         than it holds, and the checksum counter matches the injector's
         fire count exactly."""
-        monkeypatch.setattr("repro.core.engine.QUARANTINE_CAP", 4)
+        cap = 4
+        monkeypatch.setattr("repro.core.engine.QUARANTINE_CAP", cap)
         dataset = dataset_by_name("foothills", 1200, seed=23)
         # A pool too small for the working set keeps every worker doing
         # physical reads, so the injector fires reliably; a warm pool
@@ -236,7 +237,7 @@ class TestEngineUnderFaults:
             rng = random.Random(47)
             side = 0.2 * min(extent.width, extent.height)
             requests = []
-            for _ in range(60):
+            for _ in range(120):
                 x0 = extent.min_x + rng.random() * (extent.width - side)
                 y0 = extent.min_y + rng.random() * (extent.height - side)
                 requests.append(
@@ -245,6 +246,24 @@ class TestEngineUnderFaults:
                         rng.random() * store.max_lod,
                     )
                 )
+            # The margin, by construction: the list reads far more run
+            # pages, over far more distinct pages, than the quarantine
+            # holds, so at a 10 % corrupt rate the storm offers it well
+            # over its capacity whatever the thread interleaving.
+            runs = [
+                store.clusters.meta(cid)
+                for request in requests
+                for cid in store.clusters.index.candidates(
+                    request.query_box(store.e_cap)
+                )
+            ]
+            distinct = {
+                page
+                for meta in runs
+                for page in range(meta.start_page, meta.start_page + meta.n_pages)
+            }
+            assert len(distinct) >= 8 * cap
+            assert sum(meta.n_pages for meta in runs) >= 60 * cap
             db.flush()
             offered = set()
             # No decoded-cluster cache: every request reads its runs
@@ -274,7 +293,7 @@ class TestEngineUnderFaults:
                         (PageCorruptionError, TransientIOError),
                     )
             assert injector.corruptions_injected > 0
-            assert len(offered) > engine.quarantine.capacity == 4
+            assert len(offered) > engine.quarantine.capacity == cap
             assert len(engine.quarantine) == engine.quarantine.capacity
             assert db.crc_failures == injector.corruptions_injected
 
