@@ -185,10 +185,13 @@ class DirectMeshStore:
         database: Database,
         connections: dict[int, list[int]] | None = None,
         prefix: str = "dm",
-        bulk_index: bool = True,
         compress_connections: bool = False,
     ) -> "DirectMeshStore":
         """Materialise a Direct Mesh store from a normalised PM.
+
+        The heap is written in STR order and the R*-tree is STR-packed
+        over it once (:meth:`~repro.index.rstar.RStarTree.bulk_load`);
+        nothing updates the store in place afterwards.
 
         Args:
             pm: the progressive mesh (``normalize_lod()`` already run).
@@ -196,8 +199,6 @@ class DirectMeshStore:
             connections: precomputed connection lists (else computed).
             prefix: segment name prefix (several stores can share a
                 database).
-            bulk_index: STR-pack the R*-tree (fast, well-packed); set
-                false to exercise dynamic R* insertion.
             compress_connections: store the heap's connection lists
                 delta+varint coded (extension; smaller records, same
                 query results).  It shapes the heap only: cluster runs
@@ -214,7 +215,6 @@ class DirectMeshStore:
             connections,
             pm.max_lod(),
             prefix=prefix,
-            bulk_index=bulk_index,
             compress_connections=compress_connections,
         )
 
@@ -226,7 +226,6 @@ class DirectMeshStore:
         connections: dict[int, list[int]],
         max_lod: float,
         prefix: str = "dm",
-        bulk_index: bool = True,
         compress_connections: bool = False,
     ) -> "DirectMeshStore":
         """Materialise a store from bare nodes + connection lists.
@@ -271,11 +270,7 @@ class DirectMeshStore:
             total_bytes += len(payload)
             entries.append((box, heap.insert(payload)))
 
-        if bulk_index:
-            rtree.bulk_load(entries)
-        else:
-            for box, rid in entries:
-                rtree.insert(box, rid)
+        rtree.bulk_load(entries)
 
         directory = build_cluster_runs(
             database, files.cruns, ordered, boxes, connections

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.clusters import decode_cluster_blob
-from repro.errors import StorageError
+from repro.errors import IndexError_, StorageError
 from repro.storage.record import decode_dm_node
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -71,7 +71,10 @@ def verify_store(
     Checks:
 
     1. every heap record decodes and its RID appears exactly once in
-       the R*-tree with a box matching the record's segment;
+       the R*-tree with a box matching the record's segment, and the
+       tree passes :meth:`~repro.index.rstar.RStarTree.validate` (MBR
+       containment, uniform leaf depth, the meta page's height, entry
+       count and data space);
     2. every heap record appears in exactly one cluster run, identical
        record for record (id, fields and connection list), no run
        holds a record the heap lacks, and the directory's per-cluster
@@ -112,6 +115,10 @@ def verify_store(
             problems.append(f"rid {rid} appears twice in the R*-tree")
         index_rids[rid] = box
     report.stats["index_entries"] = len(index_rids)
+    try:
+        store.rtree.validate()
+    except IndexError_ as exc:
+        problems.append(f"R*-tree structure: {exc}")
 
     if set(index_rids) != set(rid_by_record):
         missing = len(set(rid_by_record) - set(index_rids))

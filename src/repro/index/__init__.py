@@ -1,8 +1,9 @@
 """Index substrate: spatial and relational access methods.
 
-* :class:`~repro.index.rstar.RStarTree` -- disk-backed 3D R*-tree
-  (dynamic R* insertion + STR bulk load), the index Direct Mesh uses;
-* :class:`~repro.index.btree.BPlusTree` -- id -> RID index;
+* :class:`~repro.index.rstar.RStarTree` -- disk-backed 3D R-tree,
+  STR-packed once and read-only, the index Direct Mesh uses;
+* :class:`~repro.index.btree.BPlusTree` -- id -> RID index of the PM
+  baseline, packed once from sorted ids and read-only;
 * :class:`~repro.index.quadtree.LodQuadtree` -- Xu's 3D adaptive
   quadtree for PM data (the prior state of the art);
 * :class:`~repro.index.hdov.HDoVTree` /

@@ -7,7 +7,9 @@ during selective refinement, which is exactly the per-node retrieval
 cost Direct Mesh is designed to avoid.
 
 One node per page.  Page 0 is metadata.  Leaves are chained for range
-scans.  Keys are unique; inserting an existing key overwrites.
+scans.  Keys are unique.  The tree is packed once from sorted keys
+(:meth:`BPlusTree.bulk_load`) and only read after that: the PM
+baseline's tables are written once, like every index here.
 """
 
 from __future__ import annotations
@@ -123,14 +125,12 @@ class BPlusTree:
         page_no: int,
         keys: Sequence[int],
         children: Sequence[int],
-        buf: bytearray | None = None,
+        buf: bytearray,
     ) -> None:
         if len(keys) > self._internal_cap:
             raise IndexError_(f"internal overflow: {len(keys)}")
         if len(children) != len(keys) + 1:
             raise IndexError_("children/keys arity mismatch")
-        if buf is None:
-            buf = self._segment.fetch(page_no)
         _HEADER.pack_into(buf, 0, _INTERNAL, len(keys), _NO_PAGE)
         offset = _HEADER.size
         _CHILD.pack_into(buf, offset, children[0])
@@ -154,20 +154,19 @@ class BPlusTree:
 
     # -- search -----------------------------------------------------------------------
 
-    def _descend(self, key: int) -> list[int]:
-        """Page path from root to the leaf that would hold ``key``."""
-        path = [self._root]
+    def _descend(self, key: int) -> int:
+        """The leaf page that would hold ``key``."""
+        page_no = self._root
         while True:
-            node_type, payload, _ = self._read_node(path[-1])
+            node_type, payload, _ = self._read_node(page_no)
             if node_type == _LEAF:
-                return path
+                return page_no
             keys, children = payload
-            idx = _upper_bound(keys, key)
-            path.append(children[idx])
+            page_no = children[_upper_bound(keys, key)]
 
     def get(self, key: int) -> int | None:
         """The value stored for ``key``, or ``None``."""
-        leaf_no = self._descend(key)[-1]
+        leaf_no = self._descend(key)
         _, entries, _ = self._read_node(leaf_no)
         idx = _entry_search(entries, key)
         if idx is not None:
@@ -176,7 +175,7 @@ class BPlusTree:
 
     def range(self, lo: int, hi: int) -> Iterator[tuple[int, int]]:
         """Iterate ``(key, value)`` for ``lo <= key <= hi``."""
-        leaf_no = self._descend(lo)[-1]
+        leaf_no = self._descend(lo)
         while leaf_no != _NO_PAGE:
             _, entries, next_leaf = self._read_node(leaf_no)
             for key, value in entries:
@@ -189,102 +188,6 @@ class BPlusTree:
     def items(self) -> Iterator[tuple[int, int]]:
         """Iterate every ``(key, value)`` in key order."""
         yield from self.range(0, (1 << 64) - 1)
-
-    # -- insertion ---------------------------------------------------------------------
-
-    def insert(self, key: int, value: int) -> None:
-        """Insert or overwrite ``key``."""
-        path = self._descend(key)
-        leaf_no = path[-1]
-        _, entries, next_leaf = self._read_node(leaf_no)
-        idx = _entry_search(entries, key)
-        if idx is not None:
-            entries[idx] = (key, value)
-            self._write_leaf(leaf_no, entries, next_leaf)
-            return
-        pos = _upper_bound([k for k, _ in entries], key)
-        entries.insert(pos, (key, value))
-        self._count += 1
-        if len(entries) <= self._leaf_cap:
-            self._write_leaf(leaf_no, entries, next_leaf)
-            self._save_meta()
-            return
-        # Split the leaf.
-        mid = len(entries) // 2
-        right = entries[mid:]
-        left = entries[:mid]
-        new_no, new_buf = self._segment.allocate()
-        self._write_leaf(new_no, right, next_leaf, buf=new_buf)
-        self._write_leaf(leaf_no, left, new_no)
-        self._propagate_split(path[:-1], leaf_no, right[0][0], new_no)
-        self._save_meta()
-
-    def _propagate_split(
-        self, path: list[int], left_no: int, sep_key: int, right_no: int
-    ) -> None:
-        if not path:
-            root_no, buf = self._segment.allocate()
-            self._write_internal(root_no, [sep_key], [left_no, right_no], buf=buf)
-            self._root = root_no
-            self._height += 1
-            return
-        parent_no = path[-1]
-        _, (keys, children), _ = self._read_node(parent_no)
-        idx = children.index(left_no)
-        keys.insert(idx, sep_key)
-        children.insert(idx + 1, right_no)
-        if len(keys) <= self._internal_cap:
-            self._write_internal(parent_no, keys, children)
-            return
-        mid = len(keys) // 2
-        up_key = keys[mid]
-        left_keys, right_keys = keys[:mid], keys[mid + 1 :]
-        left_children, right_children = children[: mid + 1], children[mid + 1 :]
-        new_no, new_buf = self._segment.allocate()
-        self._write_internal(new_no, right_keys, right_children, buf=new_buf)
-        self._write_internal(parent_no, left_keys, left_children)
-        self._propagate_split(path[:-1], parent_no, up_key, new_no)
-
-    # -- deletion ----------------------------------------------------------------------
-
-    def delete(self, key: int) -> bool:
-        """Remove ``key``; returns whether it was present.
-
-        Deletion is *lazy* (the common production trade-off): the
-        entry is dropped from its leaf but underfull nodes are left in
-        place, to be reclaimed by :meth:`compact`.  Separator keys in
-        internal nodes may outlive the entry, which is harmless for
-        search correctness.
-        """
-        path = self._descend(key)
-        leaf_no = path[-1]
-        _, entries, next_leaf = self._read_node(leaf_no)
-        idx = _entry_search(entries, key)
-        if idx is None:
-            return False
-        del entries[idx]
-        self._write_leaf(leaf_no, entries, next_leaf)
-        self._count -= 1
-        self._save_meta()
-        return True
-
-    def compact(self) -> None:
-        """Rebuild the tree densely from its live entries.
-
-        Reclaims the space lazy deletion leaves behind.  The rebuilt
-        tree lives in fresh pages of the same segment (old pages are
-        abandoned; a real system would recycle them through a free
-        list).
-        """
-        items = list(self.items())
-        root_no, buf = self._segment.allocate()
-        self._write_leaf(root_no, [], _NO_PAGE, buf=buf)
-        self._root = root_no
-        self._height = 1
-        self._count = 0
-        self._save_meta()
-        if items:
-            self.bulk_load(items)
 
     # -- bulk loading ------------------------------------------------------------------
 

@@ -1,9 +1,13 @@
-"""Disk-backed R*-tree over 3D boxes (Beckmann et al., SIGMOD '90).
+"""Disk-backed R-tree over 3D boxes, STR-packed and read-only.
 
 This is the "general purpose spatial index" the paper builds Direct
 Mesh on: DM nodes become vertical segments in ``(x, y, e)`` space and
-are indexed here; 2D use cases (the LOD-R-tree/HDoV base) pass
-degenerate boxes with ``min_e == max_e``.
+are indexed here.  The paper built its R*-tree (Beckmann et al.,
+SIGMOD '90) by repeated insertion; every tree here is packed once by
+STR (sort-tile-recursive) bulk loading, the standard practice for
+static data [Kamel & Faloutsos], and never updated in place.  A store
+epoch is immutable, so a patch packs a new tree for the new epoch
+(DESIGN.md section 2 records the measured difference).
 
 Every tree node occupies one page of a
 :class:`~repro.storage.database.Segment`, so index traversal cost is
@@ -12,19 +16,17 @@ measured by the same disk-access counters as table access.
 Implemented:
 
 * range search (:meth:`RStarTree.search`);
-* dynamic insertion with the R* heuristics — ChooseSubtree with
-  minimum overlap enlargement at the leaf level, forced reinsert (30%,
-  once per level per insert), and the R* split (choose axis by margin
-  sum, distribution by overlap);
-* STR (sort-tile-recursive) bulk loading, used by the benchmark
-  datasets for build speed — packing is the standard practice for
-  static data [Kamel & Faloutsos];
+* STR bulk loading (:meth:`RStarTree.bulk_load`), one tiling shared
+  with the heap order and the cluster runs (:func:`str_groups`);
 * node-geometry statistics feeding the paper's I/O cost model
-  (formulas (1)-(2)).
+  (formulas (1)-(2));
+* structural validation (:meth:`RStarTree.validate`), which
+  ``verify_store`` runs.
 
 Page 0 of the segment is a metadata page: root page number, tree
 height, entry count, and the data-space MBR used for cost-model
-normalisation.
+normalisation.  Page 1 is the empty root a new segment starts with;
+``bulk_load`` writes the packed tree after it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import struct
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.errors import IndexError_, InvariantError
+from repro.errors import IndexError_
 from repro.geometry.primitives import Box3, union_all_boxes
 from repro.storage.database import Segment
 
@@ -44,11 +46,6 @@ _META = struct.Struct("<4sIHQ6d")
 _MAGIC = b"RST1"
 _NODE_HEADER = struct.Struct("<BH")
 _ENTRY = struct.Struct("<6dQ")
-
-#: Fraction of entries removed by forced reinsert.
-_REINSERT_FRACTION = 0.3
-#: Minimum node fill fraction.
-_MIN_FILL = 0.4
 
 
 @dataclass(frozen=True)
@@ -95,12 +92,12 @@ class RTreeNodeStats:
 
 
 class RStarTree:
-    """A 3D R*-tree stored in one database segment."""
+    """A 3D R-tree stored in one database segment, packed once by
+    :meth:`bulk_load` and only read after that."""
 
     def __init__(self, segment: Segment) -> None:
         self._segment = segment
         self._capacity = (segment.payload_size - _NODE_HEADER.size) // _ENTRY.size
-        self._min_entries = max(2, int(self._capacity * _MIN_FILL))
         if segment.n_pages == 0:
             self._bootstrap()
         else:
@@ -172,14 +169,12 @@ class RStarTree:
         page_no: int,
         is_leaf: bool,
         entries: Sequence[tuple[Box3, int]],
-        buf: bytearray | None = None,
+        buf: bytearray,
     ) -> None:
         if len(entries) > self._capacity:
             raise IndexError_(
                 f"node overflow: {len(entries)} > {self._capacity}"
             )
-        if buf is None:
-            buf = self._segment.fetch(page_no)
         _NODE_HEADER.pack_into(buf, 0, 1 if is_leaf else 0, len(entries))
         offset = _NODE_HEADER.size
         for box, payload in entries:
@@ -214,7 +209,7 @@ class RStarTree:
 
     @property
     def data_space(self) -> Box3 | None:
-        """MBR of everything ever inserted (cost-model normalisation)."""
+        """MBR of every entry (cost-model normalisation)."""
         return self._space
 
     # -- search ----------------------------------------------------------------------
@@ -236,22 +231,6 @@ class RStarTree:
                         stack.append((child, level - 1))
         return results
 
-    def search_with_boxes(self, query: Box3) -> list[tuple[Box3, int]]:
-        """Like :meth:`search` but returns ``(box, payload)`` pairs."""
-        results: list[tuple[Box3, int]] = []
-        stack = [self._root]
-        while stack:
-            page_no = stack.pop()
-            is_leaf, entries = self._read_node(page_no)
-            for box, payload in entries:
-                if not box.intersects(query):
-                    continue
-                if is_leaf:
-                    results.append((box, payload))
-                else:
-                    stack.append(payload)
-        return results
-
     def all_entries(self) -> Iterable[tuple[Box3, int]]:
         """Iterate every leaf entry (for tests and rebuilds)."""
         stack = [self._root]
@@ -264,335 +243,10 @@ class RStarTree:
                 else:
                     stack.append(payload)
 
-    # -- insertion ---------------------------------------------------------------------
-
-    def insert(self, box: Box3, value: int) -> None:
-        """Insert one ``(box, value)`` pair with the R* heuristics."""
-        self._space = box if self._space is None else self._space.union(box)
-        self._reinserted_levels: set[int] = set()
-        self._insert_entry((box, value), target_level=1)
-        self._count += 1
-        self._save_meta()
-
-    def _insert_entry(
-        self, entry: tuple[Box3, int], target_level: int
-    ) -> None:
-        """Insert ``entry`` into a node at ``target_level`` (1 = leaf)."""
-        path = self._choose_path(entry[0], target_level)
-        page_no = path[-1]
-        is_leaf, entries = self._read_node(page_no)
-        entries.append(entry)
-        if len(entries) <= self._capacity:
-            self._write_node(page_no, is_leaf, entries)
-            self._adjust_path(path)
-            return
-        self._overflow(path, is_leaf, entries, target_level)
-
-    def _choose_path(self, box: Box3, target_level: int) -> list[int]:
-        """Page numbers from the root to the chosen node at
-        ``target_level`` (levels count 1 at the leaves)."""
-        path = [self._root]
-        level = self._height
-        while level > target_level:
-            page_no = path[-1]
-            _, entries = self._read_node(page_no)
-            if not entries:
-                raise IndexError_("internal node with no entries")
-            if level - 1 == 1:
-                chosen = self._least_overlap_child(entries, box)
-            else:
-                chosen = self._least_enlargement_child(entries, box)
-            path.append(chosen)
-            level -= 1
-        return path
-
-    @staticmethod
-    def _least_enlargement_child(
-        entries: list[tuple[Box3, int]], box: Box3
-    ) -> int:
-        best = None
-        best_key = None
-        for child_box, child in entries:
-            key = (child_box.enlargement(box), child_box.volume)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = child
-        if best is None:
-            raise InvariantError("ChooseSubtree saw an empty entry list")
-        return best
-
-    @staticmethod
-    def _least_overlap_child(
-        entries: list[tuple[Box3, int]], box: Box3
-    ) -> int:
-        """R* ChooseSubtree at the level above the leaves: minimise
-        overlap enlargement, tie-break on volume enlargement."""
-        best = None
-        best_key = None
-        for i, (child_box, child) in enumerate(entries):
-            grown = child_box.union(box)
-            overlap_before = 0.0
-            overlap_after = 0.0
-            for j, (other_box, _) in enumerate(entries):
-                if i == j:
-                    continue
-                overlap_before += child_box.intersection_volume(other_box)
-                overlap_after += grown.intersection_volume(other_box)
-            key = (
-                overlap_after - overlap_before,
-                child_box.enlargement(box),
-                child_box.volume,
-            )
-            if best_key is None or key < best_key:
-                best_key = key
-                best = child
-        if best is None:
-            raise InvariantError("ChooseSubtree saw an empty entry list")
-        return best
-
-    def _adjust_path(self, path: list[int]) -> None:
-        """Recompute parent MBRs bottom-up along ``path``."""
-        for depth in range(len(path) - 2, -1, -1):
-            parent_no = path[depth]
-            child_no = path[depth + 1]
-            _, child_entries = self._read_node(child_no)
-            child_box = union_all_boxes([b for b, _ in child_entries])
-            is_leaf, parent_entries = self._read_node(parent_no)
-            changed = False
-            for i, (box, payload) in enumerate(parent_entries):
-                if payload == child_no:
-                    if box.as_tuple() != child_box.as_tuple():
-                        parent_entries[i] = (child_box, payload)
-                        changed = True
-                    break
-            if changed:
-                self._write_node(parent_no, is_leaf, parent_entries)
-
-    def _overflow(
-        self,
-        path: list[int],
-        is_leaf: bool,
-        entries: list[tuple[Box3, int]],
-        level: int,
-    ) -> None:
-        page_no = path[-1]
-        is_root = page_no == self._root
-        if not is_root and level not in self._reinserted_levels:
-            self._reinserted_levels.add(level)
-            self._forced_reinsert(path, is_leaf, entries, level)
-            return
-        self._split(path, is_leaf, entries, level)
-
-    def _forced_reinsert(
-        self,
-        path: list[int],
-        is_leaf: bool,
-        entries: list[tuple[Box3, int]],
-        level: int,
-    ) -> None:
-        page_no = path[-1]
-        center_box = union_all_boxes([b for b, _ in entries])
-        cx, cy, ce = center_box.center
-        entries.sort(
-            key=lambda ent: _center_distance_sq(ent[0], cx, cy, ce),
-            reverse=True,
-        )
-        k = max(1, int(len(entries) * _REINSERT_FRACTION))
-        removed = entries[:k]
-        kept = entries[k:]
-        self._write_node(page_no, is_leaf, kept)
-        self._adjust_path(path)
-        # Re-insert far entries (close reinsert: nearest first).
-        for entry in reversed(removed):
-            self._insert_entry(entry, target_level=level)
-
-    def _split(
-        self,
-        path: list[int],
-        is_leaf: bool,
-        entries: list[tuple[Box3, int]],
-        level: int,
-    ) -> None:
-        group_a, group_b = self._rstar_split(entries)
-        page_no = path[-1]
-        self._write_node(page_no, is_leaf, group_a)
-        new_no, new_buf = self._segment.allocate()
-        self._write_node(new_no, is_leaf, group_b, buf=new_buf)
-        box_a = union_all_boxes([b for b, _ in group_a])
-        box_b = union_all_boxes([b for b, _ in group_b])
-
-        if page_no == self._root:
-            root_no, root_buf = self._segment.allocate()
-            self._write_node(
-                root_no,
-                False,
-                [(box_a, page_no), (box_b, new_no)],
-                buf=root_buf,
-            )
-            self._root = root_no
-            self._height += 1
-            self._save_meta()
-            return
-
-        parent_no = path[-2]
-        p_is_leaf, parent_entries = self._read_node(parent_no)
-        for i, (box, payload) in enumerate(parent_entries):
-            if payload == page_no:
-                parent_entries[i] = (box_a, page_no)
-                break
-        else:
-            raise IndexError_("split child missing from parent")
-        parent_entries.append((box_b, new_no))
-        if len(parent_entries) <= self._capacity:
-            self._write_node(parent_no, p_is_leaf, parent_entries)
-            self._adjust_path(path[:-1])
-            return
-        self._overflow(path[:-1], p_is_leaf, parent_entries, level + 1)
-
-    def _rstar_split(
-        self, entries: list[tuple[Box3, int]]
-    ) -> tuple[list[tuple[Box3, int]], list[tuple[Box3, int]]]:
-        """R* split: pick the axis with minimum margin sum, then the
-        distribution with minimum overlap (ties: minimum volume)."""
-        m = self._min_entries
-        best_axis_key = None
-        best_axis_dists = None
-        for axis in range(3):
-            lo = sorted(entries, key=lambda ent: _axis_bounds(ent[0], axis)[0])
-            hi = sorted(entries, key=lambda ent: _axis_bounds(ent[0], axis)[1])
-            margin_sum = 0.0
-            dists = []
-            for ordering in (lo, hi):
-                for k in range(m, len(entries) - m + 1):
-                    left = ordering[:k]
-                    right = ordering[k:]
-                    box_l = union_all_boxes([b for b, _ in left])
-                    box_r = union_all_boxes([b for b, _ in right])
-                    margin_sum += box_l.margin + box_r.margin
-                    dists.append((left, right, box_l, box_r))
-            if best_axis_key is None or margin_sum < best_axis_key:
-                best_axis_key = margin_sum
-                best_axis_dists = dists
-        if best_axis_dists is None:
-            raise InvariantError(
-                "R* split produced no candidate distributions",
-                entries=len(entries),
-            )
-        best = None
-        best_key = None
-        for left, right, box_l, box_r in best_axis_dists:
-            key = (box_l.intersection_volume(box_r), box_l.volume + box_r.volume)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (left, right)
-        if best is None:
-            raise InvariantError("R* split chose no distribution")
-        return best
-
-    # -- deletion ----------------------------------------------------------------------
-
-    def delete(self, box: Box3, value: int) -> bool:
-        """Remove the leaf entry ``(box, value)``; returns whether it
-        was found.
-
-        Standard R-tree deletion with CondenseTree: the entry's leaf
-        is located by overlap search; if removal leaves the leaf
-        underfull, the leaf is dissolved and its remaining entries
-        re-inserted; ancestors' MBRs shrink along the way.
-        """
-        path = self._find_entry(self._root, [], box, value)
-        if path is None:
-            return False
-        leaf_no = path[-1]
-        _, entries = self._read_node(leaf_no)
-        entries = [
-            (b, v)
-            for b, v in entries
-            if not (v == value and b.as_tuple() == box.as_tuple())
-        ]
-        self._count -= 1
-        orphans: list[tuple[Box3, int]] = []
-        if leaf_no != self._root and len(entries) < self._min_entries:
-            # Dissolve the leaf; re-insert survivors afterwards.
-            orphans = entries
-            self._remove_child(path)
-        else:
-            self._write_node(leaf_no, True, entries)
-            self._adjust_path(path)
-        for orphan_box, orphan_value in orphans:
-            self._reinserted_levels = set()
-            self._insert_entry((orphan_box, orphan_value), target_level=1)
-        # Shrink the root if it degenerated to a single internal child.
-        self._collapse_root()
-        self._space = None if self._count == 0 else self._space
-        self._save_meta()
-        return True
-
-    def _find_entry(
-        self,
-        page_no: int,
-        path: list[int],
-        box: Box3,
-        value: int,
-    ) -> list[int] | None:
-        path = path + [page_no]
-        is_leaf, entries = self._read_node(page_no)
-        if is_leaf:
-            for entry_box, payload in entries:
-                if payload == value and entry_box.as_tuple() == box.as_tuple():
-                    return path
-            return None
-        for entry_box, child in entries:
-            if entry_box.contains_box(box):
-                found = self._find_entry(child, path, box, value)
-                if found is not None:
-                    return found
-        return None
-
-    def _remove_child(self, path: list[int]) -> None:
-        """Drop ``path[-1]`` from its parent, condensing upwards."""
-        child_no = path[-1]
-        parent_no = path[-2]
-        p_is_leaf, parent_entries = self._read_node(parent_no)
-        parent_entries = [
-            (b, c) for b, c in parent_entries if c != child_no
-        ]
-        if (
-            parent_no != self._root
-            and len(parent_entries) < 2
-            and len(path) >= 3
-        ):
-            # Parent now too small: dissolve it too, hoisting its
-            # remaining child subtree entries via re-insertion.
-            for b, c in parent_entries:
-                self._reinsert_subtree(c, self._height - (len(path) - 1))
-            self._remove_child(path[:-1])
-            return
-        self._write_node(parent_no, p_is_leaf, parent_entries)
-        self._adjust_path(path[:-1])
-
-    def _reinsert_subtree(self, page_no: int, level: int) -> None:
-        is_leaf, entries = self._read_node(page_no)
-        if is_leaf:
-            for box, value in entries:
-                self._reinserted_levels = set()
-                self._insert_entry((box, value), target_level=1)
-        else:
-            for _, child in entries:
-                self._reinsert_subtree(child, level - 1)
-
-    def _collapse_root(self) -> None:
-        while True:
-            is_leaf, entries = self._read_node(self._root)
-            if is_leaf or len(entries) != 1:
-                return
-            self._root = entries[0][1]
-            self._height -= 1
-
     # -- bulk loading ------------------------------------------------------------------
 
     def bulk_load(self, entries: Sequence[tuple[Box3, int]]) -> None:
-        """Replace the tree contents by STR packing of ``entries``.
+        """Pack ``entries`` into this empty tree by STR.
 
         Each level's nodes are the :func:`str_groups` tiles of the
         level below at 85 % fill; repeat on the node MBRs until a
@@ -663,8 +317,10 @@ class RStarTree:
     # -- validation --------------------------------------------------------------------
 
     def validate(self) -> None:
-        """Check MBR containment, fill factors, and uniform leaf depth."""
+        """Check MBR containment, fill factors, uniform leaf depth, and
+        the meta page against the leaves (entry count, data space)."""
         leaf_depths: set[int] = set()
+        leaf_boxes: list[Box3] = []
 
         def recurse(page_no: int, depth: int, bound: Box3 | None) -> None:
             is_leaf, entries = self._read_node(page_no)
@@ -679,25 +335,21 @@ class RStarTree:
                     recurse(payload, depth + 1, box)
             if is_leaf:
                 leaf_depths.add(depth)
+                leaf_boxes.extend(box for box, _ in entries)
 
         recurse(self._root, 1, None)
         if len(leaf_depths) > 1:
             raise IndexError_(f"leaves at multiple depths: {leaf_depths}")
         if leaf_depths and leaf_depths.pop() != self._height:
             raise IndexError_("height metadata does not match leaf depth")
-
-
-def _axis_bounds(box: Box3, axis: int) -> tuple[float, float]:
-    if axis == 0:
-        return (box.min_x, box.max_x)
-    if axis == 1:
-        return (box.min_y, box.max_y)
-    return (box.min_e, box.max_e)
-
-
-def _center_distance_sq(box: Box3, cx: float, cy: float, ce: float) -> float:
-    x, y, e = box.center
-    return (x - cx) ** 2 + (y - cy) ** 2 + (e - ce) ** 2
+        if len(leaf_boxes) != self._count:
+            raise IndexError_(
+                f"meta page counts {self._count} entries, "
+                f"leaves hold {len(leaf_boxes)}"
+            )
+        space = union_all_boxes(leaf_boxes).as_tuple() if leaf_boxes else None
+        if space != (self._space.as_tuple() if self._space else None):
+            raise IndexError_("meta page data space is not the leaves' MBR")
 
 
 def str_order(boxes: Sequence[Box3], capacity: int | None = None) -> list[int]:

@@ -15,66 +15,69 @@ def tree(fresh_db):
     return BPlusTree(fresh_db.segment("bt"))
 
 
+def loaded(tree, model):
+    """Pack ``model``'s items into ``tree`` in key order."""
+    tree.bulk_load(sorted(model.items()))
+    return tree
+
+
 class TestBasics:
     def test_empty_get(self, tree):
         assert tree.get(42) is None
         assert len(tree) == 0
 
     def test_insert_get(self, tree):
-        tree.insert(5, 100)
+        loaded(tree, {5: 100})
         assert tree.get(5) == 100
+        assert tree.get(4) is None
         assert len(tree) == 1
 
     def test_overwrite(self, tree):
-        tree.insert(5, 100)
-        tree.insert(5, 200)
-        assert tree.get(5) == 200
-        assert len(tree) == 1
+        # No key is written twice: a repeated key is refused, and the
+        # tree stays empty.
+        with pytest.raises(IndexError_):
+            tree.bulk_load([(5, 100), (5, 200)])
+        assert tree.get(5) is None
+        assert len(tree) == 0
 
     def test_many_random(self, tree):
         rng = random.Random(0)
         keys = rng.sample(range(10**7), 5000)
-        for k in keys:
-            tree.insert(k, k + 1)
-        assert tree.height >= 2  # Must have split.
+        loaded(tree, {k: k + 1 for k in keys})
+        assert tree.height >= 2  # More than one leaf.
         for k in rng.sample(keys, 500):
             assert tree.get(k) == k + 1
         assert tree.get(10**7 + 1) is None
         tree.validate()
 
     def test_sequential_inserts(self, tree):
-        for k in range(3000):
-            tree.insert(k, k * 2)
+        loaded(tree, {k: k * 2 for k in range(3000)})
         tree.validate()
         assert tree.get(2999) == 5998
 
     def test_reverse_sequential(self, tree):
-        for k in range(2000, 0, -1):
-            tree.insert(k, k)
+        loaded(tree, {k: k for k in range(2000, 0, -1)})
         tree.validate()
         assert [k for k, _ in tree.range(1, 10)] == list(range(1, 11))
 
 
 class TestRange:
     def test_range_inclusive(self, tree):
-        for k in range(0, 100, 2):
-            tree.insert(k, k)
+        loaded(tree, {k: k for k in range(0, 100, 2)})
         assert [k for k, _ in tree.range(10, 20)] == [10, 12, 14, 16, 18, 20]
 
     def test_range_across_leaves(self, tree):
-        for k in range(4000):
-            tree.insert(k, k)
+        loaded(tree, {k: k for k in range(4000)})
         got = [k for k, _ in tree.range(500, 1500)]
         assert got == list(range(500, 1501))
 
     def test_range_empty(self, tree):
-        tree.insert(1, 1)
+        loaded(tree, {1: 1})
         assert list(tree.range(5, 10)) == []
 
     def test_items_in_order(self, tree):
         keys = [9, 1, 7, 3, 5]
-        for k in keys:
-            tree.insert(k, k)
+        loaded(tree, {k: k for k in keys})
         assert [k for k, _ in tree.items()] == sorted(keys)
 
 
@@ -96,24 +99,16 @@ class TestBulkLoad:
             tree.bulk_load([(1, 0), (1, 1)])
 
     def test_bulk_requires_empty(self, tree):
-        tree.insert(1, 1)
+        loaded(tree, {1: 1})
         with pytest.raises(IndexError_):
             tree.bulk_load([(2, 2)])
-
-    def test_insert_after_bulk(self, fresh_db):
-        t = BPlusTree(fresh_db.segment("b2"))
-        t.bulk_load([(k, k) for k in range(0, 1000, 2)])
-        t.insert(501, 999)
-        assert t.get(501) == 999
-        t.validate()
+        assert list(tree.items()) == [(1, 1)]
 
 
 class TestPersistence:
     def test_reopen(self, tmp_path):
         with Database(tmp_path / "db") as db:
-            t = BPlusTree(db.segment("bt"))
-            for k in range(1000):
-                t.insert(k, k * 7)
+            loaded(BPlusTree(db.segment("bt")), {k: k * 7 for k in range(1000)})
         with Database(tmp_path / "db") as db:
             t = BPlusTree(db.segment("bt"))
             assert len(t) == 1000
@@ -135,20 +130,20 @@ class TestModel:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(
-        st.lists(
-            st.tuples(st.integers(0, 500), st.integers(0, 10**6)),
-            max_size=200,
-        )
+        st.dictionaries(st.integers(0, 500), st.integers(0, 10**6), max_size=200),
+        st.integers(0, 500),
+        st.integers(0, 100),
     )
-    def test_matches_dict_model(self, fresh_db, ops):
+    def test_matches_dict_model(self, fresh_db, model, lo, span):
         import uuid
 
         tree = BPlusTree(fresh_db.segment(f"m{uuid.uuid4().hex[:8]}"))
-        model: dict[int, int] = {}
-        for key, value in ops:
-            tree.insert(key, value)
-            model[key] = value
+        loaded(tree, model)
+        tree.validate()
         assert len(tree) == len(model)
-        for key, value in model.items():
-            assert tree.get(key) == value
-        assert [k for k, _ in tree.items()] == sorted(model)
+        for key in range(501):
+            assert tree.get(key) == model.get(key)
+        assert list(tree.items()) == sorted(model.items())
+        assert [k for k, _ in tree.range(lo, lo + span)] == sorted(
+            k for k in model if lo <= k <= lo + span
+        )

@@ -258,26 +258,6 @@ class TestLifecycle:
             assert scrub_database(db).ok
             assert verify_store(store).ok
 
-    def test_dynamic_index_build_small(self, hills_dataset, tmp_path):
-        # Exercise the dynamic R* insertion path end to end on a
-        # small sub-PM (the full dataset would be slow).
-        from repro.core.connectivity import build_connection_lists
-        from repro.mesh.simplify import simplify_to_pm
-        from tests.conftest import make_wavy_grid_mesh
-
-        mesh = make_wavy_grid_mesh(side=10, seed=6)
-        pm = simplify_to_pm(mesh)
-        pm.normalize_lod()
-        conn = build_connection_lists(pm)
-        with Database(tmp_path / "db") as db:
-            store = DirectMeshStore.build(pm, db, conn, bulk_index=False)
-            store.rtree.validate()
-            roi = mesh.bounds().scaled(0.5)
-            lod = pm.average_lod()
-            assert set(store.uniform_query(roi, lod).nodes) == (
-                uniform_query_ref(pm, roi, lod)
-            )
-
 
 class TestRadialViewerModel:
     """The f(m.e, d) <= E extension: radial LOD fields end to end."""

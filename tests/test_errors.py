@@ -96,16 +96,18 @@ def test_errors_survive_python_O() -> None:
     proves the checks still fire with assertions stripped.
     """
     script = (
-        "import repro.cli, repro.core.engine, repro.index.rstar\n"
+        "import repro.cli, repro.core.engine\n"
         "import repro.index.quadtree, repro.storage.record\n"
         "import repro.baselines.pm_db, repro.mesh.progressive\n"
         "from repro.errors import InvariantError\n"
-        "from repro.index.rstar import RStarTree\n"
+        "from repro.index.quadtree import LodQuadtree\n"
         "assert_stripped = not __debug__\n"
         "if not assert_stripped:\n"
         "    raise SystemExit('expected -O to strip asserts')\n"
+        "tree = object.__new__(LodQuadtree)\n"
+        "tree._leaf_cap, tree._space = 0, None\n"
         "try:\n"
-        "    RStarTree._least_enlargement_child([], None)\n"
+        "    tree._build([(0.0, 0.0, 0.0, 0)], None)\n"
         "except InvariantError:\n"
         "    print('INVARIANT-OK')\n"
     )

@@ -3,13 +3,14 @@
 
 import hashlib
 import random
+import uuid
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.errors import IndexError_
 from repro.geometry.primitives import Box3
-from repro.index.rstar import RStarTree, str_groups, str_order
+from repro.index.rstar import _META, RStarTree, str_groups, str_order
 from repro.storage.database import Database
 
 
@@ -40,20 +41,31 @@ def tree(fresh_db):
     return RStarTree(fresh_db.segment("rt"))
 
 
+def bulk(tree, boxes):
+    """STR-pack ``boxes`` into ``tree`` with their indices as payloads."""
+    tree.bulk_load([(b, i) for i, b in enumerate(boxes)])
+    return tree
+
+
 class TestInsertSearch:
+    """Search equals brute force over every tree ``bulk_load`` packs."""
+
     def test_empty_search(self, tree):
         assert tree.search(Box3(0, 0, 0, 1, 1, 1)) == []
+        bulk(tree, [])
+        assert tree.search(Box3(0, 0, 0, 1, 1, 1)) == []
+        assert len(tree) == 0
+        tree.validate()
 
     def test_single(self, tree):
-        b = Box3(1, 1, 1, 2, 2, 2)
-        tree.insert(b, 99)
-        assert tree.search(Box3(0, 0, 0, 3, 3, 3)) == [99]
+        bulk(tree, [Box3(1, 1, 1, 2, 2, 2)])
+        tree.validate()
+        assert tree.search(Box3(0, 0, 0, 3, 3, 3)) == [0]
         assert tree.search(Box3(5, 5, 5, 6, 6, 6)) == []
 
     def test_matches_brute_force(self, tree):
         boxes = random_boxes(800, seed=1)
-        for i, b in enumerate(boxes):
-            tree.insert(b, i)
+        bulk(tree, boxes)
         tree.validate()
         for qseed in range(5):
             rng = random.Random(qseed + 100)
@@ -67,8 +79,7 @@ class TestInsertSearch:
             Box3.vertical_segment(i * 1.0, i * 2.0, 0.0, i * 0.5 + 0.1)
             for i in range(300)
         ]
-        for i, s in enumerate(segs):
-            tree.insert(s, i)
+        bulk(tree, segs)
         tree.validate()
         plane = Box3(0, 0, 5.0, 300, 600, 5.0)
         got = sorted(tree.search(plane))
@@ -77,8 +88,8 @@ class TestInsertSearch:
 
     def test_duplicate_boxes(self, tree):
         b = Box3(0, 0, 0, 1, 1, 1)
-        for i in range(200):
-            tree.insert(b, i)
+        bulk(tree, [b] * 200)
+        tree.validate()
         assert sorted(tree.search(b)) == list(range(200))
 
 
@@ -93,18 +104,23 @@ class TestBulkLoad:
         assert len(tree) == 2000
 
     def test_bulk_requires_empty(self, tree):
-        tree.insert(Box3(0, 0, 0, 1, 1, 1), 0)
+        tree.bulk_load([(Box3(0, 0, 0, 1, 1, 1), 0)])
         with pytest.raises(IndexError_):
             tree.bulk_load([(Box3(0, 0, 0, 1, 1, 1), 1)])
+        assert tree.search(Box3(0, 0, 0, 1, 1, 1)) == [0]
 
-    def test_insert_after_bulk(self, fresh_db):
-        tree = RStarTree(fresh_db.segment("b2"))
-        boxes = random_boxes(500, seed=3)
-        tree.bulk_load([(b, i) for i, b in enumerate(boxes)])
-        extra = Box3(200, 200, 200, 201, 201, 201)
-        tree.insert(extra, 999)
-        tree.validate()
-        assert tree.search(extra) == [999]
+    @pytest.mark.parametrize(
+        "field, message", [(3, "meta page counts"), (9, "data space")]
+    )
+    def test_validate_checks_meta_against_leaves(self, fresh_db, field, message):
+        segment = fresh_db.segment(f"meta{field}")
+        bulk(RStarTree(segment), random_boxes(300, seed=12))
+        buf = segment.fetch(0)
+        fields = list(_META.unpack_from(buf, 0))
+        fields[field] += 1  # the entry count, or the data space's max_e
+        _META.pack_into(buf, 0, *fields)
+        with pytest.raises(IndexError_, match=message):
+            RStarTree(segment).validate()
 
     def test_all_entries(self, fresh_db):
         tree = RStarTree(fresh_db.segment("ae"))
@@ -217,12 +233,15 @@ class TestPersistence:
     )
     @given(st.integers(0, 10**6))
     def test_random_queries_after_reload(self, tmp_path, qseed):
-        # Build once per example in a unique directory.
+        # Bulk-load, reopen and query, once per example in a unique
+        # directory.
         boxes = random_boxes(150, seed=9)
-        with Database(tmp_path / f"db{qseed}") as db:
+        path = tmp_path / uuid.uuid4().hex
+        with Database(path) as db:
+            bulk(RStarTree(db.segment("rt")), boxes)
+        with Database(path) as db:
             tree = RStarTree(db.segment("rt"))
-            for i, b in enumerate(boxes):
-                tree.insert(b, i)
+            tree.validate()
             rng = random.Random(qseed)
             x, y, e = (rng.uniform(0, 90) for _ in range(3))
             q = Box3(x, y, e, x + rng.uniform(1, 30), y + rng.uniform(1, 30),

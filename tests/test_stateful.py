@@ -1,9 +1,9 @@
 """Stateful property tests: random operation sequences vs invariants.
 
 Hypothesis drives random split/collapse walks over a DynamicMesh and
-random key churn over a B+-tree, checking structural invariants after
-every step — the class of bug (order-dependent corruption) that
-example-based tests rarely reach.
+random build/reopen/query sequences over bulk-loaded B+-trees, checking
+structural invariants after every step — the class of bug
+(order-dependent corruption) that example-based tests rarely reach.
 """
 
 from hypothesis import HealthCheck, settings
@@ -106,57 +106,89 @@ TestDynamicMeshMachine.settings = settings(
 
 
 class BTreeMachine(RuleBasedStateMachine):
-    """Insert/delete/overwrite churn against a dict model."""
+    """Rebuild/reopen/query sequences against a dict model.
+
+    The model is edited freely; ``build`` packs it into a fresh segment
+    of the same database (older trees stay on disk beside it), and
+    ``reopen`` closes the database and attaches to the last tree again.
+    Queries always go to the last tree built, checked against the model
+    as it stood at that build.
+    """
 
     @initialize()
     def setup(self):
         import tempfile
         from pathlib import Path
 
-        from repro.index.btree import BPlusTree
         from repro.storage.database import Database
 
         self._dir = tempfile.TemporaryDirectory()
-        self.db = Database(Path(self._dir.name) / "db", pool_pages=32)
-        self.tree = BPlusTree(self.db.segment("bt"))
+        self.path = Path(self._dir.name) / "db"
+        self.db = Database(self.path, pool_pages=32)
         self.model: dict[int, int] = {}
+        self.built: dict[int, int] = {}
+        self.builds = 0
+        self.tree = self._attach()
+        self.tree.bulk_load([])
 
     def teardown(self):
-        self.db.close()
-        self._dir.cleanup()
+        if hasattr(self, "db"):
+            self.db.close()
+            self._dir.cleanup()
+
+    def _attach(self):
+        from repro.index.btree import BPlusTree
+
+        return BPlusTree(self.db.segment(f"bt{self.builds}"))
 
     @rule(key=st.integers(0, 300), value=st.integers(0, 10**9))
-    def insert(self, key, value):
-        self.tree.insert(key, value)
+    def put(self, key, value):
         self.model[key] = value
 
     @rule(key=st.integers(0, 300))
-    def delete(self, key):
-        assert self.tree.delete(key) == (key in self.model)
+    def drop(self, key):
         self.model.pop(key, None)
 
     @rule()
-    def compact(self):
-        self.tree.compact()
+    def build(self):
+        self.builds += 1
+        self.tree = self._attach()
+        self.tree.bulk_load(sorted(self.model.items()))
+        self.built = dict(self.model)
+
+    @rule()
+    def reopen(self):
+        from repro.storage.database import Database
+
+        self.db.close()
+        self.db = Database(self.path, pool_pages=32)
+        self.tree = self._attach()
 
     @rule(lo=st.integers(0, 300), span=st.integers(0, 100))
     def range_scan(self, lo, span):
         got = [k for k, _ in self.tree.range(lo, lo + span)]
-        expected = sorted(k for k in self.model if lo <= k <= lo + span)
+        expected = sorted(k for k in self.built if lo <= k <= lo + span)
         assert got == expected
 
     @invariant()
     def size_matches(self):
         if not hasattr(self, "tree"):
             return
-        assert len(self.tree) == len(self.model)
+        assert len(self.tree) == len(self.built)
 
     @invariant()
     def spot_lookups(self):
         if not hasattr(self, "tree"):
             return
-        for key in list(self.model)[:5]:
-            assert self.tree.get(key) == self.model[key]
+        for key in list(self.built)[:5]:
+            assert self.tree.get(key) == self.built[key]
+        assert self.tree.get(301) is None
+
+    @invariant()
+    def structure_valid(self):
+        if not hasattr(self, "tree"):
+            return
+        self.tree.validate()
 
 
 TestBTreeMachine = BTreeMachine.TestCase

@@ -25,6 +25,16 @@ def reseal_cluster_run(store, cluster_id: int, blob: bytes) -> None:
     store.database.flush()
 
 
+def repack_index(store, entries) -> None:
+    """Serve ``entries`` as the store's R*-tree: STR-pack them into a
+    fresh segment, the way every index here is written."""
+    from repro.index.rstar import RStarTree
+
+    tree = RStarTree(store.database.segment("tampered_rtree"))
+    tree.bulk_load(entries)
+    store.rtree = tree
+
+
 def tamper_cluster_record(store, cluster_id: int = 0, index: int = 0) -> int:
     """Move row ``index``'s ``z`` in one cluster run and re-seal it:
     every page checksum and the blob framing stay intact, so ``fsck``
@@ -69,20 +79,44 @@ class TestCorruptions:
     def test_detects_dangling_index_entry(self, small_store):
         from repro.geometry.primitives import Box3
 
-        small_store.rtree.insert(
-            Box3.vertical_segment(1, 1, 0, 1), 999_999_999
-        )
+        entries = list(small_store.rtree.all_entries())
+        entries.append((Box3.vertical_segment(1, 1, 0, 1), 999_999_999))
+        repack_index(small_store, entries)
         report = verify_store(small_store)
         assert not report.ok
         assert any("dangling" in p for p in report.problems)
 
     def test_detects_missing_index_entry(self, small_store):
-        # Delete one index entry but keep the heap record.
-        box, rid = next(iter(small_store.rtree.all_entries()))
-        assert small_store.rtree.delete(box, rid)
+        # Drop one index entry but keep the heap record.
+        entries = list(small_store.rtree.all_entries())
+        repack_index(small_store, entries[1:])
         report = verify_store(small_store)
         assert not report.ok
         assert any("missing from the index" in p for p in report.problems)
+
+    def test_detects_index_meta_count_mismatch(self, small_store):
+        """A meta page whose entry count disagrees with the leaves,
+        re-sealed so every page checksum holds: fsck is clean, the
+        entry sets agree, and only the structural pass sees it."""
+        from repro.core.direct_mesh import DirectMeshStore, epoch_files
+        from repro.index.rstar import _META
+        from repro.storage.integrity import scrub_database
+
+        database = small_store.database
+        segment = database.segment(epoch_files(small_store.prefix).rtree)
+        buf = segment.fetch(0)
+        fields = list(_META.unpack_from(buf, 0))
+        fields[3] += 1  # magic, root, height, count, data space...
+        _META.pack_into(buf, 0, *fields)
+        segment.mark_dirty(0)
+        database.flush()
+        assert scrub_database(database).ok
+        report = verify_store(DirectMeshStore.open(database, small_store.prefix))
+        assert report.ok is False
+        assert report.problems == [
+            f"R*-tree structure: meta page counts {fields[3]} entries, "
+            f"leaves hold {fields[3] - 1}"
+        ]
 
     def test_detects_tampered_cluster_record(self, small_store):
         """A run that fsck passes but that serves a different record
