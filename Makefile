@@ -129,7 +129,20 @@ fsck:
 		test $$? -eq 1 || { echo "fsck missed cluster-directory damage"; exit 1; }
 	mv /tmp/repro-fsck-clusters.bak $(FSCK_DB)/dm_clusters.json
 	PYTHONPATH=src $(PYTHON) -m repro fsck $(FSCK_DB)
-	rm -rf $(FSCK_DB)
+	cp $(FSCK_DB)/dm_cruns.seg /tmp/repro-fsck-cruns.bak
+	PYTHONPATH=src:. $(PYTHON) -c "from repro.core import DirectMeshStore; \
+		from repro.storage import Database; \
+		from tests.test_verify_store import tamper_cluster_record; \
+		db = Database('$(FSCK_DB)'); \
+		print(tamper_cluster_record(DirectMeshStore.open(db))); db.close()" \
+		> /tmp/repro-fsck-node
+	PYTHONPATH=src $(PYTHON) -m repro fsck $(FSCK_DB) > /tmp/repro-fsck-out; \
+		test $$? -eq 1 || { echo "fsck missed a tampered run record"; exit 1; }
+	grep "dm: node $$(cat /tmp/repro-fsck-node): cluster 0 copy differs" \
+		/tmp/repro-fsck-out || { echo "fsck did not name the node"; exit 1; }
+	mv /tmp/repro-fsck-cruns.bak $(FSCK_DB)/dm_cruns.seg
+	PYTHONPATH=src $(PYTHON) -m repro fsck $(FSCK_DB)
+	rm -rf $(FSCK_DB) /tmp/repro-fsck-node /tmp/repro-fsck-out
 
 # Live-mutation robustness gate: rebuild-from-scratch parity across
 # random patch sequences, a kill-anywhere crash pass (every distinct

@@ -202,17 +202,6 @@ class ProjectRule(Rule):
     def check_project(self, project: ProjectContext) -> Iterator[Violation]:
         raise NotImplementedError
 
-    def project_violation(
-        self, path: str, node: ast.AST, message: str
-    ) -> Violation:
-        return Violation(
-            path=path,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0),
-            rule_id=self.id,
-            message=message,
-        )
-
 
 _REGISTRY: dict[str, Rule] = {}
 

@@ -13,11 +13,12 @@ Commands:
   offered rate (zipfian hotspots or flight-path sessions), scored as
   goodput-under-SLO with p50/p99/p999 latency; with admission control
   on (the default) overload degrades or sheds instead of queueing;
-* ``fsck``    — verify (and optionally repair) storage integrity:
-  every page of every segment is checksum-verified and the R*-tree
-  walked structurally; ``--repair`` restores corrupt pages from a
-  committed WAL, ``--archive`` snapshots one, ``--inject`` runs a
-  seeded corruption drill;
+* ``fsck``    — the one store checker: every page of every segment is
+  checksum-verified, every committed store epoch's R*-tree and cluster
+  runs walked, and its heap, tree and runs checked against each other;
+  ``--repair`` restores corrupt pages from a committed WAL,
+  ``--archive`` snapshots one, ``--inject`` runs a seeded corruption
+  drill;
 * ``info``    — describe a built database (segments, pages, metadata).
 
 The CLI is a thin veneer over the public API; anything beyond quick
@@ -387,12 +388,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     info = sub.add_parser("info", help="describe a built database")
     info.add_argument("database")
-    info.add_argument(
-        "--verify",
-        action="store_true",
-        help="cross-check the heap, the R*-tree and the cluster runs "
-        "(exit 1 on a problem)",
-    )
     info.set_defaults(handler=_cmd_info)
     return parser
 
@@ -818,12 +813,6 @@ def _cmd_info(args) -> int:
         print(f"direct mesh: epoch {epoch}, max LOD {store.max_lod:.3f}, "
               f"{len(store.rtree)} indexed segments, "
               f"R*-tree height {store.rtree.height}")
-        if args.verify:
-            from repro.core.verify_store import verify_store
-
-            report = verify_store(store)
-            print(report.to_text())
-            return 0 if report.ok else 1
     return 0
 
 

@@ -42,9 +42,9 @@ Cluster runs are a *columnar* copy of the heap file's records (a
 covering, batched copy — the classic clustered-projection trade): the
 same field values and connection lists, stored as arrays rather than
 records.  The heap + R*-tree remain the source of truth for the
-reference processors and rebuilds, and
-:func:`~repro.core.verify_store.verify_store` checks the runs against
-the heap record for record.
+reference processors and rebuilds.  :meth:`ClusterSet.problems` checks
+the run layout, and ``fsck`` (:mod:`repro.core.verify_store`) checks
+the runs against the heap record for record.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, AbstractSet, Mapping, Sequence
 
 import numpy as np
 
@@ -62,7 +62,7 @@ from repro.errors import StorageError
 from repro.geometry.primitives import Box3, union_all_boxes
 from repro.index.rstar import str_groups
 from repro.storage.database import Database, Segment
-from repro.storage.record import DMNodeColumns
+from repro.storage.record import _COMPRESSED_CONN, DMNodeColumns
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.mesh.progressive import PMNode
@@ -99,8 +99,6 @@ _I4_COLUMNS = ("ids", "parent", "child1", "child2", "wing1", "wing2")
 _F8 = np.dtype("<f8")
 _I4 = np.dtype("<i4")
 _N_CONN = np.dtype("<u2")
-#: ``n_conn`` value the record format reserves for a compressed list.
-_COMPRESSED_CONN = 0xFFFF
 
 
 # -- blob codec --------------------------------------------------------------
@@ -156,7 +154,7 @@ def decode_cluster_blob(blob: bytes) -> DMNodeColumns:
     and trailing bytes — callers slice the run to the directory's
     ``n_bytes`` first), zero padding, no compressed-list sentinel in
     ``n_conn``, and ``n_conn`` summing to the header's entry count.
-    ``fsck`` decodes runs through this to verify them.
+    ``fsck`` decodes every run through this (:meth:`ClusterSet.problems`).
     """
     if len(blob) < _BLOB_HEADER.size:
         raise StorageError(
@@ -274,11 +272,6 @@ class ClusterDirectory:
     def total_nodes(self) -> int:
         """Sum of member counts across clusters."""
         return sum(c.n_nodes for c in self.clusters)
-
-    @property
-    def total_pages(self) -> int:
-        """Sum of run lengths across clusters."""
-        return sum(c.n_pages for c in self.clusters)
 
     def __len__(self) -> int:
         return len(self.clusters)
@@ -471,6 +464,44 @@ class ClusterSet:
                 f"directory claims {meta.n_nodes}"
             )
         return columns
+
+    def problems(self, skip: AbstractSet[int] = frozenset()) -> list[str]:
+        """Every fault of the run layout, reported, not raised.
+
+        Each run must lie inside the segment, not overlap another, and
+        fill its pages exactly (``ceil`` packing, as
+        :func:`build_cluster_runs` writes); a run that passes is read
+        through :meth:`decode`, which checks the directory's record
+        count.  Runs touching a page in ``skip`` (the crc scan's
+        findings) are not read: one corrupt page is one fault.
+        """
+        problems: list[str] = []
+        payload = self.segment.payload_size
+        spans: list[tuple[int, int, int]] = []
+        for cid, meta in enumerate(self.directory.clusters):
+            start, end = meta.start_page, meta.start_page + meta.n_pages
+            if meta.n_pages < 1 or start < 0 or end > self.segment.n_pages:
+                problems.append(
+                    f"cluster {cid} run [{start}, {end}) outside segment "
+                    f"({self.segment.n_pages} pages)"
+                )
+            elif not 0 < meta.n_bytes - (meta.n_pages - 1) * payload <= payload:
+                problems.append(
+                    f"cluster {cid} directory claims {meta.n_bytes} bytes in "
+                    f"{meta.n_pages} run pages"
+                )
+            else:
+                spans.append((start, end, cid))
+                if skip.isdisjoint(range(start, end)):
+                    try:
+                        self.decode(cid)
+                    except StorageError as exc:
+                        problems.append(f"cluster {cid} blob does not decode ({exc})")
+        spans.sort()
+        for (_, prev_end, prev), (start, _, cid) in zip(spans, spans[1:]):
+            if start < prev_end:
+                problems.append(f"cluster {cid} run overlaps cluster {prev}")
+        return problems
 
 
 # -- build -------------------------------------------------------------------

@@ -323,20 +323,11 @@ def filter_to_plane_columnar(
     """The viewpoint-dependent predicate: each node's interval must
     contain the plane's required LOD at the node's position.
 
-    Uses the plane's ``required_lod_batch`` kernel when it has one
-    (:class:`~repro.geometry.plane.QueryPlane` and
-    :class:`~repro.geometry.plane.RadialLodField` both do); other LOD
-    fields fall back to their scalar ``required_lod`` per row.
+    The required LOD comes from the field's ``required_lod_batch``
+    kernel (:class:`~repro.geometry.plane.QueryPlane` and
+    :class:`~repro.geometry.plane.RadialLodField` both have one).
     """
-    batch = getattr(plane, "required_lod_batch", None)
-    if batch is not None:
-        required = batch(columns.x, columns.y)
-    else:
-        required = np.fromiter(
-            (plane.required_lod(x, y) for x, y in zip(columns.x, columns.y)),
-            np.float64,
-            len(columns),
-        )
+    required = plane.required_lod_batch(columns.x, columns.y)
     mask = (
         (columns.e_low <= required)
         & (required < columns.e_high)

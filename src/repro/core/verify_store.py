@@ -1,97 +1,129 @@
-"""Integrity verification for Direct Mesh stores (``fsck`` for DM).
+"""The store pass of ``fsck``: a store epoch's checks, formats first.
 
-Cross-checks the three physical structures that must stay mutually
-consistent — the record heap (the reference copy of the records), the
-3D R*-tree over it, and the cluster runs (the serving copy the engine
-reads) — plus the semantic invariants of the Direct Mesh encoding
-itself (interval sanity, connection-list symmetry, parent/child
-links).  ``fsck`` checks that every page and every run is intact; this
-checks that the intact copies say the same thing.
-Returns a structured report rather than raising, so operators can see
-every problem at once; ``raise_on_error`` converts failures into
-:class:`~repro.errors.StorageError`.
-
-Used after bulk builds in tests, and exposed as
-``python -m repro info --verify``.
+Each on-disk format is checked by the module that owns it
+(:meth:`~repro.index.rstar.RStarTree.problems`,
+:meth:`~repro.core.clusters.ClusterSet.problems`).  This module adds
+what no single format can check: that the record heap (the reference
+copy), the R*-tree over it and the cluster runs (the serving copy the
+engine reads) say the same thing, and the semantic invariants of the
+Direct Mesh encoding (intervals, links, connection symmetry).
+:func:`epoch_problems` is what ``python -m repro fsck`` runs on every
+committed epoch; :func:`verify_store` runs every check on an open
+store.  Both report rather than raise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import TYPE_CHECKING
 
-from repro.core.clusters import decode_cluster_blob
-from repro.errors import IndexError_, StorageError
+from repro.core.clusters import ClusterDirectory, ClusterSet, decode_cluster_blob
+from repro.core.direct_mesh import DirectMeshStore, epoch_files
+from repro.errors import IndexError_, ReproError, StorageError
+from repro.index.rstar import RStarTree
 from repro.storage.record import decode_dm_node
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.direct_mesh import DirectMeshStore
+    from repro.storage.database import Database
 
-__all__ = ["verify_store", "StoreReport"]
+__all__ = ["SAMPLE_CONNECTIONS", "StoreReport", "epoch_problems", "verify_store"]
+
+#: Nodes whose connection lists are checked for symmetry (every node of
+#: a smaller store).
+SAMPLE_CONNECTIONS = 2000
 
 
 @dataclass
 class StoreReport:
-    """Outcome of a store verification pass.
-
-    ``problems`` is empty for a healthy store; ``stats`` carries the
-    object counts the checks were computed over.
-    """
+    """The problems a verification pass found (none when healthy)."""
 
     problems: list[str] = field(default_factory=list)
-    stats: dict[str, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
         """True when no problems were found."""
         return not self.problems
 
-    def to_text(self) -> str:
-        """A printable report."""
-        lines = [
-            "store verification: " + ("OK" if self.ok else "PROBLEMS FOUND")
-        ]
-        for key in sorted(self.stats):
-            lines.append(f"  {key}: {self.stats[key]}")
-        for problem in self.problems[:50]:
-            lines.append(f"  !! {problem}")
-        if len(self.problems) > 50:
-            lines.append(f"  ... and {len(self.problems) - 50} more")
-        return "\n".join(lines)
+
+def verify_store(store: DirectMeshStore) -> StoreReport:
+    """Every check of an open store: both structure walks, then the
+    cross-copy and semantic passes of :func:`_copy_problems`."""
+    return StoreReport([
+        *(f"R*-tree {p}" for p in store.rtree.problems()),
+        *store.clusters.problems(),
+        *_copy_problems(store),
+    ])
 
 
-def verify_store(
-    store: "DirectMeshStore",
-    sample_connections: int = 2000,
-    raise_on_error: bool = False,
-) -> StoreReport:
-    """Verify a :class:`~repro.core.direct_mesh.DirectMeshStore`.
+def epoch_problems(
+    database: "Database", prefix: str, corrupt: set[tuple[str, int]]
+) -> list[str]:
+    """fsck's store pass over the epoch with physical prefix ``prefix``.
 
-    Checks:
+    Both structure walks step around the ``(segment, page)`` pairs in
+    ``corrupt`` (the crc scan's findings); the cross-copy and semantic
+    passes run only when the epoch's pages and both walks are clean.
+    Reads only: an R*-tree is opened only on an existing, non-empty
+    segment whose page 0 carries its magic, the store only when all of
+    its segments exist, and no segment is created or written.
+    """
+    files = epoch_files(prefix)
+    present = set(database.segment_names())
+    problems = [f"segment {n} missing" for n in files.segments if n not in present]
+    skips = {
+        name: {page for seg, page in corrupt if seg == name}
+        for name in files.segments
+    }
+    if files.rtree in present:
+        segment = database.segment(files.rtree)
+        skip = skips[files.rtree]
+        if segment.n_pages == 0:
+            problems.append(f"segment {files.rtree} is empty")
+        elif 0 not in skip:
+            try:
+                tree = RStarTree(segment)
+            except (IndexError_, StorageError) as exc:
+                problems.append(f"R*-tree does not open ({exc})")
+            else:
+                problems.extend(f"R*-tree {p}" for p in tree.problems(skip))
+    try:
+        directory = ClusterDirectory.load(database.path / files.directory)
+    except StorageError as exc:
+        problems.append(f"unreadable cluster directory ({exc})")
+    else:
+        if directory.segment != files.cruns:
+            problems.append(
+                f"cluster directory names segment {directory.segment}"
+            )
+        elif files.cruns in present:
+            clusters = ClusterSet(database.segment(files.cruns), directory)
+            problems.extend(clusters.problems(skips[files.cruns]))
+    if problems or any(skips.values()):
+        return problems
+    try:
+        store = DirectMeshStore.open(database, prefix)
+    except (ReproError, ValueError, KeyError) as exc:
+        return [f"store does not open ({exc})"]
+    return _copy_problems(store)
+
+
+def _copy_problems(store: DirectMeshStore) -> list[str]:
+    """The cross-copy and semantic passes over ``store``.
 
     1. every heap record decodes and its RID appears exactly once in
-       the R*-tree with a box matching the record's segment, and the
-       tree passes :meth:`~repro.index.rstar.RStarTree.validate` (MBR
-       containment, uniform leaf depth, the meta page's height, entry
-       count and data space);
+       the R*-tree with a box matching the record's segment;
     2. every heap record appears in exactly one cluster run, identical
        record for record (id, fields and connection list), no run
        holds a record the heap lacks, and the directory's per-cluster
        node counts sum to the heap's record count;
     3. interval sanity (`0 <= e_low <= e_high`, roots unbounded);
     4. parent/child links resolve to existing records;
-    5. connection-list symmetry over a sample (full check on small
-       stores).
-
-    Args:
-        store: the store to verify.
-        sample_connections: cap on nodes whose connection symmetry is
-            cross-checked.
-        raise_on_error: raise instead of returning a dirty report.
+    5. connection-list symmetry over the first
+       :data:`SAMPLE_CONNECTIONS` nodes.
     """
-    report = StoreReport()
-    problems = report.problems
+    problems: list[str] = []
 
     # Pass 1: heap scan.
     records: dict[int, tuple[int, object]] = {}  # id -> (rid, record)
@@ -106,7 +138,6 @@ def verify_store(
             problems.append(f"duplicate node id {record.id} in heap")
         records[record.id] = (rid, record)
         rid_by_record[rid] = record.id
-    report.stats["heap_records"] = len(records)
 
     # Pass 2: index entries.
     index_rids: dict[int, tuple] = {}
@@ -114,11 +145,6 @@ def verify_store(
         if rid in index_rids:
             problems.append(f"rid {rid} appears twice in the R*-tree")
         index_rids[rid] = box
-    report.stats["index_entries"] = len(index_rids)
-    try:
-        store.rtree.validate()
-    except IndexError_ as exc:
-        problems.append(f"R*-tree structure: {exc}")
 
     if set(index_rids) != set(rid_by_record):
         missing = len(set(rid_by_record) - set(index_rids))
@@ -169,7 +195,6 @@ def verify_store(
                     f"node {copy.id}: cluster {cid} copy differs from heap"
                 )
             home.setdefault(copy.id, cid)
-    report.stats["cluster_records"] = len(home)
     unserved = len(records.keys() - home.keys())
     if unserved:
         problems.append(f"{unserved} heap records missing from cluster runs")
@@ -189,11 +214,7 @@ def verify_store(
             problems.append(f"node {node_id}: missing parent")
 
     # Pass 5: connection symmetry (sampled).
-    checked = 0
-    for node_id, (_, record) in records.items():
-        if checked >= sample_connections:
-            break
-        checked += 1
+    for node_id, (_, record) in islice(records.items(), SAMPLE_CONNECTIONS):
         for other_id in record.connections:
             other = records.get(other_id)
             if other is None:
@@ -204,11 +225,4 @@ def verify_store(
                 problems.append(
                     f"asymmetric connection ({node_id}, {other_id})"
                 )
-    report.stats["connection_checked"] = checked
-
-    if raise_on_error and not report.ok:
-        raise StorageError(
-            f"store verification failed: {report.problems[0]} "
-            f"(+{len(report.problems) - 1} more)"
-        )
-    return report
+    return problems

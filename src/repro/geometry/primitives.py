@@ -286,11 +286,6 @@ class Box3:
         return self.width * self.height * self.depth
 
     @property
-    def margin(self) -> float:
-        """Half the total edge length (the R*-tree split heuristic)."""
-        return self.width + self.height + self.depth
-
-    @property
     def center(self) -> tuple[float, float, float]:
         """The box centroid ``(x, y, e)``."""
         return (
@@ -339,23 +334,6 @@ class Box3:
             max(self.max_y, other.max_y),
             max(self.max_e, other.max_e),
         )
-
-    def intersection_volume(self, other: "Box3") -> float:
-        """Volume of overlap (zero if disjoint)."""
-        dx = min(self.max_x, other.max_x) - max(self.min_x, other.min_x)
-        if dx <= 0:
-            return 0.0
-        dy = min(self.max_y, other.max_y) - max(self.min_y, other.min_y)
-        if dy <= 0:
-            return 0.0
-        de = min(self.max_e, other.max_e) - max(self.min_e, other.min_e)
-        if de <= 0:
-            return 0.0
-        return dx * dy * de
-
-    def enlargement(self, other: "Box3") -> float:
-        """Volume increase needed to absorb ``other`` (R-tree heuristic)."""
-        return self.union(other).volume - self.volume
 
     def as_tuple(self) -> tuple[float, float, float, float, float, float]:
         """Return ``(min_x, min_y, min_e, max_x, max_y, max_e)``."""

@@ -244,21 +244,6 @@ class _Builder:
         self._neigh[tid] = neigh
         return tid
 
-    def _replace_neighbor(self, tid: int, old: int, new: int) -> None:
-        if tid < 0:
-            return
-        n = self._neigh[tid]
-        if n[0] == old:
-            self._neigh[tid] = (new, n[1], n[2])
-        elif n[1] == old:
-            self._neigh[tid] = (n[0], new, n[2])
-        elif n[2] == old:
-            self._neigh[tid] = (n[0], n[1], new)
-        else:
-            raise TriangulationError(
-                f"triangle {tid} does not neighbour {old}; topology corrupt"
-            )
-
     # -- point location --------------------------------------------------
 
     def _locate(self, px: float, py: float) -> int:

@@ -104,11 +104,6 @@ class LodQuadtree:
         return self._count
 
     @property
-    def leaf_capacity(self) -> int:
-        """Points per leaf page."""
-        return self._leaf_cap
-
-    @property
     def data_space(self) -> Box3 | None:
         """MBR of the loaded points."""
         return self._space

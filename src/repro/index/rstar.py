@@ -20,8 +20,9 @@ Implemented:
   with the heap order and the cluster runs (:func:`str_groups`);
 * node-geometry statistics feeding the paper's I/O cost model
   (formulas (1)-(2));
-* structural validation (:meth:`RStarTree.validate`), which
-  ``verify_store`` runs.
+* a tolerant structure walk (:meth:`RStarTree.problems`), which
+  ``fsck`` runs on every store epoch's tree, and
+  :meth:`RStarTree.validate`, which raises its first finding.
 
 Page 0 of the segment is a metadata page: root page number, tree
 height, entry count, and the data-space MBR used for cost-model
@@ -34,7 +35,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 from repro.errors import IndexError_
 from repro.geometry.primitives import Box3, union_all_boxes
@@ -316,40 +317,92 @@ class RStarTree:
 
     # -- validation --------------------------------------------------------------------
 
-    def validate(self) -> None:
-        """Check MBR containment, fill factors, uniform leaf depth, and
-        the meta page against the leaves (entry count, data space)."""
-        leaf_depths: set[int] = set()
-        leaf_boxes: list[Box3] = []
+    def problems(self, skip: Container[int] = ()) -> list[str]:
+        """Every structural fault of the tree, reported, not raised.
 
-        def recurse(page_no: int, depth: int, bound: Box3 | None) -> None:
-            is_leaf, entries = self._read_node(page_no)
-            if page_no != self._root and len(entries) < 2:
-                raise IndexError_(f"underfull node {page_no}")
-            for box, payload in entries:
-                if bound is not None and not bound.contains_box(box):
-                    raise IndexError_(
-                        f"entry box escapes parent MBR at page {page_no}"
+        A tolerant walk over raw entry tuples (an inverted box is a
+        finding here, where :class:`Box3` would raise).  Each node: in
+        range, reached once, its count within capacity, its leaf flag
+        matching its level, two entries at least below the root.  Each
+        entry: ``min <= max`` on every axis and inside its parent
+        entry's box.  Then the meta page's entry count and data space
+        against the leaves.  Pages in ``skip`` (the crc scan's
+        findings) are not read, and the meta checks, which need every
+        leaf, are then left out: one corrupt page is one fault.
+        """
+        problems: list[str] = []
+        leaves: list[tuple[float, ...]] = []
+        visited: set[int] = set()
+        complete = True
+        # (page, level, parent entry box; empty for the root)
+        stack: list[tuple[int, int, Sequence[float]]] = [
+            (self._root, self._height, ())
+        ]
+        while stack:
+            page_no, level, bound = stack.pop()
+            if page_no in visited:
+                problems.append(f"node page {page_no} reachable twice (cycle?)")
+                continue
+            visited.add(page_no)
+            if page_no in skip or not 0 < page_no < self._segment.n_pages:
+                if page_no not in skip:
+                    problems.append(f"child pointer to page {page_no} out of range")
+                complete = False
+                continue
+            buf = self._segment.fetch(page_no)
+            is_leaf, count = _NODE_HEADER.unpack_from(buf, 0)
+            node = f"node page {page_no}"
+            if count > self._capacity:
+                problems.append(
+                    f"{node} claims {count} entries (capacity {self._capacity})"
+                )
+                complete = False
+                continue
+            if bool(is_leaf) != (level == 1):
+                problems.append(f"{node} leaf flag {bool(is_leaf)} at level {level}")
+            if page_no != self._root and count < 2:
+                problems.append(f"underfull node {page_no}")
+            end = _NODE_HEADER.size + count * _ENTRY.size
+            for *box, child in _ENTRY.iter_unpack(buf[_NODE_HEADER.size : end]):
+                if box[0] > box[3] or box[1] > box[4]:
+                    problems.append(f"page {page_no} entry has an inverted MBR")
+                if box[2] > box[5]:
+                    problems.append(
+                        f"page {page_no} entry violates "
+                        f"e_low <= e_high ({box[2]} > {box[5]})"
                     )
-                if not is_leaf:
-                    recurse(payload, depth + 1, box)
-            if is_leaf:
-                leaf_depths.add(depth)
-                leaf_boxes.extend(box for box, _ in entries)
+                if bound and not _contains(bound, box):
+                    problems.append(f"page {page_no} entry escapes its parent MBR")
+                if is_leaf:
+                    leaves.append(tuple(box))
+                else:
+                    stack.append((child, level - 1, box))
+        if complete:
+            if len(leaves) != self._count:
+                problems.append(
+                    f"meta page counts {self._count} entries, "
+                    f"leaves hold {len(leaves)}"
+                )
+            axes = list(zip(*leaves))
+            space = (*map(min, axes[:3]), *map(max, axes[3:])) if leaves else None
+            if space != (self._space.as_tuple() if self._space else None):
+                problems.append("meta page data space is not the leaves' MBR")
+        return problems
 
-        recurse(self._root, 1, None)
-        if len(leaf_depths) > 1:
-            raise IndexError_(f"leaves at multiple depths: {leaf_depths}")
-        if leaf_depths and leaf_depths.pop() != self._height:
-            raise IndexError_("height metadata does not match leaf depth")
-        if len(leaf_boxes) != self._count:
-            raise IndexError_(
-                f"meta page counts {self._count} entries, "
-                f"leaves hold {len(leaf_boxes)}"
-            )
-        space = union_all_boxes(leaf_boxes).as_tuple() if leaf_boxes else None
-        if space != (self._space.as_tuple() if self._space else None):
-            raise IndexError_("meta page data space is not the leaves' MBR")
+    def validate(self) -> None:
+        """Raise :class:`~repro.errors.IndexError_` with the first of
+        :meth:`problems`, if there is one."""
+        problems = self.problems()
+        if problems:
+            raise IndexError_(problems[0])
+
+
+def _contains(outer: Sequence[float], inner: Sequence[float]) -> bool:
+    """Whether the raw box ``outer`` contains the raw box ``inner``
+    (``(min_x, min_y, min_e, max_x, max_y, max_e)`` each)."""
+    return all(o <= i for o, i in zip(outer[:3], inner[:3])) and all(
+        i <= o for o, i in zip(outer[3:], inner[3:])
+    )
 
 
 def str_order(boxes: Sequence[Box3], capacity: int | None = None) -> list[int]:

@@ -179,14 +179,13 @@ def triangle_plane_quadric(
     p0: tuple[float, float, float],
     p1: tuple[float, float, float],
     p2: tuple[float, float, float],
-    area_weighted: bool = True,
 ) -> Quadric | None:
-    """The fundamental quadric of the plane through a triangle.
+    """The fundamental quadric of the plane through a triangle, scaled
+    by the triangle's area.
 
-    Returns ``None`` for degenerate (zero-area) triangles.  With
-    ``area_weighted`` the quadric is scaled by the triangle area, the
-    standard refinement that makes errors insensitive to tessellation
-    density.
+    Returns ``None`` for degenerate (zero-area) triangles.  Area
+    weighting is the standard refinement that makes errors insensitive
+    to tessellation density.
     """
     ux = p1[0] - p0[0]
     uy = p1[1] - p0[1]
@@ -204,8 +203,5 @@ def triangle_plane_quadric(
     ny /= norm
     nz /= norm
     d = -(nx * p0[0] + ny * p0[1] + nz * p0[2])
-    q = Quadric.from_plane(nx, ny, nz, d)
-    if area_weighted:
-        # The triangle area is half the (pre-normalisation) cross norm.
-        q = q.scaled(norm / 2.0)
-    return q
+    # The triangle area is half the (pre-normalisation) cross norm.
+    return Quadric.from_plane(nx, ny, nz, d).scaled(norm / 2.0)

@@ -52,21 +52,17 @@ class SimplifyConfig:
             as the node error; ``"vertical"`` records the maximum
             vertical distance from the removed points to the new
             surface (the measure paper Section 2 describes).
-        placement: ``"optimal"`` solves the quadric for the new point,
-            falling back to midpoint/endpoints; ``"midpoint"`` always
-            uses the edge midpoint.
-        area_weighted: area-weight the triangle quadrics.
+
+    Triangle quadrics are always area-weighted, and a collapse always
+    places its parent at the quadric's optimum, falling back to the
+    edge midpoint or an endpoint when that is cheaper or singular.
     """
 
     error_measure: str = "qem"
-    placement: str = "optimal"
-    area_weighted: bool = True
 
     def __post_init__(self) -> None:
         if self.error_measure not in ("qem", "vertical"):
             raise ValueError(f"unknown error measure {self.error_measure!r}")
-        if self.placement not in ("optimal", "midpoint"):
-            raise ValueError(f"unknown placement {self.placement!r}")
 
 
 def simplify_to_pm(
@@ -117,10 +113,7 @@ class _PMBuilder:
         self._quadrics: dict[int, Quadric] = {i: Quadric() for i in range(n)}
         for a, b, c in mesh.triangles:
             q = triangle_plane_quadric(
-                mesh.vertices[a],
-                mesh.vertices[b],
-                mesh.vertices[c],
-                area_weighted=config.area_weighted,
+                mesh.vertices[a], mesh.vertices[b], mesh.vertices[c]
             )
             if q is None:
                 continue
@@ -160,8 +153,6 @@ class _PMBuilder:
             (pu[1] + pv[1]) / 2,
             (pu[2] + pv[2]) / 2,
         )
-        if self._config.placement == "midpoint":
-            return q.error(*midpoint), midpoint
         candidates: list[tuple[float, float, float]] = []
         opt = q.optimal_point()
         if opt is not None:

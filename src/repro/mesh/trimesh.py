@@ -17,7 +17,7 @@ from typing import Sequence
 
 from repro.errors import MeshError
 from repro.geometry.predicates import orient2d
-from repro.geometry.primitives import Point3, Rect
+from repro.geometry.primitives import Rect
 from repro.geometry.triangulation import delaunay
 
 __all__ = ["TriMesh"]
@@ -119,11 +119,6 @@ class TriMesh:
     def n_triangles(self) -> int:
         """Number of triangles."""
         return len(self.triangles)
-
-    def vertex_point(self, idx: int) -> Point3:
-        """The vertex ``idx`` as a :class:`Point3`."""
-        x, y, z = self.vertices[idx]
-        return Point3(x, y, z)
 
     def bounds(self) -> Rect:
         """The mesh footprint in the ``(x, y)`` plane."""

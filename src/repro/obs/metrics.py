@@ -113,6 +113,7 @@ METRIC_NAMES: frozenset[str] = frozenset(
         "fsck.pages_repaired",
         "fsck.pages_quarantined",
         "fsck.orphan_segments",
+        "fsck.store_problems",
     }
 )
 

@@ -312,13 +312,6 @@ class Database:
         serving engine's registry reads as ``storage.crc_failures``)."""
         return sum(p.crc_failures for p in list(self._pagers.values()))
 
-    def set_io_latency(self, seconds: float) -> None:
-        """Set the simulated read latency on every (current and
-        future) segment."""
-        self._io_latency = seconds
-        for pager in self._pagers.values():
-            pager.io_latency = seconds
-
     def set_fault_injector(self, injector: "FaultInjector | None") -> None:
         """Install (or with ``None``, remove) a fault injector on every
         current and future segment's physical-read path.

@@ -5,12 +5,15 @@ lives *on disk*; a silently rotten page therefore poisons every query
 whose interval touches it.  This module is the operational answer:
 
 * :func:`scrub_database` reads **every page of every segment** through
-  the pager (verifying v2 crc trailers on the way), walks the
-  R*-tree segments structurally — child MBRs contained in their parent
-  entry, segment endpoints ``e_low <= e_high`` — and cross-checks
-  every cluster-run directory against its segment (runs in bounds and
-  non-overlapping, blobs decoding to the directory's record counts),
-  producing a machine-readable :class:`FsckReport`;
+  the pager (verifying v2 crc trailers on the way), then runs the
+  store pass (:func:`repro.core.verify_store.epoch_problems`) on every
+  committed store epoch: each on-disk format checked by the module
+  that owns it — the R*-tree by
+  :meth:`~repro.index.rstar.RStarTree.problems`, the cluster runs by
+  :meth:`~repro.core.clusters.ClusterSet.problems` — and, once those
+  are clean, the heap, tree and runs checked against each other.  The
+  result is a machine-readable :class:`FsckReport`, the one verdict on
+  a store;
 * :func:`repair_database` restores corrupt pages from a committed
   write-ahead log (see :meth:`WriteAheadLog.committed_records`) and
   quarantines whatever the log cannot restore into a
@@ -34,8 +37,6 @@ from __future__ import annotations
 import json
 import os
 import random
-import struct
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -67,14 +68,6 @@ __all__ = [
 
 #: Sidecar listing pages repair could not restore.
 QUARANTINE_FILENAME = "quarantine.json"
-
-# R*-tree on-disk layout (mirrors repro.index.rstar; the scrub parses
-# node pages tolerantly instead of instantiating the index, which
-# would raise on the first bad page).
-_RSTAR_META = struct.Struct("<4sIHQ6d")
-_RSTAR_MAGIC = b"RST1"
-_RSTAR_NODE_HEADER = struct.Struct("<BH")
-_RSTAR_ENTRY = struct.Struct("<6dQ")
 
 
 class PageQuarantine:
@@ -296,12 +289,15 @@ class FsckReport:
 def scrub_database(
     database: "Database", registry: "MetricsRegistry | None" = None
 ) -> FsckReport:
-    """Verify every page of every segment, plus R*-tree structure.
-
-    Pages are read through :meth:`Segment.read_raw` — straight from
-    disk, bypassing the buffer pool — so the scrub sees exactly what a
-    cold restart would.
+    """Verify every page of every segment, then every committed store
+    epoch.  Pages are read through :meth:`Segment.read_raw`, straight
+    from disk and bypassing the buffer pool, so the scrub sees exactly
+    what a cold restart would.  The store pass steps around the pages
+    the crc scan flagged; its findings go into ``structural``, each
+    prefixed with its epoch's prefix.
     """
+    from repro.core.verify_store import epoch_problems  # Above storage.
+
     report = FsckReport(path=str(database.path))
     orphan_names = _find_orphans(database, report)
     for name in database.segment_names():
@@ -330,16 +326,33 @@ def scrub_database(
                     )
                 )
     corrupt_keys = {(fault.segment, fault.page) for fault in report.corrupt}
-    for name in database.segment_names():
-        if name in orphan_names:
-            continue
-        _scrub_rtree(database, name, corrupt_keys, report.structural)
-    _scrub_clusters(database, corrupt_keys, report.structural, orphan_names)
+    for prefix in _store_epochs(database):
+        report.structural.extend(
+            f"{prefix}: {problem}"
+            for problem in epoch_problems(database, prefix, corrupt_keys)
+        )
     if registry is not None:
         registry.counter("fsck.pages_scanned").inc(report.pages_scanned)
         registry.counter("fsck.pages_corrupt").inc(report.corrupt_pages)
         registry.counter("fsck.orphan_segments").inc(report.orphan_segments)
+        registry.counter("fsck.store_problems").inc(len(report.structural))
     return report
+
+
+def _store_epochs(database: "Database") -> list[str]:
+    """The physical prefix of every store epoch's meta sidecar, except
+    an aborted patch's (an orphan, see :func:`_find_orphans`)."""
+    from repro.core.direct_mesh import epoch_files  # Lives above storage.
+
+    suffix = epoch_files("").meta
+    prefixes: list[str] = []
+    for path in sorted(Path(database.path).glob(f"*{suffix}")):
+        prefix = path.name[: -len(suffix)]
+        base, sep, tag = prefix.rpartition("@")
+        if sep and tag.isdigit() and int(tag) > database.store_epoch(base):
+            continue  # An aborted patch's sidecar: orphan, not rot.
+        prefixes.append(prefix)
+    return prefixes
 
 
 def _find_orphans(database: "Database", report: FsckReport) -> set[str]:
@@ -372,214 +385,6 @@ def _find_orphans(database: "Database", report: FsckReport) -> set[str]:
         )
         orphan_names.add(name)
     return orphan_names
-
-
-def _read_page_tolerant(
-    database: "Database", name: str, page_no: int
-) -> bytes | None:
-    """A page's bytes, or ``None`` when it cannot be read intact."""
-    try:
-        return bytes(database.segment(name).read_raw(page_no))
-    except (PageCorruptionError, StorageError):
-        return None
-
-
-def _scrub_rtree(
-    database: "Database",
-    name: str,
-    corrupt_keys: set[tuple[str, int]],
-    problems: list[str],
-) -> None:
-    """Structural invariants of one R*-tree segment (no-op otherwise).
-
-    Tolerant by design: the index class raises on the first bad page,
-    but a scrub must keep walking and report everything it can reach.
-    Checks, per reachable node entry: well-formed boxes
-    (``min <= max`` on every axis, in particular ``e_low <= e_high``)
-    and child-MBR containment in the parent entry's box.
-    """
-    segment = database.segment(name)
-    if segment.n_pages == 0 or (name, 0) in corrupt_keys:
-        return
-    meta_raw = _read_page_tolerant(database, name, 0)
-    if meta_raw is None or len(meta_raw) < _RSTAR_META.size:
-        return
-    magic, root, height, _count, *_space = _RSTAR_META.unpack_from(
-        meta_raw, 0
-    )
-    if magic != _RSTAR_MAGIC:
-        return  # Not an R*-tree segment.
-    payload = segment.payload_size
-    max_entries = (payload - _RSTAR_NODE_HEADER.size) // _RSTAR_ENTRY.size
-    visited: set[int] = set()
-    # (page_no, expected level, parent entry box or None for the root)
-    stack: list[tuple[int, int, tuple[float, ...] | None]] = [
-        (root, height, None)
-    ]
-    while stack:
-        page_no, level, parent_box = stack.pop()
-        if page_no in visited:
-            problems.append(
-                f"{name}: node page {page_no} reachable twice (cycle?)"
-            )
-            continue
-        visited.add(page_no)
-        if not 0 < page_no < segment.n_pages:
-            problems.append(
-                f"{name}: child pointer to page {page_no} out of range"
-            )
-            continue
-        if (name, page_no) in corrupt_keys:
-            continue  # Already reported by the crc scan.
-        raw = _read_page_tolerant(database, name, page_no)
-        if raw is None:
-            problems.append(f"{name}: node page {page_no} unreadable")
-            continue
-        is_leaf, count = _RSTAR_NODE_HEADER.unpack_from(raw, 0)
-        if count > max_entries:
-            problems.append(
-                f"{name}: node page {page_no} claims {count} entries "
-                f"(capacity {max_entries})"
-            )
-            continue
-        if bool(is_leaf) != (level == 1):
-            problems.append(
-                f"{name}: node page {page_no} leaf flag {bool(is_leaf)} "
-                f"at level {level}"
-            )
-        offset = _RSTAR_NODE_HEADER.size
-        for _ in range(count):
-            x0, y0, e0, x1, y1, e1, payload_val = _RSTAR_ENTRY.unpack_from(
-                raw, offset
-            )
-            offset += _RSTAR_ENTRY.size
-            if x0 > x1 or y0 > y1:
-                problems.append(
-                    f"{name}: page {page_no} entry has an inverted MBR"
-                )
-            if e0 > e1:
-                problems.append(
-                    f"{name}: page {page_no} entry violates "
-                    f"e_low <= e_high ({e0} > {e1})"
-                )
-            if parent_box is not None:
-                px0, py0, pe0, px1, py1, pe1 = parent_box
-                contained = (
-                    px0 <= x0
-                    and py0 <= y0
-                    and pe0 <= e0
-                    and x1 <= px1
-                    and y1 <= py1
-                    and e1 <= pe1
-                )
-                if not contained:
-                    problems.append(
-                        f"{name}: page {page_no} entry escapes its "
-                        f"parent MBR"
-                    )
-            if not is_leaf:
-                stack.append(
-                    (payload_val, level - 1, (x0, y0, e0, x1, y1, e1))
-                )
-
-
-def _scrub_clusters(
-    database: "Database",
-    corrupt_keys: set[tuple[str, int]],
-    problems: list[str],
-    orphan_names: set[str] | None = None,
-) -> None:
-    """Cluster-run and directory consistency of every committed store.
-
-    Every ``{prefix}_dm_meta.json`` must have its
-    ``{prefix}_clusters.json`` directory; the directory's run segment
-    must exist, each cluster's page run must lie inside it, runs must
-    not overlap, the byte count must fit its page count exactly
-    (``ceil`` packing, like the builder writes), and the run's blob
-    must decode to the directory's record count.  Runs touching pages
-    the crc scan already flagged are skipped — one corrupt page is one
-    fault, not two.
-    """
-    # Local import: the store layers live above storage.
-    from repro.core.clusters import ClusterDirectory, decode_cluster_blob
-    from repro.core.direct_mesh import epoch_files
-
-    suffix = "_dm_meta.json"
-    for meta_path in sorted(Path(database.path).glob(f"*{suffix}")):
-        prefix = meta_path.name[: -len(suffix)]
-        path = Path(database.path) / epoch_files(prefix).directory
-        base, sep, tag = prefix.rpartition("@")
-        if (
-            sep
-            and tag.isdigit()
-            and int(tag) > database.store_epoch(base)
-        ):
-            continue  # Sidecar of an aborted patch: orphan, not rot.
-        try:
-            directory = ClusterDirectory.load(path)
-        except StorageError as exc:
-            problems.append(
-                f"{path.name}: unreadable cluster directory ({exc})"
-            )
-            continue
-        name = directory.segment
-        if orphan_names and name in orphan_names:
-            continue
-        if name not in database.segment_names():
-            problems.append(
-                f"{path.name}: cluster run segment {name} missing"
-            )
-            continue
-        segment = database.segment(name)
-        payload = segment.payload_size
-        spans: list[tuple[int, int, int]] = []
-        for meta in directory.clusters:
-            label = f"{name}: cluster {meta.cluster_id}"
-            end = meta.start_page + meta.n_pages
-            if (
-                meta.n_pages < 1
-                or meta.start_page < 0
-                or end > segment.n_pages
-            ):
-                problems.append(
-                    f"{label} run [{meta.start_page}, {end}) outside "
-                    f"segment ({segment.n_pages} pages)"
-                )
-                continue
-            if (
-                meta.n_bytes > meta.n_pages * payload
-                or meta.n_bytes <= (meta.n_pages - 1) * payload
-            ):
-                problems.append(
-                    f"{label} directory claims {meta.n_bytes} bytes in "
-                    f"{meta.n_pages} run pages"
-                )
-                continue
-            spans.append((meta.start_page, end, meta.cluster_id))
-            if any(
-                (name, page_no) in corrupt_keys
-                for page_no in range(meta.start_page, end)
-            ):
-                continue  # The crc scan already reported these pages.
-            try:
-                blob = segment.read_run(meta.start_page, meta.n_pages)
-                columns = decode_cluster_blob(blob[: meta.n_bytes])
-            except PageCorruptionError:
-                continue  # Raced a concurrent writer; crc scan owns it.
-            except StorageError as exc:
-                problems.append(f"{label} blob does not decode ({exc})")
-                continue
-            if len(columns) != meta.n_nodes:
-                problems.append(
-                    f"{label} blob holds {len(columns)} records, "
-                    f"directory says {meta.n_nodes}"
-                )
-        spans.sort()
-        for (_, prev_end, prev_id), (start, _, cid) in zip(spans, spans[1:]):
-            if start < prev_end:
-                problems.append(
-                    f"{name}: cluster {cid} run overlaps cluster {prev_id}"
-                )
 
 
 def repair_database(database: "Database", report: FsckReport) -> FsckReport:

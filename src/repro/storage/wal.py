@@ -261,9 +261,10 @@ class WriteAheadLog:
     def patch_header(self) -> dict | None:
         """The patch header of the current log, committed or not.
 
-        ``fsck`` uses this to attribute staged segments in a crashed
-        directory to the patch that was writing them.  Returns
-        ``None`` when no log exists or it is not a patch log.
+        An inspection aid: it names the patch a crashed directory's
+        log was writing.  Neither recovery nor ``fsck`` reads it (fsck
+        finds orphans from the committed epochs).  Returns ``None``
+        when no log exists or it is not a patch log.
         """
         try:
             raw = self.path.read_bytes()

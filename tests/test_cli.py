@@ -249,14 +249,15 @@ class TestExplain:
         assert "error:" in capsys.readouterr().err
 
 
-class TestVerify:
-    def test_info_verify(self, built_db, capsys):
-        code = main(["info", str(built_db), "--verify"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "store verification: OK" in out
+class TestFsck:
+    def test_fsck_clean_store(self, built_db, capsys):
+        assert main(["fsck", str(built_db)]) == 0
+        assert "OK" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["info", str(built_db), "--verify"])
+        assert exc.value.code == 2  # fsck is the one checker.
 
-    def test_info_verify_exits_1_on_problems(self, tmp_path, capsys):
+    def test_fsck_exits_1_on_a_tampered_run_record(self, tmp_path, capsys):
         from tests.test_verify_store import tamper_cluster_record
 
         path = tmp_path / "db"
@@ -264,10 +265,10 @@ class TestVerify:
         with Database(path) as db:
             node_id = tamper_cluster_record(DirectMeshStore.open(db))
         capsys.readouterr()
-        assert main(["info", str(path), "--verify"]) == 1
+        assert main(["fsck", str(path)]) == 1
         out = capsys.readouterr().out
-        assert "store verification: PROBLEMS FOUND" in out
-        assert f"node {node_id}:" in out
+        assert "PROBLEMS FOUND" in out
+        assert f"dm: node {node_id}: cluster 0 copy differs from heap" in out
 
 
 class TestPatchedDatabase:

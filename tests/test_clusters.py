@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -262,6 +263,49 @@ class TestDirectoryInvariants:
     def test_total_nodes_match_store(self, built):
         _, store = built
         assert store.clusters.directory.total_nodes == len(store.rtree)
+
+
+class TestClusterSetProblems:
+    """``ClusterSet.problems()`` reports each fault class of the run
+    layout, and steps around the pages it is told to skip."""
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda c, m: {"start_page": c.segment.n_pages}, "outside segment"),
+            (
+                lambda c, m: {"start_page": c.directory.clusters[1].start_page},
+                "overlaps cluster",
+            ),
+            (
+                lambda c, m: {"n_bytes": m.n_pages * c.segment.payload_size + 1},
+                "directory claims",
+            ),
+            (lambda c, m: {"n_nodes": m.n_nodes + 1}, "decodes to"),
+            (None, "bad cluster blob magic"),
+        ],
+    )
+    def test_each_fault_class_is_reported(
+        self, tmp_path, wavy_pm, wavy_connections, edit, message
+    ):
+        from tests.test_verify_store import reseal_cluster_run
+
+        with Database(tmp_path / "db", pool_pages=64) as db:
+            store = DirectMeshStore.build(wavy_pm, db, wavy_connections)
+            clusters = store.clusters
+            meta = clusters.meta(0)
+            assert len(clusters) > 1 and clusters.problems() == []
+            if edit is None:
+                blob = clusters.read_blob(0)
+                reseal_cluster_run(store, 0, b"XXXX" + blob[4:])
+                assert clusters.problems(skip={meta.start_page}) == []
+            else:
+                clusters.directory.clusters[0] = replace(
+                    meta, **edit(clusters, meta)
+                )
+            problems = clusters.problems()
+        assert any(message in p for p in problems), problems
+
 
 
 @pytest.fixture(scope="module", params=["foothills", "ridge65"])

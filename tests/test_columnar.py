@@ -192,22 +192,6 @@ class TestFilterParity:
         plane = QueryPlane(roi, 0.5, 2.0)
         assert filter_to_plane_columnar(columns, plane).nodes == {}
 
-    def test_plane_without_batch_kernel_falls_back(self, record_universe):
-        """LOD fields lacking ``required_lod_batch`` still vectorize."""
-        records, columns = record_universe
-
-        class OddField:
-            roi = Rect(-8, -8, 8, 8)
-
-            @staticmethod
-            def required_lod(x, y):
-                return 1.0 + 0.1 * abs(x) + 0.05 * abs(y)
-
-        field = OddField()
-        assert _expected(
-            records, field.roi, field.required_lod
-        ) == filter_to_plane_columnar(columns, field).nodes
-
 
 def _edge_set(edges: np.ndarray) -> set[tuple[int, int]]:
     return set(map(tuple, edges.tolist()))

@@ -129,21 +129,6 @@ class TestBox3:
         b = Box3.from_rect(Rect(0, 0, 2, 3), 1, 5)
         assert b.as_tuple() == (0, 0, 1, 2, 3, 5)
 
-    def test_margin(self):
-        assert Box3(0, 0, 0, 1, 2, 3).margin == 6.0
-
-    def test_enlargement(self):
-        a = Box3(0, 0, 0, 1, 1, 1)
-        b = Box3(0, 0, 0, 2, 1, 1)
-        assert a.enlargement(b) == pytest.approx(1.0)
-        assert b.enlargement(a) == 0.0
-
-    def test_intersection_volume(self):
-        a = Box3(0, 0, 0, 2, 2, 2)
-        b = Box3(1, 1, 1, 3, 3, 3)
-        assert a.intersection_volume(b) == pytest.approx(1.0)
-        assert a.intersection_volume(Box3(5, 5, 5, 6, 6, 6)) == 0.0
-
     def test_plane_query_intersects_segment(self):
         # A query plane at the LOD where a segment exists must hit it.
         seg = Box3.vertical_segment(5, 5, 1.0, 3.0)
@@ -157,12 +142,6 @@ class TestBox3:
         u = a.union(b)
         assert u.contains_box(a)
         assert u.contains_box(b)
-
-    @given(boxes(), boxes())
-    def test_intersection_volume_symmetric(self, a, b):
-        assert a.intersection_volume(b) == pytest.approx(
-            b.intersection_volume(a)
-        )
 
     @given(boxes())
     def test_center_inside(self, b):

@@ -17,11 +17,13 @@ import pytest
 from repro.cli import main as cli_main
 from repro.core import DirectMeshStore
 from repro.errors import PageCorruptionError, PageError, StorageError
+from repro.index.rstar import _META, _NODE_HEADER
 from repro.obs.metrics import MetricsRegistry
 from repro.storage import (
     CHECKSUM_SIZE,
     Database,
     DiskStats,
+    FsckReport,
     HeapFile,
     PAGE_FORMAT_V2,
     PageQuarantine,
@@ -35,12 +37,7 @@ from repro.storage import (
 )
 from repro.storage.database import STORAGE_META_FILENAME
 from repro.storage.faults import CORRUPTION_KINDS
-from repro.storage.integrity import (
-    QUARANTINE_FILENAME,
-    _RSTAR_META,
-    _RSTAR_NODE_HEADER,
-    load_quarantine,
-)
+from repro.storage.integrity import QUARANTINE_FILENAME, load_quarantine
 from repro.storage.page import page_checksums
 from repro.storage.wal import WAL_FILENAME
 
@@ -339,17 +336,17 @@ class TestStructuralScrub:
         db.flush()
         segment = db.segment("dm_rtree")
         meta = bytes(segment.read_raw(0))
-        _, root, _height, _count, *_space = _RSTAR_META.unpack_from(meta, 0)
+        _, root, _height, _count, *_space = _META.unpack_from(meta, 0)
         # Invert the first root entry's interval: e_low > e_high.  The
         # page is re-sealed on write, so only the *structural* walk —
         # not the crc scan — can catch this.
         node = bytearray(segment.read_raw(root))
         entry = struct.Struct("<6dQ")
         values = list(
-            entry.unpack_from(node, _RSTAR_NODE_HEADER.size)
+            entry.unpack_from(node, _NODE_HEADER.size)
         )
         values[2], values[5] = values[5] + 10.0, values[2]
-        entry.pack_into(node, _RSTAR_NODE_HEADER.size, *values)
+        entry.pack_into(node, _NODE_HEADER.size, *values)
         segment.write_page_image(root, node)
         report = scrub_database(db)
         assert report.corrupt_pages == 0  # The crc is valid...
@@ -393,6 +390,56 @@ class TestStructuralScrub:
         assert report.corrupt_pages == 0
         assert any("cluster directory" in p for p in report.structural)
         assert cli_main(["fsck", str(path)]) == 1
+
+
+class TestStorePass:
+    """fsck's store pass next to crc faults and missing files."""
+
+    def test_corrupt_page_and_structural_fault_are_each_reported_once(
+        self, tmp_path, wavy_pm, wavy_connections
+    ):
+        """A crc-corrupt leaf beside a re-sealed inverted interval in
+        another leaf of the same tree: the crc scan reports the first,
+        the walk steps around it and reports the second, and nothing
+        else — the meta checks, which need every leaf, stay silent."""
+        path = tmp_path / "db"
+        with Database(path, pool_pages=64) as db:
+            tree = DirectMeshStore.build(wavy_pm, db, wavy_connections).rtree
+            (_, bent), (_, rotten) = tree._read_node(tree._root)[1][:2]
+            segment = db.segment("dm_rtree")
+            node = bytearray(segment.read_raw(bent))
+            struct.pack_into("<d", node, _NODE_HEADER.size + 16, 1e9)  # e_low
+            segment.write_page_image(bent, node)
+        _flip_byte(path / "dm_rtree.seg", rotten * db.page_size + 100)
+        with Database(path) as db:
+            report = scrub_database(db)
+        assert [(f.segment, f.page) for f in report.corrupt] == [
+            ("dm_rtree", rotten)
+        ]
+        assert len(report.structural) == 1, report.structural
+        assert report.structural[0].startswith(
+            f"dm: R*-tree page {bent} entry violates e_low <= e_high"
+        )
+
+    def test_missing_rtree_segment_is_reported_and_nothing_written(
+        self, tmp_path, wavy_pm, wavy_connections
+    ):
+        path = tmp_path / "db"
+        with Database(path, pool_pages=64) as db:
+            DirectMeshStore.build(wavy_pm, db, wavy_connections)
+        (path / "dm_rtree.seg").unlink()
+        before = {p.name: p.read_bytes() for p in path.iterdir()}
+        assert cli_main(["fsck", str(path)]) == 1
+        with Database(path, recover=False) as db:
+            report = scrub_database(db)
+        assert report.structural == ["dm: segment dm_rtree missing"]
+        assert {p.name: p.read_bytes() for p in path.iterdir()} == before
+
+    def test_report_truncates_long_problem_lists(self):
+        report = FsckReport(path="db", structural=[f"p{i}" for i in range(80)])
+        text = report.to_text()
+        assert "p49" in text and "p50" not in text
+        assert "and 30 more structural" in text
 
 
 class TestPageQuarantine:

@@ -91,12 +91,8 @@ class TestTriangleQuadric:
             assert q.error(*p) == pytest.approx(0.0, abs=1e-12)
 
     def test_area_weighting(self):
-        small = triangle_plane_quadric(
-            (0, 0, 0), (1, 0, 0), (0, 1, 0), area_weighted=True
-        )
-        big = triangle_plane_quadric(
-            (0, 0, 0), (10, 0, 0), (0, 10, 0), area_weighted=True
-        )
+        small = triangle_plane_quadric((0, 0, 0), (1, 0, 0), (0, 1, 0))
+        big = triangle_plane_quadric((0, 0, 0), (10, 0, 0), (0, 10, 0))
         assert big is not None and small is not None
         # Same plane; the larger triangle weighs 100x more.
         assert big.error(0, 0, 1) == pytest.approx(
@@ -104,8 +100,11 @@ class TestTriangleQuadric:
         )
 
     def test_unweighted_error_is_distance_squared(self):
-        q = triangle_plane_quadric(
-            (0, 0, 0), (5, 0, 0), (0, 5, 0), area_weighted=False
+        """The plane's fundamental quadric measures squared distance;
+        the triangle quadric is that times the triangle's area."""
+        assert Quadric.from_plane(0, 0, 1, 0).error(2, 2, 3) == pytest.approx(
+            9.0
         )
+        q = triangle_plane_quadric((0, 0, 0), (5, 0, 0), (0, 5, 0))
         assert q is not None
-        assert q.error(2, 2, 3) == pytest.approx(9.0)
+        assert q.error(2, 2, 3) == pytest.approx(12.5 * 9.0)

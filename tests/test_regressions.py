@@ -91,15 +91,14 @@ class TestDuplicatePositionNodes:
         from repro.core.direct_mesh import DirectMeshStore
         from repro.core.verify_store import verify_store
         from repro.mesh.selective import uniform_query_ref
-        from repro.mesh.simplify import SimplifyConfig, simplify_to_pm
+        from repro.mesh.simplify import simplify_to_pm
         from repro.storage.database import Database
         from tests.conftest import make_wavy_grid_mesh
 
         mesh = make_wavy_grid_mesh(side=14, seed=3)
-        # Midpoint placement still dedups via optimal=False path;
-        # endpoint duplicates come from the default optimal mode's
-        # fallback chain — build with the default.
-        pm = simplify_to_pm(mesh, SimplifyConfig(placement="optimal"))
+        # Endpoint duplicates come from the optimal placement's
+        # fallback chain.
+        pm = simplify_to_pm(mesh)
         pm.normalize_lod()
         conn = build_connection_lists(pm)
         coincident = 0

@@ -3,6 +3,7 @@
 
 import hashlib
 import random
+import re
 import uuid
 
 import pytest
@@ -10,7 +11,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.errors import IndexError_
 from repro.geometry.primitives import Box3
-from repro.index.rstar import _META, RStarTree, str_groups, str_order
+from repro.index.rstar import (
+    _ENTRY,
+    _META,
+    _NODE_HEADER,
+    RStarTree,
+    str_groups,
+    str_order,
+)
 from repro.storage.database import Database
 
 
@@ -127,6 +135,63 @@ class TestBulkLoad:
         boxes = random_boxes(100, seed=4)
         tree.bulk_load([(b, i) for i, b in enumerate(boxes)])
         assert sorted(v for _, v in tree.all_entries()) == list(range(100))
+
+
+def _set(field, value):
+    """A node edit setting field ``field`` of the node's first entry."""
+
+    def edit(is_leaf, entries):
+        entries[0][field] = value
+        return is_leaf, entries, len(entries)
+
+    return edit
+
+
+class TestProblems:
+    """``problems()`` reports each fault class a scrub must see, and
+    ``validate()`` raises the first; the tree is a root over leaves."""
+
+    @pytest.mark.parametrize(
+        "page, edit, message",
+        [
+            ("leaf", _set(0, 1e9), "inverted MBR"),
+            ("leaf", _set(2, 1e9), "violates e_low <= e_high"),
+            ("leaf", lambda f, e: (f, e, 10_000), "entries (capacity"),
+            ("root", lambda f, e: (1, e, len(e)), "leaf flag"),
+            ("root", lambda f, e: (f, [e[0], *e], len(e)), "reachable twice"),
+            ("root", _set(6, 9_999), "out of range"),
+            ("leaf", lambda f, e: (f, e, 1), "underfull node"),
+            ("leaf", _set(3, 1e9), "escapes its parent MBR"),
+            ("meta", 3, "meta page counts"),
+            ("meta", 9, "data space"),
+        ],
+    )
+    def test_each_fault_class_is_reported(self, fresh_db, page, edit, message):
+        segment = fresh_db.segment("rt")
+        tree = bulk(RStarTree(segment), random_boxes(300, seed=12))
+        assert tree.height == 2 and tree.problems() == []
+        if page == "meta":
+            fields = list(_META.unpack_from(segment.fetch(0), 0))
+            fields[edit] += 1
+            _META.pack_into(segment.fetch(0), 0, *fields)
+        else:
+            page_no = tree._root
+            if page == "leaf":
+                page_no = tree._read_node(page_no)[1][0][1]
+            buf = segment.fetch(page_no)
+            is_leaf, count = _NODE_HEADER.unpack_from(buf, 0)
+            entries = [
+                list(_ENTRY.unpack_from(buf, _NODE_HEADER.size + i * _ENTRY.size))
+                for i in range(count)
+            ]
+            is_leaf, entries, count = edit(is_leaf, entries)
+            _NODE_HEADER.pack_into(buf, 0, is_leaf, count)
+            for i, entry in enumerate(entries):
+                _ENTRY.pack_into(buf, _NODE_HEADER.size + i * _ENTRY.size, *entry)
+        problems = RStarTree(segment).problems()
+        assert any(message in p for p in problems), problems
+        with pytest.raises(IndexError_, match=re.escape(problems[0])):
+            RStarTree(segment).validate()
 
 
 class TestStats:

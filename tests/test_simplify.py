@@ -14,10 +14,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimplifyConfig(error_measure="hausdorff")
 
-    def test_rejects_unknown_placement(self):
-        with pytest.raises(ValueError):
-            SimplifyConfig(placement="random")
-
 
 class TestStructure:
     def test_empty_mesh_rejected(self):
@@ -94,16 +90,6 @@ class TestErrorMeasures:
         assert max(n.error for n in pm.internal_nodes) == pytest.approx(
             0.0, abs=1e-6
         )
-
-    def test_midpoint_placement(self):
-        mesh = make_wavy_grid_mesh(side=10, seed=2)
-        pm = simplify_to_pm(mesh, SimplifyConfig(placement="midpoint"))
-        first = pm.node(pm.n_leaves)  # First collapse, children are leaves.
-        c1 = pm.node(first.child1)
-        c2 = pm.node(first.child2)
-        assert first.x == pytest.approx((c1.x + c2.x) / 2)
-        assert first.y == pytest.approx((c1.y + c2.y) / 2)
-        assert first.z == pytest.approx((c1.z + c2.z) / 2)
 
 
 class TestGeometryInvariants:

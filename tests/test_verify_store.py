@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.clusters import decode_cluster_blob, encode_cluster_blob
 from repro.core.verify_store import verify_store
-from repro.errors import StorageError
 
 
 def reseal_cluster_run(store, cluster_id: int, blob: bytes) -> None:
@@ -37,9 +36,9 @@ def repack_index(store, entries) -> None:
 
 def tamper_cluster_record(store, cluster_id: int = 0, index: int = 0) -> int:
     """Move row ``index``'s ``z`` in one cluster run and re-seal it:
-    every page checksum and the blob framing stay intact, so ``fsck``
-    is clean, but the serving copy no longer matches the heap.
-    Returns the tampered node's id."""
+    every page checksum and the blob framing stay intact, so only the
+    cross-copy pass sees that the serving copy no longer matches the
+    heap.  Returns the tampered node's id."""
     columns = decode_cluster_blob(store.clusters.read_blob(cluster_id))
     z = columns.z.copy()
     z[index] += 1.0
@@ -52,17 +51,7 @@ def tamper_cluster_record(store, cluster_id: int = 0, index: int = 0) -> int:
 class TestHealthyStore:
     def test_clean_report(self, session_db):
         report = verify_store(session_db["dm"])
-        assert report.ok, report.to_text()
-        assert report.stats["heap_records"] > 0
-        assert (
-            report.stats["heap_records"]
-            == report.stats["index_entries"]
-            == report.stats["cluster_records"]
-        )
-        assert "OK" in report.to_text()
-
-    def test_raise_on_error_noop_when_clean(self, session_db):
-        verify_store(session_db["dm"], raise_on_error=True)
+        assert report.ok, report.problems
 
 
 class TestCorruptions:
@@ -96,9 +85,9 @@ class TestCorruptions:
 
     def test_detects_index_meta_count_mismatch(self, small_store):
         """A meta page whose entry count disagrees with the leaves,
-        re-sealed so every page checksum holds: fsck is clean, the
-        entry sets agree, and only the structural pass sees it."""
-        from repro.core.direct_mesh import DirectMeshStore, epoch_files
+        re-sealed so every page checksum holds: the crc scan is clean,
+        the entry sets agree, and fsck's R*-tree walk names it."""
+        from repro.core.direct_mesh import epoch_files
         from repro.index.rstar import _META
         from repro.storage.integrity import scrub_database
 
@@ -110,26 +99,28 @@ class TestCorruptions:
         _META.pack_into(buf, 0, *fields)
         segment.mark_dirty(0)
         database.flush()
-        assert scrub_database(database).ok
-        report = verify_store(DirectMeshStore.open(database, small_store.prefix))
-        assert report.ok is False
-        assert report.problems == [
-            f"R*-tree structure: meta page counts {fields[3]} entries, "
+        report = scrub_database(database)
+        assert report.corrupt_pages == 0
+        assert report.structural == [
+            f"dm: R*-tree meta page counts {fields[3]} entries, "
             f"leaves hold {fields[3] - 1}"
         ]
 
     def test_detects_tampered_cluster_record(self, small_store):
-        """A run that fsck passes but that serves a different record
-        than the heap holds: the cross-copy pass names the node."""
+        """A run whose pages and blob framing are intact but that
+        serves a different record than the heap holds: fsck's
+        cross-copy pass names the node, and so does verify_store."""
+        from repro.obs.metrics import MetricsRegistry
         from repro.storage.integrity import scrub_database
 
         node_id = tamper_cluster_record(small_store)
-        assert scrub_database(small_store.database).ok
-        report = verify_store(small_store)
-        assert not report.ok
-        assert report.problems == [
-            f"node {node_id}: cluster 0 copy differs from heap"
-        ]
+        registry = MetricsRegistry()
+        report = scrub_database(small_store.database, registry)
+        assert report.corrupt_pages == 0
+        problem = f"node {node_id}: cluster 0 copy differs from heap"
+        assert report.structural == [f"dm: {problem}"]
+        assert registry.counters()["fsck.store_problems"] == 1
+        assert verify_store(small_store).problems == [problem]
 
     def test_detects_cluster_count_mismatch(self, small_store):
         directory = small_store.clusters.directory
@@ -154,17 +145,3 @@ class TestCorruptions:
         small_store.heap.segment.mark_dirty(page_no)
         report = verify_store(small_store)
         assert not report.ok
-
-    def test_raise_on_error(self, small_store):
-        node_id = tamper_cluster_record(small_store)
-        with pytest.raises(StorageError):
-            verify_store(small_store, raise_on_error=True)
-        report = verify_store(small_store)
-        assert any(f"node {node_id}" in p for p in report.problems)
-
-    def test_report_truncates_long_problem_lists(self):
-        from repro.core.verify_store import StoreReport
-
-        report = StoreReport(problems=[f"p{i}" for i in range(80)])
-        text = report.to_text()
-        assert "and 30 more" in text
