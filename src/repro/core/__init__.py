@@ -12,8 +12,8 @@ Public surface:
   and multi-base optimiser (paper formulas (1)-(9));
 * :mod:`repro.core.reconstruct` -- the edge/triangle array kernels
   (:func:`mesh_edges`, :func:`mesh_triangles` over a
-  :class:`MeshArrays`; :func:`pack_records` for record dicts), their
-  scalar oracle, and Algorithm 1's refinement steps;
+  :class:`MeshArrays`; :func:`pack_records` for record dicts) and
+  their scalar oracle;
 * :class:`~repro.core.engine.QueryEngine` -- concurrent batched query
   execution with per-query metrics (the serving path);
 * :class:`~repro.core.admission.CostGovernor` -- cost-based admission
@@ -51,14 +51,11 @@ from repro.core.query import (
 )
 from repro.core.reconstruct import (
     MeshArrays,
-    RefinementResult,
     mesh_edges,
     mesh_edges_scalar,
     mesh_triangles,
     mesh_triangles_scalar,
     pack_records,
-    refine_to_plane,
-    resolve_overlaps,
 )
 from repro.core.streaming import (
     EngineSession,
@@ -66,7 +63,6 @@ from repro.core.streaming import (
     SessionDelta,
     TerrainSession,
 )
-from repro.core.verify_store import StoreReport, verify_store
 from repro.core.wire import ClientMesh, DeltaFrame, decode_frame, encode_frame
 
 __all__ = [
@@ -87,10 +83,8 @@ __all__ = [
     "QueryOutcome",
     "RangeStep",
     "RTreeCostModel",
-    "RefinementResult",
     "SessionDelta",
     "SingleBaseRequest",
-    "StoreReport",
     "TerrainSession",
     "UniformRequest",
     "build_connection_lists",
@@ -104,10 +98,7 @@ __all__ = [
     "mesh_triangles_scalar",
     "multi_base_query",
     "pack_records",
-    "refine_to_plane",
-    "resolve_overlaps",
     "single_base_query",
     "total_connection_counts",
     "uniform_query",
-    "verify_store",
 ]

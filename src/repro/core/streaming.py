@@ -248,7 +248,6 @@ class EngineSession:
         self._tenant = tenant
         self._active: dict[int, DMNodeRecord] = {}
         self._seq = 0
-        self._bytes_sent = 0
         # The epoch of the answer the active set came from (until the
         # first update: the epoch the session was opened at) and that
         # answer's view — what patched_since is asked about.
@@ -276,11 +275,6 @@ class EngineSession:
     def next_seq(self) -> int:
         """Sequence number the next frame will carry."""
         return self._seq
-
-    @property
-    def bytes_sent(self) -> int:
-        """Total wire bytes encoded by this session."""
-        return self._bytes_sent
 
     @property
     def stale(self) -> bool:
@@ -349,7 +343,6 @@ class EngineSession:
         if stale:
             registry.counter("session.patch_resyncs").inc()
         self._seq += 1
-        self._bytes_sent += len(payload)
         registry.counter("session.updates").inc()
         registry.counter("session.added").inc(len(delta.added))
         registry.counter("session.removed").inc(len(delta.removed))
@@ -375,7 +368,6 @@ class EngineSession:
         )
         payload = encode_frame(frame)
         self._seq += 1
-        self._bytes_sent += len(payload)
         registry = self._engine.registry
         registry.counter("session.resyncs").inc()
         registry.counter("session.bytes_wire").inc(len(payload))

@@ -8,14 +8,12 @@ copy), the R*-tree over it and the cluster runs (the serving copy the
 engine reads) say the same thing, and the semantic invariants of the
 Direct Mesh encoding (intervals, links, connection symmetry).
 :func:`epoch_problems` is what ``python -m repro fsck`` runs on every
-committed epoch; :func:`verify_store` runs every check on an open
-store.  Both report rather than raise.
+committed epoch; it reports rather than raises.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import islice
 from typing import TYPE_CHECKING
 
@@ -28,33 +26,11 @@ from repro.storage.record import decode_dm_node
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.storage.database import Database
 
-__all__ = ["SAMPLE_CONNECTIONS", "StoreReport", "epoch_problems", "verify_store"]
+__all__ = ["SAMPLE_CONNECTIONS", "epoch_problems"]
 
 #: Nodes whose connection lists are checked for symmetry (every node of
 #: a smaller store).
 SAMPLE_CONNECTIONS = 2000
-
-
-@dataclass
-class StoreReport:
-    """The problems a verification pass found (none when healthy)."""
-
-    problems: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """True when no problems were found."""
-        return not self.problems
-
-
-def verify_store(store: DirectMeshStore) -> StoreReport:
-    """Every check of an open store: both structure walks, then the
-    cross-copy and semantic passes of :func:`_copy_problems`."""
-    return StoreReport([
-        *(f"R*-tree {p}" for p in store.rtree.problems()),
-        *store.clusters.problems(),
-        *_copy_problems(store),
-    ])
 
 
 def epoch_problems(

@@ -264,7 +264,6 @@ class ClientMesh:
         self._nodes: dict[int, DMNodeRecord] = {}
         self._next_seq = 0
         self._frames = 0
-        self._bytes_received = 0
 
     # -- state -------------------------------------------------------------
 
@@ -277,11 +276,6 @@ class ClientMesh:
     def frames_applied(self) -> int:
         """Number of frames spliced so far."""
         return self._frames
-
-    @property
-    def bytes_received(self) -> int:
-        """Total wire bytes decoded so far."""
-        return self._bytes_received
 
     @property
     def next_seq(self) -> int:
@@ -351,5 +345,4 @@ class ClientMesh:
         self._nodes = nodes
         self._next_seq = frame.seq + 1
         self._frames += 1
-        self._bytes_received += len(payload)
         return frame

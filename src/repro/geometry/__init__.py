@@ -17,12 +17,9 @@ Public surface:
 
 from repro.geometry.plane import QueryPlane, RadialLodField, max_angle
 from repro.geometry.predicates import (
-    collinear,
     incircle,
     orient2d,
     point_in_triangle,
-    segments_intersect,
-    triangle_area2,
 )
 from repro.geometry.primitives import (
     EPSILON,
@@ -44,14 +41,11 @@ __all__ = [
     "RadialLodField",
     "Rect",
     "Triangulation",
-    "collinear",
     "delaunay",
     "incircle",
     "max_angle",
     "orient2d",
     "point_in_triangle",
-    "segments_intersect",
-    "triangle_area2",
     "union_all_boxes",
     "union_all_rects",
 ]

@@ -16,10 +16,7 @@ from fractions import Fraction
 __all__ = [
     "orient2d",
     "incircle",
-    "collinear",
-    "segments_intersect",
     "point_in_triangle",
-    "triangle_area2",
 ]
 
 # Relative error bounds for the filtered predicates.  These follow the
@@ -141,23 +138,6 @@ def _incircle_exact(
     return _sign(det)
 
 
-def collinear(ax: float, ay: float, bx: float, by: float, cx: float, cy: float) -> bool:
-    """True if the three points lie exactly on one line."""
-    return orient2d(ax, ay, bx, by, cx, cy) == 0
-
-
-def triangle_area2(
-    ax: float, ay: float, bx: float, by: float, cx: float, cy: float
-) -> float:
-    """Twice the signed area of triangle ``a, b, c``.
-
-    Positive for counter-clockwise winding.  Unlike :func:`orient2d`
-    this returns the (unfiltered) magnitude, which callers use for area
-    weighting rather than branching, so exactness is not required.
-    """
-    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-
-
 def point_in_triangle(
     px: float,
     py: float,
@@ -178,46 +158,6 @@ def point_in_triangle(
     has_neg = d1 < 0 or d2 < 0 or d3 < 0
     has_pos = d1 > 0 or d2 > 0 or d3 > 0
     return not (has_neg and has_pos)
-
-
-def segments_intersect(
-    p1x: float,
-    p1y: float,
-    p2x: float,
-    p2y: float,
-    q1x: float,
-    q1y: float,
-    q2x: float,
-    q2y: float,
-) -> bool:
-    """True if segment ``p1 p2`` and segment ``q1 q2`` intersect.
-
-    Touching at endpoints counts as intersecting.
-    """
-    d1 = orient2d(q1x, q1y, q2x, q2y, p1x, p1y)
-    d2 = orient2d(q1x, q1y, q2x, q2y, p2x, p2y)
-    d3 = orient2d(p1x, p1y, p2x, p2y, q1x, q1y)
-    d4 = orient2d(p1x, p1y, p2x, p2y, q2x, q2y)
-    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
-        (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
-    ):
-        return True
-    if d1 == 0 and _on_segment(q1x, q1y, q2x, q2y, p1x, p1y):
-        return True
-    if d2 == 0 and _on_segment(q1x, q1y, q2x, q2y, p2x, p2y):
-        return True
-    if d3 == 0 and _on_segment(p1x, p1y, p2x, p2y, q1x, q1y):
-        return True
-    if d4 == 0 and _on_segment(p1x, p1y, p2x, p2y, q2x, q2y):
-        return True
-    return False
-
-
-def _on_segment(
-    ax: float, ay: float, bx: float, by: float, px: float, py: float
-) -> bool:
-    """True if collinear point ``p`` lies within the bounding box of ``ab``."""
-    return min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
 
 
 def _sign(value) -> int:

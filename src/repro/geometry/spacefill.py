@@ -1,11 +1,9 @@
-"""Space-filling curve keys for spatial disk clustering.
+"""Hilbert keys for spatial disk clustering.
 
 The paper arranges terrain data on disk so that "(x, y) clustering is
-preserved as much as possible".  The dataset builders achieve that by
-sorting records along a space-filling curve before bulk insertion into
-heap files.  Hilbert order (the default) preserves locality better
-than Morton/Z order; both are provided and benchmarked against each
-other in the ablation suite.
+preserved as much as possible".  The PM baseline's tile builder and the
+storage ablation sort records along the Hilbert curve before bulk
+insertion into heap files.
 """
 
 from __future__ import annotations
@@ -13,17 +11,7 @@ from __future__ import annotations
 from repro.errors import GeometryError
 from repro.geometry.primitives import Rect
 
-__all__ = ["morton_key", "hilbert_key", "normalized_quantizer"]
-
-
-def morton_key(ix: int, iy: int, bits: int = 16) -> int:
-    """Interleave the low ``bits`` of two integers (Z-order key)."""
-    _check_coords(ix, iy, bits)
-    key = 0
-    for b in range(bits):
-        key |= ((ix >> b) & 1) << (2 * b)
-        key |= ((iy >> b) & 1) << (2 * b + 1)
-    return key
+__all__ = ["hilbert_key", "normalized_quantizer"]
 
 
 def hilbert_key(ix: int, iy: int, bits: int = 16) -> int:
@@ -52,7 +40,7 @@ def hilbert_key(ix: int, iy: int, bits: int = 16) -> int:
 
 def normalized_quantizer(bounds: Rect, bits: int = 16):
     """A function quantising ``(x, y)`` in ``bounds`` to integer grid
-    coordinates suitable for :func:`morton_key` / :func:`hilbert_key`.
+    coordinates suitable for :func:`hilbert_key`.
     """
     size = (1 << bits) - 1
     width = bounds.width or 1.0

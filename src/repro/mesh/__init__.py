@@ -16,17 +16,11 @@ Public surface:
 from repro.mesh.pmfile import load_pm, save_pm
 from repro.mesh.progressive import LOD_INFINITY, NULL_ID, PMNode, ProgressiveMesh
 from repro.mesh.quadric import Quadric, triangle_plane_quadric
-from repro.mesh.selective import (
-    selective_subtree,
-    uniform_query_ref,
-    viewdep_query_ref,
-)
+from repro.mesh.selective import uniform_query_ref, viewdep_query_ref
 from repro.mesh.simplify import SimplifyConfig, simplify_to_pm
 from repro.mesh.trimesh import TriMesh
-from repro.mesh.vsplit import DynamicMesh
 
 __all__ = [
-    "DynamicMesh",
     "LOD_INFINITY",
     "NULL_ID",
     "PMNode",
@@ -36,7 +30,6 @@ __all__ = [
     "TriMesh",
     "load_pm",
     "save_pm",
-    "selective_subtree",
     "simplify_to_pm",
     "triangle_plane_quadric",
     "uniform_query_ref",

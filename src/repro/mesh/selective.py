@@ -22,8 +22,6 @@ Query semantics (paper Sections 2 and 5):
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.geometry.plane import QueryPlane
 from repro.geometry.primitives import Rect
 from repro.mesh.progressive import ProgressiveMesh
@@ -31,7 +29,6 @@ from repro.mesh.progressive import ProgressiveMesh
 __all__ = [
     "uniform_query_ref",
     "viewdep_query_ref",
-    "selective_subtree",
 ]
 
 
@@ -80,55 +77,3 @@ def viewdep_query_ref(pm: ProgressiveMesh, plane: QueryPlane) -> set[int]:
         if node.interval_contains(required):
             result.add(node.id)
     return result
-
-
-def selective_subtree(
-    pm: ProgressiveMesh, roi: Rect, lod: float
-) -> tuple[set[int], set[int]]:
-    """The full result *sub-tree* ``M'`` of ``Q(M, r, e)``.
-
-    Returns ``(internal_ids, leaf_ids)``: the internal nodes that a
-    PM-based processor must traverse for connectivity, and the leaf
-    nodes forming the approximation.  This quantifies the retrieval
-    overhead that motivates Direct Mesh (paper Sections 1-2): the
-    internal set, including each leaf's ancestors up to the root, is
-    what selective refinement has to fetch besides the answer itself.
-    """
-    internal: set[int] = set()
-    leaves: set[int] = set()
-    stack = list(pm.roots)
-    while stack:
-        node = pm.node(stack.pop())
-        footprint = node.footprint
-        if footprint is not None and not footprint.intersects(roi):
-            continue
-        if node.e <= lod:
-            if roi.contains_point(node.x, node.y) and node.interval_contains(lod):
-                leaves.add(node.id)
-            continue
-        internal.add(node.id)
-        stack.extend(node.children())
-    return internal, leaves
-
-
-def cut_edges(
-    pm: ProgressiveMesh,
-    node_ids: Iterable[int],
-    connection_lists: dict[int, list[int]] | None = None,
-) -> set[tuple[int, int]]:
-    """Edges among ``node_ids`` when they form (part of) one approximation.
-
-    With ``connection_lists`` (from
-    :mod:`repro.core.connectivity`) this is a simple filter; it exists
-    here so tests can compare reference cuts against reconstructed
-    meshes without importing the core package.
-    """
-    ids = set(node_ids)
-    edges: set[tuple[int, int]] = set()
-    if connection_lists is None:
-        raise ValueError("connection_lists is required")
-    for node_id in ids:
-        for other in connection_lists.get(node_id, ()):
-            if other in ids:
-                edges.add((node_id, other) if node_id < other else (other, node_id))
-    return edges

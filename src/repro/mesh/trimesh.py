@@ -144,18 +144,6 @@ class TriMesh:
             result.add((a, c) if a < c else (c, a))
         return result
 
-    def vertex_neighbors(self) -> list[set[int]]:
-        """For each vertex, the set of vertices sharing an edge."""
-        neighbors: list[set[int]] = [set() for _ in range(len(self.vertices))]
-        for a, b, c in self.triangles:
-            neighbors[a].add(b)
-            neighbors[a].add(c)
-            neighbors[b].add(a)
-            neighbors[b].add(c)
-            neighbors[c].add(a)
-            neighbors[c].add(b)
-        return neighbors
-
     def edge_triangles(self) -> dict[tuple[int, int], list[int]]:
         """Map each undirected edge to the triangle indices sharing it."""
         result: dict[tuple[int, int], list[int]] = defaultdict(list)
@@ -164,24 +152,6 @@ class TriMesh:
             result[(b, c) if b < c else (c, b)].append(tidx)
             result[(a, c) if a < c else (c, a)].append(tidx)
         return dict(result)
-
-    def boundary_vertices(self) -> set[int]:
-        """Vertices on the mesh boundary (incident to a boundary edge)."""
-        result: set[int] = set()
-        for (a, b), tris in self.edge_triangles().items():
-            if len(tris) == 1:
-                result.add(a)
-                result.add(b)
-        return result
-
-    def vertex_triangles(self) -> list[list[int]]:
-        """For each vertex, the indices of its incident triangles."""
-        result: list[list[int]] = [[] for _ in range(len(self.vertices))]
-        for tidx, (a, b, c) in enumerate(self.triangles):
-            result[a].append(tidx)
-            result[b].append(tidx)
-            result[c].append(tidx)
-        return result
 
     # -- sampling ------------------------------------------------------------
 

@@ -326,10 +326,6 @@ class Database:
         for pager in self._pagers.values():
             pager.fault_injector = injector
 
-    def has_segment(self, name: str) -> bool:
-        """True if the segment file exists on disk."""
-        return name in self._pagers or (self.path / f"{name}.seg").exists()
-
     def remove_segment(self, name: str) -> None:
         """Delete a segment file and forget all its cached state.
 

@@ -74,10 +74,6 @@ class HeapFile:
         self._tail_page = page_no
         return pack_rid(page_no, slot)
 
-    def insert_many(self, payloads: Iterable[bytes]) -> list[int]:
-        """Bulk insert preserving order; returns the RIDs."""
-        return [self.insert(p) for p in payloads]
-
     def delete(self, rid: int) -> None:
         """Delete the record at ``rid``."""
         page_no, slot = unpack_rid(rid)

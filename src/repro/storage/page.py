@@ -164,11 +164,6 @@ class SlottedPage:
         slot_pos = self._size - (slot + 1) * _SLOT_SIZE
         _SLOT.pack_into(self._buf, slot_pos, offset, _DELETED)
 
-    def is_deleted(self, slot: int) -> bool:
-        """True if ``slot`` was deleted."""
-        _, length = self._slot(slot)
-        return length == _DELETED
-
     def records(self) -> list[tuple[int, bytes]]:
         """All live ``(slot, payload)`` pairs on the page."""
         result = []

@@ -145,10 +145,6 @@ class DMNodeRecord:
         """True if ``lod`` lies in ``[e_low, e_high)``."""
         return self.e_low <= lod < self.e_high
 
-    def interval_intersects(self, lo: float, hi: float) -> bool:
-        """True if ``[e_low, e_high)`` intersects the closed ``[lo, hi]``."""
-        return self.e_low <= hi and self.e_high > lo
-
 
 def _pack_dm(
     fixed: tuple, connections: list[int], compress: bool

@@ -10,7 +10,7 @@ Public surface:
 * :func:`~repro.terrain.datasets.foothills_dataset` and
   :func:`~repro.terrain.datasets.crater_dataset` — the two evaluation
   datasets (analogs of the paper's 2M and 17M point sets);
-* :mod:`repro.terrain.io` — XYZ / ESRI ASCII / OBJ round-tripping.
+* :mod:`repro.terrain.io` — ESRI ASCII round-tripping and OBJ export.
 """
 
 from repro.terrain.analysis import (
@@ -29,10 +29,8 @@ from repro.terrain.dem import DEM
 from repro.terrain.gridfield import GridField
 from repro.terrain.io import (
     read_esri_ascii,
-    read_xyz,
     write_esri_ascii,
     write_obj,
-    write_xyz,
 )
 from repro.terrain.synthetic import (
     crater_field,
@@ -54,11 +52,9 @@ __all__ = [
     "gaussian_hills_field",
     "measure_against_field",
     "read_esri_ascii",
-    "read_xyz",
     "ridge_field",
     "scale_factor",
     "surface_sampler",
     "write_esri_ascii",
     "write_obj",
-    "write_xyz",
 ]

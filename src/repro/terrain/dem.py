@@ -1,10 +1,9 @@
 """Digital elevation models and grid-to-TIN conversion.
 
 A :class:`DEM` wraps a :class:`~repro.terrain.gridfield.GridField` and
-produces the full-resolution triangular meshes the MTM pipeline starts
-from, either by triangulating the raster directly or by scattering a
-target number of sample points (the shape the paper's datasets have:
-irregular 3D point sets).
+produces the full-resolution triangular mesh the MTM pipeline starts
+from by scattering a target number of sample points (the shape the
+paper's datasets have: irregular 3D point sets).
 """
 
 from __future__ import annotations
@@ -27,21 +26,6 @@ class DEM:
         self.name = name
 
     # -- TIN extraction -----------------------------------------------------
-
-    def to_grid_trimesh(self, max_points: int | None = None) -> TriMesh:
-        """Triangulate the raster directly (optionally downsampled).
-
-        Args:
-            max_points: downsample so the mesh has at most roughly this
-                many vertices.
-        """
-        field = self.field
-        if max_points is not None:
-            total = field.n_rows * field.n_cols
-            if total > max_points:
-                factor = int(np.ceil(np.sqrt(total / max_points)))
-                field = field.downsampled(factor)
-        return TriMesh.from_grid(field.heights.tolist(), field.cell_size)
 
     def to_scattered_trimesh(self, n_points: int, seed: int = 0) -> TriMesh:
         """A TIN over ``n_points`` scattered samples of the surface.

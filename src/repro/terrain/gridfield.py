@@ -121,15 +121,3 @@ class GridField:
         zs = z0 + (z1 - z0) * ts
         ground = self.sample_many(xs, ys)
         return bool(np.all(zs >= ground - 1e-9))
-
-    # -- derivation -----------------------------------------------------------------
-
-    def downsampled(self, factor: int) -> "GridField":
-        """Every ``factor``-th sample (coarse copy)."""
-        if factor < 1:
-            raise DatasetError(f"factor must be >= 1, got {factor}")
-        return GridField(
-            self.heights[::factor, ::factor],
-            self.cell_size * factor,
-            self.origin,
-        )

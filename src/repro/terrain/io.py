@@ -1,4 +1,4 @@
-"""Terrain file I/O: XYZ point lists, ESRI ASCII grids, Wavefront OBJ.
+"""Terrain file I/O: ESRI ASCII grids and Wavefront OBJ.
 
 Small, dependency-free readers/writers so datasets and query results
 can leave the library — enough to round-trip everything the examples
@@ -18,37 +18,10 @@ from repro.mesh.trimesh import TriMesh
 from repro.terrain.gridfield import GridField
 
 __all__ = [
-    "write_xyz",
-    "read_xyz",
     "write_esri_ascii",
     "read_esri_ascii",
     "write_obj",
 ]
-
-
-def write_xyz(path: str | Path, points: Sequence[tuple[float, float, float]]) -> None:
-    """Write points as whitespace-separated ``x y z`` lines."""
-    with open(path, "w", encoding="ascii") as f:
-        for x, y, z in points:
-            f.write(f"{x:.6f} {y:.6f} {z:.6f}\n")
-
-
-def read_xyz(path: str | Path) -> list[tuple[float, float, float]]:
-    """Read an ``x y z`` text file (blank lines and ``#`` comments ok)."""
-    points: list[tuple[float, float, float]] = []
-    with open(path, "r", encoding="ascii") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) < 3:
-                raise DatasetError(f"{path}:{line_no}: expected 3 columns")
-            try:
-                points.append((float(parts[0]), float(parts[1]), float(parts[2])))
-            except ValueError as exc:
-                raise DatasetError(f"{path}:{line_no}: {exc}") from exc
-    return points
 
 
 def write_esri_ascii(path: str | Path, field: GridField) -> None:

@@ -1,13 +1,9 @@
-"""Minimal visualisation: ASCII rendering, contour maps (here) and
-OBJ export (:func:`repro.terrain.io.write_obj`)."""
+"""Minimal visualisation: ASCII rendering (here) and OBJ export
+(:func:`repro.terrain.io.write_obj`)."""
 
-from repro.viz.ascii import render_field, render_hillshade, render_points
-from repro.viz.contours import contour_segments, render_contours
+from repro.viz.ascii import render_hillshade, render_points
 
 __all__ = [
-    "contour_segments",
-    "render_contours",
-    "render_field",
     "render_hillshade",
     "render_points",
 ]

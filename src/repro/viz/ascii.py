@@ -16,7 +16,7 @@ from repro.errors import ReproError
 from repro.geometry.primitives import Rect
 from repro.terrain.gridfield import GridField
 
-__all__ = ["render_points", "render_field", "render_hillshade"]
+__all__ = ["render_points", "render_hillshade"]
 
 #: Dark-to-light elevation ramp.
 _RAMP = " .:-=+*#%@"
@@ -56,23 +56,6 @@ def render_points(
         if current == " " or _RAMP.index(current) < level:
             grid[height - 1 - row][col] = candidate
     return "\n".join("".join(row) for row in grid)
-
-
-def render_field(
-    field: GridField, width: int = 72, height: int = 28
-) -> str:
-    """Render a raster with the elevation ramp."""
-    bounds = field.bounds()
-    xs = np.linspace(bounds.min_x, bounds.max_x, width)
-    ys = np.linspace(bounds.max_y, bounds.min_y, height)
-    lines = []
-    z_min, z_max = field.elevation_range()
-    span = (z_max - z_min) or 1.0
-    for y in ys:
-        samples = field.sample_many(xs, np.full(width, y))
-        idx = ((samples - z_min) / span * (len(_RAMP) - 1)).astype(int)
-        lines.append("".join(_RAMP[i] for i in idx))
-    return "\n".join(lines)
 
 
 def render_hillshade(

@@ -13,10 +13,9 @@ class TestDatabase:
         with Database(tmp_path / "db") as db:
             seg = db.segment("table_a")
             assert seg.name == "table_a"
-            assert db.has_segment("table_a")  # Created on open.
+            assert db.segment_names() == ["table_a"]  # Created on open.
             seg.allocate()
         with Database(tmp_path / "db") as db:
-            assert db.has_segment("table_a")
             assert db.segment_names() == ["table_a"]
 
     def test_same_segment_shared(self, tmp_path):

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.direct_mesh import DirectMeshStore, epoch_files
-from repro.core.verify_store import verify_store
 from repro.errors import StorageError
 from repro.geometry.plane import QueryPlane, max_angle
 from repro.geometry.predicates import orient2d
@@ -256,7 +255,6 @@ class TestLifecycle:
                 outcome = engine.run(UniformRequest(roi, lod))
             assert set(outcome.result.nodes) == expected
             assert scrub_database(db).ok
-            assert verify_store(store).ok
 
 
 class TestRadialViewerModel:

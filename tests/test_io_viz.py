@@ -7,38 +7,11 @@ from repro.errors import DatasetError, ReproError
 from repro.terrain.gridfield import GridField
 from repro.terrain.io import (
     read_esri_ascii,
-    read_xyz,
     write_esri_ascii,
     write_obj,
-    write_xyz,
 )
 from repro.terrain.synthetic import gaussian_hills_field
-from repro.viz.ascii import render_field, render_hillshade, render_points
-
-
-class TestXYZ:
-    def test_roundtrip(self, tmp_path):
-        pts = [(1.5, 2.5, 3.5), (-1.0, 0.0, 99.125)]
-        path = tmp_path / "pts.xyz"
-        write_xyz(path, pts)
-        assert read_xyz(path) == pts
-
-    def test_comments_and_blanks(self, tmp_path):
-        path = tmp_path / "pts.xyz"
-        path.write_text("# header\n\n1 2 3\n  \n4 5 6\n")
-        assert read_xyz(path) == [(1, 2, 3), (4, 5, 6)]
-
-    def test_bad_column_count(self, tmp_path):
-        path = tmp_path / "bad.xyz"
-        path.write_text("1 2\n")
-        with pytest.raises(DatasetError):
-            read_xyz(path)
-
-    def test_bad_number(self, tmp_path):
-        path = tmp_path / "bad.xyz"
-        path.write_text("1 2 zebra\n")
-        with pytest.raises(DatasetError):
-            read_xyz(path)
+from repro.viz.ascii import render_hillshade, render_points
 
 
 class TestEsriAscii:
@@ -114,11 +87,6 @@ class TestAsciiRendering:
         pts = [(0.0, 0.0, 0.0), (5.0, 5.0, 100.0), (9.0, 9.0, 0.0)]
         art = render_points(pts, width=10, height=10)
         assert "@" in art
-
-    def test_render_field(self):
-        field = gaussian_hills_field(size=32, seed=1)
-        art = render_field(field, width=30, height=10)
-        assert len(art.split("\n")) == 10
 
     def test_render_hillshade(self):
         field = gaussian_hills_field(size=32, seed=1)

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from repro.errors import GeometryError, QueryError
 from repro.geometry.plane import QueryPlane, max_angle
 from repro.geometry.primitives import Rect
-from repro.geometry.spacefill import hilbert_key, morton_key, normalized_quantizer
+from repro.geometry.spacefill import hilbert_key, normalized_quantizer
 
 ROI = Rect(0, 0, 100, 100)
 
@@ -102,10 +102,6 @@ class TestMaxAngle:
 
 
 class TestSpaceFill:
-    def test_morton_interleave(self):
-        assert morton_key(0b11, 0b00, bits=2) == 0b0101
-        assert morton_key(0b00, 0b11, bits=2) == 0b1010
-
     def test_hilbert_bijective_order4(self):
         bits = 4
         size = 1 << bits
@@ -116,7 +112,7 @@ class TestSpaceFill:
 
     def test_hilbert_consecutive_keys_are_adjacent_cells(self):
         # The defining Hilbert property: walking the curve in key order
-        # moves exactly one cell at a time.  Morton (Z-order) jumps.
+        # moves exactly one cell at a time.
         bits = 4
         size = 1 << bits
 
@@ -132,15 +128,14 @@ class TestSpaceFill:
             return steps
 
         assert all(step == 1 for step in curve_steps(hilbert_key))
-        assert max(curve_steps(morton_key)) > 1
 
     def test_bounds_checked(self):
         with pytest.raises(GeometryError):
-            morton_key(-1, 0)
+            hilbert_key(-1, 0)
         with pytest.raises(GeometryError):
             hilbert_key(0, 1 << 16, bits=16)
         with pytest.raises(GeometryError):
-            morton_key(0, 0, bits=0)
+            hilbert_key(0, 0, bits=0)
 
     def test_quantizer_clamps(self):
         q = normalized_quantizer(Rect(0, 0, 10, 10), bits=8)

@@ -53,15 +53,15 @@ class TestRoundTrip:
     def test_loaded_pm_builds_a_store(self, tmp_path, wavy_pm,
                                       wavy_connections):
         from repro.core.direct_mesh import DirectMeshStore
-        from repro.core.verify_store import verify_store
         from repro.storage.database import Database
+        from repro.storage.integrity import scrub_database
 
         path = tmp_path / "mesh.pmz"
         save_pm(path, wavy_pm, wavy_connections)
         loaded, connections = load_pm(path)
         with Database(tmp_path / "db") as db:
             store = DirectMeshStore.build(loaded, db, connections)
-            assert verify_store(store).ok
+            assert scrub_database(db).ok
 
     def test_compression_effective(self, tmp_path, wavy_pm):
         path = tmp_path / "mesh.pmz"

@@ -3,12 +3,9 @@
 from hypothesis import given, strategies as st
 
 from repro.geometry.predicates import (
-    collinear,
     incircle,
     orient2d,
     point_in_triangle,
-    segments_intersect,
-    triangle_area2,
 )
 
 small = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
@@ -74,14 +71,6 @@ class TestInCircle:
 
 
 class TestHelpers:
-    def test_collinear(self):
-        assert collinear(0, 0, 2, 2, 5, 5)
-        assert not collinear(0, 0, 2, 2, 5, 5.1)
-
-    def test_triangle_area2_sign(self):
-        assert triangle_area2(0, 0, 1, 0, 0, 1) == 1.0
-        assert triangle_area2(0, 0, 0, 1, 1, 0) == -1.0
-
     def test_point_in_triangle_interior(self):
         assert point_in_triangle(0.25, 0.25, 0, 0, 1, 0, 0, 1)
 
@@ -94,18 +83,3 @@ class TestHelpers:
 
     def test_point_in_triangle_either_winding(self):
         assert point_in_triangle(0.25, 0.25, 0, 0, 0, 1, 1, 0)
-
-    def test_segments_crossing(self):
-        assert segments_intersect(0, 0, 2, 2, 0, 2, 2, 0)
-
-    def test_segments_disjoint(self):
-        assert not segments_intersect(0, 0, 1, 0, 0, 1, 1, 1)
-
-    def test_segments_touching_endpoint(self):
-        assert segments_intersect(0, 0, 1, 1, 1, 1, 2, 0)
-
-    def test_segments_collinear_overlap(self):
-        assert segments_intersect(0, 0, 2, 0, 1, 0, 3, 0)
-
-    def test_segments_collinear_disjoint(self):
-        assert not segments_intersect(0, 0, 1, 0, 2, 0, 3, 0)

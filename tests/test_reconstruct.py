@@ -19,13 +19,12 @@ from repro.core.reconstruct import (
     mesh_triangles,
     mesh_triangles_scalar,
     pack_records,
-    refine_to_plane,
-    resolve_overlaps,
 )
 from repro.geometry.plane import QueryPlane
 from repro.geometry.primitives import Rect
 from repro.storage.record import DMNodeRecord
 from tests.conftest import assert_same_rows, oracle_mesh
+from tests.oracles.refine import refine_to_plane, resolve_overlaps
 from tests.test_columnar import record_universe  # noqa: F401  (a fixture)
 
 

@@ -89,10 +89,10 @@ class TestDuplicatePositionNodes:
     def test_store_with_coincident_nodes(self, tmp_path):
         from repro.core.connectivity import build_connection_lists
         from repro.core.direct_mesh import DirectMeshStore
-        from repro.core.verify_store import verify_store
         from repro.mesh.selective import uniform_query_ref
         from repro.mesh.simplify import simplify_to_pm
         from repro.storage.database import Database
+        from repro.storage.integrity import scrub_database
         from tests.conftest import make_wavy_grid_mesh
 
         mesh = make_wavy_grid_mesh(side=14, seed=3)
@@ -109,7 +109,7 @@ class TestDuplicatePositionNodes:
             positions[key] = node.id
         with Database(tmp_path / "db") as db:
             store = DirectMeshStore.build(pm, db, conn)
-            assert verify_store(store).ok
+            assert scrub_database(db).ok
             roi = mesh.bounds().scaled(0.6)
             lod = pm.average_lod()
             assert set(store.uniform_query(roi, lod).nodes) == (

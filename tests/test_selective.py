@@ -1,12 +1,8 @@
 """Tests for in-memory selective refinement (the reference semantics)."""
 
-import pytest
-
 from repro.geometry.plane import QueryPlane
 from repro.geometry.primitives import Rect
 from repro.mesh.selective import (
-    cut_edges,
-    selective_subtree,
     uniform_query_ref,
     viewdep_query_ref,
 )
@@ -79,43 +75,3 @@ class TestViewdepRef:
             near_density = len(near)
             far_density = len(far)
             assert near_density >= far_density
-
-
-class TestSubtree:
-    def test_internal_and_leaves_disjoint(self, wavy_pm):
-        roi = Rect(20, 20, 80, 80)
-        lod = wavy_pm.max_lod() * 0.1
-        internal, leaves = selective_subtree(wavy_pm, roi, lod)
-        assert not internal & leaves
-        assert leaves == uniform_query_ref(wavy_pm, roi, lod)
-
-    def test_internal_nodes_are_coarser(self, wavy_pm):
-        roi = Rect(20, 20, 80, 80)
-        lod = wavy_pm.max_lod() * 0.1
-        internal, _ = selective_subtree(wavy_pm, roi, lod)
-        for node_id in internal:
-            assert wavy_pm.node(node_id).e > lod
-
-    def test_quantifies_pm_overhead(self, wavy_pm):
-        # The motivation for DM: the traversed internal set is a large
-        # multiple of nothing-at-all (DM needs zero internal nodes).
-        roi = Rect(0, 0, 115, 115)
-        lod = wavy_pm.lod_percentile(0.5)
-        internal, leaves = selective_subtree(wavy_pm, roi, lod)
-        assert len(internal) > 0
-        assert len(leaves) > 0
-
-
-class TestCutEdges:
-    def test_requires_connection_lists(self, wavy_pm):
-        with pytest.raises(ValueError):
-            cut_edges(wavy_pm, [1, 2, 3], None)
-
-    def test_filters_to_member_pairs(self, wavy_pm, wavy_connections):
-        lod = wavy_pm.max_lod() * 0.05
-        cut = wavy_pm.uniform_cut(lod)
-        edges = cut_edges(wavy_pm, cut, wavy_connections)
-        members = set(cut)
-        for a, b in edges:
-            assert a in members and b in members
-            assert a < b

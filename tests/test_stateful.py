@@ -16,8 +16,8 @@ from hypothesis.stateful import (
 )
 
 from repro.mesh.simplify import simplify_to_pm
-from repro.mesh.vsplit import DynamicMesh
 from tests.conftest import make_wavy_grid_mesh
+from tests.oracles.vsplit import DynamicMesh
 
 # One shared PM for every machine run (read-only).
 _PM = None

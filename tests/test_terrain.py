@@ -56,16 +56,6 @@ class TestGridField:
         f = GridField(heights)
         assert not f.line_of_sight((8.0, 0.0, 1.0), (8.0, 15.0, 1.0))
 
-    def test_downsampled(self):
-        f = GridField(np.arange(81, dtype=float).reshape(9, 9))
-        d = f.downsampled(2)
-        assert d.n_rows == 5
-        assert d.cell_size == 2.0
-        assert d.heights[0, 0] == 0.0
-        assert d.heights[1, 1] == f.heights[2, 2]
-        with pytest.raises(DatasetError):
-            f.downsampled(0)
-
 
 class TestGenerators:
     def test_fractal_deterministic(self):
@@ -115,17 +105,6 @@ class TestGenerators:
 
 
 class TestDEM:
-    def test_grid_trimesh(self):
-        dem = DEM(gaussian_hills_field(size=20, seed=4))
-        mesh = dem.to_grid_trimesh()
-        assert mesh.n_vertices == 400
-        mesh.validate_topology()
-
-    def test_grid_trimesh_downsampled(self):
-        dem = DEM(gaussian_hills_field(size=40, seed=4))
-        mesh = dem.to_grid_trimesh(max_points=200)
-        assert mesh.n_vertices <= 400
-
     def test_scattered_trimesh(self):
         dem = DEM(gaussian_hills_field(size=30, seed=5))
         mesh = dem.to_scattered_trimesh(500, seed=5)

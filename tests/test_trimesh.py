@@ -53,30 +53,10 @@ class TestAdjacency:
     def test_edges(self, quad_mesh):
         assert quad_mesh.edges() == {(0, 1), (1, 2), (0, 2), (2, 3), (0, 3)}
 
-    def test_vertex_neighbors(self, quad_mesh):
-        neighbors = quad_mesh.vertex_neighbors()
-        assert neighbors[0] == {1, 2, 3}
-        assert neighbors[1] == {0, 2}
-
     def test_edge_triangles(self, quad_mesh):
         et = quad_mesh.edge_triangles()
         assert et[(0, 2)] == [0, 1]  # Shared diagonal.
         assert et[(0, 1)] == [0]
-
-    def test_boundary_vertices(self, quad_mesh):
-        # All four corners are on the boundary of a quad.
-        assert quad_mesh.boundary_vertices() == {0, 1, 2, 3}
-
-    def test_interior_vertex_not_boundary(self):
-        mesh = TriMesh.from_grid([[0] * 4 for _ in range(4)])
-        boundary = mesh.boundary_vertices()
-        assert 5 not in boundary  # (1, 1) is interior.
-        assert 0 in boundary
-
-    def test_vertex_triangles(self, quad_mesh):
-        vt = quad_mesh.vertex_triangles()
-        assert vt[0] == [0, 1]
-        assert vt[3] == [1]
 
 
 class TestSampling:

@@ -1,11 +1,12 @@
-"""Tests for the store integrity checker."""
+"""Tests for fsck's store pass (:func:`repro.core.verify_store.epoch_problems`)."""
 
 from dataclasses import replace
 
 import pytest
 
 from repro.core.clusters import decode_cluster_blob, encode_cluster_blob
-from repro.core.verify_store import verify_store
+from repro.core.direct_mesh import epoch_files
+from repro.core.verify_store import epoch_problems
 
 
 def reseal_cluster_run(store, cluster_id: int, blob: bytes) -> None:
@@ -25,13 +26,19 @@ def reseal_cluster_run(store, cluster_id: int, blob: bytes) -> None:
 
 
 def repack_index(store, entries) -> None:
-    """Serve ``entries`` as the store's R*-tree: STR-pack them into a
-    fresh segment, the way every index here is written."""
+    """Replace the store's R*-tree on disk by one over ``entries``,
+    STR-packed the way every index here is written."""
     from repro.index.rstar import RStarTree
 
-    tree = RStarTree(store.database.segment("tampered_rtree"))
-    tree.bulk_load(entries)
-    store.rtree = tree
+    name = epoch_files(store.prefix).rtree
+    store.database.remove_segment(name)
+    RStarTree(store.database.segment(name)).bulk_load(entries)
+    store.database.flush()
+
+
+def store_problems(store) -> list[str]:
+    """fsck's store pass over ``store``'s epoch, no page flagged."""
+    return epoch_problems(store.database, store.prefix, set())
 
 
 def tamper_cluster_record(store, cluster_id: int = 0, index: int = 0) -> int:
@@ -50,8 +57,8 @@ def tamper_cluster_record(store, cluster_id: int = 0, index: int = 0) -> int:
 
 class TestHealthyStore:
     def test_clean_report(self, session_db):
-        report = verify_store(session_db["dm"])
-        assert report.ok, report.problems
+        problems = store_problems(session_db["dm"])
+        assert problems == [], problems
 
 
 class TestCorruptions:
@@ -71,23 +78,19 @@ class TestCorruptions:
         entries = list(small_store.rtree.all_entries())
         entries.append((Box3.vertical_segment(1, 1, 0, 1), 999_999_999))
         repack_index(small_store, entries)
-        report = verify_store(small_store)
-        assert not report.ok
-        assert any("dangling" in p for p in report.problems)
+        assert any("dangling" in p for p in store_problems(small_store))
 
     def test_detects_missing_index_entry(self, small_store):
         # Drop one index entry but keep the heap record.
         entries = list(small_store.rtree.all_entries())
         repack_index(small_store, entries[1:])
-        report = verify_store(small_store)
-        assert not report.ok
-        assert any("missing from the index" in p for p in report.problems)
+        problems = store_problems(small_store)
+        assert any("missing from the index" in p for p in problems)
 
     def test_detects_index_meta_count_mismatch(self, small_store):
         """A meta page whose entry count disagrees with the leaves,
         re-sealed so every page checksum holds: the crc scan is clean,
         the entry sets agree, and fsck's R*-tree walk names it."""
-        from repro.core.direct_mesh import epoch_files
         from repro.index.rstar import _META
         from repro.storage.integrity import scrub_database
 
@@ -109,7 +112,7 @@ class TestCorruptions:
     def test_detects_tampered_cluster_record(self, small_store):
         """A run whose pages and blob framing are intact but that
         serves a different record than the heap holds: fsck's
-        cross-copy pass names the node, and so does verify_store."""
+        cross-copy pass names the node."""
         from repro.obs.metrics import MetricsRegistry
         from repro.storage.integrity import scrub_database
 
@@ -120,14 +123,15 @@ class TestCorruptions:
         problem = f"node {node_id}: cluster 0 copy differs from heap"
         assert report.structural == [f"dm: {problem}"]
         assert registry.counters()["fsck.store_problems"] == 1
-        assert verify_store(small_store).problems == [problem]
 
     def test_detects_cluster_count_mismatch(self, small_store):
         directory = small_store.clusters.directory
         meta = directory.clusters[0]
         directory.clusters[0] = replace(meta, n_nodes=meta.n_nodes + 1)
-        report = verify_store(small_store)
-        assert any("cluster directory counts" in p for p in report.problems)
+        files = epoch_files(small_store.prefix)
+        directory.save(small_store.database.path / files.directory)
+        problems = store_problems(small_store)
+        assert any("directory claims" in p for p in problems)
 
     def test_detects_corrupt_record(self, small_store):
         # Overwrite one record's payload in place with garbage.
@@ -143,5 +147,4 @@ class TestCorruptions:
         offset, length = page._slot(slot)
         buf[offset : offset + min(8, length)] = b"\xff" * min(8, length)
         small_store.heap.segment.mark_dirty(page_no)
-        report = verify_store(small_store)
-        assert not report.ok
+        assert store_problems(small_store)

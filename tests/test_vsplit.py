@@ -5,7 +5,7 @@ import pytest
 from repro.errors import MeshError
 from repro.geometry.plane import QueryPlane
 from repro.geometry.primitives import Rect
-from repro.mesh.vsplit import DynamicMesh
+from tests.oracles.vsplit import DynamicMesh
 
 
 @pytest.fixture

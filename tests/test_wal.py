@@ -233,14 +233,14 @@ class TestWalUnit:
 
     def test_build_inside_atomic(self, tmp_path, wavy_pm, wavy_connections):
         from repro.core.direct_mesh import DirectMeshStore
-        from repro.core.verify_store import verify_store
+        from repro.storage.integrity import scrub_database
 
         with Database(tmp_path / "db") as db:
             with db.atomic():
                 DirectMeshStore.build(wavy_pm, db, wavy_connections)
         with Database(tmp_path / "db") as db:
             store = DirectMeshStore.open(db)
-            assert verify_store(store).ok
+            assert scrub_database(db).ok
 
 
 class TestPatchCrashMatrix:
