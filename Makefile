@@ -138,7 +138,7 @@ fsck:
 		> /tmp/repro-fsck-node
 	PYTHONPATH=src $(PYTHON) -m repro fsck $(FSCK_DB) > /tmp/repro-fsck-out; \
 		test $$? -eq 1 || { echo "fsck missed a tampered run record"; exit 1; }
-	grep "dm: node $$(cat /tmp/repro-fsck-node): cluster 0 copy differs" \
+	grep "dm: node $$(cat /tmp/repro-fsck-node): cluster 0 record fails its digest" \
 		/tmp/repro-fsck-out || { echo "fsck did not name the node"; exit 1; }
 	mv /tmp/repro-fsck-cruns.bak $(FSCK_DB)/dm_cruns.seg
 	PYTHONPATH=src $(PYTHON) -m repro fsck $(FSCK_DB)

@@ -13,11 +13,36 @@ Three checks beyond Figure 8's end-to-end numbers:
 from benchmarks.conftest import emit
 from repro.bench.reporting import SeriesTable
 from repro.core.cost_model import MultiBasePlan
+from repro.geometry.plane import QueryPlane
+from repro.geometry.primitives import Rect
 
 
 def _steep_plane(env, workload, roi_fraction=0.15):
     roi = workload.roi(roi_fraction, workload.centers()[0])
     return workload.plane(roi, env.dataset.pm.max_lod() * 0.01, 0.9)
+
+
+def _split_at(plane, fraction):
+    """Split a plane's ROI at ``fraction`` along the dominant view
+    axis; each half keeps the plane's LOD field over its own ROI."""
+    roi = plane.roi
+    dx, dy = plane.direction
+    if abs(dy) >= abs(dx):
+        cut = roi.min_y + roi.height * fraction
+        halves = (
+            Rect(roi.min_x, roi.min_y, roi.max_x, cut),
+            Rect(roi.min_x, cut, roi.max_x, roi.max_y),
+        )
+    else:
+        cut = roi.min_x + roi.width * fraction
+        halves = (
+            Rect(roi.min_x, roi.min_y, cut, roi.max_y),
+            Rect(cut, roi.min_y, roi.max_x, roi.max_y),
+        )
+    return [
+        QueryPlane(sub, *plane.lod_range_over(sub), plane.direction)
+        for sub in halves
+    ]
 
 
 def _forced_plan(env, plane, parts):
@@ -74,12 +99,10 @@ def test_middle_split_beats_off_centre(benchmark, env_2m, workload_2m):
             "split_fraction",
             ["estimated", "measured"],
         )
-        from repro.core.cost_model import _split_at
-
         for fraction in (0.1, 0.3, 0.5, 0.7, 0.9):
             halves = _split_at(plane, fraction)
             est = sum(env.dm.cost_model.estimate_plane(h) for h in halves)
-            plan = MultiBasePlan(list(halves), est, est)
+            plan = MultiBasePlan(halves, est, est)
             env.database.begin_measured_query()
             env.dm.multi_base_query(plane, plan=plan)
             table.add_row(

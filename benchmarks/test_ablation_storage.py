@@ -1,7 +1,8 @@
-"""Ablations on Direct Mesh physical design choices (DESIGN.md).
+"""Ablations on the paper's per-node DM layout (DESIGN.md).
 
-Two stores are rebuilt over the benchmark dataset with a design knob
-changed and measured against the default:
+The per-node layout (:class:`PaperLayoutStore`: a record heap under a
+per-node R*-tree) is built twice over the benchmark dataset with one
+design knob changed:
 
 * **heap clustering** — the default clusters DM records in the STR
   packing order of their (x, y, e) segments (index-aligned); the
@@ -10,48 +11,31 @@ changed and measured against the default:
 * **connection-list compression** — delta+varint coded connection
   lists (the extension motivated by the paper's reference [2]) versus
   plain arrays.
+
+A store's cluster runs are STR tiles and hold plain lists; these
+ablations measure the choices on the layout the paper describes.
 """
 
 import tempfile
 from pathlib import Path
 
 from benchmarks.conftest import emit
+from repro.baselines.paper_layout import PaperLayoutStore
 from repro.bench.reporting import SeriesTable
-from repro.core.direct_mesh import DirectMeshStore
 from repro.geometry.primitives import Rect
 from repro.geometry.spacefill import hilbert_key, normalized_quantizer
 from repro.storage.database import Database
-from repro.storage.heapfile import HeapFile
-from repro.storage.record import encode_dm_node
 
 
-def _build_hilbert_variant(dataset, database):
-    """A DM store whose heap uses Hilbert-(x, y) clustering."""
-    from repro.geometry.primitives import Box3
-    from repro.index.rstar import RStarTree
-    from repro.mesh.progressive import LOD_INFINITY
-
-    pm = dataset.pm
-    e_cap = pm.max_lod() * 1.05 + 1.0
-    heap = HeapFile(database.segment("alt_nodes"))
-    rtree = RStarTree(database.segment("alt_rtree"))
-    bounds = Rect.from_points(n for n in pm.nodes)
-    quantize = normalized_quantizer(bounds)
-    ordered = sorted(
-        pm.nodes, key=lambda n: (hilbert_key(*quantize(n.x, n.y)), n.e)
+def hilbert_order(nodes):
+    """Node indexes in Hilbert ``(x, y)`` order, LOD as the tiebreak."""
+    quantize = normalized_quantizer(Rect.from_points(nodes))
+    return sorted(
+        range(len(nodes)),
+        key=lambda i: (
+            hilbert_key(*quantize(nodes[i].x, nodes[i].y)), nodes[i].e
+        ),
     )
-    entries = []
-    for node in ordered:
-        rid = heap.insert(
-            encode_dm_node(node, dataset.connections.get(node.id, []))
-        )
-        e_high = node.e_high if node.e_high != LOD_INFINITY else e_cap
-        entries.append(
-            (Box3.vertical_segment(node.x, node.y, node.e, e_high), rid)
-        )
-    rtree.bulk_load(entries)
-    database.buffer.flush_dirty()
-    return heap, rtree
 
 
 def test_clustering_ablation(benchmark, env_2m, workload_2m):
@@ -66,30 +50,30 @@ def test_clustering_ablation(benchmark, env_2m, workload_2m):
         )
         with tempfile.TemporaryDirectory() as tmp:
             db = Database(Path(tmp) / "db", pool_pages=256)
-            heap, rtree = _build_hilbert_variant(ds, db)
-            from repro.geometry.primitives import Box3
-            from repro.storage.record import decode_dm_node
-
+            stores = {
+                "str_order": PaperLayoutStore.build(
+                    ds.pm, db, ds.connections, prefix="str"
+                ),
+                "hilbert_order": PaperLayoutStore.build(
+                    ds.pm, db, ds.connections, prefix="hilbert",
+                    order=hilbert_order(ds.pm.nodes),
+                ),
+            }
             lod = workload_2m.average_lod()
             centers = workload_2m.centers()[:8]
             for fraction in (0.05, 0.10, 0.20):
-                str_total = alt_total = 0
+                totals = dict.fromkeys(stores, 0)
                 for center in centers:
                     roi = workload_2m.roi(fraction, center)
-                    env_2m.database.begin_measured_query()
-                    env_2m.dm.uniform_query(roi, lod)
-                    str_total += env_2m.database.disk_accesses
-                    db.begin_measured_query()
-                    # reprolint: disable=R2 ablation measures the bare index
-                    rids = rtree.search(Box3.from_rect(roi, lod, lod))
-                    for payload in heap.read_many(sorted(rids)):
-                        decode_dm_node(payload)
-                    alt_total += db.disk_accesses
+                    for name, store in stores.items():
+                        db.begin_measured_query()
+                        store.uniform_query(roi, lod)
+                        totals[name] += db.disk_accesses
                 table.add_row(
                     fraction * 100,
                     {
-                        "str_order": round(str_total / len(centers), 1),
-                        "hilbert_order": round(alt_total / len(centers), 1),
+                        name: round(total / len(centers), 1)
+                        for name, total in totals.items()
                     },
                 )
             db.close()
@@ -114,28 +98,23 @@ def test_compression_ablation(benchmark, env_2m, workload_2m):
         )
         with tempfile.TemporaryDirectory() as tmp:
             db = Database(Path(tmp) / "db", pool_pages=256)
-            comp = DirectMeshStore.build(
-                ds.pm,
-                db,
-                ds.connections,
-                prefix="comp",
-                compress_connections=True,
+            plain = PaperLayoutStore.build(
+                ds.pm, db, ds.connections, prefix="plain"
             )
-            # Cached environments are opened, not built, so read page
-            # counts from the segments rather than build reports.
-            plain_pages = env_2m.database.segment_pages("dm_nodes")
-            comp_pages = db.segment_pages("comp_nodes")
+            comp = PaperLayoutStore.build(
+                ds.pm, db, ds.connections, prefix="comp", compress=True
+            )
             table.add_row(
-                0, {"plain": plain_pages, "compressed": comp_pages}
+                0, {"plain": plain.heap_pages, "compressed": comp.heap_pages}
             )
             lod = workload_2m.average_lod()
             plain_da = comp_da = 0
             centers = workload_2m.centers()[:8]
             for center in centers:
                 roi = workload_2m.roi(0.10, center)
-                env_2m.database.begin_measured_query()
-                plain_result = env_2m.dm.uniform_query(roi, lod)
-                plain_da += env_2m.database.disk_accesses
+                db.begin_measured_query()
+                plain_result = plain.uniform_query(roi, lod)
+                plain_da += db.disk_accesses
                 db.begin_measured_query()
                 comp_result = comp.uniform_query(roi, lod)
                 comp_da += db.disk_accesses

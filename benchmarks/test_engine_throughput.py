@@ -46,7 +46,7 @@ def serve_store(tmp_path_factory):
 
 def _workload(store, n: int, seed: int = 17) -> list[UniformRequest]:
     rng = random.Random(seed)
-    extent = store.rtree.data_space.rect
+    extent = store.clusters.index.extent.rect
     side = 0.2 * min(extent.width, extent.height)
     requests = []
     for _ in range(n):

@@ -5,7 +5,8 @@ Walks the full pipeline on a small synthetic terrain:
 1. generate terrain and triangulate it (TIN);
 2. build the progressive mesh (PM) by quadric-ordered edge collapse;
 3. normalise LOD and compute Direct Mesh connection lists;
-4. store everything in a page-based database with a 3D R*-tree;
+4. store it in a page-based database as cluster runs, indexed by
+   their (x, y, e) extents;
 5. run a viewpoint-independent and a viewpoint-dependent query,
    reconstruct the meshes, and report the disk-access counts.
 
@@ -48,8 +49,8 @@ def main() -> None:
         report = store.build_report
         assert report is not None
         print(
-            f"store: {report.heap_pages} data pages, "
-            f"{report.index_pages} R*-tree pages"
+            f"store: {report.cluster_pages} run pages in "
+            f"{len(store.clusters)} clusters"
         )
 
         # 5a. Viewpoint-independent query: 25% of the area at a mid LOD.

@@ -48,7 +48,6 @@ from repro.storage.integrity import (  # noqa: E402
     repair_database,
     scrub_database,
 )
-from repro.storage.record import decode_dm_node  # noqa: E402
 from repro.terrain.dem import DEM  # noqa: E402
 from repro.terrain.gridfield import GridField  # noqa: E402
 
@@ -84,8 +83,10 @@ def random_patch(rng: np.random.Generator) -> "tuple[Rect, np.ndarray]":
 
 def store_digest(store: DirectMeshStore) -> dict:
     digest = {}
-    for _rid, payload in store.heap.scan():
-        record = decode_dm_node(payload)
+    clusters = store.clusters
+    for record in (
+        r for cid in range(len(clusters)) for r in clusters.decode(cid).records()
+    ):
         digest[record.id] = (
             record.x, record.y, record.z, record.e_low, record.e_high,
             record.parent, record.child1, record.child2,

@@ -6,9 +6,9 @@ fixed) or a standing invariant of the design:
 ========  ==================================================================
 R1        Lock discipline: attributes a lock protects must be accessed
           under it (the ``Histogram.snapshot()`` race).
-R2        Clamped probes: R*-tree range queries only through the
-          sanctioned wrappers, query boxes through :func:`clamp_lod`
-          (the ``e_cap`` blind spot).
+R2        Clamped probes: query boxes in the query processors and
+          the engine through :func:`clamp_lod` (the ``e_cap`` blind
+          spot).
 R3        Lazy init on shared objects needs double-checked locking
           (the ``DMQueryResult._edges`` race).
 R4        No load-bearing ``assert`` under ``src/`` — raise typed
@@ -60,14 +60,6 @@ from repro.analysis.engine import (
     register,
 )
 
-#: Modules allowed to probe the DM R*-tree directly (R2).  Everything
-#: else goes through the query processors, which clamp the probe to
-#: ``e_cap`` (the engine reads cluster runs and probes no index).
-SANCTIONED_PROBE_MODULES = (
-    "src/repro/core/query.py",
-    "src/repro/index/rstar.py",
-)
-
 #: Modules whose query-box construction must route LOD coordinates
 #: through ``clamp_lod``: the query processors, and the engine, whose
 #: request boxes select clusters by the same capped extents.
@@ -75,10 +67,6 @@ CLAMP_MODULES = (
     "src/repro/core/query.py",
     "src/repro/core/engine.py",
 )
-
-#: Receiver names that identify an R*-tree probe (``store.rtree``,
-#: a local ``tree``/``rtree`` variable...).
-_RTREE_NAMES = frozenset({"rtree", "tree", "rstar", "rstar_tree", "r_tree"})
 
 #: The only modules allowed to call ``os.pread``/``os.pwrite`` (R7):
 #: the pager (seals + verifies checksums), the WAL (its own record
@@ -172,45 +160,21 @@ class LockDisciplineRule(Rule):
 
 @register
 class ClampedProbeRule(Rule):
-    """R2: R*-tree probes only via sanctioned, e_cap-clamped wrappers.
+    """R2: query boxes clamp their LOD coordinates to ``e_cap``.
 
-    Part A: a ``<rtree>.search(...)`` call outside
-    :data:`SANCTIONED_PROBE_MODULES` bypasses the ``min(lod, e_cap)``
-    clamp and re-opens the e_cap blind spot (``lod > e_cap`` silently
-    returned an empty mesh instead of the base mesh).
-
-    Part B: inside :data:`CLAMP_MODULES`, every query-box
-    construction (``Box3.from_rect``) must sit in a function that
-    routes its LOD coordinates through ``clamp_lod``.
+    Inside :data:`CLAMP_MODULES`, every query-box construction
+    (``Box3.from_rect``) must sit in a function that routes its LOD
+    coordinates through ``clamp_lod``: an unclamped probe above
+    ``e_cap`` misses every indexed segment and returns an empty mesh
+    instead of the base mesh.
     """
 
     id = "R2"
-    title = "unsanctioned or unclamped R*-tree range query"
+    title = "unclamped range-query box"
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
-        if not ctx.path_endswith(*SANCTIONED_PROBE_MODULES):
-            for node in ast.walk(ctx.tree):
-                if self._is_rtree_search(node):
-                    yield self.violation(
-                        ctx,
-                        node,
-                        "direct R*-tree range query outside the "
-                        "sanctioned wrapper (core/query.py); use "
-                        "uniform_query/single_base_query or "
-                        "range_columns with a clamp_lod-ed box so the "
-                        "probe is clamped to e_cap",
-                    )
         if ctx.path_endswith(*CLAMP_MODULES):
             yield from self._check_clamp(ctx)
-
-    @staticmethod
-    def _is_rtree_search(node: ast.AST) -> bool:
-        return (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "search"
-            and _terminal_name(node.func.value) in _RTREE_NAMES
-        )
 
     def _check_clamp(self, ctx: FileContext) -> Iterator[Violation]:
         functions = [

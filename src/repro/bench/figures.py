@@ -214,27 +214,22 @@ def connection_table(datasets: list[TerrainDataset]) -> SeriesTable:
 def storage_overhead_table(env: ExperimentEnv) -> SeriesTable:
     """DM's storage overhead versus PM ("a very small overhead").
 
-    Rows: bytes per node and total pages for each representation.
+    Rows: bytes per node of each record format — the DM record is the
+    PM tuple (minus the footprint) plus its connection list.
     """
-    report = env.dm.build_report
     table = SeriesTable(
         "tab_storage",
         f"storage per node — {env.dataset.name}",
         "metric",
         ["PM", "DM"],
     )
-    n = len(env.dataset.pm.nodes)
-    if report is not None:
-        dm_bytes = report.total_record_bytes / max(1, report.n_nodes)
-        avg_conn = report.avg_connections
-    else:
-        avg_conn = sum(
-            len(v) for v in env.dataset.connections.values()
-        ) / max(1, n)
-        dm_bytes = dm_record_size(int(round(avg_conn)))
+    connections = env.dataset.connections
+    sizes = [len(connections.get(node.id, [])) for node in env.dataset.pm.nodes]
+    n = max(1, len(sizes))
+    dm_bytes = sum(dm_record_size(k) for k in sizes) / n
     table.add_row(0, {"PM": PM_RECORD_SIZE, "DM": round(dm_bytes, 1)})
-    table.meta["avg_connections"] = round(avg_conn, 2)
-    table.meta["n_nodes"] = n
+    table.meta["avg_connections"] = round(sum(sizes) / n, 2)
+    table.meta["n_nodes"] = len(sizes)
     return table
 
 

@@ -14,8 +14,9 @@ Commands:
   goodput-under-SLO with p50/p99/p999 latency; with admission control
   on (the default) overload degrades or sheds instead of queueing;
 * ``fsck``    — the one store checker: every page of every segment is
-  checksum-verified, every committed store epoch's R*-tree and cluster
-  runs walked, and its heap, tree and runs checked against each other;
+  checksum-verified, and every committed store epoch's R*-tree and
+  cluster runs walked, each record checked against its digest and the
+  Direct Mesh invariants checked over the runs;
   ``--repair`` restores corrupt pages from a committed WAL,
   ``--archive`` snapshots one, ``--inject`` runs a seeded corruption
   drill;
@@ -87,12 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--points", type=int, default=10_000, help="terrain sample count"
     )
     build.add_argument("--seed", type=int, default=0)
-    build.add_argument(
-        "--compress",
-        action="store_true",
-        help="store the heap's connection lists delta+varint compressed "
-        "(cluster runs, which the engine serves, are unaffected)",
-    )
     build.add_argument(
         "--save-pm",
         metavar="FILE",
@@ -418,15 +413,13 @@ def _cmd_build(args) -> int:
         print(f"saved progressive mesh to {args.save_pm}")
     with Database(args.database) as db:
         with db.atomic():  # Crash-safe: a killed build never corrupts.
-            store = DirectMeshStore.build(
-                pm, db, connections, compress_connections=args.compress
-            )
+            store = DirectMeshStore.build(pm, db, connections)
         report = store.build_report
         if report is None:
             raise InvariantError("freshly built store has no build report")
         print(
-            f"built {report.n_nodes} nodes: {report.heap_pages} data pages, "
-            f"{report.index_pages} index pages, "
+            f"built {report.n_nodes} nodes: {report.cluster_pages} run pages "
+            f"in {len(store.clusters)} clusters, "
             f"avg {report.avg_connections:.1f} connections/node"
         )
         print(f"max LOD: {store.max_lod:.3f}")
@@ -442,7 +435,7 @@ def _open(args) -> tuple[Database, DirectMeshStore]:
 def _roi_or_extent(args, store: DirectMeshStore) -> Rect:
     if args.roi:
         return Rect(*args.roi)
-    space = store.rtree.data_space
+    space = store.clusters.index.extent
     if space is None:
         raise ReproError("database is empty")
     return space.rect
@@ -811,8 +804,8 @@ def _cmd_info(args) -> int:
             print("no Direct Mesh store present")
             return 0
         print(f"direct mesh: epoch {epoch}, max LOD {store.max_lod:.3f}, "
-              f"{len(store.rtree)} indexed segments, "
-              f"R*-tree height {store.rtree.height}")
+              f"{store.clusters.directory.total_nodes} nodes in "
+              f"{len(store.clusters)} clusters")
     return 0
 
 

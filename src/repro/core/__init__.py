@@ -4,8 +4,9 @@ Public surface:
 
 * :func:`~repro.core.connectivity.build_connection_lists` -- the
   similar-LOD connection-point encoding (paper Section 4);
-* :class:`~repro.core.direct_mesh.DirectMeshStore` -- DM records +
-  3D R*-tree in a database, with the three query processors;
+* :class:`~repro.core.direct_mesh.DirectMeshStore` -- DM records as
+  cluster runs under a 3D R*-tree over their extents, in a database,
+  with the three query processors;
 * :class:`~repro.core.query.DMQueryResult` -- query results with mesh
   reconstruction (edges/triangles) straight from connection lists;
 * :class:`~repro.core.cost_model.RTreeCostModel` -- the I/O cost model

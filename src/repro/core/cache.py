@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Mapping
 
 from repro.errors import QueryError
 from repro.geometry.primitives import Box3, Rect
@@ -79,13 +80,6 @@ class CacheStats:
     def lookups(self) -> int:
         """Total lookups served."""
         return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits per lookup (0.0 when idle)."""
-        if self.lookups == 0:
-            return 0.0
-        return self.hits / self.lookups
 
 
 class _Entry:
@@ -346,14 +340,6 @@ class ClusterCacheStats:
     bytes: int
     entries: int
 
-    @property
-    def hit_rate(self) -> float:
-        """Hits per lookup (0.0 when idle)."""
-        lookups = self.hits + self.misses
-        if lookups == 0:
-            return 0.0
-        return self.hits / lookups
-
 
 class ClusterCache:
     """Byte-budgeted LRU of *decoded clusters*, keyed by
@@ -374,12 +360,14 @@ class ClusterCache:
     cluster share nothing in the cube cache, everything here).
 
     The epoch in the key is the whole invalidation story: no reader of
-    epoch ``N + 1`` can hit an entry of epoch ``N``, so a commit just
-    empties the cache (:meth:`invalidate`) rather than working out
-    which entries a patch region overlaps — that choice only ever
-    decided how long dead entries sat in the budget.  A reader still
-    pinned to the old epoch re-decodes what it needs.  All operations
-    are thread-safe; engine workers hit and fill concurrently.
+    epoch ``N + 1`` can hit an entry of epoch ``N``.  A commit
+    re-keys the entries whose cluster it left byte-identical (equal
+    content hashes, :func:`~repro.core.clusters.unchanged_clusters`)
+    to the new epoch and drops the rest (:meth:`carry`); a patch
+    rebuilds a few tiles, so most decoded clusters survive it.  A
+    reader still pinned to the old epoch re-decodes what it needs.
+    All operations are thread-safe; engine workers hit and fill
+    concurrently.
     """
 
     def __init__(self, max_bytes: int = DEFAULT_CLUSTER_CACHE_BYTES) -> None:
@@ -457,6 +445,24 @@ class ClusterCache:
                 self._bytes -= self._sizes.pop(oldest)
                 self._evictions += 1
             return True
+
+    def carry(self, keys: Mapping[tuple[int, int], tuple[int, int]]) -> None:
+        """Keep each entry whose ``(epoch, cluster id)`` key ``keys``
+        maps, under its new key, in the same recency order; drop every
+        other entry (a commit)."""
+        with self._lock:
+            entries: OrderedDict[tuple[int, int], DMNodeColumns] = (
+                OrderedDict()
+            )
+            sizes: dict[tuple[int, int], int] = {}
+            for key, columns in self._entries.items():
+                new = keys.get(key)
+                if new is not None:
+                    entries[new] = columns
+                    sizes[new] = self._sizes[key]
+            self._entries = entries
+            self._sizes = sizes
+            self._bytes = sum(sizes.values())
 
     def invalidate(self) -> None:
         """Drop every decoded cluster (a commit, a rebuilt store, a

@@ -1,4 +1,4 @@
-"""The serving layout: batched DM node clusters as contiguous page runs.
+"""The store's record copy: DM node clusters as contiguous page runs.
 
 Per-node traversal is a serving bottleneck: every query pays one
 R*-tree descent over thousands of tiny entries, per-page buffer-pool
@@ -13,10 +13,10 @@ At build time (:func:`build_cluster_runs`):
 1. DM nodes are grouped into clusters of at most
    :data:`DEFAULT_CLUSTER_NODES` nodes, each one sort-tile-recursive
    tile of their capped ``(x, y, e)`` segments
-   (:func:`~repro.index.rstar.str_groups`, the tiling the heap order
-   and the R*-tree's leaves use) — so a cluster spans a narrow LOD
-   band as well as a small ``(x, y)`` area, and a query plane at one
-   LOD misses the clusters of other bands under its ROI;
+   (:func:`~repro.index.rstar.str_groups`, the tiling an R*-tree's
+   bulk load uses) — so a cluster spans a narrow LOD band as well as a
+   small ``(x, y)`` area, and a query plane at one LOD misses the
+   clusters of other bands under its ROI;
 2. each cluster is packed into one *blob* (:func:`encode_cluster_blob`)
    holding its :class:`~repro.storage.record.DMNodeColumns` arrays
    column after column, and written as a contiguous run of pages in
@@ -25,33 +25,36 @@ At build time (:func:`build_cluster_runs`):
    cluster, and :func:`decode_cluster_blob` turns it into columns with
    one ``np.frombuffer`` per array and no per-row work;
 3. the per-cluster ``(x, y, e)`` extents — unions of the members'
-   *indexed* (``e_cap``-capped) vertical segments — are persisted in a
-   JSON directory sidecar (:class:`ClusterDirectory`).
+   *indexed* (``e_cap``-capped) vertical segments — and one CRC32 per
+   row are persisted in a JSON directory sidecar
+   (:class:`ClusterDirectory`).
 
 At query time the in-memory :class:`ClusterIndex` answers a query cube
 with candidate cluster ids in one vectorized intersection test.  Any
 node whose capped segment intersects the (clamped) probe box lies in a
 cluster whose extent intersects it too — extents are unions of member
-segments — so filtering the union of candidate clusters with the
-per-request predicates returns exactly the nodes the R*-tree path
-returns.  The per-node path is the paper's processors in
-:mod:`repro.core.query` (``store.uniform_query`` and friends): the
-reference the engine is held to, not something the engine runs.
+segments — so narrowing the union of candidate clusters to the rows
+whose segment meets the box (:func:`intersecting_rows`) returns
+exactly the records a per-node 3D index would.  The engine selects
+this way; the paper's processors
+(:func:`repro.core.query.range_columns`) select the same clusters
+through the store's R*-tree over these extents.  The extents weighted
+by their run pages feed the paper's cost model
+(:meth:`ClusterIndex.extent_stats`).
 
-Cluster runs are a *columnar* copy of the heap file's records (a
-covering, batched copy — the classic clustered-projection trade): the
-same field values and connection lists, stored as arrays rather than
-records.  The heap + R*-tree remain the source of truth for the
-reference processors and rebuilds.  :meth:`ClusterSet.problems` checks
-the run layout, and ``fsck`` (:mod:`repro.core.verify_store`) checks
-the runs against the heap record for record.
+The runs are the store's only record copy.  :meth:`ClusterSet.problems`
+checks the run layout and each row against its digest, so a record
+rewritten under valid page checksums is still named by ``fsck``.
 """
 
 from __future__ import annotations
 
+import base64
+import hashlib
 import itertools
 import json
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, AbstractSet, Mapping, Sequence
@@ -60,7 +63,7 @@ import numpy as np
 
 from repro.errors import StorageError
 from repro.geometry.primitives import Box3, union_all_boxes
-from repro.index.rstar import str_groups
+from repro.index.rstar import RTreeNodeStats, str_groups
 from repro.storage.database import Database, Segment
 from repro.storage.record import _COMPRESSED_CONN, DMNodeColumns
 
@@ -78,6 +81,7 @@ __all__ = [
     "decode_cluster_blob",
     "build_cluster_runs",
     "intersecting_rows",
+    "unchanged_clusters",
 ]
 
 #: Target nodes per cluster (the Batched-MT sweet spot: large enough
@@ -85,8 +89,9 @@ __all__ = [
 #: query's overfetch stays bounded).
 DEFAULT_CLUSTER_NODES = 128
 
-#: Schema version of the JSON directory sidecar (2: columnar blobs).
-CLUSTER_DIRECTORY_VERSION = 2
+#: Schema version of the JSON directory sidecar (2: columnar blobs;
+#: 3: one CRC32 per row and a content hash per cluster).
+CLUSTER_DIRECTORY_VERSION = 3
 
 #: Magic, row count, connection entries, reserved (must be 0).
 _BLOB_HEADER = struct.Struct("<4sIII")
@@ -99,6 +104,12 @@ _I4_COLUMNS = ("ids", "parent", "child1", "child2", "wing1", "wing2")
 _F8 = np.dtype("<f8")
 _I4 = np.dtype("<i4")
 _N_CONN = np.dtype("<u2")
+#: One row's fixed fields, packed in blob column order: the bytes a
+#: row digest covers before its connection list.
+_ROW = np.dtype(
+    [(c, _F8) for c in _F8_COLUMNS] + [(c, _I4) for c in _I4_COLUMNS]
+)
+_DIGEST = np.dtype("<u4")
 
 
 # -- blob codec --------------------------------------------------------------
@@ -121,8 +132,7 @@ def encode_cluster_blob(columns: DMNodeColumns) -> bytes:
     connection entries, a reserved zero word), the ``n``-item columns
     :data:`_F8_COLUMNS` then :data:`_I4_COLUMNS`, ``n_conn``
     (``<u2``), zero padding to an 8-byte boundary, then ``conn_flat``
-    (``<i4``).  Connection lists are always plain ``<i4`` here,
-    whatever encoding the heap's records use.
+    (``<i4``).  Connection lists are always plain ``<i4`` here.
     """
     n = len(columns)
     n_conn = np.diff(columns.conn_offsets)
@@ -198,17 +208,62 @@ def decode_cluster_blob(blob: bytes) -> DMNodeColumns:
     )
 
 
+def _row_digests(columns: DMNodeColumns) -> bytes:
+    """One CRC32 per row, packed ``<u4``: over the row's fixed fields
+    in blob column order, then its connection list as ``<i4``."""
+    rows = np.empty(len(columns), _ROW)
+    for name in _ROW.names:
+        rows[name] = getattr(columns, name)
+    fixed = rows.tobytes()
+    conn = np.asarray(columns.conn_flat, _I4).tobytes()
+    bounds = (columns.conn_offsets * _I4.itemsize).tolist()
+    width = _ROW.itemsize
+    return np.array(
+        [
+            zlib.crc32(
+                conn[bounds[i]:bounds[i + 1]],
+                zlib.crc32(fixed[i * width:(i + 1) * width]),
+            )
+            for i in range(len(columns))
+        ],
+        _DIGEST,
+    ).tobytes()
+
+
+def _content_hash(blob: bytes) -> bytes:
+    """A cluster blob's identity: its 128-bit BLAKE2b hash."""
+    return hashlib.blake2b(blob, digest_size=16).digest()
+
+
+def unchanged_clusters(
+    old: "ClusterDirectory", new: "ClusterDirectory"
+) -> dict[int, int]:
+    """Old cluster id -> new cluster id for each cluster whose blob is
+    the same in both directories (equal content hashes).
+
+    A patch rebuilds a few tiles, and the STR tiling of the untouched
+    area usually packs the same clusters again under new ids; the
+    engine keeps those decoded across the commit.
+    """
+    by_content = {meta.content: meta.cluster_id for meta in old.clusters}
+    return {
+        by_content[meta.content]: meta.cluster_id
+        for meta in new.clusters
+        if meta.content in by_content
+    }
+
+
 def intersecting_rows(
     columns: DMNodeColumns, box: Box3, e_cap: float
 ) -> np.ndarray:
     """Mask of rows whose capped indexed segment intersects ``box``.
 
-    Exactly the predicate the R*-tree leaf scan applies (closed
-    boundaries, ``e_high`` capped at ``e_cap`` like the tree entries),
-    so narrowing a decoded cluster batch with this mask yields the
-    same row set an index probe of ``box`` retrieves — what keeps the
-    clustered path's ``retrieved`` accounting (and its semantic-cache
-    cubes) identical to the oracle's.
+    Exactly the predicate a per-node R*-tree's leaf scan applies
+    (closed boundaries, ``e_high`` capped at ``e_cap`` like the
+    indexed segments), so narrowing a decoded cluster batch with this
+    mask yields the row set a per-node index probe of ``box``
+    retrieves — the paper's range query, and what keeps ``retrieved``
+    (and the semantic cache's cubes) independent of cluster size.
     """
     return (
         (columns.x >= box.min_x)
@@ -228,9 +283,12 @@ class ClusterMeta:
     """One cluster's placement and extent.
 
     The extent is the union of the members' *indexed* vertical
-    segments — ``e_high`` capped at the store's ``e_cap`` exactly like
-    the R*-tree entries — so cluster selection against a clamped probe
-    box sees the same geometry the tree does.
+    segments — ``e_high`` capped at the store's ``e_cap`` — so cluster
+    selection against a clamped probe box sees each member's segment.
+    ``digests`` holds one CRC32 per row, in run order (packed ``<u4``,
+    see :func:`_row_digests`); ``content`` is the blob's 128-bit
+    BLAKE2b hash, the cluster's identity across epochs
+    (:func:`unchanged_clusters`).
     """
 
     cluster_id: int
@@ -244,6 +302,8 @@ class ClusterMeta:
     max_x: float
     max_y: float
     max_e: float
+    digests: bytes
+    content: bytes
 
     @property
     def box(self) -> Box3:
@@ -293,6 +353,8 @@ class ClusterDirectory:
                         c.min_x, c.min_y, c.min_e,
                         c.max_x, c.max_y, c.max_e,
                     ],
+                    "digests": base64.b64encode(c.digests).decode("ascii"),
+                    "content": base64.b64encode(c.content).decode("ascii"),
                 }
                 for c in self.clusters
             ],
@@ -337,6 +399,8 @@ class ClusterDirectory:
                     max_x=float(entry["extent"][3]),
                     max_y=float(entry["extent"][4]),
                     max_e=float(entry["extent"][5]),
+                    digests=base64.b64decode(entry["digests"], validate=True),
+                    content=base64.b64decode(entry["content"], validate=True),
                 )
                 for entry in payload["clusters"]
             ]
@@ -361,8 +425,8 @@ class ClusterIndex:
     answers a query cube with every cluster whose extent touches it.
     Comparisons are boundary-closed, matching
     :meth:`~repro.geometry.primitives.Box3.intersects` — selection may
-    only ever be *more* inclusive than the R*-tree walk, never less,
-    and the per-request filters restore exactness.
+    only ever be *more* inclusive than a per-node index walk, never
+    less, and :func:`intersecting_rows` restores exactness.
     """
 
     def __init__(self, directory: ClusterDirectory) -> None:
@@ -412,10 +476,34 @@ class ClusterIndex:
         miss pays a directory scan.  ``QueryEngine.submit`` charges the
         admission governor this, and ``bench.openloop.suggest_budget``
         sizes budgets in it, so admission is denominated in the I/O
-        serving performs (the R*-tree DA formula prices the reference
-        processors and the multi-base plan).
+        serving performs (formula (1) over :meth:`extent_stats` prices
+        the paper's processors and the multi-base plan).
         """
         return max(1.0, float(self._n_pages[self._mask(box)].sum()))
+
+    def extent_stats(self) -> RTreeNodeStats:
+        """The paper's cost-model sums over the cluster extents.
+
+        Formula (1) sums ``(q_x + w_i)(q_y + h_i)(q_z + d_i)`` over the
+        index's nodes, one disk access each.  A selected cluster costs
+        its run's pages, so each extent enters the sums weighted by
+        its ``n_pages``: the estimate prices the run pages a range
+        query reads (not the R*-tree page over the extents).
+        """
+        space = self.extent
+        if space is None:
+            raise StorageError("an empty store has no extent statistics")
+        w = (self._max_x - self._min_x) / (space.width or 1.0)
+        h = (self._max_y - self._min_y) / (space.height or 1.0)
+        d = (self._max_e - self._min_e) / (space.depth or 1.0)
+        p = self._n_pages
+        return RTreeNodeStats(
+            int(p.sum()),
+            float(p @ w), float(p @ h), float(p @ d),
+            float(p @ (w * h)), float(p @ (w * d)), float(p @ (h * d)),
+            float(p @ (w * h * d)),
+            space,
+        )
 
 
 class ClusterSet:
@@ -444,19 +532,52 @@ class ClusterSet:
         return self.directory.clusters[cluster_id]
 
     def read_blob(self, cluster_id: int) -> bytes:
-        """The cluster's blob bytes via one sequential run read."""
+        """The cluster's blob via one sequential run read past the
+        buffer pool (the engine's path: its cluster cache is the
+        buffer)."""
         meta = self.meta(cluster_id)
-        run = self.segment.read_run(meta.start_page, meta.n_pages)
+        return self._blob(
+            meta, self.segment.read_run(meta.start_page, meta.n_pages)
+        )
+
+    def fetch_blob(self, cluster_id: int) -> bytes:
+        """The cluster's blob page by page through the buffer pool.
+
+        The paper's processors read this way: a flushed pool reads each
+        run page once, as :meth:`read_blob` does, and a warm one serves
+        repeats, and the runs several strips of one plan share, without
+        disk reads.
+        """
+        meta = self.meta(cluster_id)
+        payload = self.segment.payload_size
+        return self._blob(
+            meta,
+            b"".join(
+                self.segment.fetch(page)[:payload]
+                for page in range(
+                    meta.start_page, meta.start_page + meta.n_pages
+                )
+            ),
+        )
+
+    @staticmethod
+    def _blob(meta: ClusterMeta, run: bytes) -> bytes:
         if len(run) < meta.n_bytes:
             raise StorageError(
-                f"cluster {cluster_id} run holds {len(run)} bytes, "
+                f"cluster {meta.cluster_id} run holds {len(run)} bytes, "
                 f"directory claims {meta.n_bytes}"
             )
         return run[:meta.n_bytes]
 
-    def decode(self, cluster_id: int) -> DMNodeColumns:
-        """Decode one cluster into read-only columns over its run."""
-        columns = decode_cluster_blob(self.read_blob(cluster_id))
+    def decode(
+        self, cluster_id: int, blob: bytes | None = None
+    ) -> DMNodeColumns:
+        """Decode one cluster into read-only columns over its run:
+        ``blob`` if given (as :meth:`fetch_blob` or :meth:`read_blob`
+        returns it), else one :meth:`read_blob`."""
+        if blob is None:
+            blob = self.read_blob(cluster_id)
+        columns = decode_cluster_blob(blob)
         meta = self.meta(cluster_id)
         if len(columns) != meta.n_nodes:
             raise StorageError(
@@ -472,8 +593,11 @@ class ClusterSet:
         fill its pages exactly (``ceil`` packing, as
         :func:`build_cluster_runs` writes); a run that passes is read
         through :meth:`decode`, which checks the directory's record
-        count.  Runs touching a page in ``skip`` (the crc scan's
-        findings) are not read: one corrupt page is one fault.
+        count, and each row must match its directory digest — a
+        record rewritten under re-sealed page checksums is named by
+        the node id it now holds — and the run its content hash.  Runs
+        touching a page in ``skip`` (the crc scan's findings) are not
+        read: one corrupt page is one fault.
         """
         problems: list[str] = []
         payload = self.segment.payload_size
@@ -493,14 +617,40 @@ class ClusterSet:
             else:
                 spans.append((start, end, cid))
                 if skip.isdisjoint(range(start, end)):
-                    try:
-                        self.decode(cid)
-                    except StorageError as exc:
-                        problems.append(f"cluster {cid} blob does not decode ({exc})")
+                    problems.extend(self._row_problems(cid))
         spans.sort()
         for (_, prev_end, prev), (start, _, cid) in zip(spans, spans[1:]):
             if start < prev_end:
                 problems.append(f"cluster {cid} run overlaps cluster {prev}")
+        return problems
+
+    def _row_problems(self, cluster_id: int) -> list[str]:
+        """Decode one run and check each row against its digest, then
+        (rows clean) the run against its content hash."""
+        try:
+            blob = self.read_blob(cluster_id)
+            columns = self.decode(cluster_id, blob)
+        except StorageError as exc:
+            return [f"cluster {cluster_id} blob does not decode ({exc})"]
+        want = self.meta(cluster_id).digests
+        if len(want) != _DIGEST.itemsize * len(columns):
+            return [
+                f"cluster {cluster_id} directory holds "
+                f"{len(want) // _DIGEST.itemsize} row digests for "
+                f"{len(columns)} rows"
+            ]
+        bad = np.frombuffer(_row_digests(columns), _DIGEST) != np.frombuffer(
+            want, _DIGEST
+        )
+        problems = [
+            f"node {node_id}: cluster {cluster_id} record fails its digest"
+            for node_id in columns.ids[bad].tolist()
+        ]
+        content = self.meta(cluster_id).content
+        if not problems and _content_hash(blob) != content:
+            problems.append(
+                f"cluster {cluster_id} run differs from its content hash"
+            )
         return problems
 
 
@@ -510,8 +660,7 @@ class ClusterSet:
 def _node_columns(
     nodes: Sequence["PMNode"], connections: Mapping[int, list[int]]
 ) -> DMNodeColumns:
-    """``nodes`` and their connection lists as columns, row for row —
-    the values :func:`~repro.storage.record.encode_dm_node` writes."""
+    """``nodes`` and their connection lists as columns, row for row."""
     lists = [connections.get(n.id, []) for n in nodes]
     offsets = np.zeros(len(nodes) + 1, np.int64)
     np.cumsum([len(c) for c in lists], out=offsets[1:])
@@ -545,16 +694,15 @@ def build_cluster_runs(
     """Materialise the cluster section for a node set.
 
     ``boxes[i]`` is ``nodes[i]``'s indexed segment (``e_high`` capped
-    at ``e_cap``, the R*-tree entry), and ``connections`` maps node id
-    to its similar-LOD connection list (absent ids have none), as the
-    heap's records hold it.  Each cluster is one
+    at ``e_cap``), and ``connections`` maps node id to its similar-LOD
+    connection list (absent ids have none).  Each cluster is one
     :func:`~repro.index.rstar.str_groups` tile of the segments at
     ``cluster_nodes`` (ties keep their order in ``nodes``), its extent
-    the union of its members' segments, and its columns are encoded
-    as one blob written as a contiguous page run in the segment
-    ``segment_name``.  The writes ride the pager like every other
-    build write — sealed under the v2 page format, WAL-logged inside
-    an ``atomic()`` scope.
+    the union of its members' segments, its directory entry carries
+    one digest per row, and its columns are encoded as one blob
+    written as a contiguous page run in the segment ``segment_name``.
+    The writes ride the pager like every other build write — sealed
+    under the v2 page format, WAL-logged inside an ``atomic()`` scope.
 
     Returns the directory; the caller persists it
     (:meth:`ClusterDirectory.save`) alongside the store metadata.
@@ -588,6 +736,8 @@ def build_cluster_runs(
                 max_x=extent.max_x,
                 max_y=extent.max_y,
                 max_e=extent.max_e,
+                digests=_row_digests(columns),
+                content=_content_hash(blob),
             )
         )
     return ClusterDirectory(

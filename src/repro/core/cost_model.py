@@ -13,10 +13,12 @@ the top plane is **the middle** (formulas (8)-(9), since
 ``q_y1 q_z1 + q_y2 q_z2`` is minimised by equal halves).  Applied
 recursively this yields the multi-base query plan.
 
-The aggregate node statistics come from
-:meth:`repro.index.rstar.RStarTree.node_stats`, i.e. "the size of
+The aggregate node statistics come from the index — "the size of
 R-tree nodes ... can be found from the R-tree index", as the paper
-notes.
+notes.  A store's index is its cluster directory, whose extents enter
+the sums weighted by their run pages
+(:meth:`repro.core.clusters.ClusterIndex.extent_stats`), so the
+estimate prices the pages a range query reads.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ class MultiBasePlan:
 
 
 class RTreeCostModel:
-    """Estimates range-query I/O against one R*-tree."""
+    """Estimates range-query I/O against one index's node statistics."""
 
     def __init__(self, stats: RTreeNodeStats) -> None:
         self._stats = stats
@@ -111,59 +113,3 @@ class RTreeCostModel:
         for half in halves:
             result.extend(self._split_recursive(half, depth - 1))
         return result
-
-    def gain_curve(
-        self, plane: QueryPlane, max_parts: int = 32
-    ) -> list[tuple[int, float]]:
-        """Estimated DA for 1, 2, 4, ... equal strips (ablation data).
-
-        Used by the multi-base ablation benchmark to show where the
-        optimum lies and that the cost decreases then flattens/rises.
-        """
-        curve: list[tuple[int, float]] = []
-        parts = 1
-        while parts <= max_parts:
-            strips = plane.split_across_direction(parts)
-            curve.append(
-                (parts, sum(self.estimate_plane(s) for s in strips))
-            )
-            parts *= 2
-        return curve
-
-    def middle_split_advantage(
-        self, plane: QueryPlane, fractions: list[float] | None = None
-    ) -> list[tuple[float, float]]:
-        """Estimated DA of a 2-way split at varying split positions.
-
-        Demonstrates formula (9): the middle split minimises
-        ``q_y1 q_z1 + q_y2 q_z2``.  Returns ``(fraction, DA)`` pairs.
-        """
-        if fractions is None:
-            fractions = [0.1, 0.25, 0.5, 0.75, 0.9]
-        results: list[tuple[float, float]] = []
-        for frac in fractions:
-            first, second = _split_at(plane, frac)
-            da = self.estimate_plane(first) + self.estimate_plane(second)
-            results.append((frac, da))
-        return results
-
-
-def _split_at(plane: QueryPlane, fraction: float) -> tuple[QueryPlane, QueryPlane]:
-    """Split a plane's ROI at ``fraction`` along the dominant view axis."""
-    from repro.geometry.primitives import Rect
-
-    roi = plane.roi
-    dx, dy = plane.direction
-    if abs(dy) >= abs(dx):
-        cut = roi.min_y + roi.height * fraction
-        a = Rect(roi.min_x, roi.min_y, roi.max_x, cut)
-        b = Rect(roi.min_x, cut, roi.max_x, roi.max_y)
-    else:
-        cut = roi.min_x + roi.width * fraction
-        a = Rect(roi.min_x, roi.min_y, cut, roi.max_y)
-        b = Rect(cut, roi.min_y, roi.max_x, roi.max_y)
-    planes = []
-    for sub in (a, b):
-        lo, hi = plane.lod_range_over(sub)
-        planes.append(QueryPlane(sub, lo, hi, plane.direction))
-    return planes[0], planes[1]

@@ -1,50 +1,53 @@
-"""The Direct Mesh store: DM records + 3D R*-tree in a database.
+"""The Direct Mesh store: DM node records as cluster runs in a database.
 
 Building a Direct Mesh (paper Section 4) from a normalised progressive
 mesh:
 
 1. every node gets its similar-LOD connection-point list
    (:mod:`repro.core.connectivity`);
-2. node records (PM tuple + connection list) go into a heap file in
-   the STR packing order of their ``(x, y, e)`` segments — a clustered
-   primary index, the strongest reading of the paper's "(x, y)
-   clustering is preserved as much as possible" for DM's access path
-   (the ``abl_clustering`` benchmark quantifies the alternative);
-3. each node becomes the vertical segment
-   ``<(x, y, e_low), (x, y, e_high)>`` in ``(x, y, e)`` space, indexed
-   by a 3D R*-tree;
-4. the same records are packed a second time, as columns, into
-   cluster runs (:mod:`repro.core.clusters`), the copy the engine
-   serves from: each cluster is one STR tile of the same segments at
-   128 nodes, so the serving copy keeps the heap's ``(x, y, e)``
-   clustering.
+2. each node becomes the vertical segment
+   ``<(x, y, e_low), (x, y, e_high)>`` in ``(x, y, e)`` space;
+3. the records (PM tuple + connection list) are packed, as columns,
+   into cluster runs (:mod:`repro.core.clusters`): each cluster is one
+   sort-tile-recursive tile of the segments at 128 nodes, so the runs
+   keep the paper's ``(x, y)`` clustering and add a narrow LOD band;
+4. the paper's 3D R*-tree indexes the clusters' extents (each the
+   union of its members' segments): one entry per cluster, a page or
+   two for the whole store.
 
-Those three segments and two JSON sidecars are a store epoch, and
-:func:`epoch_files` is the one list of them.  The paper's "B+-trees
-wherever necessary" is the PM baseline's node-id lookup
-(:mod:`repro.baselines.pm_db`): every Direct Mesh query is an R*-tree
-range search, so a DM store keeps no id index.
+The run segment, the extent R*-tree and two JSON sidecars (the store
+metadata and the cluster directory) are a store epoch, and
+:func:`epoch_files` is the one list of them.  Each record is stored
+once.  The paper's processors (:mod:`repro.core.query`) probe the
+R*-tree, read the selected runs and keep the rows whose segment meets
+the query box, so a range query pays the paper's index pages plus run
+pages; the engine selects from the same extents held in memory
+(:class:`~repro.core.clusters.ClusterIndex`).  The paper's per-node
+layout (a record heap under a per-node R*-tree) is a baseline
+(:mod:`repro.baselines.paper_layout`) that no epoch writes.  Every
+Direct Mesh query is a range query, so a store keeps no id index.
 
 ``e_cap`` — index vs record semantics
 -------------------------------------
 
 The paper gives root nodes the LOD interval ``[e, inf)``: a root is
 part of *every* approximation coarser than its own error.  An R*-tree
-cannot index an unbounded segment, so the **index** caps root segments
-at ``e_cap = max_lod * 1.05 + 1`` (a finite height just above the
-dataset maximum) while the **records** keep infinity.  The two
-representations answer different questions and must not be mixed:
+cannot index an unbounded segment, so the **index** (each cluster's
+extent) caps root segments at ``e_cap = max_lod * 1.05 + 1`` (a
+finite height just above the dataset maximum) while the **records**
+keep infinity.  The two representations answer different questions
+and must not be mixed:
 
 * interval membership (``record.interval_contains(lod)``) uses the
   record's real ``[e, inf)`` — correct at any ``lod``;
-* index probes must clamp their query height to ``min(lod, e_cap)``,
+* range probes must clamp their query height to ``min(lod, e_cap)``,
   because a probe above ``e_cap`` is above every indexed segment and
   returns nothing.
 
 The query processors (:mod:`repro.core.query`, the only code that
 probes the R*-tree) and the engine's request planners do the clamp;
-any new access path must too, or queries with ``lod > e_cap`` silently
-return an empty mesh instead of the base mesh.
+any new access path must too, or queries with ``lod > e_cap``
+silently return an empty mesh instead of the base mesh.
 
 The store exposes the three query processors of
 :mod:`repro.core.query` as methods.
@@ -75,21 +78,17 @@ from repro.geometry.primitives import Box3, Rect
 from repro.index.rstar import RStarTree, str_order
 from repro.mesh.progressive import LOD_INFINITY, ProgressiveMesh
 from repro.storage.database import Database, epoch_prefix
-from repro.storage.heapfile import HeapFile
-from repro.storage.record import encode_dm_node
 
 __all__ = ["DirectMeshStore", "DMBuildReport", "EpochFiles", "epoch_files"]
 
 
 class EpochFiles(NamedTuple):
-    """The files of one store epoch: three segments, two sidecars."""
+    """The files of one store epoch: two segments, two sidecars."""
 
-    #: The record heap (the reference copy).
-    nodes: str
-    #: The 3D R*-tree over the records' ``(x, y, e)`` segments.
-    rtree: str
-    #: The cluster runs (the serving copy).
+    #: The cluster runs (the records).
     cruns: str
+    #: The R*-tree over the clusters' ``(x, y, e)`` extents.
+    ctree: str
     #: The store metadata sidecar (``max_lod``, ``e_cap``).
     meta: str
     #: The cluster directory sidecar.
@@ -98,7 +97,7 @@ class EpochFiles(NamedTuple):
     @property
     def segments(self) -> tuple[str, ...]:
         """The segment names."""
-        return (self.nodes, self.rtree, self.cruns)
+        return (self.cruns, self.ctree)
 
     @property
     def sidecars(self) -> tuple[str, ...]:
@@ -114,12 +113,12 @@ def epoch_files(prefix: str) -> EpochFiles:
     The one list of what a store epoch is: the builder writes exactly
     these, a patch transaction stages and logs exactly these, and a
     restaged epoch clears exactly these.  Any other file beside them
-    (such as the id B+-tree segment an older build wrote) is ignored.
+    (such as the record heap, R*-tree or id B+-tree segment an older
+    build wrote) is ignored.
     """
     return EpochFiles(
-        nodes=f"{prefix}_nodes",
-        rtree=f"{prefix}_rtree",
         cruns=f"{prefix}_cruns",
+        ctree=f"{prefix}_ctree",
         meta=f"{prefix}_dm_meta.json",
         directory=f"{prefix}_clusters.json",
     )
@@ -127,14 +126,11 @@ def epoch_files(prefix: str) -> EpochFiles:
 
 @dataclass(frozen=True)
 class DMBuildReport:
-    """Sizes recorded while building a store (storage-overhead bench)."""
+    """Sizes recorded while building a store."""
 
     n_nodes: int
-    heap_pages: int
-    index_pages: int
-    total_record_bytes: int
     total_connection_entries: int
-    cluster_pages: int = 0
+    cluster_pages: int
 
     @property
     def avg_connections(self) -> float:
@@ -150,17 +146,14 @@ class DirectMeshStore:
     def __init__(
         self,
         database: Database,
-        heap: HeapFile,
-        rtree: RStarTree,
         max_lod: float,
         e_cap: float,
         clusters: ClusterSet,
+        cluster_tree: RStarTree,
         build_report: DMBuildReport | None = None,
         prefix: str = "dm",
     ) -> None:
         self.database = database
-        self.heap = heap
-        self.rtree = rtree
         self.max_lod = max_lod
         self.e_cap = e_cap
         self.build_report = build_report
@@ -168,13 +161,16 @@ class DirectMeshStore:
         #: live-patched stores this is the *epoch* prefix (e.g.
         #: ``dm@3``), not the logical one — see :mod:`repro.core.mutate`.
         self.prefix = prefix
-        #: The cluster section: STR tiles of the nodes' ``(x, y, e)``
-        #: segments as contiguous page runs (:mod:`repro.core.clusters`).
+        #: The records: STR tiles of the nodes' ``(x, y, e)`` segments
+        #: as contiguous page runs (:mod:`repro.core.clusters`).
         self.clusters = clusters
-        # Node-extent statistics live in the in-memory catalog (the
-        # paper reads them "from the R-tree index"); computing them
-        # here keeps measured queries free of catalog I/O.
-        self.cost_model = RTreeCostModel(rtree.node_stats())
+        #: The paper's R*-tree, over the clusters' extents (payload:
+        #: cluster id); the paper's processors probe it.
+        self.cluster_tree = cluster_tree
+        # The extent statistics come from the in-memory directory (the
+        # paper reads them "from the R-tree index"), so measured
+        # queries pay no catalog I/O.
+        self.cost_model = RTreeCostModel(clusters.index.extent_stats())
 
     # -- construction -------------------------------------------------------
 
@@ -185,12 +181,10 @@ class DirectMeshStore:
         database: Database,
         connections: dict[int, list[int]] | None = None,
         prefix: str = "dm",
-        compress_connections: bool = False,
     ) -> "DirectMeshStore":
         """Materialise a Direct Mesh store from a normalised PM.
 
-        The heap is written in STR order and the R*-tree is STR-packed
-        over it once (:meth:`~repro.index.rstar.RStarTree.bulk_load`);
+        The runs and the R*-tree over their extents are written once;
         nothing updates the store in place afterwards.
 
         Args:
@@ -199,23 +193,13 @@ class DirectMeshStore:
             connections: precomputed connection lists (else computed).
             prefix: segment name prefix (several stores can share a
                 database).
-            compress_connections: store the heap's connection lists
-                delta+varint coded (extension; smaller records, same
-                query results).  It shapes the heap only: cluster runs
-                always hold plain ``<i4`` lists, so the serving copy
-                is byte-identical either way.
         """
         if not pm.is_normalized:
             raise QueryError("progressive mesh must be normalised")
         if connections is None:
             connections = build_connection_lists(pm)
         return cls.materialize(
-            database,
-            pm.nodes,
-            connections,
-            pm.max_lod(),
-            prefix=prefix,
-            compress_connections=compress_connections,
+            database, pm.nodes, connections, pm.max_lod(), prefix=prefix
         )
 
     @classmethod
@@ -226,7 +210,6 @@ class DirectMeshStore:
         connections: dict[int, list[int]],
         max_lod: float,
         prefix: str = "dm",
-        compress_connections: bool = False,
     ) -> "DirectMeshStore":
         """Materialise a store from bare nodes + connection lists.
 
@@ -242,14 +225,8 @@ class DirectMeshStore:
         e_cap = max_lod * 1.05 + 1.0
         files = epoch_files(prefix)
 
-        heap = HeapFile(database.segment(files.nodes))
-        rtree = RStarTree(database.segment(files.rtree))
-
-        # Cluster the heap by the 3D index: records are inserted in the
-        # STR packing order of their (x, y, e) segments, so each R*-tree
-        # leaf's RIDs occupy contiguous pages (a clustered primary
-        # index).  This is the strongest "(x, y) clustering preserved"
-        # arrangement for DM's access path.
+        # The nodes' indexed (x, y, e) segments, in STR packing order:
+        # the clusters are STR tiles of this sequence.
         boxes = []
         for node in nodes:
             e_high = node.e_high if node.e_high != LOD_INFINITY else e_cap
@@ -257,43 +234,35 @@ class DirectMeshStore:
                 Box3.vertical_segment(node.x, node.y, node.e, e_high)
             )
         order = str_order(boxes)
-        ordered = [nodes[i] for i in order]
-        boxes = [boxes[i] for i in order]
-
-        total_conn = 0
-        total_bytes = 0
-        entries: list[tuple[Box3, int]] = []
-        for node, box in zip(ordered, boxes):
-            conn = connections.get(node.id, [])
-            payload = encode_dm_node(node, conn, compress=compress_connections)
-            total_conn += len(conn)
-            total_bytes += len(payload)
-            entries.append((box, heap.insert(payload)))
-
-        rtree.bulk_load(entries)
-
         directory = build_cluster_runs(
-            database, files.cruns, ordered, boxes, connections
+            database,
+            files.cruns,
+            [nodes[i] for i in order],
+            [boxes[i] for i in order],
+            connections,
         )
         directory.save(database.path / files.directory)
         clusters = ClusterSet(database.segment(directory.segment), directory)
+        cluster_tree = RStarTree(database.segment(files.ctree))
+        cluster_tree.bulk_load(
+            [(meta.box, meta.cluster_id) for meta in directory.clusters]
+        )
 
         report = DMBuildReport(
             n_nodes=len(nodes),
-            heap_pages=heap.n_pages,
-            index_pages=database.segment_pages(files.rtree),
-            total_record_bytes=total_bytes,
-            total_connection_entries=total_conn,
+            total_connection_entries=sum(
+                len(connections.get(node.id, [])) for node in nodes
+            ),
             cluster_pages=database.segment_pages(directory.segment),
         )
-        # "format" is informational (3 = with the cluster section);
-        # readers never require the key.
-        meta = {"max_lod": max_lod, "e_cap": e_cap, "format": 3}
+        # "format" is informational (4 = runs under an extent R*-tree,
+        # no record heap); readers never require the key.
+        meta = {"max_lod": max_lod, "e_cap": e_cap, "format": 4}
         with open(database.path / files.meta, "w", encoding="ascii") as f:
             json.dump(meta, f)
         database.buffer.flush_dirty()
         return cls(
-            database, heap, rtree, max_lod, e_cap, clusters,
+            database, max_lod, e_cap, clusters, cluster_tree,
             build_report=report, prefix=prefix,
         )
 
@@ -306,13 +275,16 @@ class DirectMeshStore:
             raise StorageError(f"no Direct Mesh store at {meta_path}")
         with open(meta_path, "r", encoding="ascii") as f:
             meta = json.load(f)
-        heap = HeapFile(database.segment(files.nodes))
-        rtree = RStarTree(database.segment(files.rtree))
         directory = ClusterDirectory.load(database.path / files.directory)
+        missing = set(files.segments) - set(database.segment_names())
+        if missing:
+            raise StorageError(
+                f"store segments {sorted(missing)} missing; rebuild the store"
+            )
         clusters = ClusterSet(database.segment(directory.segment), directory)
         return cls(
-            database, heap, rtree, meta["max_lod"], meta["e_cap"],
-            clusters, prefix=prefix,
+            database, meta["max_lod"], meta["e_cap"], clusters,
+            RStarTree(database.segment(files.ctree)), prefix=prefix,
         )
 
     @classmethod

@@ -23,7 +23,7 @@ from repro.core.cache import (
     ClusterCache,
     SemanticCache,
 )
-from repro.core.clusters import intersecting_rows
+from repro.core.clusters import intersecting_rows, unchanged_clusters
 from repro.core.query import (
     DMQueryResult,
     filter_to_plane_columnar,
@@ -326,8 +326,10 @@ class QueryEngine:
         one copy; sessions ask :meth:`patched_since`), the semantic
         cache drops the cubes over ``region`` and arms its insert
         guard (:meth:`~repro.core.cache.SemanticCache.begin_epoch`),
-        and the cluster cache, keyed on the epoch, is emptied.  One
-        writer at a time (``MutableStore``'s write lock).
+        and the cluster cache, keyed on the epoch, keeps only the
+        clusters the commit left byte-identical, re-keyed to ``epoch``
+        (:meth:`~repro.core.cache.ClusterCache.carry`).  One writer at
+        a time (``MutableStore``'s write lock).
         """
         # Log and invalidate BEFORE publishing the new snapshot: a
         # session diffing an answer from the new epoch must find the
@@ -344,7 +346,13 @@ class QueryEngine:
         if self._cache is not None:
             self._cache.begin_epoch(epoch, region)
             self.registry.counter("cache.region_invalidations").inc()
-        self._cluster_cache.invalidate()
+        old = self._snap
+        self._cluster_cache.carry({
+            (old.epoch, old_id): (epoch, new_id)
+            for old_id, new_id in unchanged_clusters(
+                old.store.clusters.directory, store.clusters.directory
+            ).items()
+        })
         self.registry.counter("cluster.region_invalidations").inc()
         self._snap = _StoreSnapshot(store, epoch)
 

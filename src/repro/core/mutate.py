@@ -102,10 +102,6 @@ class TileLayout:
         """Total tile count."""
         return self.tiles_y * self.tiles_x
 
-    def tile_index(self, i: int, j: int) -> int:
-        """Flat index of tile row ``i``, column ``j``."""
-        return i * self.tiles_x + j
-
     def tile_window(self, index: int) -> tuple[int, int, int, int]:
         """Inclusive vertex window ``(r0, c0, r1, c1)`` of a tile."""
         i, j = divmod(index, self.tiles_x)
@@ -428,8 +424,9 @@ class MutableStore:
         :meth:`~repro.core.engine.QueryEngine.install_store`, which
         logs the patch in the engine's history (streaming sessions
         whose view it overlaps keyframe at their next update), drops
-        the semantic-cache cubes over the patched region, empties the
-        cluster cache and swaps the engine's pinned snapshot.
+        the semantic-cache cubes over the patched region, keeps in the
+        cluster cache only the clusters the commit left byte-identical
+        and swaps the engine's pinned snapshot.
         """
         self.add_listener(
             lambda store, epoch, region: engine.install_store(
@@ -511,9 +508,10 @@ class MutableStore:
 
         A previous crash-before-commit leaves orphaned staged segments
         (recovery discarded the log, so nothing references them);
-        restaging the same epoch must start from nothing or heap RIDs
-        would shift.  Every segment under ``eprefix`` goes, not only
-        the named set: an older build's patch may have staged others.
+        restaging the same epoch must start from nothing or the runs
+        would land after the orphaned pages.  Every segment under
+        ``eprefix`` goes, not only the named set: an older build's
+        patch may have staged others.
         """
         for name in self.database.segment_names():
             if name.startswith(f"{eprefix}_"):

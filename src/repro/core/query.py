@@ -1,9 +1,10 @@
 """Query results and the DM query algorithms (paper Section 5).
 
 The paper's claim is that selective refinement is *one* 3D range query
-over an R*-tree; :func:`range_columns` is that query — the only index
-probe outside :mod:`repro.index.rstar` — and the three processors are
-*clamped box -> range_columns -> columnar filter*, all operating on a
+over an R*-tree; :func:`range_columns` is that query — the only probe
+of the store's R*-tree, which indexes its cluster extents — and the
+three processors are *clamped box -> range_columns -> columnar
+filter*, all operating on a
 :class:`~repro.core.direct_mesh.DirectMeshStore`:
 
 * :func:`uniform_query` — viewpoint-independent ``Q(M, r, e)``: one 3D
@@ -13,10 +14,11 @@ probe outside :mod:`repro.index.rstar` — and the three processors are
 * :func:`multi_base_query` — the cost-model-optimised plan of several
   smaller cubes (Section 5.3), merged and refined identically.
 
-These are the reference the serving engine
-(:mod:`repro.core.engine`, which reads cluster runs instead) is held
-to, and the path the paper's figures count disk accesses on.  Disk
-accesses are *not* reset here: callers scope measurements with
+These are the reference the serving engine (:mod:`repro.core.engine`,
+which selects from the same extents in memory, behind a
+decoded-cluster cache) is held to, and the path the paper's figures
+count disk accesses on: R*-tree pages plus run pages.  Disk accesses are
+*not* reset here: callers scope measurements with
 ``database.begin_measured_query()`` /
 ``database.stats`` so that query composition stays measurable.
 """
@@ -28,6 +30,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.clusters import intersecting_rows
 from repro.core.cost_model import MultiBasePlan
 from repro.core.reconstruct import (
     KERNEL_MIN_NODES,
@@ -44,7 +47,6 @@ from repro.storage.record import (
     DMNodeColumns,
     DMNodeRecord,
     concat_dm_columns,
-    decode_dm_nodes_columnar,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -190,12 +192,22 @@ def range_columns(store: "DirectMeshStore", box: Box3) -> DMNodeColumns:
     """The paper's one range query: every record whose indexed segment
     intersects ``box``, as one columnar page.
 
-    R*-tree probe, page-ordered heap fetch, one batched decode.  The
-    caller clamps ``box`` to the store's ``e_cap`` (:func:`plane_box`,
-    :func:`plane_cube`).
+    An R*-tree probe for the clusters whose extent meets ``box``, each
+    run read page by page through the buffer pool
+    (:meth:`~repro.core.clusters.ClusterSet.fetch_blob`) and decoded,
+    then the rows whose segment meets ``box``
+    (:func:`intersecting_rows`) — the rows a per-node R*-tree probe of
+    ``box`` returns.  The caller clamps ``box`` to the store's
+    ``e_cap`` (:func:`plane_box`, :func:`plane_cube`).
     """
-    rids = store.rtree.search(box)
-    return decode_dm_nodes_columnar(store.heap.read_many(rids))
+    clusters = store.clusters
+    columns = concat_dm_columns([
+        clusters.decode(cid, clusters.fetch_blob(cid))
+        for cid in sorted(store.cluster_tree.search(box))
+    ])
+    if not len(columns):
+        return columns
+    return columns.select(intersecting_rows(columns, box, store.e_cap))
 
 
 def uniform_query(
@@ -243,10 +255,11 @@ def multi_base_query(
 
     The plan (from :meth:`RTreeCostModel.plan_multi_base`) replaces the
     single cube by one smaller cube per strip; results are merged by
-    node id (strip-boundary nodes may be fetched twice — that double
-    I/O is real and stays visible in the disk-access counts and in
-    ``retrieved``) and filtered against the *global* plane, so the
-    strip meshes join seamlessly, as the paper argues they must.
+    node id (a strip-boundary node is retrieved by both strips, and
+    ``retrieved`` counts it twice; a warm buffer pool serves the
+    second read of the run holding it)
+    and filtered against the *global* plane, so the strip meshes join
+    seamlessly, as the paper argues they must.
     """
     if plan is None:
         plan = store.cost_model.plan_multi_base(plane)

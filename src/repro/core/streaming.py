@@ -110,7 +110,6 @@ class TerrainSession:
     def __init__(self, store: "DirectMeshStore") -> None:
         self._store = store
         self._active: dict[int, DMNodeRecord] = {}
-        self._updates = 0
 
     # -- state ------------------------------------------------------------
 
@@ -118,11 +117,6 @@ class TerrainSession:
     def active_ids(self) -> set[int]:
         """Ids currently in the client's mesh."""
         return set(self._active)
-
-    @property
-    def update_count(self) -> int:
-        """Number of updates applied."""
-        return self._updates
 
     def mesh(self) -> tuple[IdArray, IdArray]:
         """The client's current ``(edges, triangles)``: sorted
@@ -179,7 +173,6 @@ class TerrainSession:
     ) -> SessionDelta:
         delta = diff_active(self._active, result, disk_accesses)
         self._active = dict(result.nodes)
-        self._updates += 1
         return delta
 
     def reset(self) -> None:

@@ -11,7 +11,6 @@ the R*-tree and quadtree create millions of them during a benchmark run.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -36,16 +35,6 @@ class Point2:
     x: float
     y: float
 
-    def distance_to(self, other: "Point2") -> float:
-        """Euclidean distance to ``other``."""
-        return math.hypot(self.x - other.x, self.y - other.y)
-
-    def distance_sq(self, other: "Point2") -> float:
-        """Squared Euclidean distance to ``other`` (no square root)."""
-        dx = self.x - other.x
-        dy = self.y - other.y
-        return dx * dx + dy * dy
-
     def __iter__(self) -> Iterator[float]:
         yield self.x
         yield self.y
@@ -62,17 +51,6 @@ class Point3:
     x: float
     y: float
     z: float
-
-    def xy(self) -> Point2:
-        """Project onto the ``(x, y)`` plane."""
-        return Point2(self.x, self.y)
-
-    def distance_to(self, other: "Point3") -> float:
-        """Euclidean distance to ``other`` in 3D."""
-        dx = self.x - other.x
-        dy = self.y - other.y
-        dz = self.z - other.z
-        return math.sqrt(dx * dx + dy * dy + dz * dz)
 
     def __iter__(self) -> Iterator[float]:
         yield self.x
@@ -126,11 +104,6 @@ class Rect:
             elif p.y > max_y:
                 max_y = p.y
         return cls(min_x, min_y, max_x, max_y)
-
-    @classmethod
-    def centered(cls, cx: float, cy: float, width: float, height: float) -> "Rect":
-        """A ``width`` x ``height`` rectangle centred on ``(cx, cy)``."""
-        return cls(cx - width / 2, cy - height / 2, cx + width / 2, cy + height / 2)
 
     @property
     def width(self) -> float:
@@ -192,15 +165,6 @@ class Rect:
         if min_x > max_x or min_y > max_y:
             return None
         return Rect(min_x, min_y, max_x, max_y)
-
-    def expanded(self, margin: float) -> "Rect":
-        """A copy grown by ``margin`` on every side."""
-        return Rect(
-            self.min_x - margin,
-            self.min_y - margin,
-            self.max_x + margin,
-            self.max_y + margin,
-        )
 
     def scaled(self, factor: float) -> "Rect":
         """A copy scaled about its centre by ``factor``."""
@@ -279,11 +243,6 @@ class Box3:
     def depth(self) -> float:
         """Extent along the LOD axis (``q_z`` in the paper's cost model)."""
         return self.max_e - self.min_e
-
-    @property
-    def volume(self) -> float:
-        """Box volume; zero for degenerate boxes such as query planes."""
-        return self.width * self.height * self.depth
 
     @property
     def center(self) -> tuple[float, float, float]:

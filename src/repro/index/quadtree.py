@@ -266,6 +266,3 @@ class LodQuadtree:
                         stack.append((child, child_box))
         return results
 
-    def count_in_range(self, query: Box3) -> int:
-        """Number of points inside ``query``."""
-        return len(self.range_search(query))

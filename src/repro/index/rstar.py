@@ -1,13 +1,15 @@
 """Disk-backed R-tree over 3D boxes, STR-packed and read-only.
 
 This is the "general purpose spatial index" the paper builds Direct
-Mesh on: DM nodes become vertical segments in ``(x, y, e)`` space and
-are indexed here.  The paper built its R*-tree (Beckmann et al.,
-SIGMOD '90) by repeated insertion; every tree here is packed once by
-STR (sort-tile-recursive) bulk loading, the standard practice for
-static data [Kamel & Faloutsos], and never updated in place.  A store
-epoch is immutable, so a patch packs a new tree for the new epoch
-(DESIGN.md section 2 records the measured difference).
+Mesh on: DM nodes become vertical segments in ``(x, y, e)`` space.  A
+store epoch indexes the extents of its clusters here, one entry per
+cluster (:mod:`repro.core.direct_mesh`); the paper-layout baseline
+(:mod:`repro.baselines.paper_layout`) indexes one entry per node.
+The paper built its R*-tree (Beckmann et al., SIGMOD '90) by repeated
+insertion; every tree here is packed once by STR (sort-tile-recursive)
+bulk loading, the standard practice for static data [Kamel &
+Faloutsos], and never updated in place (DESIGN.md section 2 records
+the measured difference).
 
 Every tree node occupies one page of a
 :class:`~repro.storage.database.Segment`, so index traversal cost is
@@ -17,17 +19,17 @@ Implemented:
 
 * range search (:meth:`RStarTree.search`);
 * STR bulk loading (:meth:`RStarTree.bulk_load`), one tiling shared
-  with the heap order and the cluster runs (:func:`str_groups`);
-* node-geometry statistics feeding the paper's I/O cost model
-  (formulas (1)-(2));
+  with the cluster runs (:func:`str_groups`);
+* the node-extent sums of the paper's I/O cost model
+  (:class:`RTreeNodeStats`, formulas (1)-(2));
 * a tolerant structure walk (:meth:`RStarTree.problems`), which
   ``fsck`` runs on every store epoch's tree, and
   :meth:`RStarTree.validate`, which raises its first finding.
 
 Page 0 of the segment is a metadata page: root page number, tree
-height, entry count, and the data-space MBR used for cost-model
-normalisation.  Page 1 is the empty root a new segment starts with;
-``bulk_load`` writes the packed tree after it.
+height, entry count, and the data-space MBR.  Page 1 is the empty root
+a new segment starts with; ``bulk_load`` writes the packed tree after
+it.
 """
 
 from __future__ import annotations
@@ -233,7 +235,7 @@ class RStarTree:
         return results
 
     def all_entries(self) -> Iterable[tuple[Box3, int]]:
-        """Iterate every leaf entry (for tests and rebuilds)."""
+        """Iterate every leaf entry."""
         stack = [self._root]
         while stack:
             page_no = stack.pop()
@@ -251,7 +253,7 @@ class RStarTree:
 
         Each level's nodes are the :func:`str_groups` tiles of the
         level below at 85 % fill; repeat on the node MBRs until a
-        single root remains.
+        single root remains.  A level that fits one node is the root.
         """
         if self._count:
             raise IndexError_("bulk_load requires an empty tree")
@@ -264,7 +266,12 @@ class RStarTree:
         while True:
             next_level: list[tuple[Box3, int]] = []
             boxes = [box for box, _ in level_entries]
-            for indices in str_groups(boxes, fill):
+            groups = (
+                [range(len(boxes))]
+                if len(boxes) <= self._capacity
+                else str_groups(boxes, fill)
+            )
+            for indices in groups:
                 group = [level_entries[i] for i in indices]
                 page_no, buf = self._segment.allocate()
                 self._write_node(page_no, is_leaf, group, buf=buf)
@@ -281,39 +288,6 @@ class RStarTree:
         self._count = len(entries)
         self._space = union_all_boxes([b for b, _ in entries])
         self._save_meta()
-
-    # -- cost-model statistics ---------------------------------------------------------
-
-    def node_stats(self) -> RTreeNodeStats:
-        """Aggregate normalised node extents for the paper's cost model."""
-        space = self._space
-        if space is None:
-            raise IndexError_("empty tree has no node statistics")
-        ex = space.width or 1.0
-        ey = space.height or 1.0
-        ez = space.depth or 1.0
-        n = 0
-        sw = sh = sd = swh = swd = shd = swhd = 0.0
-        stack = [self._root]
-        while stack:
-            page_no = stack.pop()
-            is_leaf, entries = self._read_node(page_no)
-            if entries:
-                box = union_all_boxes([b for b, _ in entries])
-                w = box.width / ex
-                h = box.height / ey
-                d = box.depth / ez
-                n += 1
-                sw += w
-                sh += h
-                sd += d
-                swh += w * h
-                swd += w * d
-                shd += h * d
-                swhd += w * h * d
-            if not is_leaf:
-                stack.extend(child for _, child in entries)
-        return RTreeNodeStats(n, sw, sh, sd, swh, swd, shd, swhd, space)
 
     # -- validation --------------------------------------------------------------------
 

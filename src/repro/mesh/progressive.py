@@ -138,11 +138,6 @@ class ProgressiveMesh:
         return [n.id for n in self.nodes if n.parent == NULL_ID]
 
     @property
-    def internal_nodes(self) -> Iterator[PMNode]:
-        """All non-leaf nodes, in creation order."""
-        return (n for n in self.nodes[self.n_leaves:])
-
-    @property
     def leaves(self) -> Iterator[PMNode]:
         """All leaf nodes (original terrain points)."""
         return (n for n in self.nodes[: self.n_leaves])

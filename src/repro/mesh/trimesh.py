@@ -70,41 +70,6 @@ class TriMesh:
                 seen[new_idx] = True
         return cls(verts, tri.triangles, validate=False)
 
-    @classmethod
-    def from_grid(
-        cls, heights: Sequence[Sequence[float]], cell_size: float = 1.0
-    ) -> "TriMesh":
-        """Triangulate a regular elevation grid directly.
-
-        Diagonals alternate per cell (a "union jack" style pattern),
-        which avoids directional artefacts in the simplification.
-        ``heights[row][col]`` maps to ``y = row * cell_size``,
-        ``x = col * cell_size``.
-        """
-        rows = len(heights)
-        if rows < 2 or len(heights[0]) < 2:
-            raise MeshError("grid must be at least 2x2")
-        cols = len(heights[0])
-        verts = [
-            (c * cell_size, r * cell_size, float(heights[r][c]))
-            for r in range(rows)
-            for c in range(cols)
-        ]
-        tris: list[tuple[int, int, int]] = []
-        for r in range(rows - 1):
-            for c in range(cols - 1):
-                v00 = r * cols + c
-                v01 = v00 + 1
-                v10 = v00 + cols
-                v11 = v10 + 1
-                if (r + c) % 2 == 0:
-                    tris.append((v00, v01, v11))
-                    tris.append((v00, v11, v10))
-                else:
-                    tris.append((v00, v01, v10))
-                    tris.append((v01, v11, v10))
-        return cls(verts, tris, validate=False)
-
     # -- basic properties --------------------------------------------------
 
     def __len__(self) -> int:
@@ -154,27 +119,6 @@ class TriMesh:
         return dict(result)
 
     # -- sampling ------------------------------------------------------------
-
-    def elevation_at(self, x: float, y: float) -> float | None:
-        """Barycentric elevation at ``(x, y)``, or ``None`` if outside.
-
-        Linear scan — intended for tests and small meshes, not as a
-        production query path.
-        """
-        for a, b, c in self.triangles:
-            ax, ay, az = self.vertices[a]
-            bx, by, bz = self.vertices[b]
-            cx, cy, cz = self.vertices[c]
-            det = (by - cy) * (ax - cx) + (cx - bx) * (ay - cy)
-            if det == 0:
-                continue
-            l1 = ((by - cy) * (x - cx) + (cx - bx) * (y - cy)) / det
-            l2 = ((cy - ay) * (x - cx) + (ax - cx) * (y - cy)) / det
-            l3 = 1.0 - l1 - l2
-            eps = -1e-9
-            if l1 >= eps and l2 >= eps and l3 >= eps:
-                return l1 * az + l2 * bz + l3 * cz
-        return None
 
     # -- validation ------------------------------------------------------------
 

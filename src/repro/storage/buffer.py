@@ -94,16 +94,6 @@ class BufferPool:
         with self._latch:
             return self._capacity
 
-    def resize(self, capacity: int) -> None:
-        """Change capacity; evicts (writing back) if shrinking."""
-        if capacity < 1:
-            raise BufferPoolError(f"capacity must be >= 1, got {capacity}")
-        with self._latch:
-            self._capacity = capacity
-            while len(self._frames) > self._capacity:
-                # reprolint: disable=R10 resize runs on a quiesced pool, not serving
-                self._evict_one_locked()
-
     # -- page access ---------------------------------------------------------
 
     def fetch(self, pager: Pager, page_no: int) -> bytearray:

@@ -7,13 +7,11 @@ whose interval touches it.  This module is the operational answer:
 * :func:`scrub_database` reads **every page of every segment** through
   the pager (verifying v2 crc trailers on the way), then runs the
   store pass (:func:`repro.core.verify_store.epoch_problems`) on every
-  committed store epoch: each on-disk format checked by the module
-  that owns it — the R*-tree by
-  :meth:`~repro.index.rstar.RStarTree.problems`, the cluster runs by
-  :meth:`~repro.core.clusters.ClusterSet.problems` — and, once those
-  are clean, the heap, tree and runs checked against each other.  The
-  result is a machine-readable :class:`FsckReport`, the one verdict on
-  a store;
+  committed store epoch: the cluster runs checked by the module that
+  owns them (:meth:`~repro.core.clusters.ClusterSet.problems`: layout,
+  framing, per-row digests) and, once those are clean, the Direct
+  Mesh invariants checked over them.  The result is a
+  machine-readable :class:`FsckReport`, the one verdict on a store;
 * :func:`repair_database` restores corrupt pages from a committed
   write-ahead log (see :meth:`WriteAheadLog.committed_records`) and
   quarantines whatever the log cannot restore into a

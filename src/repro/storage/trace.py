@@ -38,11 +38,6 @@ class IOTrace:
     def __len__(self) -> int:
         return len(self.reads)
 
-    @property
-    def distinct_pages(self) -> int:
-        """Unique ``(segment, page)`` pairs touched."""
-        return len(set(self.reads))
-
     def runs(self) -> list[int]:
         """Lengths of maximal sequential runs (same segment,
         consecutive ascending page numbers)."""
@@ -75,19 +70,6 @@ class IOTrace:
         for segment, _ in self.reads:
             counts[segment] = counts.get(segment, 0) + 1
         return counts
-
-    def summary(self) -> str:
-        """A short human-readable description of the pattern."""
-        runs = self.runs()
-        longest = max(runs) if runs else 0
-        segments = ", ".join(
-            f"{name}={count}" for name, count in sorted(self.by_segment().items())
-        )
-        return (
-            f"{len(self.reads)} reads, {self.distinct_pages} distinct, "
-            f"sequentiality {self.sequentiality:.0%}, "
-            f"longest run {longest} ({segments})"
-        )
 
 
 class IOTracer:

@@ -258,21 +258,6 @@ class WriteAheadLog:
         records, committed, _ = self._parse(raw)
         return records if committed else None
 
-    def patch_header(self) -> dict | None:
-        """The patch header of the current log, committed or not.
-
-        An inspection aid: it names the patch a crashed directory's
-        log was writing.  Neither recovery nor ``fsck`` reads it (fsck
-        finds orphans from the committed epochs).  Returns ``None``
-        when no log exists or it is not a patch log.
-        """
-        try:
-            raw = self.path.read_bytes()
-        except FileNotFoundError:
-            return None
-        _, _, patch = self._parse(raw)
-        return patch
-
     def _parse(
         self, raw: bytes
     ) -> tuple[list[tuple[str, int, bytes]], bool, dict | None]:

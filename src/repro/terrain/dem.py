@@ -140,6 +140,3 @@ class DEM:
         """The terrain extent in ``(x, y)``."""
         return self.field.bounds()
 
-    def elevation_at(self, x: float, y: float) -> float:
-        """Bilinear elevation at ``(x, y)``."""
-        return self.field.sample(x, y)

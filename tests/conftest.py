@@ -27,6 +27,29 @@ from repro.terrain.dem import DEM
 from repro.terrain.synthetic import gaussian_hills_field
 
 
+def grid_trimesh(heights, cell_size: float = 1.0) -> TriMesh:
+    """A regular elevation grid as a TIN: ``heights[row][col]`` at
+    ``(col * cell_size, row * cell_size)``, cell diagonals alternating
+    in a checkerboard ("union jack") pattern."""
+    rows, cols = len(heights), len(heights[0])
+    verts = [
+        (c * cell_size, r * cell_size, float(heights[r][c]))
+        for r in range(rows)
+        for c in range(cols)
+    ]
+    tris = []
+    for r in range(rows - 1):
+        for c in range(cols - 1):
+            v00 = r * cols + c
+            v01, v10 = v00 + 1, v00 + cols
+            v11 = v10 + 1
+            if (r + c) % 2 == 0:
+                tris += [(v00, v01, v11), (v00, v11, v10)]
+            else:
+                tris += [(v00, v01, v10), (v01, v11, v10)]
+    return TriMesh(verts, tris, validate=False)
+
+
 def make_wavy_grid_mesh(side: int = 24, seed: int = 3) -> TriMesh:
     """A deterministic bumpy grid TIN used by mesh-level unit tests."""
     rng = random.Random(seed)
@@ -39,7 +62,7 @@ def make_wavy_grid_mesh(side: int = 24, seed: int = 3) -> TriMesh:
         ]
         for i in range(side)
     ]
-    return TriMesh.from_grid(heights, cell_size=5.0)
+    return grid_trimesh(heights, cell_size=5.0)
 
 
 @pytest.fixture(scope="session")

@@ -137,7 +137,7 @@ class TestCostGovernor:
     def test_estimate_floors_at_one_page(self, session_db):
         """A probe that selects no cluster is still charged one page."""
         store = session_db["dm"]
-        extent = store.rtree.data_space.rect
+        extent = store.clusters.index.extent.rect
         beside = Rect(
             extent.max_x + 10.0,
             extent.min_y,
@@ -210,7 +210,7 @@ def _mid_request(store) -> UniformRequest:
     # The full extent: on the small session dataset a fractional ROI
     # can legitimately intersect zero nodes, which would make the
     # "degraded answers are real results" assertions vacuous.
-    extent = store.rtree.data_space.rect
+    extent = store.clusters.index.extent.rect
     return UniformRequest(extent, 0.2 * store.max_lod)
 
 
@@ -276,7 +276,7 @@ class TestEngineAdmission:
         store = session_db["dm"]
         governor = CostGovernor(budget=1.0, degrade_headroom=1.0)
         governor.decide("filler", 1.0)
-        extent = store.rtree.data_space.rect
+        extent = store.clusters.index.extent.rect
         plane = QueryPlane(
             extent, 0.2 * store.max_lod, 0.6 * store.max_lod
         )

@@ -37,22 +37,9 @@ class TestBuild:
     def test_build_output(self, built_db, capsys):
         main(["info", str(built_db)])
         out = capsys.readouterr().out
-        assert "dm_nodes" in out
-        assert "dm_rtree" in out
+        assert "dm_cruns" in out
+        assert "clusters" in out
         assert "max LOD" in out
-
-    def test_build_compressed(self, tmp_path, capsys):
-        code = main(
-            [
-                "build",
-                str(tmp_path / "db"),
-                "--points",
-                "1200",
-                "--compress",
-            ]
-        )
-        assert code == 0
-        assert "data pages" in capsys.readouterr().out
 
     def test_build_from_dem(self, tmp_path, capsys):
         from repro.terrain import gaussian_hills_field, write_esri_ascii
@@ -268,7 +255,7 @@ class TestFsck:
         assert main(["fsck", str(path)]) == 1
         out = capsys.readouterr().out
         assert "PROBLEMS FOUND" in out
-        assert f"dm: node {node_id}: cluster 0 copy differs from heap" in out
+        assert f"dm: node {node_id}: cluster 0 record fails its digest" in out
 
 
 class TestPatchedDatabase:

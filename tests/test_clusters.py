@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.baselines.paper_layout import PaperLayoutStore
 from repro.core import DirectMeshStore, QueryEngine
 from repro.core.cache import ClusterCache
 from repro.core.clusters import (
@@ -34,6 +35,7 @@ from repro.core.clusters import (
     decode_cluster_blob,
     encode_cluster_blob,
     intersecting_rows,
+    unchanged_clusters,
 )
 from repro.core.direct_mesh import epoch_files
 from repro.core.engine import SingleBaseRequest, UniformRequest
@@ -41,7 +43,7 @@ from repro.core.mutate import MutableStore
 from repro.errors import PageCorruptionError, StorageError
 from repro.geometry.plane import QueryPlane
 from repro.geometry.primitives import Box3, Rect, union_all_boxes
-from repro.index.rstar import str_groups
+from repro.index.rstar import str_groups, str_order
 from repro.mesh.progressive import LOD_INFINITY, PMNode
 from repro.mesh.selective import uniform_query_ref, viewdep_query_ref
 from repro.storage import Database, FaultInjector
@@ -85,7 +87,7 @@ def built(dataset, tmp_path_factory):
 
 
 def _roi(store, fx, fy, fw, fh) -> Rect:
-    extent = store.rtree.data_space.rect
+    extent = store.clusters.index.extent.rect
     w = fw * extent.width
     h = fh * extent.height
     x0 = extent.min_x + fx * (extent.width - w)
@@ -140,7 +142,7 @@ class TestEngineParity:
     def test_above_e_cap_returns_base_mesh(self, built):
         """``lod > e_cap`` clamps the probe and serves the base mesh."""
         _, store = built
-        extent = store.rtree.data_space.rect
+        extent = store.clusters.index.extent.rect
         reference = store.uniform_query(extent, store.e_cap * 2.0)
         assert len(reference) > 0
         with QueryEngine(store, workers=1) as engine:
@@ -150,7 +152,7 @@ class TestEngineParity:
     def test_empty_roi(self, built):
         """A degenerate ROI outside the data selects nothing."""
         _, store = built
-        extent = store.rtree.data_space.rect
+        extent = store.clusters.index.extent.rect
         far = Rect(
             extent.max_x + 100.0,
             extent.max_y + 100.0,
@@ -165,7 +167,7 @@ class TestEngineParity:
     def test_cluster_metrics_and_cache_reuse(self, built):
         """Run pages are counted honestly; repeats hit the LRU."""
         db, store = built
-        extent = store.rtree.data_space.rect
+        extent = store.clusters.index.extent.rect
         request = UniformRequest(extent, store.max_lod / 2)
         db.flush()
         with QueryEngine(store, workers=1) as engine:
@@ -201,7 +203,7 @@ class TestEngineParity:
         dataset = dataset_by_name("foothills", 500, seed=9)
         with Database(tmp_path / "persist") as db:
             store = DirectMeshStore.build(dataset.pm, db, dataset.connections)
-            extent = store.rtree.data_space.rect
+            extent = store.clusters.index.extent.rect
             reference = store.uniform_query(extent, store.max_lod / 3)
         with Database(tmp_path / "persist") as db:
             store = DirectMeshStore.open(db)
@@ -231,11 +233,17 @@ class TestDirectoryInvariants:
             assert (meta.n_pages - 1) * payload < meta.n_bytes
             assert meta.n_bytes <= meta.n_pages * payload
 
-    def test_index_extent_is_the_terrain_extent(self, built):
-        """The serving side reads the terrain's extent off the
-        directory; it is the box the reference R*-tree reports."""
+    def test_index_extent_is_the_terrain_extent(self, dataset, built):
+        """The terrain's extent is read off the directory: the union of
+        every node's capped ``(x, y, e)`` segment."""
         _, store = built
-        assert store.clusters.index.extent == store.rtree.data_space
+        nodes = dataset.pm.nodes
+        assert store.clusters.index.extent == Box3(
+            min(n.x for n in nodes), min(n.y for n in nodes),
+            min(n.e for n in nodes), max(n.x for n in nodes),
+            max(n.y for n in nodes),
+            max(min(n.e_high, store.e_cap) for n in nodes),
+        )
         empty = ClusterIndex(ClusterDirectory("dm_cruns", 64, []))
         assert empty.extent is None
 
@@ -260,9 +268,9 @@ class TestDirectoryInvariants:
         assert loaded.clusters == store.clusters.directory.clusters
         assert loaded.segment == store.clusters.directory.segment
 
-    def test_total_nodes_match_store(self, built):
+    def test_total_nodes_match_store(self, dataset, built):
         _, store = built
-        assert store.clusters.directory.total_nodes == len(store.rtree)
+        assert store.clusters.directory.total_nodes == len(dataset.pm.nodes)
 
 
 class TestClusterSetProblems:
@@ -324,11 +332,20 @@ def layout_store(request, tmp_path_factory):
 
 class TestStrLayout:
     """Each cluster is one STR tile of the nodes' capped ``(x, y, e)``
-    segments — the R*-tree's entries — taken in the heap's order."""
+    segments, taken in their STR packing order."""
 
     def test_clusters_are_the_str_tiles_of_the_segments(self, layout_store):
         store = layout_store
-        records = [decode_dm_node(p) for _, p in store.heap.scan()]
+        clusters = store.clusters
+        # Both builders take the nodes in ascending id order.
+        records = sorted(
+            (
+                r
+                for cid in range(len(clusters))
+                for r in clusters.decode(cid).records()
+            ),
+            key=lambda r: r.id,
+        )
         boxes = [
             Box3.vertical_segment(
                 r.x, r.y, r.e_low,
@@ -336,6 +353,9 @@ class TestStrLayout:
             )
             for r in records
         ]
+        order = str_order(boxes)
+        records = [records[i] for i in order]
+        boxes = [boxes[i] for i in order]
         groups = str_groups(boxes, DEFAULT_CLUSTER_NODES)
         directory = store.clusters.directory
         assert len(directory) == len(groups) > 1
@@ -354,7 +374,9 @@ class TestPaperMetric:
     """The paper's cost is disk accesses per query.  On a seeded list
     of its uniform queries (Figure 6: ROI area x LOD), the engine's
     cold run reads — buffer pool and cluster cache flushed before each
-    query — average no more pages than the R*-tree path's."""
+    query — average no more pages than the paper's own layout reads
+    (:class:`PaperLayoutStore`: per-node R*-tree pages plus record
+    heap pages)."""
 
     AREAS = (0.025, 0.05, 0.10, 0.15, 0.20)
     LODS = (0.01, 0.02, 0.05, 0.10, 0.20, 0.50)
@@ -376,15 +398,17 @@ class TestPaperMetric:
                     ))
         with Database(tmp_path / "db", pool_pages=64) as db:
             store = DirectMeshStore.build(dataset.pm, db, dataset.connections)
+            paper = PaperLayoutStore.build(dataset.pm, db, dataset.connections)
             rstar = engine = 0
             with QueryEngine(store, workers=1) as server:
                 for request in requests:
                     db.begin_measured_query()
-                    store.uniform_query(request.roi, request.lod)
+                    want = paper.uniform_query(request.roi, request.lod)
                     rstar += db.disk_accesses
                     db.begin_measured_query()
                     server.cluster_cache.invalidate()
-                    assert server.run(request).ok
+                    outcome = server.run(request)
+                    assert outcome.result.nodes == want.nodes
                     engine += db.disk_accesses
         assert engine <= rstar
 
@@ -494,13 +518,17 @@ class TestBlobCodec:
             assert not array.flags.writeable, name
         _assert_same_columns(decoded, columns)
 
-    def test_built_store_matches_the_heap_records(self, built):
+    def test_built_store_matches_the_heap_records(
+        self, dataset, built, tmp_path
+    ):
         """Every run decodes to exactly what the columnar decoder
-        makes of the same nodes' heap payloads."""
+        makes of the same nodes' payloads in the paper layout's heap."""
         _, store = built
-        payloads = {
-            decode_dm_node(p).id: p for _, p in store.heap.scan()
-        }
+        with Database(tmp_path / "paper") as db:
+            heap = PaperLayoutStore.build(
+                dataset.pm, db, dataset.connections
+            ).heap
+            payloads = {decode_dm_node(p).id: p for _, p in heap.scan()}
         for cid in range(len(store.clusters)):
             columns = store.clusters.decode(cid)
             heap = decode_dm_nodes_columnar(
@@ -508,68 +536,41 @@ class TestBlobCodec:
             )
             _assert_same_columns(columns, heap)
 
-    def test_compressed_heap_leaves_runs_unchanged(self, dataset, tmp_path):
-        """``compress_connections`` shapes the heap only: the cluster
-        runs are byte-identical and the engine answers the same."""
-        stores = []
-        for compress in (False, True):
-            db = Database(tmp_path / f"compress{compress}")
-            stores.append(
-                DirectMeshStore.build(
-                    dataset.pm, db, dataset.connections,
-                    compress_connections=compress,
-                )
-            )
-        plain, compressed = stores
-        try:
-            assert (
-                compressed.database.segment_pages("dm_nodes")
-                < plain.database.segment_pages("dm_nodes")
-            )
-            assert (
-                plain.clusters.directory.clusters
-                == compressed.clusters.directory.clusters
-            )
-            for cid in range(len(plain.clusters)):
-                assert plain.clusters.read_blob(cid) == (
-                    compressed.clusters.read_blob(cid)
-                )
-            extent = plain.rtree.data_space.rect
-            for lod in (0.0, plain.max_lod / 4, plain.max_lod):
-                request = UniformRequest(extent, lod)
-                with QueryEngine(plain, workers=1) as a, QueryEngine(
-                    compressed, workers=1
-                ) as b:
-                    assert a.run(request).result.nodes == (
-                        b.run(request).result.nodes
-                    )
-        finally:
-            for store in stores:
-                store.database.close()
-
     @staticmethod
-    def _version_1_store(path):
-        """A store whose directory says it holds ``DMC1`` blobs."""
+    def _old_store(path, version=1):
+        """A store whose directory says it is an older ``version``: 1
+        held ``DMC1`` blobs, 2 carried no row digests."""
         dataset = dataset_by_name("foothills", 300, seed=3)
         with Database(path) as db:
             DirectMeshStore.build(dataset.pm, db, dataset.connections)
         sidecar = path / epoch_files("dm").directory
         payload = json.loads(sidecar.read_text())
-        payload["version"] = 1
+        payload["version"] = version
+        if version == 2:
+            for entry in payload["clusters"]:
+                del entry["digests"]
         sidecar.write_text(json.dumps(payload))
         return path
 
     def test_version_1_store_refused_on_open(self, tmp_path):
-        path = self._version_1_store(tmp_path / "v1")
+        path = self._old_store(tmp_path / "v1")
         with Database(path) as db:
             with pytest.raises(StorageError, match="version 1.*rebuild"):
+                DirectMeshStore.open(db)
+
+    def test_version_2_store_refused_on_open(self, tmp_path):
+        """A store built before the row digests is refused whole, not
+        half-opened without them."""
+        path = self._old_store(tmp_path / "v2", version=2)
+        with Database(path) as db:
+            with pytest.raises(StorageError, match="version 2.*rebuild"):
                 DirectMeshStore.open(db)
 
     def test_cli_query_on_version_1_store_exits_1(self, tmp_path, capsys):
         """The CLI says to rebuild rather than print a traceback."""
         from repro.cli import main as cli_main
 
-        path = self._version_1_store(tmp_path / "v1")
+        path = self._old_store(tmp_path / "v1")
         assert cli_main(["query", str(path), "--lod", "1.0"]) == 1
         err = capsys.readouterr().err
         assert "version 1" in err and "rebuild" in err
@@ -612,7 +613,6 @@ class TestClusterCache:
         stats = cache.stats()
         assert stats.hits == 1 and stats.misses == 1
         assert stats.entries == 1 and stats.bytes > 0
-        assert stats.hit_rate == 0.5
 
     def test_lru_eviction_under_byte_budget(self):
         columns = _columns(8)
@@ -724,7 +724,7 @@ class TestExplainClusterView:
         from repro.core.explain import explain
 
         _, store = built
-        extent = store.rtree.data_space.rect
+        extent = store.clusters.index.extent.rect
         explanation = explain(
             store, extent, lod=store.max_lod / 2, execute=True
         )
@@ -742,7 +742,8 @@ class TestExplainClusterView:
 
 
 class TestClusterCacheRegions:
-    """The epoch is the key, and a commit empties the cache."""
+    """The epoch is the key, and a commit keeps only the clusters it
+    left byte-identical."""
 
     def test_epoch_keys_do_not_collide(self):
         cache = ClusterCache(max_bytes=1 << 20)
@@ -753,28 +754,38 @@ class TestClusterCacheRegions:
         assert cache.get(3, 1) is new
 
     def test_commit_leaves_no_older_epoch_resident(self, tmp_path):
-        """No reader of epoch N + 1 can hit an entry of epoch N, so
-        ``install_store`` drops them all rather than let dead entries
-        sit in the budget."""
+        """No reader of epoch N + 1 can hit an entry of epoch N: a
+        commit re-keys to N + 1 the decoded clusters it left
+        byte-identical (each equal to its new run's decode) and drops
+        every other entry."""
         db, ms, engine = mutable_engine(tmp_path)
         with db, engine:
             everything = UniformRequest(EXTENT, ms.store.max_lod)
             engine.submit(everything).result()
-            old_clusters = len(ms.store.clusters)
-            assert len(engine.cluster_cache) > 0
-            # A patch over one corner: clusters elsewhere go too.
+            old = ms.store.clusters.directory
+            cache = engine.cluster_cache
+            cached = [
+                cid for cid in range(len(old)) if cache.get(cid, 0) is not None
+            ]
+            assert cached
+            # A patch over one corner.
             ms.apply_patch(
                 aligned_region(12, 12, 16, 16),
                 patch_heights(12, 12, 16, 16, seed=5),
             )
-            assert len(engine.cluster_cache) == 0
-            assert engine.cluster_cache.bytes == 0
+            carried = unchanged_clusters(old, ms.store.clusters.directory)
+            kept = [carried[cid] for cid in cached if cid in carried]
+            assert 0 < len(carried) < len(old)
+            assert len(cache) == len(kept)
+            for cid in kept:
+                columns = cache.get(cid, 1)
+                assert columns is not None
+                fresh = ms.store.clusters.decode(cid)
+                assert columns.ids.tolist() == fresh.ids.tolist()
+                assert columns.z.tolist() == fresh.z.tolist()
+            assert all(cache.get(cid, 0) is None for cid in range(len(old)))
             engine.submit(everything).result()
-            assert len(engine.cluster_cache) > 0
-            assert all(
-                engine.cluster_cache.get(cid, 0) is None
-                for cid in range(old_clusters)
-            )
+            assert len(cache) > 0
             counters = engine.registry.counters()
             assert counters["cluster.region_invalidations"] == 1
 
@@ -789,7 +800,7 @@ class TestClusterCacheRegions:
             ms.apply_patch(
                 aligned_region(0, 0, 8, 8), patch_heights(0, 0, 8, 8, seed=2)
             )
-            assert engine.epoch == 1 and len(engine.cluster_cache) == 0
+            assert engine.epoch == 1
             misses = engine.cluster_cache.stats().misses
             after = engine._fetch_clustered(box, pinned)
             # Every candidate was a miss and decoded from epoch 0's runs.

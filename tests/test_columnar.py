@@ -48,6 +48,11 @@ common = settings(
 )
 
 
+def centered_rect(cx: float, cy: float, width: float, height: float) -> Rect:
+    """A ``width`` x ``height`` rectangle centred on ``(cx, cy)``."""
+    return Rect(cx - width / 2, cy - height / 2, cx + width / 2, cy + height / 2)
+
+
 def _make_payloads(seed: int, n: int, compress_every: int = 0) -> list[bytes]:
     """Encode ``n`` pseudo-random DM node records."""
     rng = random.Random(seed)
@@ -138,7 +143,7 @@ class TestFilterParity:
     @given(positions, positions, spans, spans, lods)
     def test_filter_uniform(self, record_universe, cx, cy, w, h, lod):
         records, columns = record_universe
-        roi = Rect.centered(cx, cy, w, h)
+        roi = centered_rect(cx, cy, w, h)
         assert _expected(
             records, roi, lambda x, y: lod
         ) == filter_uniform_columnar(columns, roi, lod).nodes
@@ -162,7 +167,7 @@ class TestFilterParity:
         self, record_universe, cx, cy, w, h, e_a, e_b, dx, dy
     ):
         records, columns = record_universe
-        roi = Rect.centered(cx, cy, w, h)
+        roi = centered_rect(cx, cy, w, h)
         if abs(dx) + abs(dy) < 1e-6:
             dx = 1.0
         plane = QueryPlane(roi, min(e_a, e_b), max(e_a, e_b), (dx, dy))
@@ -177,7 +182,7 @@ class TestFilterParity:
         self, record_universe, cx, cy, w, h, vx, vy, rate
     ):
         records, columns = record_universe
-        roi = Rect.centered(cx, cy, w, h)
+        roi = centered_rect(cx, cy, w, h)
         field = RadialLodField(roi, (vx, vy), rate, e_min=0.1, e_max=4.0)
         assert _expected(
             records, roi, field.required_lod
@@ -202,7 +207,7 @@ class TestEdgeExtractionParity:
     @given(lods, st.floats(0.2, 1.0))
     def test_edges_match_scalar(self, record_universe, lod, size_f):
         records, columns = record_universe
-        roi = Rect.centered(0.0, 0.0, 24.0 * size_f, 24.0 * size_f)
+        roi = centered_rect(0.0, 0.0, 24.0 * size_f, 24.0 * size_f)
         result = filter_uniform_columnar(columns, roi, lod)
         reference = mesh_edges_scalar(result.nodes)
         packed = pack_records(result.nodes)

@@ -49,7 +49,7 @@ class TestBasics:
         # Parent and child cannot coexist in any approximation, so they
         # are never connection points of each other (paper Section 4).
         pm, conn = pm_and_conn
-        for node in pm.internal_nodes:
+        for node in pm.nodes[pm.n_leaves:]:
             assert node.child1 not in conn[node.id]
             assert node.child2 not in conn[node.id]
 

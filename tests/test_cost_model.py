@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.cost_model import RTreeCostModel, _split_at
+from repro.core.cost_model import RTreeCostModel
 from repro.geometry.plane import QueryPlane
 from repro.geometry.primitives import Box3, Rect
 from repro.index.rstar import RTreeNodeStats
@@ -84,38 +84,6 @@ class TestMultiBasePlan:
         assert plan.n_queries <= 4
 
 
-class TestPaperFormulas:
-    def test_gain_curve_decreases_then_flattens(self, model):
-        plane = QueryPlane(ROI, 0.0, 8.0)
-        curve = model.gain_curve(plane, max_parts=16)
-        parts, costs = zip(*curve)
-        assert parts == (1, 2, 4, 8, 16)
-        # First split must help for a tall tilted cube.
-        assert costs[1] < costs[0]
-        # Costs are bounded below by the index-descent overhead, so the
-        # curve cannot keep halving: the last improvement is smaller
-        # than the first.
-        assert (costs[0] - costs[1]) > (costs[-2] - costs[-1])
-
-    def test_middle_split_is_optimal(self, model):
-        # Formula (9): q_y1 q_z1 + q_y2 q_z2 is minimised at the middle.
-        plane = QueryPlane(ROI, 0.0, 8.0)
-        samples = model.middle_split_advantage(
-            plane, fractions=[0.1, 0.3, 0.5, 0.7, 0.9]
-        )
-        best_fraction = min(samples, key=lambda kv: kv[1])[0]
-        assert best_fraction == 0.5
-
-    def test_split_at_preserves_lod_field(self):
-        plane = QueryPlane(ROI, 1.0, 5.0)
-        first, second = _split_at(plane, 0.25)
-        assert first.roi.height == pytest.approx(ROI.height * 0.25)
-        assert first.e_min == pytest.approx(1.0)
-        assert first.e_max == pytest.approx(2.0)
-        assert second.e_min == pytest.approx(2.0)
-        assert second.e_max == pytest.approx(5.0)
-
-
 class TestAgainstRealTree(object):
     def test_plan_reduces_real_disk_accesses(self, session_db, hills_dataset):
         db = session_db["db"]
@@ -132,3 +100,66 @@ class TestAgainstRealTree(object):
         multi = db.disk_accesses
         if plan.n_queries > 1:
             assert multi <= single
+
+
+class TestRunPageStats:
+    """A store's cost model is formula (1) over its cluster extents,
+    each weighted by the pages of its run: the estimate prices the run
+    pages a range query reads."""
+
+    def test_estimate_prices_run_pages(self, session_db):
+        dm = session_db["dm"]
+        space = dm.clusters.index.extent
+        # Formula (1) for a query of the whole data space, by hand.
+        want = sum(
+            meta.n_pages
+            * (1 + meta.box.width / space.width)
+            * (1 + meta.box.height / space.height)
+            * (1 + meta.box.depth / space.depth)
+            for meta in dm.clusters.directory.clusters
+        )
+        assert dm.cost_model.estimate(space) == pytest.approx(want)
+
+    def test_estimate_tracks_cold_run_pages(self, session_db, hills_dataset):
+        db = session_db["db"]
+        dm = session_db["dm"]
+        space = dm.clusters.index.extent
+        small = Box3.from_rect(space.rect.scaled(0.1), 0.0, 0.0)
+        large = Box3.from_rect(space.rect, 0.0, dm.max_lod)
+        assert dm.cost_model.estimate(small) < dm.cost_model.estimate(large)
+        db.begin_measured_query()
+        dm.single_base_query(QueryPlane(space.rect, 0.0, dm.max_lod))
+        actual = db.disk_accesses
+        # Within a loose factor of the run pages really read.
+        assert 0.2 * actual <= dm.cost_model.estimate(large) <= 5 * actual
+
+    def test_empty_directory_has_no_stats(self):
+        from repro.core.clusters import ClusterDirectory, ClusterIndex
+        from repro.errors import StorageError
+
+        empty = ClusterIndex(ClusterDirectory("dm_cruns", 128, []))
+        with pytest.raises(StorageError):
+            empty.extent_stats()
+
+    def test_steep_plane_splits_with_lower_predicted_da(self, tmp_path):
+        """A steep seeded plane over a built store: the planner splits
+        it into strips, predicting fewer run pages than one cube, and
+        the strips read no more run pages than the cube."""
+        from repro.core.direct_mesh import DirectMeshStore
+        from repro.storage.database import Database
+        from repro.terrain import dataset_by_name
+
+        dataset = dataset_by_name("foothills", 2000, seed=3)
+        with Database(tmp_path / "db") as db:
+            dm = DirectMeshStore.build(dataset.pm, db, dataset.connections)
+            roi = dm.clusters.index.extent.rect.scaled(0.6)
+            plane = QueryPlane(roi, 0.01 * dm.max_lod, 0.9 * dm.max_lod)
+            plan = dm.cost_model.plan_multi_base(plane)
+            assert plan.n_queries >= 2
+            assert plan.estimated_da < plan.single_base_da
+            db.begin_measured_query()
+            dm.single_base_query(plane)
+            single = db.disk_accesses
+            db.begin_measured_query()
+            dm.multi_base_query(plane, plan)
+            assert db.disk_accesses <= single

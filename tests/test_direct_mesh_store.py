@@ -184,7 +184,8 @@ class TestLifecycle:
         assert report is not None
         assert report.n_nodes == len(ds.pm.nodes)
         assert 4 <= report.avg_connections <= 30
-        assert report.heap_pages > 0
+        assert report.cluster_pages == store.database.segment_pages("dm_cruns")
+        assert report.cluster_pages > 0
 
     def test_reopen(self, tmp_path, hills_dataset):
         with Database(tmp_path / "db") as db:
@@ -203,18 +204,34 @@ class TestLifecycle:
         with pytest.raises(StorageError):
             DirectMeshStore.open(fresh_db)
 
+    def test_open_without_its_rtree_refuses(self, tmp_path, hills_dataset):
+        """A store whose R*-tree segment is gone does not open (and
+        writes nothing): probing a fresh empty tree would answer every
+        query with an empty mesh."""
+        path = tmp_path / "db"
+        with Database(path) as db:
+            DirectMeshStore.build(
+                hills_dataset.pm, db, hills_dataset.connections
+            )
+        (path / "dm_ctree.seg").unlink()
+        with Database(path) as db:
+            with pytest.raises(StorageError, match="dm_ctree.*rebuild"):
+                DirectMeshStore.open(db)
+        assert not (path / "dm_ctree.seg").exists()
+
     def test_directory_holds_exactly_the_epoch_files(
         self, tmp_path, hills_dataset
     ):
-        """A store is heap + R*-tree + cluster runs and two sidecars,
-        as :func:`epoch_files` names them, beside the page-format
-        flag: no id B+-tree, no other file."""
+        """A store is its cluster runs, the R*-tree over their extents
+        and two sidecars, as :func:`epoch_files` names them, beside the
+        page-format flag: no record heap, no per-node R*-tree, no id
+        B+-tree, no other file."""
         with Database(tmp_path / "db") as db:
             DirectMeshStore.build(
                 hills_dataset.pm, db, hills_dataset.connections
             )
         files = epoch_files("dm")
-        assert len(files.segments) == 3
+        assert files.segments == ("dm_cruns", "dm_ctree")
         assert {p.name for p in (tmp_path / "db").iterdir()} == {
             *(f"{name}.seg" for name in files.segments),
             *files.sidecars,
@@ -225,8 +242,10 @@ class TestLifecycle:
         self, tmp_path, hills_dataset
     ):
         """A directory an older build left, with its ``dm_btree.seg``
-        id index, opens, serves and scrubs clean: the file is ignored,
-        not migrated."""
+        id index (and the record heap and per-node R*-tree beside it),
+        opens, serves and scrubs clean: the files are ignored, not
+        migrated."""
+        from repro.baselines.paper_layout import PaperLayoutStore
         from repro.core.engine import QueryEngine, UniformRequest
         from repro.index.btree import BPlusTree
         from repro.storage.integrity import scrub_database
@@ -234,17 +253,22 @@ class TestLifecycle:
 
         path = tmp_path / "db"
         with Database(path) as db:
-            store = DirectMeshStore.build(
+            DirectMeshStore.build(
                 hills_dataset.pm, db, hills_dataset.connections
             )
             with db.atomic():
+                older = PaperLayoutStore.build(
+                    hills_dataset.pm, db, hills_dataset.connections,
+                    prefix="dm",
+                )
                 BPlusTree(db.segment("dm_btree")).bulk_load(
                     sorted(
                         (decode_dm_node(payload).id, rid)
-                        for rid, payload in store.heap.scan()
+                        for rid, payload in older.heap.scan()
                     )
                 )
-        assert (path / "dm_btree.seg").stat().st_size > 0
+        for name in ("nodes", "rtree", "btree"):
+            assert (path / f"dm_{name}.seg").stat().st_size > 0
         roi = hills_dataset.bounds().scaled(0.3)
         lod = hills_dataset.pm.average_lod()
         expected = uniform_query_ref(hills_dataset.pm, roi, lod)

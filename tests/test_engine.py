@@ -39,7 +39,7 @@ def store(dataset, tmp_path_factory):
 
 
 def _extent(store) -> Rect:
-    return store.rtree.data_space.rect
+    return store.clusters.index.extent.rect
 
 
 def _random_uniform(store, rng, frac=0.3) -> UniformRequest:

@@ -54,7 +54,7 @@ def clean_injector(faulty_env):
 
 
 def _random_uniform(store, rng, frac=0.3) -> UniformRequest:
-    extent = store.rtree.data_space.rect
+    extent = store.clusters.index.extent.rect
     side = frac * min(extent.width, extent.height)
     x0 = extent.min_x + rng.random() * (extent.width - side)
     y0 = extent.min_y + rng.random() * (extent.height - side)
@@ -382,7 +382,7 @@ class TestCorruptionServing:
         )
         db.set_fault_injector(injector)
         db.flush()
-        extent = store.rtree.data_space.rect
+        extent = store.clusters.index.extent.rect
         plane = QueryPlane(
             extent, 0.2 * store.max_lod, 0.8 * store.max_lod
         )
@@ -470,7 +470,7 @@ class TestDeadlines:
 
     def test_expired_deadline_fails_viewdep(self, clean_injector):
         db, store = clean_injector
-        extent = store.rtree.data_space.rect
+        extent = store.clusters.index.extent.rect
         plane = QueryPlane(extent, 0.2 * store.max_lod, 0.8 * store.max_lod)
         registry = MetricsRegistry()
         with QueryEngine(
@@ -504,7 +504,7 @@ class TestSiblingIsolation:
         self, clean_injector
     ):
         db, store = clean_injector
-        extent = store.rtree.data_space.rect
+        extent = store.clusters.index.extent.rect
         lod = 0.5 * store.max_lod
         outer = UniformRequest(extent, lod)
         quarter = Rect(

@@ -38,17 +38,6 @@ def boxes():
 
 
 class TestPoints:
-    def test_distance(self):
-        assert Point2(0, 0).distance_to(Point2(3, 4)) == 5.0
-        assert Point2(0, 0).distance_sq(Point2(3, 4)) == 25.0
-
-    def test_point3_distance(self):
-        assert Point3(1, 2, 2).distance_to(Point3(1, 2, 2)) == 0.0
-        assert Point3(0, 0, 0).distance_to(Point3(2, 3, 6)) == 7.0
-
-    def test_projection(self):
-        assert Point3(1.5, -2.0, 9.0).xy() == Point2(1.5, -2.0)
-
     def test_iteration_and_tuple(self):
         assert tuple(Point3(1, 2, 3)) == (1.0, 2.0, 3.0)
         assert Point2(4, 5).as_tuple() == (4.0, 5.0)
@@ -83,17 +72,9 @@ class TestRect:
         with pytest.raises(GeometryError):
             Rect.from_points([])
 
-    def test_centered(self):
-        r = Rect.centered(5, 5, 4, 2)
-        assert r.as_tuple() == (3, 4, 7, 6)
-        assert r.center == Point2(5, 5)
-
     def test_scaled(self):
         r = Rect(0, 0, 10, 10).scaled(0.5)
         assert r.as_tuple() == (2.5, 2.5, 7.5, 7.5)
-
-    def test_expanded(self):
-        assert Rect(0, 0, 1, 1).expanded(1).as_tuple() == (-1, -1, 2, 2)
 
     @given(rects(), rects())
     def test_union_contains_both(self, a, b):
@@ -121,7 +102,7 @@ class TestBox3:
 
     def test_vertical_segment_is_degenerate(self):
         seg = Box3.vertical_segment(2, 3, 0.5, 4.5)
-        assert seg.volume == 0.0
+        assert seg.width == seg.height == 0.0
         assert seg.depth == 4.0
         assert seg.rect.as_tuple() == (2, 3, 2, 3)
 

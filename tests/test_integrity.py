@@ -11,13 +11,14 @@ import os
 import random
 import struct
 import threading
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
 from repro.core import DirectMeshStore
 from repro.errors import PageCorruptionError, PageError, StorageError
-from repro.index.rstar import _META, _NODE_HEADER
 from repro.obs.metrics import MetricsRegistry
 from repro.storage import (
     CHECKSUM_SIZE,
@@ -312,7 +313,7 @@ class TestRepairRestoresQueries:
     ):
         db = Database(tmp_path / "db", pool_pages=64)
         store = DirectMeshStore.build(wavy_pm, db, wavy_connections)
-        extent = store.rtree.data_space.rect
+        extent = store.clusters.index.extent.rect
         reference = store.uniform_query(extent, 0.4 * store.max_lod)
         db.flush()
         archive_pages(db)
@@ -331,27 +332,28 @@ class TestStructuralScrub:
     def test_invalid_interval_is_reported(
         self, tmp_path, wavy_pm, wavy_connections
     ):
+        from tests.test_verify_store import forge_cluster_run
+
         db = Database(tmp_path / "db", pool_pages=64)
-        DirectMeshStore.build(wavy_pm, db, wavy_connections)
-        db.flush()
-        segment = db.segment("dm_rtree")
-        meta = bytes(segment.read_raw(0))
-        _, root, _height, _count, *_space = _META.unpack_from(meta, 0)
-        # Invert the first root entry's interval: e_low > e_high.  The
-        # page is re-sealed on write, so only the *structural* walk —
-        # not the crc scan — can catch this.
-        node = bytearray(segment.read_raw(root))
-        entry = struct.Struct("<6dQ")
-        values = list(
-            entry.unpack_from(node, _NODE_HEADER.size)
+        store = DirectMeshStore.build(wavy_pm, db, wavy_connections)
+        # Swap one bounded row's interval ends: e_low > e_high inside
+        # the cluster's extent, re-sealed, with a matching row digest,
+        # so only the *semantic* pass — not the crc scan or the run
+        # walk — can catch it.
+        columns = store.clusters.decode(0)
+        bounded = np.isfinite(columns.e_high) & (columns.e_low < columns.e_high)
+        row = int(np.flatnonzero(bounded)[0])
+        e_low, e_high = columns.e_low.copy(), columns.e_high.copy()
+        e_low[row], e_high[row] = e_high[row], e_low[row]
+        forge_cluster_run(
+            store, 0, replace(columns, e_low=e_low, e_high=e_high)
         )
-        values[2], values[5] = values[5] + 10.0, values[2]
-        entry.pack_into(node, _NODE_HEADER.size, *values)
-        segment.write_page_image(root, node)
         report = scrub_database(db)
         assert report.corrupt_pages == 0  # The crc is valid...
-        assert not report.ok  # ...but the structure is not.
-        assert any("e_low <= e_high" in p for p in report.structural)
+        assert not report.ok  # ...but the record is not.
+        assert report.structural == [
+            f"dm: node {int(columns.ids[row])}: inverted interval"
+        ]
         db.close()
 
     def test_cluster_run_with_inconsistent_connection_counts_is_reported(
@@ -398,28 +400,27 @@ class TestStorePass:
     def test_corrupt_page_and_structural_fault_are_each_reported_once(
         self, tmp_path, wavy_pm, wavy_connections
     ):
-        """A crc-corrupt leaf beside a re-sealed inverted interval in
-        another leaf of the same tree: the crc scan reports the first,
-        the walk steps around it and reports the second, and nothing
-        else — the meta checks, which need every leaf, stay silent."""
+        """A crc-corrupt page in one cluster's run beside a re-sealed
+        tampered record in another's: the crc scan reports the first,
+        the run walk steps around it and reports the second, and
+        nothing else — the semantic pass, which needs every run, stays
+        silent."""
+        from tests.test_verify_store import tamper_cluster_record
+
         path = tmp_path / "db"
         with Database(path, pool_pages=64) as db:
-            tree = DirectMeshStore.build(wavy_pm, db, wavy_connections).rtree
-            (_, bent), (_, rotten) = tree._read_node(tree._root)[1][:2]
-            segment = db.segment("dm_rtree")
-            node = bytearray(segment.read_raw(bent))
-            struct.pack_into("<d", node, _NODE_HEADER.size + 16, 1e9)  # e_low
-            segment.write_page_image(bent, node)
-        _flip_byte(path / "dm_rtree.seg", rotten * db.page_size + 100)
+            store = DirectMeshStore.build(wavy_pm, db, wavy_connections)
+            node_id = tamper_cluster_record(store, cluster_id=1)
+            rotten = store.clusters.meta(0).start_page
+        _flip_byte(path / "dm_cruns.seg", rotten * db.page_size + 100)
         with Database(path) as db:
             report = scrub_database(db)
         assert [(f.segment, f.page) for f in report.corrupt] == [
-            ("dm_rtree", rotten)
+            ("dm_cruns", rotten)
         ]
-        assert len(report.structural) == 1, report.structural
-        assert report.structural[0].startswith(
-            f"dm: R*-tree page {bent} entry violates e_low <= e_high"
-        )
+        assert report.structural == [
+            f"dm: node {node_id}: cluster 1 record fails its digest"
+        ]
 
     def test_missing_rtree_segment_is_reported_and_nothing_written(
         self, tmp_path, wavy_pm, wavy_connections
@@ -427,12 +428,12 @@ class TestStorePass:
         path = tmp_path / "db"
         with Database(path, pool_pages=64) as db:
             DirectMeshStore.build(wavy_pm, db, wavy_connections)
-        (path / "dm_rtree.seg").unlink()
+        (path / "dm_ctree.seg").unlink()
         before = {p.name: p.read_bytes() for p in path.iterdir()}
         assert cli_main(["fsck", str(path)]) == 1
         with Database(path, recover=False) as db:
             report = scrub_database(db)
-        assert report.structural == ["dm: segment dm_rtree missing"]
+        assert report.structural == ["dm: segment dm_ctree missing"]
         assert {p.name: p.read_bytes() for p in path.iterdir()} == before
 
     def test_report_truncates_long_problem_lists(self):

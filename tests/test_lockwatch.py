@@ -169,7 +169,7 @@ def test_engine_lock_order_is_acyclic_and_within_static(
         store = DirectMeshStore.build(
             hills_dataset.pm, db, hills_dataset.connections
         )
-        extent = store.rtree.data_space.rect
+        extent = store.clusters.index.extent.rect
         with QueryEngine(store, workers=4) as engine:
             futures = [
                 engine.submit(

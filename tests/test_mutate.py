@@ -41,6 +41,7 @@ from repro.storage.integrity import (
     scrub_database,
 )
 from repro.storage.wal import WriteAheadLog
+from tests.test_wal import logged_patch_header
 
 GRID = 17
 CELL = 1.0
@@ -95,11 +96,11 @@ def mutable_engine(tmp_path, seed: int = 4, workers: int = 2, **engine_args):
 
 def store_digest(store) -> dict:
     """Every record's full identity, keyed by node id."""
-    from repro.storage.record import decode_dm_node
-
     digest = {}
-    for _rid, payload in store.heap.scan():
-        record = decode_dm_node(payload)
+    clusters = store.clusters
+    for record in (
+        r for cid in range(len(clusters)) for r in clusters.decode(cid).records()
+    ):
         digest[record.id] = (
             record.x,
             record.y,
@@ -586,7 +587,9 @@ class TestOrphanReclamation:
             )
         crash_process(db)
         # The patch's WAL header lists exactly the epoch's segments.
-        header = WriteAheadLog(tmp_path / "db", db.page_size).patch_header()
+        header = logged_patch_header(
+            WriteAheadLog(tmp_path / "db", db.page_size)
+        )
         staged = epoch_files("dm@1").segments
         assert header["segments"] == list(staged)
 

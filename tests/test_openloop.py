@@ -28,6 +28,7 @@ from repro.bench.openloop import (
 from repro.core.admission import CostGovernor
 from repro.core.engine import QueryEngine, UniformRequest
 from repro.errors import QueryError
+from repro.geometry.primitives import Rect
 
 
 def small_config(**overrides) -> OpenLoopConfig:
@@ -119,11 +120,14 @@ class TestWorkloads:
 
     def test_flight_path_stays_on_terrain(self, session_db):
         store = session_db["dm"]
-        extent = store.rtree.data_space.rect
+        extent = store.clusters.index.extent.rect
         stream = flight_path_workload(store, small_config(n_requests=1))
         for _ in range(400):
             request, _ = next(stream)
-            assert extent.expanded(1e-6).contains_rect(request.roi)
+            assert Rect(
+                extent.min_x - 1e-6, extent.min_y - 1e-6,
+                extent.max_x + 1e-6, extent.max_y + 1e-6,
+            ).contains_rect(request.roi)
 
     def test_mixed_interleaves_both_modes(self, session_db):
         store = session_db["dm"]

@@ -117,13 +117,6 @@ class TestBufferPool:
         with pytest.raises(BufferPoolError):
             pool.mark_dirty(pager, 0)
 
-    def test_resize_shrinks(self, pager, stats):
-        pool = BufferPool(stats, capacity=8)
-        for _ in range(6):
-            pool.fetch(pager, pager.allocate())
-        pool.resize(2)
-        assert pool.resident_pages() <= 2
-
     def test_invalid_capacity(self, stats):
         with pytest.raises(BufferPoolError):
             BufferPool(stats, capacity=0)

@@ -41,7 +41,7 @@ class TestNormalisation:
             assert pm.node(i).e == 0.0
 
     def test_parent_dominates_children(self, wavy_pm):
-        for node in wavy_pm.internal_nodes:
+        for node in wavy_pm.nodes[wavy_pm.n_leaves:]:
             assert node.e >= wavy_pm.node(node.child1).e
             assert node.e >= wavy_pm.node(node.child2).e
             assert node.e >= node.error  # max() includes the raw error.
@@ -72,7 +72,7 @@ class TestNormalisation:
 
 class TestFootprints:
     def test_footprint_contains_descendants(self, wavy_pm):
-        for node in wavy_pm.internal_nodes:
+        for node in wavy_pm.nodes[wavy_pm.n_leaves:]:
             fp = node.footprint
             assert fp is not None
             for desc in wavy_pm.descendants(node.id):

@@ -55,8 +55,8 @@ class TestQueries:
     def test_boundary_inclusive(self, tree):
         pts = [(5.0, 5.0, 1.0, 1)]
         tree.bulk_load(pts)
-        assert tree.count_in_range(Box3(5, 5, 1, 6, 6, 2)) == 1
-        assert tree.count_in_range(Box3(0, 0, 0, 5, 5, 1)) == 1
+        assert len(tree.range_search(Box3(5, 5, 1, 6, 6, 2))) == 1
+        assert len(tree.range_search(Box3(0, 0, 0, 5, 5, 1))) == 1
 
     def test_tall_cube_like_pm_query(self, tree):
         # The PM baseline's cube: full LOD range above a floor.

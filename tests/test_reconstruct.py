@@ -28,6 +28,11 @@ from tests.oracles.refine import refine_to_plane, resolve_overlaps
 from tests.test_columnar import record_universe  # noqa: F401  (a fixture)
 
 
+def centered_rect(cx: float, cy: float, width: float, height: float) -> Rect:
+    """A ``width`` x ``height`` rectangle centred on ``(cx, cy)``."""
+    return Rect(cx - width / 2, cy - height / 2, cx + width / 2, cy + height / 2)
+
+
 def rec(node_id, x, y, e_low, e_high, conn, parent=-1, children=(-1, -1)):
     return DMNodeRecord(
         node_id,
@@ -208,7 +213,7 @@ class TestKernelParity:
         two-neighbour wedges and 3-cycles seen from fewer than three
         owners."""
         store = session_db["dm"]
-        extent = store.rtree.data_space.rect
+        extent = store.clusters.index.extent.rect
         w, h = extent.width * frac, extent.height * frac
         x0 = extent.min_x + fx * (extent.width - w)
         y0 = extent.min_y + fy * (extent.height - h)
@@ -231,7 +236,7 @@ class TestKernelParity:
         self, session_db, frac, lod_frac, dx
     ):
         store = session_db["dm"]
-        extent = store.rtree.data_space.rect
+        extent = store.clusters.index.extent.rect
         plane = QueryPlane(
             extent.scaled(frac),
             0.5 * lod_frac * store.max_lod,
@@ -252,7 +257,7 @@ class TestKernelParity:
         and self-naming entries, then ids unsorted and non-contiguous,
         duplicates and absent ids on top."""
         _, columns = record_universe
-        roi = Rect.centered(0.0, 0.0, 24.0 * size_f, 24.0 * size_f)
+        roi = centered_rect(0.0, 0.0, 24.0 * size_f, 24.0 * size_f)
         nodes = filter_uniform_columnar(columns, roi, lod).nodes
         assert_kernel_is_oracle(nodes)
         assert_kernel_is_oracle(_scrambled(nodes, seed, stride, offset))

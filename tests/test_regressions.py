@@ -46,8 +46,8 @@ class TestQuadtreeChainRegression:
         tree = LodQuadtree(fresh_db.segment("qt"))
         pts = [(1.0, 2.0, 3.0, i) for i in range(700)]
         tree.bulk_load(pts)
-        assert tree.count_in_range(Box3(0, 0, 0, 5, 5, 5)) == 700
-        assert tree.count_in_range(Box3(0, 0, 4, 5, 5, 5)) == 0
+        assert len(tree.range_search(Box3(0, 0, 0, 5, 5, 5))) == 700
+        assert len(tree.range_search(Box3(0, 0, 4, 5, 5, 5))) == 0
 
 
 class TestStrSingletonRegression:
@@ -126,7 +126,7 @@ class TestHalfOpenIntervalBoundary:
         store = session_db["dm"]
         # Pick an internal node's exact normalised error as the LOD.
         node = next(
-            n for n in ds.pm.internal_nodes if n.e > 0 and n.parent != -1
+            n for n in ds.pm.nodes[ds.pm.n_leaves:] if n.e > 0 and n.parent != -1
         )
         roi = ds.bounds()
         result = store.uniform_query(roi, node.e)

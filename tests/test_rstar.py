@@ -1,5 +1,4 @@
 """Tests for the disk-backed R*-tree."""
-# reprolint: disable-file=R2 unit tests exercise the raw R*-tree on purpose
 
 import hashlib
 import random
@@ -192,28 +191,6 @@ class TestProblems:
         assert any(message in p for p in problems), problems
         with pytest.raises(IndexError_, match=re.escape(problems[0])):
             RStarTree(segment).validate()
-
-
-class TestStats:
-    def test_node_stats_estimate_tracks_reality(self, fresh_db):
-        boxes = random_boxes(3000, seed=5)
-        tree = RStarTree(fresh_db.segment("st"))
-        tree.bulk_load([(b, i) for i, b in enumerate(boxes)])
-        stats = tree.node_stats()
-        small = Box3(0, 0, 0, 5, 5, 5)
-        large = Box3(0, 0, 0, 60, 60, 60)
-        est_small = stats.estimate_disk_accesses(small)
-        est_large = stats.estimate_disk_accesses(large)
-        assert est_small < est_large
-        # Estimate within a loose factor of the true page count.
-        fresh_db.begin_measured_query()
-        tree.search(large)
-        actual = fresh_db.disk_accesses
-        assert 0.2 * actual <= est_large <= 5 * actual
-
-    def test_empty_tree_stats_raise(self, tree):
-        with pytest.raises(IndexError_):
-            tree.node_stats()
 
 
 class TestStrOrder:

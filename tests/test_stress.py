@@ -1,7 +1,7 @@
 """Concurrency stress tests for the storage and serving layers.
 
 These are the tests `make stress` repeats: threads hammering a small
-buffer pool while it is flushed and resized underneath them,
+buffer pool while it is flushed underneath them,
 per-thread statistics attribution under real contention, and the
 engine at ``workers=8`` with fault injection active.  They assert
 invariants (no exception, no lost or cross-attributed counts, correct
@@ -44,10 +44,10 @@ class TestBufferPoolRaces:
         yield pager
         pager.close()
 
-    def test_fetch_races_flush_and_resize(self, pager):
+    def test_fetch_races_flush(self, pager):
         """Reader threads hammer a tiny pool while the main thread
-        flushes and resizes it; every fetch must return the right
-        page bytes and nothing may raise."""
+        flushes it; every fetch must return the right page bytes and
+        nothing may raise."""
         pool = BufferPool(pager._stats, capacity=4)
         stop = threading.Event()
         failures: list[str] = []
@@ -70,11 +70,8 @@ class TestBufferPoolRaces:
         for thread in threads:
             thread.start()
         try:
-            for i in range(200):
-                if i % 3 == 0:
-                    pool.flush()
-                else:
-                    pool.resize(2 + (i % 7))
+            for _ in range(200):
+                pool.flush()
         finally:
             stop.set()
             for thread in threads:
@@ -146,7 +143,7 @@ class TestStatsAttribution:
         dataset = dataset_by_name("foothills", 1200, seed=23)
         with Database(tmp_path / "db", pool_pages=64) as db:
             store = DirectMeshStore.build(dataset.pm, db, dataset.connections)
-            extent = store.rtree.data_space.rect
+            extent = store.clusters.index.extent.rect
             rng = random.Random(31)
             side = 0.25 * min(extent.width, extent.height)
             requests = []
@@ -187,7 +184,7 @@ class TestEngineUnderFaults:
                     latency_s=0.0005, seed=77,
                 )
             )
-            extent = store.rtree.data_space.rect
+            extent = store.clusters.index.extent.rect
             rng = random.Random(37)
             side = 0.2 * min(extent.width, extent.height)
             requests = []
@@ -233,7 +230,7 @@ class TestEngineUnderFaults:
                 error_rate=0.02, corrupt_rate=0.1, seed=91
             )
             db.set_fault_injector(injector)
-            extent = store.rtree.data_space.rect
+            extent = store.clusters.index.extent.rect
             rng = random.Random(47)
             side = 0.2 * min(extent.width, extent.height)
             requests = []

@@ -14,7 +14,6 @@ class TestIOTrace:
         assert len(trace) == 0
         assert trace.runs() == []
         assert trace.sequentiality == 0.0
-        assert trace.distinct_pages == 0
 
     def test_fully_sequential(self):
         trace = IOTrace([("a", 0), ("a", 1), ("a", 2), ("a", 3)])
@@ -40,14 +39,6 @@ class TestIOTrace:
     def test_by_segment_and_summary(self):
         trace = IOTrace([("a", 0), ("b", 0), ("a", 1)])
         assert trace.by_segment() == {"a": 2, "b": 1}
-        summary = trace.summary()
-        assert "3 reads" in summary
-        assert "a=2" in summary
-
-    def test_distinct_counts_revisits_once(self):
-        trace = IOTrace([("a", 0), ("a", 0), ("a", 1)])
-        assert trace.distinct_pages == 2
-
 
 class TestIOTracer:
     def test_records_real_reads(self, tmp_path):
@@ -107,8 +98,12 @@ class TestIOTracer:
         hdov_trace = traced(
             lambda: session_db["hdov"].uniform_query(roi, lod)
         )
-        # HDoV reads whole versions: the most sequential of the three.
-        assert hdov_trace.sequentiality >= dm_trace.sequentiality
-        assert hdov_trace.sequentiality >= pm_trace.sequentiality
+        # DM reads whole cluster runs and HDoV whole versions: both
+        # more sequential than PM's per-node fetches.  On this small
+        # store DM's runs are the most sequential (on the 2M-point
+        # benchmark store HDoV leads, see abl_access_pattern).
+        assert dm_trace.sequentiality >= hdov_trace.sequentiality
+        assert dm_trace.sequentiality > pm_trace.sequentiality
+        assert hdov_trace.sequentiality > pm_trace.sequentiality
         # PM touches the most pages.
         assert len(pm_trace) > len(dm_trace)

@@ -24,17 +24,6 @@ class TestConstruction:
         with pytest.raises(MeshError):
             TriMesh([(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 0, 1)])
 
-    def test_from_grid_counts(self):
-        mesh = TriMesh.from_grid([[0, 1, 2], [3, 4, 5], [6, 7, 8]], 2.0)
-        assert mesh.n_vertices == 9
-        assert mesh.n_triangles == 8
-        mesh.validate_topology()
-        assert mesh.bounds().as_tuple() == (0, 0, 4, 4)
-
-    def test_from_grid_too_small(self):
-        with pytest.raises(MeshError):
-            TriMesh.from_grid([[1, 2]])
-
     def test_from_points_delaunay(self):
         pts = [(0, 0, 5), (10, 0, 6), (10, 10, 7), (0, 10, 8), (5, 5, 9)]
         mesh = TriMesh.from_points(pts)
@@ -60,15 +49,6 @@ class TestAdjacency:
 
 
 class TestSampling:
-    def test_elevation_interpolates(self, quad_mesh):
-        assert quad_mesh.elevation_at(0, 0) == pytest.approx(0.0)
-        assert quad_mesh.elevation_at(1, 1) == pytest.approx(2.0)
-        mid = quad_mesh.elevation_at(0.5, 0.5)
-        assert mid == pytest.approx(1.0)  # On the shared diagonal.
-
-    def test_elevation_outside(self, quad_mesh):
-        assert quad_mesh.elevation_at(5, 5) is None
-
     def test_elevation_range(self, quad_mesh):
         assert quad_mesh.elevation_range() == (0.0, 3.0)
 

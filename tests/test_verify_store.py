@@ -4,7 +4,12 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.clusters import decode_cluster_blob, encode_cluster_blob
+from repro.core.clusters import (
+    _content_hash,
+    _row_digests,
+    decode_cluster_blob,
+    encode_cluster_blob,
+)
 from repro.core.direct_mesh import epoch_files
 from repro.core.verify_store import epoch_problems
 
@@ -26,14 +31,30 @@ def reseal_cluster_run(store, cluster_id: int, blob: bytes) -> None:
 
 
 def repack_index(store, entries) -> None:
-    """Replace the store's R*-tree on disk by one over ``entries``,
-    STR-packed the way every index here is written."""
+    """Replace the store's R*-tree over its cluster extents on disk by
+    one over ``entries``, STR-packed the way every index here is
+    written."""
     from repro.index.rstar import RStarTree
 
-    name = epoch_files(store.prefix).rtree
+    name = epoch_files(store.prefix).ctree
     store.database.remove_segment(name)
     RStarTree(store.database.segment(name)).bulk_load(entries)
     store.database.flush()
+
+
+def forge_cluster_run(store, cluster_id: int, columns) -> None:
+    """Write ``columns`` over cluster ``cluster_id``'s run (same
+    length) and give the directory their row digests and content hash:
+    a consistent forgery that only the semantic pass can judge."""
+    blob = encode_cluster_blob(columns)
+    reseal_cluster_run(store, cluster_id, blob)
+    directory = store.clusters.directory
+    directory.clusters[cluster_id] = replace(
+        directory.clusters[cluster_id],
+        digests=_row_digests(columns),
+        content=_content_hash(blob),
+    )
+    directory.save(store.database.path / epoch_files(store.prefix).directory)
 
 
 def store_problems(store) -> list[str]:
@@ -44,8 +65,8 @@ def store_problems(store) -> list[str]:
 def tamper_cluster_record(store, cluster_id: int = 0, index: int = 0) -> int:
     """Move row ``index``'s ``z`` in one cluster run and re-seal it:
     every page checksum and the blob framing stay intact, so only the
-    cross-copy pass sees that the serving copy no longer matches the
-    heap.  Returns the tampered node's id."""
+    row's directory digest shows the record changed.  Returns the
+    tampered node's id."""
     columns = decode_cluster_blob(store.clusters.read_blob(cluster_id))
     z = columns.z.copy()
     z[index] += 1.0
@@ -75,27 +96,33 @@ class TestCorruptions:
     def test_detects_dangling_index_entry(self, small_store):
         from repro.geometry.primitives import Box3
 
-        entries = list(small_store.rtree.all_entries())
-        entries.append((Box3.vertical_segment(1, 1, 0, 1), 999_999_999))
+        entries = list(small_store.cluster_tree.all_entries())
+        entries.append((Box3.vertical_segment(1, 1, 0, 1), 999))
         repack_index(small_store, entries)
-        assert any("dangling" in p for p in store_problems(small_store))
+        assert store_problems(small_store) == [
+            "R*-tree indexes unknown cluster 999"
+        ]
 
     def test_detects_missing_index_entry(self, small_store):
-        # Drop one index entry but keep the heap record.
-        entries = list(small_store.rtree.all_entries())
+        # Drop one cluster's index entry but keep its run.
+        entries = sorted(
+            small_store.cluster_tree.all_entries(), key=lambda e: e[1]
+        )
         repack_index(small_store, entries[1:])
-        problems = store_problems(small_store)
-        assert any("missing from the index" in p for p in problems)
+        assert store_problems(small_store) == [
+            "cluster 0 missing from the R*-tree"
+        ]
 
     def test_detects_index_meta_count_mismatch(self, small_store):
         """A meta page whose entry count disagrees with the leaves,
         re-sealed so every page checksum holds: the crc scan is clean,
-        the entry sets agree, and fsck's R*-tree walk names it."""
+        the entries agree with the directory, and fsck's R*-tree walk
+        names it."""
         from repro.index.rstar import _META
         from repro.storage.integrity import scrub_database
 
         database = small_store.database
-        segment = database.segment(epoch_files(small_store.prefix).rtree)
+        segment = database.segment(epoch_files(small_store.prefix).ctree)
         buf = segment.fetch(0)
         fields = list(_META.unpack_from(buf, 0))
         fields[3] += 1  # magic, root, height, count, data space...
@@ -110,9 +137,9 @@ class TestCorruptions:
         ]
 
     def test_detects_tampered_cluster_record(self, small_store):
-        """A run whose pages and blob framing are intact but that
-        serves a different record than the heap holds: fsck's
-        cross-copy pass names the node."""
+        """A run whose pages and blob framing are intact but whose
+        record no longer matches its directory digest: fsck names the
+        node and the cluster."""
         from repro.obs.metrics import MetricsRegistry
         from repro.storage.integrity import scrub_database
 
@@ -120,7 +147,7 @@ class TestCorruptions:
         registry = MetricsRegistry()
         report = scrub_database(small_store.database, registry)
         assert report.corrupt_pages == 0
-        problem = f"node {node_id}: cluster 0 copy differs from heap"
+        problem = f"node {node_id}: cluster 0 record fails its digest"
         assert report.structural == [f"dm: {problem}"]
         assert registry.counters()["fsck.store_problems"] == 1
 
@@ -134,17 +161,44 @@ class TestCorruptions:
         assert any("directory claims" in p for p in problems)
 
     def test_detects_corrupt_record(self, small_store):
-        # Overwrite one record's payload in place with garbage.
-        from repro.storage.heapfile import unpack_rid
-        from repro.storage.page import SlottedPage
+        """A run record whose payload bytes are overwritten with
+        garbage and re-sealed: the blob still frames, and fsck names
+        the node the damaged row now holds."""
+        clusters = small_store.clusters
+        blob = bytearray(clusters.read_blob(0))
+        # Row 0's x, then its id (the first <i4 column): both garbage.
+        n = clusters.meta(0).n_nodes
+        blob[16:24] = b"\xff" * 8
+        ids_at = 16 + 8 * 5 * n
+        blob[ids_at:ids_at + 4] = b"\xfe\xff\xff\x7f"
+        reseal_cluster_run(small_store, 0, bytes(blob))
+        problems = store_problems(small_store)
+        assert problems == [
+            f"node {0x7ffffffe}: cluster 0 record fails its digest"
+        ]
 
-        rid, _ = next(small_store.heap.scan())
-        page_no, slot = unpack_rid(rid)
-        buf = small_store.heap.segment.fetch(page_no)
-        # The slotted layout ends at payload_size; under the v2 page
-        # format the bytes beyond it are the crc trailer.
-        page = SlottedPage(buf, small_store.heap.segment.payload_size)
-        offset, length = page._slot(slot)
-        buf[offset : offset + min(8, length)] = b"\xff" * min(8, length)
-        small_store.heap.segment.mark_dirty(page_no)
-        assert store_problems(small_store)
+    def test_detects_node_outside_its_cluster_extent(self, small_store):
+        """A row moved outside its cluster's extent, with its digest
+        rewritten: the run and the directory agree, but a range query
+        selecting by extent would miss the node, and fsck names it."""
+        columns = small_store.clusters.decode(0)
+        x = columns.x.copy()
+        x[0] = small_store.clusters.meta(0).max_x + 1.0
+        forge_cluster_run(small_store, 0, replace(columns, x=x))
+        assert store_problems(small_store) == [
+            f"node {int(columns.ids[0])}: outside cluster 0 extent"
+        ]
+
+    def test_detects_run_content_hash_mismatch(self, small_store):
+        """A directory whose content hash no longer matches its run
+        (every row digest does): the engine would carry a decoded
+        cluster across a commit under the wrong identity, and fsck
+        names the cluster."""
+        directory = small_store.clusters.directory
+        meta = directory.clusters[0]
+        directory.clusters[0] = replace(meta, content=bytes(16))
+        files = epoch_files(small_store.prefix)
+        directory.save(small_store.database.path / files.directory)
+        assert store_problems(small_store) == [
+            "cluster 0 run differs from its content hash"
+        ]
