@@ -109,7 +109,8 @@ def test_engine_results_byte_identical_to_sequential(benchmark, serve_store):
 
         store.database.flush()
         with QueryEngine(store, workers=4) as engine:
-            return engine.run_batch(requests)
+            futures = [engine.submit(request) for request in requests]
+            return [future.result() for future in futures]
 
     outcomes = benchmark.pedantic(run, rounds=1, iterations=1)
     for request, outcome in zip(requests, outcomes):

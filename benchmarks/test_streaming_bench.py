@@ -1,19 +1,21 @@
 """Benchmark: progressive streaming sessions (extension experiment).
 
 Simulates a viewer walking across the 2M-analog terrain with a radial
-LOD field, comparing the delta protocol of
-:class:`~repro.core.streaming.TerrainSession` against a stateless
-server that retransmits every frame.  Asserts the headline property:
-small camera steps produce low churn, so the cumulative delta payload
-is a fraction of stateless retransmission.
+LOD field, served by :class:`~repro.core.streaming.EngineSession` and
+spliced by a :class:`~repro.core.wire.ClientMesh`, and compares the
+delta frames the session sends against a stateless server that sends
+a keyframe of the whole view every step.  Asserts the headline
+property: small camera steps produce low churn, so the cumulative
+delta payload is a fraction of the keyframes'.
 """
 
 from benchmarks.conftest import emit
 from repro.bench.reporting import SeriesTable
-from repro.core.streaming import TerrainSession
+from repro.core.engine import QueryEngine, SingleBaseRequest
+from repro.core.streaming import EngineSession
+from repro.core.wire import FLAG_KEYFRAME, ClientMesh, DeltaFrame, encode_frame
 from repro.geometry.plane import RadialLodField
 from repro.geometry.primitives import Rect
-from repro.storage.record import dm_record_size
 
 
 def test_streaming_churn_vs_step(benchmark, env_2m, workload_2m):
@@ -26,15 +28,15 @@ def test_streaming_churn_vs_step(benchmark, env_2m, workload_2m):
     e_max = ds.pm.max_lod()
     rate = e_max / (roi_h * 8)
 
-    def view_at(vy: float) -> RadialLodField:
+    def view_at(vy: float) -> SingleBaseRequest:
         roi = Rect(
             bounds.center.x - roi_w / 2,
             vy,
             bounds.center.x + roi_w / 2,
             vy + roi_h,
         )
-        return RadialLodField(
-            roi, (bounds.center.x, vy), rate, e_min, e_max
+        return SingleBaseRequest(
+            RadialLodField(roi, (bounds.center.x, vy), rate, e_min, e_max)
         )
 
     def run():
@@ -42,35 +44,44 @@ def test_streaming_churn_vs_step(benchmark, env_2m, workload_2m):
             "ext_streaming",
             "delta streaming: churn and payload vs camera step size",
             "step_pct_of_view",
-            ["avg_churn_pct", "delta_bytes", "stateless_bytes"],
+            ["avg_churn_pct", "delta_bytes", "keyframe_bytes"],
         )
-        for step_fraction in (0.02, 0.05, 0.10, 0.25):
-            session = TerrainSession(env.dm)
-            vy = bounds.min_y
-            session.update(view_at(vy))  # Prime the client.
-            churn_total = 0.0
-            delta_bytes = 0
-            stateless_bytes = 0
-            n_steps = 6
-            for _ in range(n_steps):
-                vy += roi_h * step_fraction
-                delta = session.update(view_at(vy))
-                churn_total += delta.churn
-                delta_bytes += delta.bytes_added + 8 * len(delta.removed)
-                stateless_bytes += sum(
-                    dm_record_size(len(r.connections))
-                    for r in (
-                        session._active.values()  # Frame contents.
-                    )
+        with QueryEngine(env.dm, workers=1) as engine:
+            for step_fraction in (0.02, 0.05, 0.10, 0.25):
+                session = EngineSession(engine, f"walk-{step_fraction}")
+                client = ClientMesh()
+                vy = bounds.min_y
+                # Prime the client with the first view's keyframe.
+                client.apply(session.update(view_at(vy)).payload)
+                churn_total = 0.0
+                delta_bytes = 0
+                keyframe_bytes = 0
+                n_steps = 6
+                for _ in range(n_steps):
+                    vy += roi_h * step_fraction
+                    update = session.update(view_at(vy))
+                    client.apply(update.payload)
+                    assert client.active_ids == session.active_ids
+                    churn_total += update.delta.churn
+                    delta_bytes += len(update.payload)
+                    # What a stateless server sends: the whole view.
+                    nodes = update.outcome.result.nodes
+                    keyframe_bytes += len(encode_frame(DeltaFrame(
+                        update.frame.seq,
+                        tuple(nodes[node_id] for node_id in sorted(nodes)),
+                        (),
+                        FLAG_KEYFRAME,
+                    )))
+                table.add_row(
+                    step_fraction * 100,
+                    {
+                        "avg_churn_pct": round(
+                            100 * churn_total / n_steps, 1
+                        ),
+                        "delta_bytes": delta_bytes,
+                        "keyframe_bytes": keyframe_bytes,
+                    },
                 )
-            table.add_row(
-                step_fraction * 100,
-                {
-                    "avg_churn_pct": round(100 * churn_total / n_steps, 1),
-                    "delta_bytes": delta_bytes,
-                    "stateless_bytes": stateless_bytes,
-                },
-            )
         return table
 
     table = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -78,6 +89,6 @@ def test_streaming_churn_vs_step(benchmark, env_2m, workload_2m):
     # Churn grows with step size.
     churns = table.column("avg_churn_pct")
     assert churns[0] < churns[-1]
-    # Small steps: deltas are a small fraction of stateless transfer.
+    # Small steps: deltas are a small fraction of the keyframes.
     first = table.rows[0][1]
-    assert first["delta_bytes"] < first["stateless_bytes"] * 0.5
+    assert first["delta_bytes"] < first["keyframe_bytes"] * 0.5

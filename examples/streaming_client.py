@@ -2,11 +2,12 @@
 
 The scenario the paper's introduction motivates — a thin client
 (mobile / web) walking across a large terrain, receiving only the
-*changes* to its mesh at each step.  A :class:`TerrainSession` diffs
-consecutive viewpoint-dependent queries, so the server transmits the
-handful of Direct Mesh records entering the view instead of the whole
-frame, and the self-describing connection lists let the client splice
-them in locally.
+*changes* to its mesh at each step.  An :class:`EngineSession` serves
+each viewpoint-dependent view through the query engine and sends the
+difference from the last one as a wire frame: the handful of Direct
+Mesh records entering the view and the ids leaving it.  A
+:class:`ClientMesh` splices each frame into its mesh locally, using
+the records' self-describing connection lists.
 
 Run:  python examples/streaming_client.py [n_steps]
 """
@@ -15,8 +16,19 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro.core import DirectMeshStore, TerrainSession, build_connection_lists
+from repro.core import (
+    ClientMesh,
+    DeltaFrame,
+    DirectMeshStore,
+    EngineSession,
+    QueryEngine,
+    SingleBaseRequest,
+    build_connection_lists,
+    encode_frame,
+)
+from repro.core.wire import FLAG_KEYFRAME
 from repro.geometry.plane import RadialLodField
+from repro.geometry.primitives import Rect
 from repro.mesh import SimplifyConfig, simplify_to_pm
 from repro.storage import Database
 from repro.terrain import DEM, fractal_field
@@ -32,59 +44,61 @@ def main(n_steps: int = 12) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         db = Database(Path(tmp) / "db")
         store = DirectMeshStore.build(pm, db, build_connection_lists(pm))
-        session = TerrainSession(store)
+        with QueryEngine(store, workers=1) as engine:
+            session = EngineSession(engine, "walker")
+            client = ClientMesh()
 
-        bounds = mesh.bounds()
-        roi_h = bounds.height * 0.45
-        roi_w = bounds.width * 0.45
-        step = (bounds.height - roi_h) / max(1, (n_steps - 1) * 3)
-        rate = pm.max_lod() / (roi_h * 10)
+            bounds = mesh.bounds()
+            roi_h = bounds.height * 0.45
+            roi_w = bounds.width * 0.45
+            step = (bounds.height - roi_h) / max(1, (n_steps - 1) * 3)
+            rate = pm.max_lod() / (roi_h * 10)
 
-        print(
-            f"\n{'step':>4} {'mesh':>6} {'added':>6} {'gone':>5} "
-            f"{'kept':>6} {'churn':>6} {'bytes':>8} {'DA':>4}"
-        )
-        total_bytes = total_da = 0
-        full_bytes = 0
-        for i in range(n_steps):
-            vy = bounds.min_y + i * step
-            from repro.geometry.primitives import Rect
-
-            roi = Rect(
-                bounds.center.x - roi_w / 2,
-                vy,
-                bounds.center.x + roi_w / 2,
-                vy + roi_h,
-            )
-            view = RadialLodField(
-                roi,
-                viewer=(bounds.center.x, vy),
-                rate=rate,
-                e_min=pm.lod_percentile(0.85),
-                e_max=pm.max_lod(),
-            )
-            delta = session.update(view)
-            mesh_size = len(session.active_ids)
-            frame_bytes = delta.bytes_added + 8 * len(delta.removed)
-            total_bytes += frame_bytes
-            total_da += delta.disk_accesses
-            # What a stateless server would have sent: the whole frame.
-            full_bytes += sum(
-                110 for _ in range(mesh_size)
-            )  # ~avg record size
             print(
-                f"{i:>4} {mesh_size:>6} {len(delta.added):>6} "
-                f"{len(delta.removed):>5} {delta.kept:>6} "
-                f"{delta.churn:>6.0%} {frame_bytes:>8} "
-                f"{delta.disk_accesses:>4}"
+                f"\n{'step':>4} {'mesh':>6} {'added':>6} {'gone':>5} "
+                f"{'kept':>6} {'churn':>6} {'bytes':>8} {'pages':>5}"
             )
+            total_bytes = total_pages = full_bytes = 0
+            for i in range(n_steps):
+                vy = bounds.min_y + i * step
+                roi = Rect(
+                    bounds.center.x - roi_w / 2,
+                    vy,
+                    bounds.center.x + roi_w / 2,
+                    vy + roi_h,
+                )
+                view = RadialLodField(
+                    roi,
+                    viewer=(bounds.center.x, vy),
+                    rate=rate,
+                    e_min=pm.lod_percentile(0.85),
+                    e_max=pm.max_lod(),
+                )
+                update = session.update(SingleBaseRequest(view))
+                client.apply(update.payload)
+                delta, pages = update.delta, update.outcome.metrics.pages_read
+                total_bytes += len(update.payload)
+                total_pages += pages
+                # What a stateless server would send: the whole view.
+                nodes = update.outcome.result.nodes
+                full_bytes += len(encode_frame(DeltaFrame(
+                    update.frame.seq,
+                    tuple(nodes[node_id] for node_id in sorted(nodes)),
+                    (),
+                    FLAG_KEYFRAME,
+                )))
+                print(
+                    f"{i:>4} {len(client):>6} {len(delta.added):>6} "
+                    f"{len(delta.removed):>5} {delta.kept:>6} "
+                    f"{delta.churn:>6.0%} {len(update.payload):>8} {pages:>5}"
+                )
 
-        print(
-            f"\ntransfer: {total_bytes / 1024:.1f} KiB as deltas vs "
-            f"~{full_bytes / 1024:.1f} KiB stateless "
-            f"({full_bytes / max(1, total_bytes):.1f}x saved); "
-            f"{total_da} total disk accesses"
-        )
+            print(
+                f"\ntransfer: {total_bytes / 1024:.1f} KiB of frames vs "
+                f"{full_bytes / 1024:.1f} KiB of keyframes stateless "
+                f"({full_bytes / max(1, total_bytes):.1f}x saved); "
+                f"{total_pages} run pages read"
+            )
         db.close()
 
 

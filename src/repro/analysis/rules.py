@@ -6,9 +6,9 @@ fixed) or a standing invariant of the design:
 ========  ==================================================================
 R1        Lock discipline: attributes a lock protects must be accessed
           under it (the ``Histogram.snapshot()`` race).
-R2        Clamped probes: query boxes in the query processors and
-          the engine through :func:`clamp_lod` (the ``e_cap`` blind
-          spot).
+R2        Clamped probes: query boxes in the query processors, the
+          engine, the cost model and EXPLAIN through :func:`clamp_lod`
+          (the ``e_cap`` blind spot).
 R3        Lazy init on shared objects needs double-checked locking
           (the ``DMQueryResult._edges`` race).
 R4        No load-bearing ``assert`` under ``src/`` — raise typed
@@ -61,11 +61,14 @@ from repro.analysis.engine import (
 )
 
 #: Modules whose query-box construction must route LOD coordinates
-#: through ``clamp_lod``: the query processors, and the engine, whose
-#: request boxes select clusters by the same capped extents.
+#: through ``clamp_lod``: the query processors; the engine, whose
+#: request boxes select clusters by the same capped extents; and the
+#: cost model and EXPLAIN, which price those boxes.
 CLAMP_MODULES = (
     "src/repro/core/query.py",
     "src/repro/core/engine.py",
+    "src/repro/core/cost_model.py",
+    "src/repro/core/explain.py",
 )
 
 #: The only modules allowed to call ``os.pread``/``os.pwrite`` (R7):

@@ -506,9 +506,9 @@ def measure_capacity(
     Replays a sample of the configured workload through the classic
     closed-loop ``measure_throughput`` — the number an open-loop run
     should be calibrated against (the acceptance runs use ``2x`` this).
-    ``run_batch`` gathers over the per-request task ``submit`` queues,
-    so repeated boxes in the sample share nothing here either: the
-    capacity is that of the pipeline the open loop will drive.
+    It submits every request and gathers the futures, the one entry
+    the open loop drives, so the capacity is that of the same
+    pipeline.
     """
     from repro.bench.runner import measure_throughput
 

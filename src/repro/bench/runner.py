@@ -136,7 +136,8 @@ def measure_throughput(
     repeat: int = 1,
     epoch: int = 0,
 ) -> ThroughputReport:
-    """Serve ``requests`` through a :class:`QueryEngine` and time it.
+    """Serve ``requests`` through a :class:`QueryEngine` — submit
+    each, then gather the futures — and time it.
 
     Every run starts from a cold buffer (the paper's protocol), so
     runs at different worker counts face identical cache state.
@@ -169,7 +170,8 @@ def measure_throughput(
     ) as engine:
         started = time.perf_counter()
         for _ in range(repeat):
-            outcomes.extend(engine.run_batch(requests))
+            futures = [engine.submit(request) for request in requests]
+            outcomes.extend(future.result() for future in futures)
         wall_s = time.perf_counter() - started
     registry.histogram("bench.batch_s").observe(wall_s)
     n_ok = sum(1 for o in outcomes if o.ok)

@@ -15,10 +15,11 @@ Public surface:
   (:func:`mesh_edges`, :func:`mesh_triangles` over a
   :class:`MeshArrays`; :func:`pack_records` for record dicts) and
   their scalar oracle;
-* :class:`~repro.core.engine.QueryEngine` -- concurrent batched query
-  execution with per-query metrics (the serving path);
+* :class:`~repro.core.engine.QueryEngine` -- concurrent query
+  execution with per-query metrics (the serving path), entered only
+  through ``submit``;
 * :class:`~repro.core.admission.CostGovernor` -- cost-based admission
-  control for the engine's open-loop ``submit`` path;
+  control for the engine's ``submit``;
 * :class:`~repro.core.cache.SemanticCache` -- interval-aware result
   cache answering subsumed queries with zero index/disk I/O;
 * :mod:`repro.core.wire` -- the versioned delta-frame wire format and
@@ -62,7 +63,6 @@ from repro.core.streaming import (
     EngineSession,
     FrameResult,
     SessionDelta,
-    TerrainSession,
 )
 from repro.core.wire import ClientMesh, DeltaFrame, decode_frame, encode_frame
 
@@ -86,7 +86,6 @@ __all__ = [
     "RTreeCostModel",
     "SessionDelta",
     "SingleBaseRequest",
-    "TerrainSession",
     "UniformRequest",
     "build_connection_lists",
     "connection_statistics",

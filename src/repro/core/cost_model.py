@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.query import plane_cube
 from repro.geometry.plane import QueryPlane
 from repro.geometry.primitives import Box3
 from repro.index.rstar import RTreeNodeStats
@@ -60,23 +61,25 @@ class MultiBasePlan:
 
 
 class RTreeCostModel:
-    """Estimates range-query I/O against one index's node statistics."""
+    """Estimates range-query I/O against one index's node statistics.
 
-    def __init__(self, stats: RTreeNodeStats) -> None:
+    ``e_cap`` is the store's indexing cap: a plane is priced as the
+    cube the query processors probe, clamped to it
+    (:func:`~repro.core.query.plane_cube`); ``None`` leaves it
+    unclamped.
+    """
+
+    def __init__(self, stats: RTreeNodeStats, e_cap: float | None) -> None:
         self._stats = stats
+        self._e_cap = e_cap
 
     def estimate(self, query: Box3) -> float:
         """Formula (1) for one query box."""
         return self._stats.estimate_disk_accesses(query)
 
     def estimate_plane(self, plane: QueryPlane) -> float:
-        """Formula (1) for the cube enclosing a query plane."""
-        return self.estimate(self.cube_for(plane))
-
-    @staticmethod
-    def cube_for(plane: QueryPlane) -> Box3:
-        """The single-base query cube of a (sub-)plane."""
-        return Box3.from_rect(plane.roi, plane.e_min, plane.e_max)
+        """Formula (1) for the cube a query plane probes."""
+        return self.estimate(plane_cube(plane, self._e_cap))
 
     # -- multi-base optimisation -------------------------------------------
 

@@ -170,7 +170,9 @@ class DirectMeshStore:
         # The extent statistics come from the in-memory directory (the
         # paper reads them "from the R-tree index"), so measured
         # queries pay no catalog I/O.
-        self.cost_model = RTreeCostModel(clusters.index.extent_stats())
+        self.cost_model = RTreeCostModel(
+            clusters.index.extent_stats(), e_cap
+        )
 
     # -- construction -------------------------------------------------------
 

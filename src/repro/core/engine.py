@@ -1,10 +1,11 @@
-"""Concurrent batched query engine over a :class:`DirectMeshStore`.
+"""Concurrent query engine over a :class:`DirectMeshStore`.
 
-One request is the unit of execution: :meth:`QueryEngine.submit` and
-:meth:`QueryEngine.run_batch` run each through one pipeline
+One request is the unit of execution, and :meth:`QueryEngine.submit`
+is the one way in: it runs each request through one pipeline
 (:meth:`QueryEngine._execute_job`: select + fetch from the cluster
 runs, filter, publish), held node-id-identical to the paper's
-processors in :mod:`repro.core.query`.  DESIGN.md section 6 ("The
+processors in :mod:`repro.core.query`.  A caller with many requests
+submits each and gathers the futures.  DESIGN.md section 6 ("The
 serving engine") describes the pipeline, retries, deadlines,
 corruption quarantine and admission control, with a usage example.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, NamedTuple, Union
 
 from repro.core.admission import DEGRADE, SHED, CostGovernor
 from repro.core.cache import (
@@ -187,7 +188,8 @@ class _Job:
     """One request's range query: the engine's unit of execution."""
 
     request: EngineRequest
-    #: The box the range query probes (see ``_probe_box``).
+    #: The box the range query probes (the query box, or with a cache
+    #: attached its prefetch-inflated cube; see ``submit``).
     box: Box3
     #: The snapshot the job executes against (pinned at submission;
     #: execution never re-reads the live slot).
@@ -211,8 +213,8 @@ class _Fetched(NamedTuple):
 
 
 class QueryEngine:
-    """Concurrent, fault-isolated query execution, one request at a
-    time or a batch at once.
+    """Concurrent, fault-isolated query execution, one submitted
+    request at a time.
 
     Args:
         store: the Direct Mesh store to serve from.
@@ -223,8 +225,7 @@ class QueryEngine:
             :class:`~repro.errors.TransientIOError` is re-attempted
             (0 disables retry; other exceptions never retry).
         deadline_s: per-request deadline in seconds, measured from
-            submission (of the request, or of the batch it is in);
-            ``None`` disables deadlines.  A uniform request that
+            submission; ``None`` disables deadlines.  A uniform request that
             misses it is answered at the coarsest LOD, any other fails
             with :class:`~repro.errors.DeadlineExceededError`.
         cache: a :class:`~repro.core.cache.SemanticCache`; every
@@ -234,9 +235,7 @@ class QueryEngine:
             cache may be shared by several engines over the same
             store; it must be invalidated when the store is rebuilt.
         governor: a :class:`~repro.core.admission.CostGovernor` giving
-            the open-loop :meth:`submit` path cost-based admission
-            control; batch execution (:meth:`run_batch`) is
-            closed-loop by construction and stays ungoverned.  ``None``
+            :meth:`submit` cost-based admission control.  ``None``
             admits everything (the ``--no-admission`` baseline).
         cluster_cache_bytes: budget of the engine's decoded-cluster
             LRU (:class:`~repro.core.cache.ClusterCache`).
@@ -437,22 +436,16 @@ class QueryEngine:
     def __exit__(self, *exc: object) -> None:
         self.close()
 
-    # -- execution ---------------------------------------------------------
-
-    def run(self, request: EngineRequest) -> QueryOutcome:
-        """Convenience: run a single request."""
-        return self.run_batch([request])[0]
-
-    # -- open-loop submission (admission-controlled) -----------------------
+    # -- submission (admission-controlled) ---------------------------------
 
     def submit(
         self, request: EngineRequest, tenant: str = "default"
     ) -> "Future[QueryOutcome]":
-        """Submit one request asynchronously (the open-loop path).
+        """Submit one request asynchronously: the engine's one entry.
 
-        Unlike :meth:`run_batch` — where a closed-loop caller
-        self-limits by waiting — ``submit`` returns immediately, so an
-        open-loop arrival process can outrun capacity.  With a
+        ``submit`` returns immediately, so an open-loop arrival
+        process can outrun capacity (a closed-loop caller self-limits
+        by waiting on the future).  With a
         :class:`~repro.core.admission.CostGovernor` attached, the
         request's cost is estimated *in the caller's thread* before
         anything is queued (in predicted cluster-run pages,
@@ -470,13 +463,21 @@ class QueryEngine:
         """
         registry = self.registry
         registry.counter("engine.requests").inc()
-        deadline = self._deadline_from_now()
+        deadline = (
+            None
+            if self._deadline_s is None
+            else time.monotonic() + self._deadline_s
+        )
         snap = self.pinned_snapshot()
         e_cap = snap.store.e_cap
         box = request.query_box(e_cap)
-        hit = self._cache_hit(request, box, snap)
-        if hit is not None:
-            return _resolved(hit)
+        cache = self._cache
+        if cache is not None:
+            columns = cache.lookup(box, epoch=snap.epoch)
+            if columns is not None:  # A cached cube contains the box.
+                return _resolved(
+                    self._inline_outcome(request, columns, snap.epoch)
+                )
         governor = self._governor
         reserved, degraded = 0.0, False
         if governor is not None:
@@ -495,22 +496,19 @@ class QueryEngine:
                 registry.counter("engine.overload_degraded").inc()
             else:
                 registry.counter("engine.admitted").inc()
-        job = _Job(request, self._probe_box(box, e_cap), snap)
+        # With a cache attached the job probes the prefetch-inflated
+        # cube: the request's filter restores exactness, and the
+        # taller cube turns nearby LODs into future cache hits.
+        probe = box if cache is None else cache.inflate(box, e_cap)
+        job = _Job(request, probe, snap)
         return self._submit_task(job, deadline, reserved, degraded)
-
-    def _deadline_from_now(self) -> float | None:
-        """The ``time.monotonic()`` deadline of a request — or a whole
-        batch — submitted now (``None``: deadlines are off)."""
-        if self._deadline_s is None:
-            return None
-        return time.monotonic() + self._deadline_s
 
     def _submit_task(
         self,
         job: _Job,
         deadline: float | None,
-        reserved: float = 0.0,
-        degraded: bool = False,
+        reserved: float,
+        degraded: bool,
     ) -> "Future[QueryOutcome]":
         """Queue a job on the pool — the one kind of task the engine
         runs — releasing its reservation (and the queue-depth gauge)
@@ -538,7 +536,7 @@ class QueryEngine:
                     return self._degrade_or_fail(job, error, 1)
                 return self._execute_with_policy(job, deadline)
             except Exception as exc:  # Last-ditch isolation: a bug in
-                # the policy itself must not poison a batch or leave a
+                # the policy itself must not poison a sibling or leave a
                 # submitter holding a raising future.
                 return self._error_outcome(job, exc, 1)
             finally:
@@ -549,28 +547,6 @@ class QueryEngine:
         except RuntimeError as exc:  # The pool refuses work after close().
             release()
             raise QueryError("engine is closed") from exc
-
-    def _probe_box(self, box: Box3, e_cap: float) -> Box3:
-        """The box a job probes: the query box, or — with a cache
-        attached — its prefetch-inflated cube (``cache.inflate``).
-        The request's filter restores exactness, and the taller cube
-        turns nearby LODs into future cache hits."""
-        cache = self._cache
-        return box if cache is None else cache.inflate(box, e_cap)
-
-    def _cache_hit(
-        self, request: EngineRequest, box: Box3, snap: _StoreSnapshot
-    ) -> QueryOutcome | None:
-        """The semantic-cache pre-check of ``submit`` and ``run_batch``:
-        the request's outcome when a cached cube contains its query
-        ``box``, ``None`` on a miss (or with no cache attached)."""
-        cache = self._cache
-        if cache is None:
-            return None
-        columns = cache.lookup(box, epoch=snap.epoch)
-        if columns is None:
-            return None
-        return self._inline_outcome(request, columns, snap.epoch)
 
     def _inline_outcome(
         self,
@@ -654,51 +630,6 @@ class QueryEngine:
             return None
         self._base_columns = (snap.epoch, columns)
         return columns
-
-    def run_batch(
-        self, requests: Sequence[EngineRequest]
-    ) -> list[QueryOutcome]:
-        """Execute a batch; outcomes are returned in request order.
-
-        Never raises for a per-request failure: errors surface as
-        :attr:`QueryOutcome.error` on the affected requests only.  (A
-        closed engine raises :class:`~repro.errors.QueryError`.)
-
-        The closed-loop convenience over :meth:`submit`'s per-request
-        task: the whole batch pins one snapshot and one deadline, and
-        is never governed — a caller that waits for its answers
-        self-limits.  With a semantic cache attached, every request is
-        probed against it *before* any miss is queued (so which
-        requests hit does not depend on how fast their siblings run):
-        a hit is answered inline — one vectorized filter over the
-        cached cube, no selection or disk I/O — and only the misses
-        execute.
-        """
-        requests = list(requests)
-        if not requests:
-            return []
-        deadline = self._deadline_from_now()
-        snap = self.pinned_snapshot()
-        e_cap = snap.store.e_cap
-        checked: list[QueryOutcome | _Job] = []
-        for request in requests:
-            box = request.query_box(e_cap)
-            hit = self._cache_hit(request, box, snap)
-            checked.append(
-                hit
-                if hit is not None
-                else _Job(request, self._probe_box(box, e_cap), snap)
-            )
-        futures = [
-            self._submit_task(item, deadline)
-            if isinstance(item, _Job)
-            else _resolved(item)
-            for item in checked
-        ]
-        outcomes = [future.result() for future in futures]
-        self.registry.counter("engine.requests").inc(len(requests))
-        self.registry.counter("engine.batches").inc()
-        return outcomes
 
     # -- stages (run on worker threads) ------------------------------------
 

@@ -10,8 +10,8 @@ model's accuracy is visible per query.
 Example::
 
     >>> print(explain(store, plane).to_text())          # doctest: +SKIP
-    viewpoint-dependent query (multi-base)
-      strip 1: roi 640x320, e in [0.12, 3.4], est. 18.2 DA
+    viewpoint-dependent query (multi-base) (2 range queries)
+      step 1: cube x:[0,2000] y:[0,1000] e:[0.5,4.2] est 6.1 DA
       ...
 """
 
@@ -50,65 +50,24 @@ class RangeStep:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClusterView:
-    """The cluster fast path's side of a plan.
-
-    The static half (``candidates`` / ``run_pages`` / ``nodes``) comes
-    from the in-memory cluster directory: which clusters the probe
-    cubes select and what decoding them costs.  The executed half is
-    filled by running the query through a fresh
-    :class:`~repro.core.engine.QueryEngine` — nodes decoded vs
-    retrieved (the overfetch the batched layout trades for sequential
-    I/O) and where each cluster came from (decoded-cluster cache hit
-    vs physical run read).
-    """
+    """The cluster runs a plan reads: the clusters the in-memory
+    cluster directory selects for the plan's probe cubes, and the run
+    pages and nodes decoding them costs."""
 
     candidates: int
     run_pages: int
     nodes: int
-    pages_read: int | None = None
-    nodes_decoded: int | None = None
-    retrieved: int | None = None
-    result_nodes: int | None = None
-    decode_hits: int | None = None
-    decode_misses: int | None = None
-
-    @property
-    def overfetch(self) -> float | None:
-        """Nodes decoded per node retrieved (``None`` before execute
-        or when nothing was retrieved)."""
-        if not self.retrieved or self.nodes_decoded is None:
-            return None
-        return self.nodes_decoded / self.retrieved
-
-    def lines(self) -> list[str]:
-        """The EXPLAIN block's cluster section."""
-        out = [
-            f"  cluster path: {self.candidates} candidate cluster"
-            f"{'' if self.candidates == 1 else 's'}, "
-            f"{self.run_pages} run pages, {self.nodes} nodes"
-        ]
-        if self.nodes_decoded is not None:
-            ratio = self.overfetch
-            ratio_text = f", overfetch {ratio:.1f}x" if ratio else ""
-            out.append(
-                f"  executed clustered: {self.pages_read} pages read, "
-                f"{self.nodes_decoded} decoded -> {self.retrieved} "
-                f"retrieved -> {self.result_nodes} in result{ratio_text}"
-            )
-            out.append(
-                f"  cluster provenance: {self.decode_hits} decoded-cache "
-                f"hit{'' if self.decode_hits == 1 else 's'}, "
-                f"{self.decode_misses} run read"
-                f"{'' if self.decode_misses == 1 else 's'}"
-            )
-        return out
 
 
 @dataclass
 class QueryExplanation:
-    """The plan (and optionally the execution) of one terrain query."""
+    """The plan (and optionally the execution) of one terrain query.
+
+    ``steps`` are the range queries the query processors issue, each
+    with its probe cube (clamped to the store's ``e_cap``).
+    """
 
     kind: str
     steps: list[RangeStep] = field(default_factory=list)
@@ -124,6 +83,14 @@ class QueryExplanation:
         """Total cost-model estimate across steps."""
         return sum(step.estimated_da for step in self.steps)
 
+    @property
+    def overfetch(self) -> float | None:
+        """Cluster nodes decoded per record the execution retrieved
+        (``None`` before execute or when nothing was retrieved)."""
+        if self.cluster_view is None or not self.retrieved:
+            return None
+        return self.cluster_view.nodes / self.retrieved
+
     def to_text(self) -> str:
         """A formatted EXPLAIN block."""
         lines = [f"{self.kind} ({len(self.steps)} range quer"
@@ -132,7 +99,7 @@ class QueryExplanation:
             lines.append(f"  step {index}: {step.describe()}")
         lines.append(
             f"  estimated total: {self.estimated_da:.1f} DA "
-            f"(formula (1): index node accesses only)"
+            f"(formula (1) over the cluster extents: run pages)"
         )
         if self.predicted_gain is not None and self.predicted_gain > 0:
             lines.append(
@@ -146,8 +113,15 @@ class QueryExplanation:
                 f"{self.retrieved} records retrieved, "
                 f"{self.result_nodes} in result"
             )
-        if self.cluster_view is not None:
-            lines.extend(self.cluster_view.lines())
+        view = self.cluster_view
+        if view is not None:
+            overfetch = self.overfetch
+            lines.append(
+                f"  cluster path: {view.candidates} candidate cluster"
+                f"{'' if view.candidates == 1 else 's'}, "
+                f"{view.run_pages} run pages, {view.nodes} nodes"
+                + (f", overfetch {overfetch:.1f}x" if overfetch else "")
+            )
         return "\n".join(lines)
 
 
@@ -166,56 +140,44 @@ def explain(
             field (QueryPlane / RadialLodField) for a
             viewpoint-dependent one.
         lod: the LOD for Rect queries.
-        execute: also run the query cold and attach actual counters.
+        execute: also run the query once, on the paper's processors
+            (:mod:`repro.core.query`), and attach its counters.
     """
     model = store.cost_model
+    e_cap = store.e_cap
     if isinstance(query, Rect):
         if lod is None:
             raise QueryError("explain of a Rect query needs a lod value")
-        cube = Box3.from_rect(query, lod, lod)
+        cube = plane_box(query, lod, e_cap)
         explanation = QueryExplanation(
             kind="viewpoint-independent query",
             steps=[RangeStep(cube, model.estimate(cube))],
         )
         runner = lambda: store.uniform_query(query, lod)  # noqa: E731
-        # Cluster selection sees what the engine probes: the clamped
-        # cube (an unclamped lod above e_cap selects nothing).
-        probe_cubes = [plane_box(query, lod, store.e_cap)]
     elif hasattr(query, "required_lod"):
         plan = model.plan_multi_base(query)
-        steps = [
-            RangeStep(
-                Box3.from_rect(strip.roi, strip.e_min, strip.e_max),
-                model.estimate_plane(strip),
-            )
-            for strip in plan.strips
-        ]
+        cubes = [plane_cube(strip, e_cap) for strip in plan.strips]
         explanation = QueryExplanation(
             kind="viewpoint-dependent query (multi-base)"
             if plan.n_queries > 1
             else "viewpoint-dependent query (single-base)",
-            steps=steps,
+            steps=[RangeStep(cube, model.estimate(cube)) for cube in cubes],
             single_base_estimate=plan.single_base_da,
             predicted_gain=plan.predicted_gain,
         )
         runner = lambda: store.multi_base_query(query, plan=plan)  # noqa: E731
-        probe_cubes = [
-            plane_cube(strip, store.e_cap) for strip in plan.strips
-        ]
     else:
         raise QueryError(
             f"cannot explain query of type {type(query).__name__}"
         )
 
     clusters = store.clusters
-    cids = sorted(
-        {
-            cid
-            for cube in probe_cubes
-            for cid in clusters.index.candidates(cube)
-        }
-    )
-    view = explanation.cluster_view = ClusterView(
+    cids = {
+        cid
+        for step in explanation.steps
+        for cid in clusters.index.candidates(step.cube)
+    }
+    explanation.cluster_view = ClusterView(
         candidates=len(cids),
         run_pages=sum(clusters.meta(cid).n_pages for cid in cids),
         nodes=sum(clusters.meta(cid).n_nodes for cid in cids),
@@ -227,47 +189,4 @@ def explain(
         explanation.actual_da = store.database.disk_accesses
         explanation.result_nodes = len(result)
         explanation.retrieved = result.retrieved
-        _execute_clustered(store, query, lod, view)
     return explanation
-
-
-def _execute_clustered(
-    store: "DirectMeshStore",
-    query: Rect | QueryPlane,
-    lod: float | None,
-    view: ClusterView,
-) -> None:
-    """Run the query through the cluster fast path and fill ``view``.
-
-    A fresh single-worker engine (so its decoded-cluster cache starts
-    cold — the provenance line shows this query's own hits vs run
-    reads).  Non-plane LOD fields are left unexecuted: the engine's
-    request types cover Rect and QueryPlane queries.
-    """
-    from repro.core.engine import (
-        QueryEngine,
-        SingleBaseRequest,
-        UniformRequest,
-    )
-    from repro.obs.metrics import MetricsRegistry
-
-    if isinstance(query, Rect):
-        request = UniformRequest(query, lod)
-    elif isinstance(query, QueryPlane):
-        request = SingleBaseRequest(query)
-    else:
-        return
-    registry = MetricsRegistry()
-    with QueryEngine(store, workers=1, registry=registry) as engine:
-        outcome = engine.run(request)
-    if not outcome.ok or outcome.result is None:
-        return
-    counters = registry.counters()
-    metrics = outcome.metrics
-    view.candidates = metrics.clusters_touched
-    view.pages_read = metrics.pages_read
-    view.nodes_decoded = metrics.nodes_decoded
-    view.retrieved = outcome.result.retrieved
-    view.result_nodes = len(outcome.result.nodes)
-    view.decode_hits = counters.get("cluster.decode_hits", 0)
-    view.decode_misses = counters.get("cluster.decode_misses", 0)

@@ -31,7 +31,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.clusters import intersecting_rows
-from repro.core.cost_model import MultiBasePlan
 from repro.core.reconstruct import (
     KERNEL_MIN_NODES,
     IdArray,
@@ -52,6 +51,7 @@ from repro.storage.record import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     import numpy.typing as npt
 
+    from repro.core.cost_model import MultiBasePlan
     from repro.core.direct_mesh import DirectMeshStore
 
 __all__ = [

@@ -1,4 +1,4 @@
-"""Progressive terrain streaming sessions over a Direct Mesh store.
+"""Progressive terrain streaming over the query engine.
 
 The paper's introduction motivates MTMs with interactive walkthroughs
 on "ordinary desktops or wireless devices and Internet applications":
@@ -6,23 +6,16 @@ a client keeps a terrain mesh for its current view and, as the view
 moves, wants *deltas* — which points entered the approximation, which
 left — rather than full result sets.
 
-Two layers provide that:
-
-* :class:`TerrainSession` — the in-process helper.  Each
-  :meth:`~TerrainSession.update` evaluates the new view directly
-  against the store's query processors, diffs it against the active
-  set, and returns a :class:`SessionDelta` with added records, removed
-  ids, and transfer-size accounting.
-* :class:`EngineSession` — the transmission subsystem.  Updates are
-  routed through :meth:`~repro.core.engine.QueryEngine.submit`, so
-  sessions compose with the semantic cache, fault retries, deadlines, and
-  :class:`~repro.core.admission.CostGovernor` admission (tenant-tagged —
-  session queries drain the same token buckets as everything else).
-  Each update is encoded as a versioned delta frame
-  (:mod:`repro.core.wire`) a stateless
-  :class:`~repro.core.wire.ClientMesh` splices without any
-  server-side topology bookkeeping — the property that makes DM suit
-  thin clients.
+:class:`EngineSession` is that stream.  Updates are routed through
+:meth:`~repro.core.engine.QueryEngine.submit`, so sessions compose
+with the semantic cache, fault retries, deadlines, and
+:class:`~repro.core.admission.CostGovernor` admission (tenant-tagged —
+session queries drain the same token buckets as everything else).
+Each update is diffed against the session's active set
+(:func:`diff_active`) and encoded as a versioned delta frame
+(:mod:`repro.core.wire`) a stateless
+:class:`~repro.core.wire.ClientMesh` splices without any server-side
+topology bookkeeping — the property that makes DM suit thin clients.
 """
 
 from __future__ import annotations
@@ -31,12 +24,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.query import DMQueryResult
-from repro.core.reconstruct import (
-    IdArray,
-    mesh_edges,
-    mesh_triangles,
-    pack_records,
-)
 from repro.core.wire import (
     FLAG_DEGRADED,
     FLAG_KEYFRAME,
@@ -45,15 +32,12 @@ from repro.core.wire import (
 )
 from repro.errors import QueryError
 from repro.geometry.primitives import Rect
-from repro.storage.record import DMNodeRecord, dm_record_size
+from repro.storage.record import DMNodeRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.direct_mesh import DirectMeshStore
     from repro.core.engine import EngineRequest, QueryEngine, QueryOutcome
-    from repro.geometry.plane import QueryPlane
 
 __all__ = [
-    "TerrainSession",
     "SessionDelta",
     "FrameResult",
     "EngineSession",
@@ -69,15 +53,11 @@ class SessionDelta:
             would transmit).
         removed: ids leaving the approximation (clients drop these).
         kept: number of records carried over unchanged.
-        disk_accesses: physical reads the update cost the server.
-        bytes_added: on-wire size of ``added`` (DM record encoding).
     """
 
     added: list[DMNodeRecord] = field(default_factory=list)
     removed: list[int] = field(default_factory=list)
     kept: int = 0
-    disk_accesses: int = 0
-    bytes_added: int = 0
 
     @property
     def churn(self) -> float:
@@ -87,100 +67,16 @@ class SessionDelta:
 
 
 def diff_active(
-    active: dict[int, DMNodeRecord],
-    result: DMQueryResult,
-    disk_accesses: int = 0,
+    active: dict[int, DMNodeRecord], result: DMQueryResult
 ) -> SessionDelta:
     """Diff a fresh query result against a session's active set."""
     new_ids = set(result.nodes)
     old_ids = set(active)
-    delta = SessionDelta(disk_accesses=disk_accesses)
-    for node_id in sorted(new_ids - old_ids):
-        record = result.nodes[node_id]
-        delta.added.append(record)
-        delta.bytes_added += dm_record_size(len(record.connections))
-    delta.removed = sorted(old_ids - new_ids)
-    delta.kept = len(new_ids & old_ids)
-    return delta
-
-
-class TerrainSession:
-    """A stateful client view over a Direct Mesh store."""
-
-    def __init__(self, store: "DirectMeshStore") -> None:
-        self._store = store
-        self._active: dict[int, DMNodeRecord] = {}
-
-    # -- state ------------------------------------------------------------
-
-    @property
-    def active_ids(self) -> set[int]:
-        """Ids currently in the client's mesh."""
-        return set(self._active)
-
-    def mesh(self) -> tuple[IdArray, IdArray]:
-        """The client's current ``(edges, triangles)``: sorted
-        ``(k, 2)`` / ``(m, 3)`` node-id arrays, as
-        :class:`~repro.core.query.DMQueryResult` returns them."""
-        arrays = pack_records(self._active)
-        edges = mesh_edges(arrays)
-        return edges, mesh_triangles(arrays, edges)
-
-    # -- updates ------------------------------------------------------------
-
-    def update(
-        self, view: "Rect | QueryPlane", lod: float | None = None
-    ) -> SessionDelta:
-        """Move the session to a new view and return the delta.
-
-        Args:
-            view: a query plane / radial field (viewpoint-dependent),
-                or a :class:`~repro.geometry.primitives.Rect` ROI
-                combined with ``lod`` (viewpoint-independent).
-            lod: the uniform LOD when ``view`` is a Rect.
-
-        A failed evaluation (bad view type, query error) leaves the
-        session state — active set and update count — untouched, and
-        its I/O accounting is scoped by a per-thread probe, so a
-        raise cannot misattribute disk accesses to the next update
-        (the ISSUE 7 bracket bug: ``begin_measured_query`` reset the
-        *global* counters and an exception abandoned the bracket).
-        """
-        database = self._store.database
-        # Cold-cache measurement methodology: every update pays its own
-        # physical reads, as the original global bracket did.
-        database.flush()
-        with database.stats.attribute() as probe:
-            result = self._evaluate(view, lod)
-        return self._apply(result, probe.physical_reads)
-
-    def _evaluate(
-        self, view: "Rect | QueryPlane", lod: float | None
-    ) -> DMQueryResult:
-        if isinstance(view, Rect):
-            if lod is None:
-                raise QueryError("uniform view updates need a lod value")
-            return self._store.uniform_query(view, lod)
-        if hasattr(view, "required_lod"):
-            return self._store.multi_base_query(view)
-        raise QueryError(
-            f"unsupported view type {type(view).__name__}; pass a Rect "
-            "or an object with required_lod()"
-        )
-
-    def _apply(
-        self, result: DMQueryResult, disk_accesses: int
-    ) -> SessionDelta:
-        delta = diff_active(self._active, result, disk_accesses)
-        self._active = dict(result.nodes)
-        return delta
-
-    def reset(self) -> None:
-        """Drop the client state (e.g. teleporting the camera)."""
-        self._active.clear()
-
-
-# -- transmission over the engine -------------------------------------------
+    return SessionDelta(
+        added=[result.nodes[node_id] for node_id in sorted(new_ids - old_ids)],
+        removed=sorted(old_ids - new_ids),
+        kept=len(new_ids & old_ids),
+    )
 
 
 @dataclass
@@ -303,9 +199,7 @@ class EngineSession:
             registry.counter("session.errors").inc()
             error = outcome.error or QueryError("engine returned no result")
             raise error
-        delta = diff_active(
-            self._active, outcome.result, outcome.metrics.pages_read
-        )
+        delta = diff_active(self._active, outcome.result)
         stale = self.stale
         keyframe = self._seq == 0 or stale
         flags = FLAG_KEYFRAME if keyframe else 0

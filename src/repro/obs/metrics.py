@@ -52,7 +52,6 @@ METRIC_NAMES: frozenset[str] = frozenset(
     {
         # -- query engine --------------------------------------------------
         "engine.requests",
-        "engine.batches",
         "engine.range_queries",
         "engine.retries",
         "engine.errors",

@@ -110,6 +110,13 @@ def oracle_mesh(nodes) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
+def gather(engine, requests) -> list:
+    """Submit every request, then wait for each: the outcomes in
+    request order (the closed-loop way to serve many requests)."""
+    futures = [engine.submit(request) for request in requests]
+    return [future.result(timeout=120) for future in futures]
+
+
 def assert_same_rows(got: np.ndarray, want: np.ndarray) -> None:
     """``got`` is ``want``: same dtype, shape, rows and row order."""
     assert got.dtype == np.int64

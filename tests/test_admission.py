@@ -323,28 +323,6 @@ class TestEngineAdmission:
             engine.submit(request)
         assert governor.inflight_cost == 0
         assert engine.registry.gauge("slo.queue_depth").value == 0
-        with pytest.raises(QueryError, match="engine is closed"):
-            engine.run_batch([request])
-        assert engine.registry.gauge("slo.queue_depth").value == 0
-
-    def test_batch_bypasses_a_saturated_governor(self, session_db):
-        """``run_batch`` is closed-loop and stays ungoverned: a budget
-        that would shed every ``submit`` leaves a batch untouched."""
-        store = session_db["dm"]
-        governor = CostGovernor(budget=1.0, degrade_headroom=1.0)
-        governor.decide("filler", 1.0)
-        request = _mid_request(store)
-        with QueryEngine(store, workers=2, governor=governor) as engine:
-            assert engine.submit(request).result(timeout=30).shed
-            outcomes = engine.run_batch([request, request])
-            counters = engine.registry.counters()
-        reference = store.uniform_query(request.roi, request.lod)
-        for outcome in outcomes:
-            assert outcome.ok and not outcome.shed and not outcome.degraded
-            assert outcome.result.nodes == reference.nodes
-        assert counters["engine.shed"] == 1
-        assert "engine.admitted" not in counters
-        assert governor.inflight_cost == 1.0
 
 
 class TestOverloadStress:

@@ -105,7 +105,7 @@ def _assert_parity(pm, store, request) -> None:
         reference = store.single_base_query(request.plane)
         selected = viewdep_query_ref(pm, request.plane)
     with QueryEngine(store, workers=1) as engine:
-        outcome = engine.run(request)
+        outcome = engine.submit(request).result()
     assert outcome.ok
     assert outcome.result.nodes == reference.nodes
     assert outcome.result.retrieved == reference.retrieved
@@ -146,7 +146,7 @@ class TestEngineParity:
         reference = store.uniform_query(extent, store.e_cap * 2.0)
         assert len(reference) > 0
         with QueryEngine(store, workers=1) as engine:
-            outcome = engine.run(UniformRequest(extent, store.e_cap * 2.0))
+            outcome = engine.submit(UniformRequest(extent, store.e_cap * 2.0)).result()
         assert outcome.result.nodes == reference.nodes
 
     def test_empty_roi(self, built):
@@ -160,7 +160,7 @@ class TestEngineParity:
             extent.max_y + 101.0,
         )
         with QueryEngine(store, workers=1) as engine:
-            outcome = engine.run(UniformRequest(far, store.max_lod / 2))
+            outcome = engine.submit(UniformRequest(far, store.max_lod / 2)).result()
         assert outcome.result.nodes == {}
         assert outcome.result.retrieved == 0
 
@@ -171,8 +171,8 @@ class TestEngineParity:
         request = UniformRequest(extent, store.max_lod / 2)
         db.flush()
         with QueryEngine(store, workers=1) as engine:
-            cold = engine.run(request)
-            warm = engine.run(request)
+            cold = engine.submit(request).result()
+            warm = engine.submit(request).result()
             cache_stats = engine.cluster_cache.stats()
         assert cold.metrics.clusters_touched > 0
         assert cold.metrics.nodes_decoded >= cold.result.retrieved
@@ -208,9 +208,9 @@ class TestEngineParity:
         with Database(tmp_path / "persist") as db:
             store = DirectMeshStore.open(db)
             with QueryEngine(store) as engine:
-                outcome = engine.run(
+                outcome = engine.submit(
                     UniformRequest(extent, store.max_lod / 3)
-                )
+                ).result()
             assert outcome.result.nodes == reference.nodes
 
 
@@ -407,7 +407,7 @@ class TestPaperMetric:
                     rstar += db.disk_accesses
                     db.begin_measured_query()
                     server.cluster_cache.invalidate()
-                    outcome = server.run(request)
+                    outcome = server.submit(request).result()
                     assert outcome.result.nodes == want.nodes
                     engine += db.disk_accesses
         assert engine <= rstar
@@ -732,11 +732,17 @@ class TestExplainClusterView:
         assert view is not None
         assert view.candidates > 0
         assert view.run_pages > 0
-        assert view.pages_read is not None
-        assert view.nodes_decoded >= view.retrieved
-        assert view.result_nodes == explanation.result_nodes
-        assert view.retrieved == explanation.retrieved
-        assert view.decode_hits + view.decode_misses == view.candidates
+        # The selected clusters hold every record the execution
+        # retrieved, and the overfetch is theirs over it.
+        assert view.nodes >= explanation.retrieved > 0
+        assert explanation.overfetch == view.nodes / explanation.retrieved
+        # The same clusters the engine decodes for the same query.
+        with QueryEngine(store, workers=1) as engine:
+            outcome = engine.submit(
+                UniformRequest(extent, store.max_lod / 2)
+            ).result()
+        assert outcome.metrics.clusters_touched == view.candidates
+        assert outcome.metrics.nodes_decoded == view.nodes
         text = explanation.to_text()
         assert "cluster path" in text and "overfetch" in text
 

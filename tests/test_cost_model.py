@@ -1,5 +1,7 @@
 """Tests for the R-tree cost model and multi-base optimiser."""
 
+import math
+
 import pytest
 
 from repro.core.cost_model import RTreeCostModel
@@ -26,7 +28,7 @@ def uniform_stats(n_nodes=100, extent=0.1):
 
 @pytest.fixture
 def model():
-    return RTreeCostModel(uniform_stats())
+    return RTreeCostModel(uniform_stats(), e_cap=10.0)
 
 
 ROI = Rect(20, 20, 60, 60)
@@ -132,6 +134,20 @@ class TestRunPageStats:
         actual = db.disk_accesses
         # Within a loose factor of the run pages really read.
         assert 0.2 * actual <= dm.cost_model.estimate(large) <= 5 * actual
+
+    @pytest.mark.parametrize("factor", [1.0, 3.0, float("inf")])
+    def test_plane_is_priced_as_its_clamped_probe(self, session_db, factor):
+        """A plane reaching past ``e_cap`` probes the clamped cube, and
+        is priced as it: finite, and the same however far it reaches."""
+        dm = session_db["dm"]
+        roi = dm.clusters.index.extent.rect.scaled(0.5)
+        e_min = 0.1 * dm.max_lod
+        capped = dm.cost_model.estimate_plane(QueryPlane(roi, e_min, dm.e_cap))
+        reaching = dm.cost_model.estimate_plane(
+            QueryPlane(roi, e_min, factor * dm.e_cap)
+        )
+        assert math.isfinite(reaching)
+        assert reaching == capped
 
     def test_empty_directory_has_no_stats(self):
         from repro.core.clusters import ClusterDirectory, ClusterIndex

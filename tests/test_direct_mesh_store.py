@@ -276,7 +276,7 @@ class TestLifecycle:
             store = DirectMeshStore.open(db)
             assert set(store.uniform_query(roi, lod).nodes) == expected
             with QueryEngine(store, workers=1) as engine:
-                outcome = engine.run(UniformRequest(roi, lod))
+                outcome = engine.submit(UniformRequest(roi, lod)).result()
             assert set(outcome.result.nodes) == expected
             assert scrub_database(db).ok
 

@@ -1,9 +1,8 @@
-"""The concurrent batched query engine.
+"""The concurrent query engine.
 
-The contract under test: whatever the worker count, batch order, or
-entry point, the engine returns the *same approximations* as the
-sequential query processors, byte-identical (same nodes, same
-``retrieved`` count).
+The contract under test: whatever the worker count or request order,
+the engine returns the *same approximations* as the sequential query
+processors, byte-identical (same nodes, same ``retrieved`` count).
 """
 
 import random
@@ -22,7 +21,7 @@ from repro.mesh.selective import uniform_query_ref, viewdep_query_ref
 from repro.obs.metrics import MetricsRegistry
 from repro.storage import Database
 from repro.terrain import dataset_by_name
-from tests.conftest import assert_same_rows, oracle_mesh
+from tests.conftest import assert_same_rows, gather, oracle_mesh
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +66,7 @@ class TestBatchIdentity:
         rng = random.Random(1)
         requests = [_random_uniform(store, rng) for _ in range(8)]
         with QueryEngine(store, workers=4) as engine:
-            outcomes = engine.run_batch(requests)
+            outcomes = gather(engine, requests)
         assert len(outcomes) == len(requests)
         for request, outcome in zip(requests, outcomes):
             assert outcome.request is request
@@ -82,8 +81,8 @@ class TestBatchIdentity:
             QueryPlane(extent, 0.3 * max_lod, 0.9 * max_lod, (1.0, 0.0)),
         ]
         with QueryEngine(store, workers=2) as engine:
-            outcomes = engine.run_batch(
-                [SingleBaseRequest(p) for p in planes]
+            outcomes = gather(
+                engine, [SingleBaseRequest(p) for p in planes]
             )
         for plane, outcome in zip(planes, outcomes):
             _assert_identical(outcome, store.single_base_query(plane))
@@ -98,19 +97,15 @@ class TestBatchIdentity:
                 for _ in range(12)
             ]
             with QueryEngine(store, workers=workers) as engine:
-                outcomes = engine.run_batch(requests)
+                outcomes = gather(engine, requests)
             for request, outcome in zip(requests, outcomes):
                 reference = store.uniform_query(request.roi, request.lod)
                 _assert_identical(outcome, reference)
 
-    def test_empty_batch(self, store):
-        with QueryEngine(store, workers=2) as engine:
-            assert engine.run_batch([]) == []
-
     def test_run_single(self, store):
         request = _random_uniform(store, random.Random(5))
         with QueryEngine(store, workers=1) as engine:
-            outcome = engine.run(request)
+            outcome = engine.submit(request).result()
         _assert_identical(
             outcome, store.uniform_query(request.roi, request.lod)
         )
@@ -152,10 +147,9 @@ class TestFetchStrategyMatrix:
         rng.shuffle(requests)
         return requests
 
-    @pytest.mark.parametrize("entry", ["run_batch", "submit"])
     @pytest.mark.parametrize("cached", [False, True], ids=["nocache", "cache"])
     def test_every_configuration_matches_reference(
-        self, dataset, store, cached, entry
+        self, dataset, store, cached
     ):
         requests = self._requests(store)
         cache = (
@@ -164,12 +158,9 @@ class TestFetchStrategyMatrix:
             else None
         )
         with QueryEngine(store, workers=3, cache=cache) as engine:
-            if entry == "run_batch":
-                outcomes = engine.run_batch(requests)
-            else:
-                outcomes = [
-                    engine.submit(r).result(timeout=30) for r in requests
-                ]
+            outcomes = [
+                engine.submit(r).result(timeout=30) for r in requests
+            ]
         for request, outcome in zip(requests, outcomes):
             assert outcome.ok and not outcome.degraded
             if isinstance(request, UniformRequest):
@@ -203,111 +194,7 @@ class TestFetchStrategyMatrix:
             if isinstance(r, UniformRequest) and r.lod > store.e_cap
         ]
         assert above_cap and all(len(o.result) > 0 for o in above_cap)
-        if cached and entry == "submit":
-            assert any(o.metrics.cached for o in outcomes)
-
-
-class TestRunBatchIsSubmit:
-    """The seam this file's other suites stand on: a batch is the
-    closed-loop gather over ``submit``'s per-request task, so
-    ``run_batch(requests)`` answers exactly what ``submit`` answers
-    request by request — duplicates, contained and disjoint ROIs
-    included — and both agree with the paper's reference semantics."""
-
-    @staticmethod
-    def _requests(store):
-        """The fetch-strategy mix (it holds a repeat and disjoint
-        ROIs) plus an ROI contained in the repeated one."""
-        requests = TestFetchStrategyMatrix._requests(store)
-        repeated = next(r for r in requests if requests.count(r) == 2)
-        requests.append(UniformRequest(repeated.roi.scaled(0.5), repeated.lod))
-        return requests
-
-    @pytest.mark.parametrize("cached", [False, True], ids=["nocache", "cache"])
-    def test_batch_equals_sequential_submits(self, dataset, store, cached):
-        requests = self._requests(store)
-
-        def engine_for(registry=None):
-            cache = SemanticCache(64 << 20) if cached else None
-            return QueryEngine(
-                store, workers=3, cache=cache, registry=registry
-            )
-
-        registry = MetricsRegistry()
-        with engine_for(registry) as engine:
-            batch = engine.run_batch(requests)
-            # The cache pre-check precedes execution: even the repeat
-            # is a miss, and every miss is one range query.
-            assert not any(o.metrics.cached for o in batch)
-            assert registry.counters()["engine.range_queries"] == len(requests)
-            again = engine.run_batch(requests)
-            misses = sum(not o.metrics.cached for o in again)
-            if cached:
-                assert misses < len(requests)
-            else:
-                assert misses == len(requests)
-            assert (
-                registry.counters()["engine.range_queries"]
-                == len(requests) + misses
-            )
-        with engine_for() as engine:
-            sequential = [
-                engine.submit(r).result(timeout=30) for r in requests
-            ]
-        assert cached == any(o.metrics.cached for o in sequential)
-
-        for request, ours, theirs in zip(requests, batch, sequential):
-            assert ours.request is request and theirs.request is request
-            if isinstance(request, UniformRequest):
-                reference = uniform_query_ref(
-                    dataset.pm, request.roi, request.lod
-                )
-            else:
-                reference = viewdep_query_ref(dataset.pm, request.plane)
-            assert set(ours.result.nodes) == reference, request
-            assert ours.result.nodes == theirs.result.nodes
-            assert (ours.degraded, type(ours.error)) == (
-                theirs.degraded, type(theirs.error)
-            )
-            # A cache hit reports the cached cube's size, not a probe's.
-            if not theirs.metrics.cached:
-                assert ours.result.retrieved == theirs.result.retrieved
-
-    def test_range_queries_counted_on_both_entry_points(self, store):
-        """``engine.range_queries`` means "range queries executed"
-        whichever way the requests arrive."""
-        rng = random.Random(17)
-        requests = [_random_uniform(store, rng) for _ in range(5)]
-        counts = {}
-        for entry in ("submit", "run_batch"):
-            registry = MetricsRegistry()
-            with QueryEngine(store, workers=2, registry=registry) as engine:
-                if entry == "submit":
-                    for request in requests:
-                        assert engine.submit(request).result(timeout=30).ok
-                else:
-                    engine.run_batch(requests)
-            counts[entry] = registry.counters().get("engine.range_queries", 0)
-        assert counts == {"submit": 5, "run_batch": 5}
-
-    def test_batch_straddling_install_store_reports_one_epoch(self, store):
-        """A batch pins its snapshot once: a patch committed while it
-        runs does not split its outcomes across epochs."""
-        rng = random.Random(19)
-        requests = [_random_uniform(store, rng) for _ in range(6)]
-        with QueryEngine(store, workers=1) as engine:
-
-            class Installing(UniformRequest):
-                def filter(self, columns):
-                    engine.install_store(store, 1)
-                    return super().filter(columns)
-
-            first = Installing(requests[0].roi, requests[0].lod)
-            outcomes = engine.run_batch([first] + requests[1:])
-            assert engine.epoch == 1
-            assert {o.metrics.epoch for o in outcomes} == {0}
-            assert engine.run(requests[0]).metrics.epoch == 1
-        assert all(o.ok for o in outcomes)
+        assert cached == any(o.metrics.cached for o in outcomes)
 
 
 class TestECapRegression:
@@ -326,7 +213,7 @@ class TestECapRegression:
         roi = _extent(store)
         request = UniformRequest(roi, lod)
         with QueryEngine(store, workers=2) as engine:
-            outcome = engine.run(request)
+            outcome = engine.submit(request).result()
         reference = store.uniform_query(roi, lod)
         _assert_identical(outcome, reference)
         assert len(outcome.result.nodes) > 0
@@ -339,7 +226,7 @@ class TestECapRegression:
         second = UniformRequest(roi, store.e_cap + 2.0)
         assert first.query_box(store.e_cap) == second.query_box(store.e_cap)
         with QueryEngine(store, workers=2) as engine:
-            outcomes = engine.run_batch([first, second])
+            outcomes = gather(engine, [first, second])
         for request, outcome in zip((first, second), outcomes):
             reference = store.uniform_query(request.roi, request.lod)
             _assert_identical(outcome, reference)
@@ -351,7 +238,7 @@ class TestMetrics:
         request = UniformRequest(_extent(store), 0.5 * store.max_lod)
         store.database.flush()  # Cold: the fetch must read pages.
         with QueryEngine(store, workers=1) as engine:
-            outcome = engine.run(request)
+            outcome = engine.submit(request).result()
         metrics = outcome.metrics
         assert metrics.clusters_touched >= 1
         assert metrics.pages_read > 0
@@ -365,7 +252,7 @@ class TestMetrics:
         rng = random.Random(7)
         registry = MetricsRegistry()
         with QueryEngine(store, workers=4, registry=registry) as engine:
-            engine.run_batch([_random_uniform(store, rng) for _ in range(5)])
+            gather(engine, [_random_uniform(store, rng) for _ in range(5)])
         histograms = registry.histograms()
         for name in (
             "engine.index_s",
@@ -380,8 +267,8 @@ class TestMetrics:
     def test_warm_cache_has_high_hit_rate(self, store):
         request = UniformRequest(_extent(store), 0.5 * store.max_lod)
         with QueryEngine(store, workers=1) as engine:
-            engine.run(request)  # Warm the pool.
-            warm = engine.run(request)
+            engine.submit(request).result()  # Warm the pool.
+            warm = engine.submit(request).result()
         assert warm.metrics.cache_hit_rate > 0.9
 
 
@@ -401,7 +288,7 @@ class TestConcurrencyStress:
         )
         store.database.flush()
         with QueryEngine(store, workers=8) as engine:
-            outcomes = engine.run_batch(requests)
+            outcomes = gather(engine, requests)
         for request, outcome in zip(requests, outcomes):
             if isinstance(request, UniformRequest):
                 reference = store.uniform_query(request.roi, request.lod)
@@ -418,7 +305,7 @@ class TestConcurrencyStress:
         store.database.flush()
         before = store.database.stats.snapshot()
         with QueryEngine(store, workers=8) as engine:
-            outcomes = engine.run_batch(requests)
+            outcomes = gather(engine, requests)
         delta = store.database.stats.snapshot().delta(before)
         assert delta.logical_reads == sum(
             o.metrics.logical_reads for o in outcomes
@@ -444,7 +331,7 @@ class TestEdgesRace:
 
         request = _random_uniform(store, random.Random(21), frac=0.6)
         with QueryEngine(store, workers=1) as engine:
-            result = engine.run(request).result
+            result = engine.submit(request).result().result
         assert len(result.nodes) > 0
         n_threads = 8
         barrier = threading.Barrier(n_threads)
@@ -508,8 +395,9 @@ class TestMetricSources:
         cache = SemanticCache(1 << 22)
         with QueryEngine(store, workers=1, cache=cache) as first:
             with QueryEngine(store, workers=1, cache=cache) as second:
-                first.run_batch(requests)
-                second.run_batch(requests)  # Served from first's cubes.
+                for engine in (first, second):  # second: first's cubes.
+                    for request in requests:
+                        engine.submit(request).result()
                 stats = cache.stats()
                 assert stats.hits == len(requests) == stats.misses
                 for engine in (first, second):
@@ -548,8 +436,8 @@ class TestMetricSources:
             for i in range(6)
         ]
         with db, engine:
-            engine.run_batch(views)
-            engine.run_batch(views[:3])
+            for view in views + views[:3]:
+                engine.submit(view).result()
             for view in views[2:]:
                 engine.submit(view).result()
             session = EngineSession(engine, "s")
@@ -575,7 +463,7 @@ class TestMetricSources:
             "cache.misses", "cache.region_invalidations",
             "cache.subsume_hits", "cluster.decode_hits",
             "cluster.decode_misses", "cluster.region_invalidations",
-            "engine.admitted", "engine.batches", "engine.range_queries",
+            "engine.admitted", "engine.range_queries",
             "engine.requests", "session.added", "session.bytes_wire",
             "session.patch_resyncs", "session.removed", "session.updates",
             "storage.cluster_reads", "storage.crc_failures",

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.core.engine import QueryEngine
 from repro.core.explain import QueryExplanation, RangeStep, explain
+from repro.core.query import plane_box, plane_cube
 from repro.errors import QueryError
-from repro.geometry.plane import QueryPlane
+from repro.geometry.plane import QueryPlane, RadialLodField
 from repro.geometry.primitives import Box3
 
 
@@ -32,6 +34,35 @@ class TestExplainUniform:
         assert explanation.result_nodes is not None
         assert "executed" in explanation.to_text()
 
+    def test_execute_runs_the_query_once_without_an_engine(
+        self, session_db, hills_dataset, monkeypatch
+    ):
+        """``execute`` runs the paper's processors once; no engine is
+        built beside them."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("explain built a QueryEngine")
+
+        monkeypatch.setattr(QueryEngine, "__init__", refuse)
+        store = session_db["dm"]
+        roi = hills_dataset.bounds().scaled(0.3)
+        lod = hills_dataset.pm.average_lod()
+        explanation = explain(store, roi, lod=lod, execute=True)
+        direct = store.uniform_query(roi, lod)
+        assert explanation.result_nodes == len(direct)
+        assert explanation.retrieved == direct.retrieved
+
+    def test_steps_are_the_probe_boxes(self, session_db, hills_dataset):
+        """A LOD above the cap is explained as the clamped plane the
+        processors probe, which selects the base mesh's clusters."""
+        store = session_db["dm"]
+        roi = hills_dataset.bounds()
+        explanation = explain(store, roi, lod=3 * store.e_cap)
+        assert [step.cube for step in explanation.steps] == [
+            plane_box(roi, store.e_cap, store.e_cap)
+        ]
+        assert explanation.cluster_view.candidates > 0
+
     def test_requires_lod(self, session_db, hills_dataset):
         with pytest.raises(QueryError):
             explain(session_db["dm"], hills_dataset.bounds())
@@ -50,6 +81,24 @@ class TestExplainViewdep:
         if len(explanation.steps) > 1:
             assert "multi-base" in explanation.kind
             assert explanation.predicted_gain > 0
+
+    def test_unbounded_field_is_priced_finite(self, session_db, hills_dataset):
+        """A radial field with the default ``e_max=inf`` is planned and
+        priced over the clamped cubes it probes."""
+        store = session_db["dm"]
+        bounds = hills_dataset.bounds()
+        field = RadialLodField(
+            bounds.scaled(0.6),
+            viewer=(bounds.center.x, bounds.min_y),
+            rate=hills_dataset.pm.max_lod() / bounds.height,
+        )
+        explanation = explain(store, field)
+        plan = store.cost_model.plan_multi_base(field)
+        assert [step.cube for step in explanation.steps] == [
+            plane_cube(strip, store.e_cap) for strip in plan.strips
+        ]
+        assert explanation.single_base_estimate < float("inf")
+        assert "inf" not in explanation.to_text()
 
     def test_execution_matches_direct_query(self, session_db, hills_dataset):
         ds = hills_dataset

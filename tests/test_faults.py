@@ -28,6 +28,7 @@ from repro.geometry.primitives import Rect
 from repro.obs.metrics import MetricsRegistry
 from repro.storage import Database, DiskStats, FaultInjector, Pager
 from repro.terrain import dataset_by_name
+from tests.conftest import gather
 
 
 @pytest.fixture(scope="module")
@@ -234,7 +235,7 @@ class TestStorageWiring:
 
 
 class TestFaultIsolation:
-    def test_no_exception_escapes_run_batch(self, clean_injector):
+    def test_no_exception_escapes_submit(self, clean_injector):
         db, store = clean_injector
         # Device-level injection: covers both the buffered per-node
         # path and the cluster fast path's pool-bypassing run reads.
@@ -246,7 +247,7 @@ class TestFaultIsolation:
         with QueryEngine(
             store, workers=4, retries=1, registry=registry
         ) as engine:
-            outcomes = engine.run_batch(requests)
+            outcomes = gather(engine, requests)
         assert len(outcomes) == len(requests)
         for outcome in outcomes:
             assert not outcome.ok
@@ -294,7 +295,7 @@ class TestFaultIsolation:
         rng = random.Random(7)
         requests = [_random_uniform(store, rng) for _ in range(24)]
         with QueryEngine(store, workers=8, retries=8) as engine:
-            outcomes = engine.run_batch(requests)
+            outcomes = gather(engine, requests)
         assert len(outcomes) == len(requests)
         ok = [o for o in outcomes if o.ok]
         assert len(ok) >= len(requests) // 2
@@ -314,7 +315,7 @@ class TestFaultIsolation:
         with QueryEngine(
             store, workers=4, retries=10, registry=registry
         ) as engine:
-            outcomes = engine.run_batch(requests)
+            outcomes = gather(engine, requests)
         db.set_fault_injector(None)
         assert all(o.ok for o in outcomes)
         for request, outcome in zip(requests, outcomes):
@@ -337,7 +338,7 @@ class TestFaultIsolation:
         with QueryEngine(
             store, workers=2, retries=5, registry=registry
         ) as engine:
-            outcome = engine.run(request)
+            outcome = engine.submit(request).result()
         assert not outcome.ok
         assert isinstance(outcome.error, ValueError)
         assert outcome.attempts == 1
@@ -361,7 +362,7 @@ class TestCorruptionServing:
         with QueryEngine(
             store, workers=2, retries=5, registry=registry
         ) as engine:
-            outcome = engine.run(request)
+            outcome = engine.submit(request).result()
         db.set_fault_injector(None)
         assert outcome.ok and outcome.degraded
         assert outcome.attempts == 1  # Corruption is never retried.
@@ -390,7 +391,7 @@ class TestCorruptionServing:
         with QueryEngine(
             store, workers=2, retries=5, registry=registry
         ) as engine:
-            outcome = engine.run(SingleBaseRequest(plane))
+            outcome = engine.submit(SingleBaseRequest(plane)).result()
         db.set_fault_injector(None)
         assert not outcome.ok
         assert isinstance(outcome.error, PageCorruptionError)
@@ -409,7 +410,7 @@ class TestCorruptionServing:
         rng = random.Random(43)
         requests = [_random_uniform(store, rng) for _ in range(12)]
         with QueryEngine(store, workers=4, retries=2) as engine:
-            outcomes = engine.run_batch(requests)
+            outcomes = gather(engine, requests)
         db.set_fault_injector(None)
         assert len(outcomes) == len(requests)
         # Every injected corruption is caught by exactly one checksum
@@ -433,7 +434,7 @@ class TestDeadlines:
         with QueryEngine(
             store, workers=2, deadline_s=1e-9, registry=registry
         ) as engine:
-            outcomes = engine.run_batch(requests)
+            outcomes = gather(engine, requests)
         counters = registry.counters()
         assert counters["engine.deadline_misses"] == len(requests)
         assert counters["engine.degraded"] == len(requests)
@@ -446,8 +447,9 @@ class TestDeadlines:
             assert outcome.result.nodes == reference.nodes
 
     def test_batch_deadline_runs_from_batch_submission(self, clean_injector):
-        """One deadline per batch: a slow first request uses up its
-        siblings' time too, where sequential submits each get their
+        """A deadline runs from submission: requests submitted
+        together queue behind a slow first one and use up their time
+        there, where submits that each wait for the last get their
         own."""
         db, store = clean_injector
 
@@ -460,7 +462,7 @@ class TestDeadlines:
         requests = [_random_uniform(store, rng) for _ in range(4)]
         requests[0] = Slow(requests[0].roi, requests[0].lod)
         with QueryEngine(store, workers=1, deadline_s=0.1) as engine:
-            batch = engine.run_batch(requests)
+            batch = gather(engine, requests)
             sequential = [
                 engine.submit(r).result(timeout=30) for r in requests
             ]
@@ -476,7 +478,7 @@ class TestDeadlines:
         with QueryEngine(
             store, workers=2, deadline_s=1e-9, registry=registry
         ) as engine:
-            outcome = engine.run(SingleBaseRequest(plane))
+            outcome = engine.submit(SingleBaseRequest(plane)).result()
         assert not outcome.ok
         assert isinstance(outcome.error, DeadlineExceededError)
         assert not outcome.degraded
@@ -486,7 +488,7 @@ class TestDeadlines:
         db, store = clean_injector
         request = _random_uniform(store, random.Random(23))
         with QueryEngine(store, workers=2, deadline_s=60.0) as engine:
-            outcome = engine.run(request)
+            outcome = engine.submit(request).result()
         assert outcome.ok and not outcome.degraded
         reference = store.uniform_query(request.roi, request.lod)
         assert outcome.result.nodes == reference.nodes
@@ -525,7 +527,7 @@ class TestSiblingIsolation:
         with QueryEngine(
             store, workers=1, retries=0, registry=registry
         ) as engine:
-            outcomes = engine.run_batch([outer, inner])
+            outcomes = gather(engine, [outer, inner])
         assert not outcomes[0].ok
         assert isinstance(outcomes[0].error, TransientIOError)
         assert outcomes[1].ok

@@ -166,12 +166,30 @@ def test_malformed_pragma_is_r0() -> None:
 
 
 def test_multi_rule_suppression() -> None:
+    """One pragma naming two rules silences both: in a query module an
+    asserted unclamped box breaks R2 and R4 at once."""
+    path = "src/repro/core/query.py"
+    line = "    assert Box3.from_rect(roi, lod, lod)\n"
+    bare = check_source("def f(roi, lod):\n" + line, path)
+    assert sorted(v.rule_id for v in bare) == ["R2", "R4"]
     source = (
-        "def f(tree):\n"
+        "def f(roi, lod):\n"
         "    # reprolint: disable=R2,R4 oracle check in a demo\n"
-        "    assert tree.search(None)\n"
+        + line
     )
-    assert check_source(source, "src/repro/demo.py") == []
+    assert check_source(source, path) == []
+
+
+@pytest.mark.parametrize("module", ["cost_model", "explain"])
+def test_r2_covers_the_modules_that_price_probes(module: str) -> None:
+    """The cost model and EXPLAIN price the boxes the processors
+    probe, so an unclamped cube there is an R2 finding."""
+    source = (
+        "def cube_for(plane):\n"
+        "    return Box3.from_rect(plane.roi, plane.e_min, plane.e_max)\n"
+    )
+    violations = check_source(source, f"src/repro/core/{module}.py")
+    assert [v.rule_id for v in violations] == ["R2"]
 
 
 def test_parse_error_is_e0() -> None:

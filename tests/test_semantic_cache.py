@@ -26,6 +26,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.storage import Database
 from repro.storage.record import decode_dm_nodes_columnar, encode_dm_node
 from repro.terrain import dataset_by_name
+from tests.conftest import gather
 
 
 def make_columns(n: int, seed: int = 0):
@@ -225,13 +226,13 @@ class TestEngineWithCache:
         overlapping workload (with and without prefetch inflation)."""
         requests = _workload(store, seed=23)
         with QueryEngine(store, workers=4) as engine:
-            reference = _node_ids(engine.run_batch(requests))
+            reference = _node_ids(gather(engine, requests))
         cache = SemanticCache(
             64 << 20, prefetch_e=prefetch_frac * store.max_lod
         )
         with QueryEngine(store, workers=4, cache=cache) as engine:
             for _ in range(3):  # Cold pass, then cache-served passes.
-                assert _node_ids(engine.run_batch(requests)) == reference
+                assert _node_ids(gather(engine, requests)) == reference
         assert cache.stats().hits > 0
 
     def test_repeated_batch_served_from_cache(self, store):
@@ -241,9 +242,9 @@ class TestEngineWithCache:
         with QueryEngine(
             store, workers=4, cache=cache, registry=registry
         ) as engine:
-            engine.run_batch(requests)
+            gather(engine, requests)
             probes_cold = registry.counters()["engine.range_queries"]
-            engine.run_batch(requests)
+            gather(engine, requests)
             probes_warm = (
                 registry.counters()["engine.range_queries"] - probes_cold
             )
@@ -263,8 +264,8 @@ class TestEngineWithCache:
         for kib in (8, 32, 128, 1024):
             cache = SemanticCache(kib * 1024)
             with QueryEngine(store, workers=1, cache=cache) as engine:
-                for _ in range(3):
-                    engine.run_batch(requests)
+                for request in requests * 3:
+                    engine.submit(request).result()
             stats = cache.stats()
             hit_rates.append(stats.hits / (stats.hits + stats.misses))
         assert hit_rates == sorted(hit_rates)
@@ -317,8 +318,8 @@ class TestEngineWithCache:
         inner = UniformRequest(extent.scaled(0.4), lod)
         cache = SemanticCache(64 << 20)
         with QueryEngine(store, workers=2, cache=cache) as engine:
-            engine.run(outer)
-            outcome = engine.run(inner)
+            engine.submit(outer).result()
+            outcome = engine.submit(inner).result()
         assert outcome.metrics.cached
         assert cache.stats().subsume_hits == 1
         reference = store.uniform_query(inner.roi, inner.lod)
@@ -334,8 +335,8 @@ class TestEngineWithCache:
         assert len(reference) > 0
         cache = SemanticCache(64 << 20)
         with QueryEngine(store, workers=2, cache=cache) as engine:
-            first = engine.run(request)
-            second = engine.run(request)
+            first = engine.submit(request).result()
+            second = engine.submit(request).result()
         assert not first.metrics.cached
         assert second.metrics.cached
         assert first.result.nodes == reference.nodes
@@ -346,10 +347,10 @@ class TestEngineWithCache:
         lod = 0.5 * store.max_lod
         cache = SemanticCache(64 << 20, prefetch_e=0.2 * store.max_lod)
         with QueryEngine(store, workers=2, cache=cache) as engine:
-            engine.run(UniformRequest(roi, lod))
-            nearby = engine.run(
+            engine.submit(UniformRequest(roi, lod)).result()
+            nearby = engine.submit(
                 UniformRequest(roi, lod + 0.1 * store.max_lod)
-            )
+            ).result()
         assert nearby.metrics.cached
         reference = store.uniform_query(roi, lod + 0.1 * store.max_lod)
         assert nearby.result.nodes == reference.nodes
@@ -361,10 +362,10 @@ class TestEngineWithCache:
         with QueryEngine(
             store, workers=2, cache=cache, registry=registry
         ) as engine:
-            engine.run_batch(requests)
+            gather(engine, requests)
             cache.invalidate()
             before = registry.counters()["engine.range_queries"]
-            outcomes = engine.run_batch(requests)
+            outcomes = gather(engine, requests)
             fresh = registry.counters()["engine.range_queries"] - before
         assert fresh > 0
         assert all(o.ok for o in outcomes)

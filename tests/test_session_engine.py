@@ -16,7 +16,7 @@ from repro.bench.openloop import OpenLoopConfig, flight_path_workload
 from repro.core.admission import CostGovernor
 from repro.core.cache import PATCH_LOG_LIMIT, SemanticCache
 from repro.core.engine import QueryEngine, UniformRequest
-from repro.core.streaming import EngineSession, TerrainSession
+from repro.core.streaming import EngineSession
 from repro.core.wire import FLAG_KEYFRAME, ClientMesh, DeltaFrame, encode_frame
 from repro.errors import TransientIOError
 from repro.geometry.primitives import Rect
@@ -65,25 +65,26 @@ class TestEngineSession:
             assert client.active_ids == session.active_ids
             assert 0.0 <= result.delta.churn <= 1.0
 
-    def test_flight_meshes_agree_every_frame(
-        self, engine, session_db, hills_dataset
-    ):
-        """Client, session and oracle rebuild the same mesh: the wire
-        client and the store-side session share the kernels (through
-        the records packer) and both are held to the scalar oracle."""
+    def test_flight_meshes_agree_every_frame(self, engine, hills_dataset):
+        """Client, server answer and oracle rebuild the same mesh: the
+        wire client (through the records packer) and the engine's
+        answer (from its gathered arrays) share the kernels, and both
+        are held to the scalar oracle."""
         max_lod = hills_dataset.pm.max_lod()
         session = EngineSession(engine, "flight", tenant="flight")
-        local = TerrainSession(session_db["dm"])
         client = ClientMesh()
         for frame in range(40):
             t = frame / 39
             roi = roi_at(hills_dataset, 0.3 + 0.2 * t, t, 0.5 + 0.4 * (t - 0.5))
             lod = (0.05 + 0.5 * t * (1 - t)) * max_lod
-            client.apply(session.update(UniformRequest(roi, lod)).payload)
-            local.update(roi, lod)
-            assert client.active_ids == local.active_ids
+            update = session.update(UniformRequest(roi, lod))
+            client.apply(update.payload)
+            answer = update.outcome.result
+            assert client.active_ids == set(answer.nodes)
             want_edges, want_triangles = oracle_mesh(client.records())
-            for edges, triangles in (client.mesh(), local.mesh()):
+            for edges, triangles in (
+                client.mesh(), (answer.edges(), answer.triangles())
+            ):
                 assert_same_rows(edges, want_edges)
                 assert_same_rows(triangles, want_triangles)
 

@@ -21,6 +21,7 @@ from repro.geometry.primitives import Rect
 from repro.storage import Database, DiskStats, FaultInjector, Pager
 from repro.storage.buffer import BufferPool
 from repro.terrain import dataset_by_name
+from tests.conftest import gather
 
 STRESS_WORKERS = 8
 
@@ -159,7 +160,7 @@ class TestStatsAttribution:
             db.flush()
             before = db.stats.snapshot()
             with QueryEngine(store, workers=STRESS_WORKERS) as engine:
-                outcomes = engine.run_batch(requests)
+                outcomes = gather(engine, requests)
             delta = db.stats.snapshot().delta(before)
             assert all(o.ok for o in outcomes)
             assert delta.logical_reads == sum(
@@ -204,7 +205,7 @@ class TestEngineUnderFaults:
                 retries=6,
                 deadline_s=30.0,
             ) as engine:
-                outcomes = engine.run_batch(requests)
+                outcomes = gather(engine, requests)
             db.set_fault_injector(None)
             assert len(outcomes) == len(requests)
             for outcome in outcomes:
@@ -277,7 +278,7 @@ class TestEngineUnderFaults:
                     return quarantine_add(segment, page)
 
                 monkeypatch.setattr(engine.quarantine, "add", add)
-                outcomes = engine.run_batch(requests)
+                outcomes = gather(engine, requests)
             db.set_fault_injector(None)
             assert len(outcomes) == len(requests)
             for outcome in outcomes:
