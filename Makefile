@@ -109,8 +109,9 @@ bench-slo:
 # Integrity drill: build a throwaway database, scrub it (must be
 # clean), snapshot, inject seeded corruption (scrub must now fail),
 # repair from the snapshot, scrub once more, then damage the cluster
-# directory sidecar (scrub must flag the run/blob mismatch) and
-# restore it.  Mirrors the `integrity` job in CI.
+# directory at the head of the run segment (scrub must flag it) and
+# restore it, then tamper a run record (scrub must name its node).
+# Mirrors the `integrity` job in CI.
 FSCK_DB ?= /tmp/repro-fsck-drill.db
 fsck:
 	rm -rf $(FSCK_DB)
@@ -121,15 +122,18 @@ fsck:
 		test $$? -eq 1 || { echo "fsck missed injected corruption"; exit 1; }
 	PYTHONPATH=src $(PYTHON) -m repro fsck $(FSCK_DB) --repair
 	PYTHONPATH=src $(PYTHON) -m repro fsck $(FSCK_DB)
-	cp $(FSCK_DB)/dm_clusters.json /tmp/repro-fsck-clusters.bak
-	$(PYTHON) -c "import json; p = '$(FSCK_DB)/dm_clusters.json'; \
-		d = json.load(open(p)); d['clusters'][0]['n_nodes'] += 1; \
-		json.dump(d, open(p, 'w'))"
-	PYTHONPATH=src $(PYTHON) -m repro fsck $(FSCK_DB); \
-		test $$? -eq 1 || { echo "fsck missed cluster-directory damage"; exit 1; }
-	mv /tmp/repro-fsck-clusters.bak $(FSCK_DB)/dm_clusters.json
-	PYTHONPATH=src $(PYTHON) -m repro fsck $(FSCK_DB)
 	cp $(FSCK_DB)/dm_cruns.seg /tmp/repro-fsck-cruns.bak
+	PYTHONPATH=src:. $(PYTHON) -c "from repro.core import DirectMeshStore; \
+		from repro.storage import Database; \
+		from tests.test_verify_store import tamper_directory_entry; \
+		db = Database('$(FSCK_DB)'); \
+		tamper_directory_entry(DirectMeshStore.open(db)); db.close()"
+	PYTHONPATH=src $(PYTHON) -m repro fsck $(FSCK_DB) > /tmp/repro-fsck-out; \
+		test $$? -eq 1 || { echo "fsck missed cluster-directory damage"; exit 1; }
+	grep "structure: .*cluster" /tmp/repro-fsck-out \
+		|| { echo "fsck did not name the cluster directory"; exit 1; }
+	cp /tmp/repro-fsck-cruns.bak $(FSCK_DB)/dm_cruns.seg
+	PYTHONPATH=src $(PYTHON) -m repro fsck $(FSCK_DB)
 	PYTHONPATH=src:. $(PYTHON) -c "from repro.core import DirectMeshStore; \
 		from repro.storage import Database; \
 		from tests.test_verify_store import tamper_cluster_record; \

@@ -49,7 +49,7 @@ def main() -> None:
         report = store.build_report
         assert report is not None
         print(
-            f"store: {report.cluster_pages} run pages in "
+            f"store: {report.cluster_pages} run-segment pages in "
             f"{len(store.clusters)} clusters"
         )
 

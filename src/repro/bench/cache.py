@@ -26,7 +26,7 @@ __all__ = ["ExperimentEnv", "load_environment", "cache_root"]
 
 #: Bump when any on-disk format or layout (records, index pages,
 #: cluster runs, pickles) changes.
-SCHEMA_VERSION = 11
+SCHEMA_VERSION = 12
 
 
 @dataclass

@@ -418,8 +418,8 @@ def _cmd_build(args) -> int:
         if report is None:
             raise InvariantError("freshly built store has no build report")
         print(
-            f"built {report.n_nodes} nodes: {report.cluster_pages} run pages "
-            f"in {len(store.clusters)} clusters, "
+            f"built {report.n_nodes} nodes: {report.cluster_pages} "
+            f"run-segment pages in {len(store.clusters)} clusters, "
             f"avg {report.avg_connections:.1f} connections/node"
         )
         print(f"max LOD: {store.max_lod:.3f}")

@@ -26,8 +26,9 @@ At build time (:func:`build_cluster_runs`):
    one ``np.frombuffer`` per array and no per-row work;
 3. the per-cluster ``(x, y, e)`` extents — unions of the members'
    *indexed* (``e_cap``-capped) vertical segments — and one CRC32 per
-   row are persisted in a JSON directory sidecar
-   (:class:`ClusterDirectory`).
+   row are written at the head of the same segment, in the pages
+   before the runs (:class:`ClusterDirectory`), beside the store's
+   ``max_lod`` and ``e_cap``: a store epoch is its segments.
 
 At query time the in-memory :class:`ClusterIndex` answers a query cube
 with candidate cluster ids in one vectorized intersection test.  Any
@@ -44,19 +45,21 @@ by their run pages feed the paper's cost model
 
 The runs are the store's only record copy.  :meth:`ClusterSet.problems`
 checks the run layout and each row against its digest, so a record
-rewritten under valid page checksums is still named by ``fsck``.
+rewritten under valid page checksums is still named by ``fsck``.  The
+directory pages ride the buffer pool like the runs, so the page
+checksums, the write-ahead log and the segment's fsync cover them (byte
+layout: ``docs/storage_format.md``); opening a store reads their header
+and table (:meth:`ClusterDirectory.read`), and only ``fsck`` reads the
+digests (:meth:`ClusterSet.row_digests`).
 """
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import itertools
-import json
 import struct
 import zlib
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import astuple, dataclass, replace
 from typing import TYPE_CHECKING, AbstractSet, Mapping, Sequence
 
 import numpy as np
@@ -89,9 +92,18 @@ __all__ = [
 #: query's overfetch stays bounded).
 DEFAULT_CLUSTER_NODES = 128
 
-#: Schema version of the JSON directory sidecar (2: columnar blobs;
-#: 3: one CRC32 per row and a content hash per cluster).
-CLUSTER_DIRECTORY_VERSION = 3
+#: Version of the directory at the head of a run segment (2: columnar
+#: blobs; 3: one CRC32 per row and a content hash per cluster; 4: the
+#: directory and the store meta in the run segment's first pages).
+CLUSTER_DIRECTORY_VERSION = 4
+
+#: Magic, version, max_lod, e_cap, cluster_nodes, cluster count, node
+#: count, then the byte offsets of the table and the digest region.
+_DIR_HEADER = struct.Struct("<4sIddIIIII")
+_DIR_MAGIC = b"DMCD"
+#: One table row: start_page, n_pages, n_bytes, n_nodes, the extent
+#: (min x, y, e then max x, y, e) and the content hash.
+_DIR_ROW = struct.Struct("<IIII6d16s")
 
 #: Magic, row count, connection entries, reserved (must be 0).
 _BLOB_HEADER = struct.Struct("<4sIII")
@@ -285,10 +297,9 @@ class ClusterMeta:
     The extent is the union of the members' *indexed* vertical
     segments — ``e_high`` capped at the store's ``e_cap`` — so cluster
     selection against a clamped probe box sees each member's segment.
-    ``digests`` holds one CRC32 per row, in run order (packed ``<u4``,
-    see :func:`_row_digests`); ``content`` is the blob's 128-bit
-    BLAKE2b hash, the cluster's identity across epochs
-    (:func:`unchanged_clusters`).
+    ``content`` is the blob's 128-bit BLAKE2b hash, the cluster's
+    identity across epochs (:func:`unchanged_clusters`).  The fields
+    after ``cluster_id`` are one :data:`_DIR_ROW`, in order.
     """
 
     cluster_id: int
@@ -302,7 +313,6 @@ class ClusterMeta:
     max_x: float
     max_y: float
     max_e: float
-    digests: bytes
     content: bytes
 
     @property
@@ -314,17 +324,25 @@ class ClusterMeta:
         )
 
 
+def _read_span(segment: Segment, start: int, end: int) -> bytes:
+    """Bytes ``[start, end)`` of ``segment``'s payload stream (its page
+    payloads end to end), read as one run past the buffer pool."""
+    if start >= end:
+        return b""
+    size = segment.payload_size
+    first = start // size
+    run = segment.read_run(first, -(-end // size) - first)
+    return run[start - first * size:end - first * size]
+
+
 @dataclass
 class ClusterDirectory:
-    """The persisted cluster catalog of one store.
+    """The cluster catalog of one store epoch and the store's meta,
+    in the first pages of the epoch's run segment (:meth:`encode`,
+    :meth:`read`)."""
 
-    A schema-versioned JSON sidecar (``{prefix}_clusters.json``, named
-    by :func:`~repro.core.direct_mesh.epoch_files`) that is part of
-    every store: one without it does not open (:meth:`load` raises
-    :class:`~repro.errors.StorageError`).
-    """
-
-    segment: str
+    max_lod: float
+    e_cap: float
     cluster_nodes: int
     clusters: list[ClusterMeta]
 
@@ -336,83 +354,77 @@ class ClusterDirectory:
     def __len__(self) -> int:
         return len(self.clusters)
 
-    def save(self, path: Path) -> None:
-        """Write the sidecar at ``path`` (sorted keys, trailing newline)."""
-        payload = {
-            "version": CLUSTER_DIRECTORY_VERSION,
-            "segment": self.segment,
-            "cluster_nodes": self.cluster_nodes,
-            "clusters": [
-                {
-                    "id": c.cluster_id,
-                    "start_page": c.start_page,
-                    "n_pages": c.n_pages,
-                    "n_bytes": c.n_bytes,
-                    "n_nodes": c.n_nodes,
-                    "extent": [
-                        c.min_x, c.min_y, c.min_e,
-                        c.max_x, c.max_y, c.max_e,
-                    ],
-                    "digests": base64.b64encode(c.digests).decode("ascii"),
-                    "content": base64.b64encode(c.content).decode("ascii"),
-                }
-                for c in self.clusters
-            ],
-        }
-        path.write_text(
-            json.dumps(payload, sort_keys=True) + "\n", encoding="ascii"
-        )
+    def spans(self) -> tuple[int, int]:
+        """Byte offsets of the digest region and of the directory's end
+        (the table starts right after the header)."""
+        digests_at = _DIR_HEADER.size + _DIR_ROW.size * len(self.clusters)
+        return digests_at, digests_at + _DIGEST.itemsize * self.total_nodes
+
+    def encode(self, digests: bytes) -> bytes:
+        """The directory's payload stream: header, table, then
+        ``digests`` (one packed ``<u4`` per row, in run order)."""
+        return b"".join((
+            _DIR_HEADER.pack(
+                _DIR_MAGIC, CLUSTER_DIRECTORY_VERSION, self.max_lod,
+                self.e_cap, self.cluster_nodes, len(self.clusters),
+                self.total_nodes, _DIR_HEADER.size, self.spans()[0],
+            ),
+            *(_DIR_ROW.pack(*astuple(c)[1:]) for c in self.clusters),
+            digests,
+        ))
 
     @classmethod
-    def load(cls, path: Path) -> "ClusterDirectory":
-        """Read and validate the sidecar at ``path``."""
-        if not path.exists():
+    def read(cls, segment: Segment) -> "ClusterDirectory":
+        """Read the header and the table of ``segment``, not the digests.
+
+        Raises :class:`~repro.errors.StorageError` naming the fault: no
+        pages, a page 0 that is no directory header (such as a version-3
+        store's first run), another version, a table or digest region
+        off the layout or past the segment, or table node counts that
+        miss the header's.
+        """
+        if segment.n_pages == 0:
             raise StorageError(
-                "store has no cluster directory; rebuild the store",
-                path=str(path),
+                f"{segment.name} has no pages, so no cluster directory; "
+                f"rebuild the store"
             )
-        try:
-            payload = json.loads(path.read_text(encoding="ascii"))
-        except (OSError, ValueError) as exc:
+        page = _read_span(segment, 0, segment.payload_size)
+        magic, version, max_lod, e_cap, cluster_nodes, n_clusters, n_nodes, \
+            table_at, digests_at = _DIR_HEADER.unpack_from(page, 0)
+        if magic != _DIR_MAGIC:
             raise StorageError(
-                f"unreadable cluster directory: {exc}", path=str(path)
-            ) from exc
-        try:
-            version = int(payload["version"])
-            if version != CLUSTER_DIRECTORY_VERSION:
-                raise StorageError(
-                    f"cluster directory is version {version}, "
-                    f"expected {CLUSTER_DIRECTORY_VERSION}; "
-                    f"rebuild the store",
-                    path=str(path),
-                )
-            clusters = [
-                ClusterMeta(
-                    cluster_id=int(entry["id"]),
-                    start_page=int(entry["start_page"]),
-                    n_pages=int(entry["n_pages"]),
-                    n_bytes=int(entry["n_bytes"]),
-                    n_nodes=int(entry["n_nodes"]),
-                    min_x=float(entry["extent"][0]),
-                    min_y=float(entry["extent"][1]),
-                    min_e=float(entry["extent"][2]),
-                    max_x=float(entry["extent"][3]),
-                    max_y=float(entry["extent"][4]),
-                    max_e=float(entry["extent"][5]),
-                    digests=base64.b64decode(entry["digests"], validate=True),
-                    content=base64.b64decode(entry["content"], validate=True),
-                )
-                for entry in payload["clusters"]
-            ]
-            return cls(
-                segment=str(payload["segment"]),
-                cluster_nodes=int(payload["cluster_nodes"]),
-                clusters=clusters,
+                f"{segment.name} page 0 is no cluster directory header "
+                f"(magic {magic!r}); rebuild the store"
             )
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        if version != CLUSTER_DIRECTORY_VERSION:
             raise StorageError(
-                f"malformed cluster directory: {exc}", path=str(path)
-            ) from exc
+                f"cluster directory is version {version}, expected "
+                f"{CLUSTER_DIRECTORY_VERSION}; rebuild the store"
+            )
+        table_end = _DIR_HEADER.size + _DIR_ROW.size * n_clusters
+        end = table_end + _DIGEST.itemsize * n_nodes
+        limit = segment.n_pages * segment.payload_size
+        if (table_at, digests_at) != (_DIR_HEADER.size, table_end) or end > limit:
+            raise StorageError(
+                f"{segment.name}: a table of {n_clusters} clusters at "
+                f"{table_at} and {n_nodes} digests at {digests_at} do not "
+                f"fit the segment's {limit} bytes"
+            )
+        if table_end > len(page):
+            page += _read_span(segment, len(page), table_end)
+        clusters = [
+            ClusterMeta(cid, *row)
+            for cid, row in enumerate(
+                _DIR_ROW.iter_unpack(page[table_at:table_end])
+            )
+        ]
+        directory = cls(max_lod, e_cap, cluster_nodes, clusters)
+        if directory.total_nodes != n_nodes:
+            raise StorageError(
+                f"{segment.name}: cluster table holds "
+                f"{directory.total_nodes} nodes, header counts {n_nodes}"
+            )
+        return directory
 
 
 # -- query-time selection ----------------------------------------------------
@@ -586,28 +598,46 @@ class ClusterSet:
             )
         return columns
 
+    def row_digests(self) -> np.ndarray:
+        """Every row's CRC32 (``<u4``), in run order, read from the
+        directory's digest region: ``fsck``'s read, never ``open``'s."""
+        return np.frombuffer(
+            _read_span(self.segment, *self.directory.spans()), _DIGEST
+        )
+
     def problems(self, skip: AbstractSet[int] = frozenset()) -> list[str]:
         """Every fault of the run layout, reported, not raised.
 
-        Each run must lie inside the segment, not overlap another, and
-        fill its pages exactly (``ceil`` packing, as
-        :func:`build_cluster_runs` writes); a run that passes is read
-        through :meth:`decode`, which checks the directory's record
-        count, and each row must match its directory digest — a
-        record rewritten under re-sealed page checksums is named by
+        Each run must lie inside the segment past the directory pages,
+        not overlap another, and fill its pages exactly (``ceil``
+        packing, as :func:`build_cluster_runs` writes); a run that
+        passes is read through :meth:`decode`, which checks the
+        directory's record count, and each row must match its digest —
+        a record rewritten under re-sealed page checksums is named by
         the node id it now holds — and the run its content hash.  Runs
         touching a page in ``skip`` (the crc scan's findings) are not
-        read: one corrupt page is one fault.
+        read, nor is any run when a directory page is in ``skip``: one
+        corrupt page is one fault.
         """
         problems: list[str] = []
         payload = self.segment.payload_size
+        first_run = -(-self.directory.spans()[1] // payload)
+        digests = (
+            self.row_digests() if skip.isdisjoint(range(first_run)) else None
+        )
+        at = 0
         spans: list[tuple[int, int, int]] = []
         for cid, meta in enumerate(self.directory.clusters):
             start, end = meta.start_page, meta.start_page + meta.n_pages
-            if meta.n_pages < 1 or start < 0 or end > self.segment.n_pages:
+            want = None if digests is None else digests[at:at + meta.n_nodes]
+            at += meta.n_nodes
+            if (
+                meta.n_pages < 1 or start < first_run
+                or end > self.segment.n_pages
+            ):
                 problems.append(
                     f"cluster {cid} run [{start}, {end}) outside segment "
-                    f"({self.segment.n_pages} pages)"
+                    f"pages [{first_run}, {self.segment.n_pages})"
                 )
             elif not 0 < meta.n_bytes - (meta.n_pages - 1) * payload <= payload:
                 problems.append(
@@ -616,32 +646,28 @@ class ClusterSet:
                 )
             else:
                 spans.append((start, end, cid))
-                if skip.isdisjoint(range(start, end)):
-                    problems.extend(self._row_problems(cid))
+                if want is not None and skip.isdisjoint(range(start, end)):
+                    problems.extend(self._row_problems(cid, want))
         spans.sort()
         for (_, prev_end, prev), (start, _, cid) in zip(spans, spans[1:]):
             if start < prev_end:
                 problems.append(f"cluster {cid} run overlaps cluster {prev}")
         return problems
 
-    def _row_problems(self, cluster_id: int) -> list[str]:
-        """Decode one run and check each row against its digest, then
-        (rows clean) the run against its content hash."""
+    def _row_problems(self, cluster_id: int, want: np.ndarray) -> list[str]:
+        """Decode one run and check each row against its digest in
+        ``want``, then (rows clean) the run against its content hash."""
         try:
             blob = self.read_blob(cluster_id)
             columns = self.decode(cluster_id, blob)
         except StorageError as exc:
             return [f"cluster {cluster_id} blob does not decode ({exc})"]
-        want = self.meta(cluster_id).digests
-        if len(want) != _DIGEST.itemsize * len(columns):
+        if len(want) != len(columns):
             return [
-                f"cluster {cluster_id} directory holds "
-                f"{len(want) // _DIGEST.itemsize} row digests for "
-                f"{len(columns)} rows"
+                f"cluster {cluster_id} directory holds {len(want)} row "
+                f"digests for {len(columns)} rows"
             ]
-        bad = np.frombuffer(_row_digests(columns), _DIGEST) != np.frombuffer(
-            want, _DIGEST
-        )
+        bad = np.frombuffer(_row_digests(columns), _DIGEST) != want
         problems = [
             f"node {node_id}: cluster {cluster_id} record fails its digest"
             for node_id in columns.ids[bad].tolist()
@@ -689,6 +715,8 @@ def build_cluster_runs(
     nodes: Sequence["PMNode"],
     boxes: Sequence[Box3],
     connections: Mapping[int, list[int]],
+    max_lod: float,
+    e_cap: float,
     cluster_nodes: int = DEFAULT_CLUSTER_NODES,
 ) -> ClusterDirectory:
     """Materialise the cluster section for a node set.
@@ -698,50 +726,50 @@ def build_cluster_runs(
     connection list (absent ids have none).  Each cluster is one
     :func:`~repro.index.rstar.str_groups` tile of the segments at
     ``cluster_nodes`` (ties keep their order in ``nodes``), its extent
-    the union of its members' segments, its directory entry carries
-    one digest per row, and its columns are encoded as one blob
-    written as a contiguous page run in the segment ``segment_name``.
-    The writes ride the pager like every other build write — sealed
-    under the v2 page format, WAL-logged inside an ``atomic()`` scope.
+    the union of its members' segments, and its columns are encoded as
+    one blob written as a contiguous page run in the segment
+    ``segment_name``, after the directory pages (the store meta, the
+    table and one digest per row; see the module docstring).  The
+    writes ride the pager like every other build write — sealed under
+    the v2 page format, WAL-logged inside an ``atomic()`` or
+    ``patch()`` scope.
 
-    Returns the directory; the caller persists it
-    (:meth:`ClusterDirectory.save`) alongside the store metadata.
+    Returns the directory, as :meth:`ClusterDirectory.read` reads it
+    back.
     """
     if cluster_nodes < 1:
         raise StorageError(
             f"cluster_nodes must be >= 1, got {cluster_nodes}"
         )
     segment = database.segment(segment_name)
+    if segment.n_pages:
+        raise StorageError(
+            f"{segment_name} already holds {segment.n_pages} pages"
+        )
     payload_size = segment.payload_size
+    groups = str_groups(boxes, cluster_nodes)
+    columns = [_node_columns([nodes[i] for i in g], connections) for g in groups]
+    blobs = [encode_cluster_blob(c) for c in columns]
+    start_page = 0  # Shifted past the directory pages below.
     clusters: list[ClusterMeta] = []
-    for cluster_id, group in enumerate(str_groups(boxes, cluster_nodes)):
-        columns = _node_columns([nodes[i] for i in group], connections)
-        blob = encode_cluster_blob(columns)
-        start_page = segment.n_pages
-        for off in range(0, len(blob), payload_size):
-            piece = blob[off:off + payload_size]
+    for cluster_id, (group, blob) in enumerate(zip(groups, blobs)):
+        n_pages = -(-len(blob) // payload_size)
+        box = union_all_boxes([boxes[i] for i in group])
+        clusters.append(ClusterMeta(
+            cluster_id, start_page, n_pages, len(blob), len(group),
+            box.min_x, box.min_y, box.min_e, box.max_x, box.max_y, box.max_e,
+            _content_hash(blob),
+        ))
+        start_page += n_pages
+    directory = ClusterDirectory(max_lod, e_cap, cluster_nodes, clusters)
+    first_run = -(-directory.spans()[1] // payload_size)
+    directory.clusters = [
+        replace(c, start_page=c.start_page + first_run) for c in clusters
+    ]
+    digests = b"".join(_row_digests(c) for c in columns)
+    for data in (directory.encode(digests), *blobs):
+        for off in range(0, len(data), payload_size):
+            piece = data[off:off + payload_size]
             _, buf = segment.allocate()
             buf[:len(piece)] = piece
-        extent = union_all_boxes([boxes[i] for i in group])
-        clusters.append(
-            ClusterMeta(
-                cluster_id=cluster_id,
-                start_page=start_page,
-                n_pages=segment.n_pages - start_page,
-                n_bytes=len(blob),
-                n_nodes=len(columns),
-                min_x=extent.min_x,
-                min_y=extent.min_y,
-                min_e=extent.min_e,
-                max_x=extent.max_x,
-                max_y=extent.max_y,
-                max_e=extent.max_e,
-                digests=_row_digests(columns),
-                content=_content_hash(blob),
-            )
-        )
-    return ClusterDirectory(
-        segment=segment_name,
-        cluster_nodes=cluster_nodes,
-        clusters=clusters,
-    )
+    return directory

@@ -15,13 +15,16 @@ mesh:
    union of its members' segments): one entry per cluster, a page or
    two for the whole store.
 
-The run segment, the extent R*-tree and two JSON sidecars (the store
-metadata and the cluster directory) are a store epoch, and
-:func:`epoch_files` is the one list of them.  Each record is stored
-once.  The paper's processors (:mod:`repro.core.query`) probe the
-R*-tree, read the selected runs and keep the rows whose segment meets
-the query box, so a range query pays the paper's index pages plus run
-pages; the engine selects from the same extents held in memory
+The run segment — its first pages hold the store metadata
+(``max_lod``, ``e_cap``) and the cluster directory, the rest the runs —
+and the extent R*-tree are a store epoch, and :func:`epoch_files` is
+the one list of them: an epoch is its segments, so the page checksums,
+the write-ahead log and the segment fsyncs cover all of it.  Each
+record is stored once.  The paper's processors
+(:mod:`repro.core.query`) probe the R*-tree, read the selected runs
+and keep the rows whose segment meets the query box, so a range query
+pays the paper's index pages plus run pages; the engine selects from
+the same extents held in memory
 (:class:`~repro.core.clusters.ClusterIndex`).  The paper's per-node
 layout (a record heap under a per-node R*-tree) is a baseline
 (:mod:`repro.baselines.paper_layout`) that no epoch writes.  Every
@@ -55,7 +58,6 @@ The store exposes the three query processors of
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -83,26 +85,18 @@ __all__ = ["DirectMeshStore", "DMBuildReport", "EpochFiles", "epoch_files"]
 
 
 class EpochFiles(NamedTuple):
-    """The files of one store epoch: two segments, two sidecars."""
+    """The segments of one store epoch."""
 
-    #: The cluster runs (the records).
+    #: The store metadata and cluster directory, then the cluster runs
+    #: (the records).
     cruns: str
     #: The R*-tree over the clusters' ``(x, y, e)`` extents.
     ctree: str
-    #: The store metadata sidecar (``max_lod``, ``e_cap``).
-    meta: str
-    #: The cluster directory sidecar.
-    directory: str
 
     @property
     def segments(self) -> tuple[str, ...]:
         """The segment names."""
         return (self.cruns, self.ctree)
-
-    @property
-    def sidecars(self) -> tuple[str, ...]:
-        """The sidecar file names."""
-        return (self.meta, self.directory)
 
 
 def epoch_files(prefix: str) -> EpochFiles:
@@ -111,17 +105,12 @@ def epoch_files(prefix: str) -> EpochFiles:
     :func:`~repro.storage.database.epoch_prefix`).
 
     The one list of what a store epoch is: the builder writes exactly
-    these, a patch transaction stages and logs exactly these, and a
-    restaged epoch clears exactly these.  Any other file beside them
-    (such as the record heap, R*-tree or id B+-tree segment an older
-    build wrote) is ignored.
+    these, a patch transaction stages, logs and fsyncs exactly these
+    before its epoch flip, and ``fsck`` finds epochs by their names.
+    Any other file beside them (such as the record heap, R*-tree or id
+    B+-tree segment an older build wrote) is ignored.
     """
-    return EpochFiles(
-        cruns=f"{prefix}_cruns",
-        ctree=f"{prefix}_ctree",
-        meta=f"{prefix}_dm_meta.json",
-        directory=f"{prefix}_clusters.json",
-    )
+    return EpochFiles(cruns=f"{prefix}_cruns", ctree=f"{prefix}_ctree")
 
 
 @dataclass(frozen=True)
@@ -130,6 +119,7 @@ class DMBuildReport:
 
     n_nodes: int
     total_connection_entries: int
+    #: Pages of the run segment: the directory's, then the runs'.
     cluster_pages: int
 
     @property
@@ -146,16 +136,14 @@ class DirectMeshStore:
     def __init__(
         self,
         database: Database,
-        max_lod: float,
-        e_cap: float,
         clusters: ClusterSet,
         cluster_tree: RStarTree,
         build_report: DMBuildReport | None = None,
         prefix: str = "dm",
     ) -> None:
         self.database = database
-        self.max_lod = max_lod
-        self.e_cap = e_cap
+        self.max_lod = clusters.directory.max_lod
+        self.e_cap = clusters.directory.e_cap
         self.build_report = build_report
         #: The segment-name prefix the store's data lives under.  For
         #: live-patched stores this is the *epoch* prefix (e.g.
@@ -171,7 +159,7 @@ class DirectMeshStore:
         # paper reads them "from the R-tree index"), so measured
         # queries pay no catalog I/O.
         self.cost_model = RTreeCostModel(
-            clusters.index.extent_stats(), e_cap
+            clusters.index.extent_stats(), self.e_cap
         )
 
     # -- construction -------------------------------------------------------
@@ -242,9 +230,10 @@ class DirectMeshStore:
             [nodes[i] for i in order],
             [boxes[i] for i in order],
             connections,
+            max_lod,
+            e_cap,
         )
-        directory.save(database.path / files.directory)
-        clusters = ClusterSet(database.segment(directory.segment), directory)
+        clusters = ClusterSet(database.segment(files.cruns), directory)
         cluster_tree = RStarTree(database.segment(files.ctree))
         cluster_tree.bulk_load(
             [(meta.box, meta.cluster_id) for meta in directory.clusters]
@@ -255,16 +244,11 @@ class DirectMeshStore:
             total_connection_entries=sum(
                 len(connections.get(node.id, [])) for node in nodes
             ),
-            cluster_pages=database.segment_pages(directory.segment),
+            cluster_pages=database.segment_pages(files.cruns),
         )
-        # "format" is informational (4 = runs under an extent R*-tree,
-        # no record heap); readers never require the key.
-        meta = {"max_lod": max_lod, "e_cap": e_cap, "format": 4}
-        with open(database.path / files.meta, "w", encoding="ascii") as f:
-            json.dump(meta, f)
         database.buffer.flush_dirty()
         return cls(
-            database, max_lod, e_cap, clusters, cluster_tree,
+            database, clusters, cluster_tree,
             build_report=report, prefix=prefix,
         )
 
@@ -272,21 +256,16 @@ class DirectMeshStore:
     def open(cls, database: Database, prefix: str = "dm") -> "DirectMeshStore":
         """Open the store epoch whose physical prefix is ``prefix``."""
         files = epoch_files(prefix)
-        meta_path = database.path / files.meta
-        if not meta_path.exists():
-            raise StorageError(f"no Direct Mesh store at {meta_path}")
-        with open(meta_path, "r", encoding="ascii") as f:
-            meta = json.load(f)
-        directory = ClusterDirectory.load(database.path / files.directory)
         missing = set(files.segments) - set(database.segment_names())
         if missing:
             raise StorageError(
                 f"store segments {sorted(missing)} missing; rebuild the store"
             )
-        clusters = ClusterSet(database.segment(directory.segment), directory)
+        segment = database.segment(files.cruns)
+        clusters = ClusterSet(segment, ClusterDirectory.read(segment))
         return cls(
-            database, meta["max_lod"], meta["e_cap"], clusters,
-            RStarTree(database.segment(files.ctree)), prefix=prefix,
+            database, clusters, RStarTree(database.segment(files.ctree)),
+            prefix=prefix,
         )
 
     @classmethod

@@ -516,7 +516,3 @@ class MutableStore:
         for name in self.database.segment_names():
             if name.startswith(f"{eprefix}_"):
                 self.database.remove_segment(name)
-        for sidecar in epoch_files(eprefix).sidecars:
-            stale = self.database.path / sidecar
-            if stale.exists():
-                stale.unlink()

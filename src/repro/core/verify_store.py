@@ -1,7 +1,9 @@
 """The store pass of ``fsck``: a store epoch's checks, format first.
 
 The cluster runs are a store epoch's one record copy.  Each on-disk
-format is checked by the module that owns it: the runs by
+format is checked by the module that owns it: the directory header and
+table at the head of the run segment by
+:meth:`~repro.core.clusters.ClusterDirectory.read`, the runs by
 :meth:`~repro.core.clusters.ClusterSet.problems` (run layout, blob
 framing, each row against its directory digest), the R*-tree over the
 cluster extents by :meth:`~repro.index.rstar.RStarTree.problems`.
@@ -23,7 +25,7 @@ import numpy as np
 
 from repro.core.clusters import ClusterDirectory, ClusterSet
 from repro.core.direct_mesh import DirectMeshStore, epoch_files
-from repro.errors import IndexError_, ReproError, StorageError
+from repro.errors import IndexError_, PageCorruptionError, ReproError, StorageError
 from repro.geometry.primitives import Box3
 from repro.index.rstar import RStarTree
 
@@ -73,20 +75,20 @@ def epoch_problems(
                 problems.extend(f"R*-tree {p}" for p in found)
                 if found or skip:
                     tree = None
-    try:
-        directory = ClusterDirectory.load(database.path / files.directory)
-    except StorageError as exc:
-        problems.append(f"unreadable cluster directory ({exc})")
-    else:
-        if directory.segment != files.cruns:
-            problems.append(
-                f"cluster directory names segment {directory.segment}"
-            )
-        elif files.cruns in present:
-            clusters = ClusterSet(database.segment(files.cruns), directory)
+    directory = None
+    if files.cruns in present and 0 not in skips[files.cruns]:
+        segment = database.segment(files.cruns)
+        try:
+            directory = ClusterDirectory.read(segment)
+        except PageCorruptionError:
+            pass  # A table page the crc scan reported: one fault.
+        except StorageError as exc:
+            problems.append(f"unreadable cluster directory ({exc})")
+        else:
+            clusters = ClusterSet(segment, directory)
             problems.extend(clusters.problems(skips[files.cruns]))
-        if tree is not None:
-            problems.extend(_index_problems(tree, directory))
+    if tree is not None and directory is not None:
+        problems.extend(_index_problems(tree, directory))
     if problems or any(skips.values()):
         return problems
     try:

@@ -23,6 +23,9 @@ __all__ = [
 # structure of Shewchuk's bounds; the constants are conservative.
 _ORIENT2D_BOUND = 4e-15
 _INCIRCLE_BOUND = 1e-13
+#: Below this ``detsum`` a product may be subnormal, whose rounding error
+#: is absolute rather than relative, so the orient2d bound does not hold.
+_ORIENT2D_FLOOR = 1e-290
 
 
 def orient2d(ax: float, ay: float, bx: float, by: float, cx: float, cy: float) -> int:
@@ -53,7 +56,7 @@ def orient2d(ax: float, ay: float, bx: float, by: float, cx: float, cy: float) -
     else:
         return _sign(det)
     errbound = _ORIENT2D_BOUND * detsum
-    if det >= errbound or -det >= errbound:
+    if detsum >= _ORIENT2D_FLOOR and (det >= errbound or -det >= errbound):
         return _sign(det)
     return _orient2d_exact(ax, ay, bx, by, cx, cy)
 

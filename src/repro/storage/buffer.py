@@ -20,9 +20,7 @@ not parallelised; run mutations single-threaded as before.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
-
 from typing import TYPE_CHECKING
 
 from repro.errors import BufferPoolError
@@ -33,14 +31,14 @@ from repro.storage.stats import DiskStats
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.storage.faults import FaultInjector
 
-__all__ = ["BufferPool", "DEFAULT_POOL_PAGES", "DEFAULT_LOCK_STRIPES"]
+__all__ = ["BufferPool", "DEFAULT_POOL_PAGES"]
 
 #: Default pool capacity: 256 x 8 KiB = 2 MiB.
 DEFAULT_POOL_PAGES = 256
 
 #: Number of page-load lock stripes; misses on pages in different
 #: stripes proceed in parallel.
-DEFAULT_LOCK_STRIPES = 64
+_LOCK_STRIPES = 64
 
 
 class _Frame:
@@ -59,14 +57,9 @@ class BufferPool:
         self,
         stats: DiskStats,
         capacity: int = DEFAULT_POOL_PAGES,
-        lock_stripes: int = DEFAULT_LOCK_STRIPES,
     ) -> None:
         if capacity < 1:
             raise BufferPoolError(f"capacity must be >= 1, got {capacity}")
-        if lock_stripes < 1:
-            raise BufferPoolError(
-                f"lock_stripes must be >= 1, got {lock_stripes}"
-            )
         self._stats = stats
         self._capacity = capacity
         self._frames: OrderedDict[tuple[str, int], _Frame] = OrderedDict()
@@ -78,7 +71,7 @@ class BufferPool:
         # misses on the same page do one disk read, not several.
         self._stripes = [
             watched_lock("BufferPool._stripes")
-            for _ in range(lock_stripes)
+            for _ in range(_LOCK_STRIPES)
         ]
         #: Optional :class:`repro.storage.faults.FaultInjector`
         #: consulted on every :meth:`fetch` — *before* the cache

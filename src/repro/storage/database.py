@@ -388,7 +388,9 @@ class Database:
         The epoch flip is the commit point of a patch transaction, so
         the rewrite must never leave a torn file: the new contents are
         fsynced under a temporary name, then renamed over the old file
-        in one atomic step.
+        in one atomic step, and the directory is fsynced so the rename
+        itself survives a power loss (else a commit already returned,
+        whose log is unlinked next, could vanish).
         """
         meta_path = self.path / STORAGE_META_FILENAME
         tmp_path = meta_path.with_suffix(".json.tmp")
@@ -400,6 +402,11 @@ class Database:
         finally:
             os.close(fd)
         os.replace(tmp_path, meta_path)
+        fd = os.open(self.path, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
     def store_epoch(self, prefix: str) -> int:
         """The committed epoch of store ``prefix`` (0 for never-patched)."""

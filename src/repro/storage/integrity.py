@@ -294,7 +294,8 @@ def scrub_database(
     the crc scan flagged; its findings go into ``structural``, each
     prefixed with its epoch's prefix.
     """
-    from repro.core.verify_store import epoch_problems  # Above storage.
+    from repro.core.direct_mesh import epoch_files  # Above storage.
+    from repro.core.verify_store import epoch_problems
 
     report = FsckReport(path=str(database.path))
     orphan_names = _find_orphans(database, report)
@@ -324,7 +325,13 @@ def scrub_database(
                     )
                 )
     corrupt_keys = {(fault.segment, fault.page) for fault in report.corrupt}
-    for prefix in _store_epochs(database):
+    # Every committed epoch, found from its segments' names.
+    kinds = epoch_files("").segments
+    epochs = {
+        name.rpartition("_")[0] for name in database.segment_names()
+        if name not in orphan_names and name[name.rfind("_"):] in kinds
+    }
+    for prefix in sorted(epochs):
         report.structural.extend(
             f"{prefix}: {problem}"
             for problem in epoch_problems(database, prefix, corrupt_keys)
@@ -335,22 +342,6 @@ def scrub_database(
         registry.counter("fsck.orphan_segments").inc(report.orphan_segments)
         registry.counter("fsck.store_problems").inc(len(report.structural))
     return report
-
-
-def _store_epochs(database: "Database") -> list[str]:
-    """The physical prefix of every store epoch's meta sidecar, except
-    an aborted patch's (an orphan, see :func:`_find_orphans`)."""
-    from repro.core.direct_mesh import epoch_files  # Lives above storage.
-
-    suffix = epoch_files("").meta
-    prefixes: list[str] = []
-    for path in sorted(Path(database.path).glob(f"*{suffix}")):
-        prefix = path.name[: -len(suffix)]
-        base, sep, tag = prefix.rpartition("@")
-        if sep and tag.isdigit() and int(tag) > database.store_epoch(base):
-            continue  # An aborted patch's sidecar: orphan, not rot.
-        prefixes.append(prefix)
-    return prefixes
 
 
 def _find_orphans(database: "Database", report: FsckReport) -> set[str]:
@@ -394,23 +385,13 @@ def repair_database(database: "Database", report: FsckReport) -> FsckReport:
     through the pager — displacing any cached frame — and re-verified;
     pages with no recoverable image are recorded in
     ``quarantine.json``.  Orphaned staged segments (aborted patches,
-    see :class:`OrphanSegment`) are reclaimed outright — segment plus
-    stale sidecars — since no committed state references them.
-    Mutates and returns ``report``.
+    see :class:`OrphanSegment`) are reclaimed outright, since no
+    committed state references them.  Mutates and returns ``report``.
     """
-    from repro.core.direct_mesh import epoch_files  # Lives above storage.
-
     report.repair_attempted = True
     for orphan in report.orphans:
         database.remove_segment(orphan.segment)
         orphan.removed = True
-    for prefix in {
-        f"{orphan.prefix}@{orphan.epoch}" for orphan in report.orphans
-    }:
-        for sidecar in epoch_files(prefix).sidecars:
-            stale = Path(database.path) / sidecar
-            if stale.exists():
-                stale.unlink()
     wal = WriteAheadLog(database.path, database.page_size)
     records = wal.committed_records()
     images: dict[tuple[str, int], bytes] = {}

@@ -17,8 +17,8 @@ multi-page run accounting.
 
 from __future__ import annotations
 
-import json
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -29,15 +29,17 @@ from repro.baselines.paper_layout import PaperLayoutStore
 from repro.core import DirectMeshStore, QueryEngine
 from repro.core.cache import ClusterCache
 from repro.core.clusters import (
+    _DIR_HEADER,
     DEFAULT_CLUSTER_NODES,
     ClusterDirectory,
     ClusterIndex,
+    ClusterSet,
+    build_cluster_runs,
     decode_cluster_blob,
     encode_cluster_blob,
     intersecting_rows,
     unchanged_clusters,
 )
-from repro.core.direct_mesh import epoch_files
 from repro.core.engine import SingleBaseRequest, UniformRequest
 from repro.core.mutate import MutableStore
 from repro.errors import PageCorruptionError, StorageError
@@ -56,6 +58,7 @@ from repro.storage.record import (
 from repro.terrain import dataset_by_name
 from repro.terrain.dem import DEM
 from repro.terrain.synthetic import ridge_field
+from tests.test_verify_store import parent_layout
 from tests.test_mutate import (
     EXTENT,
     aligned_region,
@@ -189,12 +192,14 @@ class TestEngineParity:
         assert warm.result.nodes == cold.result.nodes
 
     def test_open_without_cluster_directory_raises(self, tmp_path):
-        """The cluster section is part of the store: no directory, no
-        open — the error says to rebuild."""
+        """The cluster section is part of the store: a run segment with
+        no directory at its head (as the version-3 builder wrote it,
+        beside JSON sidecars) does not open — the error says to
+        rebuild."""
         dataset = dataset_by_name("foothills", 300, seed=3)
         with Database(tmp_path / "nodir") as db:
             DirectMeshStore.build(dataset.pm, db, dataset.connections)
-            (db.path / epoch_files("dm").directory).unlink()
+        parent_layout(tmp_path / "nodir")
         with Database(tmp_path / "nodir") as db:
             with pytest.raises(StorageError, match="rebuild"):
                 DirectMeshStore.open(db)
@@ -244,7 +249,7 @@ class TestDirectoryInvariants:
             max(n.y for n in nodes),
             max(min(n.e_high, store.e_cap) for n in nodes),
         )
-        empty = ClusterIndex(ClusterDirectory("dm_cruns", 64, []))
+        empty = ClusterIndex(ClusterDirectory(1.0, 2.05, 64, []))
         assert empty.extent is None
 
     def test_extents_cover_members(self, built):
@@ -262,15 +267,100 @@ class TestDirectoryInvariants:
             assert float(columns.e_low.min()) >= meta.min_e
             assert float(capped.max()) <= meta.max_e
 
-    def test_directory_round_trips_through_json(self, built):
-        db, store = built
-        loaded = ClusterDirectory.load(db.path / epoch_files("dm").directory)
-        assert loaded.clusters == store.clusters.directory.clusters
-        assert loaded.segment == store.clusters.directory.segment
+    def test_directory_round_trips_through_the_run_segment(self, built):
+        _, store = built
+        directory = store.clusters.directory
+        assert ClusterDirectory.read(store.clusters.segment) == directory
+        assert (directory.max_lod, directory.e_cap) == (
+            store.max_lod, store.e_cap
+        )
+        assert directory.clusters[0].start_page > 0  # After the directory.
 
     def test_total_nodes_match_store(self, dataset, built):
         _, store = built
         assert store.clusters.directory.total_nodes == len(dataset.pm.nodes)
+
+
+def _reseal_header(path, field: int, value) -> None:
+    """Set field ``field`` (in :data:`_DIR_HEADER` order) of the header
+    on page 0 of ``dm_cruns`` and re-seal the page."""
+    with Database(path) as db:
+        segment = db.segment("dm_cruns")
+        head = list(_DIR_HEADER.unpack_from(segment.fetch(0), 0))
+        head[field] = value
+        _DIR_HEADER.pack_into(segment.fetch(0), 0, *head)
+        segment.mark_dirty(0)
+
+
+class TestDirectoryHeader:
+    """The directory header is the first thing ``open`` trusts: an
+    empty or damaged one is a typed error naming the fault, and a
+    structural problem for fsck (a version-3 store's:
+    ``test_open_without_cluster_directory_raises`` and
+    ``test_missing_cluster_directory_is_reported``)."""
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda p: (p / "dm_cruns.seg").write_bytes(b""), "no pages"),
+            (lambda p: _reseal_header(p, 0, b"XXXX"), "magic b'XXXX'"),
+            (lambda p: _reseal_header(p, 5, 10**6), "do not fit"),
+        ],
+        ids=["zero pages", "magic", "table"],
+    )
+    def test_damaged_or_foreign_header_is_a_typed_error(
+        self, tmp_path, damage, message
+    ):
+        from repro.cli import main as cli_main
+        from repro.storage.integrity import scrub_database
+
+        dataset = dataset_by_name("foothills", 300, seed=3)
+        path = tmp_path / "db"
+        with Database(path) as db:
+            DirectMeshStore.build(dataset.pm, db, dataset.connections)
+        damage(path)
+        with Database(path) as db:
+            with pytest.raises(StorageError, match=message):
+                DirectMeshStore.open(db)
+            report = scrub_database(db)
+        assert report.corrupt_pages == 0
+        assert len(report.structural) == 1
+        assert re.search(message, report.structural[0])
+        assert report.structural[0].startswith("dm: unreadable cluster dir")
+        assert cli_main(["fsck", str(path)]) == 1
+
+    def test_open_reads_the_header_and_the_table_only(self, dataset, tmp_path):
+        """``open`` reads the pages up to the table's end, not the
+        digests; a table over several pages reads back whole."""
+        nodes = dataset.pm.nodes
+        boxes = [
+            Box3.vertical_segment(n.x, n.y, n.e, min(n.e_high, 99.0))
+            for n in nodes
+        ]
+        with Database(tmp_path / "db") as db:
+            store = DirectMeshStore.build(dataset.pm, db, dataset.connections)
+            small = build_cluster_runs(
+                db, "r", nodes, boxes, dataset.connections, 1.0, 99.0, 4
+            )
+            db.flush()
+
+            def pages(directory) -> list[int]:
+                """Pages up to the table's end, and the directory's."""
+                return [-(-at // db.payload_size) for at in directory.spans()]
+
+            def reads(segment: str) -> int:
+                return db.stats.snapshot().by_segment[segment]["physical_reads"]
+
+            db.stats.reset()
+            opened = DirectMeshStore.open(db).clusters.directory
+            assert opened == store.clusters.directory
+            table, end = pages(opened)
+            assert reads("dm_cruns") == table < end
+            assert ClusterDirectory.read(db.segment("r")) == small
+            table, end = pages(small)
+            assert reads("r") == table < end
+            assert table > 1  # The small clusters' table spans pages.
+            assert ClusterSet(db.segment("r"), small).problems() == []
 
 
 class TestClusterSetProblems:
@@ -538,18 +628,12 @@ class TestBlobCodec:
 
     @staticmethod
     def _old_store(path, version=1):
-        """A store whose directory says it is an older ``version``: 1
-        held ``DMC1`` blobs, 2 carried no row digests."""
+        """A store whose directory header says it is an older
+        ``version``: 1 held ``DMC1`` blobs, 2 carried no row digests."""
         dataset = dataset_by_name("foothills", 300, seed=3)
         with Database(path) as db:
             DirectMeshStore.build(dataset.pm, db, dataset.connections)
-        sidecar = path / epoch_files("dm").directory
-        payload = json.loads(sidecar.read_text())
-        payload["version"] = version
-        if version == 2:
-            for entry in payload["clusters"]:
-                del entry["digests"]
-        sidecar.write_text(json.dumps(payload))
+        _reseal_header(path, 1, version)
         return path
 
     def test_version_1_store_refused_on_open(self, tmp_path):

@@ -153,7 +153,7 @@ class TestRunPageStats:
         from repro.core.clusters import ClusterDirectory, ClusterIndex
         from repro.errors import StorageError
 
-        empty = ClusterIndex(ClusterDirectory("dm_cruns", 128, []))
+        empty = ClusterIndex(ClusterDirectory(1.0, 2.05, 128, []))
         with pytest.raises(StorageError):
             empty.extent_stats()
 

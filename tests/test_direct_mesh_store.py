@@ -222,10 +222,10 @@ class TestLifecycle:
     def test_directory_holds_exactly_the_epoch_files(
         self, tmp_path, hills_dataset
     ):
-        """A store is its cluster runs, the R*-tree over their extents
-        and two sidecars, as :func:`epoch_files` names them, beside the
-        page-format flag: no record heap, no per-node R*-tree, no id
-        B+-tree, no other file."""
+        """A store is its run segment (the directory, then the cluster
+        runs) and the R*-tree over their extents, as :func:`epoch_files`
+        names them, beside the page-format flag: no sidecar, no record
+        heap, no per-node R*-tree, no id B+-tree, no other file."""
         with Database(tmp_path / "db") as db:
             DirectMeshStore.build(
                 hills_dataset.pm, db, hills_dataset.connections
@@ -234,7 +234,6 @@ class TestLifecycle:
         assert files.segments == ("dm_cruns", "dm_ctree")
         assert {p.name for p in (tmp_path / "db").iterdir()} == {
             *(f"{name}.seg" for name in files.segments),
-            *files.sidecars,
             STORAGE_META_FILENAME,
         }
 

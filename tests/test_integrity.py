@@ -382,11 +382,15 @@ class TestStructuralScrub:
     def test_missing_cluster_directory_is_reported(
         self, tmp_path, wavy_pm, wavy_connections
     ):
+        """A version-3 store: its runs from page 0 of ``dm_cruns``, its
+        directory in a JSON sidecar."""
+        from tests.test_verify_store import parent_layout
+
         path = tmp_path / "db"
         with Database(path, pool_pages=64) as db:
             DirectMeshStore.build(wavy_pm, db, wavy_connections)
         assert cli_main(["fsck", str(path)]) == 0
-        (path / "dm_clusters.json").unlink()
+        parent_layout(path)
         with Database(path) as db:
             report = scrub_database(db)
         assert report.corrupt_pages == 0

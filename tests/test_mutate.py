@@ -15,8 +15,9 @@ The contract under test (ISSUE 10):
   never a hybrid.
 """
 
+import os
 import shutil
-import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -610,6 +611,71 @@ class TestOrphanReclamation:
         db.close()
 
 
+class TestDurability:
+    """What a patch fsyncs around its epoch flip, each ``os.fsync``
+    recorded by the path its descriptor names."""
+
+    @staticmethod
+    def patch_recording(tmp_path, monkeypatch) -> tuple[Database, list]:
+        db = Database(tmp_path / "db")
+        ms = MutableStore.build(make_dem(3), db, tile_verts=TILE_VERTS)
+        events: list[tuple] = []
+        fsync, replace = os.fsync, os.replace
+        patch, flip = Database.patch, Database.set_store_epoch
+
+        def record_fsync(fd):
+            events.append(("fsync", os.readlink(f"/proc/self/fd/{fd}")))
+            fsync(fd)
+
+        def record_replace(src, dst):
+            replace(src, dst)
+            events.append(("replace", str(Path(dst).resolve())))
+
+        def record_patch(self, header, kill_hook=None):
+            events.append(("header", header))
+            return patch(self, header, kill_hook=kill_hook)
+
+        def record_flip(self, prefix, epoch):
+            events.append(("flip", None))
+            flip(self, prefix, epoch)
+
+        monkeypatch.setattr(os, "fsync", record_fsync)
+        monkeypatch.setattr(os, "replace", record_replace)
+        monkeypatch.setattr(Database, "patch", record_patch)
+        monkeypatch.setattr(Database, "set_store_epoch", record_flip)
+        ms.apply_patch(
+            aligned_region(0, 0, 4, 4), patch_heights(0, 0, 4, 4, seed=1)
+        )
+        db.close()
+        return db, events
+
+    def test_epoch_flip_fsyncs_the_directory_after_the_rename(
+        self, tmp_path, monkeypatch
+    ):
+        """Only an fsync of the directory makes the rename of
+        ``storage_meta.json`` survive a power loss."""
+        db, events = self.patch_recording(tmp_path, monkeypatch)
+        directory = db.path.resolve()
+        renamed = events.index(
+            ("replace", str(directory / STORAGE_META_FILENAME))
+        )
+        assert ("fsync", str(directory)) in events[renamed + 1:]
+
+    def test_new_epoch_is_durable_before_the_flip(self, tmp_path, monkeypatch):
+        """Each file of the new epoch is a segment the WAL's patch
+        header names, fsynced before the flip: an epoch is its
+        segments."""
+        db, events = self.patch_recording(tmp_path, monkeypatch)
+        ((_, header),) = [e for e in events if e[0] == "header"]
+        synced = {
+            path for kind, path in events[:events.index(("flip", None))]
+            if kind == "fsync"
+        }
+        staged = {p.name for p in db.path.iterdir() if p.name.startswith("dm@1_")}
+        assert staged == {f"{name}.seg" for name in header["segments"]}
+        assert {str(db.path.resolve() / name) for name in staged} <= synced
+
+
 # -- validation plumbing -------------------------------------------------------
 
 
@@ -658,7 +724,6 @@ class TestMutableStoreValidation:
         for epoch in (0, 1):
             files = epoch_files(epoch_prefix("dm", epoch))
             expected |= {f"{name}.seg" for name in files.segments}
-            expected |= set(files.sidecars)
         assert {p.name for p in path.iterdir()} == expected
 
     def test_layout_is_deterministic(self):

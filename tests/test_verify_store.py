@@ -1,33 +1,46 @@
 """Tests for fsck's store pass (:func:`repro.core.verify_store.epoch_problems`)."""
 
+import json
+import struct
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.core.clusters import (
+    _DIR_HEADER,
+    _DIR_ROW,
     _content_hash,
     _row_digests,
     decode_cluster_blob,
     encode_cluster_blob,
 )
-from repro.core.direct_mesh import epoch_files
+from repro.core.direct_mesh import DirectMeshStore, epoch_files
 from repro.core.verify_store import epoch_problems
+from repro.storage.database import Database
+
+
+def reseal_pages(store, first_page: int, data: bytes) -> None:
+    """Write ``data`` over the run segment's payloads from page
+    ``first_page`` on and re-seal the pages: every page checksum stays
+    valid."""
+    segment = store.clusters.segment
+    size = segment.payload_size
+    for off in range(0, len(data), size):
+        page = first_page + off // size
+        chunk = data[off:off + size]
+        buf = segment.fetch(page)
+        buf[: len(chunk)] = chunk
+        segment.mark_dirty(page)
+    store.database.flush()
 
 
 def reseal_cluster_run(store, cluster_id: int, blob: bytes) -> None:
     """Write ``blob`` over cluster ``cluster_id``'s run (same length)
-    and re-seal its pages: every page checksum stays valid."""
-    clusters = store.clusters
-    meta = clusters.meta(cluster_id)
+    and re-seal its pages."""
+    meta = store.clusters.meta(cluster_id)
     assert len(blob) == meta.n_bytes
-    segment = clusters.segment
-    size = segment.payload_size
-    for page in range(meta.n_pages):
-        chunk = blob[page * size : (page + 1) * size]
-        buf = segment.fetch(meta.start_page + page)
-        buf[: len(chunk)] = chunk
-        segment.mark_dirty(meta.start_page + page)
-    store.database.flush()
+    reseal_pages(store, meta.start_page, blob)
 
 
 def repack_index(store, entries) -> None:
@@ -50,11 +63,46 @@ def forge_cluster_run(store, cluster_id: int, columns) -> None:
     reseal_cluster_run(store, cluster_id, blob)
     directory = store.clusters.directory
     directory.clusters[cluster_id] = replace(
-        directory.clusters[cluster_id],
-        digests=_row_digests(columns),
-        content=_content_hash(blob),
+        directory.clusters[cluster_id], content=_content_hash(blob)
     )
-    directory.save(store.database.path / epoch_files(store.prefix).directory)
+    digests = store.clusters.row_digests().copy()
+    at = sum(meta.n_nodes for meta in directory.clusters[:cluster_id])
+    digests[at:at + len(columns)] = np.frombuffer(_row_digests(columns), "<u4")
+    reseal_pages(store, 0, directory.encode(digests.tobytes()))
+
+
+def tamper_directory_entry(store, cluster_id: int = 0) -> None:
+    """Bump cluster ``cluster_id``'s ``n_nodes`` in the directory table
+    and re-seal the page: the table's node count no longer matches the
+    header's."""
+    at = _DIR_HEADER.size + _DIR_ROW.size * cluster_id + 12  # Its n_nodes.
+    segment = store.clusters.segment
+    buf = segment.fetch(0)
+    struct.pack_into("<I", buf, at, struct.unpack_from("<I", buf, at)[0] + 1)
+    segment.mark_dirty(0)
+    store.database.flush()
+
+
+def parent_layout(path) -> None:
+    """Rewrite the closed store at ``path`` into the version-3 layout:
+    the runs from page 0 of ``dm_cruns``, the store meta and the cluster
+    directory (placement only here) in two JSON sidecars."""
+    with Database(path) as db:
+        directory = DirectMeshStore.open(db).clusters.directory
+    first = directory.clusters[0].start_page
+    runs = path / "dm_cruns.seg"
+    runs.write_bytes(runs.read_bytes()[first * db.page_size:])
+    entries = [
+        {"id": c.cluster_id, "start_page": c.start_page - first,
+         "n_pages": c.n_pages, "n_bytes": c.n_bytes, "n_nodes": c.n_nodes}
+        for c in directory.clusters
+    ]
+    (path / "dm_clusters.json").write_text(json.dumps(
+        {"version": 3, "segment": "dm_cruns", "clusters": entries}
+    ))
+    (path / "dm_dm_meta.json").write_text(json.dumps(
+        {"max_lod": directory.max_lod, "e_cap": directory.e_cap}
+    ))
 
 
 def store_problems(store) -> list[str]:
@@ -85,9 +133,6 @@ class TestHealthyStore:
 class TestCorruptions:
     @pytest.fixture
     def small_store(self, tmp_path, wavy_pm, wavy_connections):
-        from repro.core.direct_mesh import DirectMeshStore
-        from repro.storage.database import Database
-
         db = Database(tmp_path / "db", pool_pages=256)
         store = DirectMeshStore.build(wavy_pm, db, wavy_connections)
         yield store
@@ -152,13 +197,12 @@ class TestCorruptions:
         assert registry.counters()["fsck.store_problems"] == 1
 
     def test_detects_cluster_count_mismatch(self, small_store):
-        directory = small_store.clusters.directory
-        meta = directory.clusters[0]
-        directory.clusters[0] = replace(meta, n_nodes=meta.n_nodes + 1)
-        files = epoch_files(small_store.prefix)
-        directory.save(small_store.database.path / files.directory)
-        problems = store_problems(small_store)
-        assert any("directory claims" in p for p in problems)
+        n_nodes = small_store.clusters.directory.total_nodes
+        tamper_directory_entry(small_store)
+        assert store_problems(small_store) == [
+            f"unreadable cluster directory (dm_cruns: cluster table holds "
+            f"{n_nodes + 1} nodes, header counts {n_nodes})"
+        ]
 
     def test_detects_corrupt_record(self, small_store):
         """A run record whose payload bytes are overwritten with
@@ -194,11 +238,10 @@ class TestCorruptions:
         (every row digest does): the engine would carry a decoded
         cluster across a commit under the wrong identity, and fsck
         names the cluster."""
-        directory = small_store.clusters.directory
-        meta = directory.clusters[0]
-        directory.clusters[0] = replace(meta, content=bytes(16))
-        files = epoch_files(small_store.prefix)
-        directory.save(small_store.database.path / files.directory)
+        clusters = small_store.clusters
+        directory = clusters.directory
+        directory.clusters[0] = replace(directory.clusters[0], content=bytes(16))
+        reseal_pages(small_store, 0, directory.encode(clusters.row_digests()))
         assert store_problems(small_store) == [
             "cluster 0 run differs from its content hash"
         ]
